@@ -29,7 +29,7 @@ type pool struct {
 	// hierarchy: nothing is acquired while it is held (dials happen
 	// outside it).
 	mu   sync.Mutex
-	idle []*wire.Client
+	idle []*conn
 	down error // non-nil while the shard is marked down (wraps ErrShardDown)
 	// closed marks the pool shut for good (router Close). A checkout after
 	// close fails, and a connection returned by an operation that was
@@ -46,7 +46,7 @@ func newPool(shard int, addr string, timeout time.Duration) *pool {
 // otherwise. While the shard is marked down it fails fast with the stored
 // ErrShardDown error; only the health monitor (or a successful seed)
 // clears the mark.
-func (p *pool) get() (*wire.Client, error) {
+func (p *pool) get() (*conn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -70,14 +70,27 @@ func (p *pool) get() (*wire.Client, error) {
 		p.markDown(err)
 		return nil, fmt.Errorf("shard %d (%s): %w: %w", p.shard, addr, ErrShardDown, err)
 	}
-	return c, nil
+	return &conn{Client: c}, nil
+}
+
+// finish takes back a connection after an operation that ended in err: a
+// healthy one (no error, or a remote error — the stream stayed in sync) is
+// parked, any other is closed, its stream state unknown. A transport error
+// does not mark the shard down: the next checkout dials fresh, and only a
+// failed dial or health probe declares it down.
+func (p *pool) finish(c *conn, err error) {
+	if err == nil || errors.Is(err, wire.ErrRemote) {
+		p.put(c)
+		return
+	}
+	c.Close()
 }
 
 // put returns a healthy connection to the idle list. If the shard was
 // marked down — or the pool closed — in the meantime, the connection must
 // not be parked: a down shard makes it stale evidence, and a closed pool
 // would never close it again.
-func (p *pool) put(c *wire.Client) {
+func (p *pool) put(c *conn) {
 	p.mu.Lock()
 	if p.down != nil || p.closed {
 		p.mu.Unlock()
@@ -87,11 +100,6 @@ func (p *pool) put(c *wire.Client) {
 	p.idle = append(p.idle, c)
 	p.mu.Unlock()
 }
-
-// discard drops a connection whose stream state is unknown (transport
-// error mid-operation). The shard is not marked down — the next get dials
-// fresh, and only a failed dial (or health probe) declares it down.
-func (p *pool) discard(c *wire.Client) { c.Close() }
 
 // markDown records the shard as unreachable and drops every idle
 // connection (they share the dead peer).
@@ -112,7 +120,7 @@ func (p *pool) markDown(cause error) {
 // the opening handshake and the health monitor's successful probes). A
 // probe racing router Close may land here after the pool shut — the
 // connection is closed, not parked.
-func (p *pool) seed(c *wire.Client) {
+func (p *pool) seed(c *conn) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

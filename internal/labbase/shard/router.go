@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"labflow/internal/labbase"
@@ -11,23 +12,18 @@ import (
 	"labflow/internal/wire"
 )
 
-// Router is the distributed counterpart of the in-process sharded DB: it
-// satisfies labbase.Store over N labbase-server processes, one per shard,
-// reached through the wire protocol. Routing, merging, and error wrapping
-// reuse the exact helpers the in-process facade uses (shardOfN, setHomeIn,
-// routeStepIn, the shard-order merge rules of DESIGN §9), so a workload
-// run through a Router returns byte-identical results — data and error
-// strings both — to the same workload on a shard.DB over the same stores.
+// Router is the core over N labbase-server processes, one per shard,
+// reached through the wire protocol. Routing, merging and error wrapping are
+// the core's, so a workload run through a Router returns byte-identical
+// results — data and error strings both — to the same workload on a shard.DB
+// over the same stores. See core for the concurrency and atomicity
+// contracts.
 //
-// Concurrency contract: identical to shard.DB. Reads may run from any
-// number of goroutines (each checks out its own pooled connection);
-// explicit Begin/Commit brackets are single-writer; PutSteps called
-// outside a bracket owns its per-shard transactions and may be invoked
-// concurrently, but not concurrently with an explicit bracket.
-//
-// Atomicity contract: also identical — per-shard transactions are atomic,
-// cross-shard operations (broadcast brackets, multi-shard PutSteps
-// batches) are not atomic across shards.
+// Reads may run from any number of goroutines (each checks out its own
+// pooled connection). A cross-shard read asks every server at once and
+// each answers from a snapshot of its own taken when the request arrives,
+// so unlike shard.DB's the per-shard states are not fixed together up
+// front; no single shard is ever seen torn mid-transaction.
 //
 // Failure model: a shard server the router cannot reach marks its pool
 // down; operations touching that shard fail fast with ErrShardDown naming
@@ -40,29 +36,14 @@ import (
 // it is simply unreachable from this router, which is the split-brain
 // guard (see DESIGN §12).
 type Router struct {
-	pools   []*pool
-	count   int
-	store   string // shard 0's storage-backend name (the map fingerprint)
-	opts    RouterOptions
-	metrics *routerMetrics
+	*core
+	pools []*pool
+	store string // shard 0's storage-backend name (the map fingerprint)
+	opts  RouterOptions
 	// standbys holds each shard's warm-standby address ("" = none),
 	// consumed on failover. Written by OpenRouter and then touched only by
 	// the health goroutine, so it needs no locking.
 	standbys []string
-
-	// stmu is the router's catalog-and-transaction lock, mirroring
-	// shard.DB.stmu: it guards the broadcast bracket state (inTxn, the
-	// pinned per-shard connections) and the implicit-schema cache. Ordered
-	// before pool.mu and routerMetrics.mu.
-	stmu  sync.Mutex
-	inTxn bool
-	// txConns pins one connection per shard while a broadcast bracket is
-	// open: the server ties a transaction to the connection that sent
-	// OpBegin, so every mutation inside the bracket must travel on it.
-	txConns []*wire.Client
-	// known caches (class, attr-multiset) shapes already broadcast,
-	// exactly as shard.DB.known does.
-	known map[string]struct{}
 
 	stopHealth chan struct{}
 	healthWG   sync.WaitGroup
@@ -108,18 +89,20 @@ func OpenRouter(t Topology, opts RouterOptions) (*Router, error) {
 	}
 	r := &Router{
 		pools:      make([]*pool, n),
-		count:      n,
 		opts:       opts,
-		metrics:    newRouterMetrics(n),
 		standbys:   make([]string, n),
-		txConns:    make([]*wire.Client, n),
-		known:      make(map[string]struct{}),
 		stopHealth: make(chan struct{}),
 	}
 	copy(r.standbys, t.Standbys)
+	metrics := newRouterMetrics(n)
+	members := make([]member, n)
 	for k, addr := range t.Shards {
 		r.pools[k] = newPool(k, addr, opts.DialTimeout)
+		members[k] = &remote{k: k, pool: r.pools[k], metrics: metrics}
 	}
+	r.core = newCore(members)
+	r.gather = concurrently(r.views, metrics)
+	r.strict, r.metrics = opts.StrictSchema, metrics
 	for k := range r.pools {
 		c, err := r.verifyShard(k)
 		if err != nil {
@@ -141,7 +124,7 @@ func OpenRouter(t Topology, opts RouterOptions) (*Router, error) {
 // the topology. Used by the opening handshake and by the health monitor's
 // revival probes, so a server restarted with the wrong -shard flag is
 // refused at both points.
-func (r *Router) verifyShard(k int) (*wire.Client, error) {
+func (r *Router) verifyShard(k int) (*conn, error) {
 	p := r.pools[k]
 	addr := p.address()
 	c, err := wire.DialTimeout(addr, p.timeout)
@@ -153,10 +136,10 @@ func (r *Router) verifyShard(k int) (*wire.Client, error) {
 		c.Close()
 		return nil, fmt.Errorf("shard %d (%s): handshake: %w", k, addr, err)
 	}
-	if idx != k || cnt != r.count {
+	if idx != k || cnt != len(r.pools) {
 		c.Close()
 		return nil, fmt.Errorf("shard: topology mismatch: server %s advertises shard %d of %d, this topology needs shard %d of %d",
-			addr, idx, cnt, k, r.count)
+			addr, idx, cnt, k, len(r.pools))
 	}
 	if k == 0 && r.store == "" {
 		r.store = store
@@ -165,7 +148,7 @@ func (r *Router) verifyShard(k int) (*wire.Client, error) {
 		return nil, fmt.Errorf("shard: store mismatch: shard 0 runs %q, shard %d (%s) runs %q",
 			r.store, k, p.addr, store)
 	}
-	return c, nil
+	return &conn{Client: c}, nil
 }
 
 // healthLoop periodically pings every shard: live shards get a ShardInfo
@@ -195,8 +178,8 @@ func (r *Router) probeAll() {
 			r.tryFailover(k)
 			continue
 		}
-		err := r.onShard(k, func(c *wire.Client) error {
-			_, _, _, err := c.ShardInfo()
+		err := read(r.members[k], func(rd labbase.Reader) error {
+			_, _, _, err := rd.(*conn).ShardInfo()
 			return err
 		})
 		if err != nil && !errors.Is(err, wire.ErrRemote) && !errors.Is(err, ErrShardDown) {
@@ -236,18 +219,9 @@ func (r *Router) tryFailover(k int) {
 	r.metrics.failover(k)
 }
 
-// Shards returns the topology's shard count.
-func (r *Router) Shards() int { return r.count }
-
 // Metrics snapshots the router's per-shard latency histograms and fan-out
 // width counters.
 func (r *Router) Metrics() RouterStats { return r.metrics.snapshot() }
-
-// ConcurrentBatches mirrors shard.DB: out-of-bracket PutSteps calls do
-// their own serialization (here, one server transaction per touched
-// shard), so a wire server fronting a Router may run batches from
-// different client connections concurrently.
-func (r *Router) ConcurrentBatches() bool { return true }
 
 // Close stops the health monitor and drops every connection. It does not
 // close the remote stores — the shard servers own those; Close leaves the
@@ -257,982 +231,13 @@ func (r *Router) ConcurrentBatches() bool { return true }
 func (r *Router) Close() error {
 	r.closeOnce.Do(func() { close(r.stopHealth) })
 	r.healthWG.Wait()
-	r.stmu.Lock()
-	if r.inTxn {
-		for k, c := range r.txConns {
-			if c == nil {
-				continue
-			}
-			c.Commit()
-			c.Close()
-			r.txConns[k] = nil
-		}
-		r.inTxn = false
+	if r.InTxn() {
+		r.Commit()
 	}
-	r.stmu.Unlock()
 	for _, p := range r.pools {
 		p.closeAll()
 	}
 	return nil
-}
-
-// --- plumbing ---------------------------------------------------------------
-
-// shardErr adds shard context to a store error, passthrough on one shard —
-// the same rule as shard.DB.shardErr, so wrapped bytes are identical.
-func (r *Router) shardErr(k int, err error) error {
-	if r.count == 1 {
-		return err
-	}
-	return fmt.Errorf("shard %d: %w", k, err)
-}
-
-func (r *Router) shardOf(oid storage.OID) (int, error) {
-	return shardOfN(oid, r.count)
-}
-
-// bare strips the "wire: remote error: " prefix off a server-reported
-// error so the bytes the router relays match what an in-process caller
-// would have seen; sentinel identity survives (bareError unwraps to the
-// coded sentinel). Transport-level errors pass through unchanged.
-func bare(err error) error {
-	var re *wire.RemoteError
-	if errors.As(err, &re) {
-		return re.Bare()
-	}
-	return err
-}
-
-// finish returns a connection to shard k's pool when it is still healthy
-// (no error, or a remote error — the stream stayed in sync) and discards
-// it otherwise. A transport error does not mark the shard down: the next
-// checkout dials fresh, and only a failed dial or health probe does.
-func (r *Router) finish(k int, c *wire.Client, err error) {
-	if err == nil || errors.Is(err, wire.ErrRemote) {
-		r.pools[k].put(c)
-		return
-	}
-	r.pools[k].discard(c)
-}
-
-// onShard runs one synchronous operation against shard k on a pooled
-// connection, timing it and classifying the connection afterwards. The
-// returned error is bare (server bytes verbatim) or a fail-fast
-// ErrShardDown from the pool.
-func (r *Router) onShard(k int, fn func(*wire.Client) error) error {
-	c, err := r.pools[k].get()
-	if err != nil {
-		return err // already names the shard (ErrShardDown)
-	}
-	stop := r.metrics.start(k)
-	err = fn(c)
-	stop()
-	r.finish(k, c, err)
-	return bare(err)
-}
-
-// scatter fans one read out to every shard concurrently — each worker on
-// its own pooled connection — and gathers the per-shard results in shard
-// order. The first failing shard in shard order decides the error,
-// wrapped exactly as the in-process facade wraps it (fail-fast pool
-// errors already name their shard and pass through).
-func scatter[T any](r *Router, fn func(*wire.Client) (T, error)) ([]T, error) {
-	parts := make([]T, r.count)
-	errs := make([]error, r.count)
-	var wg sync.WaitGroup
-	for k := 0; k < r.count; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			errs[k] = r.onShard(k, func(c *wire.Client) error {
-				var err error
-				parts[k], err = fn(c)
-				return err
-			})
-		}(k)
-	}
-	wg.Wait()
-	r.metrics.fanout(r.count)
-	for k, err := range errs {
-		if err != nil {
-			if errors.Is(err, ErrShardDown) {
-				return nil, err
-			}
-			return nil, r.shardErr(k, err)
-		}
-	}
-	return parts, nil
-}
-
-// txConn returns shard k's pinned bracket connection, or the same bare
-// labbase.ErrNoTransaction an in-process shard would have raised. Every
-// mutation except PutSteps routes through here: the servers would happily
-// wrap an out-of-bracket mutation in a transaction of their own, which is
-// exactly the divergence from Store semantics the router must not allow.
-func (r *Router) txConn(k int) (*wire.Client, error) {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	if !r.inTxn {
-		return nil, labbase.ErrNoTransaction
-	}
-	return r.txConns[k], nil
-}
-
-// --- transactions -----------------------------------------------------------
-
-// Begin opens the broadcast write bracket: one pinned connection per
-// shard, each holding its server's writer lock until Commit, in shard
-// order (the global lock order). If a later shard refuses, the brackets
-// already opened are committed and released — over the wire an abandoned
-// bracket would wedge that server's writer lock for every other client,
-// so unlike the in-process facade the router cannot leave them open; the
-// committed brackets are empty, so nothing is applied.
-func (r *Router) Begin() error {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	if r.inTxn {
-		// Nested Begin: forward to the open brackets so the stores produce
-		// the same diagnostics as in-process nested Begin.
-		for k, c := range r.txConns {
-			if err := c.Begin(); err != nil {
-				return r.shardErr(k, bare(err))
-			}
-		}
-		return nil
-	}
-	for k := 0; k < r.count; k++ {
-		c, err := r.pools[k].get()
-		if err == nil {
-			berr := c.Begin()
-			if berr == nil {
-				r.txConns[k] = c
-				continue
-			}
-			r.finish(k, c, berr)
-			err = r.shardErr(k, bare(berr))
-		}
-		for j := 0; j < k; j++ {
-			cj := r.txConns[j]
-			r.txConns[j] = nil
-			cerr := cj.Commit()
-			r.finish(j, cj, cerr)
-		}
-		return err
-	}
-	r.inTxn = true
-	return nil
-}
-
-// Commit closes every shard's bracket in shard order — independent
-// durability points, exactly as in-process (DESIGN §9's cross-shard
-// non-atomicity). Without an open bracket it still asks shard 0 so the
-// store's own ErrNoTransaction bytes come back.
-func (r *Router) Commit() error {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	var errs []error
-	for k := 0; k < r.count; k++ {
-		c := r.txConns[k]
-		pinned := c != nil
-		if !pinned {
-			var err error
-			c, err = r.pools[k].get()
-			if err != nil {
-				errs = append(errs, err)
-				continue
-			}
-		}
-		err := c.Commit()
-		if pinned {
-			r.txConns[k] = nil
-		}
-		r.finish(k, c, err)
-		if err != nil {
-			errs = append(errs, r.shardErr(k, bare(err)))
-		}
-	}
-	r.inTxn = false
-	return errors.Join(errs...)
-}
-
-// InTxn reports whether the broadcast bracket is open.
-func (r *Router) InTxn() bool {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	return r.inTxn
-}
-
-// --- schema -----------------------------------------------------------------
-
-// routerBroadcastLocked runs a definition on every shard's pinned bracket
-// connection in shard order and asserts ID agreement — the wire twin of
-// shard.broadcast, with identical divergence bytes. Caller holds stmu
-// with the bracket open.
-func routerBroadcastLocked[T comparable](r *Router, what, name string, def func(*wire.Client) (T, error)) (T, error) {
-	var first T
-	for k := 0; k < r.count; k++ {
-		got, err := def(r.txConns[k])
-		if err != nil {
-			return first, r.shardErr(k, bare(err))
-		}
-		if k == 0 {
-			first = got
-		} else if got != first {
-			return first, fmt.Errorf("shard: catalog divergence: %s %q is %v on shard %d, %v on shard 0",
-				what, name, got, k, first)
-		}
-	}
-	return first, nil
-}
-
-// requireBracketLocked raises the out-of-transaction error a broadcast
-// definition would have hit on shard 0 in-process.
-func (r *Router) requireBracketLocked() error {
-	if r.inTxn {
-		return nil
-	}
-	return r.shardErr(0, labbase.ErrNoTransaction)
-}
-
-// DefineMaterialClass broadcasts the definition to every shard.
-func (r *Router) DefineMaterialClass(name, parent string) (labbase.ClassID, error) {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	if err := r.requireBracketLocked(); err != nil {
-		return 0, err
-	}
-	return routerBroadcastLocked(r, "material class", name, func(c *wire.Client) (labbase.ClassID, error) {
-		return c.DefineMaterialClass(name, parent)
-	})
-}
-
-// DefineAttr broadcasts the definition to every shard.
-func (r *Router) DefineAttr(name string, kind labbase.Kind) (labbase.AttrID, error) {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	if err := r.requireBracketLocked(); err != nil {
-		return 0, err
-	}
-	return routerBroadcastLocked(r, "attribute", name, func(c *wire.Client) (labbase.AttrID, error) {
-		return c.DefineAttr(name, kind)
-	})
-}
-
-// DefineStepClass broadcasts the definition to every shard.
-func (r *Router) DefineStepClass(name string, attrs []labbase.AttrDef) (labbase.StepClassID, labbase.Version, error) {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	if err := r.requireBracketLocked(); err != nil {
-		return 0, 0, err
-	}
-	got, err := routerBroadcastLocked(r, "step class", name, func(c *wire.Client) (idVer, error) {
-		id, ver, err := c.DefineStepClass(name, attrs)
-		return idVer{labbase.StepClassID(id), labbase.Version(ver)}, err
-	})
-	return got.id, got.ver, err
-}
-
-// DefineState broadcasts the definition to every shard.
-func (r *Router) DefineState(name string) (labbase.StateID, error) {
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	if err := r.requireBracketLocked(); err != nil {
-		return 0, err
-	}
-	return routerBroadcastLocked(r, "state", name, func(c *wire.Client) (labbase.StateID, error) {
-		return c.DefineState(name)
-	})
-}
-
-// ensureStepSchema is the router's twin of shard.DB.ensureStepSchema: it
-// pre-broadcasts the classes/attrs/versions a batch would create
-// implicitly, so implicit schema evolution cannot diverge the servers'
-// catalogs. Same skip rule: no-op on one shard (nothing to diverge) and
-// under StrictSchema.
-func (r *Router) ensureStepSchema(specs []labbase.StepSpec) error {
-	if r.count == 1 || r.opts.StrictSchema {
-		return nil
-	}
-	r.stmu.Lock()
-	defer r.stmu.Unlock()
-	for _, spec := range specs {
-		key := schemaKey(spec)
-		if _, ok := r.known[key]; ok {
-			continue
-		}
-		vers, verr := r.versionsLocked(spec.Class)
-		if verr != nil || !versionListed(vers, spec) {
-			if err := r.broadcastStepSchemaLocked(spec); err != nil {
-				return err
-			}
-		}
-		r.known[key] = struct{}{}
-	}
-	return nil
-}
-
-// versionsLocked reads shard 0's version list for the ensure probe — on
-// the pinned bracket connection when one is open (so in-bracket
-// definitions are visible), a pooled one otherwise.
-func (r *Router) versionsLocked(class string) ([][]string, error) {
-	if r.inTxn {
-		return r.txConns[0].StepClassVersions(class)
-	}
-	var vers [][]string
-	err := r.onShard(0, func(c *wire.Client) error {
-		var e error
-		vers, e = c.StepClassVersions(class)
-		return e
-	})
-	return vers, err
-}
-
-func (r *Router) broadcastStepSchemaLocked(spec labbase.StepSpec) error {
-	attrs := make([]labbase.AttrDef, len(spec.Attrs))
-	for i, av := range spec.Attrs {
-		attrs[i] = labbase.AttrDef{Name: av.Name, Kind: labbase.KindAny}
-	}
-	if r.inTxn {
-		_, err := routerBroadcastLocked(r, "step class", spec.Class, func(c *wire.Client) (idVer, error) {
-			id, ver, err := c.DefineStepClass(spec.Class, attrs)
-			return idVer{labbase.StepClassID(id), labbase.Version(ver)}, err
-		})
-		return err
-	}
-	var first idVer
-	for k := 0; k < r.count; k++ {
-		got, err := r.defineStepClassOwnTxn(k, spec.Class, attrs)
-		if err != nil {
-			return err
-		}
-		if k == 0 {
-			first = got
-		} else if got != first {
-			return fmt.Errorf("shard: catalog divergence: step class %q is %v on shard %d, %v on shard 0",
-				spec.Class, got, k, first)
-		}
-	}
-	return nil
-}
-
-// defineStepClassOwnTxn runs one shard's definition in its own server
-// bracket on a pooled connection, with the same error bytes as the
-// in-process shard.DB.defineStepClassOwnTxn.
-func (r *Router) defineStepClassOwnTxn(k int, class string, attrs []labbase.AttrDef) (idVer, error) {
-	c, err := r.pools[k].get()
-	if err != nil {
-		return idVer{}, err
-	}
-	stop := r.metrics.start(k)
-	defer stop()
-	if berr := c.Begin(); berr != nil {
-		r.finish(k, c, berr)
-		return idVer{}, fmt.Errorf("shard %d: %w", k, bare(berr))
-	}
-	id, ver, derr := c.DefineStepClass(class, attrs)
-	cerr := c.Commit()
-	r.finish(k, c, errors.Join(derr, cerr))
-	if cerr != nil {
-		return idVer{}, errors.Join(bare(derr), fmt.Errorf("shard %d: commit: %w", k, bare(cerr)))
-	}
-	if derr != nil {
-		return idVer{}, fmt.Errorf("shard %d: %w", k, bare(derr))
-	}
-	return idVer{id, ver}, nil
-}
-
-// --- catalog listings (shard 0, as in-process) -------------------------------
-
-// MaterialClasses lists material classes from shard 0.
-func (r *Router) MaterialClasses() []string { return r.nameList((*wire.Client).MaterialClasses) }
-
-// StepClasses lists step classes from shard 0.
-func (r *Router) StepClasses() []string { return r.nameList((*wire.Client).StepClasses) }
-
-// States lists states from shard 0.
-func (r *Router) States() []string { return r.nameList((*wire.Client).States) }
-
-func (r *Router) nameList(fn func(*wire.Client) ([]string, error)) []string {
-	var names []string
-	if err := r.onShard(0, func(c *wire.Client) error {
-		var e error
-		names, e = fn(c)
-		return e
-	}); err != nil {
-		return nil
-	}
-	return names
-}
-
-// StepClassVersions lists a class's versions from shard 0.
-func (r *Router) StepClassVersions(name string) ([][]string, error) {
-	var vers [][]string
-	err := r.onShard(0, func(c *wire.Client) error {
-		var e error
-		vers, e = c.StepClassVersions(name)
-		return e
-	})
-	return vers, err
-}
-
-// --- mutations (all bracket-bound except PutSteps) ---------------------------
-
-// CreateMaterial routes the material to its home shard by name hash.
-func (r *Router) CreateMaterial(class, name, state string, validTime int64) (storage.OID, error) {
-	k := ShardFor(name, r.count)
-	c, err := r.txConn(k)
-	if err != nil {
-		return storage.NilOID, err
-	}
-	stop := r.metrics.start(k)
-	defer stop()
-	oid, err := c.CreateMaterial(class, name, state, validTime)
-	return oid, bare(err)
-}
-
-// SetState routes by the material's OID.
-func (r *Router) SetState(oid storage.OID, state string) error {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return err
-	}
-	c, err := r.txConn(k)
-	if err != nil {
-		return err
-	}
-	stop := r.metrics.start(k)
-	defer stop()
-	return bare(c.SetState(oid, state))
-}
-
-// CreateMaterialSet creates the set on its members' shard (ErrCrossShard
-// when they span shards, from the same shared helper as in-process).
-func (r *Router) CreateMaterialSet(members []storage.OID) (storage.OID, error) {
-	home, err := setHomeIn(r.count, members)
-	if err != nil {
-		return storage.NilOID, err
-	}
-	c, err := r.txConn(home)
-	if err != nil {
-		return storage.NilOID, err
-	}
-	stop := r.metrics.start(home)
-	defer stop()
-	oid, err := c.CreateMaterialSet(members)
-	return oid, bare(err)
-}
-
-// RecordStep routes the step to its home shard's pinned connection.
-func (r *Router) RecordStep(spec labbase.StepSpec) (storage.OID, error) {
-	home, err := routeStepIn(r.count, spec)
-	if err != nil {
-		return storage.NilOID, err
-	}
-	if err := r.ensureStepSchema([]labbase.StepSpec{spec}); err != nil {
-		return storage.NilOID, err
-	}
-	c, err := r.txConn(home)
-	if err != nil {
-		return storage.NilOID, err
-	}
-	stop := r.metrics.start(home)
-	defer stop()
-	oid, err := c.RecordStep(spec)
-	return oid, bare(err)
-}
-
-// PutSteps applies a batch with one wire round-trip and one server
-// transaction per touched shard, the sub-batches in flight concurrently:
-// every shard's frame is sent before any shard's reply is read (pipelined
-// scatter), so N servers commit in parallel. Same contract as shard.DB:
-// pre-validated routing, atomic per shard, non-atomic across shards,
-// request-order OID stitching, first-failing-index errors per shard.
-// Inside a broadcast bracket the batch joins it sequentially instead.
-func (r *Router) PutSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
-	if r.count == 1 {
-		return r.putStepsSingle(specs)
-	}
-	if r.InTxn() {
-		oids := make([]storage.OID, len(specs))
-		for i, spec := range specs {
-			oid, err := r.RecordStep(spec)
-			if err != nil {
-				return nil, fmt.Errorf("shard: step batch entry %d (earlier entries recorded): %w", i, err)
-			}
-			oids[i] = oid
-		}
-		return oids, nil
-	}
-	if err := r.ensureStepSchema(specs); err != nil {
-		return nil, err
-	}
-	idxs := make([][]int, r.count)
-	parts := make([][]labbase.StepSpec, r.count)
-	for i, spec := range specs {
-		home, err := routeStepIn(r.count, spec)
-		if err != nil {
-			return nil, fmt.Errorf("shard: step batch entry %d (batch rejected, nothing recorded): %w", i, err)
-		}
-		idxs[home] = append(idxs[home], i)
-		parts[home] = append(parts[home], spec)
-	}
-
-	// Check out one connection per touched shard before sending anything:
-	// a down shard rejects the whole batch up front — fail-fast, nothing
-	// applied anywhere — instead of surfacing after the other shards
-	// already committed their sub-batches.
-	type flight struct {
-		k    int
-		c    *wire.Client
-		p    *wire.Pipeline
-		fut  *wire.PutStepsFuture
-		stop func()
-	}
-	var flights []flight
-	for k := 0; k < r.count; k++ {
-		if len(idxs[k]) == 0 {
-			continue
-		}
-		c, err := r.pools[k].get()
-		if err != nil {
-			for _, f := range flights {
-				r.pools[f.k].put(f.c)
-			}
-			return nil, err
-		}
-		flights = append(flights, flight{k: k, c: c})
-	}
-	r.metrics.fanout(len(flights))
-
-	// Send every sub-batch before draining any: all servers start their
-	// transactions while the router is still writing to the others.
-	// Send/Drain errors land in the futures, so per-shard status is read
-	// off fut.Err uniformly below.
-	for i := range flights {
-		f := &flights[i]
-		f.stop = r.metrics.start(f.k)
-		f.p = f.c.Pipeline()
-		f.fut = f.p.PutSteps(parts[f.k])
-		f.p.Send()
-	}
-
-	// Drain in shard order, stitching each shard's OIDs back into request
-	// order and re-basing any failing sub-batch index onto the original
-	// batch position.
-	oids := make([]storage.OID, len(specs))
-	var errs []error
-	for i := range flights {
-		f := &flights[i]
-		f.p.Drain()
-		f.stop()
-		err := f.fut.Err
-		r.finish(f.k, f.c, err)
-		if err == nil {
-			if len(f.fut.OIDs) == len(idxs[f.k]) {
-				for j, oid := range f.fut.OIDs {
-					oids[idxs[f.k][j]] = oid
-				}
-			} else {
-				err = fmt.Errorf("wire: bad step batch reply")
-			}
-		}
-		if err != nil {
-			if rbe, ok := err.(*wire.RemoteBatchError); ok && rbe.Index >= 0 && rbe.Index < len(idxs[f.k]) {
-				errs = append(errs, &BatchError{Index: idxs[f.k][rbe.Index], Shard: f.k, Err: rbe.BatchError.Err})
-			} else {
-				errs = append(errs, r.shardErr(f.k, bare(err)))
-			}
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return oids, nil
-}
-
-// putStepsSingle is the one-shard fast path: the whole batch in one round
-// trip, on the pinned bracket connection when one is open. A server-side
-// labbase.BatchError comes back structurally (codeBatch) and is returned
-// as the same *labbase.BatchError a plain DB would have produced.
-func (r *Router) putStepsSingle(specs []labbase.StepSpec) ([]storage.OID, error) {
-	r.stmu.Lock()
-	c, pinned := r.txConns[0], false
-	if r.inTxn {
-		pinned = true
-	}
-	r.stmu.Unlock()
-	if !pinned {
-		var err error
-		c, err = r.pools[0].get()
-		if err != nil {
-			return nil, err
-		}
-	}
-	stop := r.metrics.start(0)
-	oids, err := c.PutSteps(specs)
-	stop()
-	if !pinned {
-		r.finish(0, c, err)
-	}
-	if err != nil {
-		if rbe, ok := err.(*wire.RemoteBatchError); ok {
-			be := rbe.BatchError
-			return nil, &be
-		}
-		return nil, bare(err)
-	}
-	return oids, nil
-}
-
-// --- routed reads -----------------------------------------------------------
-
-// LookupMaterial consults only the name's home shard.
-func (r *Router) LookupMaterial(name string) (storage.OID, bool) {
-	k := ShardFor(name, r.count)
-	var (
-		oid   storage.OID
-		found bool
-	)
-	if err := r.onShard(k, func(c *wire.Client) error {
-		var e error
-		oid, found, e = c.LookupMaterial(name)
-		return e
-	}); err != nil {
-		return storage.NilOID, false
-	}
-	return oid, found
-}
-
-// GetMaterial routes by OID.
-func (r *Router) GetMaterial(oid storage.OID) (*labbase.Material, error) {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	var m *labbase.Material
-	err = r.onShard(k, func(c *wire.Client) error {
-		var e error
-		m, e = c.GetMaterial(oid)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// State routes by OID.
-func (r *Router) State(oid storage.OID) (string, error) {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return "", err
-	}
-	var st string
-	err = r.onShard(k, func(c *wire.Client) error {
-		var e error
-		st, e = c.State(oid)
-		return e
-	})
-	return st, err
-}
-
-// SetMembers routes by the set's OID.
-func (r *Router) SetMembers(oid storage.OID) ([]storage.OID, error) {
-	return r.routedOIDs(oid, func(c *wire.Client) ([]storage.OID, error) {
-		return c.SetMembers(oid)
-	})
-}
-
-// StepsInvolving routes by OID.
-func (r *Router) StepsInvolving(oid storage.OID) ([]storage.OID, error) {
-	return r.routedOIDs(oid, func(c *wire.Client) ([]storage.OID, error) {
-		return c.StepsInvolving(oid)
-	})
-}
-
-func (r *Router) routedOIDs(oid storage.OID, fn func(*wire.Client) ([]storage.OID, error)) ([]storage.OID, error) {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	var out []storage.OID
-	err = r.onShard(k, func(c *wire.Client) error {
-		var e error
-		out, e = fn(c)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GetStep routes by OID.
-func (r *Router) GetStep(oid storage.OID) (*labbase.Step, error) {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	var st *labbase.Step
-	err = r.onShard(k, func(c *wire.Client) error {
-		var e error
-		st, e = c.GetStep(oid)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// History routes by OID.
-func (r *Router) History(oid storage.OID) ([]labbase.HistoryEntry, error) {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	var out []labbase.HistoryEntry
-	err = r.onShard(k, func(c *wire.Client) error {
-		var e error
-		out, e = c.History(oid)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (r *Router) mostRecentOn(oid storage.OID, fn func(*wire.Client) (labbase.Value, storage.OID, bool, error)) (labbase.Value, storage.OID, bool, error) {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return labbase.Value{}, storage.NilOID, false, err
-	}
-	var (
-		v     labbase.Value
-		src   storage.OID
-		found bool
-	)
-	err = r.onShard(k, func(c *wire.Client) error {
-		var e error
-		v, src, found, e = fn(c)
-		return e
-	})
-	if err != nil {
-		return labbase.Value{}, storage.NilOID, false, err
-	}
-	return v, src, found, nil
-}
-
-// MostRecent routes by OID.
-func (r *Router) MostRecent(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	return r.mostRecentOn(oid, func(c *wire.Client) (labbase.Value, storage.OID, bool, error) {
-		return c.MostRecent(oid, attr)
-	})
-}
-
-// MostRecentScan routes by OID.
-func (r *Router) MostRecentScan(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	return r.mostRecentOn(oid, func(c *wire.Client) (labbase.Value, storage.OID, bool, error) {
-		return c.MostRecentScan(oid, attr)
-	})
-}
-
-// MostRecentAsOf routes by OID.
-func (r *Router) MostRecentAsOf(oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
-	return r.mostRecentOn(oid, func(c *wire.Client) (labbase.Value, storage.OID, bool, error) {
-		return c.MostRecentAsOf(oid, attr, t)
-	})
-}
-
-// AttrTimeline routes by OID.
-func (r *Router) AttrTimeline(oid storage.OID, attr string) ([]labbase.TimelineEntry, error) {
-	k, err := r.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	var out []labbase.TimelineEntry
-	err = r.onShard(k, func(c *wire.Client) error {
-		var e error
-		out, e = c.AttrTimeline(oid, attr)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// --- scatter-gather reads (merge rule of DESIGN §9) --------------------------
-
-// MaterialsInState concatenates the shards' OID-sorted lists in shard
-// order — globally OID-sorted, because the shard index lives in the OID's
-// high bits (the same merge the in-process facade uses).
-func (r *Router) MaterialsInState(state string) ([]storage.OID, error) {
-	parts, err := scatter(r, func(c *wire.Client) ([]storage.OID, error) {
-		return c.MaterialsInState(state)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if r.count == 1 {
-		return parts[0], nil
-	}
-	var all []storage.OID
-	for _, part := range parts {
-		all = append(all, part...)
-	}
-	return all, nil
-}
-
-func (r *Router) sumCount(fn func(*wire.Client) (uint64, error)) (uint64, error) {
-	parts, err := scatter(r, fn)
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	for _, c := range parts {
-		total += c
-	}
-	return total, nil
-}
-
-// CountInState sums the per-shard counts.
-func (r *Router) CountInState(state string) (uint64, error) {
-	return r.sumCount(func(c *wire.Client) (uint64, error) { return c.CountInState(state) })
-}
-
-// CountMaterials sums the per-shard counts.
-func (r *Router) CountMaterials(class string) (uint64, error) {
-	return r.sumCount(func(c *wire.Client) (uint64, error) { return c.CountMaterials(class) })
-}
-
-// CountSteps sums the per-shard counts.
-func (r *Router) CountSteps(class string) (uint64, error) {
-	return r.sumCount(func(c *wire.Client) (uint64, error) { return c.CountSteps(class) })
-}
-
-// ScanMaterials gathers every shard's materials concurrently, then runs
-// fn shard-major locally — same visit order as in-process. An
-// early-stopping fn cannot shorten the server-side scans (each shard's
-// full list has already shipped), but its error aborts with the same
-// wrapped bytes.
-func (r *Router) ScanMaterials(class string, fn func(*labbase.Material) error) error {
-	parts, err := scatter(r, func(c *wire.Client) ([]*labbase.Material, error) {
-		var ms []*labbase.Material
-		err := c.ScanMaterials(class, func(m *labbase.Material) error {
-			ms = append(ms, m)
-			return nil
-		})
-		return ms, err
-	})
-	if err != nil {
-		return err
-	}
-	return replayMaterials(r, parts, fn)
-}
-
-// ScanAllMaterials is ScanMaterials over every class.
-func (r *Router) ScanAllMaterials(fn func(*labbase.Material) error) error {
-	parts, err := scatter(r, func(c *wire.Client) ([]*labbase.Material, error) {
-		var ms []*labbase.Material
-		err := c.ScanAllMaterials(func(m *labbase.Material) error {
-			ms = append(ms, m)
-			return nil
-		})
-		return ms, err
-	})
-	if err != nil {
-		return err
-	}
-	return replayMaterials(r, parts, fn)
-}
-
-func replayMaterials(r *Router, parts [][]*labbase.Material, fn func(*labbase.Material) error) error {
-	for k, ms := range parts {
-		for _, m := range ms {
-			if err := fn(m); err != nil {
-				return r.shardErr(k, err)
-			}
-		}
-	}
-	return nil
-}
-
-// ScanSteps gathers every shard's steps concurrently, then runs fn
-// shard-major locally (see ScanMaterials).
-func (r *Router) ScanSteps(class string, fn func(*labbase.Step) error) error {
-	parts, err := scatter(r, func(c *wire.Client) ([]*labbase.Step, error) {
-		var sts []*labbase.Step
-		err := c.ScanSteps(class, func(st *labbase.Step) error {
-			sts = append(sts, st)
-			return nil
-		})
-		return sts, err
-	})
-	if err != nil {
-		return err
-	}
-	for k, sts := range parts {
-		for _, st := range sts {
-			if err := fn(st); err != nil {
-				return r.shardErr(k, err)
-			}
-		}
-	}
-	return nil
-}
-
-// Dump sums the per-shard audit counters.
-func (r *Router) Dump() (labbase.DumpStats, error) {
-	parts, err := scatter(r, func(c *wire.Client) (labbase.DumpStats, error) {
-		return c.Dump()
-	})
-	if err != nil {
-		return labbase.DumpStats{}, err
-	}
-	var total labbase.DumpStats
-	for _, ds := range parts {
-		total.Materials += ds.Materials
-		total.Steps += ds.Steps
-		total.AttrValues += ds.AttrValues
-		total.HistoryRead += ds.HistoryRead
-	}
-	return total, nil
-}
-
-// StoreStats sums the servers' storage counters; the name is shard 0's
-// backend name, suffixed with the shard count beyond one (as in-process).
-// Stats are best-effort: an unreachable shard yields zeros and a name
-// saying so, since the Store signature has no error to return.
-func (r *Router) StoreStats() (string, storage.Stats) {
-	type nameStats struct {
-		name string
-		st   storage.Stats
-	}
-	parts, err := scatter(r, func(c *wire.Client) (nameStats, error) {
-		name, st, err := c.Stats()
-		return nameStats{name, st}, err
-	})
-	if err != nil {
-		return "shard: unreachable", storage.Stats{}
-	}
-	name, total := parts[0].name, parts[0].st
-	for _, p := range parts[1:] {
-		total.Faults += p.st.Faults
-		total.PageWrites += p.st.PageWrites
-		total.Reads += p.st.Reads
-		total.Writes += p.st.Writes
-		total.Allocs += p.st.Allocs
-		total.LockWaits += p.st.LockWaits
-		total.SizeBytes += p.st.SizeBytes
-		total.LiveObjects += p.st.LiveObjects
-		total.LiveBytes += p.st.LiveBytes
-	}
-	if r.count > 1 {
-		name = fmt.Sprintf("%s×%d", name, r.count)
-	}
-	return name, total
 }
 
 // routerSnap adapts the live router to the Snapshot surface. The
@@ -1248,3 +253,219 @@ func (s routerSnap) Close() error { return nil }
 // Snapshot returns a read handle over the live router (see routerSnap for
 // the weaker cross-call guarantee).
 func (r *Router) Snapshot() (labbase.Snapshot, error) { return routerSnap{r}, nil }
+
+// --- the wire transport -----------------------------------------------------
+
+// conn adapts a wire.Client to labbase.Reader. The client's methods are the
+// Reader's except four whose Reader form has no error result; the error the
+// wire reported for those is kept in dropped, so the pool can still tell a
+// broken connection from a healthy one. began is when the operation it is
+// checked out for started.
+type conn struct {
+	*wire.Client
+	dropped error
+	began   time.Time
+}
+
+func (c *conn) names(names []string, err error) []string {
+	if c.dropped = err; err != nil {
+		return nil
+	}
+	return names
+}
+
+func (c *conn) MaterialClasses() []string { return c.names(c.Client.MaterialClasses()) }
+func (c *conn) StepClasses() []string     { return c.names(c.Client.StepClasses()) }
+func (c *conn) States() []string          { return c.names(c.Client.States()) }
+
+func (c *conn) LookupMaterial(name string) (storage.OID, bool) {
+	oid, found, err := c.Client.LookupMaterial(name)
+	if c.dropped = err; err != nil {
+		return storage.NilOID, false
+	}
+	return oid, found
+}
+
+// bare strips the "wire: remote error: " prefix off a server-reported
+// error so the bytes the router relays match what an in-process caller
+// would have seen; sentinel identity survives (the bare error unwraps to
+// the coded sentinel), and a server-side labbase.BatchError comes back as
+// one. Transport-level errors pass through unchanged.
+func bare(err error) error {
+	if rbe, ok := err.(*wire.RemoteBatchError); ok {
+		return &rbe.BatchError
+	}
+	var re *wire.RemoteError
+	if errors.As(err, &re) {
+		return re.Bare()
+	}
+	return err
+}
+
+// remote is shard k as a member: a labbase-server behind a connection
+// pool. Connections are checked out for one operation at a time, except
+// the one a broadcast bracket pins.
+type remote struct {
+	k       int
+	pool    *pool
+	metrics *routerMetrics
+	// tx is the connection pinned while the broadcast bracket is open: the
+	// server ties a transaction to the connection that sent OpBegin, so
+	// every mutation inside the bracket must travel on it. Stored by
+	// begin/commit (under core.stmu), loaded by the mutations.
+	tx atomic.Pointer[conn]
+}
+
+// checkout takes a pooled connection for one operation and starts its
+// clock; finish stops the clock, hands the connection back classified by
+// the error the operation ended in, and returns that error bare.
+func (m *remote) checkout() (*conn, error) {
+	c, err := m.pool.get()
+	if err != nil {
+		return nil, err
+	}
+	c.began, c.dropped = m.metrics.clock(), nil
+	return c, nil
+}
+
+func (m *remote) finish(c *conn, err error) error {
+	m.metrics.record(m.k, c.began)
+	m.pool.finish(c, err)
+	return bare(err)
+}
+
+func (m *remote) open() (labbase.Reader, error) {
+	c, err := m.checkout()
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func (m *remote) done(rd labbase.Reader, err error) error {
+	c := rd.(*conn)
+	if err == nil {
+		err = c.dropped
+	}
+	return m.finish(c, err)
+}
+
+func (m *remote) stats() (string, storage.Stats, error) {
+	c, err := m.checkout()
+	if err != nil {
+		return "", storage.Stats{}, err
+	}
+	name, st, err := c.Stats()
+	return name, st, m.finish(c, err)
+}
+
+// begin pins a connection and opens the server's bracket on it. With one
+// already pinned the Begin is forwarded there, so a nested Begin draws the
+// store's own diagnostic.
+func (m *remote) begin() error {
+	if c := m.tx.Load(); c != nil {
+		return bare(c.Begin())
+	}
+	c, err := m.pool.get()
+	if err != nil {
+		return err
+	}
+	if err := c.Begin(); err != nil {
+		m.pool.finish(c, err)
+		return bare(err)
+	}
+	m.tx.Store(c)
+	return nil
+}
+
+func (m *remote) commit() error {
+	c := m.tx.Swap(nil)
+	if c == nil {
+		var err error
+		if c, err = m.pool.get(); err != nil {
+			return err
+		}
+	}
+	err := c.Commit()
+	m.pool.finish(c, err)
+	return bare(err)
+}
+
+// mutate refuses locally when no bracket is pinned: the server would
+// happily wrap an out-of-bracket mutation in a transaction of its own,
+// which is exactly the divergence from Store semantics the router must not
+// allow.
+func (m *remote) mutate(fn func(writer) error) error {
+	c := m.tx.Load()
+	if c == nil {
+		return labbase.ErrNoTransaction
+	}
+	defer m.metrics.record(m.k, m.metrics.clock())
+	return bare(fn(c))
+}
+
+func (m *remote) alone(fn func(writer) error) (err, commitErr error) {
+	c, err := m.checkout()
+	if err != nil {
+		return err, nil
+	}
+	if err := c.Begin(); err != nil {
+		return m.finish(c, err), nil
+	}
+	err = fn(c)
+	commitErr = c.Commit()
+	m.finish(c, errors.Join(err, commitErr))
+	return bare(err), bare(commitErr)
+}
+
+func (m *remote) putSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
+	if c := m.tx.Load(); c != nil {
+		defer m.metrics.record(m.k, m.metrics.clock())
+		oids, err := c.PutSteps(specs)
+		return oids, bare(err)
+	}
+	f, err := m.batch()
+	if err != nil {
+		return nil, err
+	}
+	f.start(specs)
+	return f.wait()
+}
+
+// remoteFlight is a sub-batch pipelined on a pooled connection: start sends
+// the frame without reading the reply, so every touched server is inside
+// its transaction before the router waits for the first.
+type remoteFlight struct {
+	m   *remote
+	c   *conn
+	n   int
+	p   *wire.Pipeline
+	fut *wire.PutStepsFuture
+}
+
+func (m *remote) batch() (flight, error) {
+	c, err := m.checkout()
+	if err != nil {
+		return nil, err
+	}
+	return &remoteFlight{m: m, c: c}, nil
+}
+
+func (f *remoteFlight) start(specs []labbase.StepSpec) {
+	f.n = len(specs)
+	f.c.began = f.m.metrics.clock()
+	f.p = f.c.Pipeline()
+	f.fut = f.p.PutSteps(specs)
+	f.p.Send() // a send error lands in the future, like a drain error
+}
+
+func (f *remoteFlight) wait() ([]storage.OID, error) {
+	f.p.Drain()
+	err := f.fut.Err
+	if err == nil && len(f.fut.OIDs) != f.n {
+		err = fmt.Errorf("wire: bad step batch reply")
+	}
+	return f.fut.OIDs, f.m.finish(f.c, err)
+}
+
+func (f *remoteFlight) release() { f.m.pool.put(f.c) }

@@ -13,7 +13,8 @@ import (
 // multi-shard operation touched). metrics.Hist is deliberately not
 // thread-safe, so the router wraps the histograms in one leaf mutex; the
 // record path is a handful of array increments, far below the wire
-// round-trips it measures.
+// round-trips it measures. The core records fan-outs into a nil
+// *routerMetrics when its transport keeps none, so fanout accepts one.
 type routerMetrics struct {
 	mu        sync.Mutex
 	perShard  []metrics.Hist
@@ -29,20 +30,24 @@ func newRouterMetrics(shards int) *routerMetrics {
 	}
 }
 
-// start begins timing one shard operation; the returned stop function
-// records the elapsed time in the shard's histogram.
-func (m *routerMetrics) start(k int) func() {
-	begin := time.Now() //lint:allow wallclock latency measurement, reported not persisted
-	return func() {
-		d := time.Since(begin) //lint:allow wallclock latency measurement, reported not persisted
-		m.mu.Lock()
-		m.perShard[k].Record(d)
-		m.mu.Unlock()
-	}
+// clock reads the time one shard operation begins; record, given it back
+// when the operation ends, adds the elapsed time to the shard's histogram.
+func (m *routerMetrics) clock() time.Time {
+	return time.Now() //lint:allow wallclock latency measurement, reported not persisted
+}
+
+func (m *routerMetrics) record(k int, begin time.Time) {
+	d := time.Since(begin) //lint:allow wallclock latency measurement, reported not persisted
+	m.mu.Lock()
+	m.perShard[k].Record(d)
+	m.mu.Unlock()
 }
 
 // fanout records one multi-shard operation touching width shards.
 func (m *routerMetrics) fanout(width int) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.fanouts[width]++
 	m.mu.Unlock()

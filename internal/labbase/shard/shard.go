@@ -19,41 +19,21 @@ import (
 // this is the same error value, so errors.Is matches either name.
 var ErrCrossShard = labbase.ErrCrossShard
 
-// DB fronts N independent labbase.DB instances behind the labbase.Store
-// surface. Materials are routed to shard ShardFor(name, N); each shard has
-// its own storage manager and its own lock domain, so writes to different
-// shards proceed fully in parallel.
+// DB is the core over N labbase.DB instances in this process, one storage
+// manager each. Materials are routed to shard ShardFor(name, N); each shard
+// has its own storage manager and its own lock domain, so writes to
+// different shards proceed fully in parallel. See core for the concurrency
+// and atomicity contracts.
 //
-// Concurrency contract: it matches labbase.DB's — reads run in parallel,
-// explicit Begin/Commit write brackets are single-writer and broadcast to
-// every shard — with one extension: PutSteps called outside a transaction
-// owns its per-shard transactions and may be invoked from many goroutines
-// at once (it serializes per shard on internal locks). Callers must not
-// run explicit write brackets concurrently with out-of-transaction
-// PutSteps calls; the wire server guarantees this by holding its writer
-// lock exclusively for every other mutation.
-//
-// Atomicity contract: a PutSteps batch is atomic per shard and non-atomic
-// across shards — each touched shard applies its entries in one
-// transaction; on failure the error names the first failing original batch
-// index per shard, and entries on other shards commit regardless.
+// Every cross-shard read first pins one snapshot per shard — up front,
+// before any data is read — so the answer reflects a set of per-shard op
+// boundaries fixed at call time rather than states that drift while the
+// shards are visited one by one. Single-shard routed reads go straight to
+// the owning shard, whose own read entry points capture a snapshot
+// internally.
 type DB struct {
-	shards []*labbase.DB
-	// wmu serializes write transactions per shard: PutSteps fan-out
-	// goroutines and schema broadcasts take wmu[k] around each shard-k
-	// Begin/Commit bracket. Never held across shards simultaneously except
-	// in shard order by the broadcast paths (which hold stmu).
-	wmu []sync.Mutex
-	// stmu is the catalog lock: schema broadcasts, the implicit
-	// step-schema ensure, and the global transaction flag. Ordered before
-	// any wmu[k].
-	stmu  sync.Mutex
-	inTxn bool
-	opts  labbase.Options
-	// known caches (class, attr-multiset) shapes already broadcast, so the
-	// hot PutSteps path skips the shard-0 catalog probe. Guarded by stmu;
-	// never invalidated (schema is append-only).
-	known map[string]struct{}
+	*core
+	locals locals
 }
 
 var _ labbase.Store = (*DB)(nil)
@@ -83,400 +63,178 @@ func Open(managers []storage.Manager, opts labbase.Options) (*DB, error) {
 		}
 		return nil, fmt.Errorf("shard: shard count %d outside [1, %d]", n, MaxShards)
 	}
-	db := &DB{
-		shards: make([]*labbase.DB, n),
-		wmu:    make([]sync.Mutex, n),
-		opts:   opts,
-		known:  make(map[string]struct{}),
-	}
+	ls := make(locals, n)
+	members := make([]member, n)
 	for k, sm := range managers {
 		inner, err := labbase.Open(&mapper{inner: sm, shard: k}, opts)
 		if err != nil {
-			for j := 0; j < k; j++ {
-				db.shards[j].Close()
+			for _, opened := range ls[:k] {
+				opened.db.Close()
 			}
 			for _, rest := range managers[k:] {
 				rest.Close()
 			}
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
-		db.shards[k] = inner
+		ls[k] = &local{db: inner}
+		members[k] = ls[k]
 	}
+	db := &DB{core: newCore(members), locals: ls}
+	db.gather, db.streams = ls.gather, true
+	db.strict = !opts.ImplicitVersions || !opts.ImplicitAttrs
 	return db, nil
 }
 
-// Shards returns the shard count.
-func (db *DB) Shards() int { return len(db.shards) }
-
 // Shard exposes shard k's inner DB for tests and recovery tooling.
-func (db *DB) Shard(k int) *labbase.DB { return db.shards[k] }
-
-// ConcurrentBatches reports that PutSteps does its own per-shard write
-// serialization, so callers (the wire server) may run batches from
-// different connections concurrently instead of serializing them.
-func (db *DB) ConcurrentBatches() bool { return true }
-
-// shardFor returns the shard owning a material name.
-func (db *DB) shardFor(name string) int { return ShardFor(name, len(db.shards)) }
-
-// shardErr adds shard context to an inner error. On a 1-shard DB the
-// error passes through verbatim, keeping error bytes identical to a plain
-// labbase.DB.
-func (db *DB) shardErr(k int, err error) error {
-	if len(db.shards) == 1 {
-		return err
-	}
-	return fmt.Errorf("shard %d: %w", k, err)
-}
-
-// shardOf validates and decodes the shard number in an OID.
-func (db *DB) shardOf(oid storage.OID) (int, error) {
-	return shardOfN(oid, len(db.shards))
-}
-
-// shardOfN is shardOf parameterized by shard count, shared with the
-// distributed Router so routing errors stay byte-identical between the
-// in-process facade and the wire topology.
-func shardOfN(oid storage.OID, n int) (int, error) {
-	k := ShardOfOID(oid)
-	if k >= n {
-		return 0, fmt.Errorf("shard: %v names shard %d of %d: %w",
-			oid, k, n, storage.ErrNoSuchObject)
-	}
-	return k, nil
-}
-
-// Begin opens a write bracket on every shard, in shard order. See the DB
-// contract: explicit brackets are single-writer.
-func (db *DB) Begin() error {
-	db.stmu.Lock()
-	defer db.stmu.Unlock()
-	for k, sh := range db.shards {
-		if err := sh.Begin(); err != nil {
-			return db.shardErr(k, err)
-		}
-	}
-	db.inTxn = true
-	return nil
-}
-
-// Commit commits every shard's bracket, in shard order. Shard commits are
-// independent durability points: a crash between them leaves some shards
-// committed and others not (the cross-shard contract again — each shard's
-// own transaction is atomic).
-func (db *DB) Commit() error {
-	db.stmu.Lock()
-	defer db.stmu.Unlock()
-	var errs []error
-	for k, sh := range db.shards {
-		if err := sh.Commit(); err != nil {
-			errs = append(errs, db.shardErr(k, err))
-		}
-	}
-	db.inTxn = false
-	return errors.Join(errs...)
-}
-
-// InTxn reports whether a broadcast write bracket is open.
-func (db *DB) InTxn() bool {
-	db.stmu.Lock()
-	defer db.stmu.Unlock()
-	return db.inTxn
-}
+func (db *DB) Shard(k int) *labbase.DB { return db.locals[k].db }
 
 // Close closes every shard.
 func (db *DB) Close() error {
 	var errs []error
-	for k, sh := range db.shards {
-		if err := sh.Close(); err != nil {
-			errs = append(errs, db.shardErr(k, err))
+	for k, m := range db.locals {
+		if err := m.db.Close(); err != nil {
+			errs = append(errs, db.wrap(k, err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// StoreStats sums the storage counters across shards. The name is the
-// backend's own for one shard (keeping 1-shard reports identical) and
-// suffixed with the shard count otherwise.
-func (db *DB) StoreStats() (string, storage.Stats) {
-	name, total := db.shards[0].StoreStats()
-	for _, sh := range db.shards[1:] {
-		_, st := sh.StoreStats()
-		total.Faults += st.Faults
-		total.PageWrites += st.PageWrites
-		total.Reads += st.Reads
-		total.Writes += st.Writes
-		total.Allocs += st.Allocs
-		total.LockWaits += st.LockWaits
-		total.SizeBytes += st.SizeBytes
-		total.LiveObjects += st.LiveObjects
-		total.LiveBytes += st.LiveBytes
-	}
-	if len(db.shards) > 1 {
-		name = fmt.Sprintf("%s×%d", name, len(db.shards))
-	}
-	return name, total
+// --- the local transport ----------------------------------------------------
+
+// local is shard k as a member: the shard's labbase.DB is reader and
+// writer both, and its own Begin/Commit are the bracket.
+type local struct {
+	db *labbase.DB
+	// wmu serializes the shard's own transactions (PutSteps sub-batches
+	// and out-of-bracket schema broadcasts) around each Begin/Commit
+	// pair. Taken under core.stmu by the broadcasts, never across shards.
+	wmu sync.Mutex
 }
 
-// broadcast runs a schema definition on every shard in shard order and
-// asserts the returned IDs agree. Callers hold stmu; the caller also
-// guarantees an open transaction on every shard (the global bracket).
-// Identical IDs are an invariant, not a hope: every shard starts from the
-// same (empty) catalog and sees the same definitions in the same order
-// under stmu, and ID allocation in labbase is deterministic in that order.
-func broadcast[T comparable](db *DB, what, name string, def func(*labbase.DB) (T, error)) (T, error) {
-	var first T
-	for k, sh := range db.shards {
-		got, err := def(sh)
+func (m *local) open() (labbase.Reader, error)          { return m.db, nil }
+func (m *local) done(_ labbase.Reader, err error) error { return err }
+func (m *local) begin() error                           { return m.db.Begin() }
+func (m *local) commit() error                          { return m.db.Commit() }
+func (m *local) mutate(fn func(writer) error) error     { return fn(m.db) }
+
+func (m *local) alone(fn func(writer) error) (err, commitErr error) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	if err := m.db.Begin(); err != nil {
+		return err, nil
+	}
+	err = fn(m.db)
+	return err, m.db.Commit()
+}
+
+func (m *local) putSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	return m.db.PutSteps(specs)
+}
+
+func (m *local) stats() (string, storage.Stats, error) {
+	name, st := m.db.StoreStats()
+	return name, st, nil
+}
+
+// localFlight applies its sub-batch on a goroutine of its own.
+type localFlight struct {
+	m    *local
+	done chan struct{}
+	oids []storage.OID
+	err  error
+}
+
+func (m *local) batch() (flight, error) { return &localFlight{m: m, done: make(chan struct{})}, nil }
+
+func (f *localFlight) start(specs []labbase.StepSpec) {
+	go func() {
+		defer close(f.done)
+		f.oids, f.err = f.m.putSteps(specs)
+	}()
+}
+
+func (f *localFlight) wait() ([]storage.OID, error) {
+	<-f.done
+	return f.oids, f.err
+}
+
+func (f *localFlight) release() {}
+
+// locals is the local transport's shard list.
+type locals []*local
+
+// pinned is one shard's captured snapshot as a view.
+type pinned struct{ labbase.Snapshot }
+
+func (p pinned) open() (labbase.Reader, error)          { return p.Snapshot, nil }
+func (p pinned) done(_ labbase.Reader, err error) error { return err }
+
+// shardSnap is a cross-shard snapshot: one labbase snapshot per shard, all
+// captured up front (in shard order) before any data is read, and the
+// package's reads over them. Because every shard-local snapshot sits at one
+// of that shard's op boundaries, a cross-shard read through a shardSnap
+// never observes a torn mid-operation state on any shard, and repeated
+// reads through the same handle are mutually consistent — the capture does
+// not drift between the first and last shard visited the way a
+// shard-by-shard walk over live state can.
+type shardSnap struct {
+	reads
+	snaps []labbase.Snapshot
+}
+
+var _ labbase.Snapshot = (*shardSnap)(nil)
+
+// pin captures one snapshot per shard, in shard order, before anything is
+// read. On failure it releases what it captured and names the failing
+// shard.
+func (ls locals) pin() (*shardSnap, int, error) {
+	snaps := make([]labbase.Snapshot, len(ls))
+	views := make([]view, len(ls))
+	for k, m := range ls {
+		s, err := m.db.Snapshot()
 		if err != nil {
-			return first, db.shardErr(k, err)
+			for _, prev := range snaps[:k] {
+				prev.Close()
+			}
+			return nil, k, err
 		}
-		if k == 0 {
-			first = got
-		} else if got != first {
-			return first, fmt.Errorf("shard: catalog divergence: %s %q is %v on shard %d, %v on shard 0",
-				what, name, got, k, first)
-		}
+		snaps[k], views[k] = s, pinned{s}
 	}
-	return first, nil
+	return &shardSnap{reads{views: views, gather: inOrder(views), streams: true}, snaps}, 0, nil
 }
 
-// DefineMaterialClass broadcasts the definition to every shard.
-func (db *DB) DefineMaterialClass(name, parent string) (labbase.ClassID, error) {
-	db.stmu.Lock()
-	defer db.stmu.Unlock()
-	return broadcast(db, "material class", name, func(sh *labbase.DB) (labbase.ClassID, error) {
-		return sh.DefineMaterialClass(name, parent)
-	})
-}
-
-// DefineAttr broadcasts the definition to every shard.
-func (db *DB) DefineAttr(name string, kind labbase.Kind) (labbase.AttrID, error) {
-	db.stmu.Lock()
-	defer db.stmu.Unlock()
-	return broadcast(db, "attribute", name, func(sh *labbase.DB) (labbase.AttrID, error) {
-		return sh.DefineAttr(name, kind)
-	})
-}
-
-// DefineStepClass broadcasts the definition to every shard.
-func (db *DB) DefineStepClass(name string, attrs []labbase.AttrDef) (labbase.StepClassID, labbase.Version, error) {
-	db.stmu.Lock()
-	defer db.stmu.Unlock()
-	got, err := broadcast(db, "step class", name, func(sh *labbase.DB) (idVer, error) {
-		id, ver, err := sh.DefineStepClass(name, attrs)
-		return idVer{id, ver}, err
-	})
-	return got.id, got.ver, err
-}
-
-// DefineState broadcasts the definition to every shard.
-func (db *DB) DefineState(name string) (labbase.StateID, error) {
-	db.stmu.Lock()
-	defer db.stmu.Unlock()
-	return broadcast(db, "state", name, func(sh *labbase.DB) (labbase.StateID, error) {
-		return sh.DefineState(name)
-	})
-}
-
-// Catalog listings come from shard 0: the broadcast discipline keeps every
-// shard's catalog identical (asserted by the ID checks above and by tests).
-func (db *DB) MaterialClasses() []string { return db.shards[0].MaterialClasses() }
-
-// StepClasses lists step classes from shard 0 (see MaterialClasses).
-func (db *DB) StepClasses() []string { return db.shards[0].StepClasses() }
-
-// StepClassVersions lists a class's versions from shard 0 (see MaterialClasses).
-func (db *DB) StepClassVersions(name string) ([][]string, error) {
-	return db.shards[0].StepClassVersions(name)
-}
-
-// States lists states from shard 0 (see MaterialClasses).
-func (db *DB) States() []string { return db.shards[0].States() }
-
-// CreateMaterial routes the material to its home shard by name hash.
-func (db *DB) CreateMaterial(class, name, state string, validTime int64) (storage.OID, error) {
-	return db.shards[db.shardFor(name)].CreateMaterial(class, name, state, validTime)
-}
-
-// LookupMaterial consults only the name's home shard.
-func (db *DB) LookupMaterial(name string) (storage.OID, bool) {
-	return db.shards[db.shardFor(name)].LookupMaterial(name)
-}
-
-// CreateMaterialSet creates the set on its members' shard. All members
-// must co-reside (ErrCrossShard otherwise); an empty set goes to shard 0.
-func (db *DB) CreateMaterialSet(members []storage.OID) (storage.OID, error) {
-	home, err := setHomeIn(len(db.shards), members)
+// gather is the local transport's: pin every shard, then visit the pins
+// one at a time in shard order.
+func (ls locals) gather(fn visit) []error {
+	s, k, err := ls.pin()
 	if err != nil {
-		return storage.NilOID, err
+		errs := make([]error, len(ls))
+		errs[k] = err
+		return errs
 	}
-	return db.shards[home].CreateMaterialSet(members)
+	defer s.Close()
+	return s.gather(fn)
 }
 
-// setHomeIn finds a material set's home shard and enforces member
-// co-residency, shared with the Router (identical error bytes).
-func setHomeIn(n int, members []storage.OID) (int, error) {
-	home := 0
-	for i, m := range members {
-		k, err := shardOfN(m, n)
-		if err != nil {
-			return 0, err
-		}
-		if i == 0 {
-			home = k
-		} else if k != home {
-			return 0, fmt.Errorf("%w: set members %v (shard %d) and %v (shard %d)",
-				ErrCrossShard, members[0], home, m, k)
+// Snapshot captures one snapshot per shard, in shard order, before reading
+// anything. The handle must be Closed.
+func (db *DB) Snapshot() (labbase.Snapshot, error) {
+	s, k, err := db.locals.pin()
+	if err != nil {
+		return nil, db.wrap(k, err)
+	}
+	return s, nil
+}
+
+// Close releases every shard's capture.
+func (s *shardSnap) Close() error {
+	var errs []error
+	for k, snap := range s.snaps {
+		if err := snap.Close(); err != nil {
+			errs = append(errs, s.wrap(k, err))
 		}
 	}
-	return home, nil
-}
-
-// SetMembers routes by the set's OID.
-func (db *DB) SetMembers(oid storage.OID) ([]storage.OID, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	return db.shards[k].SetMembers(oid)
-}
-
-// SetState routes by the material's OID.
-func (db *DB) SetState(oid storage.OID, state string) error {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return err
-	}
-	return db.shards[k].SetState(oid, state)
-}
-
-// routeStep finds a step's home shard: the shard of its first material, or
-// of its Set when it names no materials directly, and verifies every
-// material co-resides there (the Set's members were already pinned to the
-// Set's shard by CreateMaterialSet). A spec with neither materials nor set
-// routes to shard 0 so labbase produces its own diagnostic.
-func (db *DB) routeStep(spec labbase.StepSpec) (int, error) {
-	return routeStepIn(len(db.shards), spec)
-}
-
-// routeStepIn is routeStep parameterized by shard count, shared with the
-// distributed Router so routing decisions — and their error bytes — stay
-// identical between the in-process facade and the wire topology.
-func routeStepIn(n int, spec labbase.StepSpec) (int, error) {
-	home, haveHome := 0, false
-	if !spec.Set.IsNil() {
-		k, err := shardOfN(spec.Set, n)
-		if err != nil {
-			return 0, err
-		}
-		home, haveHome = k, true
-	}
-	for _, m := range spec.Materials {
-		k, err := shardOfN(m, n)
-		if err != nil {
-			return 0, err
-		}
-		if !haveHome {
-			home, haveHome = k, true
-		} else if k != home {
-			return 0, fmt.Errorf("%w: step %q touches shard %d and shard %d",
-				ErrCrossShard, spec.Class, home, k)
-		}
-	}
-	return home, nil
-}
-
-// RecordStep routes the step to its home shard. Requires the broadcast
-// write bracket (labbase.ErrNoTransaction otherwise, from the shard).
-func (db *DB) RecordStep(spec labbase.StepSpec) (storage.OID, error) {
-	home, err := db.routeStep(spec)
-	if err != nil {
-		return storage.NilOID, err
-	}
-	if err := db.ensureStepSchema([]labbase.StepSpec{spec}); err != nil {
-		return storage.NilOID, err
-	}
-	return db.shards[home].RecordStep(spec)
-}
-
-// GetMaterial routes by OID.
-func (db *DB) GetMaterial(oid storage.OID) (*labbase.Material, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	return db.shards[k].GetMaterial(oid)
-}
-
-// State routes by OID.
-func (db *DB) State(oid storage.OID) (string, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return "", err
-	}
-	return db.shards[k].State(oid)
-}
-
-// GetStep routes by OID.
-func (db *DB) GetStep(oid storage.OID) (*labbase.Step, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	return db.shards[k].GetStep(oid)
-}
-
-// History routes by OID.
-func (db *DB) History(oid storage.OID) ([]labbase.HistoryEntry, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	return db.shards[k].History(oid)
-}
-
-// StepsInvolving routes by OID.
-func (db *DB) StepsInvolving(oid storage.OID) ([]storage.OID, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	return db.shards[k].StepsInvolving(oid)
-}
-
-// MostRecent routes by OID.
-func (db *DB) MostRecent(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return labbase.Value{}, storage.NilOID, false, err
-	}
-	return db.shards[k].MostRecent(oid, attr)
-}
-
-// MostRecentScan routes by OID.
-func (db *DB) MostRecentScan(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return labbase.Value{}, storage.NilOID, false, err
-	}
-	return db.shards[k].MostRecentScan(oid, attr)
-}
-
-// MostRecentAsOf routes by OID.
-func (db *DB) MostRecentAsOf(oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return labbase.Value{}, storage.NilOID, false, err
-	}
-	return db.shards[k].MostRecentAsOf(oid, attr, t)
-}
-
-// AttrTimeline routes by OID.
-func (db *DB) AttrTimeline(oid storage.OID, attr string) ([]labbase.TimelineEntry, error) {
-	k, err := db.shardOf(oid)
-	if err != nil {
-		return nil, err
-	}
-	return db.shards[k].AttrTimeline(oid, attr)
+	return errors.Join(errs...)
 }

@@ -441,6 +441,29 @@ func TestCrossShardRejected(t *testing.T) {
 	}
 }
 
+// TestBeginUnwindsWhenShardRefuses drives the partial-Begin unwind through
+// real stores: shard 1 already holds a bracket of its own, so the broadcast
+// Begin is refused there after shard 0 accepted. Shard 0's bracket must not
+// be left open — the next broadcast Begin has to succeed once shard 1 is
+// free again.
+func TestBeginUnwindsWhenShardRefuses(t *testing.T) {
+	db := openShards(t, 3)
+	if err := db.Shard(1).Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Begin(); err == nil || !strings.HasPrefix(err.Error(), "shard 1: ") {
+		t.Fatalf("Begin over a busy shard 1 = %v, want its refusal", err)
+	}
+	if db.InTxn() || db.Shard(0).InTxn() || db.Shard(2).InTxn() {
+		t.Fatal("a refused Begin left a bracket open")
+	}
+	if err := db.Shard(1).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	begin(t, db)
+	commit(t, db)
+}
+
 // TestPutStepsPerShardErrorIndex pins the cross-shard atomicity contract:
 // the failing entry's original index is reported, and entries grouped onto
 // other shards commit regardless.

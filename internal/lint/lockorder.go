@@ -16,13 +16,17 @@ import (
 //
 //  1. Ranked classes must be acquired in ascending rank order. The ranks
 //     encode the documented hierarchy:
-//     wire.Server.mu(10) < wire.Server.connMu(20) < shard.DB.stmu(30) <
-//     shard.Router.stmu(32) < shard.pool.mu(34) < shard.DB.wmu(40) <
-//     labbase.DB.wmu(50) < the leaves(60). The router classes slot between
-//     the facade's catalog lock and the write locks: a router bracket
-//     checks out pooled connections (stmu -> pool.mu), and on the far end
-//     of those connections a wire.Server drives a labbase.DB — but that is
-//     a different process, so no edge crosses the wire.
+//     wire.Server.mu(10) < wire.Server.connMu(20) < shard.core.stmu(30) <
+//     shard.pool.mu(34) < shard.local.wmu(40) < labbase.DB.wmu(50) < the
+//     leaves(60). The shard core's catalog-and-bracket lock sits above
+//     whatever its members take: the wire transport checks out pooled
+//     connections under it (stmu -> pool.mu), the local transport takes a
+//     shard's own-transaction lock and then enters its labbase.DB (stmu ->
+//     wmu -> labbase wmu). On the far end of a pooled connection a
+//     wire.Server drives a labbase.DB — but that is a different process,
+//     so no edge crosses the wire. The core reaches its members through an
+//     interface, which this analysis cannot see through; the edges it does
+//     check are the ones inside each transport.
 //  2. Leaf classes (oidCache.mu, verTable.mu, readerSlots.mu) may acquire
 //     nothing at all while held — that is what makes them safe to take
 //     from both the read and write paths (DESIGN §10).
@@ -51,14 +55,13 @@ var LockOrder = &Analyzer{
 // classes (the leaves) are mutually unordered and guarded by lockLeaves
 // instead. The fixture mirrors exercise the same table from testdata.
 var lockRanks = map[string]int{
-	"labflow/internal/wire.Server.mu":            10,
-	"labflow/internal/wire.Server.connMu":        20,
-	"labflow/internal/wire.StandbyServer.mu":     22,
-	"labflow/internal/labbase/shard.DB.stmu":     30,
-	"labflow/internal/labbase/shard.Router.stmu": 32,
-	"labflow/internal/labbase/shard.pool.mu":     34,
-	"labflow/internal/labbase/shard.DB.wmu":      40,
-	"labflow/internal/labbase.DB.wmu":            50,
+	"labflow/internal/wire.Server.mu":          10,
+	"labflow/internal/wire.Server.connMu":      20,
+	"labflow/internal/wire.StandbyServer.mu":   22,
+	"labflow/internal/labbase/shard.core.stmu": 30,
+	"labflow/internal/labbase/shard.pool.mu":   34,
+	"labflow/internal/labbase/shard.local.wmu": 40,
+	"labflow/internal/labbase.DB.wmu":          50,
 	// RemoteShipper.mu is acquired at commit time with the store's writer
 	// side held (the shipper runs inside Commit); it holds network I/O but
 	// never another lock, so it ranks above every writer lock and is a
@@ -73,10 +76,9 @@ var lockRanks = map[string]int{
 
 	"fixture/lockorder.Server.mu":     10,
 	"fixture/lockorder.Server.connMu": 20,
-	"fixture/lockorder.DB.stmu":       30,
-	"fixture/lockorder.Router.stmu":   32,
+	"fixture/lockorder.Core.stmu":     30,
 	"fixture/lockorder.Pool.mu":       34,
-	"fixture/lockorder.DB.wmu":        40,
+	"fixture/lockorder.Local.wmu":     40,
 	"fixture/lockorder.Shipper.mu":    55,
 	"fixture/lockorder.Standby.mu":    58,
 	"fixture/lockorder.Cache.mu":      60,

@@ -126,26 +126,28 @@ func (r *readerSlots) load(i int) uint64 {
 
 import "sync"
 
-type DB struct {
-	stmu sync.Mutex
-	wmu  []sync.Mutex
+type core struct {
+	stmu   sync.Mutex
+	locals []*local
 }
+
+type local struct{ wmu sync.Mutex }
 
 // Mutation: the hierarchy is stmu (30) before wmu (40); this takes them
 // backwards.
-func reversed(db *DB, k int) {
-	db.wmu[k].Lock()
-	db.stmu.Lock()
-	db.stmu.Unlock()
-	db.wmu[k].Unlock()
+func reversed(c *core, k int) {
+	c.locals[k].wmu.Lock()
+	c.stmu.Lock()
+	c.stmu.Unlock()
+	c.locals[k].wmu.Unlock()
 }
 
 // Legal twin: descending order draws nothing.
-func forward(db *DB, k int) {
-	db.stmu.Lock()
-	db.wmu[k].Lock()
-	db.wmu[k].Unlock()
-	db.stmu.Unlock()
+func forward(c *core, k int) {
+	c.stmu.Lock()
+	c.locals[k].wmu.Lock()
+	c.locals[k].wmu.Unlock()
+	c.stmu.Unlock()
 }`
 		diags := mutationDiags(t, "labflow/internal/labbase/shard", src, []*Analyzer{LockOrder})
 		// The reversed edge is reported where it is taken, and the two
@@ -161,7 +163,7 @@ func forward(db *DB, k int) {
 			}
 			if strings.Contains(d.Message, "inverts") {
 				foundInvert = true
-				if d.Line == 14 {
+				if d.Line == 16 {
 					foundAtReversed = true
 				}
 			}
@@ -171,7 +173,7 @@ func forward(db *DB, k int) {
 			for _, d := range diags {
 				full = append(full, d.String())
 			}
-			t.Errorf("missing inversion report at mutant.go:14:\n%s", strings.Join(full, "\n"))
+			t.Errorf("missing inversion report at mutant.go:16:\n%s", strings.Join(full, "\n"))
 		}
 	})
 }

@@ -11,7 +11,11 @@ import (
 // reachable from it is immutable, and readers run lock-free against their
 // capture. The analyzer checks every method whose receiver type is a
 // snapshot handle — named "Snap" or ending in "Snap", the repository's
-// naming convention (labbase.Snap, shard.shardSnap) — for two violations:
+// naming convention (labbase.Snap, shard.shardSnap) — for two violations
+// (shard.shardSnap's read methods are the embedded shard.reads, which the
+// live stores share and this analyzer therefore does not see; they reach a
+// shardSnap's data only through its per-shard labbase.Snap handles, which
+// it does check):
 //
 //  1. taking or releasing any sync.Mutex/RWMutex. The read path must not
 //     touch db.wmu (or any other lock): a snapshot method that locks

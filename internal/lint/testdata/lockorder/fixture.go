@@ -1,6 +1,6 @@
 // Package lockfix exercises lockorder against the mirrored rank table:
-// Server.mu(10) < Server.connMu(20) < DB.stmu(30) < Router.stmu(32) <
-// Pool.mu(34) < DB.wmu(40) < Shipper.mu(55) < Standby.mu(58), with
+// Server.mu(10) < Server.connMu(20) < Core.stmu(30) < Pool.mu(34) <
+// Local.wmu(40) < Shipper.mu(55) < Standby.mu(58), with
 // Cache.mu, Metrics.mu, and Shipper.mu leaves and the storage types
 // unranked (cycle-checked only).
 // Because the analysis is module-wide, the ok functions below still feed
@@ -14,14 +14,22 @@ import "sync"
 type Server struct {
 	mu     sync.Mutex
 	connMu sync.Mutex
-	db     *DB
+	db     *Core
 }
 
-type DB struct {
-	stmu sync.Mutex
-	wmu  []sync.Mutex
-	c    *Cache
+// Core/Local/Pool/Metrics mirror the shard core's lock shapes: the
+// catalog-and-bracket lock above what either transport takes per shard (a
+// connection pool's lock, a local shard's own-transaction lock), with the
+// metrics histogram lock a leaf.
+type Core struct {
+	stmu  sync.Mutex
+	local []*Local
+	pools []*Pool
+	met   *Metrics
+	c     *Cache
 }
+
+type Local struct{ wmu sync.Mutex }
 
 type Cache struct {
 	mu sync.Mutex
@@ -37,8 +45,8 @@ func (s *Server) okDescend(k int) {
 	s.mu.Lock()
 	s.connMu.Lock()
 	s.db.stmu.Lock()
-	s.db.wmu[k].Lock()
-	s.db.wmu[k].Unlock()
+	s.db.local[k].wmu.Lock()
+	s.db.local[k].wmu.Unlock()
 	s.db.stmu.Unlock()
 	s.connMu.Unlock()
 	s.mu.Unlock()
@@ -65,51 +73,51 @@ func (s *Server) okGo() {
 }
 
 // Violation shape 1: wmu -> stmu inverts the hierarchy.
-func (d *DB) badInvert(k int) {
-	d.wmu[k].Lock()
+func (d *Core) badInvert(k int) {
+	d.local[k].wmu.Lock()
 	d.stmu.Lock()
 	d.stmu.Unlock()
-	d.wmu[k].Unlock()
+	d.local[k].wmu.Unlock()
 }
 
 // Violation shape 2: a leaf lock may acquire nothing while held.
-func (d *DB) badLeaf(k int) {
+func (d *Core) badLeaf(k int) {
 	d.c.mu.Lock()
-	d.wmu[k].Lock()
-	d.wmu[k].Unlock()
+	d.local[k].wmu.Lock()
+	d.local[k].wmu.Unlock()
 	d.c.mu.Unlock()
 }
 
 // Violation shape 3: the inversion hides behind a call — the callee's
 // transitive acquisition summary carries it to this call site.
-func (d *DB) lockCatalog() {
+func (d *Core) lockCatalog() {
 	d.stmu.Lock()
 	d.stmu.Unlock()
 }
 
-func (d *DB) badViaCall(k int) {
-	d.wmu[k].Lock()
+func (d *Core) badViaCall(k int) {
+	d.local[k].wmu.Lock()
 	d.lockCatalog()
-	d.wmu[k].Unlock()
+	d.local[k].wmu.Unlock()
 }
 
 // Violation shape 4: a function-literal argument is attributed to the call
 // that receives it.
-func withCatalog(d *DB, fn func()) {
+func withCatalog(d *Core, fn func()) {
 	fn()
 }
 
-func (d *DB) badLitArg(k int) {
-	d.wmu[k].Lock()
+func (d *Core) badLitArg(k int) {
+	d.local[k].wmu.Lock()
 	withCatalog(d, func() {
 		d.stmu.Lock()
 		d.stmu.Unlock()
 	})
-	d.wmu[k].Unlock()
+	d.local[k].wmu.Unlock()
 }
 
 // Violation shape 5: re-acquiring a held mutex self-deadlocks.
-func (d *DB) badRelock() {
+func (d *Core) badRelock() {
 	d.stmu.Lock()
 	d.stmu.Lock()
 	d.stmu.Unlock()
@@ -132,15 +140,6 @@ func pageThenStore(o *ostore, p *pagefile) {
 	p.mu.Unlock()
 }
 
-// Router/Pool/Metrics mirror the distributed router's lock shapes: the
-// bracket lock above the per-shard connection pools, with the metrics
-// histogram lock a leaf.
-type Router struct {
-	stmu  sync.Mutex
-	pools []*Pool
-	met   *Metrics
-}
-
 type Pool struct {
 	mu   sync.Mutex
 	idle []int
@@ -151,10 +150,10 @@ type Metrics struct {
 	n  []uint64
 }
 
-// ok: the router bracket descends stmu -> pool.mu, and the fan-out
+// ok: the wire bracket descends stmu -> pool.mu, and the fan-out
 // literals run on their own goroutines, so they inherit nothing — pool
 // and metrics acquisitions inside them start from an empty held set.
-func (r *Router) okFanOut() {
+func (r *Core) okFanOut() {
 	r.stmu.Lock()
 	r.pools[0].mu.Lock()
 	r.pools[0].mu.Unlock()
@@ -176,15 +175,15 @@ func (r *Router) okFanOut() {
 
 // Violation shape 7: a fan-out helper that runs its closure synchronously
 // attributes the closure's acquisitions to the call site — holding a pool
-// lock while the closure re-enters the router bracket inverts the
-// Router.stmu(32) < Pool.mu(34) order.
-func eachShard(r *Router, fn func(k int)) {
+// lock while the closure re-enters the bracket inverts the
+// Core.stmu(30) < Pool.mu(34) order.
+func eachShard(r *Core, fn func(k int)) {
 	for k := range r.pools {
 		fn(k)
 	}
 }
 
-func (r *Router) badFanOutClosure() {
+func (r *Core) badFanOutClosure() {
 	r.pools[0].mu.Lock()
 	eachShard(r, func(k int) {
 		r.stmu.Lock()
@@ -195,7 +194,7 @@ func (r *Router) badFanOutClosure() {
 
 // Violation shape 8: the metrics histogram lock is a leaf — record, don't
 // call out.
-func (r *Router) badMetricsLeaf() {
+func (r *Core) badMetricsLeaf() {
 	r.met.mu.Lock()
 	r.pools[0].mu.Lock()
 	r.pools[0].mu.Unlock()
@@ -219,11 +218,11 @@ type Standby struct {
 // ok: a commit holds the writer lock, ships the record, and the standby
 // applies under its own lock while touching the journal backing —
 // wmu(40) < Shipper.mu(55) < Standby.mu(58) > (unranked pagefile).
-func (d *DB) okShipCommit(k int, sh *Shipper, st *Standby) {
-	d.wmu[k].Lock()
+func (d *Core) okShipCommit(k int, sh *Shipper, st *Standby) {
+	d.local[k].wmu.Lock()
 	sh.mu.Lock()
 	sh.mu.Unlock()
-	d.wmu[k].Unlock()
+	d.local[k].wmu.Unlock()
 	st.mu.Lock()
 	st.pf.mu.Lock()
 	st.pf.mu.Unlock()
@@ -240,19 +239,19 @@ func badShipperLeaf(sh *Shipper, st *Standby) {
 }
 
 // Violation shape 10: a promoted standby must not re-enter the writer
-// path under its apply lock — Standby.mu(58) -> DB.wmu(40) inverts.
-func (d *DB) badPromoteReenter(k int, st *Standby) {
+// path under its apply lock — Standby.mu(58) -> Local.wmu(40) inverts.
+func (d *Core) badPromoteReenter(k int, st *Standby) {
 	st.mu.Lock()
-	d.wmu[k].Lock()
-	d.wmu[k].Unlock()
+	d.local[k].wmu.Lock()
+	d.local[k].wmu.Unlock()
 	st.mu.Unlock()
 }
 
 // Suppressed: the directive names the analyzer and gives a reason.
-func (d *DB) allowedInvert(k int) {
-	d.wmu[k].Lock()
+func (d *Core) allowedInvert(k int) {
+	d.local[k].wmu.Lock()
 	//lint:allow lockorder shutdown path, serialized behind the run-state gate
 	d.stmu.Lock()
 	d.stmu.Unlock()
-	d.wmu[k].Unlock()
+	d.local[k].wmu.Unlock()
 }

@@ -148,6 +148,22 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
+// Add returns s + other, field by field, gauges included: the totals of two
+// managers side by side (the shards of a partitioned store).
+func (s Stats) Add(other Stats) Stats {
+	return Stats{
+		Faults:      s.Faults + other.Faults,
+		PageWrites:  s.PageWrites + other.PageWrites,
+		Reads:       s.Reads + other.Reads,
+		Writes:      s.Writes + other.Writes,
+		Allocs:      s.Allocs + other.Allocs,
+		LockWaits:   s.LockWaits + other.LockWaits,
+		SizeBytes:   s.SizeBytes + other.SizeBytes,
+		LiveObjects: s.LiveObjects + other.LiveObjects,
+		LiveBytes:   s.LiveBytes + other.LiveBytes,
+	}
+}
+
 // Manager is the object-storage-manager interface.
 //
 // Transactions are single-writer: Begin/Commit bracket a unit of work, and

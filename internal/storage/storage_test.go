@@ -66,3 +66,19 @@ func TestStatsSub(t *testing.T) {
 		t.Errorf("Sub gauges wrong: %+v", d)
 	}
 }
+
+// TestStatsAddSubRoundTrip: Add sums every field, so a.Add(b).Sub(b) gives
+// back a's counters while the gauges stay at the two managers' total (Sub
+// keeps gauges current).
+func TestStatsAddSubRoundTrip(t *testing.T) {
+	a := Stats{Faults: 100, PageWrites: 50, Reads: 10, Writes: 5, Allocs: 3, LockWaits: 2, SizeBytes: 999, LiveObjects: 7, LiveBytes: 70}
+	b := Stats{Faults: 40, PageWrites: 20, Reads: 4, Writes: 2, Allocs: 1, LockWaits: 1, SizeBytes: 500, LiveObjects: 3, LiveBytes: 30}
+	want := a
+	want.SizeBytes, want.LiveObjects, want.LiveBytes = 1499, 10, 100
+	if got := a.Add(b).Sub(b); got != want {
+		t.Errorf("a.Add(b).Sub(b) = %+v, want %+v", got, want)
+	}
+	if got := (Stats{}).Add(a); got != a {
+		t.Errorf("zero.Add(a) = %+v, want a", got)
+	}
+}

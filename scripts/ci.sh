@@ -70,13 +70,14 @@ go test -race -count=1 \
 	-run 'TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst' \
 	./internal/wire/
 
-echo "== snapshot stress (-race -shuffle=on, lock-free readers vs writers + shared OpQuery)"
+echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + shared OpQuery)"
 # The MVCC read-path contract (DESIGN §10): snapshots pinned across commits
 # stay at their capture, concurrent batches never expose torn state (single
 # DB and 4-shard), and shared-mode OpQuery is byte-identical to the
-# serialized baseline while write batches land.
+# serialized baseline while write batches land. TestCore* are the shard
+# core's rules over fake members (DESIGN §9), whose gathers run concurrently.
 go test -race -shuffle=on -count=1 \
-	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejectedShared' \
+	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejectedShared' \
 	./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/
 
 echo "== lfload smoke (closed-loop load generator)"
