@@ -138,8 +138,22 @@ type Injector struct {
 	op      uint64
 	crashed bool
 	// effects observed before the crash, for harness assertions.
-	writes uint64 // completed (untorn) writes that reached the medium
-	tornOp string // description of the op the crash tore, "" if none
+	writes   uint64   // completed (untorn) writes that reached the medium
+	tornOp   string   // description of the op the crash tore, "" if none
+	logWrite LogWrite // the File write the crash point hit, if it hit one
+	hitLog   bool
+}
+
+// LogWrite locates the File.WriteAt a crash point interrupted: where it was
+// aimed, how long it was, and how long the file was when it was issued.
+// Whether the write would have extended the file or overwritten bytes
+// already in it is what a harness needs to tell which of a recycled log's
+// windows a schedule landed in; torn or lost entirely makes no difference
+// to that, so this is recorded for every tear mode.
+type LogWrite struct {
+	Off      int64
+	Len      int
+	FileSize int64
 }
 
 // NewInjector returns an injector executing plan from operation 1.
@@ -181,6 +195,14 @@ func (in *Injector) TornOp() string {
 	return in.tornOp
 }
 
+// CrashedLogWrite reports the File write the crash point interrupted; ok is
+// false if no crash fired or it hit some other operation.
+func (in *Injector) CrashedLogWrite() (w LogWrite, ok bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.logWrite, in.hitLog
+}
+
 // action is the injector's verdict on one operation.
 type action uint8
 
@@ -217,6 +239,13 @@ func (in *Injector) noteWrite() {
 func (in *Injector) noteTorn(desc string) {
 	in.mu.Lock()
 	in.tornOp = desc
+	in.mu.Unlock()
+}
+
+// noteLogWrite records the File write the crash point hit.
+func (in *Injector) noteLogWrite(w LogWrite) {
+	in.mu.Lock()
+	in.logWrite, in.hitLog = w, true
 	in.mu.Unlock()
 }
 

@@ -54,6 +54,9 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		}
 		return n, err
 	case actCrash:
+		if size, err := f.Size(); err == nil {
+			f.in.noteLogWrite(LogWrite{Off: off, Len: len(p), FileSize: size})
+		}
 		keep := f.in.plan.tearBuf(len(p))
 		for _, r := range keep {
 			// Best effort: what the dying transfer managed to commit.

@@ -90,6 +90,7 @@ type Result struct {
 	CrashOp    uint64 // the op the crash pass died at
 	Tear       fault.TearMode
 	TornOp     string // what the crash tore ("" if a clean cut)
+	Window     string // recycled-log window the crash op landed in ("" if neither), see logWindow
 	FailedCall string // the manager call that observed the death
 	Commits    int    // transactions committed before the crash
 	Outcome    string // recovered-committed | recovered-pending | restored-checkpoint | torn-detected | fresh-empty
@@ -97,8 +98,12 @@ type Result struct {
 
 // String implements fmt.Stringer.
 func (r Result) String() string {
-	return fmt.Sprintf("%s seed=%d crash@%d/%d tear=%s failed=%s commits=%d → %s",
-		r.Backend, r.Seed, r.CrashOp, r.TotalOps, r.Tear, r.FailedCall, r.Commits, r.Outcome)
+	window := ""
+	if r.Window != "" {
+		window = " window=" + r.Window
+	}
+	return fmt.Sprintf("%s seed=%d crash@%d/%d tear=%s%s failed=%s commits=%d → %s",
+		r.Backend, r.Seed, r.CrashOp, r.TotalOps, r.Tear, window, r.FailedCall, r.Commits, r.Outcome)
 }
 
 // Run executes one seeded crash-recovery experiment. A non-nil error is an
@@ -129,6 +134,33 @@ func Run(cfg Config) (Result, error) {
 			cfg.Backend, cfg.Seed, plan.CrashOp, plan.Tear, res.TornOp, res.FailedCall, err)
 	}
 	return res, nil
+}
+
+// The two windows recycling the log in place opened (package repl): both are
+// log writes aimed at bytes the file already holds.
+const (
+	// WindowCursorRewrite is an in-session checkpoint overwriting the cursor
+	// of a log that still holds the interval it is retiring.
+	WindowCursorRewrite = "cursor-rewrite"
+	// WindowRecordOverlay is a record landing on top of a retired one.
+	WindowRecordOverlay = "record-overlay"
+)
+
+// logWindow names the recycled-log window the crash op landed in. The seeds
+// are fixed but the op they crash at is not — any change to the I/O a store
+// issues renumbers them — so the fixed-seed round asserts it still reaches
+// both windows instead of assuming it.
+func logWindow(in *fault.Injector) string {
+	w, ok := in.CrashedLogWrite()
+	switch {
+	case !ok:
+		return ""
+	case w.Off == 0 && w.Len == repl.CursorSize && w.FileSize > repl.CursorSize:
+		return WindowCursorRewrite
+	case w.Off >= repl.CursorSize && w.Off < w.FileSize:
+		return WindowRecordOverlay
+	}
+	return ""
 }
 
 // openInjected opens a fresh store for the backend with its media wrapped
@@ -273,6 +305,7 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	if cfg.Backend == BackendTexas {
 		return verifyTexas(m2, err, &rec, in, w, res)
 	}
+	res.Window = logWindow(in) // texas wraps its snapshot slots in the same File, but has no log
 	return verifyOStore(m2, err, &rec, w, res)
 }
 

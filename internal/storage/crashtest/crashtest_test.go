@@ -24,6 +24,7 @@ func runSeeds(t *testing.T, backend Backend) {
 	t.Helper()
 	dir := t.TempDir()
 	outcomes := make(map[string]int)
+	windows := make(map[string]int)
 	for seed := int64(FixedSeedBase); seed < FixedSeedBase+seedCount(t); seed++ {
 		res, err := Run(Config{Backend: backend, Seed: seed, Dir: dir})
 		if err != nil {
@@ -31,8 +32,20 @@ func runSeeds(t *testing.T, backend Backend) {
 				backend, seed, err)
 		}
 		outcomes[res.Outcome]++
+		windows[res.Window]++
 	}
 	t.Logf("%s outcomes over %d seeds: %v", backend, seedCount(t), outcomes)
+	if backend != BackendOStore {
+		return
+	}
+	// The recycled log's two new crash windows must actually be hit, or the
+	// round proves nothing about them.
+	t.Logf("%s recycled-log windows hit: %v", backend, windows)
+	for _, w := range []string{WindowCursorRewrite, WindowRecordOverlay} {
+		if windows[w] == 0 {
+			t.Errorf("no seed crashed inside the %s window; add seeds until one does", w)
+		}
+	}
 }
 
 func TestCrashScheduleOStore(t *testing.T) { runSeeds(t, BackendOStore) }

@@ -21,17 +21,17 @@
 // Since the checkpoint/replication work (DESIGN §12) the log is an
 // append-only sequence of LSN-numbered records behind a checkpoint cursor
 // (the repl package's protocol): records retire in batches at periodic
-// checkpoints instead of one Truncate per commit, which bounds reopen replay
-// to the delta since the last checkpoint and gives every commit a stable
-// record that can be shipped to a warm standby (Options.Shipper) before it
-// retires.
+// checkpoints, which bounds reopen replay to the delta since the last
+// checkpoint and gives every commit a stable record that can be shipped to a
+// warm standby (Options.Shipper) before it retires. A checkpoint rewrites the
+// cursor in place and the next interval overwrites the retired records, so
+// the log file is only ever truncated by Open and Close (see package repl).
 package ostore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"labflow/internal/storage"
@@ -47,35 +47,10 @@ const DefaultPoolPages = 512
 // this many records.
 const DefaultCheckpointEvery = 8
 
-// LogFile is the redo-log medium. Production use wraps an *os.File (Open
-// does this from LogPath); tests and the crashtest harness substitute
-// fault-injecting implementations through Options.Log. All I/O is
-// positioned, so implementations need no seek state.
-type LogFile interface {
-	io.ReaderAt
-	io.WriterAt
-	// Truncate discards the log; records are retired this way at each
-	// checkpoint, once their pages are in place and synced.
-	Truncate(size int64) error
-	// Sync forces the log to stable storage (the SyncLog option).
-	Sync() error
-	// Size returns the current log length in bytes.
-	Size() (int64, error)
-	// Close releases the medium.
-	Close() error
-}
-
-// osLog adapts *os.File to LogFile.
-type osLog struct{ *os.File }
-
-// Size implements LogFile.
-func (l osLog) Size() (int64, error) {
-	info, err := l.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return info.Size(), nil
-}
+// LogFile is the redo-log medium: the repl package's, since the log runs
+// its protocol. Open wraps an *os.File from LogPath; tests, the crashtest
+// harness and the benchmark substitute their own through Options.Log.
+type LogFile = repl.LogFile
 
 // Options configures Open.
 type Options struct {
@@ -99,9 +74,8 @@ type Options struct {
 	SyncLog bool
 	// CheckpointEvery is the number of flushed commit groups between
 	// checkpoints (default DefaultCheckpointEvery). 1 retires every record
-	// as soon as its pages are in place — the historical per-commit
-	// truncation. Larger values amortize the checkpoint sync and leave a
-	// longer (but still bounded) replay tail.
+	// as soon as its pages are in place. Larger values amortize the
+	// checkpoint sync and leave a longer (but still bounded) replay tail.
 	CheckpointEvery int
 	// Shipper, if non-nil, receives every redo record at its durability
 	// point, before the commit is acknowledged and long before the record
@@ -136,11 +110,11 @@ func Open(opts Options) (storage.Manager, error) {
 		if logPath == "" {
 			logPath = opts.Path + ".log"
 		}
-		f, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE, 0o644)
+		f, err := repl.OpenFile(logPath)
 		if err != nil {
 			return nil, fmt.Errorf("ostore: open log: %w", err)
 		}
-		logFile = osLog{f}
+		logFile = f
 	}
 	backing := opts.Backing
 	if backing == nil {
@@ -217,10 +191,10 @@ func Open(opts Options) (storage.Manager, error) {
 }
 
 // recoverLog replays the contiguous run of complete redo records the last
-// session left past its checkpoint cursor, then checkpoints so the next
-// reopen starts from zero replay. Work is O(records since the last
-// checkpoint), never O(history): everything before the cursor was synced
-// into the backing when the cursor was written. A torn tail record is
+// session left past its checkpoint cursor, then empties the log behind a
+// fresh cursor so this session starts from a file holding nothing stale.
+// Work is O(records since the last checkpoint), never O(history): everything
+// before the cursor was synced into the backing when the cursor was written. A torn tail record is
 // discarded — its transaction never reached the durability point. Returns
 // the next LSN to assign and the replayed records (whose page images stay
 // valid: they alias the scan buffer).
@@ -241,7 +215,7 @@ func recoverLog(log LogFile, backing pagefile.Backing, syncLog bool, info *repl.
 			return 0, nil, err
 		}
 	}
-	if err := repl.Checkpoint(log, last, syncLog); err != nil {
+	if err := repl.ResetLog(log, last, syncLog); err != nil {
 		return 0, nil, err
 	}
 	if info != nil {
@@ -271,6 +245,13 @@ type commitBatch struct {
 	done   chan error
 }
 
+// maxScratchPages bounds the record buffer the flusher keeps between commits:
+// a group of up to this many pages is encoded into the retained buffer, a
+// wider one into a buffer of its own that dies with the flush. So what stays
+// live between commits is at most one 16-page record (128 KiB), however wide
+// the widest commit of the session was.
+const maxScratchPages = 16
+
 // commitQueueDepth bounds how many commit batches can queue behind an
 // in-progress flush; queued batches are coalesced into the next single log
 // write. The bound only back-pressures pathological fan-in — committers
@@ -298,9 +279,10 @@ type pager struct {
 	shipper   repl.Shipper
 	nextLSN   uint64
 	pending   []pendingRecord
-	logEnd    int64
+	logEnd    int64 // live tail: where the next record goes, not the file's length
 	ckptEvery int
 	sinceCkpt int
+	scratch   []byte // record buffer reused across flushes; at most maxScratchPages wide
 
 	faultReq  chan faultRequest
 	commitReq chan *commitBatch
@@ -501,7 +483,8 @@ func (p *pager) Commit() error {
 // flushLoop is the group-commit daemon. It takes one queued batch, drains
 // whatever else has queued behind it, and flushes the union as a single
 // redo record: one log write, one optional fsync, one pass of in-place page
-// writes, one truncate. Every batch in the group is then released at once.
+// writes, and every ckptEvery-th time a checkpoint. Every batch in the group
+// is then released at once.
 func (p *pager) flushLoop() {
 	defer close(p.flushDone)
 	for {
@@ -539,8 +522,7 @@ func (p *pager) flushLoop() {
 // several batches keeps the latest image — the same state replaying the
 // batches in order would produce. The record is appended to the log under
 // the next LSN, shipped to the standby (if any) once durable, applied in
-// place, and eventually retired by a periodic checkpoint instead of a
-// per-commit truncation.
+// place, and eventually retired by a periodic checkpoint.
 func (p *pager) flushBatches(batches []*commitBatch) error {
 	var order []*frame
 	seen := make(map[pagefile.PageID]int, len(batches[0].frames))
@@ -571,7 +553,16 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 		for i, fr := range order {
 			pages[i] = repl.PageImage{ID: fr.pf.ID, Data: fr.pf.Data}
 		}
-		buf := repl.EncodeRecord(p.nextLSN, pages)
+		// Encode into the flusher's own buffer: the log write, the sync and
+		// the shipper are all done with the bytes when they return.
+		buf := p.scratch
+		if need := repl.RecordSize(uint32(len(pages))); int64(cap(buf)) < need {
+			buf = make([]byte, 0, need)
+		}
+		buf = repl.AppendRecord(buf[:0], p.nextLSN, pages)
+		if len(pages) <= maxScratchPages {
+			p.scratch = buf
+		}
 		if p.log != nil {
 			if _, err := p.log.WriteAt(buf, p.logEnd); err != nil {
 				return fmt.Errorf("ostore: write log: %w", err)
@@ -593,7 +584,7 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 		if p.shipper != nil {
 			if err := p.shipper.Ship(p.nextLSN, buf); err != nil {
 				lsn := p.nextLSN
-				p.pending = append(p.pending, pendingRecord{lsn: lsn, rec: buf})
+				p.pending = append(p.pending, pendingRecord{lsn: lsn, rec: bytes.Clone(buf)})
 				p.nextLSN++
 				if p.log != nil {
 					p.logEnd += int64(len(buf))
@@ -736,8 +727,9 @@ func (p *pager) Close() error {
 	}
 	if p.log != nil {
 		// Final checkpoint: the backing was just synced, so every logged
-		// record is retired and the next open replays nothing.
-		if err := repl.Checkpoint(p.log, p.nextLSN-1, p.syncLog); err != nil {
+		// record is retired and the next open replays nothing. This one
+		// gives the recycled blocks back.
+		if err := repl.ResetLog(p.log, p.nextLSN-1, p.syncLog); err != nil {
 			errs = append(errs, err)
 		}
 		if err := p.log.Close(); err != nil {

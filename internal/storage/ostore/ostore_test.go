@@ -165,9 +165,29 @@ func TestRecovery(t *testing.T) {
 	if info.CheckpointLSN != 1 || info.Replayed != 1 || info.NextLSN != 3 {
 		t.Errorf("RecoveryInfo = %+v, want cursor 1, 1 replayed, next LSN 3", info)
 	}
-	// The log must have been checkpointed down to a bare cursor.
-	if st, err := os.Stat(logPath); err != nil || st.Size() != int64(repl.CursorSize) {
-		t.Fatalf("log not checkpointed after recovery: %v, %v", st, err)
+	// Recovery's checkpoint is a session boundary: the replayed record is
+	// retired behind cursor 2 and the file physically holds nothing else.
+	assertLogEmptied(t, logPath, 2)
+}
+
+// assertLogEmptied checks the state Open's recovery (and Close) must leave a
+// log in: a cursor naming wantCursor, nothing replayable past it, and — the
+// physical part, which in-session checkpoints no longer do — no byte beyond
+// the cursor for a later session's restarted LSNs to collide with.
+func assertLogEmptied(t *testing.T, logPath string, wantCursor uint64) {
+	t.Helper()
+	lf, err := repl.OpenFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	cursor, records, err := repl.ScanLog(lf)
+	if err != nil || cursor != wantCursor || len(records) != 0 {
+		t.Fatalf("log %s: cursor=%d records=%d err=%v, want cursor %d and nothing replayable",
+			logPath, cursor, len(records), err, wantCursor)
+	}
+	if size, err := lf.Size(); err != nil || size != repl.CursorSize {
+		t.Fatalf("log %s is %d bytes (err %v), want exactly the %d-byte cursor", logPath, size, err, repl.CursorSize)
 	}
 }
 
@@ -263,9 +283,8 @@ func TestTornMiddleLogIgnored(t *testing.T) {
 	if err != nil || string(got) != "stable" {
 		t.Fatalf("Read = %q, %v; want stable (torn record must be discarded)", got, err)
 	}
-	if info, err := os.Stat(path + ".log"); err != nil || info.Size() != int64(repl.CursorSize) {
-		t.Fatalf("torn log not checkpointed: %v, %v", info, err)
-	}
+	// The torn record was discarded, not replayed: the cursor stays at 1.
+	assertLogEmptied(t, path+".log", 1)
 }
 
 // TestShortReadLogIgnored feeds recovery a log whose medium delivers fewer
@@ -288,8 +307,14 @@ func TestShortReadLogIgnored(t *testing.T) {
 	if n := backing.NumPages(); n != 0 {
 		t.Fatalf("backing grew to %d pages from a short-read log", n)
 	}
+	// Recovery ends a session: the undeliverable tail must be physically
+	// discarded and a cursor written, so the next scan finds nothing.
 	if !log.truncated {
 		t.Fatal("short-read log was not truncated")
+	}
+	if cursor, ok := repl.DecodeCursor(log.written); !ok || cursor != 0 || log.writtenAt != 0 {
+		t.Fatalf("recovery wrote %d bytes at %d (cursor %d, valid %v), want cursor 0 at offset 0",
+			len(log.written), log.writtenAt, cursor, ok)
 	}
 
 	// Control: the same record fully delivered must replay.
@@ -314,6 +339,8 @@ type shortLog struct {
 	data      []byte
 	deliver   int
 	truncated bool
+	written   []byte // the last write, which recovery makes its cursor
+	writtenAt int64
 }
 
 func (s *shortLog) ReadAt(p []byte, off int64) (int, error) {
@@ -327,11 +354,14 @@ func (s *shortLog) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (s *shortLog) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
-func (s *shortLog) Truncate(size int64) error                { s.truncated = true; return nil }
-func (s *shortLog) Sync() error                              { return nil }
-func (s *shortLog) Size() (int64, error)                     { return int64(len(s.data)), nil }
-func (s *shortLog) Close() error                             { return nil }
+func (s *shortLog) WriteAt(p []byte, off int64) (int, error) {
+	s.written, s.writtenAt = append([]byte(nil), p...), off
+	return len(p), nil
+}
+func (s *shortLog) Truncate(size int64) error { s.truncated = true; return nil }
+func (s *shortLog) Sync() error               { return nil }
+func (s *shortLog) Size() (int64, error)      { return int64(len(s.data)), nil }
+func (s *shortLog) Close() error              { return nil }
 
 // countingBacking wraps a Backing and counts Close calls.
 type countingBacking struct {

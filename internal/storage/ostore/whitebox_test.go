@@ -2,15 +2,16 @@ package ostore
 
 import (
 	"bytes"
-	"os"
+	"errors"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"labflow/internal/storage"
 	"labflow/internal/storage/pagefile"
 	"labflow/internal/storage/repl"
+	"labflow/internal/storage/storagetest"
 )
 
 // TestNoStealAndTrim verifies the pool policy: during a transaction dirty
@@ -192,18 +193,18 @@ func newWhiteboxPager(t *testing.T, logPath string) *pager {
 	t.Helper()
 	var log LogFile
 	if logPath != "" {
-		f, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE, 0o644)
+		f, err := repl.OpenFile(logPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		log = osLog{f}
+		log = f
 	}
 	p := &pager{
 		backing:   pagefile.NewMem(),
 		log:       log,
 		nextLSN:   1,
 		logEnd:    repl.CursorSize,
-		ckptEvery: 1, // checkpoint every flush: the historical retire-per-commit shape
+		ckptEvery: 1, // checkpoint every flush: every record retires at once
 		pool:      make(map[pagefile.PageID]*frame),
 		capacity:  64,
 		locks:     make(map[pagefile.PageID]pagefile.Mode),
@@ -266,8 +267,32 @@ func TestGroupCommitCoalesce(t *testing.T) {
 				want.fr.pf.ID, buf[0], buf[pagefile.PageSize-1], want.fill)
 		}
 	}
-	if info, err := os.Stat(logPath); err != nil || info.Size() != int64(repl.CursorSize) {
-		t.Errorf("log not checkpointed down to its cursor after flush: %v, %v", info, err)
+	// One record (LSN 1) was logged and, at ckptEvery 1, retired at once.
+	assertLogRetired(t, p, 1, repl.RecordSize(3))
+}
+
+// assertLogRetired checks what "checkpointed" means now that a checkpoint
+// recycles the log instead of truncating it: the cursor names the last
+// flushed LSN, nothing past it is replayable, the pager's tail is back at
+// the cursor, and the file is no longer than the cursor plus the widest
+// interval this session wrote (here one record, since ckptEvery is 1).
+func assertLogRetired(t *testing.T, p *pager, wantCursor uint64, widestInterval int64) {
+	t.Helper()
+	cursor, records, err := repl.ScanLog(p.log)
+	if err != nil {
+		t.Fatalf("ScanLog: %v", err)
+	}
+	if cursor != wantCursor || len(records) != 0 {
+		t.Errorf("log after checkpoint: cursor %d with %d replayable records, want cursor %d and none",
+			cursor, len(records), wantCursor)
+	}
+	if p.logEnd != repl.CursorSize {
+		t.Errorf("logEnd = %d after checkpoint, want %d (the next record must overlay the retired ones)",
+			p.logEnd, repl.CursorSize)
+	}
+	if size, err := p.log.Size(); err != nil || size > repl.CursorSize+widestInterval {
+		t.Errorf("log is %d bytes (err %v), want at most cursor + widest interval = %d",
+			size, err, repl.CursorSize+widestInterval)
 	}
 }
 
@@ -338,35 +363,49 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if info, err := os.Stat(logPath); err != nil || info.Size() != int64(repl.CursorSize) {
-		t.Errorf("log not checkpointed down to its cursor after final commit: %v, %v", info, err)
-	}
+	// Every group retired as it flushed. How many groups formed depends on
+	// the interleaving, so the cursor is read back from the pager; a group
+	// holds at most every worker's batch of 5.
+	assertLogRetired(t, p, p.nextLSN-1, repl.RecordSize(workers*5))
 }
 
-// slowWAL delays every log write, widening the window in which Close can
-// land while flushBatches is mid-flush.
-type slowWAL struct {
+// gatedWAL parks log writes in a storagetest.Gate, so a test can hold a
+// group flush open at a known point, and reports a write that arrives after
+// the log was closed.
+type gatedWAL struct {
 	LogFile
+	t      *testing.T
+	gate   *storagetest.Gate
+	closed atomic.Bool
 }
 
-func (l slowWAL) WriteAt(p []byte, off int64) (int, error) {
-	time.Sleep(time.Millisecond)
+func (l *gatedWAL) WriteAt(p []byte, off int64) (int, error) {
+	l.gate.Pass()
+	if l.closed.Load() {
+		l.t.Error("log written after Close tore it down: teardown overlapped an in-flight flush")
+	}
 	return l.LogFile.WriteAt(p, off)
 }
 
-// TestCloseDrainsInFlightFlush races Close against committers whose flushes
-// are artificially slow. Close must wait for the in-flight group flush to
-// drain before tearing down the log and backing — under the race detector
-// this catches any overlap between flushBatches and teardown — and late
-// committers get ErrPagerClosed, never a write into closed media.
+func (l *gatedWAL) Close() error {
+	l.closed.Store(true)
+	return l.LogFile.Close()
+}
+
+// TestCloseDrainsInFlightFlush lands Close while flushBatches is mid-flush.
+// Close must wait for the in-flight group flush to drain before tearing down
+// the log and backing — under the race detector this catches any overlap
+// between flushBatches and teardown — and late committers get
+// ErrPagerClosed, never a write into closed media.
 func TestCloseDrainsInFlightFlush(t *testing.T) {
-	f, err := os.OpenFile(filepath.Join(t.TempDir(), "wal"), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := repl.OpenFile(filepath.Join(t.TempDir(), "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate := &storagetest.Gate{}
 	p := &pager{
 		backing:   pagefile.NewMem(),
-		log:       slowWAL{osLog{f}},
+		log:       &gatedWAL{LogFile: f, t: t, gate: gate},
 		nextLSN:   1,
 		logEnd:    repl.CursorSize,
 		ckptEvery: 1,
@@ -381,32 +420,137 @@ func TestCloseDrainsInFlightFlush(t *testing.T) {
 	go p.serve()
 	go p.flushLoop()
 
+	// One transaction at a time, and none once Close is on its way, as the
+	// object layer above a real pager guarantees: Commit sweeps every dirty
+	// frame in the pool into its batch and Close writes back whatever is
+	// still dirty, so a frame a worker was still filling would be read
+	// mid-write. What must overlap is Close and a flush.
+	var txn sync.Mutex
+	var stop atomic.Bool
+	one := func(w int) error {
+		txn.Lock()
+		defer txn.Unlock()
+		if stop.Load() {
+			return pagefile.ErrPagerClosed
+		}
+		fr, err := p.AllocPage()
+		if err != nil {
+			return err
+		}
+		for i := range fr.Data {
+			fr.Data[i] = byte(w)
+		}
+		p.Unpin(fr, true)
+		return p.Commit()
+	}
+	inFlush, release := gate.Arm()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				fr, err := p.AllocPage()
-				if err != nil {
-					return // pager closed under us: the expected exit
-				}
-				for i := range fr.Data {
-					fr.Data[i] = byte(w)
-				}
-				p.Unpin(fr, true)
-				if err := p.Commit(); err != nil {
-					return
-				}
+			for one(w) == nil {
 			}
 		}(w)
 	}
-	time.Sleep(10 * time.Millisecond) // let flushes overlap the close
-	if err := p.Close(); err != nil {
+	<-inFlush // the first commit's flush is parked in its log write
+	stop.Store(true)
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	<-p.done // Close is under way; it may not touch the media until the flush drains
+	release()
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	wg.Wait()
 	if err := p.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// failingCursorLog refuses the first fails cursor writes.
+type failingCursorLog struct {
+	LogFile
+	fails int
+}
+
+func (l *failingCursorLog) WriteAt(p []byte, off int64) (int, error) {
+	if off == 0 && l.fails > 0 {
+		l.fails--
+		return 0, errors.New("injected cursor write failure")
+	}
+	return l.LogFile.WriteAt(p, off)
+}
+
+// TestFailedCheckpointKeepsTail: the tail moves back only once the new
+// cursor is down. While checkpoints fail, the old cursor still vouches for
+// every record since it, so the next record must be appended behind them —
+// overlaying the first would leave a log that replays nothing, or worse, a
+// prefix. When a checkpoint finally succeeds the whole run retires at once.
+func TestFailedCheckpointKeepsTail(t *testing.T) {
+	p := newWhiteboxPager(t, filepath.Join(t.TempDir(), "wal"))
+	if err := repl.ResetLog(p.log, 0, false); err != nil { // what Open would have done
+		t.Fatal(err)
+	}
+	p.log = &failingCursorLog{LogFile: p.log, fails: 2}
+	flush := func(fill byte) error {
+		f, err := p.AllocPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range f.Data {
+			f.Data[i] = fill
+		}
+		p.Unpin(f, true)
+		return p.flushBatches([]*commitBatch{{frames: []*frame{f.Priv.(*frame)}, done: make(chan error, 1)}})
+	}
+	for lsn := uint64(1); lsn <= 2; lsn++ {
+		if err := flush(byte(lsn)); err == nil {
+			t.Fatalf("flush %d: the failed checkpoint went unreported", lsn)
+		}
+		cursor, records, err := repl.ScanLog(p.log)
+		if err != nil || cursor != 0 || uint64(len(records)) != lsn {
+			t.Fatalf("after failed checkpoint %d: cursor=%d records=%d err=%v, want cursor 0 and every record since it",
+				lsn, cursor, len(records), err)
+		}
+	}
+	if err := flush(3); err != nil {
+		t.Fatalf("flush 3: %v", err)
+	}
+	assertLogRetired(t, p, 3, 3*repl.RecordSize(1))
+}
+
+// TestScratchBounded: the flusher reuses one record buffer for ordinary
+// groups and never keeps one wider than maxScratchPages, so a single wide
+// commit cannot pin its size on the heap.
+func TestScratchBounded(t *testing.T) {
+	p := newWhiteboxPager(t, filepath.Join(t.TempDir(), "wal"))
+	flush := func(pages int) {
+		t.Helper()
+		b := &commitBatch{done: make(chan error, 1)}
+		for i := 0; i < pages; i++ {
+			f, err := p.AllocPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(f, true)
+			b.frames = append(b.frames, f.Priv.(*frame))
+		}
+		if err := p.flushBatches([]*commitBatch{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(maxScratchPages)
+	kept := &p.scratch[:1][0]
+	flush(3)
+	if &p.scratch[:1][0] != kept {
+		t.Error("a narrower group did not reuse the retained record buffer")
+	}
+	flush(3 * maxScratchPages)
+	if got, limit := int64(cap(p.scratch)), repl.RecordSize(maxScratchPages); got > limit {
+		t.Errorf("retained buffer is %d bytes after a wide group, over the %d-byte bound", got, limit)
+	}
+	if &p.scratch[:1][0] != kept {
+		t.Error("a wide group displaced the retained record buffer")
 	}
 }

@@ -44,7 +44,10 @@ type Pager interface {
 	AllocPage() (*Frame, error)
 	// Begin and Commit bracket a transaction. Commit applies the pager's
 	// durability policy (log + write-back, or write-back only) and releases
-	// any page locks held.
+	// any page locks held. Store calls Commit without holding its own
+	// mutex, so read-mode Pin, Unpin and Stats may arrive while it runs and
+	// the pager must order them itself; no AllocPage, write-mode Pin, Begin
+	// or Close will, and no second Commit.
 	Begin() error
 	Commit() error
 	// Stats returns cumulative counters.

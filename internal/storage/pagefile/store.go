@@ -50,6 +50,15 @@ type superblock struct {
 // control below the object layer (page locks) is the pager's business. This
 // matches the benchmark's single-writer workload while keeping multi-client
 // page traffic well-formed.
+//
+// The one thing the mutex is not held across is the pager's commit — the
+// log write, the fsync, the write-back. Commit closes the transaction under
+// mu, marks the store flushing and lets go, so Read, Root and Stats run
+// against the pager's pool while the flush is in flight (a pager must allow
+// Pin/Unpin/Stats concurrently with its own Commit; both managers' pagers
+// lock internally). Single-writer discipline does not lean on the mutex for
+// that stretch: mutations are refused because no transaction is open, and
+// Begin and Close wait for flushing to clear.
 type Store struct {
 	mu     sync.Mutex
 	name   string
@@ -57,6 +66,11 @@ type Store struct {
 	super  superblock
 	inTxn  bool
 	closed bool
+
+	// flushing is true while a Commit is inside pager.Commit with mu
+	// released; flushed (on mu) wakes the Begin or Close waiting it out.
+	flushing bool
+	flushed  sync.Cond
 
 	// slack maps a record size to the heap capacity reserved for it; nil
 	// reserves exactly the record size. The texas manager installs its
@@ -84,6 +98,7 @@ const maxClusterHops = 64
 // record size to the reserved heap capacity (allocator size classes).
 func New(name string, pager Pager, slack func(int) int) (*Store, error) {
 	s := &Store{name: name, pager: pager, slack: slack, succ: make(map[PageID]PageID)}
+	s.flushed.L = &s.mu
 	if err := pager.Begin(); err != nil {
 		return nil, fmt.Errorf("pagefile: format begin: %w", err)
 	}
@@ -853,10 +868,21 @@ func (s *Store) SetRoot(oid storage.OID) error {
 	return nil
 }
 
-// Begin implements storage.Manager.
+// awaitFlushLocked blocks until no commit is in flight. The caller holds mu;
+// Wait releases it while parked.
+func (s *Store) awaitFlushLocked() {
+	for s.flushing {
+		s.flushed.Wait()
+	}
+}
+
+// Begin implements storage.Manager. A transaction cannot open while the
+// previous one's flush is still in flight: its pages are what the pager is
+// writing.
 func (s *Store) Begin() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.awaitFlushLocked()
 	if s.closed {
 		return storage.ErrClosed
 	}
@@ -870,8 +896,25 @@ func (s *Store) Begin() error {
 	return nil
 }
 
-// Commit implements storage.Manager.
+// Commit implements storage.Manager. Everything that touches the store's own
+// state — the superblock image, the end of the transaction — happens under
+// mu; the pager's flush, which is where the time goes, happens outside it,
+// so nobody but the committer waits for the log's fsync.
 func (s *Store) Commit() error {
+	if err := s.endTxn(); err != nil {
+		return err
+	}
+	err := s.pager.Commit()
+	s.mu.Lock()
+	s.flushing = false
+	s.flushed.Broadcast()
+	s.mu.Unlock()
+	return err
+}
+
+// endTxn writes the superblock into its page and closes the transaction,
+// leaving the store marked flushing for Commit to clear.
+func (s *Store) endTxn() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -884,7 +927,8 @@ func (s *Store) Commit() error {
 		return err
 	}
 	s.inTxn = false
-	return s.pager.Commit()
+	s.flushing = true
+	return nil
 }
 
 // Stats implements storage.Manager.
@@ -905,10 +949,12 @@ func (s *Store) Stats() storage.Stats {
 	}
 }
 
-// Close implements storage.Manager.
+// Close implements storage.Manager. It waits out a commit in flight rather
+// than closing the pager under it.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.awaitFlushLocked()
 	if s.closed {
 		return nil
 	}

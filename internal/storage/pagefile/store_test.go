@@ -259,3 +259,35 @@ func TestSegmentIsolation(t *testing.T) {
 		}
 	}
 }
+
+// gatedPager parks Commit in a storagetest.Gate before it touches anything.
+type gatedPager struct {
+	*memPager
+	gate *storagetest.Gate
+}
+
+func (p gatedPager) Commit() error {
+	p.gate.Pass()
+	return p.memPager.Commit()
+}
+
+// TestCommitFlushOutsideMutex checks the Store's own half of the contract
+// with the pager's flush held open: mu is released for it (Read, Root and
+// Stats go through), the transaction is already over (mutations refused),
+// and the in-flight state alone keeps Begin and Close out — the pager here
+// has no lock of its own to hide behind.
+func TestCommitFlushOutsideMutex(t *testing.T) {
+	gate := &storagetest.Gate{}
+	mp := newMemPager()
+	s, err := New("gated", gatedPager{mp, gate}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storagetest.StalledCommit(t, s, gate, true, func() storage.Manager {
+		s2, err := New("gated", mp, nil)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		return s2
+	})
+}

@@ -13,9 +13,62 @@
 // backing; every following record carries the next consecutive LSN, a CRC32
 // over its header and page images, and a trailing magic. Recovery replays
 // the contiguous valid prefix after the cursor and discards the torn tail —
-// a record is only ever trusted whole. A checkpoint truncates the log and
-// writes a fresh cursor, after the backing has been synced, so the records
-// it retires can never be needed again.
+// a record is only ever trusted whole.
+//
+// # Recycling the log in place
+//
+// A checkpoint (Checkpoint) does not shrink the file. After the backing has
+// been synced it overwrites the cursor at offset 0, forces it down when the
+// log is a synced one, and only then does the caller move its logical tail
+// back to CursorSize, so the next interval's records overwrite the blocks
+// the retired interval already allocated. A log fsync is then a pure data
+// flush; truncating and re-extending the file made every one of them a
+// file-size change the filesystem had to journal. The file is physically
+// emptied only at the session boundaries (ResetLog): by the recovery
+// checkpoint when a store or standby opens, and by the final checkpoint of
+// Close/Promote.
+//
+// Retired bytes therefore stay in the file past the live tail, and ScanLog
+// reads the whole file. They are never replayed, because:
+//
+//   - Within one open session LSNs only grow, and every byte past the live
+//     tail was written in this session under an LSN no greater than the
+//     current cursor. ScanLog accepts the record at the tail only if it
+//     carries exactly cursor+n+1, so a retired record — even one sitting
+//     precisely on a record boundary because the two generations' records
+//     have the same sizes — fails the LSN test. A record that is half new
+//     and half retired fails its CRC, which covers the LSN. (Bytes that are
+//     not on a retired record boundary are page-image content; to be taken
+//     for a record they would have to forge the magic, the CRC and the one
+//     expected LSN.)
+//   - The tail moves back only after the new cursor is in place (and synced,
+//     for a synced log): a checkpoint whose cursor write or sync fails
+//     leaves the tail where it was, and the next record is appended, not
+//     overlaid. So an old cursor never coexists with a partly overwritten
+//     run of the records it still vouches for — replaying only a prefix of
+//     them over the newer, already synced backing would regress pages.
+//   - The cursor and the head of the first record share the file's first
+//     sector. A cursor rewrite is a 20-byte write inside that sector: on a
+//     sector-atomic medium it lands whole or not at all, and the bytes it
+//     shares the sector with belong to a record the same checkpoint retired.
+//     If the cursor does tear, its CRC fails and recovery trusts the backing
+//     alone — which was synced before the cursor was touched, and so is
+//     exactly the checkpoint state.
+//   - An invalid cursor restarts the LSN sequence at 1, which is the one case
+//     where "LSNs only grow" stops holding across a reopen: a retired record
+//     from the previous session could then carry an LSN the new session has
+//     yet to reach. No stale byte may therefore survive into a new session,
+//     and that is why opening truncates the file before it writes its
+//     cursor, whatever the old cursor looked like.
+//   - With an unsynced log (ostore SyncLog off, the standby's default) the
+//     guarantee is the one the unsynced log always had: a process crash,
+//     where the file keeps every completed write in issue order, so the
+//     cursor always precedes the records that overlay its interval. Power
+//     loss on an unsynced log was not covered before and is not now.
+//
+// The retained length is bounded: the file is never longer than CursorSize
+// plus the most bytes a single checkpoint interval appended this session,
+// and a clean Close or the next Open returns it to CursorSize.
 //
 // The same record bytes double as the shipping unit: a primary streams each
 // record to its standby before the record can retire (Shipper), so the
@@ -102,20 +155,28 @@ func RecordSize(count uint32) int64 {
 	return recordHeader + int64(count)*(4+pagefile.PageSize) + 12
 }
 
-// EncodeRecord serializes one redo record. A record may be empty (count 0):
-// texas ships one record per commit even when the commit wrote no pages, so
-// the follower's LSN tracks the primary's commit count exactly.
+// EncodeRecord serializes one redo record into a buffer of its own. A record
+// may be empty (count 0): texas ships one record per commit even when the
+// commit wrote no pages, so the follower's LSN tracks the primary's commit
+// count exactly.
 func EncodeRecord(lsn uint64, pages []PageImage) []byte {
-	buf := make([]byte, 0, RecordSize(uint32(len(pages))))
-	buf = binary.LittleEndian.AppendUint64(buf, lsn)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pages)))
+	return AppendRecord(make([]byte, 0, RecordSize(uint32(len(pages)))), lsn, pages)
+}
+
+// AppendRecord appends the encoding of one redo record to dst and returns
+// the extended slice — EncodeRecord for a caller that owns a reusable
+// buffer. The page images are copied, so the record never aliases them.
+func AppendRecord(dst []byte, lsn uint64, pages []PageImage) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pages)))
 	for _, pg := range pages {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(pg.ID))
-		buf = append(buf, pg.Data[:pagefile.PageSize]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(pg.ID))
+		dst = append(dst, pg.Data[:pagefile.PageSize]...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	buf = binary.LittleEndian.AppendUint64(buf, recordMagic)
-	return buf
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	dst = binary.LittleEndian.AppendUint64(dst, recordMagic)
+	return dst
 }
 
 // DecodeRecord parses the record at the head of data, returning it with its
@@ -187,15 +248,15 @@ func DecodeCursor(data []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(data[8:]), true
 }
 
-// Checkpoint retires the log's records: truncate, then write a fresh cursor
-// at offset 0. The caller must have synced the page backing first — after
-// this call the retired records can never be replayed again. If the cursor
-// write itself tears, recovery finds an invalid head and trusts the (synced)
+// Checkpoint retires the log's records in place: it overwrites the cursor at
+// offset 0 and leaves the file's length alone. The caller must have synced
+// the page backing first — after this call the retired records can never be
+// replayed again — and moves its tail back to CursorSize only once
+// Checkpoint has returned nil, so the next records overwrite the retired
+// ones (see the package comment for why that is safe). If the cursor write
+// itself tears, recovery finds an invalid head and trusts the (synced)
 // backing alone, which is exactly the checkpoint state.
 func Checkpoint(log LogFile, lsn uint64, sync bool) error {
-	if err := log.Truncate(0); err != nil {
-		return fmt.Errorf("repl: checkpoint truncate: %w", err)
-	}
 	if _, err := log.WriteAt(EncodeCursor(lsn), 0); err != nil {
 		return fmt.Errorf("repl: checkpoint cursor: %w", err)
 	}
@@ -207,13 +268,26 @@ func Checkpoint(log LogFile, lsn uint64, sync bool) error {
 	return nil
 }
 
+// ResetLog is the checkpoint of a session boundary — recovery at open, the
+// final checkpoint of a close or promote: it empties the file before writing
+// the cursor, so no byte of an earlier session outlives it. In-place reuse
+// is only sound while LSNs grow, and a reopen that finds an invalid cursor
+// starts them over at 1.
+func ResetLog(log LogFile, lsn uint64, sync bool) error {
+	if err := log.Truncate(0); err != nil {
+		return fmt.Errorf("repl: checkpoint truncate: %w", err)
+	}
+	return Checkpoint(log, lsn, sync)
+}
+
 // ScanLog reads the whole log and returns the checkpoint cursor's LSN plus
 // the contiguous run of valid records after it (LSNs cursor+1, cursor+2, …).
 // A log without a valid cursor at offset 0 yields nothing: the protocol only
 // ever appends records after a durable cursor, so an invalid head means a
 // torn cursor write with no records beyond it worth trusting. The first
 // invalid or out-of-sequence record ends the scan — a torn tail whose
-// transaction never reached its durability point.
+// transaction never reached its durability point, or the retired records of
+// an interval a checkpoint has since recycled.
 func ScanLog(log LogFile) (cursorLSN uint64, records []Record, err error) {
 	size, err := log.Size()
 	if err != nil {
@@ -291,6 +365,10 @@ type RecoveryInfo struct {
 // (acked) the record: a commit only reports success once its record is on
 // the standby, which is what makes the promoted follower's state a superset
 // of everything any client observed as committed.
+//
+// record is only valid for the duration of the call: a primary encodes into
+// a buffer it reuses for the next commit, so an implementation that needs
+// the bytes afterwards must copy them.
 //
 // Callers must never reuse an LSN for different bytes: once Ship has been
 // attempted for (lsn, record) — even if it returned an error — any later

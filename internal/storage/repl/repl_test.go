@@ -306,3 +306,219 @@ func TestStandbyFollowerLSN(t *testing.T) {
 		t.Fatalf("FollowerLSN = (%d, %v), want 1", lsn, err)
 	}
 }
+
+// appendRecords writes one-page records lsn..lsn+n-1 at off, every page
+// filled with fill, and returns the offset past the last.
+func appendRecords(t *testing.T, lf LogFile, off int64, lsn uint64, n int, fill byte) int64 {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		buf := EncodeRecord(lsn+uint64(i), []PageImage{{ID: pagefile.PageID(i), Data: page(fill)}})
+		if _, err := lf.WriteAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(buf))
+	}
+	return off
+}
+
+func TestAppendRecordMatchesEncodeRecord(t *testing.T) {
+	pages := []PageImage{{ID: 3, Data: page(0xAA)}, {ID: 0, Data: page(0xBB)}}
+	want := EncodeRecord(7, pages)
+	// A reused buffer, and one with a prefix the CRC must not cover.
+	scratch := AppendRecord(make([]byte, 0, 4*len(want)), 99, pages[:1])
+	if got := AppendRecord(scratch[:0], 7, pages); !bytes.Equal(got, want) {
+		t.Fatal("AppendRecord into a reused buffer differs from EncodeRecord")
+	}
+	if got := AppendRecord([]byte("junk"), 7, pages); !bytes.Equal(got[4:], want) || string(got[:4]) != "junk" {
+		t.Fatal("AppendRecord after a prefix differs from EncodeRecord")
+	}
+}
+
+// TestCheckpointRecyclesInPlace pins the two entry points: Checkpoint leaves
+// the file's length alone, ResetLog empties it first.
+func TestCheckpointRecyclesInPlace(t *testing.T) {
+	lf := openLog(t)
+	if err := ResetLog(lf, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	end := appendRecords(t, lf, CursorSize, 1, 3, 0x11)
+	if err := Checkpoint(lf, 3, true); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := lf.Size(); size != end {
+		t.Fatalf("in-session checkpoint changed the file length: %d, want %d", size, end)
+	}
+	if cursor, records, err := ScanLog(lf); err != nil || cursor != 3 || len(records) != 0 {
+		t.Fatalf("after checkpoint: cursor=%d records=%d err=%v, want 3, 0", cursor, len(records), err)
+	}
+	if err := ResetLog(lf, 3, true); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := lf.Size(); size != CursorSize {
+		t.Fatalf("ResetLog left %d bytes, want %d", size, CursorSize)
+	}
+}
+
+// TestScanLogIgnoresRetiredGeneration is the same-size case: the retired
+// interval's records sit on exactly the boundaries the live interval's
+// records will use, whole and CRC-valid. Only the LSN tells them apart, so
+// at every prefix length of the new generation — including a new record torn
+// halfway over an old one — the scan must return the live prefix and stop.
+func TestScanLogIgnoresRetiredGeneration(t *testing.T) {
+	const gen = 4
+	lf := openLog(t)
+	if err := ResetLog(lf, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, lf, CursorSize, 1, gen, 0x11)
+	if err := Checkpoint(lf, gen, false); err != nil {
+		t.Fatal(err)
+	}
+	recSize := RecordSize(1)
+	for live := 0; live <= gen; live++ {
+		if live > 0 {
+			appendRecords(t, lf, CursorSize+int64(live-1)*recSize, gen+uint64(live), 1, 0x22)
+		}
+		check := func(when string) {
+			t.Helper()
+			cursor, records, err := ScanLog(lf)
+			if err != nil || cursor != gen || len(records) != live {
+				t.Fatalf("%s, %d live records: cursor=%d records=%d err=%v", when, live, cursor, len(records), err)
+			}
+			for i, rec := range records {
+				if rec.LSN != gen+uint64(i)+1 || rec.Pages[0].Data[0] != 0x22 {
+					t.Fatalf("%s, live record %d: LSN %d fill %#x — a retired record was replayed",
+						when, i, rec.LSN, rec.Pages[0].Data[0])
+				}
+			}
+		}
+		check("whole records")
+		if live < gen {
+			// The next record, torn: its head (with the LSN the scan is
+			// waiting for) lands over the retired record's head, the rest
+			// of the retired record survives behind it.
+			next := EncodeRecord(gen+uint64(live)+1, []PageImage{{ID: 0, Data: page(0x22)}})
+			off := CursorSize + int64(live)*recSize
+			old := make([]byte, len(next)/2)
+			if _, err := lf.ReadAt(old, off); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lf.WriteAt(next[:len(next)/2], off); err != nil {
+				t.Fatal(err)
+			}
+			check("torn overlay")
+			if _, err := lf.WriteAt(old, off); err != nil { // put the retired record back
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestNoStaleReplayAfterLSNRestart is the reason opening truncates. A
+// session ends on a torn cursor with its last interval still in the file;
+// the next session finds no valid cursor and restarts its LSNs at 1, so the
+// old records now carry LSNs it has yet to reach. It applies n records and
+// is abandoned. Whatever n is — short of the old range, inside it, past it —
+// the scan a third session would run must find the second session's records
+// since its last checkpoint and not one of the first's.
+func TestNoStaleReplayAfterLSNRestart(t *testing.T) {
+	const oldTail, every = 7, 4
+	for n := 0; n <= 12; n++ {
+		path := filepath.Join(t.TempDir(), "follow.db")
+		st, err := OpenFileStandby(path, oldTail+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lsn := uint64(1); lsn <= oldTail; lsn++ {
+			if err := st.Ship(lsn, EncodeRecord(lsn, []PageImage{{ID: 0, Data: page(0x11)}})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The checkpoint that would have retired them tore its cursor.
+		lf, err := OpenFile(path + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lf.WriteAt(bytes.Repeat([]byte{0xFF}, CursorSize/2), 8); err != nil {
+			t.Fatal(err)
+		}
+		lf.Close()
+
+		st2, err := OpenFileStandby(path, every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2.LastLSN() != 0 {
+			t.Fatalf("torn cursor: reopened at LSN %d, want the restart at 0", st2.LastLSN())
+		}
+		for lsn := uint64(1); lsn <= uint64(n); lsn++ {
+			if err := st2.Ship(lsn, EncodeRecord(lsn, []PageImage{{ID: 0, Data: page(0x22)}})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		lf, err = OpenFile(path + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursor, records, err := ScanLog(lf)
+		lf.Close()
+		wantCursor := uint64(n - n%every)
+		if err != nil || cursor != wantCursor || len(records) != n%every {
+			t.Fatalf("n=%d: cursor=%d records=%d err=%v, want cursor %d and %d records",
+				n, cursor, len(records), err, wantCursor, n%every)
+		}
+		for _, rec := range records {
+			if rec.Pages[0].Data[0] != 0x22 {
+				t.Fatalf("n=%d: record %d of the torn-cursor session was replayed", n, rec.LSN)
+			}
+		}
+	}
+}
+
+// TestStandbyJournalLengthBounded: the standby's journal is the same
+// recycled log, so it too stays within cursor + widest interval while the
+// session runs and is emptied by Promote.
+func TestStandbyJournalLengthBounded(t *testing.T) {
+	const every = 3
+	path := filepath.Join(t.TempDir(), "follow.db")
+	st, err := OpenFileStandby(path, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var interval, widest int64
+	for lsn := uint64(1); lsn <= 20; lsn++ {
+		pages := make([]PageImage, 1+lsn%4) // records of four different sizes
+		for i := range pages {
+			pages[i] = PageImage{ID: pagefile.PageID(i), Data: page(byte(lsn))}
+		}
+		if err := st.Ship(lsn, EncodeRecord(lsn, pages)); err != nil {
+			t.Fatal(err)
+		}
+		interval += RecordSize(uint32(len(pages)))
+		widest = max(widest, interval)
+		if lsn%every == 0 {
+			interval = 0
+		}
+		info, err := os.Stat(path + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() > CursorSize+widest {
+			t.Fatalf("after LSN %d the journal is %d bytes, over cursor + widest interval = %d",
+				lsn, info.Size(), CursorSize+widest)
+		}
+	}
+	if err := st.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(path + ".log"); err != nil || info.Size() != CursorSize {
+		t.Fatalf("promoted journal: %v, %v; want exactly the cursor", info, err)
+	}
+}

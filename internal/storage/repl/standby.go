@@ -30,8 +30,10 @@ var ErrStandbyDone = errors.New("repl: standby no longer accepting records")
 // Standby is a warm follower: it applies shipped redo records to its own
 // page backing, journaling each record through the same append-log/cursor
 // protocol a primary uses (so a crashed standby recovers its own tail), and
-// checkpointing every few records. Promote finalizes the media so a real
-// storage manager can be opened over the same files.
+// checkpointing every few records — in place, like a primary, so the journal
+// is recycled rather than truncated until Promote empties it. Promote
+// finalizes the media so a real storage manager can be opened over the same
+// files.
 //
 // Durability model: by default the journal write and the periodic backing
 // sync are not fsynced before a record is acked, so the "follower holds
@@ -63,7 +65,7 @@ const DefaultStandbyEvery = 8
 
 // NewStandby opens a standby over its media, replaying any log tail a
 // previous incarnation left (the standby's own crash recovery) and
-// checkpointing so it starts with a retired log.
+// checkpointing so it starts with an empty log.
 func NewStandby(backing pagefile.Backing, log LogFile, every int) (*Standby, error) {
 	if every <= 0 {
 		every = DefaultStandbyEvery
@@ -89,7 +91,7 @@ func NewStandby(backing pagefile.Backing, log LogFile, every int) (*Standby, err
 			return nil, fmt.Errorf("repl: standby recovery sync: %w", err)
 		}
 	}
-	if err := Checkpoint(log, last, false); err != nil {
+	if err := ResetLog(log, last, false); err != nil {
 		return nil, err
 	}
 	return &Standby{
@@ -246,7 +248,7 @@ func (s *Standby) Promote() error {
 	if err := s.backing.Sync(); err != nil {
 		errs = append(errs, err)
 	}
-	if err := Checkpoint(s.log, s.lastLSN, true); err != nil {
+	if err := ResetLog(s.log, s.lastLSN, true); err != nil {
 		errs = append(errs, err)
 	}
 	if err := s.backing.Close(); err != nil {

@@ -52,7 +52,15 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # Deterministic: 200 seeded crash schedules per storage backend, anchored at
 # FixedSeedBase, plus the sharded one-shard-crashes schedules, so a
 # regression here always reproduces bit-for-bit.
+# The ostore round also asserts that some seed crashed inside each of the
+# recycled log's two windows (in-place cursor rewrite, record over a retired
+# record), so the round cannot go vacuous when op numbering shifts. The
+# directed tests beside it pin each clause of the in-place-reuse safety
+# argument (repl package comment) on its own.
 go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
+go test -race -count=1 \
+	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens' \
+	./internal/storage/repl/ ./internal/storage/ostore/
 
 echo "== crashtest: randomized-seed round"
 # Fresh seeds every run widen coverage over time; the schedule is still
@@ -69,6 +77,16 @@ echo "== concurrent wire stress (-race, byte-identical + drain)"
 go test -race -count=1 \
 	-run 'TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst' \
 	./internal/wire/
+
+echo "== stalled-flush stress (-race, a commit parked in its flush blocks Begin/Close and nobody else)"
+# DESIGN §10 "What a reader can wait on": with a commit held inside the log's
+# fsync, Read/Root/Stats return and Begin/Close wait (pagefile over a bare
+# pager, ostore); over texas the same schedule must merely be harmless. Close
+# against an in-flight group flush rides along. Repeated, since these are
+# schedules.
+go test -race -count=5 \
+	-run 'TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush' \
+	./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/
 
 echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + shared OpQuery)"
 # The MVCC read-path contract (DESIGN §10): snapshots pinned across commits
