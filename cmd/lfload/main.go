@@ -23,9 +23,7 @@
 //
 // With no -addr, lfload starts an in-process memstore server on loopback
 // and tears it down afterwards — -shards N backs it with a hash-partitioned
-// N-shard store; -serial additionally forces that server to serialize
-// operations (the pre-concurrency behaviour), which is the baseline that
-// BENCH_2.json compares against.
+// N-shard store.
 //
 // -topology (shards.json, or host:port,host:port,...) instead drives a
 // shard cluster: lfload opens a shard.Router over the listed labbase-server
@@ -75,7 +73,6 @@ type config struct {
 	pipeline   int
 	writeBatch int
 	shards     int
-	serial     bool
 	retryDown  bool
 	retryFor   time.Duration
 	jsonOut    bool
@@ -104,7 +101,6 @@ func main() {
 	flag.IntVar(&cfg.pipeline, "pipeline", 1, "requests in flight per worker round trip")
 	flag.IntVar(&cfg.writeBatch, "writebatch", 0, "steps per OpPutSteps frame (0 = whole flight in one frame)")
 	flag.IntVar(&cfg.shards, "shards", 1, "shard count for the in-process server")
-	flag.BoolVar(&cfg.serial, "serial", false, "serialize reads on the in-process server (baseline)")
 	flag.BoolVar(&cfg.retryDown, "retrydown", false, "retry operations that fail while a shard is down instead of aborting (failover runs); cumulative per-worker outage time is reported as downtime_ms")
 	flag.DurationVar(&cfg.retryFor, "retryfor", 30*time.Second, "give up after this much continuous downtime (with -retrydown)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the report as JSON")
@@ -115,11 +111,11 @@ func main() {
 		cfg.queryMix < 0 || cfg.queryMix > 1 || cfg.lineageMix < 0 || cfg.lineageMix > 1 {
 		log.Fatal("lfload: invalid flags")
 	}
-	if cfg.addr != "" && (cfg.serial || cfg.shards != 1) {
-		log.Fatal("lfload: -serial and -shards only apply to the in-process server")
+	if cfg.addr != "" && cfg.shards != 1 {
+		log.Fatal("lfload: -shards only applies to the in-process server")
 	}
-	if cfg.topology != "" && (cfg.addr != "" || cfg.serial || cfg.shards != 1) {
-		log.Fatal("lfload: -topology excludes -addr, -serial and -shards")
+	if cfg.topology != "" && (cfg.addr != "" || cfg.shards != 1) {
+		log.Fatal("lfload: -topology excludes -addr and -shards")
 	}
 	if err := run(cfg); err != nil {
 		log.Fatalf("lfload: %v", err)
@@ -138,7 +134,7 @@ func run(cfg config) error {
 		defer stop()
 	} else if addr == "" {
 		var err error
-		addr, stop, err = startInProcess(cfg.serial, cfg.shards)
+		addr, stop, err = startInProcess(cfg.shards)
 		if err != nil {
 			return err
 		}
@@ -235,7 +231,7 @@ func run(cfg config) error {
 
 // startInProcess spins up a memstore-backed server on loopback, sharded
 // when shards > 1.
-func startInProcess(serial bool, shards int) (addr string, stop func(), err error) {
+func startInProcess(shards int) (addr string, stop func(), err error) {
 	var db labbase.Store
 	if shards == 1 {
 		db, err = labbase.Open(memstore.Open("OStore-mm"), labbase.DefaultOptions())
@@ -250,7 +246,6 @@ func startInProcess(serial bool, shards int) (addr string, stop func(), err erro
 		return "", nil, err
 	}
 	srv := wire.NewServer(db)
-	srv.SetSerial(serial)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
@@ -664,7 +659,6 @@ type jsonReport struct {
 	Pipeline   int     `json:"pipeline"`
 	WriteBatch int     `json:"write_batch"`
 	Shards     int     `json:"shards"`
-	Serial     bool    `json:"serial"`
 	Seed       int64   `json:"seed"`
 	Materials  int     `json:"materials"`
 	Ops        int     `json:"ops"`
@@ -697,7 +691,6 @@ func report(w io.Writer, cfg config, wall time.Duration, throughput float64, rea
 		r.Pipeline = cfg.pipeline
 		r.WriteBatch = cfg.writeBatch
 		r.Shards = cfg.shards
-		r.Serial = cfg.serial
 		r.Seed = cfg.seed
 		r.Materials = cfg.materials
 		r.Ops = cfg.ops
@@ -718,8 +711,8 @@ func report(w io.Writer, cfg config, wall time.Duration, throughput float64, rea
 		enc.SetIndent("", "  ")
 		return enc.Encode(&r)
 	}
-	fmt.Fprintf(w, "lfload: %d workers, readmix %.2f, querymix %.2f, lineagemix %.2f, pipeline %d, writebatch %d, shards %d, serial=%v, seed %d\n",
-		cfg.workers, cfg.readMix, cfg.queryMix, cfg.lineageMix, cfg.pipeline, cfg.writeBatch, cfg.shards, cfg.serial, cfg.seed)
+	fmt.Fprintf(w, "lfload: %d workers, readmix %.2f, querymix %.2f, lineagemix %.2f, pipeline %d, writebatch %d, shards %d, seed %d\n",
+		cfg.workers, cfg.readMix, cfg.queryMix, cfg.lineageMix, cfg.pipeline, cfg.writeBatch, cfg.shards, cfg.seed)
 	fmt.Fprintf(w, "  %d ops (%d reads, %d writes, %d queries, %d lineage) over %d materials in %s\n",
 		cfg.ops, reads, writes, queries, lineage, cfg.materials, wall.Round(time.Millisecond))
 	fmt.Fprintf(w, "  throughput: %.0f ops/s\n", throughput)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
 
 	"labflow/internal/labbase"
 	"labflow/internal/metrics"
+	"labflow/internal/storage"
 	"labflow/internal/storage/ostore"
 	"labflow/internal/workflow"
 )
@@ -150,6 +152,17 @@ type EvolutionResult struct {
 	PerInsertAfter   time.Duration
 	OldStepsV1       uint64 // pre-evolution instances still on version 1
 	OldStepsVerified bool
+	// RoutineStats and EvolutionStats are the storage manager's counter
+	// deltas over the routine inserts before the evolution (all of them
+	// together) and over the evolving insert alone. The wall-clock fields
+	// above are commentary; these are what shows that evolution does not
+	// reorganize data.
+	RoutineInserts int
+	RoutineStats   storage.Stats
+	EvolutionStats storage.Stats
+	// OldStepsIntact reports that every version-1 instance's stored record
+	// is byte-for-byte what it was before the evolution.
+	OldStepsIntact bool
 }
 
 // RunEvolution runs E4 on the given version.
@@ -193,7 +206,9 @@ func RunEvolution(kind StoreKind, dir string, p Params) (*EvolutionResult, error
 	}
 
 	const n = 200
+	res.RoutineInserts = n
 	vt := built.Engine.Clock()
+	mark := built.SM.Stats()
 	start := time.Now() //lint:allow wallclock experiment elapsed-time measurement
 	for i := 0; i < n; i++ {
 		vt++
@@ -202,17 +217,24 @@ func RunEvolution(kind StoreKind, dir string, p Params) (*EvolutionResult, error
 		}
 	}
 	res.PerInsertBefore = time.Since(start) / n //lint:allow wallclock experiment elapsed-time measurement
+	res.RoutineStats = built.SM.Stats().Sub(mark)
+	v1Records, err := stepRecords(built, StepDetermineSeq)
+	if err != nil {
+		return nil, err
+	}
 
 	// The re-engineering moment: the step now also reports a chemistry
 	// attribute. One ordinary insert creates version 2.
 	v2Attrs := append(append([]labbase.AttrValue(nil), v1Attrs...),
 		labbase.AttrValue{Name: "chemistry", Value: labbase.String("dye-terminator")})
 	vt++
+	mark = built.SM.Stats()
 	start = time.Now() //lint:allow wallclock experiment elapsed-time measurement
 	if err := record(v2Attrs, vt); err != nil {
 		return nil, err
 	}
 	res.EvolutionCost = time.Since(start) //lint:allow wallclock experiment elapsed-time measurement
+	res.EvolutionStats = built.SM.Stats().Sub(mark)
 
 	start = time.Now() //lint:allow wallclock experiment elapsed-time measurement
 	for i := 0; i < n; i++ {
@@ -243,7 +265,37 @@ func RunEvolution(kind StoreKind, dir string, p Params) (*EvolutionResult, error
 	if err != nil {
 		return nil, err
 	}
+	res.OldStepsIntact = true
+	for _, before := range v1Records {
+		after, err := built.SM.Read(before.oid)
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(before.bytes, after) {
+			res.OldStepsIntact = false
+		}
+	}
 	return res, nil
+}
+
+// storedRecord is one object's bytes as the storage manager holds them.
+type storedRecord struct {
+	oid   storage.OID
+	bytes []byte
+}
+
+// stepRecords reads the stored record of every instance of a step class.
+func stepRecords(built *BuiltDB, class string) ([]storedRecord, error) {
+	var records []storedRecord
+	err := built.DB.ScanSteps(class, func(s *labbase.Step) error {
+		b, err := built.SM.Read(s.OID)
+		if err != nil {
+			return err
+		}
+		records = append(records, storedRecord{s.OID, append([]byte(nil), b...)})
+		return nil
+	})
+	return records, err
 }
 
 // FormatEvolution renders E4.
@@ -256,7 +308,11 @@ func FormatEvolution(res *EvolutionResult) string {
 	tab.Row("insert cost before evolution (us)", fmt.Sprintf("%.1f", float64(res.PerInsertBefore.Nanoseconds())/1000))
 	tab.Row("the evolving insert itself (us)", fmt.Sprintf("%.1f", float64(res.EvolutionCost.Nanoseconds())/1000))
 	tab.Row("insert cost after evolution (us)", fmt.Sprintf("%.1f", float64(res.PerInsertAfter.Nanoseconds())/1000))
-	tab.Row("v1 instances preserved untouched", fmt.Sprintf("%d (verified=%v)", res.OldStepsV1, res.OldStepsVerified))
+	tab.Row("v1 instances preserved untouched", fmt.Sprintf("%d (verified=%v, bytes intact=%v)", res.OldStepsV1, res.OldStepsVerified, res.OldStepsIntact))
+	perRoutine := func(v uint64) string { return fmt.Sprintf("%.2f", float64(v)/float64(res.RoutineInserts)) }
+	tab.Row("objects written: routine insert / evolving insert", fmt.Sprintf("%s / %d", perRoutine(res.RoutineStats.Writes), res.EvolutionStats.Writes))
+	tab.Row("objects allocated: routine insert / evolving insert", fmt.Sprintf("%s / %d", perRoutine(res.RoutineStats.Allocs), res.EvolutionStats.Allocs))
+	tab.Row("pages written: routine insert / evolving insert", fmt.Sprintf("%s / %d", perRoutine(res.RoutineStats.PageWrites), res.EvolutionStats.PageWrites))
 	_ = tab.Write(&b)
 	return b.String()
 }

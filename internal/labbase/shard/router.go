@@ -438,7 +438,6 @@ func (m *remote) putSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
 type remoteFlight struct {
 	m   *remote
 	c   *conn
-	n   int
 	p   *wire.Pipeline
 	fut *wire.PutStepsFuture
 }
@@ -452,7 +451,6 @@ func (m *remote) batch() (flight, error) {
 }
 
 func (f *remoteFlight) start(specs []labbase.StepSpec) {
-	f.n = len(specs)
 	f.c.began = f.m.metrics.clock()
 	f.p = f.c.Pipeline()
 	f.fut = f.p.PutSteps(specs)
@@ -461,11 +459,7 @@ func (f *remoteFlight) start(specs []labbase.StepSpec) {
 
 func (f *remoteFlight) wait() ([]storage.OID, error) {
 	f.p.Drain()
-	err := f.fut.Err
-	if err == nil && len(f.fut.OIDs) != f.n {
-		err = fmt.Errorf("wire: bad step batch reply")
-	}
-	return f.fut.OIDs, f.m.finish(f.c, err)
+	return f.fut.OIDs, f.m.finish(f.c, f.fut.Err)
 }
 
 func (f *remoteFlight) release() { f.m.pool.put(f.c) }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -764,5 +766,72 @@ func TestRouterConcurrentReads(t *testing.T) {
 	}
 	if want := uint64(writers * rounds * 4); total != want {
 		t.Fatalf("CountSteps = %d, want %d", total, want)
+	}
+}
+
+// stallStore is a shard member whose next SetState blocks until released,
+// standing in for a server too slow for the router's I/O deadline.
+type stallStore struct {
+	*Member
+	stall   atomic.Bool
+	release chan struct{}
+}
+
+func (s *stallStore) SetState(oid storage.OID, state string) error {
+	if s.stall.CompareAndSwap(true, false) {
+		<-s.release
+	}
+	return s.Member.SetState(oid, state)
+}
+
+// TestRouterBracketTimeoutFailsCommit: when a mutation inside a bracket
+// times out, the server may still answer it late, and the pinned bracket
+// connection is out of step with it from then on. Commit on that bracket
+// must report failure — reading the mutation's late reply as the commit
+// ack would acknowledge a commit the server has not performed.
+func TestRouterBracketTimeoutFailsCommit(t *testing.T) {
+	m, err := OpenMember(memstore.Open("cluster-mm"), 0, 1, labbase.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	slow := &stallStore{Member: m, release: make(chan struct{})}
+	addr, stop := serveStore(t, slow, "127.0.0.1:0")
+	t.Cleanup(stop)
+	r := openTestRouter(t, Topology{Shards: []string{addr}},
+		RouterOptions{DialTimeout: 100 * time.Millisecond, HealthInterval: -1})
+
+	if err := r.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.DefineMaterialClass("sample", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"received", "done"} {
+		if _, err := r.DefineState(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oid, err := r.CreateMaterial("sample", "m-0", "received", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := r.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	slow.stall.Store(true)
+	if err := r.SetState(oid, "done"); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled mutation = %v, want os.ErrDeadlineExceeded", err)
+	}
+	close(slow.release) // the server now answers the mutation, late
+	if err := r.SetState(oid, "received"); err == nil {
+		t.Error("mutation after the timeout consumed the stale reply and reported success")
+	}
+	if err := r.Commit(); err == nil {
+		t.Fatal("Commit on a bracket whose connection timed out reported success")
 	}
 }

@@ -16,9 +16,10 @@ import (
 //
 //  1. Ranked classes must be acquired in ascending rank order. The ranks
 //     encode the documented hierarchy:
-//     wire.Server.mu(10) < wire.Server.connMu(20) < shard.core.stmu(30) <
+//     wire.Server.mu(10) < wire.connCore.connMu(20) < shard.core.stmu(30) <
 //     shard.pool.mu(34) < shard.local.wmu(40) < labbase.DB.wmu(50) < the
-//     leaves(60). The shard core's catalog-and-bracket lock sits above
+//     leaves(60). connCore.connMu is the one connection-registry lock, a
+//     primary's and a standby's alike. The shard core's catalog-and-bracket lock sits above
 //     whatever its members take: the wire transport checks out pooled
 //     connections under it (stmu -> pool.mu), the local transport takes a
 //     shard's own-transaction lock and then enters its labbase.DB (stmu ->
@@ -56,8 +57,7 @@ var LockOrder = &Analyzer{
 // instead. The fixture mirrors exercise the same table from testdata.
 var lockRanks = map[string]int{
 	"labflow/internal/wire.Server.mu":          10,
-	"labflow/internal/wire.Server.connMu":      20,
-	"labflow/internal/wire.StandbyServer.mu":   22,
+	"labflow/internal/wire.connCore.connMu":    20,
 	"labflow/internal/labbase/shard.core.stmu": 30,
 	"labflow/internal/labbase/shard.pool.mu":   34,
 	"labflow/internal/labbase/shard.local.wmu": 40,

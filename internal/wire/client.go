@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -22,27 +23,26 @@ type Client struct {
 	// before every frame write and read, so a dead or wedged peer turns
 	// into an os.ErrDeadlineExceeded instead of a hang.
 	ioTimeout time.Duration
+	// err is the first transport error the connection hit. After it the
+	// stream position is unknown — a request may yet be answered, and the
+	// next reply read would be taken for the wrong request — so every later
+	// call fails fast wrapping it. Remote errors arrive in whole frames and
+	// leave it nil.
+	err error
 }
 
 // Dial connects to a LabBase server and performs the hello exchange.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial: %w", err)
-	}
-	return NewClient(conn)
-}
+func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
 
-// DialTimeout is Dial with a bound on connection establishment; the same
-// bound becomes the connection's per-operation I/O deadline (see
-// SetIOTimeout).
+// DialTimeout is Dial with a bound on connection establishment (zero means
+// none); the same bound becomes the connection's per-operation I/O deadline
+// (see SetIOTimeout).
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), ioTimeout: timeout}
-	return c.hello()
+	return newClient(conn, timeout)
 }
 
 // SetIOTimeout bounds every subsequent blocking socket operation (read or
@@ -59,12 +59,11 @@ func (c *Client) arm() {
 }
 
 // NewClient wraps an established connection (for tests, net.Pipe works).
-func NewClient(conn net.Conn) (*Client, error) {
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	return c.hello()
-}
+func NewClient(conn net.Conn) (*Client, error) { return newClient(conn, 0) }
 
-func (c *Client) hello() (*Client, error) {
+// newClient performs the hello exchange over conn.
+func newClient(conn net.Conn, ioTimeout time.Duration) (*Client, error) {
+	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), ioTimeout: ioTimeout}
 	e := rec.NewEncoder(4)
 	e.Uint(protocolVersion)
 	d, err := c.roundTrip(OpHello, e.Bytes())
@@ -86,17 +85,42 @@ func (c *Client) Close() error { return c.conn.Close() }
 // ErrRemote wraps errors reported by the server.
 var ErrRemote = errors.New("wire: remote error")
 
-func (c *Client) roundTrip(op uint8, payload []byte) (*rec.Decoder, error) {
-	c.arm()
-	if err := writeFrame(c.w, op, payload); err != nil {
-		return nil, err
+// send, flush and recv are the one request path: a synchronous call is
+// send-flush-recv (roundTrip), a Pipeline sends many, flushes once and recvs
+// as many. Each refuses a connection an earlier failure has already broken,
+// and records the first such failure.
+
+// send buffers one request frame. Any failure breaks the connection, an
+// oversize frame included: nothing of it was written, but a pipeline that
+// fails on it abandons the frames buffered ahead of it, and their replies
+// would be read as someone else's.
+func (c *Client) send(op uint8, payload []byte) error {
+	if c.err != nil {
+		return c.broken()
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
+	c.arm()
+	c.err = writeFrame(c.w, op, payload)
+	return c.err
+}
+
+// flush puts every buffered frame on the socket.
+func (c *Client) flush() error {
+	if c.err != nil {
+		return c.broken()
+	}
+	c.err = c.w.Flush()
+	return c.err
+}
+
+// recv reads the next response: its payload, or the remote error it carries.
+func (c *Client) recv() (*rec.Decoder, error) {
+	if c.err != nil {
+		return nil, c.broken()
 	}
 	c.arm()
 	status, body, err := readFrame(c.r)
 	if err != nil {
+		c.err = err
 		return nil, err
 	}
 	d := rec.NewDecoder(body)
@@ -104,6 +128,40 @@ func (c *Client) roundTrip(op uint8, payload []byte) (*rec.Decoder, error) {
 		return nil, decodeRemoteErr(d)
 	}
 	return d, nil
+}
+
+func (c *Client) broken() error {
+	return fmt.Errorf("wire: connection unusable after a transport error: %w", c.err)
+}
+
+func (c *Client) roundTrip(op uint8, payload []byte) (*rec.Decoder, error) {
+	if err := c.send(op, payload); err != nil {
+		return nil, err
+	}
+	if err := c.flush(); err != nil {
+		return nil, err
+	}
+	return c.recv()
+}
+
+// call is a round trip whose reply decode reads.
+func call[T any](c *Client, op uint8, payload []byte, decode func(*rec.Decoder) (T, error)) (T, error) {
+	d, err := c.roundTrip(op, payload)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(d)
+}
+
+// callUint is a round trip whose reply is one unsigned integer.
+func (c *Client) callUint(op uint8, payload []byte) (uint64, error) {
+	return call(c, op, payload, decodeUint)
+}
+
+// callOIDs is a round trip whose reply is an OID list.
+func (c *Client) callOIDs(op uint8, payload []byte, bad string) ([]storage.OID, error) {
+	return call(c, op, payload, func(d *rec.Decoder) ([]storage.OID, error) { return decodeOIDs(d, 1<<24, bad) })
 }
 
 // Begin opens an explicit transaction bracket on the server: until Commit,
@@ -140,11 +198,8 @@ func (c *Client) DefineMaterialClass(name, parent string) (labbase.ClassID, erro
 	e := rec.NewEncoder(32)
 	e.String(name)
 	e.String(parent)
-	d, err := c.roundTrip(OpDefineMaterialClass, e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return labbase.ClassID(d.Uint()), d.Err()
+	id, err := c.callUint(OpDefineMaterialClass, e.Bytes())
+	return labbase.ClassID(id), err
 }
 
 // DefineAttr mirrors labbase.DB.DefineAttr.
@@ -152,22 +207,14 @@ func (c *Client) DefineAttr(name string, kind labbase.Kind) (labbase.AttrID, err
 	e := rec.NewEncoder(32)
 	e.String(name)
 	e.Byte(byte(kind))
-	d, err := c.roundTrip(OpDefineAttr, e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return labbase.AttrID(d.Uint()), d.Err()
+	id, err := c.callUint(OpDefineAttr, e.Bytes())
+	return labbase.AttrID(id), err
 }
 
 // DefineState mirrors labbase.DB.DefineState.
 func (c *Client) DefineState(name string) (labbase.StateID, error) {
-	e := rec.NewEncoder(32)
-	e.String(name)
-	d, err := c.roundTrip(OpDefineState, e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return labbase.StateID(d.Uint()), d.Err()
+	id, err := c.callUint(OpDefineState, nameReq(name))
+	return labbase.StateID(id), err
 }
 
 // DefineStepClass mirrors labbase.DB.DefineStepClass.
@@ -193,53 +240,29 @@ func (c *Client) CreateMaterial(class, name, state string, validTime int64) (sto
 	e.String(name)
 	e.String(state)
 	e.Int(validTime)
-	d, err := c.roundTrip(OpCreateMaterial, e.Bytes())
-	if err != nil {
-		return storage.NilOID, err
-	}
-	return storage.OID(d.Uint()), d.Err()
+	oid, err := c.callUint(OpCreateMaterial, e.Bytes())
+	return storage.OID(oid), err
 }
 
 // CreateMaterialSet mirrors labbase.DB.CreateMaterialSet.
 func (c *Client) CreateMaterialSet(members []storage.OID) (storage.OID, error) {
 	e := rec.NewEncoder(16 + 9*len(members))
-	e.Uint(uint64(len(members)))
-	for _, m := range members {
-		e.Uint(uint64(m))
-	}
-	d, err := c.roundTrip(OpCreateSet, e.Bytes())
-	if err != nil {
-		return storage.NilOID, err
-	}
-	return storage.OID(d.Uint()), d.Err()
+	encodeOIDs(e, members)
+	oid, err := c.callUint(OpCreateSet, e.Bytes())
+	return storage.OID(oid), err
 }
 
-// encodeStepSpec writes one step spec in the wire layout shared by
-// OpRecordStep and OpPutSteps.
-func encodeStepSpec(e *rec.Encoder, spec labbase.StepSpec) {
-	e.String(spec.Class)
-	e.Int(spec.ValidTime)
-	e.Uint(uint64(len(spec.Materials)))
-	for _, m := range spec.Materials {
-		e.Uint(uint64(m))
-	}
-	e.Uint(uint64(spec.Set))
-	e.Uint(uint64(len(spec.Attrs)))
-	for _, av := range spec.Attrs {
-		e.String(av.Name)
-		labbase.EncodeValue(e, av.Value)
-	}
+// stepReq is OpRecordStep's request payload.
+func stepReq(spec labbase.StepSpec) []byte {
+	e := rec.NewEncoder(128)
+	encodeStepSpec(e, spec)
+	return e.Bytes()
 }
 
 // RecordStep mirrors labbase.DB.RecordStep (one server transaction).
 func (c *Client) RecordStep(spec labbase.StepSpec) (storage.OID, error) {
-	e := rec.NewEncoder(128)
-	encodeStepSpec(e, spec)
-	d, err := c.roundTrip(OpRecordStep, e.Bytes())
-	if err != nil {
-		return storage.NilOID, err
-	}
-	return storage.OID(d.Uint()), d.Err()
+	oid, err := c.callUint(OpRecordStep, stepReq(spec))
+	return storage.OID(oid), err
 }
 
 // PutSteps records a batch of steps in one round trip and one server
@@ -247,219 +270,99 @@ func (c *Client) RecordStep(spec labbase.StepSpec) (storage.OID, error) {
 // the batch. The batch is not atomic: on error, steps before the failing
 // index remain recorded (the server's error message names the index).
 func (c *Client) PutSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
-	e := rec.NewEncoder(16 + 128*len(specs))
-	e.Uint(uint64(len(specs)))
-	for _, spec := range specs {
-		encodeStepSpec(e, spec)
-	}
-	d, err := c.roundTrip(OpPutSteps, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(maxStepBatch)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad step batch reply")
-	}
-	out := make([]storage.OID, n)
-	for i := range out {
-		out[i] = storage.OID(d.Uint())
-	}
-	return out, d.Err()
+	return call(c, OpPutSteps, encodeStepBatch(specs), func(d *rec.Decoder) ([]storage.OID, error) {
+		return decodeStepBatchReply(d, len(specs))
+	})
 }
 
 // SetState mirrors labbase.DB.SetState.
 func (c *Client) SetState(oid storage.OID, state string) error {
-	e := rec.NewEncoder(32)
-	e.Uint(uint64(oid))
-	e.String(state)
-	_, err := c.roundTrip(OpSetState, e.Bytes())
+	_, err := c.roundTrip(OpSetState, attrReq(oid, state))
 	return err
 }
 
 // State mirrors labbase.DB.State.
 func (c *Client) State(oid storage.OID) (string, error) {
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	d, err := c.roundTrip(OpState, e.Bytes())
-	if err != nil {
-		return "", err
+	return call(c, OpState, oidReq(oid), decodeString)
+}
+
+// mostRecent serves MostRecent and its Scan and AsOf variants; t travels
+// only with OpMostRecentAsOf.
+func (c *Client) mostRecent(op uint8, oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
+	payload := attrReq(oid, attr)
+	if op == OpMostRecentAsOf {
+		payload = binary.AppendVarint(payload, t) // what rec.Encoder.Int appends
 	}
-	return d.String(), d.Err()
+	d, err := c.roundTrip(op, payload)
+	if err != nil {
+		return labbase.Nil(), storage.NilOID, false, err
+	}
+	return decodeValueReply(d)
 }
 
 // MostRecent mirrors labbase.DB.MostRecent.
 func (c *Client) MostRecent(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	e := rec.NewEncoder(32)
-	e.Uint(uint64(oid))
-	e.String(attr)
-	d, err := c.roundTrip(OpMostRecent, e.Bytes())
-	if err != nil {
-		return labbase.Nil(), storage.NilOID, false, err
-	}
-	found := d.Bool()
-	src := storage.OID(d.Uint())
-	v := labbase.DecodeValue(d)
-	return v, src, found, d.Err()
+	return c.mostRecent(OpMostRecent, oid, attr, 0)
+}
+
+// MostRecentScan mirrors labbase.DB.MostRecentScan.
+func (c *Client) MostRecentScan(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
+	return c.mostRecent(OpMostRecentScan, oid, attr, 0)
+}
+
+// MostRecentAsOf mirrors labbase.DB.MostRecentAsOf.
+func (c *Client) MostRecentAsOf(oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
+	return c.mostRecent(OpMostRecentAsOf, oid, attr, t)
 }
 
 // History mirrors labbase.DB.History.
 func (c *Client) History(oid storage.OID) ([]labbase.HistoryEntry, error) {
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	d, err := c.roundTrip(OpHistory, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad history reply")
-	}
-	out := make([]labbase.HistoryEntry, n)
-	for i := range out {
-		out[i].Step = storage.OID(d.Uint())
-		out[i].ValidTime = d.Int()
-	}
-	return out, d.Err()
+	return call(c, OpHistory, oidReq(oid), decodeHistory)
 }
 
 // GetMaterial mirrors labbase.DB.GetMaterial.
 func (c *Client) GetMaterial(oid storage.OID) (*labbase.Material, error) {
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	d, err := c.roundTrip(OpGetMaterial, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	m := decodeMaterial(d)
-	return m, d.Err()
-}
-
-// decodeMaterial reads one material in the layout encodeMaterial writes.
-func decodeMaterial(d *rec.Decoder) *labbase.Material {
-	m := &labbase.Material{
-		OID:       storage.OID(d.Uint()),
-		Class:     d.String(),
-		Name:      d.String(),
-		State:     d.String(),
-		CreatedAt: d.Int(),
-	}
-	m.HistoryLen = int(d.Uint())
-	return m
+	return call(c, OpGetMaterial, oidReq(oid), decodeMaterial)
 }
 
 // GetStep mirrors labbase.DB.GetStep.
 func (c *Client) GetStep(oid storage.OID) (*labbase.Step, error) {
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	d, err := c.roundTrip(OpGetStep, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	st, err := decodeStep(d)
-	if err != nil {
-		return nil, err
-	}
-	return st, d.Err()
-}
-
-// decodeStep reads one step in the layout encodeStep writes.
-func decodeStep(d *rec.Decoder) (*labbase.Step, error) {
-	st := &labbase.Step{
-		OID:       storage.OID(d.Uint()),
-		Class:     d.String(),
-		Version:   labbase.Version(d.Uint()),
-		ValidTime: d.Int(),
-		TxnTime:   d.Int(),
-	}
-	nm := d.Count(1 << 20)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad step reply")
-	}
-	st.Materials = make([]storage.OID, nm)
-	for i := range st.Materials {
-		st.Materials[i] = storage.OID(d.Uint())
-	}
-	st.Set = storage.OID(d.Uint())
-	na := d.Count(1 << 16)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad step attrs reply")
-	}
-	st.Attrs = make([]labbase.AttrValue, na)
-	for i := range st.Attrs {
-		st.Attrs[i].Name = d.String()
-		st.Attrs[i].Value = labbase.DecodeValue(d)
-	}
-	return st, d.Err()
-}
-
-func (c *Client) count(op uint8, name string) (uint64, error) {
-	e := rec.NewEncoder(32)
-	e.String(name)
-	d, err := c.roundTrip(op, e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return d.Uint(), d.Err()
+	return call(c, OpGetStep, oidReq(oid), decodeStep)
 }
 
 // CountMaterials mirrors labbase.DB.CountMaterials.
 func (c *Client) CountMaterials(class string) (uint64, error) {
-	return c.count(OpCountMaterials, class)
+	return c.callUint(OpCountMaterials, nameReq(class))
 }
 
 // CountSteps mirrors labbase.DB.CountSteps.
 func (c *Client) CountSteps(class string) (uint64, error) {
-	return c.count(OpCountSteps, class)
+	return c.callUint(OpCountSteps, nameReq(class))
 }
 
 // CountInState mirrors labbase.DB.CountInState.
 func (c *Client) CountInState(state string) (uint64, error) {
-	return c.count(OpCountInState, state)
+	return c.callUint(OpCountInState, nameReq(state))
 }
 
 // MaterialsInState mirrors labbase.DB.MaterialsInState.
 func (c *Client) MaterialsInState(state string) ([]storage.OID, error) {
-	e := rec.NewEncoder(32)
-	e.String(state)
-	d, err := c.roundTrip(OpMaterialsInState, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad state reply")
-	}
-	out := make([]storage.OID, n)
-	for i := range out {
-		out[i] = storage.OID(d.Uint())
-	}
-	return out, d.Err()
+	return c.callOIDs(OpMaterialsInState, nameReq(state), "wire: bad state reply")
 }
 
 // SetMembers mirrors labbase.DB.SetMembers.
 func (c *Client) SetMembers(oid storage.OID) ([]storage.OID, error) {
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	d, err := c.roundTrip(OpSetMembers, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad set reply")
-	}
-	out := make([]storage.OID, n)
-	for i := range out {
-		out[i] = storage.OID(d.Uint())
-	}
-	return out, d.Err()
+	return c.callOIDs(OpSetMembers, oidReq(oid), "wire: bad set reply")
+}
+
+// StepsInvolving mirrors labbase.DB.StepsInvolving.
+func (c *Client) StepsInvolving(oid storage.OID) ([]storage.OID, error) {
+	return c.callOIDs(OpStepsInvolving, oidReq(oid), "wire: bad steps reply")
 }
 
 // LookupMaterial resolves a material by its unique name.
 func (c *Client) LookupMaterial(name string) (storage.OID, bool, error) {
-	e := rec.NewEncoder(32)
-	e.String(name)
-	d, err := c.roundTrip(OpLookupMaterial, e.Bytes())
+	d, err := c.roundTrip(OpLookupMaterial, nameReq(name))
 	if err != nil {
 		return storage.NilOID, false, err
 	}
@@ -499,19 +402,9 @@ func (c *Client) Query(q string, max int) ([]map[string]string, error) {
 }
 
 func (c *Client) nameList(op uint8) ([]string, error) {
-	d, err := c.roundTrip(op, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 20)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad name list reply")
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.String()
-	}
-	return out, d.Err()
+	return call(c, op, nil, func(d *rec.Decoder) ([]string, error) {
+		return decodeNames(d, 1<<20, "wire: bad name list reply")
+	})
 }
 
 // MaterialClasses mirrors labbase.DB.MaterialClasses.
@@ -525,25 +418,19 @@ func (c *Client) States() ([]string, error) { return c.nameList(OpStates) }
 
 // StepClassVersions mirrors labbase.DB.StepClassVersions.
 func (c *Client) StepClassVersions(name string) ([][]string, error) {
-	e := rec.NewEncoder(32)
-	e.String(name)
-	d, err := c.roundTrip(OpStepClassVersions, e.Bytes())
+	const bad = "wire: bad version list reply"
+	d, err := c.roundTrip(OpStepClassVersions, nameReq(name))
 	if err != nil {
 		return nil, err
 	}
 	n := d.Count(1 << 20)
 	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad version list reply")
+		return nil, errors.New(bad)
 	}
 	out := make([][]string, n)
 	for i := range out {
-		na := d.Count(1 << 16)
-		if d.Err() != nil {
-			return nil, fmt.Errorf("wire: bad version list reply")
-		}
-		out[i] = make([]string, na)
-		for j := range out[i] {
-			out[i][j] = d.String()
+		if out[i], err = decodeNames(d, 1<<16, bad); err != nil {
+			return nil, err
 		}
 	}
 	return out, d.Err()
@@ -554,118 +441,46 @@ func (c *Client) StepClassVersions(name string) ([][]string, error) {
 // (the full list has already shipped), but its error still aborts the
 // local iteration with the same semantics as labbase.DB.ScanMaterials.
 func (c *Client) ScanMaterials(class string, fn func(*labbase.Material) error) error {
-	e := rec.NewEncoder(32)
-	e.String(class)
-	d, err := c.roundTrip(OpScanMaterials, e.Bytes())
-	if err != nil {
-		return err
-	}
-	return scanMaterialReply(d, fn)
+	return scan(c, OpScanMaterials, nameReq(class), "wire: bad material scan reply", decodeMaterial, fn)
 }
 
 // ScanAllMaterials is ScanMaterials over every class (see its caveats).
 func (c *Client) ScanAllMaterials(fn func(*labbase.Material) error) error {
-	d, err := c.roundTrip(OpScanAllMaterials, nil)
-	if err != nil {
-		return err
-	}
-	return scanMaterialReply(d, fn)
-}
-
-func scanMaterialReply(d *rec.Decoder, fn func(*labbase.Material) error) error {
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return fmt.Errorf("wire: bad material scan reply")
-	}
-	for i := 0; i < n; i++ {
-		m := decodeMaterial(d)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if err := fn(m); err != nil {
-			return err
-		}
-	}
-	return d.Err()
+	return scan(c, OpScanAllMaterials, nil, "wire: bad material scan reply", decodeMaterial, fn)
 }
 
 // ScanSteps fetches a class's steps in one frame and runs fn over them
 // locally (see ScanMaterials for the early-stop caveat).
 func (c *Client) ScanSteps(class string, fn func(*labbase.Step) error) error {
-	e := rec.NewEncoder(32)
-	e.String(class)
-	d, err := c.roundTrip(OpScanSteps, e.Bytes())
+	return scan(c, OpScanSteps, nameReq(class), "wire: bad step scan reply", decodeStep, fn)
+}
+
+// scan is a round trip whose reply is a counted list of decode's items,
+// each handed to fn.
+func scan[T any](c *Client, op uint8, payload []byte, bad string, decode func(*rec.Decoder) (T, error), fn func(T) error) error {
+	d, err := c.roundTrip(op, payload)
 	if err != nil {
 		return err
 	}
 	n := d.Count(1 << 24)
 	if d.Err() != nil {
-		return fmt.Errorf("wire: bad step scan reply")
+		return errors.New(bad)
 	}
 	for i := 0; i < n; i++ {
-		st, err := decodeStep(d)
+		v, err := decode(d)
 		if err != nil {
 			return err
 		}
-		if err := fn(st); err != nil {
+		if err := fn(v); err != nil {
 			return err
 		}
 	}
 	return d.Err()
 }
 
-// StepsInvolving mirrors labbase.DB.StepsInvolving.
-func (c *Client) StepsInvolving(oid storage.OID) ([]storage.OID, error) {
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	d, err := c.roundTrip(OpStepsInvolving, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad steps reply")
-	}
-	out := make([]storage.OID, n)
-	for i := range out {
-		out[i] = storage.OID(d.Uint())
-	}
-	return out, d.Err()
-}
-
-func (c *Client) mostRecentVariant(op uint8, oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
-	e := rec.NewEncoder(40)
-	e.Uint(uint64(oid))
-	e.String(attr)
-	if op == OpMostRecentAsOf {
-		e.Int(t)
-	}
-	d, err := c.roundTrip(op, e.Bytes())
-	if err != nil {
-		return labbase.Nil(), storage.NilOID, false, err
-	}
-	found := d.Bool()
-	src := storage.OID(d.Uint())
-	v := labbase.DecodeValue(d)
-	return v, src, found, d.Err()
-}
-
-// MostRecentScan mirrors labbase.DB.MostRecentScan.
-func (c *Client) MostRecentScan(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	return c.mostRecentVariant(OpMostRecentScan, oid, attr, 0)
-}
-
-// MostRecentAsOf mirrors labbase.DB.MostRecentAsOf.
-func (c *Client) MostRecentAsOf(oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
-	return c.mostRecentVariant(OpMostRecentAsOf, oid, attr, t)
-}
-
 // AttrTimeline mirrors labbase.DB.AttrTimeline.
 func (c *Client) AttrTimeline(oid storage.OID, attr string) ([]labbase.TimelineEntry, error) {
-	e := rec.NewEncoder(32)
-	e.Uint(uint64(oid))
-	e.String(attr)
-	d, err := c.roundTrip(OpAttrTimeline, e.Bytes())
+	d, err := c.roundTrip(OpAttrTimeline, attrReq(oid, attr))
 	if err != nil {
 		return nil, err
 	}
@@ -704,11 +519,7 @@ func (c *Client) Dump() (labbase.DumpStats, error) {
 // MaxFrame, which caps one commit at roughly 2000 dirty pages — far above
 // any group the storage engines produce.
 func (c *Client) ShipRecord(record []byte) (uint64, error) {
-	d, err := c.roundTrip(OpShipRecord, record)
-	if err != nil {
-		return 0, err
-	}
-	return d.Uint(), d.Err()
+	return c.callUint(OpShipRecord, record)
 }
 
 // Promote finalizes a standby server: the standby checkpoints its media,
@@ -738,16 +549,9 @@ func (c *Client) Stats() (string, storage.Stats, error) {
 		return "", storage.Stats{}, err
 	}
 	name := d.String()
-	st := storage.Stats{
-		Faults:      d.Uint(),
-		PageWrites:  d.Uint(),
-		Reads:       d.Uint(),
-		Writes:      d.Uint(),
-		Allocs:      d.Uint(),
-		LockWaits:   d.Uint(),
-		SizeBytes:   d.Uint(),
-		LiveObjects: d.Uint(),
-		LiveBytes:   d.Uint(),
+	var st storage.Stats
+	for _, f := range statsFields(&st) {
+		*f = d.Uint()
 	}
 	return name, st, d.Err()
 }

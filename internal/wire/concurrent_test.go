@@ -123,19 +123,18 @@ func rawResponses(t *testing.T, addr string, reqs []rawFrame) [][]byte {
 }
 
 // TestConcurrentReadsByteIdentical proves the parallel read path changes
-// nothing observable: two identically populated servers — one with reads
-// serialized (the pre-RWMutex behaviour), one with the shared lock — must
-// produce byte-identical response frames for the same request sequence,
-// with the concurrent server hammered from many connections at once.
+// nothing observable: two identically populated servers — a reference
+// driven over one connection, which the server executes strictly in order,
+// and one hammered from many connections at once — must produce
+// byte-identical response frames for the same request sequence.
 func TestConcurrentReadsByteIdentical(t *testing.T) {
-	start := func(serial bool) (string, *Client) {
+	start := func() (string, *Client) {
 		db, err := labbase.Open(memstore.Open("stress-mm"), labbase.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := NewServer(db)
 		srv.SetLogf(nil)
-		srv.SetSerial(serial)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -154,15 +153,15 @@ func TestConcurrentReadsByteIdentical(t *testing.T) {
 		return ln.Addr().String(), c
 	}
 
-	serialAddr, serialClient := start(true)
-	concAddr, concClient := start(false)
-	mats, set, steps := populateReadFixture(t, serialClient)
+	refAddr, refClient := start()
+	concAddr, concClient := start()
+	mats, set, steps := populateReadFixture(t, refClient)
 	mats2, set2, steps2 := populateReadFixture(t, concClient)
 	if !oidsEqual(mats, mats2) || set != set2 || !oidsEqual(steps, steps2) {
 		t.Fatal("fixture population diverged between servers")
 	}
 	reqs := readRequests(mats, set, steps)
-	want := rawResponses(t, serialAddr, reqs)
+	want := rawResponses(t, refAddr, reqs)
 
 	const conns = 8
 	got := make([][][]byte, conns)
@@ -182,7 +181,7 @@ func TestConcurrentReadsByteIdentical(t *testing.T) {
 		}
 		for j := range want {
 			if !bytes.Equal(got[i][j], want[j]) {
-				t.Errorf("conn %d, request %d (op %d): concurrent response differs from serialized:\n got %x\nwant %x",
+				t.Errorf("conn %d, request %d (op %d): concurrent response differs from the reference:\n got %x\nwant %x",
 					i, j, reqs[j].op, got[i][j], want[j])
 			}
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 
 	"labflow/internal/labbase"
@@ -32,13 +33,10 @@ func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 func (p *Pipeline) Len() int { return len(p.pending) }
 
 func (p *Pipeline) push(op uint8, payload []byte, done func(*rec.Decoder, error)) {
-	if p.err != nil {
-		return
+	if p.err == nil {
+		p.err = p.c.send(op, payload)
 	}
-	if err := writeFrame(p.c.w, op, payload); err != nil {
-		p.err = err
-		return
-	}
+	// Queued even when the send failed, so Send resolves this future too.
 	p.pending = append(p.pending, done)
 }
 
@@ -61,18 +59,15 @@ func (p *Pipeline) Flush() error {
 // all shards to work before draining any of them. On error the pending
 // futures are resolved with it. Send-with-nothing-pending is a no-op.
 func (p *Pipeline) Send() error {
-	if p.err != nil {
-		err := p.err
-		p.err = nil
-		p.resolveAll(err)
-		return err
+	err := p.err
+	p.err = nil
+	if err == nil {
+		err = p.c.flush()
 	}
-	p.c.arm()
-	if err := p.c.w.Flush(); err != nil {
+	if err != nil {
 		p.resolveAll(err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // Drain reads one response per pending request, in order, resolving each
@@ -86,20 +81,13 @@ func (p *Pipeline) Drain() error {
 			done(nil, transportErr)
 			continue
 		}
-		p.c.arm()
-		status, body, err := readFrame(p.c.r)
-		if err != nil {
+		d, err := p.c.recv()
+		if err != nil && !errors.Is(err, ErrRemote) {
 			transportErr = fmt.Errorf("wire: pipeline response %d of %d lost (peer closed or I/O failed mid-pipeline): %w",
 				i, len(pending), err)
-			done(nil, transportErr)
-			continue
+			err = transportErr
 		}
-		d := rec.NewDecoder(body)
-		if status == statusErr {
-			done(nil, decodeRemoteErr(d))
-			continue
-		}
-		done(d, nil)
+		done(d, err)
 	}
 	return transportErr
 }
@@ -124,18 +112,11 @@ type MostRecentFuture struct {
 // MostRecent enqueues an OpMostRecent request (see Client.MostRecent).
 func (p *Pipeline) MostRecent(oid storage.OID, attr string) *MostRecentFuture {
 	f := &MostRecentFuture{}
-	e := rec.NewEncoder(32)
-	e.Uint(uint64(oid))
-	e.String(attr)
-	p.push(OpMostRecent, e.Bytes(), func(d *rec.Decoder, remoteErr error) {
-		if remoteErr != nil {
-			f.Err = remoteErr
-			return
+	p.push(OpMostRecent, attrReq(oid, attr), func(d *rec.Decoder, err error) {
+		if err == nil {
+			f.Value, f.Src, f.Found, err = decodeValueReply(d)
 		}
-		f.Found = d.Bool()
-		f.Src = storage.OID(d.Uint())
-		f.Value = labbase.DecodeValue(d)
-		f.Err = d.Err()
+		f.Err = err
 	})
 	return f
 }
@@ -149,15 +130,11 @@ type StateFuture struct {
 // State enqueues an OpState request (see Client.State).
 func (p *Pipeline) State(oid storage.OID) *StateFuture {
 	f := &StateFuture{}
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	p.push(OpState, e.Bytes(), func(d *rec.Decoder, remoteErr error) {
-		if remoteErr != nil {
-			f.Err = remoteErr
-			return
+	p.push(OpState, oidReq(oid), func(d *rec.Decoder, err error) {
+		if err == nil {
+			f.State, err = decodeString(d)
 		}
-		f.State = d.String()
-		f.Err = d.Err()
+		f.Err = err
 	})
 	return f
 }
@@ -171,24 +148,11 @@ type HistoryFuture struct {
 // History enqueues an OpHistory request (see Client.History).
 func (p *Pipeline) History(oid storage.OID) *HistoryFuture {
 	f := &HistoryFuture{}
-	e := rec.NewEncoder(16)
-	e.Uint(uint64(oid))
-	p.push(OpHistory, e.Bytes(), func(d *rec.Decoder, remoteErr error) {
-		if remoteErr != nil {
-			f.Err = remoteErr
-			return
+	p.push(OpHistory, oidReq(oid), func(d *rec.Decoder, err error) {
+		if err == nil {
+			f.Entries, err = decodeHistory(d)
 		}
-		n := d.Count(1 << 24)
-		if d.Err() != nil {
-			f.Err = fmt.Errorf("wire: bad history reply")
-			return
-		}
-		f.Entries = make([]labbase.HistoryEntry, n)
-		for i := range f.Entries {
-			f.Entries[i].Step = storage.OID(d.Uint())
-			f.Entries[i].ValidTime = d.Int()
-		}
-		f.Err = d.Err()
+		f.Err = err
 	})
 	return f
 }
@@ -204,26 +168,12 @@ type PutStepsFuture struct {
 // concurrently across server processes.
 func (p *Pipeline) PutSteps(specs []labbase.StepSpec) *PutStepsFuture {
 	f := &PutStepsFuture{}
-	e := rec.NewEncoder(16 + 128*len(specs))
-	e.Uint(uint64(len(specs)))
-	for _, spec := range specs {
-		encodeStepSpec(e, spec)
-	}
-	p.push(OpPutSteps, e.Bytes(), func(d *rec.Decoder, remoteErr error) {
-		if remoteErr != nil {
-			f.Err = remoteErr
-			return
+	n := len(specs) // the future must not keep the batch alive
+	p.push(OpPutSteps, encodeStepBatch(specs), func(d *rec.Decoder, err error) {
+		if err == nil {
+			f.OIDs, err = decodeStepBatchReply(d, n)
 		}
-		n := d.Count(maxStepBatch)
-		if d.Err() != nil {
-			f.Err = fmt.Errorf("wire: bad step batch reply")
-			return
-		}
-		f.OIDs = make([]storage.OID, n)
-		for i := range f.OIDs {
-			f.OIDs[i] = storage.OID(d.Uint())
-		}
-		f.Err = d.Err()
+		f.Err = err
 	})
 	return f
 }
@@ -237,15 +187,13 @@ type RecordStepFuture struct {
 // RecordStep enqueues an OpRecordStep request (see Client.RecordStep).
 func (p *Pipeline) RecordStep(spec labbase.StepSpec) *RecordStepFuture {
 	f := &RecordStepFuture{}
-	e := rec.NewEncoder(128)
-	encodeStepSpec(e, spec)
-	p.push(OpRecordStep, e.Bytes(), func(d *rec.Decoder, remoteErr error) {
-		if remoteErr != nil {
-			f.Err = remoteErr
-			return
+	p.push(OpRecordStep, stepReq(spec), func(d *rec.Decoder, err error) {
+		if err == nil {
+			var oid uint64
+			oid, err = decodeUint(d)
+			f.OID = storage.OID(oid)
 		}
-		f.OID = storage.OID(d.Uint())
-		f.Err = d.Err()
+		f.Err = err
 	})
 	return f
 }

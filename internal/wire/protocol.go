@@ -7,7 +7,7 @@
 // applications connecting as clients. This package provides that process
 // (Server) and its Go client (Client). The server executes every update in
 // its own transaction and serializes all writes across connections, as the
-// operational server did; read-only operations (see readOnlyOp) take no
+// operational server did; read-class operations (see opTable) take no
 // server lock at all — each captures an MVCC snapshot inside the store and
 // runs against it, so a fleet of read-heavy clients never contends with
 // writers or with each other.
@@ -70,38 +70,96 @@ const (
 	OpReplState
 )
 
-// readOnlyOp classifies each opcode for the server's lock discipline: read
-// ops never mutate the database or the deductive engine, answer from an
-// MVCC snapshot the store captures internally, and run with no server lock
-// at all; everything else (including unknown opcodes) is treated as a write
-// and fully serialized.
-//
-//	read:  Hello, ShardInfo, State, MostRecent, MostRecentScan,
-//	       MostRecentAsOf, AttrTimeline, History, GetMaterial, GetStep,
-//	       CountMaterials, CountSteps, CountInState, MaterialsInState,
-//	       SetMembers, StepsInvolving, Dump, Stats, LookupMaterial,
-//	       MaterialClasses, StepClasses, States, StepClassVersions,
-//	       ScanMaterials, ScanAllMaterials, ScanSteps,
-//	       Query (runs read-only on a private snapshot; resolution is
-//	       re-entrant because all per-query engine state lives in the
-//	       query context, and update predicates are rejected)
-//	write: DefineMaterialClass, DefineAttr, DefineState, DefineStepClass,
-//	       CreateMaterial, CreateSet, RecordStep, PutSteps, SetState,
-//	       Begin, Commit (the explicit-bracket opcodes manage the writer
-//	       lock themselves — see connState),
-//	       ShipRecord, Promote (replication opcodes; a primary rejects
-//	       them, and a StandbyServer applies them under its own lock)
-func readOnlyOp(op uint8) bool {
-	switch op {
-	case OpHello, OpShardInfo, OpState, OpMostRecent, OpMostRecentScan,
-		OpMostRecentAsOf, OpAttrTimeline, OpHistory, OpGetMaterial, OpGetStep,
-		OpCountMaterials, OpCountSteps, OpCountInState, OpMaterialsInState,
-		OpSetMembers, OpStepsInvolving, OpDump, OpStats, OpLookupMaterial,
-		OpMaterialClasses, OpStepClasses, OpStates, OpStepClassVersions,
-		OpScanMaterials, OpScanAllMaterials, OpScanSteps, OpQuery, OpReplState:
-		return true
+// opClass is an opcode's lock discipline on a primary and its visibility on
+// a standby.
+type opClass uint8
+
+const (
+	// classNone is a code with no row: an unknown opcode.
+	classNone opClass = iota
+	// classRead ops never mutate the database or the deductive engine; they
+	// answer from an MVCC snapshot the store captures internally and run
+	// with no server lock at all. OpQuery is one: resolution is re-entrant
+	// (all per-query engine state lives in the query context) and update
+	// predicates are rejected.
+	classRead
+	// classWrite ops run in a transaction of their own under the exclusive
+	// writer lock, or join the connection's open bracket.
+	classWrite
+	// classBracket ops (OpBegin, OpCommit) take and release the writer lock
+	// themselves, holding it across frames.
+	classBracket
+	// classReplRead and classReplWrite are the replication opcodes, the
+	// only ones besides OpHello a standby serves. A primary answers the
+	// read as a classRead op and refuses the writes.
+	classReplRead
+	classReplWrite
+)
+
+// lockFree reports whether a primary runs the class without the writer lock.
+func (c opClass) lockFree() bool { return c == classRead || c == classReplRead }
+
+// repl reports whether the class belongs to the replication protocol.
+func (c opClass) repl() bool { return c == classReplRead || c == classReplWrite }
+
+// opRow is what the protocol declares about one opcode; the handlers stay
+// switch arms in Server.dispatch and StandbyServer.handle.
+type opRow struct {
+	name  string
+	class opClass
+}
+
+// opTable declares every opcode once, indexed by code.
+var opTable = [...]opRow{
+	OpHello:               {"Hello", classRead},
+	OpDefineMaterialClass: {"DefineMaterialClass", classWrite},
+	OpDefineState:         {"DefineState", classWrite},
+	OpDefineStepClass:     {"DefineStepClass", classWrite},
+	OpCreateMaterial:      {"CreateMaterial", classWrite},
+	OpCreateSet:           {"CreateSet", classWrite},
+	OpRecordStep:          {"RecordStep", classWrite},
+	OpSetState:            {"SetState", classWrite},
+	OpState:               {"State", classRead},
+	OpMostRecent:          {"MostRecent", classRead},
+	OpHistory:             {"History", classRead},
+	OpGetMaterial:         {"GetMaterial", classRead},
+	OpGetStep:             {"GetStep", classRead},
+	OpCountMaterials:      {"CountMaterials", classRead},
+	OpCountSteps:          {"CountSteps", classRead},
+	OpCountInState:        {"CountInState", classRead},
+	OpMaterialsInState:    {"MaterialsInState", classRead},
+	OpSetMembers:          {"SetMembers", classRead},
+	OpQuery:               {"Query", classRead},
+	OpDump:                {"Dump", classRead},
+	OpStats:               {"Stats", classRead},
+	OpLookupMaterial:      {"LookupMaterial", classRead},
+	OpPutSteps:            {"PutSteps", classWrite},
+	OpBegin:               {"Begin", classBracket},
+	OpCommit:              {"Commit", classBracket},
+	OpShardInfo:           {"ShardInfo", classRead},
+	OpDefineAttr:          {"DefineAttr", classWrite},
+	OpMaterialClasses:     {"MaterialClasses", classRead},
+	OpStepClasses:         {"StepClasses", classRead},
+	OpStates:              {"States", classRead},
+	OpStepClassVersions:   {"StepClassVersions", classRead},
+	OpScanMaterials:       {"ScanMaterials", classRead},
+	OpScanAllMaterials:    {"ScanAllMaterials", classRead},
+	OpScanSteps:           {"ScanSteps", classRead},
+	OpStepsInvolving:      {"StepsInvolving", classRead},
+	OpMostRecentScan:      {"MostRecentScan", classRead},
+	OpMostRecentAsOf:      {"MostRecentAsOf", classRead},
+	OpAttrTimeline:        {"AttrTimeline", classRead},
+	OpShipRecord:          {"ShipRecord", classReplWrite},
+	OpPromote:             {"Promote", classReplWrite},
+	OpReplState:           {"ReplState", classReplRead},
+}
+
+// rowOf returns op's table row, the zero row for a code the table lacks.
+func rowOf(op uint8) opRow {
+	if int(op) >= len(opTable) {
+		return opRow{}
 	}
-	return false
+	return opTable[op]
 }
 
 const (

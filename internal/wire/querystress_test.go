@@ -12,20 +12,19 @@ import (
 	"labflow/internal/storage/memstore"
 )
 
-// startPair brings up two identically populated servers — one serialized
-// (the pre-snapshot baseline, queries exclusive) and one shared (OpQuery
-// lock-free on a snapshot) — and returns their addresses plus a control
-// client for each.
-func startPair(t *testing.T) (serialAddr, concAddr string, serialClient, concClient *Client, mats []storage.OID) {
+// startPair brings up two identically populated servers — a reference the
+// tests drive over a single connection (which the server executes strictly
+// in order) and one they hammer concurrently — and returns their addresses
+// plus a control client for each.
+func startPair(t *testing.T) (refAddr, concAddr string, refClient, concClient *Client, mats []storage.OID) {
 	t.Helper()
-	start := func(serial bool) (string, *Client) {
+	start := func() (string, *Client) {
 		db, err := labbase.Open(memstore.Open("qstress-mm"), labbase.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := NewServer(db)
 		srv.SetLogf(nil)
-		srv.SetSerial(serial)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -43,14 +42,14 @@ func startPair(t *testing.T) (serialAddr, concAddr string, serialClient, concCli
 		t.Cleanup(func() { c.Close() })
 		return ln.Addr().String(), c
 	}
-	serialAddr, serialClient = start(true)
-	concAddr, concClient = start(false)
-	mats, set1, steps1 := populateReadFixture(t, serialClient)
+	refAddr, refClient = start()
+	concAddr, concClient = start()
+	mats, set1, steps1 := populateReadFixture(t, refClient)
 	mats2, set2, steps2 := populateReadFixture(t, concClient)
 	if !oidsEqual(mats, mats2) || set1 != set2 || !oidsEqual(steps1, steps2) {
 		t.Fatal("fixture population diverged between servers")
 	}
-	return serialAddr, concAddr, serialClient, concClient, mats
+	return refAddr, concAddr, refClient, concClient, mats
 }
 
 // queryRequests builds raw OpQuery frames covering point queries, the
@@ -80,16 +79,16 @@ func queryRequests(mats []storage.OID) []rawFrame {
 }
 
 // TestConcurrentQueryByteIdentical is the OpQuery declassification proof:
-// the same query sequence, answered by the serialized server and by the
-// shared server under concurrent hammering from many connections, must be
-// byte-identical frame for frame.
+// the same query sequence, answered over one connection by the reference
+// server and under concurrent hammering from many connections by the other,
+// must be byte-identical frame for frame.
 func TestConcurrentQueryByteIdentical(t *testing.T) {
-	serialAddr, concAddr, _, _, mats := startPair(t)
+	refAddr, concAddr, _, _, mats := startPair(t)
 	reqs := queryRequests(mats)
-	want := rawResponses(t, serialAddr, reqs)
+	want := rawResponses(t, refAddr, reqs)
 	for i, w := range want {
 		if w[0] != statusOK {
-			t.Fatalf("serial baseline request %d failed: %q", i, w[1:])
+			t.Fatalf("reference request %d failed: %q", i, w[1:])
 		}
 	}
 
@@ -107,7 +106,7 @@ func TestConcurrentQueryByteIdentical(t *testing.T) {
 	for i := range got {
 		for j := range want {
 			if !bytes.Equal(got[i][j], want[j]) {
-				t.Errorf("conn %d, query %d: shared response differs from serialized:\n got %x\nwant %x",
+				t.Errorf("conn %d, query %d: concurrent response differs from the reference:\n got %x\nwant %x",
 					i, j, got[i][j], want[j])
 			}
 		}
@@ -115,14 +114,14 @@ func TestConcurrentQueryByteIdentical(t *testing.T) {
 }
 
 // TestConcurrentQueryWithWriteBatches races OpQuery connections against
-// write batches on the shared server (run under -race): every query must
+// write batches on one server (run under -race): every query must
 // succeed against some consistent snapshot while batches land. The same
-// writes are then applied to the serialized server, and the quiesced
+// writes are then applied to the reference server, and the quiesced
 // end-state answers must again be byte-identical — concurrency may reorder
 // what a query observes mid-run, but it must not change where the database
 // ends up or how queries read it.
 func TestConcurrentQueryWithWriteBatches(t *testing.T) {
-	serialAddr, concAddr, serialClient, concClient, mats := startPair(t)
+	refAddr, concAddr, refClient, concClient, mats := startPair(t)
 	reqs := queryRequests(mats)
 
 	const (
@@ -189,14 +188,14 @@ func TestConcurrentQueryWithWriteBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replay the identical writes on the serialized server, then compare
+	// Replay the identical writes on the reference server, then compare
 	// quiesced end states query by query.
 	for b := 0; b < batches; b++ {
-		if _, err := serialClient.PutSteps(writeBatch(b)); err != nil {
+		if _, err := refClient.PutSteps(writeBatch(b)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := rawResponses(t, serialAddr, reqs)
+	want := rawResponses(t, refAddr, reqs)
 	got := rawResponses(t, concAddr, reqs)
 	for j := range want {
 		if !bytes.Equal(got[j], want[j]) {
@@ -206,28 +205,20 @@ func TestConcurrentQueryWithWriteBatches(t *testing.T) {
 	}
 }
 
-// TestQueryUpdatesRejectedShared pins the mode split: update predicates
-// through OpQuery work on the serialized baseline (the historic read-write
-// path) and are rejected with a clear error on the shared server, where
-// queries run read-only on a snapshot.
-func TestQueryUpdatesRejectedShared(t *testing.T) {
-	_, _, serialClient, concClient, _ := startPair(t)
+// TestQueryUpdatesRejected pins OpQuery as read-only: it runs on a snapshot,
+// so an update predicate is rejected with a clear error and nothing lands.
+func TestQueryUpdatesRejected(t *testing.T) {
+	c, _ := startServer(t)
+	populateReadFixture(t, c)
 
-	if _, err := serialClient.Query(`create_material(clone, serial_made, waiting, 900, M)`, 0); err != nil {
-		t.Fatalf("serialized update query: %v", err)
-	}
-	if _, found, err := serialClient.LookupMaterial("serial_made"); err != nil || !found {
-		t.Fatalf("serialized update did not land: %v %v", found, err)
-	}
-
-	_, err := concClient.Query(`create_material(clone, shared_made, waiting, 900, M)`, 0)
+	_, err := c.Query(`create_material(clone, query_made, waiting, 900, M)`, 0)
 	if err == nil {
-		t.Fatal("shared-mode update query succeeded; want read-only rejection")
+		t.Fatal("update query succeeded; want read-only rejection")
 	}
 	if !containsStr(err.Error(), "read-only") {
-		t.Fatalf("shared-mode rejection = %q; want it to say read-only", err)
+		t.Fatalf("rejection = %q; want it to say read-only", err)
 	}
-	if _, found, err := concClient.LookupMaterial("shared_made"); err != nil || found {
-		t.Fatalf("shared-mode update landed despite rejection: %v %v", found, err)
+	if _, found, err := c.LookupMaterial("query_made"); err != nil || found {
+		t.Fatalf("update landed despite rejection: %v %v", found, err)
 	}
 }

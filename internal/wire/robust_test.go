@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"labflow/internal/labbase"
 	"labflow/internal/rec"
 	"labflow/internal/storage"
+	"labflow/internal/storage/memstore"
+	"labflow/internal/storage/repl"
 	"labflow/internal/storage/texas"
 )
 
@@ -206,5 +209,129 @@ func TestSentinelsAcrossLiveServer(t *testing.T) {
 	}
 	if err := c.Commit(); !errors.Is(err, labbase.ErrNoTransaction) {
 		t.Errorf("commit without begin = %v, want ErrNoTransaction", err)
+	}
+}
+
+// TestClientPoisonedByTransportError: a request that timed out may still be
+// answered late, so the connection's stream position is unknown. The next
+// call on the same Client must fail fast wrapping the first error — it must
+// not read the late reply to the first request as its own.
+func TestClientPoisonedByTransportError(t *testing.T) {
+	timedOut := make(chan struct{})
+	c := fakePeer(t, func(r *bufio.Reader, w *bufio.Writer, conn net.Conn) {
+		readFrame(r) // request 1, left unanswered until the client gives up
+		<-timedOut
+		// A client that carries on sends request 2; answer it with the late
+		// reply to request 1, which is what a slow server would do.
+		if _, _, err := readFrame(r); err != nil {
+			return
+		}
+		writeFrame(w, statusOK, encodeUint(111))
+		w.Flush()
+	})
+	c.SetIOTimeout(50 * time.Millisecond)
+	if _, err := c.CountMaterials("first"); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent peer = %v, want os.ErrDeadlineExceeded", err)
+	}
+	close(timedOut)
+	n, err := c.CountMaterials("second")
+	if err == nil {
+		t.Fatalf("call after a transport error returned %d, the first request's late reply", n)
+	}
+	if !errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, ErrRemote) {
+		t.Fatalf("call after a transport error = %v, want it to wrap the first transport error", err)
+	}
+	// A pipeline over the same connection fails the same way.
+	p := c.Pipeline()
+	f := p.State(storage.OID(1))
+	if err := p.Flush(); err == nil || f.Err == nil {
+		t.Fatalf("pipeline on a poisoned client: Flush = %v, future = %v", err, f.Err)
+	}
+}
+
+// TestOversizeRequestBreaksConnection: a request too large to frame is
+// refused locally, and a pipeline that fails on one abandons the frames
+// enqueued ahead of it — their replies would have no future to land in. The
+// connection must refuse further use rather than run one reply out of step.
+func TestOversizeRequestBreaksConnection(t *testing.T) {
+	c, _ := startServer(t)
+	p := c.Pipeline()
+	first := p.State(storage.OID(1))
+	p.push(OpShipRecord, make([]byte, MaxFrame), func(*rec.Decoder, error) {})
+	if err := p.Flush(); err == nil || first.Err == nil {
+		t.Fatalf("pipeline with an oversize frame: Flush = %v, first future = %v", err, first.Err)
+	}
+	if _, err := c.CountMaterials("nothing"); err == nil || errors.Is(err, ErrRemote) {
+		t.Fatalf("call after an abandoned pipeline = %v, want the connection refused as out of step", err)
+	}
+}
+
+// TestOversizeReplyIsAnErrorFrame: a reply too large to frame is refused
+// before a byte of it is written, so the stream is still in sync — the
+// client must get a typed error naming the opcode and the size, and keep
+// its connection, on a primary and on a standby alike. The loop's reply
+// limit is lowered instead of building a 16 MiB reply.
+func TestOversizeReplyIsAnErrorFrame(t *testing.T) {
+	db, err := labbase.Open(memstore.Open("oversize-mm"), labbase.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := NewServer(db)
+	srv.SetLogf(nil)
+	srv.replyLimit = 64
+	st, err := repl.OpenFileStandby(filepath.Join(t.TempDir(), "follower.db"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ss := NewStandbyServer(st)
+	ss.SetLogf(nil)
+	ss.replyLimit = 2 // a ReplState reply is two bytes plus the status
+	addrs := make([]string, 2)
+	for i, serve := range []func(net.Listener) error{srv.Serve, ss.Serve} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go serve(ln)
+		addrs[i] = ln.Addr().String()
+	}
+	defer srv.Shutdown()
+	defer ss.Shutdown()
+
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	populateReadFixture(t, c)
+	err = c.ScanAllMaterials(func(*labbase.Material) error { return nil })
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "ScanAllMaterials reply of ") ||
+		!strings.Contains(err.Error(), "exceeds the 64-byte frame limit") {
+		t.Fatalf("oversize scan = %v, want a remote error naming the opcode and the limit", err)
+	}
+	if n, err := c.CountMaterials("clone"); err != nil || n != 16 {
+		t.Fatalf("connection after an oversize reply: CountMaterials = %d, %v", n, err)
+	}
+
+	// The standby's hello reply would not fit either, so speak raw frames.
+	conn, err := net.Dial("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 2; i++ { // twice: the connection survives the refusal
+		if err := writeFrame(conn, OpReplState, nil); err != nil {
+			t.Fatal(err)
+		}
+		status, body, err := readFrame(conn)
+		if err != nil || status != statusErr {
+			t.Fatalf("standby oversize reply %d: status %d, %v", i, status, err)
+		}
+		if err := decodeRemoteErr(rec.NewDecoder(body)); !strings.Contains(err.Error(), "ReplState reply of 3 bytes exceeds the 2-byte frame limit") {
+			t.Fatalf("standby oversize reply %d = %v", i, err)
+		}
 	}
 }

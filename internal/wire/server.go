@@ -1,26 +1,21 @@
 package wire
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net"
-	"os"
 	"sort"
 	"sync"
-	"time"
 
-	"labflow/internal/datalog"
 	"labflow/internal/labbase"
 	"labflow/internal/lbq"
 	"labflow/internal/rec"
 	"labflow/internal/storage"
 )
 
-// Server exposes one LabBase database to network clients.
+// Server exposes one LabBase database to network clients: the connection
+// core plus the primary's handlers.
 type Server struct {
+	connCore
 	db     labbase.Store
 	bridge *lbq.Bridge
 	// mu arbitrates writers only: write opcodes (and their whole
@@ -29,32 +24,22 @@ type Server struct {
 	// store and is consistent without any server-level exclusion. It is
 	// always acquired before labbase.DB's internal writer lock (see
 	// DESIGN.md's lock hierarchy).
-	mu     sync.RWMutex
-	serial bool // force every op exclusive (the pre-concurrency behavior)
+	mu sync.RWMutex
 	// batchShared marks a store whose PutSteps self-serializes (a sharded
 	// store): OpPutSteps then runs under the shared lock, so batches from
 	// different connections apply in parallel across shards. Plain stores
 	// keep the exclusive lock — their whole batch bracket must stay
 	// single-writer.
 	batchShared bool
-	logf        func(format string, args ...any)
-
-	wg     sync.WaitGroup
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // NewServer wraps an open store — a plain *labbase.DB or a sharded
 // shard.DB; the wire protocol is shard-agnostic. Site rules may be loaded
 // onto the deductive engine via Bridge before serving.
 func NewServer(db labbase.Store) *Server {
-	s := &Server{
-		db:     db,
-		bridge: lbq.New(db),
-		logf:   log.Printf,
-		conns:  make(map[net.Conn]struct{}),
-	}
+	s := &Server{db: db, bridge: lbq.New(db)}
+	s.init(s.handle)
+	s.hangup = s.releaseBracket
 	if cb, ok := db.(interface{ ConcurrentBatches() bool }); ok {
 		s.batchShared = cb.ConcurrentBatches()
 	}
@@ -65,112 +50,16 @@ func NewServer(db labbase.Store) *Server {
 // rules before Serve).
 func (s *Server) Bridge() *lbq.Bridge { return s.bridge }
 
-// SetLogf redirects server logging (nil silences it).
-func (s *Server) SetLogf(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	s.logf = f
-}
-
-// SetSerial forces every operation — reads included — to take the exclusive
-// lock, restoring the fully serialized execution the server had before the
-// concurrent read path. It exists for baseline measurements (lfload -serial)
-// and must be called before Serve.
-func (s *Server) SetSerial(serial bool) { s.serial = serial }
-
 // Serve accepts connections until the listener is closed.
-func (s *Server) Serve(ln net.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.wg.Wait()
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.connMu.Lock()
-		if s.closed {
-			s.connMu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.serve(ln) }
 
 // Shutdown drains the server and returns once every connection goroutine has
-// exited (the caller closes the listener). The drain is deterministic:
-// frames the server has already accepted — read off the socket into a
-// connection's buffer, or mid-execution — complete and their responses are
-// flushed, while blocked or future reads are cut off by an immediate read
-// deadline. No connection is torn down mid-response.
+// exited (the caller closes the listener). Frames the server has already
+// accepted complete and their responses are flushed; blocked or future reads
+// are cut off; no connection is torn down mid-response (connCore.shutdown).
 func (s *Server) Shutdown() {
-	s.connMu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		// Cut off only the read side: the next read that actually touches
-		// the socket fails, but responses to in-flight requests still write.
-		// Frames already buffered by the connection's reader are served
-		// without touching the socket, so a pipelined batch the server has
-		// accepted completes before the connection closes.
-		c.SetReadDeadline(time.Now()) //lint:allow wallclock immediate deadline to unblock readers on shutdown, never persisted
-	}
-	s.connMu.Unlock()
+	s.shutdown(false)
 	s.wg.Wait()
-}
-
-// connState is a connection's per-frame protocol state: whether it holds
-// the explicit client transaction bracket (OpBegin..OpCommit), and with it
-// the server writer lock across frames.
-type connState struct {
-	bracket bool
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	cs := &connState{}
-	defer func() {
-		s.releaseBracket(cs)
-		conn.Close()
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		op, payload, err := readFrame(r)
-		if err != nil {
-			// A deadline error only arises from Shutdown's read cutoff, so it
-			// is a clean drain, not a protocol failure worth logging.
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-				s.logf("wire: read: %v", err)
-			}
-			return
-		}
-		resp, err := s.handle(cs, op, payload)
-		if err != nil {
-			e := rec.NewEncoder(len(err.Error()) + 8)
-			encodeRemoteErr(e, err)
-			if werr := writeFrame(w, statusErr, e.Bytes()); werr != nil {
-				return
-			}
-		} else {
-			if werr := writeFrame(w, statusOK, resp); werr != nil {
-				return
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
 }
 
 // inTxn runs fn inside one transaction under the server write lock. LabBase
@@ -249,24 +138,25 @@ func (s *Server) releaseBracket(cs *connState) {
 	s.mu.Unlock()
 }
 
-// handle executes one request under the lock its opcode class requires:
-// read ops take no lock at all (their snapshot capture makes them
+// handle executes one request under the lock its opcode's class (opTable)
+// requires: read ops take no lock at all (their snapshot capture makes them
 // consistent), write ops hold the lock exclusively so their transaction
 // brackets stay atomic against each other, and a connection inside an
 // explicit bracket already holds the writer lock across frames.
 func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error) {
-	switch {
-	case op == OpBegin || op == OpCommit:
+	switch class := rowOf(op).class; {
+	case class == classNone:
+		return nil, fmt.Errorf("wire: unknown opcode %d", op)
+	case class == classReplWrite:
+		return nil, fmt.Errorf("wire: not a standby")
+	case class == classBracket:
 		// The bracket opcodes manage the writer lock themselves.
 	case cs.bracket:
 		// This connection holds the writer lock until OpCommit; every op it
 		// sends executes inside its bracket.
-	case s.serial:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	case readOnlyOp(op):
-		// Lock-free: the store's read entry points (and the OpQuery
-		// handler explicitly) capture a snapshot and answer from it.
+	case class.lockFree():
+		// The store's read entry points (and the OpQuery handler
+		// explicitly) capture a snapshot and answer from it.
 	case op == OpPutSteps && s.batchShared:
 		// Sharded stores serialize PutSteps internally (per shard), so
 		// batches from different connections may run concurrently; the
@@ -279,9 +169,9 @@ func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error)
 		defer s.mu.Unlock()
 	}
 	// dispatch reaches beginBracket's s.mu.Lock only for OpBegin, and the
-	// first switch case dispatches the bracket opcodes lock-free; the
+	// classBracket case dispatches the bracket opcodes lock-free; the
 	// may-held union cannot see that path split.
-	//lint:allow lockorder bracket opcodes are dispatched lock-free by the first case above
+	//lint:allow lockorder bracket opcodes are dispatched lock-free by the classBracket case above
 	return s.dispatch(cs, op, payload)
 }
 
@@ -292,15 +182,9 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 	e := rec.NewEncoder(64)
 	switch op {
 	case OpHello:
-		v := d.Uint()
-		if err := d.Finish(); err != nil {
+		if err := serveHello(d, e, "labflow"); err != nil {
 			return nil, err
 		}
-		if v != protocolVersion {
-			return nil, fmt.Errorf("wire: protocol version %d not supported", v)
-		}
-		e.Uint(protocolVersion)
-		e.String("labflow")
 
 	case OpDefineMaterialClass:
 		name, parent := d.String(), d.String()
@@ -370,13 +254,9 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		e.Uint(uint64(oid))
 
 	case OpCreateSet:
-		n := d.Count(1 << 20)
-		if d.Err() != nil {
-			return nil, fmt.Errorf("wire: bad member count")
-		}
-		members := make([]storage.OID, n)
-		for i := range members {
-			members[i] = storage.OID(d.Uint())
+		members, err := decodeOIDs(d, 1<<20, "wire: bad member count")
+		if err != nil {
+			return nil, err
 		}
 		if err := d.Finish(); err != nil {
 			return nil, err
@@ -392,6 +272,9 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 
 	case OpRecordStep:
 		spec, err := decodeStepSpec(d)
+		if err == nil {
+			err = d.Finish()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -412,29 +295,15 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		// touched shard. Either way the batch is not atomic: if an entry
 		// fails, earlier entries (on that shard) stay recorded — the error
 		// names the failing index so the client can tell.
-		n := d.Count(maxStepBatch)
-		if d.Err() != nil {
-			return nil, fmt.Errorf("wire: bad step batch count")
-		}
-		specs := make([]labbase.StepSpec, 0, n)
-		for i := 0; i < n; i++ {
-			spec, err := decodeStepSpecNoFinish(d)
-			if err != nil {
-				return nil, fmt.Errorf("wire: step batch entry %d: %w", i, err)
-			}
-			specs = append(specs, spec)
-		}
-		if err := d.Finish(); err != nil {
+		specs, err := decodeStepBatch(d)
+		if err != nil {
 			return nil, err
 		}
 		oids, err := s.db.PutSteps(specs)
 		if err != nil {
 			return nil, err
 		}
-		e.Uint(uint64(len(oids)))
-		for _, oid := range oids {
-			e.Uint(uint64(oid))
-		}
+		encodeOIDs(e, oids)
 
 	case OpSetState:
 		oid := storage.OID(d.Uint())
@@ -457,20 +326,6 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		}
 		e.String(st)
 
-	case OpMostRecent:
-		oid := storage.OID(d.Uint())
-		attr := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		v, src, found, err := s.db.MostRecent(oid, attr)
-		if err != nil {
-			return nil, err
-		}
-		e.Bool(found)
-		e.Uint(uint64(src))
-		labbase.EncodeValue(e, v)
-
 	case OpHistory:
 		oid := storage.OID(d.Uint())
 		if err := d.Finish(); err != nil {
@@ -480,11 +335,7 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		e.Uint(uint64(len(hist)))
-		for _, h := range hist {
-			e.Uint(uint64(h.Step))
-			e.Int(h.ValidTime)
-		}
+		encodeHistory(e, hist)
 
 	case OpGetMaterial:
 		oid := storage.OID(d.Uint())
@@ -537,24 +388,24 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		e.Uint(uint64(len(mats)))
-		for _, m := range mats {
-			e.Uint(uint64(m))
-		}
+		encodeOIDs(e, mats)
 
-	case OpSetMembers:
+	case OpSetMembers, OpStepsInvolving:
 		oid := storage.OID(d.Uint())
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
-		members, err := s.db.SetMembers(oid)
+		var oids []storage.OID
+		var err error
+		if op == OpSetMembers {
+			oids, err = s.db.SetMembers(oid)
+		} else {
+			oids, err = s.db.StepsInvolving(oid)
+		}
 		if err != nil {
 			return nil, err
 		}
-		e.Uint(uint64(len(members)))
-		for _, m := range members {
-			e.Uint(uint64(m))
-		}
+		encodeOIDs(e, oids)
 
 	case OpQuery:
 		q := d.String()
@@ -562,23 +413,15 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
-		var sols []datalog.Solution
-		var err error
-		if s.serial {
-			// The serialized baseline keeps the historic read-write query
-			// path: updates through OpQuery work, under the exclusive lock.
-			sols, err = s.bridge.Query(q, max)
-		} else {
-			// Shared mode: the query runs read-only against a snapshot
-			// captured here, so concurrent queries and writers never
-			// interact; update predicates are rejected by the bridge.
-			snap, serr := s.db.Snapshot()
-			if serr != nil {
-				return nil, serr
-			}
-			defer snap.Close()
-			sols, err = s.bridge.QueryOn(snap, q, max)
+		// The query runs read-only against a snapshot captured here, so
+		// concurrent queries and writers never interact; update predicates
+		// are rejected by the bridge.
+		snap, err := s.db.Snapshot()
+		if err != nil {
+			return nil, err
 		}
+		defer snap.Close()
+		sols, err := s.bridge.QueryOn(snap, q, max)
 		if err != nil {
 			return nil, err
 		}
@@ -615,15 +458,9 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		}
 		name, st := s.db.StoreStats()
 		e.String(name)
-		e.Uint(st.Faults)
-		e.Uint(st.PageWrites)
-		e.Uint(st.Reads)
-		e.Uint(st.Writes)
-		e.Uint(st.Allocs)
-		e.Uint(st.LockWaits)
-		e.Uint(st.SizeBytes)
-		e.Uint(st.LiveObjects)
-		e.Uint(st.LiveBytes)
+		for _, f := range statsFields(&st) {
+			e.Uint(*f)
+		}
 
 	case OpLookupMaterial:
 		name := d.String()
@@ -694,10 +531,7 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		default:
 			names = s.db.States()
 		}
-		e.Uint(uint64(len(names)))
-		for _, n := range names {
-			e.String(n)
-		}
+		encodeNames(e, names)
 
 	case OpStepClassVersions:
 		name := d.String()
@@ -710,10 +544,7 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		}
 		e.Uint(uint64(len(vers)))
 		for _, v := range vers {
-			e.Uint(uint64(len(v)))
-			for _, a := range v {
-				e.String(a)
-			}
+			encodeNames(e, v)
 		}
 
 	case OpScanMaterials, OpScanAllMaterials:
@@ -767,21 +598,7 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 			encodeStep(e, st)
 		}
 
-	case OpStepsInvolving:
-		oid := storage.OID(d.Uint())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		steps, err := s.db.StepsInvolving(oid)
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(len(steps)))
-		for _, st := range steps {
-			e.Uint(uint64(st))
-		}
-
-	case OpMostRecentScan, OpMostRecentAsOf:
+	case OpMostRecent, OpMostRecentScan, OpMostRecentAsOf:
 		oid := storage.OID(d.Uint())
 		attr := d.String()
 		var t int64
@@ -795,17 +612,18 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		var src storage.OID
 		var found bool
 		var err error
-		if op == OpMostRecentScan {
+		switch op {
+		case OpMostRecent:
+			v, src, found, err = s.db.MostRecent(oid, attr)
+		case OpMostRecentScan:
 			v, src, found, err = s.db.MostRecentScan(oid, attr)
-		} else {
+		default:
 			v, src, found, err = s.db.MostRecentAsOf(oid, attr, t)
 		}
 		if err != nil {
 			return nil, err
 		}
-		e.Bool(found)
-		e.Uint(uint64(src))
-		labbase.EncodeValue(e, v)
+		encodeValueReply(e, v, src, found)
 
 	case OpAttrTimeline:
 		oid := storage.OID(d.Uint())
@@ -825,19 +643,17 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		}
 
 	case OpReplState:
-		// A full server is always a primary; standbys are served by
-		// StandbyServer, which answers role 1 and its applied LSN.
+		// A full server is always a primary; a StandbyServer answers role 1
+		// and its applied LSN.
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		e.Uint(0) // role: primary
 		e.Uint(0) // lastLSN: meaningless for a primary
 
-	case OpShipRecord, OpPromote:
-		return nil, fmt.Errorf("wire: not a standby")
-
 	default:
-		return nil, fmt.Errorf("wire: unknown opcode %d", op)
+		// A row without an arm: the bug the op-table test exists to catch.
+		return nil, fmt.Errorf("wire: opcode %s has no handler", rowOf(op).name)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -845,72 +661,16 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 	return e.Bytes(), nil
 }
 
-// maxStepBatch bounds one OpPutSteps batch; MaxFrame already bounds the
-// payload, this guards the count prefix itself.
-const maxStepBatch = 1 << 16
-
-// encodeMaterial writes one material in the wire layout shared by
-// OpGetMaterial and the material scans.
-func encodeMaterial(e *rec.Encoder, m *labbase.Material) {
-	e.Uint(uint64(m.OID))
-	e.String(m.Class)
-	e.String(m.Name)
-	e.String(m.State)
-	e.Int(m.CreatedAt)
-	e.Uint(uint64(m.HistoryLen))
-}
-
-// encodeStep writes one step in the wire layout shared by OpGetStep and
-// OpScanSteps.
-func encodeStep(e *rec.Encoder, st *labbase.Step) {
-	e.Uint(uint64(st.OID))
-	e.String(st.Class)
-	e.Uint(uint64(st.Version))
-	e.Int(st.ValidTime)
-	e.Int(st.TxnTime)
-	e.Uint(uint64(len(st.Materials)))
-	for _, m := range st.Materials {
-		e.Uint(uint64(m))
+// serveHello answers the hello exchange for either role.
+func serveHello(d *rec.Decoder, e *rec.Encoder, banner string) error {
+	v := d.Uint()
+	if err := d.Finish(); err != nil {
+		return err
 	}
-	e.Uint(uint64(st.Set))
-	e.Uint(uint64(len(st.Attrs)))
-	for _, av := range st.Attrs {
-		e.String(av.Name)
-		labbase.EncodeValue(e, av.Value)
+	if v != protocolVersion {
+		return fmt.Errorf("wire: protocol version %d not supported", v)
 	}
-}
-
-func decodeStepSpec(d *rec.Decoder) (labbase.StepSpec, error) {
-	spec, err := decodeStepSpecNoFinish(d)
-	if err != nil {
-		return spec, err
-	}
-	return spec, d.Finish()
-}
-
-// decodeStepSpecNoFinish decodes one step spec without requiring the decoder
-// to be exhausted, so specs can be concatenated in a batch frame.
-func decodeStepSpecNoFinish(d *rec.Decoder) (labbase.StepSpec, error) {
-	var spec labbase.StepSpec
-	spec.Class = d.String()
-	spec.ValidTime = d.Int()
-	nm := d.Count(1 << 20)
-	if d.Err() != nil {
-		return spec, fmt.Errorf("wire: bad step spec")
-	}
-	spec.Materials = make([]storage.OID, nm)
-	for i := range spec.Materials {
-		spec.Materials[i] = storage.OID(d.Uint())
-	}
-	spec.Set = storage.OID(d.Uint())
-	na := d.Count(1 << 16)
-	if d.Err() != nil {
-		return spec, fmt.Errorf("wire: bad step spec attrs")
-	}
-	spec.Attrs = make([]labbase.AttrValue, na)
-	for i := range spec.Attrs {
-		spec.Attrs[i].Name = d.String()
-		spec.Attrs[i].Value = labbase.DecodeValue(d)
-	}
-	return spec, d.Err()
+	e.Uint(protocolVersion)
+	e.String(banner)
+	return nil
 }

@@ -1,196 +1,76 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net"
-	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"labflow/internal/rec"
 	"labflow/internal/storage/repl"
 )
 
-// StandbyServer is the network face of a warm standby: it wraps a
-// repl.Standby and speaks a deliberately tiny slice of the protocol — the
-// hello exchange, OpReplState, OpShipRecord and OpPromote. Every data
-// opcode (including OpShardInfo, the router's handshake) is refused, so a
-// router probing a standby's address before promotion sees a failed
-// handshake, not a healthy shard.
+// StandbyServer is the network face of a warm standby: the connection core
+// over a repl.Standby, speaking a deliberately tiny slice of the protocol —
+// the hello exchange and the replication class (OpReplState, OpShipRecord,
+// OpPromote). Every data opcode (including OpShardInfo, the router's
+// handshake) is refused, so a router probing a standby's address before
+// promotion sees a failed handshake, not a healthy shard.
 //
 // OpPromote finalizes the standby's media and shuts the server down:
 // Serve returns nil, and the owning process reopens the media with a real
 // storage manager behind a full Server on the same address.
 type StandbyServer struct {
-	st   *repl.Standby
-	logf func(format string, args ...any)
-
-	// mu guards the connection registry and shutdown state. It is held
-	// only around registry mutation and the promote/close transition —
-	// never across a frame — and ranks above Server.connMu territory but
-	// below every storage lock (see internal/lint lock order).
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	promoted bool
-	closed   bool
-	wg       sync.WaitGroup
+	connCore
+	st       *repl.Standby
+	promoted atomic.Bool
 }
 
 // NewStandbyServer wraps an open standby.
 func NewStandbyServer(st *repl.Standby) *StandbyServer {
-	return &StandbyServer{
-		st:    st,
-		logf:  log.Printf,
-		conns: make(map[net.Conn]struct{}),
-	}
-}
-
-// SetLogf redirects server logging (nil silences it).
-func (s *StandbyServer) SetLogf(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	s.logf = f
+	s := &StandbyServer{st: st}
+	s.init(s.handle)
+	return s
 }
 
 // Promoted reports whether OpPromote has been served.
-func (s *StandbyServer) Promoted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.promoted
-}
+func (s *StandbyServer) Promoted() bool { return s.promoted.Load() }
 
 // Serve accepts connections until the listener is closed or the standby is
 // promoted. After a promotion it returns nil with the standby's media
 // finalized and every connection drained.
-func (s *StandbyServer) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.wg.Wait()
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			s.wg.Wait()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *StandbyServer) Serve(ln net.Listener) error { return s.serve(ln) }
 
 // Shutdown closes the listener and cuts off every connection's read side,
-// draining in-flight frames (mirroring Server.Shutdown). It does not touch
+// draining in-flight frames (as Server.Shutdown does). It does not touch
 // the standby itself: an unpromoted standby stays open for the owner to
 // Close or hand elsewhere.
 func (s *StandbyServer) Shutdown() {
-	s.shutdownLocked(false)
+	s.shutdown(true)
 	s.wg.Wait()
 }
 
-// shutdownLocked flips the server closed and unblocks the accept and read
-// loops. With fromPromote set the caller is a connection goroutine that
-// still has a response to flush, so only read sides are cut.
-func (s *StandbyServer) shutdownLocked(fromPromote bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
+// handle executes one standby request. A served promotion makes its ack
+// the connection's last response, with the server's shutdown behind it.
+func (s *StandbyServer) handle(cs *connState, op uint8, payload []byte) ([]byte, error) {
+	if op != OpHello && !rowOf(op).class.repl() {
+		// Data opcodes and OpShardInfo in particular are refused so nothing
+		// mistakes an unpromoted standby for a serving shard.
+		return nil, fmt.Errorf("wire: standby not promoted")
 	}
-	s.closed = true
-	s.promoted = s.promoted || fromPromote
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.SetReadDeadline(time.Now()) //lint:allow wallclock immediate deadline to unblock readers on shutdown, never persisted
-	}
-}
-
-func (s *StandbyServer) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		op, payload, err := readFrame(r)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-				s.logf("wire: standby read: %v", err)
-			}
-			return
-		}
-		resp, promote, err := s.handle(op, payload)
-		if err != nil {
-			e := rec.NewEncoder(len(err.Error()) + 8)
-			encodeRemoteErr(e, err)
-			if werr := writeFrame(w, statusErr, e.Bytes()); werr != nil {
-				return
-			}
-		} else {
-			if werr := writeFrame(w, statusOK, resp); werr != nil {
-				return
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if promote {
-			// The ack is flushed; now take the whole server down so the
-			// owner can reopen the media behind a real Server.
-			s.shutdownLocked(true)
-			return
-		}
-	}
-}
-
-// handle executes one standby request. The bool result signals a served
-// promotion: the caller flushes the ack and then shuts the server down.
-func (s *StandbyServer) handle(op uint8, payload []byte) ([]byte, bool, error) {
 	d := rec.NewDecoder(payload)
 	e := rec.NewEncoder(32)
 	switch op {
 	case OpHello:
-		v := d.Uint()
-		if err := d.Finish(); err != nil {
-			return nil, false, err
+		if err := serveHello(d, e, "labflow-standby"); err != nil {
+			return nil, err
 		}
-		if v != protocolVersion {
-			return nil, false, fmt.Errorf("wire: protocol version %d not supported", v)
-		}
-		e.Uint(protocolVersion)
-		e.String("labflow-standby")
 
 	case OpReplState:
 		if err := d.Finish(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		e.Uint(1) // role: standby
 		e.Uint(s.st.LastLSN())
@@ -200,30 +80,26 @@ func (s *StandbyServer) handle(op uint8, payload []byte) ([]byte, bool, error) {
 		// magic, CRC and LSN sequencing before journaling it.
 		lsn, err := s.st.Apply(payload)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		e.Uint(lsn)
 
 	case OpPromote:
 		if err := d.Finish(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if err := s.st.Promote(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		e.Uint(s.st.LastLSN())
-		return e.Bytes(), true, nil
-
-	default:
-		// Everything else — data opcodes and OpShardInfo in particular —
-		// is refused so nothing mistakes an unpromoted standby for a
-		// serving shard.
-		return nil, false, fmt.Errorf("wire: standby not promoted")
+		// Once the ack is flushed, take the whole server down so the owner
+		// can reopen the media behind a real Server.
+		cs.afterFlush = func() {
+			s.promoted.Store(true)
+			s.shutdown(true)
+		}
 	}
-	if err := d.Err(); err != nil {
-		return nil, false, err
-	}
-	return e.Bytes(), false, nil
+	return e.Bytes(), nil
 }
 
 // RemoteShipper implements repl.StateShipper over the wire: each shipped

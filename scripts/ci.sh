@@ -73,10 +73,15 @@ go run ./cmd/labflow -experiment crashtest -store all -seed "$seed" -crashruns 2
 }
 echo "randomized round passed (base seed $seed)"
 
-echo "== concurrent wire stress (-race, byte-identical + drain)"
+echo "== concurrent wire stress (-race, byte-identical + drain + op table + frame fuzz)"
 go test -race -count=1 \
-	-run 'TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst' \
+	-run 'TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst|TestOpTable' \
 	./internal/wire/
+# The wire fuzz targets, for a fixed short budget: arbitrary frames at a
+# primary's and a standby's handler must neither panic nor let a read-class
+# opcode mutate. A crasher lands in internal/wire/testdata/fuzz as a seed.
+go test -race -run '^$' -fuzz 'FuzzServerHandle' -fuzztime 10s ./internal/wire/
+go test -race -run '^$' -fuzz 'FuzzStandbyHandle' -fuzztime 5s ./internal/wire/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks Begin/Close and nobody else)"
 # DESIGN §10 "What a reader can wait on": with a commit held inside the log's
@@ -88,14 +93,14 @@ go test -race -count=5 \
 	-run 'TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush' \
 	./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/
 
-echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + shared OpQuery)"
+echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + snapshot OpQuery)"
 # The MVCC read-path contract (DESIGN §10): snapshots pinned across commits
 # stay at their capture, concurrent batches never expose torn state (single
-# DB and 4-shard), and shared-mode OpQuery is byte-identical to the
-# serialized baseline while write batches land. TestCore* are the shard
+# DB and 4-shard), and OpQuery under concurrent connections is byte-identical
+# to a single-connection reference while write batches land. TestCore* are the shard
 # core's rules over fake members (DESIGN §9), whose gathers run concurrently.
 go test -race -shuffle=on -count=1 \
-	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejectedShared' \
+	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected' \
 	./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/
 
 echo "== lfload smoke (closed-loop load generator)"
@@ -115,7 +120,7 @@ echo "$lfload_w" | grep -q '"ops_per_sec"' || {
 	exit 1
 }
 
-echo "== lfload querymix smoke (shared OpQuery in the closed loop)"
+echo "== lfload querymix smoke (OpQuery in the closed loop)"
 lfload_q=$(go run ./cmd/lfload -workers 4 -pipeline 4 -readmix 1.0 -querymix 0.5 \
 	-ops 2000 -materials 200 -json)
 echo "$lfload_q" | grep -q '"query_ops"' || {
