@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the gate scripts/ci.sh implements.
 
-.PHONY: check test race bench bench-write bench-query table10 lint lint-fix-check crashtest cluster-smoke failover-smoke recovery provenance clean
+.PHONY: check test race bench bench-smoke table10 lint lint-fix-check crashtest cluster-smoke failover-smoke recovery provenance clean
 
 check:
 	./scripts/ci.sh
@@ -24,16 +24,16 @@ lint-fix-check:
 race:
 	go test -race ./...
 
+# Numbers come from one place: bench/ (BENCHMARK.json names the workloads
+# and metrics; bench/README.md says how a run is measured).
 bench:
-	go test -bench=. -benchmem .
+	go run ./bench -workload all
 
-bench-write:
-	go test -bench 'BenchmarkPutStepsWriters' -benchmem -run '^$$' ./internal/labbase/shard/
-
-# Lineage-closure microbenchmarks: tabled rules vs native externs vs the
-# untabled baseline over generated derivation DAGs.
-bench-query:
-	go test -bench 'BenchmarkLineage' -benchmem -run '^$$' ./internal/core/
+# Every workload at tiny size, self-checked, in a few seconds — the ci.sh
+# step. bench exits 1 when any result line says "correct":false.
+bench-smoke:
+	@out=$$(go run ./bench -workload all -scale 0.02 -seconds 1) || { echo "$$out"; exit 1; }; \
+	echo "bench-smoke: every workload correct"
 
 table10:
 	go run ./cmd/labflow -experiment table10
@@ -43,7 +43,7 @@ crashtest:
 	go run ./cmd/labflow -experiment crashtest -store all -crashruns 100
 
 # End-to-end distributed topology smoke: 2 labbase-server subprocesses,
-# lfload closed loop through the shard router, clean SIGTERM teardown.
+# lfload closed loop through its shard router, clean SIGTERM teardown.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
@@ -63,3 +63,4 @@ provenance:
 
 clean:
 	go clean ./...
+	rm -rf .bench_build artifacts

@@ -17,7 +17,7 @@
 // -addrfile writes the bound listen address (useful with -addr :0) so
 // launchers can collect a topology without parsing logs.
 //
-// Replication (DESIGN §12): -ship addr streams every commit's redo record
+// Replication (DESIGN §8): -ship addr streams every commit's redo record
 // to a warm standby before the commit is acknowledged; -standby runs this
 // process as that standby — it applies shipped records to its own media
 // until an OpPromote arrives, then reopens the media as a real store and

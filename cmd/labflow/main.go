@@ -10,8 +10,8 @@
 //	labflow -experiment sweep   [-pools 64,192,512,4096]
 //	labflow -experiment crashtest [-store ostore|texas|all] [-seed N] [-crashruns N]
 //	labflow -experiment failover  [-store ostore|texas|all] [-seed N] [-crashruns N]
-//	labflow -experiment recovery  [-json BENCH_6.json]
-//	labflow -experiment provenance [-depths 4,8,16,32,64] [-width 2] [-json BENCH_7.json]
+//	labflow -experiment recovery
+//	labflow -experiment provenance [-depths 4,8,16,32,64] [-width 2]
 //	labflow -experiment all
 //
 // The crashtest experiment runs seeded crash-recovery schedules against the
@@ -44,7 +44,6 @@ import (
 
 	"labflow/internal/core"
 	"labflow/internal/labbase"
-	"labflow/internal/labbase/shard"
 	"labflow/internal/storage"
 	"labflow/internal/storage/crashtest"
 )
@@ -61,11 +60,8 @@ type options struct {
 	seed       int64
 	pools      string
 	shape      bool
-	jsonOut    string
 	parallel   bool
 	crashruns  int
-	shards     int
-	topology   string
 	depths     string
 	width      int
 	budget     int64
@@ -83,11 +79,8 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 0, "override the workload seed")
 	flag.StringVar(&o.pools, "pools", "64,192,512,4096", "pool sizes (pages) for the sweep")
 	flag.BoolVar(&o.shape, "check-shape", true, "verify the paper-shape expectations after table10")
-	flag.StringVar(&o.jsonOut, "json", "", "also write table10 results to this JSON file")
 	flag.BoolVar(&o.parallel, "parallel", true, "run the table10 versions concurrently (per-version CPU columns become process-wide)")
 	flag.IntVar(&o.crashruns, "crashruns", 100, "number of consecutive seeds for crashtest (starting at -seed)")
-	flag.IntVar(&o.shards, "shards", 0, "run table10 through the sharded facade (0 = plain DB; table10 supports 1 only)")
-	flag.StringVar(&o.topology, "topology", "", "run table10 through a shard router over these labbase-servers (shards.json or host:port,...; 1-server topologies only)")
 	flag.StringVar(&o.depths, "depths", "4,8,16,32,64", "DAG depths for the provenance sweep")
 	flag.IntVar(&o.width, "width", 2, "DAG width for the provenance sweep (fanout and diamond shapes)")
 	flag.Int64Var(&o.budget, "budget", 2_000_000, "resolution-step budget for untabled provenance cells (0 = default)")
@@ -145,9 +138,6 @@ func run(o options) error {
 	if o.intervals > 0 {
 		p.Intervals = o.intervals
 	}
-	if o.shards > 0 {
-		p.Shards = o.shards
-	}
 	if o.seed != 0 {
 		p.Seed = o.seed
 	}
@@ -200,9 +190,6 @@ func runOne(experiment string, o options, p core.Params) error {
 		}
 
 	case "table10":
-		if o.topology != "" {
-			return runTable10Topology(o, p)
-		}
 		kinds := core.AllStoreKinds
 		if o.stores != "" {
 			kinds = nil
@@ -225,12 +212,6 @@ func runOne(experiment string, o options, p core.Params) error {
 		fmt.Print(core.FormatTable10(results))
 		fmt.Println()
 		fmt.Print(core.FormatSeries(results))
-		if o.jsonOut != "" {
-			if err := core.WriteJSON(o.jsonOut, results); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "results written to %s\n", o.jsonOut)
-		}
 		if o.shape {
 			if problems := core.CheckShape(results); len(problems) > 0 {
 				for _, prob := range problems {
@@ -339,45 +320,6 @@ func runOne(experiment string, o options, p core.Params) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", experiment)
 	}
-	return nil
-}
-
-// runTable10Topology drives the table10 workload through a shard.Router
-// over already-running labbase-server processes (started with -shard k/n
-// over fresh stores) instead of an in-process store. Only 1-server
-// topologies can run table10 — its gel batches violate the sharded
-// single-partition contract for N > 1 — so this mode exists to prove the
-// distributed stack end to end: same workload, same results, the storage
-// manager a process away. CPU and fault columns meter this process, not
-// the server, so the shape check is skipped.
-func runTable10Topology(o options, p core.Params) error {
-	if o.shards > 0 {
-		return fmt.Errorf("-topology and -shards are mutually exclusive")
-	}
-	t, err := shard.ParseTopology(o.topology)
-	if err != nil {
-		return err
-	}
-	r, err := shard.OpenRouter(t, shard.RouterOptions{})
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	res, err := core.RunStore(r, p)
-	if err != nil {
-		return fmt.Errorf("core: router: %w", err)
-	}
-	results := []*core.RunResult{res}
-	fmt.Print(core.FormatTable10(results))
-	fmt.Println()
-	fmt.Print(core.FormatSeries(results))
-	if o.jsonOut != "" {
-		if err := core.WriteJSON(o.jsonOut, results); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "results written to %s\n", o.jsonOut)
-	}
-	fmt.Fprintln(os.Stderr, "shape check skipped: -topology meters the client process, not the servers")
 	return nil
 }
 

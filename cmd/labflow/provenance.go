@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -19,7 +17,7 @@ import (
 // Untabled cells are bounded by a resolution-step budget and reported as
 // lower bounds ("DNF") when they exhaust it; answer sets are cross-checked
 // between every pair of modes that completed, and any inequality fails the
-// run. See internal/core/provenance.go and DESIGN §13.
+// run. See internal/core/provenance.go and DESIGN §10.
 func runProvenance(o options) error {
 	var depths []int
 	for _, s := range strings.Split(o.depths, ",") {
@@ -65,22 +63,5 @@ func runProvenance(o options) error {
 			s.Shape, s.Depth, s.Width, s.Edges, unt, s.TabledMS, s.NativeMS, spT, spN)
 	}
 	fmt.Println("\nanswer-set check: every completed mode pair identical (asserted per cell)")
-
-	if o.jsonOut != "" {
-		f, err := os.Create(o.jsonOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(res)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "results written to %s\n", o.jsonOut)
-	}
 	return nil
 }

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 
 	"labflow/internal/metrics"
@@ -16,7 +14,7 @@ import (
 )
 
 // The recovery experiment (BENCH_6) measures the two bounded-recovery
-// numbers DESIGN §12 promises:
+// numbers DESIGN §8 promises:
 //
 //   - recovery time: how long a cold reopen takes after a primary dies
 //     without closing, as a function of the checkpoint interval. The
@@ -36,27 +34,27 @@ import (
 
 // recoveryCell is one (backend, checkpoint interval) reopen measurement.
 type recoveryCell struct {
-	Backend         string  `json:"backend"`
-	CheckpointEvery int     `json:"checkpoint_every"`
-	Commits         int     `json:"commits"`
-	Outcome         string  `json:"outcome"`
-	ReplayedRecords int     `json:"replayed_records"`
-	RestoredLSN     uint64  `json:"restored_lsn,omitempty"`
-	RecoveryMS      float64 `json:"recovery_ms"`
+	Backend         string
+	CheckpointEvery int
+	Commits         int
+	Outcome         string
+	ReplayedRecords int
+	RestoredLSN     uint64
+	RecoveryMS      float64
 }
 
 // failoverCell is one backend's promote-and-open measurement.
 type failoverCell struct {
-	Backend        string  `json:"backend"`
-	Commits        int     `json:"commits"`
-	ShippedLSN     uint64  `json:"shipped_lsn"`
-	PromoteMS      float64 `json:"promote_ms"`
-	FollowerOpenMS float64 `json:"follower_open_ms"`
-	FailoverMS     float64 `json:"failover_ms"`
+	Backend        string
+	Commits        int
+	ShippedLSN     uint64
+	PromoteMS      float64
+	FollowerOpenMS float64
+	FailoverMS     float64
 }
 
 // runRecovery measures recovery and failover time for both persistent
-// backends and prints (and optionally JSON-writes) the BENCH_6 columns.
+// backends and prints the BENCH_6 columns.
 func runRecovery(o options) error {
 	commits := o.crashruns // reuse: the flag is "how many units", here commits
 	if commits <= 0 || commits == 100 {
@@ -67,7 +65,6 @@ func runRecovery(o options) error {
 	}
 	fmt.Printf("recovery and failover time, %d commits, 4 x 256-byte allocations per commit\n\n", commits)
 
-	var rcells []recoveryCell
 	for _, cell := range []struct {
 		backend string
 		every   int
@@ -82,42 +79,18 @@ func runRecovery(o options) error {
 		if err != nil {
 			return fmt.Errorf("recovery %s ckpt=%d: %w", cell.backend, cell.every, err)
 		}
-		rcells = append(rcells, c)
 		fmt.Printf("  %-7s ckpt=%-3d  %-22s replayed=%-4d %8.2f ms\n",
 			c.Backend, c.CheckpointEvery, c.Outcome, c.ReplayedRecords, c.RecoveryMS)
 	}
 
 	fmt.Println()
-	var fcells []failoverCell
 	for _, backend := range []string{"ostore", "texas"} {
 		c, err := measureFailover(o.dir, backend, commits)
 		if err != nil {
 			return fmt.Errorf("failover %s: %w", backend, err)
 		}
-		fcells = append(fcells, c)
 		fmt.Printf("  %-7s failover  promote=%.2f ms + open=%.2f ms = %8.2f ms (lsn %d)\n",
 			c.Backend, c.PromoteMS, c.FollowerOpenMS, c.FailoverMS, c.ShippedLSN)
-	}
-
-	if o.jsonOut != "" {
-		f, err := os.Create(o.jsonOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(map[string]any{
-			"commits":  commits,
-			"recovery": rcells,
-			"failover": fcells,
-		})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "results written to %s\n", o.jsonOut)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@
 // -standbys additionally launches one warm standby per shard
 // (labbase-server -standby) and wires each primary's -ship flag to it; the
 // topology file then carries the standby addresses, so a router can
-// promote a follower when its primary dies (DESIGN §12). With standbys on,
+// promote a follower when its primary dies (DESIGN §8). With standbys on,
 // a dead primary does not tear the cluster down — that is exactly the
 // failure the standby exists to absorb.
 //

@@ -87,12 +87,6 @@ func RunClustering(dir string, p Params) (*ClusteringResult, error) {
 	return res, nil
 }
 
-// ScanFamilyForBench exposes the family-trail retrieval to the benchmark
-// harness in bench_test.go.
-func ScanFamilyForBench(db *labbase.DB, clone workflow.ID) error {
-	return scanFamily(db, clone)
-}
-
 // scanFamily reads a clone's full audit trail and, through its
 // associate_tclone steps, every spawned tclone's trail.
 func scanFamily(db *labbase.DB, clone workflow.ID) error {

@@ -71,8 +71,8 @@ type Params struct {
 	// Shards routes the run through the hash-partitioned shard.DB facade:
 	// 0 keeps the plain labbase.DB, 1 fronts the store with a 1-shard
 	// facade (byte-identical by contract, used to prove it). table10's
-	// gel batches span arbitrary materials, so N>1 is rejected — use
-	// lfload for multi-shard write scaling.
+	// gel batches span arbitrary materials, so N>1 is rejected — the
+	// shard-mix workload in bench/ measures multi-shard traffic.
 	Shards int
 }
 

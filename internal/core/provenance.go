@@ -266,39 +266,39 @@ func BuildProvDAG(shape string, depth, width int, seed int64) (*ProvDAG, error) 
 // ProvCell is one (shape, depth, width, mode) measurement: the sink's
 // ancestor closure, timed.
 type ProvCell struct {
-	Shape           string  `json:"shape"`
-	Depth           int     `json:"depth"`
-	Width           int     `json:"width"`
-	Nodes           int     `json:"nodes"`
-	Edges           int     `json:"edges"`
-	Mode            string  `json:"mode"` // untabled | tabled | native
-	Answers         int     `json:"answers"`
-	Outcome         string  `json:"outcome"` // ok | budget
-	ResolutionSteps int64   `json:"resolution_steps"`
-	WallMS          float64 `json:"wall_ms"`
-	CPUMS           float64 `json:"cpu_ms"`
+	Shape           string
+	Depth           int
+	Width           int
+	Nodes           int
+	Edges           int
+	Mode            string // untabled | tabled | native
+	Answers         int
+	Outcome         string // ok | budget
+	ResolutionSteps int64
+	WallMS          float64
+	CPUMS           float64
 }
 
 // ProvSummary compares the three modes on one DAG.
 type ProvSummary struct {
-	Shape         string  `json:"shape"`
-	Depth         int     `json:"depth"`
-	Width         int     `json:"width"`
-	Edges         int     `json:"edges"`
-	UntabledMS    float64 `json:"untabled_ms"`
-	UntabledDNF   bool    `json:"untabled_dnf"` // budget exhausted: time is a lower bound
-	TabledMS      float64 `json:"tabled_ms"`
-	NativeMS      float64 `json:"native_ms"`
-	SpeedupTabled float64 `json:"speedup_tabled"`
-	SpeedupNative float64 `json:"speedup_native"`
+	Shape         string
+	Depth         int
+	Width         int
+	Edges         int
+	UntabledMS    float64
+	UntabledDNF   bool // budget exhausted: time is a lower bound
+	TabledMS      float64
+	NativeMS      float64
+	SpeedupTabled float64
+	SpeedupNative float64
 }
 
 // ProvResult is the full BENCH_7 sweep.
 type ProvResult struct {
-	BudgetSteps int64         `json:"budget_steps"`
-	Seed        int64         `json:"seed"`
-	Cells       []ProvCell    `json:"cells"`
-	Summary     []ProvSummary `json:"summary"`
+	BudgetSteps int64
+	Seed        int64
+	Cells       []ProvCell
+	Summary     []ProvSummary
 }
 
 // provAnswerSet runs q read-only over a fresh snapshot with a step budget

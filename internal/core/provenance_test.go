@@ -152,36 +152,3 @@ func TestRunProvenanceSmoke(t *testing.T) {
 		}
 	}
 }
-
-func benchDAG(b *testing.B, shape string, depth, width int, mode string) {
-	b.Helper()
-	d, err := BuildProvDAG(shape, depth, width, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	br, err := provBridge(d.DB, mode)
-	if err != nil {
-		b.Fatal(err)
-	}
-	anc, _, _ := provQueries(mode, d)
-	want := wantAncestors(shape, depth, width)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Fresh bridge per iteration for rule modes: tables are per-query
-		// (per Qctx) already, but this also resets any parser/index state.
-		set, _, err := provAnswerSet(br, d.DB, anc, "A", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(set) != want {
-			b.Fatalf("%d answers, want %d", len(set), want)
-		}
-	}
-}
-
-func BenchmarkLineageTabledDiamond32(b *testing.B)   { benchDAG(b, "diamond", 32, 2, "tabled") }
-func BenchmarkLineageNativeDiamond32(b *testing.B)   { benchDAG(b, "diamond", 32, 2, "native") }
-func BenchmarkLineageUntabledDiamond12(b *testing.B) { benchDAG(b, "diamond", 12, 2, "untabled") }
-func BenchmarkLineageTabledChain256(b *testing.B)    { benchDAG(b, "chain", 256, 1, "tabled") }
-func BenchmarkLineageNativeChain256(b *testing.B)    { benchDAG(b, "chain", 256, 1, "native") }

@@ -1,25 +1,12 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
 
 	"labflow/internal/metrics"
 )
-
-// WriteJSON stores run results as a machine-readable reproduction artifact.
-func WriteJSON(path string, results []*RunResult) error {
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: marshal results: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("core: write results: %w", err)
-	}
-	return nil
-}
 
 func mkdir(path string) error {
 	if err := os.MkdirAll(path, 0o755); err != nil {

@@ -53,7 +53,7 @@ type RunResult struct {
 	// across versions. Wall clock (monotonic, per goroutine) and all
 	// simulated counters (majflt, page writes, size, steps, queries) remain
 	// exact per run.
-	SharedCPU bool `json:",omitempty"`
+	SharedCPU bool
 }
 
 // Run executes the LabFlow-1 workload on one server version. The event
@@ -72,11 +72,11 @@ func Run(kind StoreKind, dir string, p Params) (*RunResult, error) {
 		// create material sets over arbitrary waiting materials, which
 		// violates the sharded single-partition contract (shard.ErrCrossShard)
 		// for any N > 1 — only the 1-shard facade (used to prove it is
-		// byte-identical to a plain DB) is supported here. Use lfload for
-		// multi-shard write scaling.
+		// byte-identical to a plain DB) is supported here. Multi-shard
+		// traffic is measured by the shard-mix workload in bench/.
 		if p.Shards > 1 {
 			sm.Close()
-			return nil, fmt.Errorf("core: %s: table10 supports -shards 1 only: gel batches build material sets over arbitrary materials, so N>1 would violate the single-partition step contract", kind)
+			return nil, fmt.Errorf("core: %s: table10 supports Shards = 1 only: gel batches build material sets over arbitrary materials, so N>1 would violate the single-partition step contract", kind)
 		}
 		db, err = shard.Open([]storage.Manager{sm}, labbase.DefaultOptions())
 	} else {

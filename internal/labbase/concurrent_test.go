@@ -7,11 +7,10 @@ import (
 	"testing"
 
 	"labflow/internal/storage"
-	"labflow/internal/storage/memstore"
 )
 
 // loadReadSet creates mats materials, each with steps recorded steps, and
-// returns their OIDs. Used by the concurrency tests and read benchmarks.
+// returns their OIDs. Used by the concurrency and snapshot tests.
 func loadReadSet(tb testing.TB, db *DB, mats, steps int) []storage.OID {
 	tb.Helper()
 	if err := db.Begin(); err != nil {
@@ -212,39 +211,3 @@ func mustMR(t *testing.T, db *DB, oid storage.OID) storage.OID {
 	}
 	return m.mrIndex
 }
-
-// benchReaders measures MostRecent with exactly n concurrent readers over a
-// shared database, the read-scaling experiment from EXPERIMENTS.md. On a
-// single-core host the in-process numbers stay flat (the lock was never the
-// bottleneck — the CPU is); the wire-level scaling shows up in lfload.
-func benchReaders(b *testing.B, n int) {
-	db, err := Open(memstore.Open("bench-mm"), DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	oids := loadReadSet(b, db, 256, 4)
-
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	per := b.N / n
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(r)))
-			for i := 0; i < per; i++ {
-				oid := oids[rng.Intn(len(oids))]
-				if _, _, _, err := db.MostRecent(oid, "reading"); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
-func BenchmarkMostRecentReaders1(b *testing.B)  { benchReaders(b, 1) }
-func BenchmarkMostRecentReaders4(b *testing.B)  { benchReaders(b, 4) }
-func BenchmarkMostRecentReaders16(b *testing.B) { benchReaders(b, 16) }

@@ -88,7 +88,7 @@ func DefaultOptions() Options {
 // Begin/Commit brackets (the wire server's write lock does this); wmu alone
 // only makes the individual calls atomic. The decode caches and the version
 // table are internally synchronized leaf locks below wmu — see DESIGN.md
-// §10 for the full hierarchy. Close must not run concurrently with reads:
+// §9 for the full hierarchy. Close must not run concurrently with reads:
 // it releases the storage manager, which active snapshots still read
 // through (the wire server drains its connections first).
 type DB struct {

@@ -3,7 +3,7 @@
 // and group-commit pipeline) and its own lock domain, behind the same
 // labbase.Store surface as a single DB. Materials are routed by an FNV-1a
 // hash of the material name; everything a step touches must live on one
-// shard (see ErrCrossShard and DESIGN §9).
+// shard (see ErrCrossShard and DESIGN §12).
 //
 // OIDs stay plain storage.OID: the shard number is carved out of the high
 // bits of the 56-bit per-segment index, so an OID is self-describing about

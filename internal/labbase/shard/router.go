@@ -34,7 +34,7 @@ import (
 // standby (OpPromote) and retargets the shard's pool at it, and the old
 // primary's address is never probed again — if the old process comes back
 // it is simply unreachable from this router, which is the split-brain
-// guard (see DESIGN §12).
+// guard (see DESIGN §8).
 type Router struct {
 	*core
 	pools []*pool

@@ -22,7 +22,7 @@
 //
 //	cowhygiene   values loaded from published snapshot state are immutable
 //	atomichygiene a field accessed atomically anywhere is atomic everywhere
-//	lockorder    mutex acquisition follows the DESIGN §7/§10 hierarchy
+//	lockorder    mutex acquisition follows the DESIGN §6.3 hierarchy
 //
 // Diagnostics can be suppressed, with a mandatory justification, by a
 // directive on the offending line or on its own line immediately above:

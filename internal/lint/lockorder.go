@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// lockorder enforces the DESIGN §7 mutex hierarchy across the module. Every
+// lockorder enforces the DESIGN §6.3 mutex hierarchy across the module. Every
 // acquisition site is analyzed with the set of lock *classes* that may
 // already be held — a class is the field that declares the mutex
 // ("labbase.DB.wmu"), so every instance of a sharded lock shares one node —
@@ -30,7 +30,7 @@ import (
 //     check are the ones inside each transport.
 //  2. Leaf classes (oidCache.mu, verTable.mu, readerSlots.mu) may acquire
 //     nothing at all while held — that is what makes them safe to take
-//     from both the read and write paths (DESIGN §10).
+//     from both the read and write paths (DESIGN §9).
 //  3. The module-wide acquisition graph, including unranked storage-manager
 //     mutexes, must be acyclic. Storage locks are deliberately unranked:
 //     they sit below everything and only a genuine cycle among them is a
@@ -47,11 +47,11 @@ import (
 // the spawner's locks.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "mutex acquisition must follow the DESIGN §7 hierarchy and stay acyclic",
+	Doc:       "mutex acquisition must follow the DESIGN §6.3 hierarchy and stay acyclic",
 	RunModule: runLockOrder,
 }
 
-// lockRanks is the encoded DESIGN §7 hierarchy. A lock may only be acquired
+// lockRanks is the encoded DESIGN §6.3 hierarchy. A lock may only be acquired
 // while every held ranked lock has a strictly smaller rank. Equal-rank
 // classes (the leaves) are mutually unordered and guarded by lockLeaves
 // instead. The fixture mirrors exercise the same table from testdata.
@@ -480,13 +480,13 @@ func (st *lockState) acquire(held map[string]bool, target string, pos token.Pos,
 			continue // a call-carried re-acquisition surfaces as a cycle
 		}
 		if lockLeaves[h] {
-			st.reportOnce(pos, "%s is a leaf lock (DESIGN §7) and may acquire nothing, but is held while acquiring %s%s", shortKey(h), shortKey(target), suffix)
+			st.reportOnce(pos, "%s is a leaf lock (DESIGN §6.3) and may acquire nothing, but is held while acquiring %s%s", shortKey(h), shortKey(target), suffix)
 			continue
 		}
 		rh, okH := lockRanks[h]
 		rt, okT := lockRanks[target]
 		if okH && okT && rh > rt {
-			st.reportOnce(pos, "acquiring %s while holding %s inverts the DESIGN §7 lock hierarchy%s", shortKey(target), shortKey(h), suffix)
+			st.reportOnce(pos, "acquiring %s while holding %s inverts the DESIGN §6.3 lock hierarchy%s", shortKey(target), shortKey(h), suffix)
 		}
 	}
 }
@@ -600,6 +600,6 @@ func (st *lockState) reportCycles() {
 		for i, c := range scc {
 			names[i] = shortKey(c)
 		}
-		st.reportOnce(pos, "lock classes %s can be acquired in conflicting orders: the acquisition graph has a cycle (DESIGN §7)", strings.Join(names, " <-> "))
+		st.reportOnce(pos, "lock classes %s can be acquired in conflicting orders: the acquisition graph has a cycle (DESIGN §6.3)", strings.Join(names, " <-> "))
 	}
 }

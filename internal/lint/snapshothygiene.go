@@ -7,7 +7,7 @@ import (
 )
 
 // SnapshotHygiene enforces the MVCC read-path contract introduced with
-// snapshot reads (DESIGN §10): once a snapshot is published, everything
+// snapshot reads (DESIGN §9): once a snapshot is published, everything
 // reachable from it is immutable, and readers run lock-free against their
 // capture. The analyzer checks every method whose receiver type is a
 // snapshot handle — named "Snap" or ending in "Snap", the repository's

@@ -18,7 +18,7 @@
 //     behind, so a crash between the log write and the page write-back loses
 //     nothing.
 //
-// Since the checkpoint/replication work (DESIGN §12) the log is an
+// Since the checkpoint/replication work (DESIGN §8) the log is an
 // append-only sequence of LSN-numbered records behind a checkpoint cursor
 // (the repl package's protocol): records retire in batches at periodic
 // checkpoints, which bounds reopen replay to the delta since the last
@@ -132,7 +132,7 @@ func Open(opts Options) (storage.Manager, error) {
 		}
 	}
 	nextLSN := uint64(1)
-	var pending []pendingRecord
+	var pending repl.ShipQueue
 	if logFile != nil {
 		n, replayed, err := recoverLog(logFile, backing, opts.SyncLog, opts.Recovery)
 		if err != nil {
@@ -147,9 +147,9 @@ func Open(opts Options) (storage.Manager, error) {
 			// the follower behind while the stream would resume past it.
 			// Queue the replayed records for redelivery ahead of the next
 			// commit group; records the follower already holds are retired
-			// there without retransmission (see resolvePendingShips).
+			// there without retransmission (see repl.ShipQueue).
 			for _, rec := range replayed {
-				pending = append(pending, pendingRecord{lsn: rec.LSN, rec: repl.EncodeRecord(rec.LSN, rec.Pages)})
+				pending.Add(rec.LSN, repl.EncodeRecord(rec.LSN, rec.Pages))
 			}
 		}
 	} else if opts.Recovery != nil {
@@ -278,8 +278,8 @@ type pager struct {
 	// locking.
 	shipper   repl.Shipper
 	nextLSN   uint64
-	pending   []pendingRecord
-	logEnd    int64 // live tail: where the next record goes, not the file's length
+	pending   repl.ShipQueue // burned LSNs the follower never acked
+	logEnd    int64          // live tail: where the next record goes, not the file's length
 	ckptEvery int
 	sinceCkpt int
 	scratch   []byte // record buffer reused across flushes; at most maxScratchPages wide
@@ -288,16 +288,6 @@ type pager struct {
 	commitReq chan *commitBatch
 	done      chan struct{}
 	flushDone chan struct{} // closed when flushLoop exits
-}
-
-// pendingRecord is a redo record that reached its local durability point
-// but was never acked by the follower: its Ship failed, or it was replayed
-// from the log by a reopen. The LSN is burned — these exact bytes are
-// redelivered ahead of the next commit group (resolvePendingShips) so the
-// stream never reuses an LSN for different contents.
-type pendingRecord struct {
-	lsn uint64
-	rec []byte
 }
 
 // serve is the page-server goroutine: every cache miss is a round trip here,
@@ -543,9 +533,9 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 	// follower before this group's record: acking LSN n promises the
 	// follower holds everything through n. A redelivery failure fails the
 	// group before it burns a new LSN.
-	if p.shipper != nil && len(p.pending) > 0 {
-		if err := p.resolvePendingShips(); err != nil {
-			return err
+	if p.shipper != nil {
+		if err := p.pending.Resolve(p.shipper); err != nil {
+			return fmt.Errorf("ostore: %w", err)
 		}
 	}
 	if p.log != nil || p.shipper != nil {
@@ -584,7 +574,7 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 		if p.shipper != nil {
 			if err := p.shipper.Ship(p.nextLSN, buf); err != nil {
 				lsn := p.nextLSN
-				p.pending = append(p.pending, pendingRecord{lsn: lsn, rec: bytes.Clone(buf)})
+				p.pending.Add(lsn, bytes.Clone(buf))
 				p.nextLSN++
 				if p.log != nil {
 					p.logEnd += int64(len(buf))
@@ -622,37 +612,6 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 			p.sinceCkpt = 0
 			p.logEnd = repl.CursorSize
 		}
-	}
-	return nil
-}
-
-// resolvePendingShips redelivers records whose shipment was never acked —
-// a Ship that returned a transport error, or records replayed from the log
-// at Open. When the shipper can report the follower's state, records the
-// follower already holds (shipped successfully with the ack lost) are
-// retired without retransmission; the rest go out in LSN order with their
-// original bytes. Any failure leaves the unresolved tail queued and fails
-// the caller's commit group.
-func (p *pager) resolvePendingShips() error {
-	if sq, ok := p.shipper.(repl.StateShipper); ok {
-		last, err := sq.FollowerLSN()
-		if err != nil {
-			return fmt.Errorf("ostore: query follower state: %w", err)
-		}
-		kept := p.pending[:0]
-		for _, pr := range p.pending {
-			if pr.lsn > last {
-				kept = append(kept, pr)
-			}
-		}
-		p.pending = kept
-	}
-	for len(p.pending) > 0 {
-		pr := p.pending[0]
-		if err := p.shipper.Ship(pr.lsn, pr.rec); err != nil {
-			return fmt.Errorf("ostore: re-ship record %d: %w", pr.lsn, err)
-		}
-		p.pending = p.pending[1:]
 	}
 	return nil
 }

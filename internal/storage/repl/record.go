@@ -391,3 +391,59 @@ type StateShipper interface {
 	Shipper
 	FollowerLSN() (uint64, error)
 }
+
+// ShipQueue is the primary's side of the immutable-LSN rule: the records
+// that reached their local durability point but were never acked by the
+// follower — a Ship that returned an error, or records replayed from the
+// log by a reopen. Their LSNs are burned, so these exact bytes must reach
+// the follower (or be found there already) ahead of the next record; the
+// stream never reuses an LSN for different contents. The zero value is an
+// empty queue. Not safe for concurrent use: each storage manager touches
+// its queue only from its commit path.
+type ShipQueue struct {
+	pending []pendingRecord
+}
+
+type pendingRecord struct {
+	lsn uint64
+	rec []byte
+}
+
+// Add queues record under its burned LSN. The queue keeps the slice, so a
+// caller that reuses its encode buffer must pass a copy.
+func (q *ShipQueue) Add(lsn uint64, record []byte) {
+	q.pending = append(q.pending, pendingRecord{lsn: lsn, rec: record})
+}
+
+// Resolve empties the queue through s before a new LSN goes out. When s
+// can report the follower's state (StateShipper), records the follower
+// already holds — applied, only the ack lost — are retired without
+// retransmission; the rest are re-shipped in LSN order with their original
+// bytes. Any failure leaves the unresolved tail queued and must fail the
+// caller's commit.
+func (q *ShipQueue) Resolve(s Shipper) error {
+	if len(q.pending) == 0 {
+		return nil
+	}
+	if sq, ok := s.(StateShipper); ok {
+		last, err := sq.FollowerLSN()
+		if err != nil {
+			return fmt.Errorf("query follower state: %w", err)
+		}
+		kept := q.pending[:0]
+		for _, pr := range q.pending {
+			if pr.lsn > last {
+				kept = append(kept, pr)
+			}
+		}
+		q.pending = kept
+	}
+	for len(q.pending) > 0 {
+		pr := q.pending[0]
+		if err := s.Ship(pr.lsn, pr.rec); err != nil {
+			return fmt.Errorf("re-ship record %d: %w", pr.lsn, err)
+		}
+		q.pending = q.pending[1:]
+	}
+	return nil
+}

@@ -8,7 +8,7 @@ import (
 	"labflow/internal/storage/repl"
 )
 
-// This file is the texas side of the DESIGN §12 checkpoint/replication
+// This file is the texas side of the DESIGN §8 checkpoint/replication
 // machinery: periodic whole-store page-image snapshots into two alternating
 // slots (the manager has no redo log, so its only restore unit is the whole
 // backing at a commit boundary), restore-from-snapshot for torn stores, and
@@ -61,15 +61,6 @@ func (p *pager) snapshotsOn() bool {
 	return p.slots[0] != nil || p.slots[1] != nil
 }
 
-// pendingRecord is a commit's encoded redo record that was never acked by
-// the follower (its Ship failed): the LSN is burned, and these exact bytes
-// are redelivered ahead of the next commit so the stream never reuses an
-// LSN for different contents.
-type pendingRecord struct {
-	lsn uint64
-	rec []byte
-}
-
 // commitReplLocked runs after a successful flush: assign the commit its LSN,
 // ship the captured page images (an empty record for a read-only commit, so
 // the standby's LSN tracks the primary's commit count exactly), and write a
@@ -84,8 +75,8 @@ func (p *pager) commitReplLocked() error {
 		return nil
 	}
 	if p.shipper != nil {
-		if err := p.resolvePendingLocked(); err != nil {
-			return err
+		if err := p.pending.Resolve(p.shipper); err != nil {
+			return fmt.Errorf("texas: %w", err)
 		}
 		lsn := p.nextLSN
 		ids := make([]pagefile.PageID, 0, len(p.ship))
@@ -102,7 +93,7 @@ func (p *pager) commitReplLocked() error {
 		// whether or not the shipment below succeeds.
 		clear(p.ship)
 		if err := p.shipper.Ship(lsn, buf); err != nil {
-			p.pending = append(p.pending, pendingRecord{lsn: lsn, rec: buf})
+			p.pending.Add(lsn, buf)
 			p.nextLSN++
 			return fmt.Errorf("texas: ship record %d: %w", lsn, err)
 		}
@@ -119,39 +110,6 @@ func (p *pager) commitReplLocked() error {
 				return fmt.Errorf("texas: snapshot: %w", err)
 			}
 		}
-	}
-	return nil
-}
-
-// resolvePendingLocked redelivers records whose earlier Ship was never
-// acked, before a new LSN goes out. When the shipper can report the
-// follower's state, records the follower already holds (applied, ack lost
-// in transport) are retired without retransmission; the rest are re-shipped
-// in LSN order with their original bytes. Any failure leaves the unresolved
-// tail queued and fails this commit.
-func (p *pager) resolvePendingLocked() error {
-	if len(p.pending) == 0 {
-		return nil
-	}
-	if sq, ok := p.shipper.(repl.StateShipper); ok {
-		last, err := sq.FollowerLSN()
-		if err != nil {
-			return fmt.Errorf("texas: query follower state: %w", err)
-		}
-		kept := p.pending[:0]
-		for _, pr := range p.pending {
-			if pr.lsn > last {
-				kept = append(kept, pr)
-			}
-		}
-		p.pending = kept
-	}
-	for len(p.pending) > 0 {
-		pr := p.pending[0]
-		if err := p.shipper.Ship(pr.lsn, pr.rec); err != nil {
-			return fmt.Errorf("texas: re-ship record %d: %w", pr.lsn, err)
-		}
-		p.pending = p.pending[1:]
 	}
 	return nil
 }

@@ -62,7 +62,7 @@ type Options struct {
 	MaxResidentPages int
 	// Clustering enables client-directed placement (the +TC version).
 	Clustering bool
-	// CheckpointEvery enables page-image snapshots (DESIGN §12): every this
+	// CheckpointEvery enables page-image snapshots (DESIGN §8): every this
 	// many commits the whole backing is serialized into one of two
 	// alternating snapshot slots. 0 disables snapshots (the historical
 	// detect-only behaviour) unless Snapshots slots are supplied, in which
@@ -261,7 +261,7 @@ type pager struct {
 	stats      pagefile.PagerStats
 	closed     bool
 
-	// Snapshot/shipping state (DESIGN §12), all under mu.
+	// Snapshot/shipping state (DESIGN §8), all under mu.
 	slots     [2]repl.LogFile            // nil slots: snapshots disabled
 	snapEvery int                        // commits between snapshots
 	seqNext   uint64                     // next snapshot sequence number
@@ -269,7 +269,7 @@ type pager struct {
 	sinceSnap int                        // commits since the last snapshot
 	shipper   repl.Shipper               // nil: no standby
 	ship      map[pagefile.PageID][]byte // unstamped images pending shipment
-	pending   []pendingRecord            // encoded records never acked by the follower
+	pending   repl.ShipQueue             // burned LSNs the follower never acked
 }
 
 // writePageLocked is the single path to the backing for page images. For a

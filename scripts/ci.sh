@@ -1,9 +1,10 @@
 #!/bin/sh
 # ci.sh — the repository's check pipeline, also run locally via `make check`.
 # Keeps the tier-1 gate honest: vet, gofmt, build, the labflowvet determinism
-# and hygiene analyzers, the full test suite under the race detector, and a
-# one-iteration smoke pass of the five Section-10 benchmark targets so the
-# benchmark harness itself cannot silently rot.
+# and hygiene analyzers, the full test suite under the race detector, the
+# seeded crash and failover schedules, one tiny self-checked pass of every
+# bench/ workload so the ruler cannot silently rot, and the two multi-process
+# smokes (lfcluster + lfload).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,18 @@ fmt_drift=$(gofmt -l .)
 if [ -n "$fmt_drift" ]; then
 	echo "gofmt drift in:" >&2
 	echo "$fmt_drift" >&2
+	exit 1
+fi
+
+echo "== one measurement surface (no side benchmarks, lfload only against a cluster)"
+# Published numbers come from bench/ alone: Makefile and scripts/ may not run
+# the testing package's benchmarks, and may run lfload only with -topology.
+if grep -nE 'go test.*[-]bench' Makefile scripts/*.sh; then
+	echo "a Makefile or scripts/ line runs go-test benchmarks; use bench/" >&2
+	exit 1
+fi
+if grep -nE '(/lfload"?|cmd/lfload) +-' Makefile scripts/*.sh | grep -v -e '-topology'; then
+	echo "an lfload invocation without -topology; in-process load belongs to bench/" >&2
 	exit 1
 fi
 
@@ -84,7 +97,7 @@ go test -race -run '^$' -fuzz 'FuzzServerHandle' -fuzztime 10s ./internal/wire/
 go test -race -run '^$' -fuzz 'FuzzStandbyHandle' -fuzztime 5s ./internal/wire/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks Begin/Close and nobody else)"
-# DESIGN §10 "What a reader can wait on": with a commit held inside the log's
+# DESIGN §9 "What a reader can wait on": with a commit held inside the log's
 # fsync, Read/Root/Stats return and Begin/Close wait (pagefile over a bare
 # pager, ostore); over texas the same schedule must merely be harmless. Close
 # against an in-flight group flush rides along. Repeated, since these are
@@ -94,39 +107,19 @@ go test -race -count=5 \
 	./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/
 
 echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + snapshot OpQuery)"
-# The MVCC read-path contract (DESIGN §10): snapshots pinned across commits
+# The MVCC read-path contract (DESIGN §9): snapshots pinned across commits
 # stay at their capture, concurrent batches never expose torn state (single
 # DB and 4-shard), and OpQuery under concurrent connections is byte-identical
 # to a single-connection reference while write batches land. TestCore* are the shard
-# core's rules over fake members (DESIGN §9), whose gathers run concurrently.
+# core's rules over fake members (DESIGN §12), whose gathers run concurrently.
 go test -race -shuffle=on -count=1 \
 	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected' \
 	./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/
 
-echo "== lfload smoke (closed-loop load generator)"
-lfload_out=$(go run ./cmd/lfload -workers 4 -pipeline 4 -readmix 0.9 -ops 4000 -materials 200 -json)
-# lfload exits nonzero on any worker error or zero throughput; double-check
-# the report actually carries a throughput figure.
-echo "$lfload_out" | grep -q '"ops_per_sec"' || {
-	echo "lfload smoke: no throughput in report" >&2
-	exit 1
-}
-
-echo "== lfload write-path smoke (4-shard server, write-only mix)"
-lfload_w=$(go run ./cmd/lfload -workers 4 -pipeline 4 -readmix 0.0 -writebatch 8 \
-	-shards 4 -ops 2000 -materials 200 -json)
-echo "$lfload_w" | grep -q '"ops_per_sec"' || {
-	echo "lfload write-path smoke: no throughput in report" >&2
-	exit 1
-}
-
-echo "== lfload querymix smoke (OpQuery in the closed loop)"
-lfload_q=$(go run ./cmd/lfload -workers 4 -pipeline 4 -readmix 1.0 -querymix 0.5 \
-	-ops 2000 -materials 200 -json)
-echo "$lfload_q" | grep -q '"query_ops"' || {
-	echo "lfload querymix smoke: no query ops in report" >&2
-	exit 1
-}
+echo "== bench smoke (every BENCHMARK.json workload at -scale 0.02, self-checked)"
+# The one place an in-process workload runs; it exits non-zero when any
+# result line says "correct":false.
+make bench-smoke
 
 echo "== cluster smoke (2 labbase-server processes, lfload through the router)"
 ./scripts/cluster_smoke.sh
@@ -152,19 +145,5 @@ go run ./cmd/labflow -experiment provenance -depths 3,6 -width 2 >/dev/null || {
 	echo "  go run ./cmd/labflow -experiment provenance -depths 3,6 -width 2" >&2
 	exit 1
 }
-
-echo "== lfload lineagemix smoke (recursive closure queries in the closed loop)"
-lfload_l=$(go run ./cmd/lfload -workers 4 -pipeline 4 -readmix 1.0 -lineagemix 0.3 \
-	-ops 2000 -materials 200 -json)
-echo "$lfload_l" | grep -q '"lineage_ops"' || {
-	echo "lfload lineagemix smoke: no lineage ops in report" >&2
-	exit 1
-}
-
-echo "== write benchmark smoke (BenchmarkPutStepsWriters, 1 iteration each)"
-go test -bench 'BenchmarkPutStepsWriters' -benchtime=1x -run '^$' ./internal/labbase/shard/
-
-echo "== benchmark smoke (BenchmarkTable10_*, 1 iteration each)"
-go test -bench 'BenchmarkTable10_' -benchtime=1x -run '^$' .
 
 echo "ci: all checks passed"

@@ -45,7 +45,7 @@ while [ ! -s "$topo" ]; do
 done
 
 echo "== cluster-smoke: lfload closed loop through the router"
-out=$("$work/lfload" -topology "$topo" -workers 4 -pipeline 4 -readmix 0.5 \
+out=$("$work/lfload" -topology "$topo" -workers 4 -readmix 0.5 \
 	-ops 2000 -materials 200 -json)
 echo "$out" | grep -q '"ops_per_sec"' || {
 	echo "cluster-smoke: no throughput in lfload report" >&2

@@ -58,11 +58,11 @@ grep -q '"standbys"' "$topo" || {
 }
 
 echo "== failover-smoke: lfload closed loop, then SIGKILL shard 0's primary"
-# The retry knobs keep workers in their redial loop across the outage
+# The retry knobs keep workers in their retry loop across the outage
 # window: the router's health monitor needs about a probe period to mark
 # the shard down and promote the standby.
-"$work/lfload" -topology "$topo" -workers 4 -pipeline 4 -readmix 0.5 \
-	-ops 60000 -materials 200 -retrydown -retryfor 30s -json \
+"$work/lfload" -topology "$topo" -workers 4 -readmix 0.5 \
+	-ops 20000 -materials 200 -retrydown -retryfor 30s -json \
 	>"$work/load.json" 2>"$work/load.log" &
 load_pid=$!
 
@@ -126,7 +126,7 @@ if [ -z "$addr0" ]; then
 fi
 addr1=$(sed -n 's/.*"shards": *\[ *"[^"]*", *"\([^"]*\)".*/\1/p' "$topo")
 printf '{"shards": ["%s", "%s"]}\n' "$addr0" "$addr1" >"$promoted_topo"
-out=$("$work/lfload" -topology "$promoted_topo" -workers 2 -pipeline 4 \
+out=$("$work/lfload" -topology "$promoted_topo" -workers 2 \
 	-readmix 0.5 -ops 2000 -materials 200 -json)
 echo "$out" | grep -q '"ops_per_sec"' || {
 	echo "failover-smoke: post-failover round reported no throughput" >&2
