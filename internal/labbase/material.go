@@ -193,21 +193,38 @@ func (db *DB) MaterialsInState(state string) ([]storage.OID, error) {
 
 // MaterialsInState returns the state's members as of the snapshot.
 func (s *Snap) MaterialsInState(state string) ([]storage.OID, error) {
-	id, ok := s.catView().byState[state]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownState, state)
-	}
-	roots := s.stateRootsView()
-	var root *treapNode[uint64, struct{}]
-	if int(id) <= len(roots) {
-		root = roots[id-1]
-	}
 	out := make([]storage.OID, 0, 16)
-	_ = treapAscend(root, func(k uint64, _ struct{}) error {
-		out = append(out, storage.OID(k))
+	err := s.ScanStateIndex(state, func(oid storage.OID) error {
+		out = append(out, oid)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// ScanStateIndex walks one state's index (see IndexScanner).
+func (db *DB) ScanStateIndex(state string, fn func(storage.OID) error) error {
+	s := db.acquire()
+	defer s.Close()
+	return s.ScanStateIndex(state, fn)
+}
+
+// ScanStateIndex walks the state's members as of the snapshot, in OID
+// order, stopping at the first error fn returns.
+func (s *Snap) ScanStateIndex(state string, fn func(storage.OID) error) error {
+	id, ok := s.catView().byState[state]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownState, state)
+	}
+	roots := s.stateRootsView()
+	if int(id) > len(roots) {
+		return nil
+	}
+	return treapAscend(roots[id-1], func(k uint64, _ struct{}) error {
+		return fn(storage.OID(k))
+	})
 }
 
 // CountInState returns the number of materials in the named state.
@@ -299,6 +316,23 @@ func (s *Snap) ScanMaterials(class string, fn func(*Material) error) error {
 		}
 	}
 	return nil
+}
+
+// ScanClassExtent walks one class's own extent (see IndexScanner).
+func (db *DB) ScanClassExtent(class string, fn func(storage.OID) error) error {
+	s := db.acquire()
+	defer s.Close()
+	return s.ScanClassExtent(class, fn)
+}
+
+// ScanClassExtent walks the class's own extent as of the snapshot, in
+// insertion order: OIDs only, no record decoded, no subclass visited.
+func (s *Snap) ScanClassExtent(class string, fn func(storage.OID) error) error {
+	mc, ok := s.catView().byMCName[class]
+	if !ok {
+		return fmt.Errorf("%w: material class %q", ErrUnknownClass, class)
+	}
+	return s.scanExtentN(mc.extentHead, s.cntView().matsByClass[mc.ID-1], fn)
 }
 
 // ScanAllMaterials calls fn once for every material in the database,

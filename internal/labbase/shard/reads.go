@@ -62,7 +62,10 @@ type reads struct {
 	streams bool
 }
 
-var _ labbase.Reader = (*reads)(nil)
+var (
+	_ labbase.Reader       = (*reads)(nil)
+	_ labbase.IndexScanner = (*reads)(nil)
+)
 
 // visit is what a cross-shard read does on shard k, given a reader over it.
 type visit func(k int, rd labbase.Reader) error
@@ -356,6 +359,23 @@ func scan[T any](r *reads, each func(labbase.Reader, func(T) error) error, fn fu
 func (r *reads) ScanMaterials(class string, fn func(*labbase.Material) error) error {
 	return scan(r, func(rd labbase.Reader, visit func(*labbase.Material) error) error {
 		return rd.ScanMaterials(class, visit)
+	}, fn)
+}
+
+// ScanStateIndex walks each shard's state index in shard order, which is
+// OID order overall: MaterialsInState's list, one OID at a time. A shard
+// whose reader lacks the walk (a wire connection) lists its members
+// instead.
+func (r *reads) ScanStateIndex(state string, fn func(storage.OID) error) error {
+	return scan(r, func(rd labbase.Reader, visit func(storage.OID) error) error {
+		return labbase.WalkState(rd, state, visit)
+	}, fn)
+}
+
+// ScanClassExtent walks each shard's extent of exactly class, shard-major.
+func (r *reads) ScanClassExtent(class string, fn func(storage.OID) error) error {
+	return scan(r, func(rd labbase.Reader, visit func(storage.OID) error) error {
+		return labbase.WalkClass(rd, class, visit)
 	}, fn)
 }
 

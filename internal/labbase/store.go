@@ -95,9 +95,65 @@ type Store interface {
 	PutSteps(specs []StepSpec) ([]storage.OID, error)
 }
 
+// IndexScanner is an optional Reader capability: walks that answer straight
+// from the in-memory indexes, one OID at a time, with no record decode and
+// no copy of the whole membership, so a caller that needs only the first
+// few members stops the walk there. Both walks stop at the first error fn
+// returns and return it.
+//
+// *Snap implements it, *DB through a snapshot held for the walk, and the
+// shard stores shard-major. It is not part of Reader on purpose: readers
+// that lack it — decorators that implement Reader method by method, a
+// remote wire member — are served by WalkState and WalkClass, which fall
+// back to Reader methods and produce the same OIDs in the same order.
+type IndexScanner interface {
+	// ScanStateIndex visits the materials in state in OID order, the
+	// order MaterialsInState lists them.
+	ScanStateIndex(state string, fn func(storage.OID) error) error
+	// ScanClassExtent visits the materials whose class is exactly class
+	// (subclasses excluded) in insertion order, the order ScanMaterials
+	// visits them.
+	ScanClassExtent(class string, fn func(storage.OID) error) error
+}
+
+// WalkState calls fn for each material in state, in OID order: through r's
+// index walk when r is an IndexScanner, otherwise over MaterialsInState.
+func WalkState(r Reader, state string, fn func(storage.OID) error) error {
+	if is, ok := r.(IndexScanner); ok {
+		return is.ScanStateIndex(state, fn)
+	}
+	oids, err := r.MaterialsInState(state)
+	if err != nil {
+		return err
+	}
+	for _, oid := range oids {
+		if err := fn(oid); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WalkClass calls fn for each material of exactly class, in insertion
+// order: through r's extent walk when r is an IndexScanner, otherwise over
+// ScanMaterials filtered to the class itself.
+func WalkClass(r Reader, class string, fn func(storage.OID) error) error {
+	if is, ok := r.(IndexScanner); ok {
+		return is.ScanClassExtent(class, fn)
+	}
+	return r.ScanMaterials(class, func(m *Material) error {
+		if m.Class != class {
+			return nil
+		}
+		return fn(m.OID)
+	})
+}
+
 var (
-	_ Store    = (*DB)(nil)
-	_ Snapshot = (*Snap)(nil)
+	_ Store        = (*DB)(nil)
+	_ Snapshot     = (*Snap)(nil)
+	_ IndexScanner = (*DB)(nil)
+	_ IndexScanner = (*Snap)(nil)
 )
 
 // StoreStats implements Store over the single storage manager.

@@ -20,6 +20,34 @@
 //	count_steps(Class, N)
 //	count_in_state(State, N)
 //
+// Binding modes (+ bound, - unbound, ? either). An index-driven mode answers
+// from one index probe or one record; a streamed mode walks an index and
+// yields from inside the walk, so the walk stops as soon as the query has
+// the answers it asked for; an enumerated mode reads a whole list, or
+// decodes every record, before yielding. A bound argument of the wrong
+// shape — a non-OID where a material goes, a non-atom where a class or
+// state goes — names nothing and fails without reading.
+//
+//	material(+M, ?C)          index-driven: M's record
+//	material(-M, +C)          streamed: C's own extent, OIDs only; exact
+//	                          class, so a subclass's instances are not C's
+//	material(-M, -C)          enumerated: every material, class by class
+//	material_name(?M, +Name)  index-driven: the name index
+//	material_name(+M, -Name)  index-driven: M's record
+//	state(+M, ?S)             index-driven: M's record
+//	state(-M, +S)             streamed: S's state index, in OID order
+//	state(-M, -S)             streamed: each state's index in catalog order
+//	most_recent(+M, +A, ?V)   index-driven: the most-recent index
+//	count_*(+Name, ?N)        index-driven: the counters
+//	history, steps_involving, step_attr, set_member
+//	                          enumerated: one record's list
+//	schema predicates         enumerated: the catalog
+//
+// Streamed modes ask the reader for labbase.IndexScanner and fall back to
+// the equivalent Reader listing when it is absent; either way class
+// members come in extent order and state members in OID order, shard-major
+// on a sharded store.
+//
 // Provenance predicates (native lineage closure; see lineage.go):
 //
 //	step_materials(S, Ms)      a step's involved materials
@@ -252,31 +280,37 @@ func (b *Bridge) register() {
 
 	e.RegisterExternCtx("material", 2, func(qc *datalog.Qctx, args []datalog.Term, bs *datalog.Bindings, k datalog.Cont) (bool, error) {
 		db := b.storeFor(qc)
-		if oid, ok := TermOID(datalog.Resolve(args[0])); ok {
+		if t := datalog.Resolve(args[0]); !unbound(t) {
+			oid, ok := TermOID(t)
+			if !ok {
+				return false, nil // a bound non-OID names no material
+			}
 			m, err := db.GetMaterial(oid)
 			if err != nil {
 				return false, nil // not a material: no solutions
 			}
 			return yield(bs, k, [2]datalog.Term{args[1], datalog.Atom(m.Class)})
 		}
-		done := false
-		err := db.ScanAllMaterials(func(m *labbase.Material) error {
-			d, err := yield(bs, k,
-				[2]datalog.Term{args[0], OIDTerm(m.OID)},
-				[2]datalog.Term{args[1], datalog.Atom(m.Class)})
-			if err != nil {
-				return err
+		switch c := datalog.Resolve(args[1]).(type) {
+		case datalog.Atom:
+			// The class's own extent, walked from inside the scan.
+			done, err := walk(func(fn func(storage.OID) error) error {
+				return labbase.WalkClass(db, string(c), fn)
+			}, func(oid storage.OID) (bool, error) {
+				return yield(bs, k, [2]datalog.Term{args[0], OIDTerm(oid)})
+			})
+			if errors.Is(err, labbase.ErrUnknownClass) {
+				return false, nil
 			}
-			if d {
-				done = true
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && err != errStop {
-			return false, err
+			return done, err
+		case *datalog.Var:
+			return walk(db.ScanAllMaterials, func(m *labbase.Material) (bool, error) {
+				return yield(bs, k,
+					[2]datalog.Term{args[0], OIDTerm(m.OID)},
+					[2]datalog.Term{args[1], datalog.Atom(m.Class)})
+			})
 		}
-		return done, nil
+		return false, nil // no class is named by a non-atom
 	})
 
 	e.RegisterExternCtx("material_name", 2, func(qc *datalog.Qctx, args []datalog.Term, bs *datalog.Bindings, k datalog.Cont) (bool, error) {
@@ -307,30 +341,42 @@ func (b *Bridge) register() {
 
 	e.RegisterExternCtx("state", 2, func(qc *datalog.Qctx, args []datalog.Term, bs *datalog.Bindings, k datalog.Cont) (bool, error) {
 		db := b.storeFor(qc)
-		if oid, ok := TermOID(datalog.Resolve(args[0])); ok {
+		if t := datalog.Resolve(args[0]); !unbound(t) {
+			oid, ok := TermOID(t)
+			if !ok {
+				return false, nil // a bound non-OID names no material
+			}
 			st, err := db.State(oid)
 			if err != nil || st == "" {
 				return false, nil
 			}
 			return yield(bs, k, [2]datalog.Term{args[1], datalog.Atom(st)})
 		}
-		// Enumerate by state (bound or over all states).
-		states := db.States()
-		if s, ok := datalog.Resolve(args[1]).(datalog.Atom); ok {
+		// Stream each state's index (the bound one, or every state),
+		// yielding from inside the walk.
+		var states []string
+		switch s := datalog.Resolve(args[1]).(type) {
+		case datalog.Atom:
 			states = []string{string(s)}
+		case *datalog.Var:
+			states = db.States()
+		default:
+			return false, nil // no state is named by a non-atom
 		}
 		for _, st := range states {
-			mats, err := db.MaterialsInState(st)
-			if err != nil {
+			stTerm := datalog.Atom(st)
+			done, err := walk(func(fn func(storage.OID) error) error {
+				return labbase.WalkState(db, st, fn)
+			}, func(oid storage.OID) (bool, error) {
+				return yield(bs, k,
+					[2]datalog.Term{args[0], OIDTerm(oid)},
+					[2]datalog.Term{args[1], stTerm})
+			})
+			if errors.Is(err, labbase.ErrUnknownState) {
 				continue
 			}
-			for _, m := range mats {
-				done, err := yield(bs, k,
-					[2]datalog.Term{args[0], OIDTerm(m)},
-					[2]datalog.Term{args[1], datalog.Atom(st)})
-				if err != nil || done {
-					return done, err
-				}
+			if err != nil || done {
+				return done, err
 			}
 		}
 		return false, nil
@@ -703,5 +749,33 @@ func (b *Bridge) register() {
 	b.registerLineage()
 }
 
+// unbound reports whether a resolved argument is a free variable — the
+// enumerating mode. Any other term is bound, and a bound term of the wrong
+// shape simply names nothing.
+func unbound(t datalog.Term) bool {
+	_, ok := t.(*datalog.Var)
+	return ok
+}
+
 // errStop aborts a scan once the continuation asks to stop.
-var errStop = fmt.Errorf("lbq: stop scan")
+var errStop = errors.New("lbq: stop scan")
+
+// walk runs scan with visit — an extern's yield — called from inside it,
+// and stops the scan the moment visit is done or fails. It reports visit's
+// outcome when visit stopped the scan, and the scan's own error otherwise,
+// so an extern can tell "the store has no such index" from a failure of the
+// rest of the query.
+func walk[T any](scan func(func(T) error) error, visit func(T) (bool, error)) (bool, error) {
+	var done bool
+	var verr error
+	err := scan(func(x T) error {
+		if done, verr = visit(x); done || verr != nil {
+			return errStop
+		}
+		return nil
+	})
+	if done || verr != nil {
+		return done, verr
+	}
+	return false, err
+}

@@ -112,9 +112,12 @@ echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs w
 # DB and 4-shard), and OpQuery under concurrent connections is byte-identical
 # to a single-connection reference while write batches land. TestCore* are the shard
 # core's rules over fake members (DESIGN §12), whose gathers run concurrently.
+# TestStreamedExternsUnderWriter streams state/2 and material/2 walks out of
+# held snapshots (single DB and 2-shard) while a writer moves and creates
+# materials (DESIGN §10, index-driven externs).
 go test -race -shuffle=on -count=1 \
-	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected' \
-	./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/
+	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected|TestStreamedExternsUnderWriter' \
+	./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/ ./internal/lbq/
 
 echo "== bench smoke (every BENCHMARK.json workload at -scale 0.02, self-checked)"
 # The one place an in-process workload runs; it exits non-zero when any
