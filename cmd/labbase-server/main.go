@@ -17,14 +17,13 @@
 // -addrfile writes the bound listen address (useful with -addr :0) so
 // launchers can collect a topology without parsing logs.
 //
-// Replication (DESIGN §8): -ship addr streams every commit's redo record
-// to a warm standby before the commit is acknowledged; -standby runs this
-// process as that standby — it applies shipped records to its own media
-// until an OpPromote arrives, then reopens the media as a real store and
-// serves normally on the same address. -ckpt bounds recovery replay
-// (ostore redo-log checkpoints, texas snapshots, standby journal
-// checkpoints) and -restore lets a torn texas store come back from its
-// last snapshot instead of refusing to open.
+// Replication (DESIGN §8) is ostore's: -ship addr streams every commit's
+// redo record to a warm standby before the commit is acknowledged; -standby
+// runs this process as that standby — it applies shipped records to its own
+// media until an OpPromote arrives, then reopens the media as an ostore and
+// serves normally on the same address. Both require -store ostore: texas,
+// the paper's log-less heap, has no redo log to ship. -ckpt bounds recovery
+// replay (ostore redo-log checkpoints, standby journal checkpoints).
 package main
 
 import (
@@ -59,14 +58,16 @@ func main() {
 		shards    = flag.Int("shards", 1, "hash-partitioned shard count (each shard gets its own store)")
 		member    = flag.String("shard", "", "serve as cluster member k of n (\"k/n\"); excludes -shards")
 		addrfile  = flag.String("addrfile", "", "write the bound listen address to this file")
-		standby   = flag.Bool("standby", false, "serve as a warm standby: apply shipped redo records to -path until promoted, then reopen and serve normally")
+		standby   = flag.Bool("standby", false, "serve as a warm standby: apply shipped redo records to -path until promoted, then reopen and serve normally (-store ostore only)")
 		stbySync  = flag.Bool("standby-sync", false, "fsync the standby journal before acking each shipped record (power-loss durability; default covers process crashes only)")
-		ship      = flag.String("ship", "", "standby address to ship every commit's redo record to (persistent single-store only)")
-		ckpt      = flag.Int("ckpt", 8, "checkpoint interval in commits: ostore redo-log checkpoints, texas snapshots, standby journal checkpoints")
-		restore   = flag.Bool("restore", false, "let a torn texas store open from its last snapshot, discarding commits past it")
+		ship      = flag.String("ship", "", "standby address to ship every commit's redo record to (-store ostore, single store only)")
+		ckpt      = flag.Int("ckpt", 8, "checkpoint interval in commits: ostore redo-log checkpoints, standby journal checkpoints")
 	)
 	flag.Parse()
 
+	if err := checkReplication(*storeName, *ship, *standby); err != nil {
+		log.Fatalf("labbase-server: %v", err)
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("labbase-server: listen: %v", err)
@@ -97,7 +98,7 @@ func main() {
 		log.Printf("labbase-server: promoted, reopening %s", *path)
 	}
 
-	db, name, err := openDB(*storeName, *path, *pool, *resident, *shards, *member, *ckpt, *restore, *ship)
+	db, name, err := openDB(*storeName, *path, *pool, *resident, *shards, *member, *ckpt, *ship)
 	if err != nil {
 		log.Fatalf("labbase-server: %v", err)
 	}
@@ -164,11 +165,26 @@ func serveStandby(ln net.Listener, path string, every int, sync bool) (bool, err
 	return true, nil
 }
 
+// checkReplication refuses -ship and -standby on any store but ostore, the
+// one backend with a redo log to ship and a store to promote into.
+func checkReplication(store, ship string, standby bool) error {
+	if store == "ostore" || store == "OStore" {
+		return nil
+	}
+	switch {
+	case ship != "":
+		return fmt.Errorf("-ship requires -store ostore; %q has no redo log to ship", store)
+	case standby:
+		return fmt.Errorf("-standby requires -store ostore; %q has no redo log to follow", store)
+	}
+	return nil
+}
+
 // openDB opens the store (or, with -shards N > 1, N stores — persistent
 // paths get a per-shard suffix) behind the labbase.Store facade. A
 // non-empty member spec ("k/n") instead opens one cluster shard whose OIDs
 // carry shard tag k and whose OpShardInfo handshake advertises k of n.
-func openDB(name, path string, pool, resident, shards int, member string, ckpt int, restore bool, ship string) (labbase.Store, string, error) {
+func openDB(name, path string, pool, resident, shards int, member string, ckpt int, ship string) (labbase.Store, string, error) {
 	if shards < 1 {
 		return nil, "", fmt.Errorf("-shards must be at least 1")
 	}
@@ -183,7 +199,7 @@ func openDB(name, path string, pool, resident, shards int, member string, ckpt i
 		if err != nil {
 			return nil, "", err
 		}
-		sm, err := openStore(name, path, pool, resident, ckpt, restore, ship)
+		sm, err := openStore(name, path, pool, resident, ckpt, ship)
 		if err != nil {
 			return nil, "", err
 		}
@@ -195,7 +211,7 @@ func openDB(name, path string, pool, resident, shards int, member string, ckpt i
 		return db, fmt.Sprintf("%s (shard %d/%d)", storeName, index, count), nil
 	}
 	if shards == 1 {
-		sm, err := openStore(name, path, pool, resident, ckpt, restore, ship)
+		sm, err := openStore(name, path, pool, resident, ckpt, ship)
 		if err != nil {
 			return nil, "", err
 		}
@@ -208,7 +224,7 @@ func openDB(name, path string, pool, resident, shards int, member string, ckpt i
 	}
 	managers := make([]storage.Manager, 0, shards)
 	for k := 0; k < shards; k++ {
-		sm, err := openStore(name, fmt.Sprintf("%s.shard%d", path, k), pool, resident, ckpt, restore, "")
+		sm, err := openStore(name, fmt.Sprintf("%s.shard%d", path, k), pool, resident, ckpt, "")
 		if err != nil {
 			for _, m := range managers {
 				m.Close()
@@ -243,23 +259,20 @@ func parseMember(spec string) (index, count int, err error) {
 	return index, count, nil
 }
 
-func openStore(name, path string, pool, resident, ckpt int, restore bool, ship string) (storage.Manager, error) {
-	var shipper repl.Shipper
-	if ship != "" {
-		switch name {
-		case "ostore", "OStore", "texas", "Texas", "texas+tc", "Texas+TC":
-			shipper = wire.NewRemoteShipper(ship, 0)
-		default:
-			return nil, fmt.Errorf("-ship requires a persistent store, not %q", name)
-		}
-	}
+// openStore opens one storage manager. ship is honoured by ostore alone;
+// checkReplication has already refused it for every other store.
+func openStore(name, path string, pool, resident, ckpt int, ship string) (storage.Manager, error) {
 	switch name {
 	case "ostore", "OStore":
+		var shipper repl.Shipper
+		if ship != "" {
+			shipper = wire.NewRemoteShipper(ship, 0)
+		}
 		return ostore.Open(ostore.Options{Path: path, PoolPages: pool, CheckpointEvery: ckpt, Shipper: shipper})
 	case "texas", "Texas":
-		return texas.Open(texas.Options{Path: path, MaxResidentPages: resident, CheckpointEvery: ckpt, Restore: restore, Shipper: shipper})
+		return texas.Open(texas.Options{Path: path, MaxResidentPages: resident})
 	case "texas+tc", "Texas+TC":
-		return texas.Open(texas.Options{Path: path, MaxResidentPages: resident, Clustering: true, CheckpointEvery: ckpt, Restore: restore, Shipper: shipper})
+		return texas.Open(texas.Options{Path: path, MaxResidentPages: resident, Clustering: true})
 	case "ostore-mm", "OStore-mm":
 		return memstore.Open("OStore-mm"), nil
 	case "texas-mm", "Texas-mm":

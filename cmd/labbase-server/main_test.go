@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -127,6 +128,43 @@ func TestGracefulShutdownReopensStore(t *testing.T) {
 	v, _, ok, err := c2.MostRecent(oids[3], "cycles")
 	if err != nil || !ok {
 		t.Fatalf("after reopen: MostRecent = %v, %v, %v", v, ok, err)
+	}
+}
+
+// TestReplicationNeedsOStore runs the real main() with -ship or -standby
+// over stores that have no redo log: each must exit non-zero naming the
+// store, before it ever binds its listen address.
+func TestReplicationNeedsOStore(t *testing.T) {
+	for _, tc := range []struct {
+		store string
+		flags []string
+	}{
+		{"texas", []string{"-ship", "127.0.0.1:1"}},
+		{"texas+tc", []string{"-ship", "127.0.0.1:1"}},
+		{"texas", []string{"-standby"}},
+		{"texas+tc", []string{"-standby"}},
+		{"ostore-mm", []string{"-standby"}},
+	} {
+		dir := t.TempDir()
+		addrfile := filepath.Join(dir, "addr")
+		args := append([]string{"-addr", "127.0.0.1:0", "-addrfile", addrfile,
+			"-store", tc.store, "-path", filepath.Join(dir, "lab.db")}, tc.flags...)
+		// A server that wrongly starts serving is killed at the deadline
+		// and then fails the checks below.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "LABBASE_SERVER_REEXEC=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		if err == nil {
+			t.Fatalf("%s %v: server started; want a refusal", tc.store, tc.flags)
+		}
+		if !strings.Contains(string(out), fmt.Sprintf("%q", tc.store)) || !strings.Contains(string(out), "ostore") {
+			t.Errorf("%s %v: refusal does not name the store and ostore: %s", tc.store, tc.flags, out)
+		}
+		if _, err := os.Stat(addrfile); err == nil {
+			t.Errorf("%s %v: server bound its address before refusing", tc.store, tc.flags)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //	labflow -experiment evolution [-store Texas+TC]
 //	labflow -experiment sweep   [-pools 64,192,512,4096]
 //	labflow -experiment crashtest [-store ostore|texas|all] [-seed N] [-crashruns N]
-//	labflow -experiment failover  [-store ostore|texas|all] [-seed N] [-crashruns N]
+//	labflow -experiment failover  -store ostore [-seed N] [-crashruns N]
 //	labflow -experiment recovery
 //	labflow -experiment provenance [-depths 4,8,16,32,64] [-width 2]
 //	labflow -experiment all
@@ -18,11 +18,12 @@
 // persistent storage managers (see internal/storage/crashtest). Every
 // schedule is derived from its seed alone, so a failure report's seed
 // replays the exact same crash: rerun with -seed N -crashruns 1. The
-// failover experiment is its warm-standby counterpart: the primary's
-// commits ship to an in-process standby, the seeded crash kills the
-// primary, and the promoted follower must serve exactly the committed
-// prefix. The recovery experiment measures the BENCH_6 columns —
-// checkpoint-bounded reopen time and standby promote time (see recovery.go).
+// failover experiment is its warm-standby counterpart, on ostore only (texas
+// has no log to ship): the primary's commits ship to an in-process standby,
+// the seeded crash kills the primary, and the promoted follower must serve
+// exactly the committed prefix. The recovery experiment measures the BENCH_6
+// columns — checkpoint-bounded reopen time and standby promote time (see
+// recovery.go).
 //
 // The table10 sweep runs its five server versions concurrently by default
 // (the workload and all simulated counters are deterministic either way);
@@ -270,6 +271,13 @@ func runOne(experiment string, o options, p core.Params) error {
 		backends, err := parseCrashBackends(o.store)
 		if err != nil {
 			return err
+		}
+		if experiment == "failover" {
+			// Only ostore ships a redo log to a standby; "all" means ostore.
+			if len(backends) == 1 && backends[0] == crashtest.BackendTexas {
+				return fmt.Errorf("failover: texas has no redo log to ship to a standby; use -store ostore")
+			}
+			backends = []crashtest.Backend{crashtest.BackendOStore}
 		}
 		start := o.seed
 		if start == 0 {

@@ -20,13 +20,13 @@ import (
 //     without closing, as a function of the checkpoint interval. The
 //     workload commits, then the manager is simply abandoned — on-disk
 //     state is exactly what a SIGKILL after the last ack leaves: ostore's
-//     redo log untruncated, texas's dirty marker set. The reopen then does
-//     real recovery work (ostore replays the post-checkpoint delta; texas
-//     restores its last snapshot), and the interval bounds it.
+//     redo log untruncated, texas's dirty marker set. The ostore reopen then
+//     replays the post-checkpoint delta, and the interval bounds it; texas,
+//     the paper's log-less heap, refuses the torn store.
 //
-//   - failover time: how long promoting a warm standby takes — Promote
-//     (journal drained into the page backing, cursor finalized) plus
-//     opening the real backend over the standby's media. The wire hop and
+//   - failover time: how long promoting an ostore warm standby takes —
+//     Promote (journal drained into the page backing, cursor finalized)
+//     plus opening the store over the standby's media. The wire hop and
 //     the router's health-probe latency sit on top of this in a live
 //     cluster; this measures the storage floor.
 //
@@ -39,13 +39,11 @@ type recoveryCell struct {
 	Commits         int
 	Outcome         string
 	ReplayedRecords int
-	RestoredLSN     uint64
 	RecoveryMS      float64
 }
 
-// failoverCell is one backend's promote-and-open measurement.
+// failoverCell is one promote-and-open measurement.
 type failoverCell struct {
-	Backend        string
 	Commits        int
 	ShippedLSN     uint64
 	PromoteMS      float64
@@ -53,8 +51,8 @@ type failoverCell struct {
 	FailoverMS     float64
 }
 
-// runRecovery measures recovery and failover time for both persistent
-// backends and prints the BENCH_6 columns.
+// runRecovery measures recovery time for both persistent backends and
+// ostore's failover time, and prints the BENCH_6 columns.
 func runRecovery(o options) error {
 	commits := o.crashruns // reuse: the flag is "how many units", here commits
 	if commits <= 0 || commits == 100 {
@@ -70,10 +68,10 @@ func runRecovery(o options) error {
 		every   int
 	}{
 		// ostore 1 is the historical configuration: every commit retires
-		// its record, so reopen replays at most one. texas 0 is ITS
-		// historical configuration: no snapshots, a torn store stays torn.
+		// its record, so reopen replays at most one. texas has no log and
+		// no checkpoints: a torn store stays torn.
 		{"ostore", 1}, {"ostore", 8}, {"ostore", 64},
-		{"texas", 0}, {"texas", 8}, {"texas", 64},
+		{"texas", 0},
 	} {
 		c, err := measureRecovery(o.dir, cell.backend, cell.every, commits)
 		if err != nil {
@@ -84,14 +82,12 @@ func runRecovery(o options) error {
 	}
 
 	fmt.Println()
-	for _, backend := range []string{"ostore", "texas"} {
-		c, err := measureFailover(o.dir, backend, commits)
-		if err != nil {
-			return fmt.Errorf("failover %s: %w", backend, err)
-		}
-		fmt.Printf("  %-7s failover  promote=%.2f ms + open=%.2f ms = %8.2f ms (lsn %d)\n",
-			c.Backend, c.PromoteMS, c.FollowerOpenMS, c.FailoverMS, c.ShippedLSN)
+	c, err := measureFailover(o.dir, commits)
+	if err != nil {
+		return fmt.Errorf("failover ostore: %w", err)
 	}
+	fmt.Printf("  %-7s failover  promote=%.2f ms + open=%.2f ms = %8.2f ms (lsn %d)\n",
+		"ostore", c.PromoteMS, c.FollowerOpenMS, c.FailoverMS, c.ShippedLSN)
 	return nil
 }
 
@@ -117,23 +113,13 @@ func commitLoad(m storage.Manager, commits int) error {
 	return nil
 }
 
-// openBackend opens one persistent backend over path. For ostore, every
-// is the record-retirement interval (1 = historical truncate-per-commit,
-// 0 = the package default); for texas it is the snapshot interval (0 =
-// historical detect-only, no snapshots).
-func openBackend(backend, path string, every int, restore bool, rec *repl.RecoveryInfo, ship repl.Shipper) (storage.Manager, error) {
-	switch backend {
-	case "ostore":
-		return ostore.Open(ostore.Options{
-			Path: path, PoolPages: 128,
-			CheckpointEvery: every, Recovery: rec, Shipper: ship,
-		})
-	default:
-		return texas.Open(texas.Options{
-			Path: path, MaxResidentPages: 128,
-			CheckpointEvery: every, Restore: restore, Recovery: rec, Shipper: ship,
-		})
-	}
+// openOStore opens ostore over path with every as its record-retirement
+// interval (1 = historical truncate-per-commit, 0 = the package default).
+func openOStore(path string, every int, rec *repl.RecoveryInfo, ship repl.Shipper) (storage.Manager, error) {
+	return ostore.Open(ostore.Options{
+		Path: path, PoolPages: 128,
+		CheckpointEvery: every, Recovery: rec, Shipper: ship,
+	})
 }
 
 // measureRecovery builds a store, abandons it mid-life (no Close — the
@@ -141,7 +127,12 @@ func openBackend(backend, path string, every int, restore bool, rec *repl.Recove
 func measureRecovery(dir, backend string, every, commits int) (recoveryCell, error) {
 	cell := recoveryCell{Backend: backend, CheckpointEvery: every, Commits: commits}
 	path := filepath.Join(dir, fmt.Sprintf("rec-%s-%d.db", backend, every))
-	m, err := openBackend(backend, path, every, false, nil, nil)
+	var rec repl.RecoveryInfo
+	open := func() (storage.Manager, error) { return openOStore(path, every, &rec, nil) }
+	if backend == "texas" {
+		open = func() (storage.Manager, error) { return texas.Open(texas.Options{Path: path, MaxResidentPages: 128}) }
+	}
+	m, err := open()
 	if err != nil {
 		return cell, err
 	}
@@ -152,38 +143,23 @@ func measureRecovery(dir, backend string, every, commits int) (recoveryCell, err
 	// Abandon without Close: the descriptors leak for the life of this
 	// process, which is the point — nothing may clean up the media.
 
-	var rec repl.RecoveryInfo
 	before := metrics.Sample()
-	m2, err := openBackend(backend, path, every, true, &rec, nil)
+	m2, err := open()
 	cell.RecoveryMS = float64(metrics.Sample().Sub(before).Wall.Nanoseconds()) / 1e6
 	if err != nil {
 		if backend == "texas" && errors.Is(err, texas.ErrTornStore) {
-			if every <= 0 {
-				// The pre-checkpoint dead end, kept as a column on purpose:
-				// no snapshots means a torn texas store stays torn.
-				cell.Outcome = "torn-unrecoverable"
-				return cell, nil
-			}
-			if commits+1 < every {
-				// Crash before the first snapshot interval elapsed: there is
-				// nothing to restore yet, same dead end as every=0. The
-				// interval only bounds recovery once it has fired once.
-				cell.Outcome = "torn-before-first-snapshot"
-				return cell, nil
-			}
+			// The paper's contract, kept as a column on purpose: no log
+			// means a torn texas store stays torn.
+			cell.Outcome = "torn-unrecoverable"
+			return cell, nil
 		}
 		return cell, err
 	}
 	defer m2.Close()
 	cell.ReplayedRecords = rec.Replayed
-	switch {
-	case rec.Restored:
-		cell.Outcome = "restored-checkpoint"
-		cell.RestoredLSN = rec.RestoredLSN
-	case rec.Replayed > 0:
+	cell.Outcome = "clean"
+	if rec.Replayed > 0 {
 		cell.Outcome = "replayed-delta"
-	default:
-		cell.Outcome = "clean"
 	}
 	if every > 0 && rec.Replayed > every {
 		return cell, fmt.Errorf("replayed %d records past the %d-commit checkpoint bound", rec.Replayed, every)
@@ -191,17 +167,17 @@ func measureRecovery(dir, backend string, every, commits int) (recoveryCell, err
 	return cell, nil
 }
 
-// measureFailover runs a primary shipping to an in-process warm standby,
-// abandons the primary, and times Promote plus the follower's open.
-func measureFailover(dir, backend string, commits int) (failoverCell, error) {
-	cell := failoverCell{Backend: backend, Commits: commits}
-	primaryPath := filepath.Join(dir, fmt.Sprintf("fo-%s-primary.db", backend))
-	standbyPath := filepath.Join(dir, fmt.Sprintf("fo-%s-standby.db", backend))
+// measureFailover runs an ostore primary shipping to an in-process warm
+// standby, abandons the primary, and times Promote plus the follower's open.
+func measureFailover(dir string, commits int) (failoverCell, error) {
+	cell := failoverCell{Commits: commits}
+	primaryPath := filepath.Join(dir, "fo-ostore-primary.db")
+	standbyPath := filepath.Join(dir, "fo-ostore-standby.db")
 	st, err := repl.OpenFileStandby(standbyPath, 8)
 	if err != nil {
 		return cell, err
 	}
-	m, err := openBackend(backend, primaryPath, 8, false, nil, st)
+	m, err := openOStore(primaryPath, 8, nil, st)
 	if err != nil {
 		st.Close()
 		return cell, err
@@ -220,7 +196,7 @@ func measureFailover(dir, backend string, commits int) (failoverCell, error) {
 	}
 	mid := metrics.Sample()
 	var rec repl.RecoveryInfo
-	f, err := openBackend(backend, standbyPath, 8, false, &rec, nil)
+	f, err := openOStore(standbyPath, 8, &rec, nil)
 	after := metrics.Sample()
 	if err != nil {
 		return cell, fmt.Errorf("open promoted follower: %w", err)

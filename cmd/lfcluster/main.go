@@ -22,9 +22,11 @@
 // -standbys additionally launches one warm standby per shard
 // (labbase-server -standby) and wires each primary's -ship flag to it; the
 // topology file then carries the standby addresses, so a router can
-// promote a follower when its primary dies (DESIGN §8). With standbys on,
-// a dead primary does not tear the cluster down — that is exactly the
-// failure the standby exists to absorb.
+// promote a follower when its primary dies (DESIGN §8). Standbys need
+// -store ostore, the one backend with a redo log to ship; any other store
+// is refused before a process starts. With standbys on, a dead primary
+// does not tear the cluster down — that is exactly the failure the
+// standby exists to absorb.
 //
 // -server names the labbase-server binary (default: found on PATH; CI
 // points it at a freshly built one).
@@ -95,6 +97,9 @@ func launch(server, label string, args []string, idx int, died chan<- int) (*pro
 func run(n int, store, dir, topoOut, server string, startTO, killTO time.Duration, standbys, keep bool) error {
 	if n < 1 || n > shard.MaxShards {
 		return fmt.Errorf("-n %d outside [1, %d]", n, shard.MaxShards)
+	}
+	if standbys && store != "ostore" && store != "OStore" {
+		return fmt.Errorf("-standbys requires -store ostore; %q has no redo log to ship", store)
 	}
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "lfcluster-*")

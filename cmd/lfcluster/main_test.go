@@ -112,6 +112,26 @@ func TestStopAllEscalation(t *testing.T) {
 	}
 }
 
+// TestStandbysNeedOStore: -standbys over a store with no redo log fails
+// before any server is launched. The server binary does not exist, so a
+// launch attempt would surface as a "start" error instead of the refusal.
+func TestStandbysNeedOStore(t *testing.T) {
+	for _, store := range []string{"texas", "texas+tc"} {
+		dir := t.TempDir()
+		topo := filepath.Join(dir, "shards.json")
+		err := run(2, store, dir, topo, filepath.Join(dir, "no-such-server"), time.Second, time.Second, true, true)
+		if err == nil {
+			t.Fatalf("-standbys -store %s accepted", store)
+		}
+		if !strings.Contains(err.Error(), `"`+store+`"`) || strings.Contains(err.Error(), "start") {
+			t.Errorf("-standbys -store %s: %v; want a refusal naming the store, before any launch", store, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("-standbys -store %s left files behind: %v", store, entries)
+		}
+	}
+}
+
 // TestStopAllClean is the happy path: servers that honor SIGTERM exit
 // within the grace period and stopAll reports no error.
 func TestStopAllClean(t *testing.T) {

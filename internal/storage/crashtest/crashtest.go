@@ -18,12 +18,12 @@
 //     whose Commit returned is fully visible, every other transaction is
 //     fully invisible (a crash inside Commit may land on either side, but
 //     never between). For texas, which has no log, the invariant is loud
-//     failure — a reopen may only succeed if nothing ever reached the
-//     backing file, and must otherwise refuse (ErrTornStore) rather than
-//     serve torn data.
+//     failure — a reopen either serves exactly the committed state or
+//     refuses (ErrTornStore); it never serves torn data.
 //
-// Every decision flows from the seed, so a failing schedule is reported —
-// and replayed — as its seed alone.
+// RunFailover is the warm-standby variant, on ostore only: texas has no
+// redo log to ship. Every decision flows from the seed, so a failing
+// schedule is reported — and replayed — as its seed alone.
 package crashtest
 
 import (
@@ -40,11 +40,10 @@ import (
 	"labflow/internal/storage/texas"
 )
 
-// ckptEvery is the checkpoint interval both backends run under in the
-// harness: small enough that most crash schedules cross several checkpoint
-// boundaries, so the bounded-recovery invariants (ostore replays at most
-// this many records; texas restores to a recent snapshot) are exercised
-// rather than vacuous.
+// ckptEvery is the checkpoint interval ostore (and the failover standby)
+// runs under in the harness: small enough that most crash schedules cross
+// several checkpoint boundaries, so the bounded-recovery invariant (reopen
+// replays at most this many records) is exercised rather than vacuous.
 const ckptEvery = 4
 
 // Backend selects the storage manager under test.
@@ -93,7 +92,7 @@ type Result struct {
 	Window     string // recycled-log window the crash op landed in ("" if neither), see logWindow
 	FailedCall string // the manager call that observed the death
 	Commits    int    // transactions committed before the crash
-	Outcome    string // recovered-committed | recovered-pending | restored-checkpoint | torn-detected | fresh-empty
+	Outcome    string // recovered-committed | recovered-pending | torn-detected | fresh-empty
 }
 
 // String implements fmt.Stringer.
@@ -164,9 +163,8 @@ func logWindow(in *fault.Injector) string {
 }
 
 // openInjected opens a fresh store for the backend with its media wrapped
-// in the injector (for texas that includes the snapshot slots: a crash may
-// tear a snapshot write, which the two-slot protocol must absorb). ship, if
-// non-nil, pairs the store with a standby — the failover harness's hook.
+// in the injector. ship, if non-nil, pairs an ostore primary with a standby
+// — the failover harness's hook; texas has no log to ship.
 func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipper) (storage.Manager, error) {
 	fb, err := pagefile.OpenFile(dbPath)
 	if err != nil {
@@ -188,31 +186,17 @@ func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipp
 			Shipper:         ship,
 		})
 	default:
-		var slots [2]repl.LogFile
-		for i := range slots {
-			sf, err := os.OpenFile(fmt.Sprintf("%s.ckpt%d", dbPath, i), os.O_RDWR|os.O_CREATE, 0o644)
-			if err != nil {
-				fb.Close()
-				if slots[0] != nil {
-					slots[0].Close()
-				}
-				return nil, err
-			}
-			slots[i] = fault.WrapFile(sf, in)
-		}
 		return texas.Open(texas.Options{
 			Backing:          fault.WrapBacking(fb, in),
 			MaxResidentPages: 48, // small residency: mid-transaction write-backs
-			Snapshots:        slots,
-			CheckpointEvery:  ckptEvery,
-			Shipper:          ship,
 		})
 	}
 }
 
 // openPlain reopens the store cold, without injection — the recovery path a
-// real restart takes. rec, if non-nil, captures how much recovery work the
-// reopen performed so verifiers can assert it is checkpoint-bounded.
+// real restart takes. rec captures how much recovery work an ostore reopen
+// performed so verifiers can assert it is checkpoint-bounded; texas does no
+// recovery work and leaves it zero.
 func openPlain(cfg Config, dbPath string, rec *repl.RecoveryInfo) (storage.Manager, error) {
 	switch cfg.Backend {
 	case BackendOStore:
@@ -221,10 +205,7 @@ func openPlain(cfg Config, dbPath string, rec *repl.RecoveryInfo) (storage.Manag
 			CheckpointEvery: ckptEvery, Recovery: rec,
 		})
 	default:
-		return texas.Open(texas.Options{
-			Path: dbPath, MaxResidentPages: 48,
-			CheckpointEvery: ckptEvery, Restore: true, Recovery: rec,
-		})
+		return texas.Open(texas.Options{Path: dbPath, MaxResidentPages: 48})
 	}
 }
 
@@ -258,7 +239,7 @@ func countPass(cfg Config) (uint64, error) {
 		return 0, fmt.Errorf("clean reopen state: %w", err)
 	}
 	// A clean close ends on a checkpoint: the reopen must do zero work.
-	if rec.Replayed != 0 || rec.Restored {
+	if rec.Replayed != 0 {
 		return 0, fmt.Errorf("clean reopen did recovery work: %+v", rec)
 	}
 	return total, nil
@@ -303,9 +284,9 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	var rec repl.RecoveryInfo
 	m2, err := openPlain(cfg, dbPath, &rec)
 	if cfg.Backend == BackendTexas {
-		return verifyTexas(m2, err, &rec, in, w, res)
+		return verifyTexas(m2, err, in, w, res)
 	}
-	res.Window = logWindow(in) // texas wraps its snapshot slots in the same File, but has no log
+	res.Window = logWindow(in)
 	return verifyOStore(m2, err, &rec, w, res)
 }
 
@@ -339,12 +320,9 @@ func verifyOStore(m2 storage.Manager, openErr error, rec *repl.RecoveryInfo, w *
 	return fmt.Errorf("committed state not recovered: %w", commErr)
 }
 
-// verifyTexas checks the log-less contract, now with snapshot restore: a
-// reopen may refuse (the crash left neither a clean store nor a usable
-// snapshot), serve the exactly-committed state, or — the restore path —
-// serve exactly the commit boundary its snapshot claims, which must be one
-// of the workload's committed prefixes.
-func verifyTexas(m2 storage.Manager, openErr error, rec *repl.RecoveryInfo, in *fault.Injector, w *workload, res *Result) error {
+// verifyTexas checks the log-less contract: a reopen either refuses (the
+// crash left the store torn) or serves exactly the committed state.
+func verifyTexas(m2 storage.Manager, openErr error, in *fault.Injector, w *workload, res *Result) error {
 	if openErr != nil {
 		// Any refusal is safe; the marker's explicit verdict is the
 		// designed one.
@@ -356,33 +334,6 @@ func verifyTexas(m2 storage.Manager, openErr error, rec *repl.RecoveryInfo, in *
 		return nil
 	}
 	defer m2.Close()
-	if rec.Restored {
-		// RestoredLSN counts every commit including store creation (LSN 1),
-		// so workload commit i is LSN i+1: the snapshot at LSN j holds the
-		// state after j-1 workload commits.
-		if rec.RestoredLSN == 0 {
-			return fmt.Errorf("restore claims LSN 0")
-		}
-		idx := int(rec.RestoredLSN - 1)
-		switch {
-		case idx < len(w.history):
-			if err := w.history[idx].diff(m2); err != nil {
-				return fmt.Errorf("restored snapshot (LSN %d = %d workload commits) does not match that prefix: %w",
-					rec.RestoredLSN, idx, err)
-			}
-		case idx == len(w.history) && res.FailedCall == "Commit":
-			// The crash hit inside Commit after its snapshot was already
-			// durable: the in-flight transaction is the restored state.
-			if err := w.pending.diff(m2); err != nil {
-				return fmt.Errorf("restored snapshot past last commit does not match in-flight transaction: %w", err)
-			}
-		default:
-			return fmt.Errorf("restored snapshot claims LSN %d with only %d commits (failed call %s)",
-				rec.RestoredLSN, w.commits, res.FailedCall)
-		}
-		res.Outcome = "restored-checkpoint"
-		return nil
-	}
 	if err := w.committed.diff(m2); err != nil {
 		return fmt.Errorf("store reopened silently after crash (%d completed writes, %d commits) with torn state: %w",
 			in.Writes(), w.commits, err)

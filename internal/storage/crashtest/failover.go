@@ -9,7 +9,6 @@ import (
 	"labflow/internal/storage"
 	"labflow/internal/storage/ostore"
 	"labflow/internal/storage/repl"
-	"labflow/internal/storage/texas"
 )
 
 // RunFailover is the warm-standby counterpart of Run: the same seeded
@@ -24,7 +23,12 @@ import (
 // shipped the record before the client could hear the ack, in which case the
 // follower serves exactly the in-flight transaction's state instead
 // (Outcome "follower-pending").
+//
+// Only ostore ships: texas has no log, so RunFailover refuses it.
 func RunFailover(cfg Config) (Result, error) {
+	if cfg.Backend != BackendOStore {
+		return Result{Backend: cfg.Backend, Seed: cfg.Seed}, fmt.Errorf("failover: %s has no redo log to ship; only ostore runs a standby", cfg.Backend)
+	}
 	if cfg.Txns <= 0 {
 		cfg.Txns = 20
 	}
@@ -87,7 +91,7 @@ func failoverCountPass(cfg Config) (uint64, error) {
 	if err := st.Promote(); err != nil {
 		return 0, fmt.Errorf("promote: %w", err)
 	}
-	f, rec, err := openFollower(cfg, standbyPath)
+	f, rec, err := openFollower(standbyPath)
 	if err != nil {
 		return 0, fmt.Errorf("open promoted follower: %w", err)
 	}
@@ -101,23 +105,15 @@ func failoverCountPass(cfg Config) (uint64, error) {
 	return total, nil
 }
 
-// openFollower opens the real backend over a promoted standby's media. For
-// ostore the standby's journal is the store's redo log (same path
-// convention, same record protocol); for texas the standby's backing is a
-// cleanly-closed store — shipped page images never carry the dirty marker.
-func openFollower(cfg Config, path string) (storage.Manager, repl.RecoveryInfo, error) {
+// openFollower opens ostore over a promoted standby's media: the standby's
+// journal is the store's redo log (same path convention, same record
+// protocol).
+func openFollower(path string) (storage.Manager, repl.RecoveryInfo, error) {
 	var rec repl.RecoveryInfo
-	var m storage.Manager
-	var err error
-	switch cfg.Backend {
-	case BackendOStore:
-		m, err = ostore.Open(ostore.Options{
-			Path: path, PoolPages: 48,
-			CheckpointEvery: ckptEvery, Recovery: &rec,
-		})
-	default:
-		m, err = texas.Open(texas.Options{Path: path, MaxResidentPages: 48, Recovery: &rec})
-	}
+	m, err := ostore.Open(ostore.Options{
+		Path: path, PoolPages: 48,
+		CheckpointEvery: ckptEvery, Recovery: &rec,
+	})
 	return m, rec, err
 }
 
@@ -166,7 +162,7 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 	if err := st.Promote(); err != nil {
 		return fmt.Errorf("promote: %w", err)
 	}
-	f, rec, err := openFollower(cfg, standbyPath)
+	f, rec, err := openFollower(standbyPath)
 	if err != nil {
 		return fmt.Errorf("open promoted follower: %w", err)
 	}

@@ -4,39 +4,40 @@ import (
 	"testing"
 )
 
-func runFailoverSeeds(t *testing.T, backend Backend) {
-	t.Helper()
+func TestFailoverScheduleOStore(t *testing.T) {
 	dir := t.TempDir()
 	outcomes := make(map[string]int)
 	for seed := int64(FixedSeedBase); seed < FixedSeedBase+seedCount(t); seed++ {
-		res, err := RunFailover(Config{Backend: backend, Seed: seed, Dir: dir})
+		res, err := RunFailover(Config{Backend: BackendOStore, Seed: seed, Dir: dir})
 		if err != nil {
-			t.Fatalf("replay with: go run ./cmd/labflow -experiment failover -store %s -seed %d -crashruns 1\n%v",
-				backend, seed, err)
+			t.Fatalf("replay with: go run ./cmd/labflow -experiment failover -store ostore -seed %d -crashruns 1\n%v",
+				seed, err)
 		}
 		outcomes[res.Outcome]++
 	}
-	t.Logf("%s failover outcomes over %d seeds: %v", backend, seedCount(t), outcomes)
+	t.Logf("ostore failover outcomes over %d seeds: %v", seedCount(t), outcomes)
 	if outcomes["follower-committed"] == 0 {
 		t.Error("no seed exercised the follower-committed path; schedule space too narrow")
 	}
 }
 
-func TestFailoverScheduleOStore(t *testing.T) { runFailoverSeeds(t, BackendOStore) }
-
-func TestFailoverScheduleTexas(t *testing.T) { runFailoverSeeds(t, BackendTexas) }
+// TestFailoverRefusesTexas: texas has no redo log, so there is nothing to
+// ship and no standby to promote.
+func TestFailoverRefusesTexas(t *testing.T) {
+	if _, err := RunFailover(Config{Backend: BackendTexas, Seed: 1, Dir: t.TempDir()}); err == nil {
+		t.Fatal("RunFailover accepted texas")
+	}
+}
 
 // TestFailoverDeterministic replays one seed and requires the identical
 // verdict, as for Run.
 func TestFailoverDeterministic(t *testing.T) {
-	for _, backend := range []Backend{BackendOStore, BackendTexas} {
-		a, errA := RunFailover(Config{Backend: backend, Seed: 11, Dir: t.TempDir()})
-		b, errB := RunFailover(Config{Backend: backend, Seed: 11, Dir: t.TempDir()})
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: replay verdict diverged: %v vs %v", backend, errA, errB)
-		}
-		if a != b {
-			t.Fatalf("%s: replay result diverged:\n%+v\n%+v", backend, a, b)
-		}
+	a, errA := RunFailover(Config{Backend: BackendOStore, Seed: 11, Dir: t.TempDir()})
+	b, errB := RunFailover(Config{Backend: BackendOStore, Seed: 11, Dir: t.TempDir()})
+	if (errA == nil) != (errB == nil) {
+		t.Fatalf("replay verdict diverged: %v vs %v", errA, errB)
+	}
+	if a != b {
+		t.Fatalf("replay result diverged:\n%+v\n%+v", a, b)
 	}
 }

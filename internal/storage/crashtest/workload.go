@@ -73,21 +73,14 @@ type workload struct {
 	committed *model
 	pending   *model
 	commits   int
-	// history[i] is the committed model after i successful commits —
-	// history[0] is the empty store. The texas restore verifier diffs a
-	// restored store against the snapshot boundary it claims, which can be
-	// any commit in this sequence, not just the last.
-	history []*model
 }
 
 func newWorkload(seed int64) *workload {
-	w := &workload{
+	return &workload{
 		rng:       rand.New(rand.NewSource(seed)),
 		committed: newModel(),
 		pending:   newModel(),
 	}
-	w.history = append(w.history, w.committed)
-	return w
 }
 
 // payload draws a deterministic record: usually small, occasionally large
@@ -171,7 +164,6 @@ func (w *workload) run(m storage.Manager, txns, opsPerTxn int) (string, error) {
 			return "Commit", err
 		}
 		w.committed = w.pending.clone()
-		w.history = append(w.history, w.committed)
 		w.commits++
 	}
 	return "", nil

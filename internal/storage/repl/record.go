@@ -1,9 +1,9 @@
-// Package repl is the replication and bounded-recovery substrate shared by
-// the persistent storage managers: the LSN-sequenced redo-record encoding,
-// the checkpoint cursor that retires replayed history so reopen work is
-// O(delta since checkpoint), page-image snapshot slots (texas
-// restore-from-checkpoint), and the warm Standby that applies shipped
-// records continuously and can be promoted when a primary dies.
+// Package repl is the replication and bounded-recovery substrate of the
+// redo-logged storage manager (ostore): the LSN-sequenced redo-record
+// encoding, the checkpoint cursor that retires replayed history so reopen
+// work is O(delta since checkpoint), the primary's pending-ship queue, and
+// the warm Standby that applies shipped records continuously and can be
+// promoted when a primary dies.
 //
 // The log protocol is append-only within a checkpoint interval:
 //
@@ -85,9 +85,9 @@ import (
 	"labflow/internal/storage/pagefile"
 )
 
-// LogFile is a positioned-I/O medium for redo logs, checkpoint cursors and
-// snapshot slots. Production use wraps an *os.File (OpenFile); tests and the
-// crashtest harness substitute fault-injecting implementations.
+// LogFile is a positioned-I/O medium for redo logs and standby journals.
+// Production use wraps an *os.File (OpenFile); tests and the crashtest
+// harness substitute fault-injecting implementations.
 type LogFile interface {
 	io.ReaderAt
 	io.WriterAt
@@ -156,9 +156,7 @@ func RecordSize(count uint32) int64 {
 }
 
 // EncodeRecord serializes one redo record into a buffer of its own. A record
-// may be empty (count 0): texas ships one record per commit even when the
-// commit wrote no pages, so the follower's LSN tracks the primary's commit
-// count exactly.
+// may be empty (count 0): it then carries only its LSN.
 func EncodeRecord(lsn uint64, pages []PageImage) []byte {
 	return AppendRecord(make([]byte, 0, RecordSize(uint32(len(pages)))), lsn, pages)
 }
@@ -350,14 +348,6 @@ type RecoveryInfo struct {
 	Replayed int
 	// NextLSN is the first LSN the reopened store will assign.
 	NextLSN uint64
-	// Restored reports a texas restore-from-checkpoint: the store was torn
-	// and was rebuilt from the newest valid snapshot instead of refusing.
-	Restored bool
-	// RestoredLSN is the snapshot's commit LSN (the committed prefix the
-	// restored store serves).
-	RestoredLSN uint64
-	// RestoredPages is the number of page images the restore wrote.
-	RestoredPages int
 }
 
 // Shipper receives each redo record at its durability point, before the
@@ -375,9 +365,9 @@ type RecoveryInfo struct {
 // Ship of that LSN must carry the identical record. A failed ship is
 // ambiguous (the follower may have applied the record with only the ack
 // lost), and the whole retry protocol — the standby's idempotent re-ack,
-// the wire shipper's state-query-before-retransmit, the storage managers'
-// pending-record redelivery — is sound only because an LSN names one
-// immutable byte string.
+// the wire shipper's state-query-before-retransmit, the primary's
+// pending-record redelivery (ShipQueue) — is sound only because an LSN names
+// one immutable byte string.
 type Shipper interface {
 	Ship(lsn uint64, record []byte) error
 }
@@ -398,8 +388,8 @@ type StateShipper interface {
 // log by a reopen. Their LSNs are burned, so these exact bytes must reach
 // the follower (or be found there already) ahead of the next record; the
 // stream never reuses an LSN for different contents. The zero value is an
-// empty queue. Not safe for concurrent use: each storage manager touches
-// its queue only from its commit path.
+// empty queue. Not safe for concurrent use: ostore touches its queue only
+// from its commit path.
 type ShipQueue struct {
 	pending []pendingRecord
 }

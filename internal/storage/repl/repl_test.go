@@ -42,7 +42,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatal("page 0 mismatch")
 	}
 
-	// Empty records are valid (texas ships one per commit, pages or not).
+	// Empty records are valid: an LSN with no page images.
 	empty := EncodeRecord(9, nil)
 	rec, _, ok = DecodeRecord(empty)
 	if !ok || rec.LSN != 9 || len(rec.Pages) != 0 {
@@ -127,45 +127,6 @@ func TestScanLogTornTail(t *testing.T) {
 	}
 	if cursor, records, err := ScanLog(lf); err != nil || cursor != 0 || len(records) != 0 {
 		t.Fatalf("cursorless log: %d records cursor=%d err=%v", len(records), cursor, err)
-	}
-}
-
-func TestSnapshotSlots(t *testing.T) {
-	dir := t.TempDir()
-	var slots [2]LogFile
-	for i := range slots {
-		lf, err := OpenFile(filepath.Join(dir, "ckpt"+string(rune('0'+i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer lf.Close()
-		slots[i] = lf
-	}
-	if _, _, _, ok := BestSnapshot(slots); ok {
-		t.Fatal("empty slots produced a snapshot")
-	}
-	if err := WriteSnapshot(slots[0], 1, 5, [][]byte{page(0x11)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(slots[1], 2, 9, [][]byte{page(0x22), page(0x33)}); err != nil {
-		t.Fatal(err)
-	}
-	seq, lsn, pages, ok := BestSnapshot(slots)
-	if !ok || seq != 2 || lsn != 9 || len(pages) != 2 {
-		t.Fatalf("best = seq %d lsn %d pages %d ok %v", seq, lsn, len(pages), ok)
-	}
-	// Tear the newer slot: restore falls back to the older one.
-	raw, err := os.ReadFile(filepath.Join(dir, "ckpt1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x01
-	if err := os.WriteFile(filepath.Join(dir, "ckpt1"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seq, lsn, pages, ok = BestSnapshot(slots)
-	if !ok || seq != 1 || lsn != 5 || len(pages) != 1 || !bytes.Equal(pages[0], page(0x11)) {
-		t.Fatalf("fallback = seq %d lsn %d pages %d ok %v", seq, lsn, len(pages), ok)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 
 	"labflow/internal/storage"
 	"labflow/internal/storage/pagefile"
-	"labflow/internal/storage/repl"
 )
 
 // ErrTornStore is returned by Open when the backing file carries the dirty
@@ -62,41 +61,12 @@ type Options struct {
 	MaxResidentPages int
 	// Clustering enables client-directed placement (the +TC version).
 	Clustering bool
-	// CheckpointEvery enables page-image snapshots (DESIGN §8): every this
-	// many commits the whole backing is serialized into one of two
-	// alternating snapshot slots. 0 disables snapshots (the historical
-	// detect-only behaviour) unless Snapshots slots are supplied, in which
-	// case DefaultCheckpointEvery applies.
-	CheckpointEvery int
-	// Snapshots are the two alternating snapshot slots. Nil slots are opened
-	// from Path+".ckpt0"/".ckpt1" when snapshots are enabled and Path is
-	// set; the fault harness supplies its own instrumented slots here.
-	Snapshots [2]repl.LogFile
-	// Restore permits Open to rebuild a torn store from the newest valid
-	// snapshot instead of returning ErrTornStore. The restored state is the
-	// snapshot's commit boundary — later commits are lost, which is the
-	// manager's documented detect-and-restore (not replay) contract.
-	Restore bool
-	// Shipper, if non-nil, receives one redo record per commit — the pages
-	// that commit flushed (or evicted mid-transaction), or an empty record
-	// for a read-only commit — so a warm standby tracks the primary
-	// commit-for-commit. A Ship error fails the commit.
-	Shipper repl.Shipper
-	// Recovery, if non-nil, is filled with what Open had to do (restore
-	// performed, snapshot LSN, pages written).
-	Recovery *repl.RecoveryInfo
 	// Name overrides the report name ("Texas" or "Texas+TC" by default).
 	Name string
 }
 
-// DefaultCheckpointEvery is the snapshot interval used when snapshot slots
-// are supplied but CheckpointEvery is 0.
-const DefaultCheckpointEvery = 8
-
 // Open opens or creates a Texas-style store. A torn store (mutated but
-// never cleanly closed) is refused with ErrTornStore unless Restore is set
-// and a valid snapshot exists, in which case the backing is rebuilt to the
-// snapshot's commit boundary.
+// never cleanly closed) is refused with ErrTornStore.
 func Open(opts Options) (storage.Manager, error) {
 	backing := opts.Backing
 	persistent := backing != nil || opts.Path != ""
@@ -111,56 +81,19 @@ func Open(opts Options) (storage.Manager, error) {
 			backing = fb
 		}
 	}
-	slots, snapEvery, err := resolveSlots(opts)
-	if err != nil {
-		backing.Close()
-		return nil, err
-	}
-	closeAll := func() {
-		backing.Close()
-		for _, slot := range slots {
-			if slot != nil {
-				slot.Close()
-			}
-		}
-	}
 	// A persistent store that was mutated but never cleanly closed is torn:
-	// with no log there is nothing to replay, so either rebuild the whole
-	// backing from the newest snapshot (Restore) or refuse loudly rather
-	// than serve whatever subset of the dirty pages reached the disk.
-	torn := false
+	// with no log there is nothing to replay, so refuse loudly rather than
+	// serve whatever subset of the dirty pages reached the disk.
 	if persistent && backing.NumPages() > 0 {
 		buf := make([]byte, pagefile.PageSize)
 		if err := backing.ReadPage(0, buf); err != nil {
-			closeAll()
+			backing.Close()
 			return nil, fmt.Errorf("texas: read superblock: %w", err)
 		}
-		torn = binary.LittleEndian.Uint64(buf[dirtyMarkerOff:]) == dirtyMarkerMagic
-	}
-	seqNext, nextLSN := uint64(1), uint64(1)
-	var info repl.RecoveryInfo
-	if seq, lsn, pages, ok := repl.BestSnapshot(slots); ok {
-		seqNext, nextLSN = seq+1, lsn+1
-		if torn && opts.Restore {
-			if err := restore(backing, pages); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("texas: restore: %w", err)
-			}
-			// The snapshot's superblock image carries no dirty marker, so
-			// the restored backing is clean again.
-			torn = false
-			info.Restored = true
-			info.RestoredLSN = lsn
-			info.RestoredPages = len(pages)
+		if binary.LittleEndian.Uint64(buf[dirtyMarkerOff:]) == dirtyMarkerMagic {
+			backing.Close()
+			return nil, fmt.Errorf("texas: %w", ErrTornStore)
 		}
-	}
-	if torn {
-		closeAll()
-		return nil, fmt.Errorf("texas: %w", ErrTornStore)
-	}
-	info.NextLSN = nextLSN
-	if opts.Recovery != nil {
-		*opts.Recovery = info
 	}
 	name := opts.Name
 	if name == "" {
@@ -175,14 +108,6 @@ func Open(opts Options) (storage.Manager, error) {
 		resident:   make(map[pagefile.PageID]*frame),
 		maxPages:   opts.MaxResidentPages,
 		persistent: persistent,
-		slots:      slots,
-		snapEvery:  snapEvery,
-		seqNext:    seqNext,
-		nextLSN:    nextLSN,
-		shipper:    opts.Shipper,
-	}
-	if pager.shipper != nil {
-		pager.ship = make(map[pagefile.PageID][]byte)
 	}
 	store, err := pagefile.New(name, pager, heapSlack)
 	if err != nil {
@@ -260,16 +185,6 @@ type pager struct {
 	marked     bool // dirty marker is on disk
 	stats      pagefile.PagerStats
 	closed     bool
-
-	// Snapshot/shipping state (DESIGN §8), all under mu.
-	slots     [2]repl.LogFile            // nil slots: snapshots disabled
-	snapEvery int                        // commits between snapshots
-	seqNext   uint64                     // next snapshot sequence number
-	nextLSN   uint64                     // next commit's LSN
-	sinceSnap int                        // commits since the last snapshot
-	shipper   repl.Shipper               // nil: no standby
-	ship      map[pagefile.PageID][]byte // unstamped images pending shipment
-	pending   repl.ShipQueue             // burned LSNs the follower never acked
 }
 
 // writePageLocked is the single path to the backing for page images. For a
@@ -282,19 +197,6 @@ func (p *pager) writePageLocked(id pagefile.PageID, data []byte) error {
 		if err := p.setMarkerLocked(); err != nil {
 			return fmt.Errorf("texas: set dirty marker: %w", err)
 		}
-	}
-	// Capture the unstamped image for shipment at the next commit boundary.
-	// Mid-transaction eviction write-backs land here too, which is correct:
-	// a dirty page always belongs to the transaction in progress, so every
-	// captured image is part of the commit that will ship it. The marker
-	// set/clear writes bypass this path — the brand is primary-local.
-	if p.ship != nil {
-		img, ok := p.ship[id]
-		if !ok {
-			img = make([]byte, pagefile.PageSize)
-			p.ship[id] = img
-		}
-		copy(img, data)
 	}
 	if p.persistent && id == 0 {
 		stamped := make([]byte, pagefile.PageSize)
@@ -440,17 +342,12 @@ func (p *pager) Begin() error { return nil }
 
 // Commit writes every dirty resident page back to the database file. Like
 // the original Texas, there is no log: a crash mid-commit is not recoverable
-// in place, which is one of the usability observations the paper makes —
-// though with snapshots enabled a periodic page-image checkpoint gives Open
-// a whole-store restore point, and with a Shipper every commit's pages
-// stream to a warm standby before the commit returns.
+// in place — Open detects it and refuses the store — which is one of the
+// usability observations the paper makes.
 func (p *pager) Commit() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
-	return p.commitReplLocked()
+	return p.flushLocked()
 }
 
 func (p *pager) flushLocked() error {
@@ -475,12 +372,11 @@ func (p *pager) Stats() pagefile.PagerStats {
 
 func (p *pager) SizeBytes() uint64 { return p.backing.SizeBytes() }
 
-// Close flushes, syncs, writes a final snapshot (so a clean reopen resumes
-// the sequence numbers where this session left them), and clears the dirty
-// marker — in that order, so the marker only leaves the disk once every page
-// write is bracketed by a sync. The backing and snapshot slots are closed
-// unconditionally: a failed flush must not leak descriptors (and leaves the
-// marker in place, which is exactly the verdict a later Open should see).
+// Close flushes, syncs, and clears the dirty marker — in that order, so the
+// marker only leaves the disk once every page write is bracketed by a sync.
+// The backing is closed unconditionally: a failed flush must not leak a
+// descriptor (and leaves the marker in place, which is exactly the verdict a
+// later Open should see).
 func (p *pager) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -493,27 +389,13 @@ func (p *pager) Close() error {
 		errs = append(errs, err)
 	} else if err := p.backing.Sync(); err != nil {
 		errs = append(errs, err)
-	} else {
-		if p.snapshotsOn() && p.persistent && (p.sinceSnap > 0 || p.seqNext == 1) {
-			if err := p.snapshotLocked(); err != nil {
-				errs = append(errs, fmt.Errorf("texas: final snapshot: %w", err))
-			}
-		}
-		if p.marked {
-			if err := p.clearMarkerLocked(); err != nil {
-				errs = append(errs, fmt.Errorf("texas: clear dirty marker: %w", err))
-			}
+	} else if p.marked {
+		if err := p.clearMarkerLocked(); err != nil {
+			errs = append(errs, fmt.Errorf("texas: clear dirty marker: %w", err))
 		}
 	}
 	if err := p.backing.Close(); err != nil {
 		errs = append(errs, err)
-	}
-	for _, slot := range p.slots {
-		if slot != nil {
-			if err := slot.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
 	}
 	return errors.Join(errs...)
 }

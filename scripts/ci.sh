@@ -67,9 +67,10 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # regression here always reproduces bit-for-bit.
 # The ostore round also asserts that some seed crashed inside each of the
 # recycled log's two windows (in-place cursor rewrite, record over a retired
-# record), so the round cannot go vacuous when op numbering shifts. The
-# directed tests beside it pin each clause of the in-place-reuse safety
-# argument (repl package comment) on its own.
+# record), and the texas round that some seed was refused as torn and some
+# reopened at exactly its committed state, so neither round can go vacuous
+# when op numbering shifts. The directed tests beside it pin each clause of
+# the in-place-reuse safety argument (repl package comment) on its own.
 go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
 go test -race -count=1 \
 	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens' \
@@ -95,6 +96,9 @@ go test -race -count=1 \
 # opcode mutate. A crasher lands in internal/wire/testdata/fuzz as a seed.
 go test -race -run '^$' -fuzz 'FuzzServerHandle' -fuzztime 10s ./internal/wire/
 go test -race -run '^$' -fuzz 'FuzzStandbyHandle' -fuzztime 5s ./internal/wire/
+# The redo-log scan, the one on-disk repl format: arbitrary log bytes must
+# neither panic nor yield a record that does not re-encode to its bytes.
+go test -race -run '^$' -fuzz 'FuzzScanLog' -fuzztime 5s ./internal/storage/repl/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks Begin/Close and nobody else)"
 # DESIGN §9 "What a reader can wait on": with a commit held inside the log's
@@ -130,10 +134,10 @@ echo "== cluster smoke (2 labbase-server processes, lfload through the router)"
 echo "== failover smoke (warm standbys, primary SIGKILLed under load)"
 ./scripts/failover_smoke.sh
 
-echo "== failover crashtest (fixed seeds, committed-prefix after promotion)"
-go run ./cmd/labflow -experiment failover -store all -crashruns 25 >/dev/null || {
+echo "== failover crashtest (fixed seeds, committed-prefix after promotion, ostore)"
+go run ./cmd/labflow -experiment failover -store ostore -crashruns 25 >/dev/null || {
 	echo "failover crashtest FAILED; replay:" >&2
-	echo "  go run ./cmd/labflow -experiment failover -store all -crashruns 25" >&2
+	echo "  go run ./cmd/labflow -experiment failover -store ostore -crashruns 25" >&2
 	exit 1
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # failover_smoke.sh — end-to-end smoke of the warm-standby path: bring up
-# a 2-shard cluster with per-shard standbys (lfcluster -standbys wires
-# each primary's -ship to its follower), SIGKILL one primary while an
+# a 2-shard ostore cluster with per-shard standbys (lfcluster -standbys
+# wires each primary's -ship to its follower), SIGKILL one primary while an
 # lfload closed loop is mid-flight, and verify the router promotes the
 # standby, the load run completes with a reported outage, and the cluster
 # keeps serving afterwards. Run via `make failover-smoke` or the ci.sh
@@ -33,7 +33,7 @@ go build -o "$work/lfload" ./cmd/lfload
 echo "== failover-smoke: launch 2-shard cluster with warm standbys"
 topo="$work/shards.json"
 mkdir -p "$work/data"
-"$work/lfcluster" -n 2 -standbys -store texas+tc -dir "$work/data" \
+"$work/lfcluster" -n 2 -standbys -store ostore -dir "$work/data" \
 	-topology "$topo" -server "$work/labbase-server" >"$work/cluster.log" 2>&1 &
 cluster_pid=$!
 
