@@ -277,24 +277,37 @@ func (db *DB) Begin() error {
 }
 
 // Commit writes back the catalog and counters if they changed and commits
-// the storage transaction.
+// the storage transaction: Seal, then wait for durability outside wmu.
 func (db *DB) Commit() error {
+	durable, err := db.Seal()
+	if err != nil {
+		return err
+	}
+	return durable()
+}
+
+// Seal implements Sealer: it ends the transaction under wmu — catalog and
+// counters written back, the storage transaction sealed (storage.Seal) —
+// and returns the storage manager's durable wait, so the next Begin runs
+// while this transaction's flush is in flight. Its effects are already
+// published to snapshots; durable is what an acknowledgment must wait for.
+func (db *DB) Seal() (durable func() error, err error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	if !db.inTxn.Load() {
-		return ErrNoTransaction
+		return nil, ErrNoTransaction
 	}
 	if db.cat.dirty {
 		root, err := db.sm.Root()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e := rec.GetEncoder()
 		db.cat.encodeTo(e)
 		err = db.sm.Write(root, e.Bytes())
 		rec.PutEncoder(e)
 		if err != nil {
-			return fmt.Errorf("labbase: write catalog: %w", err)
+			return nil, fmt.Errorf("labbase: write catalog: %w", err)
 		}
 		db.cat.dirty = false
 	}
@@ -303,7 +316,7 @@ func (db *DB) Commit() error {
 		// it into a scratch buffer the DB owns (the manager copies the bytes).
 		db.cntBuf = db.cnt.appendTo(db.cntBuf[:0])
 		if err := db.sm.Write(db.cat.countersOID, db.cntBuf); err != nil {
-			return fmt.Errorf("labbase: write counters: %w", err)
+			return nil, fmt.Errorf("labbase: write counters: %w", err)
 		}
 		db.cntDirty = false
 	}
@@ -311,7 +324,7 @@ func (db *DB) Commit() error {
 	// Backstop publish: ops normally publish themselves on exit, but an op
 	// that failed partway may have left unpublished mutations behind.
 	db.publishIfDirty()
-	return db.sm.Commit()
+	return storage.Seal(db.sm)
 }
 
 func (db *DB) requireTxn() error {

@@ -66,7 +66,10 @@ type mapper struct {
 	shard int
 }
 
-var _ storage.Manager = (*mapper)(nil)
+var (
+	_ storage.Manager = (*mapper)(nil)
+	_ storage.Sealer  = (*mapper)(nil)
+)
 
 // tag stamps the shard number into a freshly allocated local OID.
 func (m *mapper) tag(oid storage.OID) (storage.OID, error) {
@@ -166,3 +169,7 @@ func (m *mapper) Begin() error         { return m.inner.Begin() }
 func (m *mapper) Commit() error        { return m.inner.Commit() }
 func (m *mapper) Stats() storage.Stats { return m.inner.Stats() }
 func (m *mapper) Close() error         { return m.inner.Close() }
+
+// Seal forwards storage.Sealer, so the shard's labbase.DB seals through the
+// mapper exactly as it would over the inner manager.
+func (m *mapper) Seal() (func() error, error) { return storage.Seal(m.inner) }

@@ -105,6 +105,81 @@ func TestMapperRejectsForeignOIDs(t *testing.T) {
 	}
 }
 
+// sealRecorder is a fake storage manager that counts how its transactions
+// end; its Seal hands back a durable wait that reports errDurable.
+type sealRecorder struct {
+	storage.Manager
+	seals, commits, waits int
+}
+
+var errDurable = errors.New("the recorder's durable wait")
+
+func (r *sealRecorder) Commit() error {
+	r.commits++
+	return r.Manager.Commit()
+}
+
+func (r *sealRecorder) Seal() (func() error, error) {
+	r.seals++
+	if err := r.Manager.Commit(); err != nil {
+		return nil, err
+	}
+	return func() error { r.waits++; return errDurable }, nil
+}
+
+// TestMapperForwardsSeal: the mapper is a storage.Sealer that passes the
+// inner manager's Seal — and its durable wait, uncalled — straight through,
+// so a shard's labbase.DB seals exactly as it would over the bare manager;
+// over a manager without Seal it falls back to the blocking Commit.
+func TestMapperForwardsSeal(t *testing.T) {
+	rec := &sealRecorder{Manager: memstore.Open("test-mm")}
+	m := &mapper{inner: rec, shard: 1}
+	defer m.Close()
+	if err := m.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	durable, err := storage.Seal(m)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	if rec.seals != 1 || rec.commits != 0 || rec.waits != 0 {
+		t.Fatalf("after Seal: %d seals, %d commits, %d waits; want the inner Seal alone", rec.seals, rec.commits, rec.waits)
+	}
+	if err := durable(); !errors.Is(err, errDurable) || rec.waits != 1 {
+		t.Fatalf("durable() = %v after %d waits: not the inner manager's wait", err, rec.waits)
+	}
+
+	// Through a labbase.DB on the mapper, as a shard runs it.
+	db, err := labbase.Open(m, labbase.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealsBefore, commitsBefore := rec.seals, rec.commits
+	begin(t, db)
+	if _, err := db.DefineState("received"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := labbase.Seal(db); err != nil {
+		t.Fatalf("labbase.Seal: %v", err)
+	}
+	if rec.seals != sealsBefore+1 || rec.commits != commitsBefore {
+		t.Fatalf("a DB over the mapper ended its transaction with %d seals and %d commits; want one seal",
+			rec.seals-sealsBefore, rec.commits-commitsBefore)
+	}
+
+	plain := &mapper{inner: struct{ storage.Manager }{memstore.Open("test-mm")}, shard: 1}
+	defer plain.Close()
+	if err := plain.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if durable, err := storage.Seal(plain); err != nil || durable() != nil {
+		t.Fatalf("Seal over a manager without it = %v; want its Commit and nothing to wait for", err)
+	}
+	if err := plain.Commit(); !errors.Is(err, storage.ErrNoTransaction) {
+		t.Fatalf("Commit after the fallback Seal = %v; the Seal should have committed", err)
+	}
+}
+
 // loadWorkload drives the same shard-safe logical workload (single-material
 // steps, as lfload issues) into any store: mats materials, one typed
 // schema, steps recorded both through the txn bracket and through PutSteps.

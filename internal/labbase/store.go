@@ -149,11 +149,39 @@ func WalkClass(r Reader, class string, fn func(storage.OID) error) error {
 	})
 }
 
+// Sealer is an optional Store capability, the labbase face of
+// storage.Sealer: Seal ends the open transaction and returns a wait for its
+// durability, and Commit is Seal followed by that wait. A caller that
+// serializes writers with a lock of its own (the wire server) holds it
+// across Seal only, so the next writer runs while this one's flush is in
+// flight, and acknowledges the write once durable returns.
+//
+// *DB implements it (and so a shard server's Member, which embeds one).
+// Stores that lack it — decorators that implement Store method by method, a
+// multi-shard store whose Commit spans several shards — are served by Seal
+// below through their blocking Commit.
+type Sealer interface {
+	Seal() (durable func() error, err error)
+}
+
+// Seal ends s's transaction through s's Seal when s is a Sealer, otherwise
+// through its blocking Commit, in which case durable is storage.NoWait.
+func Seal(s Store) (durable func() error, err error) {
+	if sl, ok := s.(Sealer); ok {
+		return sl.Seal()
+	}
+	if err := s.Commit(); err != nil {
+		return nil, err
+	}
+	return storage.NoWait, nil
+}
+
 var (
 	_ Store        = (*DB)(nil)
 	_ Snapshot     = (*Snap)(nil)
 	_ IndexScanner = (*DB)(nil)
 	_ IndexScanner = (*Snap)(nil)
+	_ Sealer       = (*DB)(nil)
 )
 
 // StoreStats implements Store over the single storage manager.

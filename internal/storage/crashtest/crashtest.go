@@ -21,6 +21,13 @@
 //     failure — a reopen either serves exactly the committed state or
 //     refuses (ErrTornStore); it never serves torn data.
 //
+// On ostore the workload also runs a seeded share of its transactions as
+// two-committer pairs: one transaction's flush is held at its log write
+// while the next begins, writes and seals behind it (the pipelined commit,
+// DESIGN §8), so a crash can land in a flush with a second commit sealed
+// and unacknowledged. Each such transaction may then land on either side,
+// in seal order, and still never in part.
+//
 // RunFailover is the warm-standby variant, on ostore only: texas has no
 // redo log to ship. Every decision flows from the seed, so a failing
 // schedule is reported — and replayed — as its seed alone.
@@ -33,6 +40,7 @@ import (
 	"path/filepath"
 
 	"labflow/internal/fault"
+	"labflow/internal/fault/gate"
 	"labflow/internal/storage"
 	"labflow/internal/storage/ostore"
 	"labflow/internal/storage/pagefile"
@@ -89,7 +97,7 @@ type Result struct {
 	CrashOp    uint64 // the op the crash pass died at
 	Tear       fault.TearMode
 	TornOp     string // what the crash tore ("" if a clean cut)
-	Window     string // recycled-log window the crash op landed in ("" if neither), see logWindow
+	Window     string // named window the crash op landed in ("" if none), see logWindow and WindowSealedBehindFlush
 	FailedCall string // the manager call that observed the death
 	Commits    int    // transactions committed before the crash
 	Outcome    string // recovered-committed | recovered-pending | torn-detected | fresh-empty
@@ -143,6 +151,10 @@ const (
 	WindowCursorRewrite = "cursor-rewrite"
 	// WindowRecordOverlay is a record landing on top of a retired one.
 	WindowRecordOverlay = "record-overlay"
+	// WindowSealedBehindFlush is a crash inside one commit's flush while
+	// the next commit is already sealed behind it, waiting on the same
+	// flusher: the window the pipelined commit opened.
+	WindowSealedBehindFlush = "sealed-behind-flush"
 )
 
 // logWindow names the recycled-log window the crash op landed in. The seeds
@@ -162,34 +174,51 @@ func logWindow(in *fault.Injector) string {
 	return ""
 }
 
+// gatedLog passes every log write through a gate ahead of the injector's
+// count, so the workload can hold a flush at its record write.
+type gatedLog struct {
+	repl.LogFile
+	gate *gate.Gate
+}
+
+func (l gatedLog) WriteAt(p []byte, off int64) (int, error) {
+	l.gate.Pass()
+	return l.LogFile.WriteAt(p, off)
+}
+
 // openInjected opens a fresh store for the backend with its media wrapped
-// in the injector. ship, if non-nil, pairs an ostore primary with a standby
-// — the failover harness's hook; texas has no log to ship.
-func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipper) (storage.Manager, error) {
+// in the injector, and for ostore the gate the workload's two-committer
+// pairs hold a flush with (nil for texas, whose commits are not
+// pipelined). ship, if non-nil, pairs an ostore primary with a standby —
+// the failover harness's hook; texas has no log to ship.
+func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipper) (storage.Manager, *gate.Gate, error) {
 	fb, err := pagefile.OpenFile(dbPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch cfg.Backend {
 	case BackendOStore:
 		logf, err := os.OpenFile(dbPath+".log", os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			fb.Close()
-			return nil, err
+			return nil, nil, err
 		}
+		g := &gate.Gate{}
 		// Open owns both media from here: on error it closes them once.
-		return ostore.Open(ostore.Options{
+		m, err := ostore.Open(ostore.Options{
 			Backing:         fault.WrapBacking(fb, in),
-			Log:             fault.WrapFile(logf, in),
+			Log:             gatedLog{fault.WrapFile(logf, in), g},
 			PoolPages:       48, // small pool: eviction traffic widens the crash surface
 			CheckpointEvery: ckptEvery,
 			Shipper:         ship,
 		})
+		return m, g, err
 	default:
-		return texas.Open(texas.Options{
+		m, err := texas.Open(texas.Options{
 			Backing:          fault.WrapBacking(fb, in),
 			MaxResidentPages: 48, // small residency: mid-transaction write-backs
 		})
+		return m, nil, err
 	}
 }
 
@@ -215,12 +244,12 @@ func openPlain(cfg Config, dbPath string, rec *repl.RecoveryInfo) (storage.Manag
 func countPass(cfg Config) (uint64, error) {
 	dbPath := filepath.Join(cfg.Dir, fmt.Sprintf("%s-count-%d.db", cfg.Backend, cfg.Seed))
 	in := fault.NewInjector(fault.Plan{Seed: cfg.Seed}) // CrashOp 0: count only
-	m, err := openInjected(cfg, dbPath, in, nil)
+	m, g, err := openInjected(cfg, dbPath, in, nil)
 	if err != nil {
 		return 0, fmt.Errorf("open: %w", err)
 	}
 	w := newWorkload(cfg.Seed)
-	if call, err := w.run(m, cfg.Txns, cfg.OpsPerTxn); err != nil {
+	if call, err := w.run(m, g, cfg.Txns, cfg.OpsPerTxn); err != nil {
 		m.Close()
 		return 0, fmt.Errorf("fault-free workload failed at %s: %w", call, err)
 	}
@@ -252,7 +281,7 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	in := fault.NewInjector(plan)
 
 	w := newWorkload(cfg.Seed)
-	m, err := openInjected(cfg, dbPath, in, nil)
+	m, g, err := openInjected(cfg, dbPath, in, nil)
 	switch {
 	case err != nil && errors.Is(err, fault.ErrCrashed):
 		// Died while formatting the store: nothing was ever committed.
@@ -260,7 +289,7 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	case err != nil:
 		return fmt.Errorf("open: %w", err)
 	default:
-		call, werr := w.run(m, cfg.Txns, cfg.OpsPerTxn)
+		call, werr := w.run(m, g, cfg.Txns, cfg.OpsPerTxn)
 		switch {
 		case werr != nil && errors.Is(werr, fault.ErrCrashed):
 			res.FailedCall = call
@@ -287,13 +316,17 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 		return verifyTexas(m2, err, in, w, res)
 	}
 	res.Window = logWindow(in)
+	if res.Window == "" {
+		res.Window = w.window
+	}
 	return verifyOStore(m2, err, &rec, w, res)
 }
 
 // verifyOStore checks the redo-log contract: reopen always succeeds, the
-// recovered state is exactly the committed model — or, only when the crash
-// hit inside Commit, exactly the in-flight transaction's state — and the
-// replay work is bounded by the checkpoint interval.
+// recovered state is exactly the committed model — or exactly the state an
+// ended but unacknowledged transaction would leave (a crash inside Commit,
+// or in a flush with a second commit sealed behind it) — and the replay
+// work is bounded by the checkpoint interval.
 func verifyOStore(m2 storage.Manager, openErr error, rec *repl.RecoveryInfo, w *workload, res *Result) error {
 	if openErr != nil {
 		return fmt.Errorf("reopen after crash: %w", openErr)
@@ -307,15 +340,15 @@ func verifyOStore(m2 storage.Manager, openErr error, rec *repl.RecoveryInfo, w *
 		res.Outcome = "recovered-committed"
 		return nil
 	}
-	if res.FailedCall == "Commit" {
-		// The durability point may have passed before the crash: the
-		// in-flight transaction is then fully visible. Anything between
-		// the two states is a torn store.
-		if pendErr := w.pending.diff(m2); pendErr == nil {
-			res.Outcome = "recovered-pending"
-			return nil
-		}
-		return fmt.Errorf("state matches neither committed (%w) nor in-flight transaction", commErr)
+	// The durability point may have passed before the crash: an in-flight
+	// transaction (and every one sealed before it) is then fully visible.
+	// Anything between those states is a torn store.
+	if w.matchesInflight(m2) {
+		res.Outcome = "recovered-pending"
+		return nil
+	}
+	if len(w.inflight) > 0 {
+		return fmt.Errorf("state matches neither committed (%w) nor an in-flight transaction", commErr)
 	}
 	return fmt.Errorf("committed state not recovered: %w", commErr)
 }

@@ -62,10 +62,10 @@ func runSeeds(t *testing.T, backend Backend) {
 		return
 	}
 	t.Logf("%s outcomes over %d seeds: %v", backend, seedCount(t), outcomes)
-	// The recycled log's two new crash windows must actually be hit, or the
-	// round proves nothing about them.
-	t.Logf("%s recycled-log windows hit: %v", backend, windows)
-	for _, w := range []string{WindowCursorRewrite, WindowRecordOverlay} {
+	// The recycled log's two crash windows and the pipelined commit's must
+	// actually be hit, or the round proves nothing about them.
+	t.Logf("%s named windows hit: %v", backend, windows)
+	for _, w := range []string{WindowCursorRewrite, WindowRecordOverlay, WindowSealedBehindFlush} {
 		if windows[w] == 0 {
 			t.Errorf("no seed crashed inside the %s window; add seeds until one does", w)
 		}

@@ -19,10 +19,10 @@ import (
 // standby's files, and requires the follower to serve exactly the committed
 // prefix — every transaction whose Commit returned, nothing in between.
 //
-// The one sanctioned exception mirrors Run's: a crash inside Commit may have
-// shipped the record before the client could hear the ack, in which case the
-// follower serves exactly the in-flight transaction's state instead
-// (Outcome "follower-pending").
+// The one sanctioned exception mirrors Run's: a crash inside a commit's flush
+// may have shipped the record before the client could hear the ack, in which
+// case the follower serves exactly the state an in-flight transaction would
+// leave instead (Outcome "follower-pending").
 //
 // Only ostore ships: texas has no log, so RunFailover refuses it.
 func RunFailover(cfg Config) (Result, error) {
@@ -71,13 +71,13 @@ func failoverCountPass(cfg Config) (uint64, error) {
 		return 0, err
 	}
 	in := fault.NewInjector(fault.Plan{Seed: cfg.Seed}) // CrashOp 0: count only
-	m, err := openInjected(cfg, dbPath, in, st)
+	m, g, err := openInjected(cfg, dbPath, in, st)
 	if err != nil {
 		st.Close()
 		return 0, fmt.Errorf("open: %w", err)
 	}
 	w := newWorkload(cfg.Seed)
-	if call, err := w.run(m, cfg.Txns, cfg.OpsPerTxn); err != nil {
+	if call, err := w.run(m, g, cfg.Txns, cfg.OpsPerTxn); err != nil {
 		m.Close()
 		st.Close()
 		return 0, fmt.Errorf("fault-free workload failed at %s: %w", call, err)
@@ -129,7 +129,7 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 	in := fault.NewInjector(plan)
 
 	w := newWorkload(cfg.Seed)
-	m, err := openInjected(cfg, dbPath, in, st)
+	m, g, err := openInjected(cfg, dbPath, in, st)
 	switch {
 	case err != nil && errors.Is(err, fault.ErrCrashed):
 		res.FailedCall = "Open"
@@ -137,7 +137,7 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 		st.Close()
 		return fmt.Errorf("open: %w", err)
 	default:
-		call, werr := w.run(m, cfg.Txns, cfg.OpsPerTxn)
+		call, werr := w.run(m, g, cfg.Txns, cfg.OpsPerTxn)
 		switch {
 		case werr != nil && errors.Is(werr, fault.ErrCrashed):
 			res.FailedCall = call
@@ -172,9 +172,10 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 	}
 
 	// The follower never saw the crash: it must hold the exact committed
-	// prefix. If the crash hit inside Commit, the record may have shipped
-	// before the ack was lost — then the follower holds exactly the
-	// in-flight transaction's state instead. Nothing else is acceptable.
+	// prefix. If the crash hit inside a commit's flush, the record may have
+	// shipped before the ack was lost — then the follower holds exactly the
+	// state an in-flight transaction would leave instead. Nothing else is
+	// acceptable.
 	commErr := w.committed.diff(f)
 	if commErr == nil {
 		if w.commits == 0 {
@@ -184,12 +185,12 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 		}
 		return nil
 	}
-	if res.FailedCall == "Commit" || res.FailedCall == "Open" {
-		if pendErr := w.pending.diff(f); pendErr == nil {
-			res.Outcome = "follower-pending"
-			return nil
-		}
-		return fmt.Errorf("follower matches neither committed prefix (%w) nor in-flight transaction", commErr)
+	if w.matchesInflight(f) {
+		res.Outcome = "follower-pending"
+		return nil
+	}
+	if len(w.inflight) > 0 {
+		return fmt.Errorf("follower matches neither committed prefix (%w) nor an in-flight transaction", commErr)
 	}
 	return fmt.Errorf("follower does not hold the committed prefix: %w", commErr)
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"labflow/internal/fault"
+	"labflow/internal/fault/gate"
 	"labflow/internal/storage"
 )
 
@@ -64,15 +66,22 @@ func (m *model) diff(mgr storage.Manager) error {
 }
 
 // workload drives a seeded transaction mix against a manager while
-// maintaining two shadow models: committed (state as of the last successful
-// Commit) and pending (including the in-flight transaction). The first
-// manager error stops the run — under fault injection that is the process
-// dying — and is returned together with the name of the failing call.
+// maintaining the shadow models: committed (state as of the last
+// acknowledged commit), pending (including the transaction being written)
+// and inflight (the state each ended but unacknowledged transaction would
+// leave, in seal order — what a crash may show instead of committed). The
+// first manager error stops the run — under fault injection that is the
+// process dying — and is returned together with the name of the failing
+// call.
 type workload struct {
 	rng       *rand.Rand
 	committed *model
 	pending   *model
+	inflight  []*model
 	commits   int
+	// window is WindowSealedBehindFlush when the crash landed in a flush
+	// while a second transaction was sealed behind it.
+	window string
 }
 
 func newWorkload(seed int64) *workload {
@@ -110,61 +119,161 @@ func (w *workload) liveOID() storage.OID {
 	return live[w.rng.Intn(len(live))]
 }
 
-// run executes txns transactions of opsPerTxn operations each. On a manager
-// error it returns the failing call's name and the error; a clean run
-// returns ("", nil).
-func (w *workload) run(m storage.Manager, txns, opsPerTxn int) (string, error) {
-	segs := []storage.SegmentID{storage.SegCatalog, storage.SegMaterial, storage.SegIndex, storage.SegHistory}
+// run executes txns transactions of opsPerTxn operations each. With a gate
+// wired into the store's log writes, a seeded share of the transactions run
+// as two-committer pairs (see pair). On a manager error it returns the
+// failing call's name and the error; a clean run returns ("", nil).
+func (w *workload) run(m storage.Manager, g *gate.Gate, txns, opsPerTxn int) (string, error) {
 	for t := 0; t < txns; t++ {
-		if err := m.Begin(); err != nil {
-			return "Begin", err
+		if call, err := w.txn(m, opsPerTxn); err != nil {
+			return call, err
 		}
-		for o := 0; o < opsPerTxn; o++ {
-			switch k := w.rng.Intn(10); {
-			case k < 5: // allocate
-				seg := segs[w.rng.Intn(len(segs))]
-				data := w.payload()
-				oid, err := m.Allocate(seg, data)
-				if err != nil {
-					return "Allocate", err
-				}
-				w.pending.order = append(w.pending.order, oid)
-				w.pending.objs[oid] = data
-			case k < 8: // rewrite (may grow/shrink/relocate)
-				oid := w.liveOID()
-				if oid.IsNil() {
-					continue
-				}
-				data := w.payload()
-				if err := m.Write(oid, data); err != nil {
-					return "Write", err
-				}
-				w.pending.objs[oid] = data
-			case k < 9: // free
-				oid := w.liveOID()
-				if oid.IsNil() {
-					continue
-				}
-				if err := m.Free(oid); err != nil {
-					return "Free", err
-				}
-				delete(w.pending.objs, oid)
-			default: // move the root
-				oid := w.liveOID()
-				if oid.IsNil() {
-					continue
-				}
-				if err := m.SetRoot(oid); err != nil {
-					return "SetRoot", err
-				}
-				w.pending.root = oid
+		if g != nil && t+1 < txns && w.rng.Intn(3) == 0 {
+			if call, err := w.pair(m, g, opsPerTxn); err != nil {
+				return call, err
 			}
+			t++
+			continue
 		}
-		if err := m.Commit(); err != nil {
-			return "Commit", err
+		if call, err := w.commit(m); err != nil {
+			return call, err
 		}
-		w.committed = w.pending.clone()
-		w.commits++
 	}
 	return "", nil
+}
+
+// commit ends the transaction just written with a blocking Commit.
+func (w *workload) commit(m storage.Manager) (string, error) {
+	if err := m.Commit(); err != nil {
+		w.inflight = append(w.inflight, w.pending)
+		return "Commit", err
+	}
+	w.committed = w.pending.clone()
+	w.commits++
+	return "", nil
+}
+
+// pair ends the transaction just written as committer A and runs the next
+// one as committer B behind it: A seals and waits for durability on a
+// goroutine of its own; its flush is held at its log write while B begins,
+// writes and seals; then A's flush goes on, and the two are acknowledged in
+// seal order. A crash anywhere in A's flush thus lands with B sealed behind
+// it (WindowSealedBehindFlush). A flush that settles without reaching the
+// log write leaves nothing to hold, and B simply runs after it.
+func (w *workload) pair(m storage.Manager, g *gate.Gate, opsPerTxn int) (string, error) {
+	entered, release := g.Arm()
+	durableA, err := storage.Seal(m)
+	if err != nil {
+		release()
+		w.inflight = append(w.inflight, w.pending)
+		return "Commit", err
+	}
+	w.inflight = append(w.inflight, w.pending.clone())
+	doneA := make(chan error, 1)
+	go func() { doneA <- durableA() }()
+	select {
+	case <-entered:
+	case err := <-doneA:
+		release()
+		if err != nil {
+			return "Commit", err
+		}
+		w.acknowledge()
+		if call, err := w.txn(m, opsPerTxn); err != nil {
+			return call, err
+		}
+		return w.commit(m)
+	}
+
+	callB, errB := w.txn(m, opsPerTxn)
+	var durableB func() error
+	if errB == nil {
+		callB = "Commit"
+		if durableB, errB = storage.Seal(m); errB == nil {
+			w.inflight = append(w.inflight, w.pending.clone())
+		}
+	}
+	release()
+	if err := <-doneA; err != nil {
+		if durableB != nil && errors.Is(err, fault.ErrCrashed) {
+			w.window = WindowSealedBehindFlush
+		}
+		return "Commit", err
+	}
+	w.acknowledge()
+	if errB != nil {
+		return callB, errB
+	}
+	if err := durableB(); err != nil {
+		return "Commit", err
+	}
+	w.acknowledge()
+	return "", nil
+}
+
+// acknowledge records the oldest in-flight transaction as committed.
+func (w *workload) acknowledge() {
+	w.committed, w.inflight = w.inflight[0], w.inflight[1:]
+	w.commits++
+}
+
+// txn begins a transaction and runs opsPerTxn seeded operations in it.
+func (w *workload) txn(m storage.Manager, opsPerTxn int) (string, error) {
+	segs := []storage.SegmentID{storage.SegCatalog, storage.SegMaterial, storage.SegIndex, storage.SegHistory}
+	if err := m.Begin(); err != nil {
+		return "Begin", err
+	}
+	for o := 0; o < opsPerTxn; o++ {
+		switch k := w.rng.Intn(10); {
+		case k < 5: // allocate
+			seg := segs[w.rng.Intn(len(segs))]
+			data := w.payload()
+			oid, err := m.Allocate(seg, data)
+			if err != nil {
+				return "Allocate", err
+			}
+			w.pending.order = append(w.pending.order, oid)
+			w.pending.objs[oid] = data
+		case k < 8: // rewrite (may grow/shrink/relocate)
+			oid := w.liveOID()
+			if oid.IsNil() {
+				continue
+			}
+			data := w.payload()
+			if err := m.Write(oid, data); err != nil {
+				return "Write", err
+			}
+			w.pending.objs[oid] = data
+		case k < 9: // free
+			oid := w.liveOID()
+			if oid.IsNil() {
+				continue
+			}
+			if err := m.Free(oid); err != nil {
+				return "Free", err
+			}
+			delete(w.pending.objs, oid)
+		default: // move the root
+			oid := w.liveOID()
+			if oid.IsNil() {
+				continue
+			}
+			if err := m.SetRoot(oid); err != nil {
+				return "SetRoot", err
+			}
+			w.pending.root = oid
+		}
+	}
+	return "", nil
+}
+
+// matchesInflight reports whether mgr holds exactly the state some ended but
+// unacknowledged transaction would leave.
+func (w *workload) matchesInflight(mgr storage.Manager) bool {
+	for _, m := range w.inflight {
+		if m.diff(mgr) == nil {
+			return true
+		}
+	}
+	return false
 }

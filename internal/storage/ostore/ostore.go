@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"labflow/internal/storage"
@@ -167,18 +168,10 @@ func Open(opts Options) (storage.Manager, error) {
 		shipper:   opts.Shipper,
 		nextLSN:   nextLSN,
 		pending:   pending,
-		logEnd:    repl.CursorSize,
 		ckptEvery: ckptEvery,
-		pool:      make(map[pagefile.PageID]*frame),
 		capacity:  pool,
-		locks:     make(map[pagefile.PageID]pagefile.Mode),
-		faultReq:  make(chan faultRequest),
-		commitReq: make(chan *commitBatch, commitQueueDepth),
-		done:      make(chan struct{}),
-		flushDone: make(chan struct{}),
 	}
-	go p.serve()
-	go p.flushLoop()
+	p.start()
 	// ObjectStore-style compact page layout: records are packed exactly
 	// (nil slack), which is why this manager's database files are smaller
 	// than the texas manager's, as in the paper's table.
@@ -227,8 +220,17 @@ func recoverLog(log LogFile, backing pagefile.Backing, syncLog bool, info *repl.
 type frame struct {
 	pf    pagefile.Frame
 	pins  int
-	dirty bool
+	dirty bool // written since the last seal: part of the open transaction
 	ref   bool
+	// unwritten counts the sealed batches holding an image of this page that
+	// the flusher has not written back in place yet. While it is non-zero
+	// the backing holds an older image, so the frame must stay resident: a
+	// fault after an eviction would read that older image back.
+	unwritten int
+	// sealed marks pf.Data itself as such an image: a seal hands the
+	// frame's buffer to its batch rather than copying it, so the next write
+	// pin must give the frame a copy of its own first (copy-on-write).
+	sealed bool
 }
 
 type faultRequest struct {
@@ -237,26 +239,36 @@ type faultRequest struct {
 	reply chan error
 }
 
-// commitBatch carries one transaction's dirty pages to the group-commit
-// flusher. done receives exactly one error (nil on success) once the batch
-// is durable and written back in place.
+// commitBatch is one sealed transaction on its way to the group-commit
+// flusher: the image of every page it dirtied as it stood at seal time, so
+// the flusher logs and writes back exactly the sealed images while the next
+// transaction goes on writing the live frames. pages[i] is frames[i]'s
+// image — the frame's own buffer until the frame's next write pin copies it
+// away (see frame.sealed), never written again before settle. err is set
+// and done closed once the batch is settled.
 type commitBatch struct {
 	frames []*frame
-	done   chan error
+	pages  []repl.PageImage
+	done   chan struct{}
+	err    error
 }
 
-// maxScratchPages bounds the record buffer the flusher keeps between commits:
-// a group of up to this many pages is encoded into the retained buffer, a
-// wider one into a buffer of its own that dies with the flush. So what stays
-// live between commits is at most one 16-page record (128 KiB), however wide
-// the widest commit of the session was.
-const maxScratchPages = 16
+// wait is a batch's durable wait: it blocks until the batch is durable —
+// logged, forced when SyncLog is set, and written back in place — or has
+// failed.
+func (b *commitBatch) wait() error {
+	<-b.done
+	return b.err
+}
 
-// commitQueueDepth bounds how many commit batches can queue behind an
-// in-progress flush; queued batches are coalesced into the next single log
-// write. The bound only back-pressures pathological fan-in — committers
-// block on enqueue once it is full.
-const commitQueueDepth = 64
+// maxScratchPages bounds the buffers the pager keeps between commits: a
+// group of up to this many pages is encoded into the flusher's retained
+// record buffer, a wider one into a buffer of its own that dies with the
+// flush, and at most this many page buffers that sealed images leave behind
+// are kept for the copy-on-write of the next ones. So what stays live
+// between commits is at most one 16-page record and 16 spare pages
+// (256 KiB), however wide the widest commit of the session was.
+const maxScratchPages = 16
 
 // pager implements pagefile.Pager as an ObjectStore-style client cache in
 // front of a page-server goroutine.
@@ -273,6 +285,14 @@ type pager struct {
 	stats    pagefile.PagerStats
 	closed   bool
 
+	// queue holds the sealed batches the flusher has not taken yet, in seal
+	// order; work (on mu) wakes the flusher when one arrives or the pager
+	// closes. spare holds page buffers of settled images no frame uses any
+	// more, for the next copy-on-write.
+	queue []*commitBatch
+	work  sync.Cond
+	spare [][]byte
+
 	// Log/shipping state, touched only by the flushLoop goroutine (plus
 	// Open, and Close after it has waited for flushDone), so it needs no
 	// locking.
@@ -285,9 +305,22 @@ type pager struct {
 	scratch   []byte // record buffer reused across flushes; at most maxScratchPages wide
 
 	faultReq  chan faultRequest
-	commitReq chan *commitBatch
 	done      chan struct{}
 	flushDone chan struct{} // closed when flushLoop exits
+}
+
+// start readies a pager whose media, log position and policy fields are set
+// and launches its page server and flusher.
+func (p *pager) start() {
+	p.logEnd = repl.CursorSize
+	p.pool = make(map[pagefile.PageID]*frame)
+	p.locks = make(map[pagefile.PageID]pagefile.Mode)
+	p.work.L = &p.mu
+	p.faultReq = make(chan faultRequest)
+	p.done = make(chan struct{})
+	p.flushDone = make(chan struct{})
+	go p.serve()
+	go p.flushLoop()
 }
 
 // serve is the page-server goroutine: every cache miss is a round trip here,
@@ -326,6 +359,14 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 	}
 	p.lockLocked(id, mode)
 	if fr, ok := p.pool[id]; ok {
+		if mode == pagefile.ModeWrite && fr.sealed {
+			// The image belongs to a batch the flusher has yet to write:
+			// the writer gets a copy, the batch keeps the original.
+			img := p.pageBufLocked()
+			copy(img, fr.pf.Data)
+			fr.pf.Data = img
+			fr.sealed = false
+		}
 		fr.pins++
 		fr.ref = true
 		return &fr.pf, nil
@@ -347,10 +388,16 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 	return &fr.pf, nil
 }
 
-// makeRoomLocked evicts one clean, unpinned page when the pool is full. The
-// pool is no-steal: dirty pages stay resident until commit so the redo-only
-// log suffices for atomicity. If everything is pinned or dirty the pool
-// temporarily overshoots.
+// evictable reports whether CLOCK may drop fr. The pool is no-steal: a
+// dirty page stays resident until its transaction is sealed, so the
+// redo-only log suffices for atomicity, and a sealed page until its image
+// is written back in place.
+func (fr *frame) evictable() bool {
+	return fr.pins == 0 && !fr.dirty && fr.unwritten == 0
+}
+
+// makeRoomLocked evicts one evictable page when the pool is full. If
+// nothing is evictable the pool temporarily overshoots.
 func (p *pager) makeRoomLocked() error {
 	if len(p.pool) < p.capacity {
 		return nil
@@ -361,7 +408,7 @@ func (p *pager) makeRoomLocked() error {
 		}
 		p.hand %= len(p.ring)
 		fr := p.ring[p.hand]
-		if fr.pins > 0 || fr.dirty {
+		if !fr.evictable() {
 			p.hand++
 			continue
 		}
@@ -412,122 +459,162 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 
 func (p *pager) Begin() error { return nil }
 
-// Commit hands the transaction's dirty pages to the group-commit flusher
-// and returns only after its batch is durable: logged, forced when SyncLog
-// is set, and written back in place. Commits that arrive while a flush is
-// in progress queue up and are coalesced into the next single log write, so
-// concurrent committers share one durability point. With a single committer
-// the protocol degrades to exactly the old one-record-per-commit behaviour
-// — same log bytes, same page-write counts — which keeps recovery and the
-// simulated statistics byte-compatible.
-func (p *pager) Commit() error {
+// Commit seals the transaction: under mu it takes every dirty page's image
+// into a batch, marks the frames clean but unwritten, releases the page
+// locks and queues the batch for the group-commit flusher, and returns the
+// batch's durable wait without waiting on it. The next transaction may
+// write the frames at once: its first write pin of a sealed page copies
+// the image (Pin), so the flusher only ever reads images nobody writes. A
+// single committer, which waits out each commit, therefore copies nothing.
+// Batches queue in seal order and the flusher takes every queued batch as
+// one group, so commits sealed while a flush is in flight share the next
+// one. With a single committer that waits out each commit before the next
+// Begin, every group is one batch, and the protocol degrades to exactly the
+// old one-record-per-commit behaviour — same log bytes, same page writes,
+// same evictions — which keeps recovery and the simulated statistics
+// byte-compatible.
+func (p *pager) Commit() (func() error, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return pagefile.ErrPagerClosed
-	}
-	var dirty []*frame
-	for _, fr := range p.ring {
-		if fr.dirty {
-			dirty = append(dirty, fr)
-		}
-	}
-	if len(dirty) == 0 {
-		clear(p.locks) // strict 2PL: all locks released at commit
-		p.trimLocked()
-		p.mu.Unlock()
-		return nil
-	}
-	// Enqueue outside mu so other committers can queue behind us to form a
-	// group, and so the flusher can take mu for its stats update. The frame
-	// images are stable while we wait: the object layer serializes access
-	// per store, and this transaction's pages stay dirty (hence unevictable
-	// under no-steal) until we mark them clean below.
-	p.mu.Unlock()
-	b := &commitBatch{frames: dirty, done: make(chan error, 1)}
-	select {
-	case p.commitReq <- b:
-	case <-p.done:
-		return pagefile.ErrPagerClosed
-	}
-	var err error
-	select {
-	case err = <-b.done:
-	case <-p.done:
-		return pagefile.ErrPagerClosed
-	}
-	if err != nil {
-		return err
-	}
-
-	p.mu.Lock()
-	for _, fr := range dirty {
-		fr.dirty = false
+		return nil, pagefile.ErrPagerClosed
 	}
 	clear(p.locks) // strict 2PL: all locks released at commit
-	p.trimLocked()
-	p.mu.Unlock()
-	return nil
+	var b *commitBatch
+	for _, fr := range p.ring {
+		if !fr.dirty {
+			continue
+		}
+		if b == nil {
+			b = &commitBatch{done: make(chan struct{})}
+		}
+		fr.dirty = false
+		fr.unwritten++
+		fr.sealed = true
+		b.frames = append(b.frames, fr)
+		b.pages = append(b.pages, repl.PageImage{ID: fr.pf.ID, Data: fr.pf.Data})
+	}
+	if b == nil {
+		p.trimLocked()
+		return nil, nil
+	}
+	p.queue = append(p.queue, b)
+	p.work.Signal()
+	return b.wait, nil
 }
 
-// flushLoop is the group-commit daemon. It takes one queued batch, drains
-// whatever else has queued behind it, and flushes the union as a single
-// redo record: one log write, one optional fsync, one pass of in-place page
-// writes, and every ckptEvery-th time a checkpoint. Every batch in the group
-// is then released at once.
+// pageBufLocked returns a page buffer for a copy-on-write, one a settled
+// image left behind when there is one.
+func (p *pager) pageBufLocked() []byte {
+	if n := len(p.spare); n > 0 {
+		buf := p.spare[n-1]
+		p.spare = p.spare[:n-1]
+		return buf
+	}
+	return make([]byte, pagefile.PageSize)
+}
+
+// flushLoop is the group-commit daemon. It takes every batch queued so far
+// and flushes their union as a single redo record: one log write, one
+// optional fsync, one pass of in-place page writes, and every ckptEvery-th
+// time a checkpoint. Every batch in the group is then settled at once.
+// Once the pager is closed it drains what is still queued — those batches'
+// committers are waiting on them — and exits.
 func (p *pager) flushLoop() {
 	defer close(p.flushDone)
 	for {
-		// Prefer shutdown over another batch when both are ready: Close
-		// waits on flushDone before it touches the log and backing.
-		select {
-		case <-p.done:
-			return
-		default:
-		}
-		select {
-		case b := <-p.commitReq:
-			batches := []*commitBatch{b}
-		drain:
-			for {
-				select {
-				case nb := <-p.commitReq:
-					batches = append(batches, nb)
-				default:
-					break drain
-				}
-			}
-			err := p.flushBatches(batches)
-			for _, b := range batches {
-				b.done <- err
-			}
-		case <-p.done:
+		group := p.nextGroup()
+		if group == nil {
 			return
 		}
+		placed, err := p.flushBatches(group)
+		p.settle(group, placed, err)
 	}
 }
 
-// flushBatches forms one redo record from the union of the batches' dirty
-// pages and applies it. Pages keep first-dirtied order; a page appearing in
+// nextGroup waits for sealed batches and takes all of them; nil means the
+// pager is closed and nothing is left to flush.
+func (p *pager) nextGroup() []*commitBatch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.queue) == 0 && !p.closed {
+		p.work.Wait()
+	}
+	group := p.queue
+	p.queue = nil
+	return group
+}
+
+// settle ends a flushed group. Its frames lose an unwritten image each — a
+// frame still on its sealed buffer owns it again, a buffer a write pin
+// copied away becomes a spare — the pool trims back to capacity, and every
+// batch learns the group's fate.
+//
+// A group that failed before its images were all in place (!placed) takes
+// down with it every batch still queued: those were sealed on top of its
+// images before the failure could be seen, and flushing them alone would
+// make part of the failed group durable through whatever pages they share.
+// Every frame of the failed batches is dirty again, so the next seal logs
+// the union — the failed transactions and the new one — as one record: all
+// of it becomes durable, or none of it.
+func (p *pager) settle(group []*commitBatch, placed bool, err error) {
+	p.mu.Lock()
+	if !placed {
+		group = append(group, p.queue...)
+		p.queue = nil
+	}
+	for _, b := range group {
+		for i, fr := range b.frames {
+			fr.unwritten--
+			if !placed {
+				fr.dirty = true
+			}
+			if img := b.pages[i].Data; &img[0] == &fr.pf.Data[0] {
+				fr.sealed = false
+			} else if len(p.spare) < maxScratchPages {
+				p.spare = append(p.spare, img)
+			}
+		}
+	}
+	p.trimLocked()
+	more := len(p.queue) > 0
+	p.mu.Unlock()
+	for _, b := range group {
+		b.err = err
+		close(b.done)
+	}
+	if more {
+		// The committers just woken are queued on this goroutine's
+		// processor, and the next group's log write and fsync would hold
+		// it: let them take their replies out first, or each waits out a
+		// whole extra flush.
+		runtime.Gosched()
+	}
+}
+
+// flushBatches forms one redo record from the union of the batches' sealed
+// images and applies it. Pages keep first-sealed order; a page appearing in
 // several batches keeps the latest image — the same state replaying the
 // batches in order would produce. The record is appended to the log under
 // the next LSN, shipped to the standby (if any) once durable, applied in
-// place, and eventually retired by a periodic checkpoint.
-func (p *pager) flushBatches(batches []*commitBatch) error {
-	var order []*frame
-	seen := make(map[pagefile.PageID]int, len(batches[0].frames))
+// place, and eventually retired by a periodic checkpoint. placed reports
+// whether every image reached its place in the backing, which is what
+// settle needs to know about a failure.
+func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
+	var order []repl.PageImage
+	seen := make(map[pagefile.PageID]int, len(batches[0].pages))
 	for _, b := range batches {
-		for _, fr := range b.frames {
-			if i, dup := seen[fr.pf.ID]; dup {
-				order[i] = fr // later batch supersedes the image
+		for _, img := range b.pages {
+			if i, dup := seen[img.ID]; dup {
+				order[i] = img // later batch supersedes the image
 				continue
 			}
-			seen[fr.pf.ID] = len(order)
-			order = append(order, fr)
+			seen[img.ID] = len(order)
+			order = append(order, img)
 		}
 	}
 	if len(order) == 0 {
-		return nil
+		return true, nil
 	}
 	// Records whose earlier shipment was never acked must land on the
 	// follower before this group's record: acking LSN n promises the
@@ -535,31 +622,27 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 	// group before it burns a new LSN.
 	if p.shipper != nil {
 		if err := p.pending.Resolve(p.shipper); err != nil {
-			return fmt.Errorf("ostore: %w", err)
+			return false, fmt.Errorf("ostore: %w", err)
 		}
 	}
 	if p.log != nil || p.shipper != nil {
-		pages := make([]repl.PageImage, len(order))
-		for i, fr := range order {
-			pages[i] = repl.PageImage{ID: fr.pf.ID, Data: fr.pf.Data}
-		}
 		// Encode into the flusher's own buffer: the log write, the sync and
 		// the shipper are all done with the bytes when they return.
 		buf := p.scratch
-		if need := repl.RecordSize(uint32(len(pages))); int64(cap(buf)) < need {
+		if need := repl.RecordSize(uint32(len(order))); int64(cap(buf)) < need {
 			buf = make([]byte, 0, need)
 		}
-		buf = repl.AppendRecord(buf[:0], p.nextLSN, pages)
-		if len(pages) <= maxScratchPages {
+		buf = repl.AppendRecord(buf[:0], p.nextLSN, order)
+		if len(order) <= maxScratchPages {
 			p.scratch = buf
 		}
 		if p.log != nil {
 			if _, err := p.log.WriteAt(buf, p.logEnd); err != nil {
-				return fmt.Errorf("ostore: write log: %w", err)
+				return false, fmt.Errorf("ostore: write log: %w", err)
 			}
 			if p.syncLog {
 				if err := p.log.Sync(); err != nil {
-					return fmt.Errorf("ostore: sync log: %w", err)
+					return false, fmt.Errorf("ostore: sync log: %w", err)
 				}
 			}
 		}
@@ -571,6 +654,9 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 		// bytes are kept for redelivery ahead of the next group, and the
 		// stream advances past them, so an LSN is never reused for different
 		// contents (the invariant the standby's duplicate re-ack relies on).
+		// And because the record will replay, its pages go in place before
+		// the failure is reported, so no later checkpoint can retire it with
+		// them missing.
 		if p.shipper != nil {
 			if err := p.shipper.Ship(p.nextLSN, buf); err != nil {
 				lsn := p.nextLSN
@@ -579,21 +665,19 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 				if p.log != nil {
 					p.logEnd += int64(len(buf))
 				}
-				return fmt.Errorf("ostore: ship record %d: %w", lsn, err)
+				if werr := p.writeBack(order); werr != nil {
+					return false, werr
+				}
+				return true, fmt.Errorf("ostore: ship record %d: %w", lsn, err)
 			}
 		}
 		p.nextLSN++
 		p.logEnd += int64(len(buf))
 	}
 	// Durability point passed: apply in place.
-	for _, fr := range order {
-		if err := p.backing.WritePage(fr.pf.ID, fr.pf.Data); err != nil {
-			return fmt.Errorf("ostore: commit write page %d: %w", fr.pf.ID, err)
-		}
+	if err := p.writeBack(order); err != nil {
+		return false, err
 	}
-	p.mu.Lock()
-	p.stats.PageWrites += uint64(len(order))
-	p.mu.Unlock()
 	if p.log != nil {
 		p.sinceCkpt++
 		every := p.ckptEvery
@@ -604,28 +688,42 @@ func (p *pager) flushBatches(batches []*commitBatch) error {
 			// Checkpoint: force the applied pages down, then retire every
 			// logged record behind a fresh cursor.
 			if err := p.backing.Sync(); err != nil {
-				return fmt.Errorf("ostore: checkpoint sync: %w", err)
+				return true, fmt.Errorf("ostore: checkpoint sync: %w", err)
 			}
 			if err := repl.Checkpoint(p.log, p.nextLSN-1, p.syncLog); err != nil {
-				return fmt.Errorf("ostore: checkpoint: %w", err)
+				return true, fmt.Errorf("ostore: checkpoint: %w", err)
 			}
 			p.sinceCkpt = 0
 			p.logEnd = repl.CursorSize
 		}
 	}
+	return true, nil
+}
+
+// writeBack writes a group's images to their places in the backing.
+func (p *pager) writeBack(order []repl.PageImage) error {
+	for _, img := range order {
+		if err := p.backing.WritePage(img.ID, img.Data); err != nil {
+			return fmt.Errorf("ostore: commit write page %d: %w", img.ID, err)
+		}
+	}
+	p.mu.Lock()
+	p.stats.PageWrites += uint64(len(order))
+	p.mu.Unlock()
 	return nil
 }
 
-// trimLocked shrinks the pool back to capacity after a commit. During a
+// trimLocked shrinks the pool back to capacity after a flush. During a
 // transaction the no-steal policy lets the pool overshoot (dirty pages are
-// unevictable); once everything is clean the overshoot is released.
+// unevictable, and sealed ones until written back); once they are written
+// the overshoot is released.
 func (p *pager) trimLocked() {
 	for len(p.pool) > p.capacity {
 		evicted := false
 		for sweep := 0; sweep < 2*len(p.ring) && len(p.pool) > p.capacity; sweep++ {
 			p.hand %= len(p.ring)
 			fr := p.ring[p.hand]
-			if fr.pins > 0 || fr.dirty {
+			if !fr.evictable() {
 				p.hand++
 				continue
 			}
@@ -661,11 +759,13 @@ func (p *pager) Close() error {
 		return nil
 	}
 	p.closed = true
+	p.work.Broadcast()
 	p.mu.Unlock()
-	// Stop the daemons, then wait for an in-flight group flush to drain:
-	// flushBatches writes the log and backing and owns nextLSN/logEnd, so
-	// none of the teardown below may overlap it. The wait must happen
-	// outside p.mu — flushBatches takes p.mu for its stats update.
+	// Stop the page server, then wait for the flusher to drain every batch
+	// sealed before Close — their committers are waiting on them — and
+	// exit: flushBatches writes the log and backing and owns
+	// nextLSN/logEnd, so none of the teardown below may overlap it. The
+	// wait must happen outside p.mu — the flusher takes p.mu to settle.
 	close(p.done)
 	<-p.flushDone
 	p.mu.Lock()

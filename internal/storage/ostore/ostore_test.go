@@ -648,81 +648,112 @@ func (f *flakyShipper) Ship(lsn uint64, record []byte) error {
 // fails to ship must fail, but the NEXT commit must succeed — the burned
 // LSN's bytes are redelivered (or recognized as already applied) ahead of
 // the new record, never re-encoded under a reused LSN. Both failure shapes
-// are exercised.
+// are exercised, each at the default checkpoint interval and at
+// CheckpointEvery 1, where the next commit's checkpoint retires the failed
+// one's record. That record is in the log and replays, so its pages must be
+// in place before any checkpoint can retire it — the failed commit writes
+// them back before reporting — and a crash image taken after the later
+// commits serves the failed commit whole. Its record lands in a segment no
+// later commit touches, so no later record carries its pages.
 func TestShipFailureRecovery(t *testing.T) {
 	for _, mode := range []string{"ackLost", "dropped"} {
 		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			standbyPath := filepath.Join(dir, "follower.db")
-			st, err := repl.OpenFileStandby(standbyPath, 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs := &flakyShipper{Standby: st}
-			m, err := Open(Options{Path: filepath.Join(dir, "primary.db"), Shipper: fs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			oids := map[string]storage.OID{}
-			commit := func(payload string) error {
-				if err := m.Begin(); err != nil {
-					t.Fatal(err)
-				}
-				oid, err := m.Allocate(storage.SegMaterial, []byte(payload))
-				if err != nil {
-					t.Fatal(err)
-				}
-				oids[payload] = oid
-				return m.Commit()
-			}
-			if err := commit("a"); err != nil {
-				t.Fatalf("commit a: %v", err)
-			}
-			// Creation is LSN 1, commit a is LSN 2.
-			if got := st.LastLSN(); got != 2 {
-				t.Fatalf("standby LSN = %d, want 2", got)
-			}
-
-			fs.Arm(mode)
-			if err := commit("b"); err == nil {
-				t.Fatal("commit b succeeded despite ship failure")
-			}
-			// The follower may or may not hold record 3 now — that is the
-			// ambiguity — but the primary must not be wedged.
-			if err := commit("c"); err != nil {
-				t.Fatalf("commit c after ship failure: %v (stream wedged)", err)
-			}
-			if got := st.LastLSN(); got != 4 {
-				t.Fatalf("standby LSN after recovery = %d, want 4 (burned LSN 3 resolved, c is 4)", got)
-			}
-			if err := commit("d"); err != nil {
-				t.Fatalf("commit d: %v", err)
-			}
-			if got := st.LastLSN(); got != 5 {
-				t.Fatalf("standby LSN = %d, want 5", got)
-			}
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// The promoted follower serves every successfully committed
-			// payload; the failed commit's pages rode along in the redelivered
-			// superset record, so its state is a superset of what clients saw.
-			if err := st.Promote(); err != nil {
-				t.Fatal(err)
-			}
-			f, err := Open(Options{Path: standbyPath})
-			if err != nil {
-				t.Fatalf("open promoted standby: %v", err)
-			}
-			defer f.Close()
-			for _, want := range []string{"a", "c", "d"} {
-				got, err := f.Read(oids[want])
-				if err != nil || string(got) != want {
-					t.Fatalf("promoted read %q = %q, %v", want, got, err)
-				}
+			for _, every := range []int{0, 1} {
+				t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+					shipFailureRecovery(t, mode, every)
+				})
 			}
 		})
+	}
+}
+
+func shipFailureRecovery(t *testing.T, mode string, every int) {
+	dir := t.TempDir()
+	standbyPath := filepath.Join(dir, "follower.db")
+	st, err := repl.OpenFileStandby(standbyPath, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &flakyShipper{Standby: st}
+	primaryPath := filepath.Join(dir, "primary.db")
+	m, err := Open(Options{Path: primaryPath, Shipper: fs, CheckpointEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oids := map[string]storage.OID{}
+	commit := func(payload string) error {
+		if err := m.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		seg := storage.SegMaterial
+		if payload == "b" {
+			seg = storage.SegHistory
+		}
+		oid, err := m.Allocate(seg, []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids[payload] = oid
+		return m.Commit()
+	}
+	if err := commit("a"); err != nil {
+		t.Fatalf("commit a: %v", err)
+	}
+	// Creation is LSN 1, commit a is LSN 2.
+	if got := st.LastLSN(); got != 2 {
+		t.Fatalf("standby LSN = %d, want 2", got)
+	}
+
+	fs.Arm(mode)
+	if err := commit("b"); err == nil {
+		t.Fatal("commit b succeeded despite ship failure")
+	}
+	// The follower may or may not hold record 3 now — that is the
+	// ambiguity — but the primary must not be wedged.
+	if err := commit("c"); err != nil {
+		t.Fatalf("commit c after ship failure: %v (stream wedged)", err)
+	}
+	if got := st.LastLSN(); got != 4 {
+		t.Fatalf("standby LSN after recovery = %d, want 4 (burned LSN 3 resolved, c is 4)", got)
+	}
+	if err := commit("d"); err != nil {
+		t.Fatalf("commit d: %v", err)
+	}
+	if got := st.LastLSN(); got != 5 {
+		t.Fatalf("standby LSN = %d, want 5", got)
+	}
+
+	img, err := Open(Options{Path: crashImage(t, primaryPath), CheckpointEvery: 1})
+	if err != nil {
+		t.Fatalf("reopen primary crash image: %v", err)
+	}
+	defer img.Close()
+	for _, want := range []string{"a", "b", "c", "d"} {
+		got, err := img.Read(oids[want])
+		if err != nil || string(got) != want {
+			t.Fatalf("primary crash image read %q = %q, %v", want, got, err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The promoted follower serves every payload, the failed commit's too:
+	// its record reached the follower before the lost ack, or by redelivery
+	// ahead of the next record.
+	if err := st.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(Options{Path: standbyPath})
+	if err != nil {
+		t.Fatalf("open promoted standby: %v", err)
+	}
+	defer f.Close()
+	for _, want := range []string{"a", "b", "c", "d"} {
+		got, err := f.Read(oids[want])
+		if err != nil || string(got) != want {
+			t.Fatalf("promoted read %q = %q, %v", want, got, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"labflow/internal/fault/gate"
 	"os"
 	"path/filepath"
 	"testing"
@@ -278,10 +279,10 @@ func TestParentLogOpens(t *testing.T) {
 	}
 }
 
-// gatedLog parks Sync in a storagetest.Gate.
+// gatedLog parks Sync in a gate.Gate.
 type gatedLog struct {
 	LogFile
-	gate *storagetest.Gate
+	gate *gate.Gate
 }
 
 func (l gatedLog) Sync() error {
@@ -291,19 +292,23 @@ func (l gatedLog) Sync() error {
 
 // TestStalledFlushBlocksOnlyWriters parks a commit inside the log's fsync:
 // reads of committed and of just-written objects, Root and Stats return
-// while it is parked; Begin and Close wait for it.
+// while it is parked, and so does the next writer's Begin — a second
+// transaction writes and seals behind the flush. Only durable waits wait:
+// the second commit's until the first is released (the two return in seal
+// order), and Close for both. The default checkpoint interval keeps every
+// checkpoint out of the parked flushes.
 func TestStalledFlushBlocksOnlyWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stalled.db")
 	lf, err := repl.OpenFile(path + ".log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &storagetest.Gate{}
+	gate := &gate.Gate{}
 	m, err := Open(Options{Path: path, Log: gatedLog{lf, gate}, SyncLog: true, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	storagetest.StalledCommit(t, m, gate, true, func() storage.Manager {
+	storagetest.StalledCommit(t, m, gate, storagetest.Pipelined, func() storage.Manager {
 		m2, err := Open(Options{Path: path, SyncLog: true})
 		if err != nil {
 			t.Fatalf("reopen: %v", err)

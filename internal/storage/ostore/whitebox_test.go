@@ -3,6 +3,7 @@ package ostore
 import (
 	"bytes"
 	"errors"
+	"labflow/internal/fault/gate"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 	"labflow/internal/storage"
 	"labflow/internal/storage/pagefile"
 	"labflow/internal/storage/repl"
-	"labflow/internal/storage/storagetest"
 )
 
 // TestNoStealAndTrim verifies the pool policy: during a transaction dirty
@@ -203,20 +203,24 @@ func newWhiteboxPager(t *testing.T, logPath string) *pager {
 		backing:   pagefile.NewMem(),
 		log:       log,
 		nextLSN:   1,
-		logEnd:    repl.CursorSize,
 		ckptEvery: 1, // checkpoint every flush: every record retires at once
-		pool:      make(map[pagefile.PageID]*frame),
 		capacity:  64,
-		locks:     make(map[pagefile.PageID]pagefile.Mode),
-		faultReq:  make(chan faultRequest),
-		commitReq: make(chan *commitBatch, commitQueueDepth),
-		done:      make(chan struct{}),
-		flushDone: make(chan struct{}),
 	}
-	go p.serve()
-	go p.flushLoop()
+	p.start()
 	t.Cleanup(func() { p.Close() })
 	return p
+}
+
+// batchOf seals frames into a batch the way Commit does — each page's image
+// copied as it stands — without queueing it, for tests that hand batches to
+// the flusher's machinery themselves.
+func batchOf(frs ...*frame) *commitBatch {
+	b := &commitBatch{done: make(chan struct{})}
+	for _, fr := range frs {
+		b.frames = append(b.frames, fr)
+		b.pages = append(b.pages, repl.PageImage{ID: fr.pf.ID, Data: bytes.Clone(fr.pf.Data)})
+	}
+	return b
 }
 
 // TestGroupCommitCoalesce drives flushBatches directly with overlapping
@@ -239,16 +243,16 @@ func TestGroupCommitCoalesce(t *testing.T) {
 	}
 	fa, fb, fc := mkFrame(0xAA), mkFrame(0xBB), mkFrame(0xCC)
 
-	// Batch 2 re-dirties fa's page with a newer image (same frame in this
-	// pager, so the latest bytes win by construction; the dedupe keeps the
-	// page from being logged or written twice).
+	// Batch 2 re-dirties fa's page with a newer image after batch 1 sealed
+	// the old one: the later image must win, and the dedupe keeps the page
+	// from being logged or written twice.
+	b1 := batchOf(fa, fb)
 	for i := range fa.pf.Data {
 		fa.pf.Data[i] = 0xAD
 	}
-	b1 := &commitBatch{frames: []*frame{fa, fb}, done: make(chan error, 1)}
-	b2 := &commitBatch{frames: []*frame{fa, fc}, done: make(chan error, 1)}
+	b2 := batchOf(fa, fc)
 	before := p.Stats().PageWrites
-	if err := p.flushBatches([]*commitBatch{b1, b2}); err != nil {
+	if _, err := p.flushBatches([]*commitBatch{b1, b2}); err != nil {
 		t.Fatalf("flushBatches: %v", err)
 	}
 	if got := p.Stats().PageWrites - before; got != 3 {
@@ -330,14 +334,15 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			// Several small batches per worker, racing the other workers
 			// into the flusher's drain loop.
 			for lo := 0; lo < perWorker; lo += 5 {
-				b := &commitBatch{frames: frames[w][lo : lo+5], done: make(chan error, 1)}
-				select {
-				case p.commitReq <- b:
-				case <-p.done:
-					t.Error("pager closed mid-test")
-					return
+				b := batchOf(frames[w][lo : lo+5]...)
+				p.mu.Lock()
+				for _, fr := range b.frames {
+					fr.unwritten++
 				}
-				if err := <-b.done; err != nil {
+				p.queue = append(p.queue, b)
+				p.work.Signal()
+				p.mu.Unlock()
+				if err := b.wait(); err != nil {
 					t.Errorf("worker %d batch: %v", w, err)
 					return
 				}
@@ -369,13 +374,13 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	assertLogRetired(t, p, p.nextLSN-1, repl.RecordSize(workers*5))
 }
 
-// gatedWAL parks log writes in a storagetest.Gate, so a test can hold a
+// gatedWAL parks log writes in a gate.Gate, so a test can hold a
 // group flush open at a known point, and reports a write that arrives after
 // the log was closed.
 type gatedWAL struct {
 	LogFile
 	t      *testing.T
-	gate   *storagetest.Gate
+	gate   *gate.Gate
 	closed atomic.Bool
 }
 
@@ -402,23 +407,15 @@ func TestCloseDrainsInFlightFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &storagetest.Gate{}
+	gate := &gate.Gate{}
 	p := &pager{
 		backing:   pagefile.NewMem(),
 		log:       &gatedWAL{LogFile: f, t: t, gate: gate},
 		nextLSN:   1,
-		logEnd:    repl.CursorSize,
 		ckptEvery: 1,
-		pool:      make(map[pagefile.PageID]*frame),
 		capacity:  64,
-		locks:     make(map[pagefile.PageID]pagefile.Mode),
-		faultReq:  make(chan faultRequest),
-		commitReq: make(chan *commitBatch, commitQueueDepth),
-		done:      make(chan struct{}),
-		flushDone: make(chan struct{}),
 	}
-	go p.serve()
-	go p.flushLoop()
+	p.start()
 
 	// One transaction at a time, and none once Close is on its way, as the
 	// object layer above a real pager guarantees: Commit sweeps every dirty
@@ -441,7 +438,11 @@ func TestCloseDrainsInFlightFlush(t *testing.T) {
 			fr.Data[i] = byte(w)
 		}
 		p.Unpin(fr, true)
-		return p.Commit()
+		durable, err := p.Commit()
+		if err != nil {
+			return err
+		}
+		return durable()
 	}
 	inFlush, release := gate.Arm()
 	var wg sync.WaitGroup
@@ -502,7 +503,8 @@ func TestFailedCheckpointKeepsTail(t *testing.T) {
 			f.Data[i] = fill
 		}
 		p.Unpin(f, true)
-		return p.flushBatches([]*commitBatch{{frames: []*frame{f.Priv.(*frame)}, done: make(chan error, 1)}})
+		_, err = p.flushBatches([]*commitBatch{batchOf(f.Priv.(*frame))})
+		return err
 	}
 	for lsn := uint64(1); lsn <= 2; lsn++ {
 		if err := flush(byte(lsn)); err == nil {
@@ -527,16 +529,16 @@ func TestScratchBounded(t *testing.T) {
 	p := newWhiteboxPager(t, filepath.Join(t.TempDir(), "wal"))
 	flush := func(pages int) {
 		t.Helper()
-		b := &commitBatch{done: make(chan error, 1)}
+		var frs []*frame
 		for i := 0; i < pages; i++ {
 			f, err := p.AllocPage()
 			if err != nil {
 				t.Fatal(err)
 			}
 			p.Unpin(f, true)
-			b.frames = append(b.frames, f.Priv.(*frame))
+			frs = append(frs, f.Priv.(*frame))
 		}
-		if err := p.flushBatches([]*commitBatch{b}); err != nil {
+		if _, err := p.flushBatches([]*commitBatch{batchOf(frs...)}); err != nil {
 			t.Fatal(err)
 		}
 	}

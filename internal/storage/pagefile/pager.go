@@ -11,8 +11,12 @@ const (
 )
 
 // Frame is a pinned, resident page. Data is the live page image; pagers hand
-// out the same buffer to every pinner of the page, so Store serializes
-// object-level access above this layer.
+// out the same Frame to every pinner of the page, so Store serializes
+// object-level access above this layer. Data may be written only under a
+// ModeWrite pin, and a pager may point Data at a fresh copy of the image
+// when it grants one (ostore does, to keep a sealed image it still has to
+// flush): a pinner reads Data through the Frame, never through a slice it
+// kept across another pin of the page.
 type Frame struct {
 	// ID is the page number.
 	ID PageID
@@ -42,14 +46,21 @@ type Pager interface {
 	// AllocPage creates a fresh zeroed page, already resident and pinned in
 	// ModeWrite. Fresh pages do not count as faults.
 	AllocPage() (*Frame, error)
-	// Begin and Commit bracket a transaction. Commit applies the pager's
-	// durability policy (log + write-back, or write-back only) and releases
-	// any page locks held. Store calls Commit without holding its own
-	// mutex, so read-mode Pin, Unpin and Stats may arrive while it runs and
-	// the pager must order them itself; no AllocPage, write-mode Pin, Begin
-	// or Close will, and no second Commit.
+	// Begin and Commit bracket a transaction. Commit seals it — releases
+	// any page locks held and fixes the images its durability policy (log +
+	// write-back, or write-back only) will make durable — and returns
+	// durable, which waits for that policy to finish. A nil durable means
+	// Commit did all of it before returning. Store calls Commit without
+	// holding its own mutex, so read-mode Pin, Unpin and Stats may arrive
+	// while it runs and the pager must order them itself; no AllocPage,
+	// write-mode Pin, Begin or Close will, and no second Commit. Once Commit
+	// returns, all of those may arrive while durable is still outstanding:
+	// the next transaction runs while this one's flush is in flight, so a
+	// pager that defers work to durable must flush the sealed images, not
+	// the live frames the next transaction is writing, and Close must wait
+	// for every outstanding flush.
 	Begin() error
-	Commit() error
+	Commit() (durable func() error, err error)
 	// Stats returns cumulative counters.
 	Stats() PagerStats
 	// SizeBytes is the backing-store footprint.

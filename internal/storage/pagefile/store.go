@@ -51,14 +51,17 @@ type superblock struct {
 // matches the benchmark's single-writer workload while keeping multi-client
 // page traffic well-formed.
 //
-// The one thing the mutex is not held across is the pager's commit — the
-// log write, the fsync, the write-back. Commit closes the transaction under
-// mu, marks the store flushing and lets go, so Read, Root and Stats run
-// against the pager's pool while the flush is in flight (a pager must allow
-// Pin/Unpin/Stats concurrently with its own Commit; both managers' pagers
-// lock internally). Single-writer discipline does not lean on the mutex for
-// that stretch: mutations are refused because no transaction is open, and
-// Begin and Close wait for flushing to clear.
+// The one thing the mutex is not held across is the pager's commit. Seal
+// closes the transaction under mu, marks the store sealing and lets go, so
+// Read, Root and Stats run against the pager's pool while pager.Commit runs
+// (a pager must allow Pin/Unpin/Stats concurrently with its own Commit; both
+// managers' pagers lock internally). Single-writer discipline does not lean
+// on the mutex for that stretch: mutations are refused because no
+// transaction is open, and Begin and Close wait for sealing to clear. What
+// they wait for is the seal, not the durability: a pager whose Commit
+// returns a durable wait (ostore's) lets the next transaction begin while
+// the previous one's log write and fsync are still in flight, and Close
+// waits for those in the pager.
 type Store struct {
 	mu     sync.Mutex
 	name   string
@@ -67,10 +70,10 @@ type Store struct {
 	inTxn  bool
 	closed bool
 
-	// flushing is true while a Commit is inside pager.Commit with mu
-	// released; flushed (on mu) wakes the Begin or Close waiting it out.
-	flushing bool
-	flushed  sync.Cond
+	// sealing is true while a Seal is inside pager.Commit with mu released;
+	// sealed (on mu) wakes the Begin or Close waiting it out.
+	sealing bool
+	sealed  sync.Cond
 
 	// slack maps a record size to the heap capacity reserved for it; nil
 	// reserves exactly the record size. The texas manager installs its
@@ -98,7 +101,7 @@ const maxClusterHops = 64
 // record size to the reserved heap capacity (allocator size classes).
 func New(name string, pager Pager, slack func(int) int) (*Store, error) {
 	s := &Store{name: name, pager: pager, slack: slack, succ: make(map[PageID]PageID)}
-	s.flushed.L = &s.mu
+	s.sealed.L = &s.mu
 	if err := pager.Begin(); err != nil {
 		return nil, fmt.Errorf("pagefile: format begin: %w", err)
 	}
@@ -123,7 +126,11 @@ func New(name string, pager Pager, slack func(int) int) (*Store, error) {
 			return nil, err
 		}
 	}
-	if err := pager.Commit(); err != nil {
+	durable, err := pager.Commit()
+	if err == nil && durable != nil {
+		err = durable()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("pagefile: format commit: %w", err)
 	}
 	return s, nil
@@ -868,21 +875,22 @@ func (s *Store) SetRoot(oid storage.OID) error {
 	return nil
 }
 
-// awaitFlushLocked blocks until no commit is in flight. The caller holds mu;
+// awaitSealLocked blocks until no seal is in progress. The caller holds mu;
 // Wait releases it while parked.
-func (s *Store) awaitFlushLocked() {
-	for s.flushing {
-		s.flushed.Wait()
+func (s *Store) awaitSealLocked() {
+	for s.sealing {
+		s.sealed.Wait()
 	}
 }
 
 // Begin implements storage.Manager. A transaction cannot open while the
-// previous one's flush is still in flight: its pages are what the pager is
-// writing.
+// previous one is still being sealed: until pager.Commit returns, its pages
+// are what the pager is taking. It can open while the previous one's durable
+// wait is outstanding.
 func (s *Store) Begin() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.awaitFlushLocked()
+	s.awaitSealLocked()
 	if s.closed {
 		return storage.ErrClosed
 	}
@@ -896,24 +904,40 @@ func (s *Store) Begin() error {
 	return nil
 }
 
-// Commit implements storage.Manager. Everything that touches the store's own
-// state — the superblock image, the end of the transaction — happens under
-// mu; the pager's flush, which is where the time goes, happens outside it,
-// so nobody but the committer waits for the log's fsync.
+// Commit implements storage.Manager: Seal, then wait for durability.
 func (s *Store) Commit() error {
-	if err := s.endTxn(); err != nil {
+	durable, err := s.Seal()
+	if err != nil {
 		return err
 	}
-	err := s.pager.Commit()
+	return durable()
+}
+
+// Seal implements storage.Sealer. Everything that touches the store's own
+// state — the superblock image, the end of the transaction — happens under
+// mu; the pager's commit happens outside it, and the wait for durability,
+// which is where the time goes, is the caller's, so nobody but the
+// committer waits for the log's fsync.
+func (s *Store) Seal() (durable func() error, err error) {
+	if err := s.endTxn(); err != nil {
+		return nil, err
+	}
+	durable, err = s.pager.Commit()
 	s.mu.Lock()
-	s.flushing = false
-	s.flushed.Broadcast()
+	s.sealing = false
+	s.sealed.Broadcast()
 	s.mu.Unlock()
-	return err
+	if err != nil {
+		return nil, err
+	}
+	if durable == nil {
+		durable = storage.NoWait
+	}
+	return durable, nil
 }
 
 // endTxn writes the superblock into its page and closes the transaction,
-// leaving the store marked flushing for Commit to clear.
+// leaving the store marked sealing for Seal to clear.
 func (s *Store) endTxn() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -927,7 +951,7 @@ func (s *Store) endTxn() error {
 		return err
 	}
 	s.inTxn = false
-	s.flushing = true
+	s.sealing = true
 	return nil
 }
 
@@ -949,12 +973,12 @@ func (s *Store) Stats() storage.Stats {
 	}
 }
 
-// Close implements storage.Manager. It waits out a commit in flight rather
-// than closing the pager under it.
+// Close implements storage.Manager. It waits out a seal in progress rather
+// than closing the pager under it; the pager's Close waits out the flushes.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.awaitFlushLocked()
+	s.awaitSealLocked()
 	if s.closed {
 		return nil
 	}
@@ -965,4 +989,7 @@ func (s *Store) Close() error {
 	return s.pager.Close()
 }
 
-var _ storage.Manager = (*Store)(nil)
+var (
+	_ storage.Manager = (*Store)(nil)
+	_ storage.Sealer  = (*Store)(nil)
+)

@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"labflow/internal/fault/gate"
 	"sort"
 	"testing"
 
@@ -70,7 +71,7 @@ func (p *memPager) AllocPage() (*Frame, error) {
 
 func (p *memPager) Begin() error { return nil }
 
-func (p *memPager) Commit() error {
+func (p *memPager) Commit() (func() error, error) {
 	ids := make([]PageID, 0, len(p.resident))
 	for id := range p.resident {
 		ids = append(ids, id)
@@ -78,11 +79,11 @@ func (p *memPager) Commit() error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		if err := p.backing.WritePage(id, p.resident[id].Data); err != nil {
-			return err
+			return nil, err
 		}
 		p.writes++
 	}
-	return nil
+	return nil, nil
 }
 
 func (p *memPager) Stats() PagerStats {
@@ -260,13 +261,13 @@ func TestSegmentIsolation(t *testing.T) {
 	}
 }
 
-// gatedPager parks Commit in a storagetest.Gate before it touches anything.
+// gatedPager parks Commit in a gate.Gate before it touches anything.
 type gatedPager struct {
 	*memPager
-	gate *storagetest.Gate
+	gate *gate.Gate
 }
 
-func (p gatedPager) Commit() error {
+func (p gatedPager) Commit() (func() error, error) {
 	p.gate.Pass()
 	return p.memPager.Commit()
 }
@@ -277,13 +278,13 @@ func (p gatedPager) Commit() error {
 // and the in-flight state alone keeps Begin and Close out — the pager here
 // has no lock of its own to hide behind.
 func TestCommitFlushOutsideMutex(t *testing.T) {
-	gate := &storagetest.Gate{}
+	gate := &gate.Gate{}
 	mp := newMemPager()
 	s, err := New("gated", gatedPager{mp, gate}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storagetest.StalledCommit(t, s, gate, true, func() storage.Manager {
+	storagetest.StalledCommit(t, s, gate, storagetest.ReadersProceed, func() storage.Manager {
 		s2, err := New("gated", mp, nil)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)

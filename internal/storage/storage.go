@@ -217,6 +217,36 @@ type Manager interface {
 	// Stats returns cumulative resource counters.
 	Stats() Stats
 
-	// Close releases all resources. Persistent managers flush first.
+	// Close releases all resources. Persistent managers flush first, and
+	// wait out every sealed transaction's durability (see Sealer).
 	Close() error
 }
+
+// Sealer is an optional Manager capability: Commit in two halves. Seal ends
+// the open transaction — its effects are fixed, ordered after every earlier
+// seal, and the next Begin may run — and returns durable, which blocks until
+// those effects are durable and reports whether they became so. Commit is
+// Seal followed by durable(). A caller that holds a lock of its own across
+// Commit can hold it across Seal only, so the next writer runs while this
+// one's flush is in flight.
+//
+// It is not part of Manager on purpose: decorators that implement Manager
+// method by method hide it, and Seal below falls back to their Commit.
+type Sealer interface {
+	Seal() (durable func() error, err error)
+}
+
+// Seal ends m's transaction through m's Seal when m is a Sealer, otherwise
+// through its blocking Commit, in which case durable is NoWait.
+func Seal(m Manager) (durable func() error, err error) {
+	if s, ok := m.(Sealer); ok {
+		return s.Seal()
+	}
+	if err := m.Commit(); err != nil {
+		return nil, err
+	}
+	return NoWait, nil
+}
+
+// NoWait is the durable wait of a transaction that is durable already.
+func NoWait() error { return nil }

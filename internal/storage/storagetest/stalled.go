@@ -3,60 +3,50 @@ package storagetest
 import (
 	"bytes"
 	"fmt"
-	"sync"
+	"labflow/internal/fault/gate"
 	"testing"
 	"time"
 
 	"labflow/internal/storage"
 )
 
-// Gate parks one call of whatever medium operation a test threads it
-// through (a log's Sync, a backing's WritePage), so a Commit can be held
-// inside its flush for as long as the test needs. Unarmed, Pass is free.
-type Gate struct {
-	mu      sync.Mutex
-	entered chan struct{}
-	release chan struct{}
-}
-
-// Arm makes the next Pass park. entered is closed once a caller is parked;
-// release lets it go.
-func (g *Gate) Arm() (entered <-chan struct{}, release func()) {
-	e, r := make(chan struct{}), make(chan struct{})
-	g.mu.Lock()
-	g.entered, g.release = e, r
-	g.mu.Unlock()
-	return e, func() { close(r) }
-}
-
-// Pass is what the wrapped operation calls on its way in.
-func (g *Gate) Pass() {
-	g.mu.Lock()
-	e, r := g.entered, g.release
-	g.entered, g.release = nil, nil
-	g.mu.Unlock()
-	if e == nil {
-		return
-	}
-	close(e)
-	<-r
-}
-
 // stallGrace is how long the driver waits before concluding that a call is
 // blocked. Too short can only let a broken store pass, never fail a sound
 // one.
 const stallGrace = 30 * time.Millisecond
 
+// Stall is what a manager promises while a commit is parked in its flush.
+type Stall int
+
+const (
+	// Serialized: the pager holds its own lock across the flush (texas).
+	// Reads, Begin and Close are only required to return once the flush
+	// is released, and Begin and Close must not return before.
+	Serialized Stall = iota
+	// ReadersProceed: Read, Root and Stats return during the flush; Begin
+	// and Close wait for it (a Store over a pager whose Commit flushes
+	// before it returns).
+	ReadersProceed
+	// Pipelined: readers proceed, and so does the next writer — a second
+	// transaction begins, writes and seals while the flush is in flight.
+	// Its durable wait stays blocked until the parked commit is released,
+	// the two return in seal order, and Close waits for both.
+	Pipelined
+)
+
 // StalledCommit holds a Commit inside its flush (through gate, which the
-// caller has wired into the manager's media) and checks who waits for it.
-// Begin and Close must; with readersProceed, Read — of objects committed
-// earlier and of the ones the parked transaction just wrote — Root and
-// Stats must not, and must already show the parked transaction's state.
-// Without readersProceed (a pager that holds its own lock across the flush)
-// the same calls are only required to return once the flush is released.
-// The driver closes m; reopen then opens the same media afresh, and what it
-// serves must equal the shadow of every committed write.
-func StalledCommit(t *testing.T, m storage.Manager, gate *Gate, readersProceed bool, reopen func() storage.Manager) {
+// caller has wired into the manager's media) and checks who waits for it,
+// per stall. Reads — of objects committed earlier and of the ones the
+// parked transaction just wrote — Root and Stats must show the parked
+// transaction's state whenever they return. The driver closes m; reopen
+// then opens the same media afresh, and what it serves must equal the
+// shadow of every committed write.
+//
+// Under Pipelined the gate is armed a second time while the first commit
+// is parked, so that the second commit's flush parks in turn: the store's
+// checkpoint interval must keep a checkpoint (whose sync would take that
+// second arming) out of the first commit's flush.
+func StalledCommit(t *testing.T, m storage.Manager, gate *gate.Gate, stall Stall, reopen func() storage.Manager) {
 	t.Helper()
 	shadow := make(map[storage.OID][]byte)
 	var order []storage.OID
@@ -145,6 +135,22 @@ func StalledCommit(t *testing.T, m storage.Manager, gate *Gate, readersProceed b
 			return nil
 		}
 	}
+	// sealSecond begins, writes and seals a second transaction behind the
+	// parked one, and returns a channel delivering its durable wait.
+	sealSecond := func(began <-chan error) <-chan error {
+		t.Helper()
+		if err := await("Begin behind a parked commit", began); err != nil {
+			t.Fatalf("Begin behind a parked commit: %v", err)
+		}
+		write(2)
+		durable, err := storage.Seal(m)
+		if err != nil {
+			t.Fatalf("Seal behind a parked commit: %v", err)
+		}
+		waited := make(chan error, 1)
+		go func() { waited <- durable() }()
+		return waited
+	}
 
 	begin(t, m)
 	write(5)
@@ -159,37 +165,72 @@ func StalledCommit(t *testing.T, m storage.Manager, gate *Gate, readersProceed b
 	}
 	reads := make(chan error, 1)
 	go func() { reads <- readAll() }()
-	if readersProceed {
+	if stall != Serialized {
 		if err := await("Read/Root/Stats during the flush", reads); err != nil {
 			t.Fatalf("during the flush: %v", err)
 		}
 	}
 	began := make(chan error, 1)
 	go func() { began <- m.Begin() }()
-	blocked("Begin", began)
-	release()
-	if err := await("Commit", committed); err != nil {
-		t.Fatalf("parked Commit: %v", err)
-	}
-	if err := await("Begin", began); err != nil {
-		t.Fatalf("Begin after the flush: %v", err)
-	}
-	if !readersProceed {
-		if err := await("Read/Root/Stats", reads); err != nil {
-			t.Fatalf("after the flush: %v", err)
+	if stall == Pipelined {
+		second := sealSecond(began)
+		if err := readAll(); err != nil {
+			t.Fatalf("with two commits in flight: %v", err)
 		}
+		blocked("the second commit's durable wait", second)
+		// Park the second commit's flush too, then let the first go: the
+		// first must return while the second is still parked.
+		entered2, release2 := gate.Arm()
+		release()
+		if err := await("Commit", committed); err != nil {
+			t.Fatalf("parked Commit: %v", err)
+		}
+		if err := await("the second commit's flush", toErr(entered2)); err != nil {
+			t.Fatal(err)
+		}
+		blocked("the second commit's durable wait", second)
+		release2()
+		if err := await("the second commit's durable wait", second); err != nil {
+			t.Fatalf("second commit: %v", err)
+		}
+	} else {
+		blocked("Begin", began)
+		release()
+		if err := await("Commit", committed); err != nil {
+			t.Fatalf("parked Commit: %v", err)
+		}
+		if err := await("Begin", began); err != nil {
+			t.Fatalf("Begin after the flush: %v", err)
+		}
+		if stall == Serialized {
+			if err := await("Read/Root/Stats", reads); err != nil {
+				t.Fatalf("after the flush: %v", err)
+			}
+		}
+		write(2)
+		commit(t, m)
 	}
-	write(2)
-	commit(t, m)
 
-	// Round 2: Close against a parked commit.
+	// Round 2: Close against a parked commit (and, pipelined, against a
+	// second one sealed behind it).
 	committed, release = park()
+	var second <-chan error
+	if stall == Pipelined {
+		began := make(chan error, 1)
+		go func() { began <- m.Begin() }()
+		second = sealSecond(began)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- m.Close() }()
 	blocked("Close", closed)
 	release()
 	if err := await("Commit", committed); err != nil {
 		t.Fatalf("parked Commit: %v", err)
+	}
+	if second != nil {
+		if err := await("the second commit's durable wait", second); err != nil {
+			t.Fatalf("second commit: %v", err)
+		}
 	}
 	if err := await("Close", closed); err != nil {
 		t.Fatalf("Close after the flush: %v", err)
@@ -200,4 +241,14 @@ func StalledCommit(t *testing.T, m storage.Manager, gate *Gate, readersProceed b
 	if err := readAll(); err != nil {
 		t.Fatalf("reopened store: %v", err)
 	}
+}
+
+// toErr turns a signal channel into a nil-error result channel for await.
+func toErr(c <-chan struct{}) <-chan error {
+	out := make(chan error, 1)
+	go func() {
+		<-c
+		out <- nil
+	}()
+	return out
 }

@@ -340,14 +340,15 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 
 func (p *pager) Begin() error { return nil }
 
-// Commit writes every dirty resident page back to the database file. Like
-// the original Texas, there is no log: a crash mid-commit is not recoverable
-// in place — Open detects it and refuses the store — which is one of the
+// Commit writes every dirty resident page back to the database file before
+// it returns, so there is nothing left for a durable wait to do. Like the
+// original Texas, there is no log: a crash mid-commit is not recoverable in
+// place — Open detects it and refuses the store — which is one of the
 // usability observations the paper makes.
-func (p *pager) Commit() error {
+func (p *pager) Commit() (func() error, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.flushLocked()
+	return nil, p.flushLocked()
 }
 
 func (p *pager) flushLocked() error {

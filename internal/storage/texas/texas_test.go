@@ -3,6 +3,7 @@ package texas
 import (
 	"bytes"
 	"fmt"
+	"labflow/internal/fault/gate"
 	"path/filepath"
 	"testing"
 
@@ -239,10 +240,10 @@ func TestClusteringImprovesLocality(t *testing.T) {
 	}
 }
 
-// gatedBacking parks WritePage in a storagetest.Gate.
+// gatedBacking parks WritePage in a gate.Gate.
 type gatedBacking struct {
 	pagefile.Backing
-	gate *storagetest.Gate
+	gate *gate.Gate
 }
 
 func (b gatedBacking) WritePage(id pagefile.PageID, buf []byte) error {
@@ -262,12 +263,12 @@ func TestStalledFlushHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &storagetest.Gate{}
+	gate := &gate.Gate{}
 	m, err := Open(Options{Backing: gatedBacking{fb, gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	storagetest.StalledCommit(t, m, gate, false, func() storage.Manager {
+	storagetest.StalledCommit(t, m, gate, storagetest.Serialized, func() storage.Manager {
 		m2, err := Open(Options{Path: path})
 		if err != nil {
 			t.Fatalf("reopen: %v", err)

@@ -20,6 +20,10 @@ type connState struct {
 	// transaction bracket (OpBegin..OpCommit), and with it the server
 	// writer lock across frames.
 	bracket bool
+	// durable is the wait of a transaction a write handler sealed under
+	// the server writer lock; the primary's handle runs it once the lock
+	// is released, before the response goes out.
+	durable func() error
 	// afterFlush is set by a handler whose response ends the conversation:
 	// once that response is flushed the core runs it, on the connection's
 	// goroutine, and hangs up.

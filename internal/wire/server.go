@@ -62,20 +62,32 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-// inTxn runs fn inside one transaction under the server write lock. LabBase
-// operations validate their inputs before mutating anything, so on failure
-// the (write-free) transaction is simply closed and the error reported.
-func (s *Server) inTxn(fn func() error) error {
+// inTxn runs fn inside one transaction under the server write lock and
+// seals it (labbase.Seal), leaving the wait for its durability on cs for
+// handle to run once the lock is released. LabBase operations validate
+// their inputs before mutating anything, so on failure the (write-free)
+// transaction is simply closed and the error reported; a batch that failed
+// partway is closed the same way, its earlier entries recorded.
+func (s *Server) inTxn(cs *connState, fn func() error) error {
 	if err := s.db.Begin(); err != nil {
 		return err
 	}
-	if err := fn(); err != nil {
-		if cerr := s.db.Commit(); cerr != nil {
-			return fmt.Errorf("%w (and closing the transaction: %w)", err, cerr)
-		}
-		return err
+	err := fn()
+	durable, serr := labbase.Seal(s.db)
+	if serr != nil {
+		return joinClose(err, serr)
 	}
-	return s.db.Commit()
+	cs.durable = durable
+	return err
+}
+
+// joinClose reports err together with the failure to close its
+// transaction; with no err, the close failure alone.
+func joinClose(err, cerr error) error {
+	if err == nil {
+		return cerr
+	}
+	return fmt.Errorf("%w (and closing the transaction: %w)", err, cerr)
 }
 
 // exec runs one mutation for a connection: inside an explicit bracket it
@@ -85,7 +97,7 @@ func (s *Server) exec(cs *connState, fn func() error) error {
 	if cs.bracket {
 		return fn()
 	}
-	return s.inTxn(fn)
+	return s.inTxn(cs, fn)
 }
 
 // beginBracket opens the explicit client transaction bracket: the
@@ -107,9 +119,11 @@ func (s *Server) beginBracket(cs *connState) error {
 	return nil
 }
 
-// commitBracket closes the bracket and releases the writer lock. Without an
-// open bracket it still calls Commit under the lock so the client sees the
-// store's own ErrNoTransaction bytes.
+// commitBracket seals the bracket's transaction, releases the writer lock,
+// and only then waits for durability, so the next writer runs while this
+// bracket's flush is in flight. Without an open bracket it still calls
+// Commit under the lock so the client sees the store's own
+// ErrNoTransaction bytes.
 func (s *Server) commitBracket(cs *connState) error {
 	if !cs.bracket {
 		s.mu.Lock()
@@ -117,9 +131,12 @@ func (s *Server) commitBracket(cs *connState) error {
 		return s.db.Commit()
 	}
 	cs.bracket = false
-	err := s.db.Commit()
+	durable, err := labbase.Seal(s.db)
 	s.mu.Unlock()
-	return err
+	if err != nil {
+		return err
+	}
+	return durable()
 }
 
 // releaseBracket commits and unlocks a bracket abandoned by a dropped
@@ -131,19 +148,33 @@ func (s *Server) releaseBracket(cs *connState) {
 	if !cs.bracket {
 		return
 	}
-	cs.bracket = false
-	if err := s.db.Commit(); err != nil {
+	if err := s.commitBracket(cs); err != nil {
 		s.logf("wire: commit abandoned bracket: %v", err)
 	}
-	s.mu.Unlock()
 }
 
-// handle executes one request under the lock its opcode's class (opTable)
+// handle executes one request (under the lock its opcode's class requires,
+// see locked) and then waits out the durability of whatever transaction
+// the request sealed under the writer lock: the lock is already released
+// by then, so the next writer's transaction runs while this one's flush is
+// in flight, but the response leaves only once the write is durable.
+func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error) {
+	resp, err := s.locked(cs, op, payload)
+	if durable := cs.durable; durable != nil {
+		cs.durable = nil
+		if derr := durable(); derr != nil {
+			return nil, joinClose(err, derr)
+		}
+	}
+	return resp, err
+}
+
+// locked executes one request under the lock its opcode's class (opTable)
 // requires: read ops take no lock at all (their snapshot capture makes them
 // consistent), write ops hold the lock exclusively so their transaction
 // brackets stay atomic against each other, and a connection inside an
 // explicit bracket already holds the writer lock across frames.
-func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error) {
+func (s *Server) locked(cs *connState, op uint8, payload []byte) ([]byte, error) {
 	switch class := rowOf(op).class; {
 	case class == classNone:
 		return nil, fmt.Errorf("wire: unknown opcode %d", op)
@@ -288,18 +319,28 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		e.Uint(uint64(oid))
 
 	case OpPutSteps:
-		// Batched RecordStep, delegated to the store: a plain DB runs the
-		// whole batch in one transaction (amortizing the commit and, under
-		// group-commit stores, the log flush); a sharded store splits it by
-		// shard and applies the groups concurrently, one transaction per
-		// touched shard. Either way the batch is not atomic: if an entry
+		// Batched RecordStep: a plain DB runs the whole batch in one
+		// transaction (amortizing the commit and, under group-commit
+		// stores, the log flush) — the bracket's, or one of its own sealed
+		// like any write's; a sharded store splits it by shard and applies
+		// the groups concurrently, one transaction per touched shard, under
+		// the shared lock. Either way the batch is not atomic: if an entry
 		// fails, earlier entries (on that shard) stay recorded — the error
 		// names the failing index so the client can tell.
 		specs, err := decodeStepBatch(d)
 		if err != nil {
 			return nil, err
 		}
-		oids, err := s.db.PutSteps(specs)
+		var oids []storage.OID
+		put := func() (err error) {
+			oids, err = s.db.PutSteps(specs)
+			return
+		}
+		if s.batchShared {
+			err = put()
+		} else {
+			err = s.exec(cs, put)
+		}
 		if err != nil {
 			return nil, err
 		}

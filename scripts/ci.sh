@@ -65,15 +65,18 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # Deterministic: 200 seeded crash schedules per storage backend, anchored at
 # FixedSeedBase, plus the sharded one-shard-crashes schedules, so a
 # regression here always reproduces bit-for-bit.
-# The ostore round also asserts that some seed crashed inside each of the
-# recycled log's two windows (in-place cursor rewrite, record over a retired
-# record), and the texas round that some seed was refused as torn and some
-# reopened at exactly its committed state, so neither round can go vacuous
-# when op numbering shifts. The directed tests beside it pin each clause of
-# the in-place-reuse safety argument (repl package comment) on its own.
+# The ostore round runs a seeded share of its transactions as two-committer
+# pairs (one commit's flush held while the next seals behind it) and asserts
+# that some seed crashed inside each of three named windows: the recycled
+# log's two (in-place cursor rewrite, record over a retired record) and the
+# pipelined commit's (sealed-behind-flush). The texas round asserts that some
+# seed was refused as torn and some reopened at exactly its committed state,
+# so neither round can go vacuous when op numbering shifts. The directed
+# tests beside it pin each clause of the in-place-reuse safety argument (repl
+# package comment) on its own, and the pipelined commit's two failure rules.
 go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
 go test -race -count=1 \
-	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens' \
+	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery' \
 	./internal/storage/repl/ ./internal/storage/ostore/
 
 echo "== crashtest: randomized-seed round"
@@ -100,15 +103,19 @@ go test -race -run '^$' -fuzz 'FuzzStandbyHandle' -fuzztime 5s ./internal/wire/
 # neither panic nor yield a record that does not re-encode to its bytes.
 go test -race -run '^$' -fuzz 'FuzzScanLog' -fuzztime 5s ./internal/storage/repl/
 
-echo "== stalled-flush stress (-race, a commit parked in its flush blocks Begin/Close and nobody else)"
+echo "== stalled-flush stress (-race, a commit parked in its flush blocks only durable waits)"
 # DESIGN §9 "What a reader can wait on": with a commit held inside the log's
-# fsync, Read/Root/Stats return and Begin/Close wait (pagefile over a bare
-# pager, ostore); over texas the same schedule must merely be harmless. Close
-# against an in-flight group flush rides along. Repeated, since these are
-# schedules.
+# fsync, Read/Root/Stats return; over ostore so do the next writer's Begin
+# and Seal, its durable wait and Close waiting for the parked flush (pagefile
+# over a bare pager keeps Begin waiting; over texas the schedule must merely
+# be harmless). Close against an in-flight group flush, a 16-page pool under
+# eviction pressure, the sealed image against the rewritten frame, and the
+# wire server releasing its writer lock before the durable wait (one-shot
+# and bracketed, through a shard mapper's forwarded Seal) ride along.
+# Repeated, since these are schedules.
 go test -race -count=5 \
-	-run 'TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush' \
-	./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/
+	-run 'TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush|TestSealedPagesStayResident|TestSealedImageIsNotTheLiveFrame|TestWriterLockReleasedBeforeDurableWait|TestMapperForwardsSeal' \
+	./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/wire/ ./internal/labbase/shard/
 
 echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + snapshot OpQuery)"
 # The MVCC read-path contract (DESIGN §9): snapshots pinned across commits
