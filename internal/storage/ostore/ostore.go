@@ -233,10 +233,12 @@ type frame struct {
 	sealed bool
 }
 
+// faultRequest asks the page server to read page id into buf. Pin holds mu
+// across the round trip, so at most one fault is in flight and the server
+// answers on the pager's one faultReply channel.
 type faultRequest struct {
-	id    pagefile.PageID
-	buf   []byte
-	reply chan error
+	id  pagefile.PageID
+	buf []byte
 }
 
 // commitBatch is one sealed transaction on its way to the group-commit
@@ -263,9 +265,10 @@ func (b *commitBatch) wait() error {
 
 // maxScratchPages bounds the buffers the pager keeps between commits: a
 // group of up to this many pages is encoded into the flusher's retained
-// record buffer, a wider one into a buffer of its own that dies with the
-// flush, and at most this many page buffers that sealed images leave behind
-// are kept for the copy-on-write of the next ones. So what stays live
+// record buffer (and deduplicated in its retained map), a wider one into a
+// buffer of its own that dies with the flush, and at most this many page
+// buffers that settled images and trimmed frames leave behind are kept as
+// spares for the next copy-on-write or new frame. So what stays live
 // between commits is at most one 16-page record and 16 spare pages
 // (256 KiB), however wide the widest commit of the session was.
 const maxScratchPages = 16
@@ -287,8 +290,9 @@ type pager struct {
 
 	// queue holds the sealed batches the flusher has not taken yet, in seal
 	// order; work (on mu) wakes the flusher when one arrives or the pager
-	// closes. spare holds page buffers of settled images no frame uses any
-	// more, for the next copy-on-write.
+	// closes. spare holds page buffers no frame or batch holds any more —
+	// settled images, trimmed frames', a failed fault's — for the next
+	// copy-on-write or new frame.
 	queue []*commitBatch
 	work  sync.Cond
 	spare [][]byte
@@ -302,11 +306,13 @@ type pager struct {
 	logEnd    int64          // live tail: where the next record goes, not the file's length
 	ckptEvery int
 	sinceCkpt int
-	scratch   []byte // record buffer reused across flushes; at most maxScratchPages wide
+	scratch   []byte                  // record buffer reused across flushes; at most maxScratchPages wide
+	seen      map[pagefile.PageID]int // a group's page → index in its record, reused like scratch
 
-	faultReq  chan faultRequest
-	done      chan struct{}
-	flushDone chan struct{} // closed when flushLoop exits
+	faultReq   chan faultRequest
+	faultReply chan error
+	done       chan struct{}
+	flushDone  chan struct{} // closed when flushLoop exits
 }
 
 // start readies a pager whose media, log position and policy fields are set
@@ -317,6 +323,7 @@ func (p *pager) start() {
 	p.locks = make(map[pagefile.PageID]pagefile.Mode)
 	p.work.L = &p.mu
 	p.faultReq = make(chan faultRequest)
+	p.faultReply = make(chan error, 1)
 	p.done = make(chan struct{})
 	p.flushDone = make(chan struct{})
 	go p.serve()
@@ -329,7 +336,7 @@ func (p *pager) serve() {
 	for {
 		select {
 		case req := <-p.faultReq:
-			req.reply <- p.backing.ReadPage(req.id, req.buf)
+			p.faultReply <- p.backing.ReadPage(req.id, req.buf)
 		case <-p.done:
 			return
 		}
@@ -371,21 +378,32 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 		fr.ref = true
 		return &fr.pf, nil
 	}
-	if err := p.makeRoomLocked(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, pagefile.PageSize)
-	req := faultRequest{id: id, buf: buf, reply: make(chan error, 1)}
-	p.faultReq <- req
-	if err := <-req.reply; err != nil {
+	fr := p.newFrameLocked(id)
+	p.faultReq <- faultRequest{id: id, buf: fr.pf.Data}
+	if err := <-p.faultReply; err != nil {
+		p.recycleLocked(fr.pf.Data)
 		return nil, fmt.Errorf("ostore: fault page %d: %w", id, err)
 	}
 	p.stats.Faults++
-	fr := &frame{pf: pagefile.Frame{ID: id, Data: buf}, pins: 1, ref: true}
-	fr.pf.Priv = fr
 	p.pool[id] = fr
 	p.ring = append(p.ring, fr)
 	return &fr.pf, nil
+}
+
+// newFrameLocked readies a frame for page id, pinned once and referenced,
+// whose buffer the caller fills. When the pool is full it takes over
+// CLOCK's victim — the frame and its buffer — so a fault allocates
+// nothing; otherwise (the pool is not full, or overshoots because nothing
+// is evictable) it is a new frame on a spare buffer or, failing that, a
+// new one. The victim's buffer is its own: an evictable frame holds no
+// image a batch still has to write.
+func (p *pager) newFrameLocked(id pagefile.PageID) *frame {
+	fr := p.makeRoomLocked()
+	if fr == nil {
+		fr = &frame{pf: pagefile.Frame{Data: p.pageBufLocked()}}
+	}
+	*fr = frame{pf: pagefile.Frame{ID: id, Data: fr.pf.Data, Priv: fr}, pins: 1, ref: true}
+	return fr
 }
 
 // evictable reports whether CLOCK may drop fr. The pool is no-steal: a
@@ -396,9 +414,10 @@ func (fr *frame) evictable() bool {
 	return fr.pins == 0 && !fr.dirty && fr.unwritten == 0
 }
 
-// makeRoomLocked evicts one evictable page when the pool is full. If
-// nothing is evictable the pool temporarily overshoots.
-func (p *pager) makeRoomLocked() error {
+// makeRoomLocked evicts one evictable page when the pool is full and
+// returns its frame for the caller to take over. If nothing is evictable
+// the pool temporarily overshoots, and it returns nil.
+func (p *pager) makeRoomLocked() *frame {
 	if len(p.pool) < p.capacity {
 		return nil
 	}
@@ -421,7 +440,7 @@ func (p *pager) makeRoomLocked() error {
 		p.ring[p.hand] = p.ring[len(p.ring)-1]
 		p.ring = p.ring[:len(p.ring)-1]
 		p.stats.Evictions++
-		return nil
+		return fr
 	}
 	return nil
 }
@@ -442,16 +461,16 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	if err := p.makeRoomLocked(); err != nil {
-		return nil, err
-	}
+	fr := p.newFrameLocked(0)
 	id, err := p.backing.Grow()
 	if err != nil {
+		p.recycleLocked(fr.pf.Data)
 		return nil, fmt.Errorf("ostore: grow: %w", err)
 	}
 	p.lockLocked(id, pagefile.ModeWrite)
-	fr := &frame{pf: pagefile.Frame{ID: id, Data: make([]byte, pagefile.PageSize)}, pins: 1, dirty: true, ref: true}
-	fr.pf.Priv = fr
+	clear(fr.pf.Data)
+	fr.pf.ID = id
+	fr.dirty = true
 	p.pool[id] = fr
 	p.ring = append(p.ring, fr)
 	return &fr.pf, nil
@@ -503,8 +522,8 @@ func (p *pager) Commit() (func() error, error) {
 	return b.wait, nil
 }
 
-// pageBufLocked returns a page buffer for a copy-on-write, one a settled
-// image left behind when there is one.
+// pageBufLocked returns a page buffer for a copy-on-write or a new frame: a
+// spare when there is one. Its contents are whatever the buffer last held.
 func (p *pager) pageBufLocked() []byte {
 	if n := len(p.spare); n > 0 {
 		buf := p.spare[n-1]
@@ -512,6 +531,14 @@ func (p *pager) pageBufLocked() []byte {
 		return buf
 	}
 	return make([]byte, pagefile.PageSize)
+}
+
+// recycleLocked keeps buf, which no frame or batch holds any more, as a
+// spare while there are fewer than maxScratchPages of them.
+func (p *pager) recycleLocked(buf []byte) {
+	if len(p.spare) < maxScratchPages {
+		p.spare = append(p.spare, buf)
+	}
 }
 
 // flushLoop is the group-commit daemon. It takes every batch queued so far
@@ -571,8 +598,8 @@ func (p *pager) settle(group []*commitBatch, placed bool, err error) {
 			}
 			if img := b.pages[i].Data; &img[0] == &fr.pf.Data[0] {
 				fr.sealed = false
-			} else if len(p.spare) < maxScratchPages {
-				p.spare = append(p.spare, img)
+			} else {
+				p.recycleLocked(img)
 			}
 		}
 	}
@@ -602,7 +629,11 @@ func (p *pager) settle(group []*commitBatch, placed bool, err error) {
 // settle needs to know about a failure.
 func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 	var order []repl.PageImage
-	seen := make(map[pagefile.PageID]int, len(batches[0].pages))
+	if p.seen == nil {
+		p.seen = make(map[pagefile.PageID]int, maxScratchPages)
+	}
+	seen := p.seen
+	clear(seen)
 	for _, b := range batches {
 		for _, img := range b.pages {
 			if i, dup := seen[img.ID]; dup {
@@ -612,6 +643,9 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 			seen[img.ID] = len(order)
 			order = append(order, img)
 		}
+	}
+	if len(order) > maxScratchPages {
+		p.seen = nil // a wide group's map dies with the flush, as its record buffer does
 	}
 	if len(order) == 0 {
 		return true, nil
@@ -716,7 +750,7 @@ func (p *pager) writeBack(order []repl.PageImage) error {
 // trimLocked shrinks the pool back to capacity after a flush. During a
 // transaction the no-steal policy lets the pool overshoot (dirty pages are
 // unevictable, and sealed ones until written back); once they are written
-// the overshoot is released.
+// the overshoot is released, its buffers to the spares.
 func (p *pager) trimLocked() {
 	for len(p.pool) > p.capacity {
 		evicted := false
@@ -736,6 +770,7 @@ func (p *pager) trimLocked() {
 			p.ring[p.hand] = p.ring[len(p.ring)-1]
 			p.ring = p.ring[:len(p.ring)-1]
 			p.stats.Evictions++
+			p.recycleLocked(fr.pf.Data)
 			evicted = true
 		}
 		if !evicted {

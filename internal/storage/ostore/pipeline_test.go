@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"labflow/internal/storage"
+	"labflow/internal/storage/pagefile"
 	"labflow/internal/storage/repl"
 )
 
@@ -70,13 +71,79 @@ func mustRead(t *testing.T, m storage.Manager, oid storage.OID, want []byte) {
 	}
 }
 
+// sealedPagesTxns are TestSealedPagesStayResident's three transactions:
+// ten pages of two objects each, then forty and twenty of one object each.
+// The k-th object written is all byte(k), so every page image the three
+// transactions seal is the same whatever the pool does.
+var sealedPagesTxns = []struct {
+	seg     storage.SegmentID
+	n, size int
+}{{storage.SegHistory, 20, 3000}, {storage.SegIndex, 40, 6000}, {storage.SegIndex, 20, 6000}}
+
+// putTxn writes transaction i of sealedPagesTxns into m, records what it
+// wrote in shadow, and returns without committing.
+func putTxn(t *testing.T, m storage.Manager, shadow map[storage.OID][]byte, i int) {
+	t.Helper()
+	txn := sealedPagesTxns[i]
+	for j := 0; j < txn.n; j++ {
+		data := bytes.Repeat([]byte{byte(len(shadow))}, txn.size)
+		shadow[mustAllocate(t, m, txn.seg, data)] = data
+	}
+}
+
+// loggedImages returns each record in log past its cursor as its page
+// images by page.
+func loggedImages(t *testing.T, log LogFile) []map[pagefile.PageID][]byte {
+	t.Helper()
+	_, records, err := repl.ScanLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]map[pagefile.PageID][]byte, len(records))
+	for i, rec := range records {
+		out[i] = map[pagefile.PageID][]byte{}
+		for _, img := range rec.Pages {
+			out[i][img.ID] = bytes.Clone(img.Data)
+		}
+	}
+	return out
+}
+
 // TestSealedPagesStayResident puts a 16-page pool under pressure while a
-// commit is parked in its log sync: the next transaction dirties 40 pages,
-// so the pool must evict, and only clean pages whose images are written
-// back may go. A sealed page evicted before its write-back would fault back
-// in from a backing that never saw it. Every read, during the flush and
-// after, must see the last image written.
+// commit is parked in its log sync: the next transaction dirties 40 pages
+// and seals them behind the parked flush, and a third dirties 20 more
+// before the flush is released, so the pool must evict, and only clean
+// pages whose images are written back may go. A fault or a new page takes
+// over its victim's buffer, so a sealed page evicted early would not just
+// fault back in stale from a backing that never saw it: its buffer, still
+// the image its batch has to log and write back, would be overwritten.
+// Every read, during the flush and after, must see the last image written,
+// and each logged record must hold exactly the images its transaction
+// sealed — the images the same transactions log when committed one at a
+// time into a pool that never evicts.
 func TestSealedPagesStayResident(t *testing.T) {
+	reference := func() []map[pagefile.PageID][]byte {
+		path := filepath.Join(t.TempDir(), "reference.db")
+		lf, err := repl.OpenFile(path + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(Options{Path: path, Log: lf, PoolPages: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		shadow := map[storage.OID][]byte{}
+		for i := range sealedPagesTxns {
+			begin(t, m)
+			putTxn(t, m, shadow, i)
+			if err := m.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return loggedImages(t, lf)
+	}()
+
 	path := filepath.Join(t.TempDir(), "evict.db")
 	lf, err := repl.OpenFile(path + ".log")
 	if err != nil {
@@ -88,12 +155,6 @@ func TestSealedPagesStayResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	shadow := map[storage.OID][]byte{}
-	put := func(seg storage.SegmentID, n int, size int) {
-		for i := 0; i < n; i++ {
-			data := bytes.Repeat([]byte{byte(len(shadow))}, size)
-			shadow[mustAllocate(t, m, seg, data)] = data
-		}
-	}
 	readAll := func(m storage.Manager) {
 		t.Helper()
 		for oid, want := range shadow {
@@ -102,21 +163,40 @@ func TestSealedPagesStayResident(t *testing.T) {
 	}
 
 	begin(t, m)
-	put(storage.SegHistory, 20, 3000) // ten pages, two records each
+	putTxn(t, m, shadow, 0)
 	committed, release := parkCommit(t, m, gate)
 	begin(t, m)
-	put(storage.SegIndex, 40, 6000) // forty more, one record each
+	putTxn(t, m, shadow, 1)
 	readAll(m)
 	durable, err := storage.Seal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	begin(t, m)
+	putTxn(t, m, shadow, 2) // new pages, while the second batch waits to be logged
 	release()
 	if err := <-committed; err != nil {
 		t.Fatalf("parked commit: %v", err)
 	}
 	if err := durable(); err != nil {
 		t.Fatalf("commit sealed behind it: %v", err)
+	}
+	if err := m.Commit(); err != nil {
+		t.Fatalf("third commit: %v", err)
+	}
+	logged := loggedImages(t, lf)
+	if len(logged) != len(reference) {
+		t.Fatalf("log holds %d records; the same transactions committed one at a time log %d", len(logged), len(reference))
+	}
+	for i, want := range reference {
+		if len(logged[i]) != len(want) {
+			t.Errorf("record %d logs %d pages; the transaction sealed %d", i+1, len(logged[i]), len(want))
+		}
+		for id, img := range want {
+			if got, ok := logged[i][id]; !ok || !bytes.Equal(got, img) {
+				t.Errorf("record %d: page %d's logged image is not the image its transaction sealed (logged: %v)", i+1, id, ok)
+			}
+		}
 	}
 	readAll(m)
 	if err := m.Close(); err != nil {

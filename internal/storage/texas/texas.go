@@ -84,13 +84,16 @@ func Open(opts Options) (storage.Manager, error) {
 	// A persistent store that was mutated but never cleanly closed is torn:
 	// with no log there is nothing to replay, so refuse loudly rather than
 	// serve whatever subset of the dirty pages reached the disk.
+	var page []byte
+	if persistent {
+		page = make([]byte, pagefile.PageSize)
+	}
 	if persistent && backing.NumPages() > 0 {
-		buf := make([]byte, pagefile.PageSize)
-		if err := backing.ReadPage(0, buf); err != nil {
+		if err := backing.ReadPage(0, page); err != nil {
 			backing.Close()
 			return nil, fmt.Errorf("texas: read superblock: %w", err)
 		}
-		if binary.LittleEndian.Uint64(buf[dirtyMarkerOff:]) == dirtyMarkerMagic {
+		if binary.LittleEndian.Uint64(page[dirtyMarkerOff:]) == dirtyMarkerMagic {
 			backing.Close()
 			return nil, fmt.Errorf("texas: %w", ErrTornStore)
 		}
@@ -108,6 +111,7 @@ func Open(opts Options) (storage.Manager, error) {
 		resident:   make(map[pagefile.PageID]*frame),
 		maxPages:   opts.MaxResidentPages,
 		persistent: persistent,
+		page:       page,
 	}
 	store, err := pagefile.New(name, pager, heapSlack)
 	if err != nil {
@@ -181,8 +185,9 @@ type pager struct {
 	ring       []*frame // CLOCK ring over resident frames
 	hand       int
 	maxPages   int
-	persistent bool // torn-store marker protocol applies
-	marked     bool // dirty marker is on disk
+	persistent bool   // torn-store marker protocol applies
+	marked     bool   // dirty marker is on disk
+	page       []byte // a persistent store's superblock scratch: stamped images, marker read-modify-writes
 	stats      pagefile.PagerStats
 	closed     bool
 }
@@ -199,10 +204,9 @@ func (p *pager) writePageLocked(id pagefile.PageID, data []byte) error {
 		}
 	}
 	if p.persistent && id == 0 {
-		stamped := make([]byte, pagefile.PageSize)
-		copy(stamped, data)
-		binary.LittleEndian.PutUint64(stamped[dirtyMarkerOff:], dirtyMarkerMagic)
-		return p.backing.WritePage(id, stamped)
+		copy(p.page, data)
+		binary.LittleEndian.PutUint64(p.page[dirtyMarkerOff:], dirtyMarkerMagic)
+		return p.backing.WritePage(id, p.page)
 	}
 	return p.backing.WritePage(id, data)
 }
@@ -211,12 +215,11 @@ func (p *pager) writePageLocked(id pagefile.PageID, data []byte) error {
 // page 0 followed by a sync, so the marker cannot be reordered after the
 // page writes it guards.
 func (p *pager) setMarkerLocked() error {
-	buf := make([]byte, pagefile.PageSize)
-	if err := p.backing.ReadPage(0, buf); err != nil {
+	if err := p.backing.ReadPage(0, p.page); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(buf[dirtyMarkerOff:], dirtyMarkerMagic)
-	if err := p.backing.WritePage(0, buf); err != nil {
+	binary.LittleEndian.PutUint64(p.page[dirtyMarkerOff:], dirtyMarkerMagic)
+	if err := p.backing.WritePage(0, p.page); err != nil {
 		return err
 	}
 	if err := p.backing.Sync(); err != nil {
@@ -229,12 +232,11 @@ func (p *pager) setMarkerLocked() error {
 // clearMarkerLocked removes the brand after everything else is flushed and
 // synced: read-modify-write of page 0, then a final sync.
 func (p *pager) clearMarkerLocked() error {
-	buf := make([]byte, pagefile.PageSize)
-	if err := p.backing.ReadPage(0, buf); err != nil {
+	if err := p.backing.ReadPage(0, p.page); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(buf[dirtyMarkerOff:], 0)
-	if err := p.backing.WritePage(0, buf); err != nil {
+	binary.LittleEndian.PutUint64(p.page[dirtyMarkerOff:], 0)
+	if err := p.backing.WritePage(0, p.page); err != nil {
 		return err
 	}
 	if err := p.backing.Sync(); err != nil {
@@ -255,30 +257,46 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 		fr.ref = true
 		return &fr.pf, nil
 	}
-	if err := p.makeRoomLocked(); err != nil {
+	fr, err := p.newFrameLocked(id)
+	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, pagefile.PageSize)
-	if err := p.backing.ReadPage(id, buf); err != nil {
+	if err := p.backing.ReadPage(id, fr.pf.Data); err != nil {
 		return nil, fmt.Errorf("texas: fault page %d: %w", id, err)
 	}
 	p.stats.Faults++
-	fr := &frame{pf: pagefile.Frame{ID: id, Data: buf}, pins: 1, ref: true}
-	fr.pf.Priv = fr
 	p.resident[id] = fr
 	p.ring = append(p.ring, fr)
 	return &fr.pf, nil
 }
 
-// makeRoomLocked evicts one page if residency is at its limit. Dirty victims
-// are written back before being dropped, simulating OS page-out.
-func (p *pager) makeRoomLocked() error {
+// newFrameLocked readies a frame for page id, pinned once and referenced,
+// whose buffer the caller fills. When residency is at its limit it takes
+// over CLOCK's victim — the frame and its buffer — so a fault allocates
+// nothing; otherwise it is a new frame on a new buffer.
+func (p *pager) newFrameLocked(id pagefile.PageID) (*frame, error) {
+	fr, err := p.makeRoomLocked()
+	if err != nil {
+		return nil, err
+	}
+	if fr == nil {
+		fr = &frame{pf: pagefile.Frame{Data: make([]byte, pagefile.PageSize)}}
+	}
+	*fr = frame{pf: pagefile.Frame{ID: id, Data: fr.pf.Data, Priv: fr}, pins: 1, ref: true}
+	return fr, nil
+}
+
+// makeRoomLocked evicts one page if residency is at its limit and returns
+// its frame for the caller to take over (nil when nothing was evicted).
+// Dirty victims are written back before being dropped, simulating OS
+// page-out.
+func (p *pager) makeRoomLocked() (*frame, error) {
 	if p.maxPages <= 0 || len(p.resident) < p.maxPages {
-		return nil
+		return nil, nil
 	}
 	for sweep := 0; sweep < 2*len(p.ring); sweep++ {
 		if len(p.ring) == 0 {
-			return nil
+			return nil, nil
 		}
 		p.hand %= len(p.ring)
 		fr := p.ring[p.hand]
@@ -293,7 +311,7 @@ func (p *pager) makeRoomLocked() error {
 		}
 		if fr.dirty {
 			if err := p.writePageLocked(fr.pf.ID, fr.pf.Data); err != nil {
-				return fmt.Errorf("texas: evict write-back page %d: %w", fr.pf.ID, err)
+				return nil, fmt.Errorf("texas: evict write-back page %d: %w", fr.pf.ID, err)
 			}
 			p.stats.PageWrites++
 			fr.dirty = false
@@ -302,10 +320,10 @@ func (p *pager) makeRoomLocked() error {
 		p.ring[p.hand] = p.ring[len(p.ring)-1]
 		p.ring = p.ring[:len(p.ring)-1]
 		p.stats.Evictions++
-		return nil
+		return fr, nil
 	}
 	// Everything pinned: allow temporary overshoot.
-	return nil
+	return nil, nil
 }
 
 func (p *pager) Unpin(f *pagefile.Frame, dirty bool) {
@@ -324,15 +342,17 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	if err := p.makeRoomLocked(); err != nil {
+	fr, err := p.newFrameLocked(0)
+	if err != nil {
 		return nil, err
 	}
 	id, err := p.backing.Grow()
 	if err != nil {
 		return nil, fmt.Errorf("texas: grow: %w", err)
 	}
-	fr := &frame{pf: pagefile.Frame{ID: id, Data: make([]byte, pagefile.PageSize)}, pins: 1, dirty: true, ref: true}
-	fr.pf.Priv = fr
+	clear(fr.pf.Data)
+	fr.pf.ID = id
+	fr.dirty = true
 	p.resident[id] = fr
 	p.ring = append(p.ring, fr)
 	return &fr.pf, nil

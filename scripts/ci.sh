@@ -78,6 +78,10 @@ go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./
 go test -race -count=1 \
 	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery' \
 	./internal/storage/repl/ ./internal/storage/ostore/
+# The allocation tests skip under -race, whose instrumentation allocates, so
+# they run here without it: a fault takes over its victim's frame and page
+# buffer and allocates nothing (ostore and texas).
+go test -count=1 -run 'TestFaultAllocatesNothing' ./internal/storage/ostore/ ./internal/storage/texas/
 
 echo "== crashtest: randomized-seed round"
 # Fresh seeds every run widen coverage over time; the schedule is still
