@@ -7,13 +7,13 @@
 //	labbase-server -addr :7047 -store texas+tc -path /var/lab/lab.db
 //	labbase-server -addr :7047 -store ostore-mm          # volatile
 //	labbase-server ... -rules site.lbq                   # deductive views
-//	labbase-server ... -shards 4                         # hash-partitioned
 //	labbase-server ... -shard 1/4                        # cluster member
 //
-// -shards N partitions inside one process; -shard k/n instead makes this
-// process shard k of an n-server cluster fronted by a shard.Router (each
-// server owns one store and advertises its identity through the OpShardInfo
-// handshake, so a router with a different topology refuses to use it).
+// The server owns one store and serializes writes, as the paper's LabBase
+// server does. Partitioning is a cluster's job: -shard k/n makes this
+// process shard k of an n-server cluster fronted by a shard.Router (it
+// advertises its identity through the OpShardInfo handshake, so a router
+// with a different topology refuses to use it).
 // -addrfile writes the bound listen address (useful with -addr :0) so
 // launchers can collect a topology without parsing logs.
 //
@@ -55,12 +55,11 @@ func main() {
 		pool      = flag.Int("pool", 512, "ostore buffer-pool pages")
 		resident  = flag.Int("resident", 0, "texas resident-page bound (0 = unbounded)")
 		rules     = flag.String("rules", "", "file of deductive rules to consult at start")
-		shards    = flag.Int("shards", 1, "hash-partitioned shard count (each shard gets its own store)")
-		member    = flag.String("shard", "", "serve as cluster member k of n (\"k/n\"); excludes -shards")
+		member    = flag.String("shard", "", "serve as cluster member k of n (\"k/n\")")
 		addrfile  = flag.String("addrfile", "", "write the bound listen address to this file")
 		standby   = flag.Bool("standby", false, "serve as a warm standby: apply shipped redo records to -path until promoted, then reopen and serve normally (-store ostore only)")
 		stbySync  = flag.Bool("standby-sync", false, "fsync the standby journal before acking each shipped record (power-loss durability; default covers process crashes only)")
-		ship      = flag.String("ship", "", "standby address to ship every commit's redo record to (-store ostore, single store only)")
+		ship      = flag.String("ship", "", "standby address to ship every commit's redo record to (-store ostore only)")
 		ckpt      = flag.Int("ckpt", 8, "checkpoint interval in commits: ostore redo-log checkpoints, standby journal checkpoints")
 	)
 	flag.Parse()
@@ -98,7 +97,7 @@ func main() {
 		log.Printf("labbase-server: promoted, reopening %s", *path)
 	}
 
-	db, name, err := openDB(*storeName, *path, *pool, *resident, *shards, *member, *ckpt, *ship)
+	db, name, err := openDB(*storeName, *path, *pool, *resident, *member, *ckpt, *ship)
 	if err != nil {
 		log.Fatalf("labbase-server: %v", err)
 	}
@@ -180,21 +179,11 @@ func checkReplication(store, ship string, standby bool) error {
 	return nil
 }
 
-// openDB opens the store (or, with -shards N > 1, N stores — persistent
-// paths get a per-shard suffix) behind the labbase.Store facade. A
-// non-empty member spec ("k/n") instead opens one cluster shard whose OIDs
-// carry shard tag k and whose OpShardInfo handshake advertises k of n.
-func openDB(name, path string, pool, resident, shards int, member string, ckpt int, ship string) (labbase.Store, string, error) {
-	if shards < 1 {
-		return nil, "", fmt.Errorf("-shards must be at least 1")
-	}
-	if ship != "" && shards != 1 {
-		return nil, "", fmt.Errorf("-ship requires a single store (-shards 1); run a cluster member per shard instead")
-	}
+// openDB opens the store behind the labbase.Store facade. A non-empty
+// member spec ("k/n") makes it one cluster shard whose OIDs carry shard tag
+// k and whose OpShardInfo handshake advertises k of n.
+func openDB(name, path string, pool, resident int, member string, ckpt int, ship string) (labbase.Store, string, error) {
 	if member != "" {
-		if shards != 1 {
-			return nil, "", fmt.Errorf("-shard and -shards are mutually exclusive (a cluster member is one shard; in-process partitioning belongs on a standalone server)")
-		}
 		index, count, err := parseMember(member)
 		if err != nil {
 			return nil, "", err
@@ -210,30 +199,11 @@ func openDB(name, path string, pool, resident, shards int, member string, ckpt i
 		storeName, _ := db.StoreStats()
 		return db, fmt.Sprintf("%s (shard %d/%d)", storeName, index, count), nil
 	}
-	if shards == 1 {
-		sm, err := openStore(name, path, pool, resident, ckpt, ship)
-		if err != nil {
-			return nil, "", err
-		}
-		db, err := labbase.Open(sm, labbase.DefaultOptions())
-		if err != nil {
-			return nil, "", fmt.Errorf("open database: %w", err)
-		}
-		storeName, _ := db.StoreStats()
-		return db, storeName, nil
+	sm, err := openStore(name, path, pool, resident, ckpt, ship)
+	if err != nil {
+		return nil, "", err
 	}
-	managers := make([]storage.Manager, 0, shards)
-	for k := 0; k < shards; k++ {
-		sm, err := openStore(name, fmt.Sprintf("%s.shard%d", path, k), pool, resident, ckpt, "")
-		if err != nil {
-			for _, m := range managers {
-				m.Close()
-			}
-			return nil, "", fmt.Errorf("shard %d: %w", k, err)
-		}
-		managers = append(managers, sm)
-	}
-	db, err := shard.Open(managers, labbase.DefaultOptions())
+	db, err := labbase.Open(sm, labbase.DefaultOptions())
 	if err != nil {
 		return nil, "", fmt.Errorf("open database: %w", err)
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	labflow -experiment table10 [-stores OStore,Texas+TC,...] [-scale N] [-parallel=false]
+//	labflow -experiment table10 [-stores OStore,Texas+TC,...] [-scale N]
 //	labflow -experiment ops     [-store Texas+TC]
 //	labflow -experiment clustering
 //	labflow -experiment evolution [-store Texas+TC]
@@ -25,10 +25,9 @@
 // columns — checkpoint-bounded reopen time and standby promote time (see
 // recovery.go).
 //
-// The table10 sweep runs its five server versions concurrently by default
-// (the workload and all simulated counters are deterministic either way);
-// pass -parallel=false for sequential runs with per-version-accurate CPU
-// columns. -cpuprofile / -memprofile write pprof profiles of the run.
+// The table10 sweep runs its server versions one after another, so each
+// version's CPU columns are its own, as in the paper's table. -cpuprofile /
+// -memprofile write pprof profiles of the run.
 //
 // The working data lives under -dir (a temporary directory by default) and
 // is removed afterwards unless -keep is given.
@@ -61,7 +60,6 @@ type options struct {
 	seed       int64
 	pools      string
 	shape      bool
-	parallel   bool
 	crashruns  int
 	depths     string
 	width      int
@@ -80,7 +78,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 0, "override the workload seed")
 	flag.StringVar(&o.pools, "pools", "64,192,512,4096", "pool sizes (pages) for the sweep")
 	flag.BoolVar(&o.shape, "check-shape", true, "verify the paper-shape expectations after table10")
-	flag.BoolVar(&o.parallel, "parallel", true, "run the table10 versions concurrently (per-version CPU columns become process-wide)")
 	flag.IntVar(&o.crashruns, "crashruns", 100, "number of consecutive seeds for crashtest (starting at -seed)")
 	flag.StringVar(&o.depths, "depths", "4,8,16,32,64", "DAG depths for the provenance sweep")
 	flag.IntVar(&o.width, "width", 2, "DAG width for the provenance sweep (fanout and diamond shapes)")
@@ -202,11 +199,7 @@ func runOne(experiment string, o options, p core.Params) error {
 				kinds = append(kinds, k)
 			}
 		}
-		sweep := core.RunAll
-		if o.parallel {
-			sweep = core.RunAllParallel
-		}
-		results, err := sweep(kinds, o.dir+"/table10", p)
+		results, err := core.RunAll(kinds, o.dir+"/table10", p)
 		if err != nil {
 			return err
 		}

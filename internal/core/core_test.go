@@ -327,3 +327,55 @@ func TestBufferSweep(t *testing.T) {
 		t.Errorf("sweep output malformed:\n%s", out)
 	}
 }
+
+// TestQueryCountPinned pins the exact query count of a tiny deterministic
+// run, guarding the counting rules in tickQueries and intervalQueries. In
+// particular the audit-trail read counts one query per step record fetched
+// — not an extra one for the History call that drives the scan, which used
+// to inflate the total by one per sampled audit trail. If a deliberate
+// change to the query mix moves this number, re-derive it and update the
+// constant alongside the mix change.
+func TestQueryCountPinned(t *testing.T) {
+	p := DefaultParams()
+	p.BaseClones = 4
+	p.TclonesPerClone = 2
+	p.Intervals = 1
+	p.SeqLen = 300
+	p.ReadLen = 100
+	p.BatchSize = 4
+	p.PoolPages = 64
+	p.ResidentPages = 64
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const wantQueries = 17
+	const wantSteps = 19
+	for _, k := range []StoreKind{StoreTexasMM, StoreOStoreMM} {
+		r, err := Run(k, t.TempDir(), p)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if r.Total.Queries != wantQueries {
+			t.Errorf("%s: Total.Queries = %d, want %d", k, r.Total.Queries, wantQueries)
+		}
+		if r.StepCount != wantSteps {
+			t.Errorf("%s: StepCount = %d, want %d", k, r.StepCount, wantSteps)
+		}
+	}
+}
+
+// stripTimings zeroes every measured (non-deterministic) field of a result
+// so the remainder — the simulated counters — can be compared exactly.
+func stripTimings(r *RunResult) *RunResult {
+	c := *r
+	c.Rows = make([]IntervalRow, len(r.Rows))
+	copy(c.Rows, r.Rows)
+	zero := func(row *IntervalRow) {
+		row.Elapsed, row.UserCPU, row.SysCPU, row.OSMajFlt = 0, 0, 0, 0
+	}
+	for i := range c.Rows {
+		zero(&c.Rows[i])
+	}
+	zero(&c.Total)
+	return &c
+}

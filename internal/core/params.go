@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"labflow/internal/labbase/shard"
 	"labflow/internal/storage"
 	"labflow/internal/storage/memstore"
 	"labflow/internal/storage/ostore"
@@ -67,13 +66,6 @@ type Params struct {
 	// residency (0 = unbounded, as with ample RAM).
 	PoolPages     int
 	ResidentPages int
-
-	// Shards routes the run through the hash-partitioned shard.DB facade:
-	// 0 keeps the plain labbase.DB, 1 fronts the store with a 1-shard
-	// facade (byte-identical by contract, used to prove it). table10's
-	// gel batches span arbitrary materials, so N>1 is rejected — the
-	// shard-mix workload in bench/ measures multi-shard traffic.
-	Shards int
 }
 
 // DefaultParams returns the standard configuration. At these settings a
@@ -108,8 +100,6 @@ func DefaultParams() Params {
 // Validate rejects unusable parameter combinations.
 func (p Params) Validate() error {
 	switch {
-	case p.Shards < 0 || p.Shards > shard.MaxShards:
-		return fmt.Errorf("core: Shards must be in [0, %d]", shard.MaxShards)
 	case p.BaseClones <= 0:
 		return fmt.Errorf("core: BaseClones must be positive")
 	case p.Intervals <= 0:

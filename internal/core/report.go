@@ -85,14 +85,6 @@ func FormatTable10(results []*RunResult) string {
 		metrics.Comma(results[0].Materials),
 		metrics.Comma(results[0].StepCount),
 		metrics.Comma(results[0].Total.Queries))
-	for _, r := range results {
-		if r.SharedCPU {
-			b.WriteString("Note: versions ran concurrently — cpu sec columns are process-wide (getrusage)\n" +
-				"and include the other versions' cycles; elapsed sec is per-run (monotonic) and\n" +
-				"the simulated counters (majflt, size, queries) are exact per version.\n")
-			break
-		}
-	}
 	return b.String()
 }
 

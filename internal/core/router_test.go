@@ -66,9 +66,9 @@ func TestRouterOverOneServerTable10MatchesPlain(t *testing.T) {
 	}
 }
 
-// TestRunStoreRejectsMultiShard pins the single-partition contract on the
-// store-generic seam too: handing RunStore a multi-shard store must be
-// refused with the same explanation Run gives.
+// TestRunStoreRejectsMultiShard pins the single-partition contract:
+// table10's gel batches span arbitrary materials, so handing RunStore a
+// multi-shard store must be refused with an error that says why.
 func TestRunStoreRejectsMultiShard(t *testing.T) {
 	db, err := shard.Open([]storage.Manager{memstore.Open("a-mm"), memstore.Open("b-mm")}, labbase.DefaultOptions())
 	if err != nil {

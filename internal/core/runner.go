@@ -1,17 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"labflow/internal/labbase"
-	"labflow/internal/labbase/shard"
 	"labflow/internal/metrics"
-	"labflow/internal/storage"
 	"labflow/internal/workflow"
 )
 
@@ -47,13 +42,6 @@ type RunResult struct {
 	Materials uint64
 	StepCount uint64
 	Dump      labbase.DumpStats
-	// SharedCPU marks results produced while other runs shared the process
-	// (RunAllParallel): getrusage is process-wide, so the CPU and OS-fault
-	// columns include the concurrent runs' cycles and are not comparable
-	// across versions. Wall clock (monotonic, per goroutine) and all
-	// simulated counters (majflt, page writes, size, steps, queries) remain
-	// exact per run.
-	SharedCPU bool
 }
 
 // Run executes the LabFlow-1 workload on one server version. The event
@@ -66,22 +54,7 @@ func Run(kind StoreKind, dir string, p Params) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var db labbase.Store
-	if p.Shards >= 1 {
-		// Route the run through the sharded facade. table10's gel batches
-		// create material sets over arbitrary waiting materials, which
-		// violates the sharded single-partition contract (shard.ErrCrossShard)
-		// for any N > 1 — only the 1-shard facade (used to prove it is
-		// byte-identical to a plain DB) is supported here. Multi-shard
-		// traffic is measured by the shard-mix workload in bench/.
-		if p.Shards > 1 {
-			sm.Close()
-			return nil, fmt.Errorf("core: %s: table10 supports Shards = 1 only: gel batches build material sets over arbitrary materials, so N>1 would violate the single-partition step contract", kind)
-		}
-		db, err = shard.Open([]storage.Manager{sm}, labbase.DefaultOptions())
-	} else {
-		db, err = labbase.Open(sm, labbase.DefaultOptions())
-	}
+	db, err := labbase.Open(sm, labbase.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -94,12 +67,13 @@ func Run(kind StoreKind, dir string, p Params) (*RunResult, error) {
 	return res, nil
 }
 
-// RunStore executes the LabFlow-1 workload on an already-open store — the
-// seam the distributed topology uses to drive table10 through a
-// shard.Router instead of an in-process DB. The caller keeps ownership of
-// db (RunStore does not Close it). Stores that expose more than one shard
-// are rejected for the same reason Run rejects p.Shards > 1: table10's gel
-// batches violate the single-partition step contract.
+// RunStore executes the LabFlow-1 workload on an already-open store. Its
+// callers are tests: they drive table10 through a 1-shard shard.DB or a
+// shard.Router and compare the result with Run's over a plain DB. The
+// caller keeps ownership of db (RunStore does not Close it). Stores that
+// expose more than one shard are rejected: table10's gel batches build
+// material sets over arbitrary materials, which violates the
+// single-partition step contract.
 func RunStore(db labbase.Store, p Params) (*RunResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -344,10 +318,9 @@ func (d *driver) intervalQueries() error {
 }
 
 // RunAll runs every requested version against the identical workload,
-// each in its own subdirectory of dir, one after another. It is the
-// sequential fallback to RunAllParallel and the reference for CPU-accurate
-// measurements: with one run at a time, the process-wide getrusage deltas
-// belong entirely to the run that sampled them.
+// each in its own subdirectory of dir, one after another. One run at a
+// time keeps the measurements per version: the process-wide getrusage
+// deltas belong entirely to the run that sampled them.
 func RunAll(kinds []StoreKind, dir string, p Params) ([]*RunResult, error) {
 	out := make([]*RunResult, 0, len(kinds))
 	for _, k := range kinds {
@@ -360,50 +333,6 @@ func RunAll(kinds []StoreKind, dir string, p Params) ([]*RunResult, error) {
 			return nil, err
 		}
 		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunAllParallel fans the requested versions out across goroutines, at most
-// GOMAXPROCS at a time, each run against its own store in its own
-// subdirectory. Every run is single-threaded over isolated state and driven
-// by the same seed, so each produces byte-identical results to a sequential
-// RunAll — same simulated counters, sizes, and query/step counts; only the
-// timing columns differ. Per-run wall clock stays exact (monotonic, sampled
-// by the run's own goroutine); the CPU and OS-fault columns are process-wide
-// and therefore flagged via RunResult.SharedCPU. Results are returned in
-// the order of kinds.
-func RunAllParallel(kinds []StoreKind, dir string, p Params) ([]*RunResult, error) {
-	out := make([]*RunResult, len(kinds))
-	errs := make([]error, len(kinds))
-	width := runtime.GOMAXPROCS(0)
-	if width < 1 {
-		width = 1
-	}
-	sem := make(chan struct{}, width)
-	var wg sync.WaitGroup
-	for i, k := range kinds {
-		sub := fmt.Sprintf("%s/%d", dir, int(k))
-		if err := mkdir(sub); err != nil {
-			return nil, err
-		}
-		wg.Add(1)
-		go func(i int, k StoreKind, sub string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r, err := Run(k, sub, p)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: parallel %s: %w", k, err)
-				return
-			}
-			r.SharedCPU = true
-			out[i] = r
-		}(i, k, sub)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
+
+	"labflow/internal/labbase"
+	"labflow/internal/labbase/shard"
+	"labflow/internal/storage"
 )
 
 // TestOneShardMatchesPlain is the sharding byte-identity acceptance test:
@@ -20,9 +23,18 @@ func TestOneShardMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s plain: %v", k, err)
 		}
-		ps := p
-		ps.Shards = 1
-		sharded, err := Run(k, t.TempDir(), ps)
+		sm, err := MakeStore(k, t.TempDir(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := shard.Open([]storage.Manager{sm}, labbase.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := RunStore(db, p)
+		if cerr := db.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			t.Fatalf("%s 1-shard: %v", k, err)
 		}
@@ -30,20 +42,5 @@ func TestOneShardMatchesPlain(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: 1-shard facade diverges from plain DB:\nplain:   %+v\nsharded: %+v", k, a, b)
 		}
-	}
-}
-
-// TestTable10RejectsMultiShard pins the single-partition contract at the
-// driver level: table10's gel batches span arbitrary materials, so the
-// runner must refuse N > 1 with an error that says why.
-func TestTable10RejectsMultiShard(t *testing.T) {
-	p := testParams()
-	p.Shards = 4
-	_, err := Run(StoreOStoreMM, t.TempDir(), p)
-	if err == nil {
-		t.Fatal("Run with Shards=4 succeeded, want single-partition rejection")
-	}
-	if !strings.Contains(err.Error(), "single-partition") {
-		t.Fatalf("rejection does not cite the contract: %v", err)
 	}
 }

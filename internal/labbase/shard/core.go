@@ -131,9 +131,10 @@ func newCore(members []member) *core {
 // Shards returns the shard count.
 func (c *core) Shards() int { return len(c.members) }
 
-// ConcurrentBatches reports that PutSteps does its own per-shard write
-// serialization, so callers (the wire server) may run batches from
-// different connections concurrently instead of serializing them.
+// ConcurrentBatches states the core's PutSteps rule: outside an explicit
+// bracket, a batch is split by home shard and each touched shard applies
+// its sub-batch in a transaction of its own, so PutSteps serializes its
+// writes per shard itself. bench/wrap forwards it.
 func (c *core) ConcurrentBatches() bool { return true }
 
 // --- the broadcast write bracket --------------------------------------------

@@ -602,7 +602,7 @@ func TestPutStepsPerShardErrorIndex(t *testing.T) {
 }
 
 // TestPutStepsConcurrent hammers out-of-transaction PutSteps from many
-// goroutines (the wire server's shared-lock path) and verifies the total.
+// goroutines (the rule ConcurrentBatches states) and verifies the total.
 // Run under -race this is the fan-out safety test.
 func TestPutStepsConcurrent(t *testing.T) {
 	db := openShards(t, 4)

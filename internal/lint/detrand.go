@@ -11,7 +11,8 @@ import (
 // run's fault injection, query mix, and generated workload are reproducible
 // from the seed alone. Using math/rand's process-global generator (rand.Intn,
 // rand.Float64, rand.Seed, ...) couples results to whatever else touched the
-// global stream and breaks the byte-identical parallel-run guarantee.
+// global stream, so two stores fed from one seed would no longer see the
+// identical event stream.
 var Detrand = &Analyzer{
 	Name: "detrand",
 	Doc:  "forbid math/rand package-global randomness; require seeded rand.New(rand.NewSource(seed)) streams",

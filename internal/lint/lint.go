@@ -2,9 +2,9 @@
 // analogue of golang.org/x/tools/go/analysis, tuned to this repository.
 //
 // The benchmark's Section-10 results are only comparable when runs are
-// reproducible, and PR 1 made that determinism load-bearing (the parallel
-// table10 sweep is verified byte-identical to the sequential one). The
-// analyzers in this package turn the repo's determinism and error-hygiene
+// reproducible: every server version must see the identical event stream,
+// and the table10 goldens and byte-identity tests compare simulated counters
+// exactly across runs and stores. The analyzers in this package turn the repo's determinism and error-hygiene
 // conventions into mechanically checked invariants:
 //
 //	detrand      math/rand must flow from rand.New(rand.NewSource(seed))

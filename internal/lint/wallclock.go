@@ -5,8 +5,9 @@ import (
 )
 
 // Wallclock forbids reading the wall clock. The Section-10 experiments must
-// be replayable: the parallel table10 sweep is verified byte-identical to the
-// sequential run, which only holds if no code path branches on real time.
+// be replayable: the table10 goldens and byte-identity tests compare
+// simulated counters exactly across runs, which only holds if no code path
+// branches on real time.
 // Timestamps recorded in the database come from the logical transaction-time
 // counter; elapsed-time *measurement* (benchmark timing in internal/metrics
 // and internal/core) is the sanctioned exception and carries a

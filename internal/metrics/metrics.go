@@ -14,10 +14,9 @@ import (
 //
 // Wall is per-caller: sampled from the monotonic clock, so differences are
 // exact elapsed time for whichever goroutine took the two samples. UserCPU,
-// SysCPU and MajFlt come from getrusage and are process-wide: when several
-// benchmark runs execute concurrently, each run's CPU delta includes cycles
-// spent by the others. Reports must flag CPU columns accordingly (see
-// core.RunResult.SharedCPU).
+// SysCPU and MajFlt come from getrusage and are process-wide, so a delta
+// belongs to one benchmark run only while that run is the only one in the
+// process (core.RunAll runs the versions one after another).
 type Usage struct {
 	Wall    time.Duration
 	UserCPU time.Duration
@@ -31,7 +30,7 @@ type Usage struct {
 
 // baseTime anchors Wall samples. time.Since carries Go's monotonic reading,
 // so Usage.Sub differences are immune to wall-clock steps (NTP, suspend) —
-// a requirement for trustworthy per-goroutine timings under RunAllParallel.
+// a requirement for trustworthy elapsed-time columns.
 var baseTime = time.Now() //lint:allow wallclock monotonic anchor for benchmark wall-time measurement
 
 // Sample returns the current cumulative usage of this process.

@@ -19,6 +19,10 @@ import (
 //
 // A slot with len == slotFree is free; its cap bytes at off remain reserved
 // and are reused by later inserts that fit.
+//
+// Nothing verifies a page read back from disk (there is no page checksum),
+// so the accessors check every header and slot field they follow: a corrupt
+// page fails with an error naming the slot instead of a slice panic.
 
 const (
 	pageHdrSize = 8
@@ -58,6 +62,25 @@ func initPage(p []byte, seg uint8, flags uint8) {
 	p[5] = flags
 }
 
+// slotAt returns slot i after checking that the slot directory fits in the
+// page and that the slot's reserved bytes lie between the directory and the
+// end of the page, holding no more than the slot's capacity.
+func slotAt(p []byte, i int) (slot, error) {
+	n := pageNSlots(p)
+	if i >= n {
+		return slot{}, fmt.Errorf("pagefile: slot %d out of range (%d slots)", i, n)
+	}
+	dirEnd := pageHdrSize + n*slotSize
+	if dirEnd > PageSize {
+		return slot{}, fmt.Errorf("pagefile: slot %d: directory of %d slots overruns the page", i, n)
+	}
+	s := getSlot(p, i)
+	if int(s.off) < dirEnd || int(s.off)+int(s.cap) > PageSize || s.length != slotFree && s.length > s.cap {
+		return slot{}, fmt.Errorf("pagefile: slot %d corrupt (off %d, cap %d, len %d)", i, s.off, s.cap, s.length)
+	}
+	return s, nil
+}
+
 func heapStart(p []byte) int {
 	h := pageHeapOff(p)
 	if h == 0 {
@@ -92,45 +115,51 @@ func pageFreeSpace(p []byte) int {
 // the record (capacity >= len(data); allocator size classes reserve slack
 // here). It reuses a free slot whose reserved capacity fits, or carves a new
 // slot, returning the slot number and whether the insert succeeded.
-func pageInsert(p []byte, data []byte, capacity int) (int, bool) {
+func pageInsert(p []byte, data []byte, capacity int) (int, bool, error) {
 	n := len(data)
 	if capacity < n {
 		capacity = n
 	}
 	if capacity > MaxInline {
 		if n > MaxInline {
-			return 0, false
+			return 0, false, nil
 		}
 		capacity = MaxInline
 	}
 	nSlots := pageNSlots(p)
 	// First fit over freed slots: their heap space is already reserved.
 	for i := 0; i < nSlots; i++ {
-		s := getSlot(p, i)
+		s, err := slotAt(p, i)
+		if err != nil {
+			return 0, false, err
+		}
 		if s.length == slotFree && int(s.cap) >= n {
 			copy(p[s.off:int(s.off)+n], data)
 			s.length = uint16(n)
 			putSlot(p, i, s)
-			return i, true
+			return i, true, nil
 		}
 	}
+	if h := heapStart(p); h > PageSize {
+		return 0, false, fmt.Errorf("pagefile: slot %d: heap offset %d beyond the page", nSlots, h)
+	}
 	if pageFreeSpace(p) < slotSize+capacity {
-		return 0, false
+		return 0, false, nil
 	}
 	newHeap := heapStart(p) - capacity
 	copy(p[newHeap:newHeap+n], data)
 	putSlot(p, nSlots, slot{off: uint16(newHeap), cap: uint16(capacity), length: uint16(n)})
 	setPageNSlots(p, nSlots+1)
 	setPageHeapOff(p, newHeap)
-	return nSlots, true
+	return nSlots, true, nil
 }
 
 // pageRead returns the record in slot i. The slice aliases the page buffer.
 func pageRead(p []byte, i int) ([]byte, error) {
-	if i >= pageNSlots(p) {
-		return nil, fmt.Errorf("pagefile: slot %d out of range (%d slots)", i, pageNSlots(p))
+	s, err := slotAt(p, i)
+	if err != nil {
+		return nil, err
 	}
-	s := getSlot(p, i)
 	if s.length == slotFree {
 		return nil, fmt.Errorf("pagefile: slot %d is free", i)
 	}
@@ -140,10 +169,10 @@ func pageRead(p []byte, i int) ([]byte, error) {
 // pageUpdate overwrites slot i in place if the reserved capacity allows,
 // reporting whether it did.
 func pageUpdate(p []byte, i int, data []byte) (bool, error) {
-	if i >= pageNSlots(p) {
-		return false, fmt.Errorf("pagefile: slot %d out of range (%d slots)", i, pageNSlots(p))
+	s, err := slotAt(p, i)
+	if err != nil {
+		return false, err
 	}
-	s := getSlot(p, i)
 	if s.length == slotFree {
 		return false, fmt.Errorf("pagefile: update of free slot %d", i)
 	}
@@ -158,10 +187,10 @@ func pageUpdate(p []byte, i int, data []byte) (bool, error) {
 
 // pageFreeSlot marks slot i free, keeping its capacity reserved for reuse.
 func pageFreeSlot(p []byte, i int) error {
-	if i >= pageNSlots(p) {
-		return fmt.Errorf("pagefile: slot %d out of range (%d slots)", i, pageNSlots(p))
+	s, err := slotAt(p, i)
+	if err != nil {
+		return err
 	}
-	s := getSlot(p, i)
 	if s.length == slotFree {
 		return fmt.Errorf("pagefile: double free of slot %d", i)
 	}

@@ -13,13 +13,24 @@ func newTestPage() []byte {
 	return p
 }
 
+// insert is pageInsert without slack on a page the test built itself, where
+// an error can only mean a broken accessor.
+func insert(t *testing.T, p, data []byte) (int, bool) {
+	t.Helper()
+	slot, ok, err := pageInsert(p, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slot, ok
+}
+
 func TestPageInsertRead(t *testing.T) {
 	p := newTestPage()
 	var slots []int
 	var wants [][]byte
 	for i := 0; ; i++ {
 		data := bytes.Repeat([]byte{byte(i)}, 100+i)
-		slot, ok := pageInsert(p, data, 0)
+		slot, ok := insert(t, p, data)
 		if !ok {
 			break
 		}
@@ -45,13 +56,13 @@ func TestPageInsertRead(t *testing.T) {
 
 func TestPageSlotReuse(t *testing.T) {
 	p := newTestPage()
-	slot, ok := pageInsert(p, make([]byte, 500), 0)
+	slot, ok := insert(t, p, make([]byte, 500))
 	if !ok {
 		t.Fatal("insert failed")
 	}
 	// Fill the rest.
 	for {
-		if _, ok := pageInsert(p, make([]byte, 500), 0); !ok {
+		if _, ok := insert(t, p, make([]byte, 500)); !ok {
 			break
 		}
 	}
@@ -59,7 +70,7 @@ func TestPageSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A smaller record must reuse the freed slot's reserved space.
-	got, ok := pageInsert(p, []byte("reuse me"), 0)
+	got, ok := insert(t, p, []byte("reuse me"))
 	if !ok {
 		t.Fatal("insert after free failed")
 	}
@@ -77,7 +88,7 @@ func TestPageSlotReuse(t *testing.T) {
 
 func TestPageUpdate(t *testing.T) {
 	p := newTestPage()
-	slot, _ := pageInsert(p, []byte("hello world"), 0)
+	slot, _ := insert(t, p, []byte("hello world"))
 	ok, err := pageUpdate(p, slot, []byte("short"))
 	if err != nil || !ok {
 		t.Fatalf("in-place shrink: ok=%v err=%v", ok, err)
@@ -100,7 +111,7 @@ func TestPageUpdate(t *testing.T) {
 
 func TestPageDoubleFree(t *testing.T) {
 	p := newTestPage()
-	slot, _ := pageInsert(p, []byte("x"), 0)
+	slot, _ := insert(t, p, []byte("x"))
 	if err := pageFreeSlot(p, slot); err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +125,11 @@ func TestPageDoubleFree(t *testing.T) {
 
 func TestMaxInlineFits(t *testing.T) {
 	p := newTestPage()
-	if _, ok := pageInsert(p, make([]byte, MaxInline), 0); !ok {
+	if _, ok := insert(t, p, make([]byte, MaxInline)); !ok {
 		t.Fatal("MaxInline record must fit an empty page")
 	}
 	p2 := newTestPage()
-	if _, ok := pageInsert(p2, make([]byte, MaxInline+1), 0); ok {
+	if _, ok := insert(t, p2, make([]byte, MaxInline+1)); ok {
 		t.Fatal("MaxInline+1 record must not fit")
 	}
 }
@@ -142,7 +153,7 @@ func TestQuickPageModel(t *testing.T) {
 			}
 			data := make([]byte, rng.Intn(300))
 			rng.Read(data)
-			slot, ok := pageInsert(p, data, 0)
+			slot, ok := insert(t, p, data)
 			if !ok {
 				continue
 			}

@@ -334,27 +334,38 @@ func (s *Store) placeInline(seg storage.SegmentID, data []byte) (PageID, int, er
 		if err != nil {
 			return 0, 0, fmt.Errorf("pagefile: pin fill page: %w", err)
 		}
-		if slot, ok := pageInsert(f.Data, data, capacity); ok {
-			id := f.ID
-			s.pager.Unpin(f, true)
-			return id, slot, nil
+		slot, ok, err := pageInsert(f.Data, data, capacity)
+		s.pager.Unpin(f, ok)
+		if err != nil {
+			return 0, 0, fmt.Errorf("pagefile: fill page %d: %w", sm.fillPage, err)
 		}
-		s.pager.Unpin(f, false)
+		if ok {
+			return sm.fillPage, slot, nil
+		}
 	}
+	id, slot, err := s.placeFresh(seg, data, capacity)
+	if err != nil {
+		return 0, 0, err
+	}
+	sm.fillPage = id
+	return id, slot, nil
+}
+
+// placeFresh stores data in a newly allocated slotted page of seg and
+// returns the page and slot.
+func (s *Store) placeFresh(seg storage.SegmentID, data []byte, capacity int) (PageID, int, error) {
 	f, err := s.allocPageRaw()
 	if err != nil {
 		return 0, 0, err
 	}
 	initPage(f.Data, uint8(seg), 0)
-	slot, ok := pageInsert(f.Data, data, capacity)
-	if !ok {
-		s.pager.Unpin(f, false)
-		return 0, 0, fmt.Errorf("pagefile: record of %d bytes does not fit a fresh page", len(data))
-	}
-	sm.fillPage = f.ID
 	id := f.ID
-	s.pager.Unpin(f, true)
-	return id, slot, nil
+	slot, ok, err := pageInsert(f.Data, data, capacity)
+	if err == nil && !ok {
+		err = fmt.Errorf("pagefile: record of %d bytes does not fit a fresh page", len(data))
+	}
+	s.pager.Unpin(f, err == nil)
+	return id, slot, err
 }
 
 // placeOverflow stores a large record across extent pages plus a stub.
@@ -526,8 +537,11 @@ func (s *Store) AllocateNear(near storage.OID, data []byte) (storage.OID, error)
 		if err != nil {
 			return 0, false, err
 		}
-		slot, ok := pageInsert(f.Data, data, capacity)
+		slot, ok, err := pageInsert(f.Data, data, capacity)
 		s.pager.Unpin(f, ok)
+		if err != nil {
+			return 0, false, fmt.Errorf("pagefile: cluster page %d: %w", id, err)
+		}
 		return slot, ok, nil
 	}
 
@@ -548,19 +562,12 @@ func (s *Store) AllocateNear(near storage.OID, data []byte) (storage.OID, error)
 		}
 	}
 	if !ok {
-		f, err := s.allocPageRaw()
+		fresh, freshSlot, err := s.placeFresh(seg, data, capacity)
 		if err != nil {
 			return storage.NilOID, err
 		}
-		initPage(f.Data, uint8(seg), 0)
-		slot, ok = pageInsert(f.Data, data, capacity)
-		if !ok {
-			s.pager.Unpin(f, false)
-			return storage.NilOID, fmt.Errorf("pagefile: record of %d bytes does not fit a fresh page", len(data))
-		}
-		s.succ[page] = f.ID
-		page = f.ID
-		s.pager.Unpin(f, true)
+		s.succ[page] = fresh
+		page, slot = fresh, freshSlot
 	}
 
 	return s.finishAlloc(seg, page, slot, len(data))
@@ -580,18 +587,10 @@ func (s *Store) AllocateCluster(seg storage.SegmentID, data []byte) (storage.OID
 	if len(data) > MaxInline {
 		return s.allocateLocked(seg, data)
 	}
-	f, err := s.allocPageRaw()
+	page, slot, err := s.placeFresh(seg, data, len(data))
 	if err != nil {
 		return storage.NilOID, err
 	}
-	initPage(f.Data, uint8(seg), 0)
-	slot, ok := pageInsert(f.Data, data, len(data))
-	if !ok {
-		s.pager.Unpin(f, false)
-		return storage.NilOID, fmt.Errorf("pagefile: record of %d bytes does not fit a fresh page", len(data))
-	}
-	page := f.ID
-	s.pager.Unpin(f, true)
 	return s.finishAlloc(seg, page, slot, len(data))
 }
 
@@ -620,17 +619,10 @@ func (s *Store) Read(oid storage.OID) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: read %v: %w", oid, err)
 	}
-	f, err := s.pager.Pin(entryPage(e), ModeRead)
+	data, err := s.readSlotLocked(e)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: read %v: %w", oid, err)
 	}
-	raw, err := pageRead(f.Data, entrySlot(e))
-	if err != nil {
-		s.pager.Unpin(f, false)
-		return nil, fmt.Errorf("pagefile: read %v: %w", oid, err)
-	}
-	data := append([]byte(nil), raw...)
-	s.pager.Unpin(f, false)
 	s.reads++
 	if entryIsOverflow(e) {
 		return s.readOverflow(data)
@@ -783,7 +775,7 @@ func (s *Store) readSlotLocked(e uint64) ([]byte, error) {
 	raw, err := pageRead(f.Data, entrySlot(e))
 	if err != nil {
 		s.pager.Unpin(f, false)
-		return nil, err
+		return nil, fmt.Errorf("page %d: %w", entryPage(e), err)
 	}
 	out := append([]byte(nil), raw...)
 	s.pager.Unpin(f, false)

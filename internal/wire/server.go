@@ -19,18 +19,13 @@ type Server struct {
 	db     labbase.Store
 	bridge *lbq.Bridge
 	// mu arbitrates writers only: write opcodes (and their whole
-	// Begin/Commit bracket) hold it exclusively. Read opcodes do not touch
+	// Begin/Commit bracket) hold it, so writes run one at a time whatever
+	// the store — a multi-shard store included. Read opcodes do not touch
 	// it — each read entry point captures an MVCC snapshot inside the
 	// store and is consistent without any server-level exclusion. It is
 	// always acquired before labbase.DB's internal writer lock (see
 	// DESIGN.md's lock hierarchy).
-	mu sync.RWMutex
-	// batchShared marks a store whose PutSteps self-serializes (a sharded
-	// store): OpPutSteps then runs under the shared lock, so batches from
-	// different connections apply in parallel across shards. Plain stores
-	// keep the exclusive lock — their whole batch bracket must stay
-	// single-writer.
-	batchShared bool
+	mu sync.Mutex
 }
 
 // NewServer wraps an open store — a plain *labbase.DB or a sharded
@@ -40,9 +35,6 @@ func NewServer(db labbase.Store) *Server {
 	s := &Server{db: db, bridge: lbq.New(db)}
 	s.init(s.handle)
 	s.hangup = s.releaseBracket
-	if cb, ok := db.(interface{ ConcurrentBatches() bool }); ok {
-		s.batchShared = cb.ConcurrentBatches()
-	}
 	return s
 }
 
@@ -171,7 +163,7 @@ func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error)
 
 // locked executes one request under the lock its opcode's class (opTable)
 // requires: read ops take no lock at all (their snapshot capture makes them
-// consistent), write ops hold the lock exclusively so their transaction
+// consistent), write ops hold the writer lock so their transaction
 // brackets stay atomic against each other, and a connection inside an
 // explicit bracket already holds the writer lock across frames.
 func (s *Server) locked(cs *connState, op uint8, payload []byte) ([]byte, error) {
@@ -188,13 +180,6 @@ func (s *Server) locked(cs *connState, op uint8, payload []byte) ([]byte, error)
 	case class.lockFree():
 		// The store's read entry points (and the OpQuery handler
 		// explicitly) capture a snapshot and answer from it.
-	case op == OpPutSteps && s.batchShared:
-		// Sharded stores serialize PutSteps internally (per shard), so
-		// batches from different connections may run concurrently; the
-		// shared lock only keeps them from overlapping an explicit write
-		// bracket.
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 	default:
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -319,29 +304,21 @@ func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, erro
 		e.Uint(uint64(oid))
 
 	case OpPutSteps:
-		// Batched RecordStep: a plain DB runs the whole batch in one
-		// transaction (amortizing the commit and, under group-commit
-		// stores, the log flush) — the bracket's, or one of its own sealed
-		// like any write's; a sharded store splits it by shard and applies
-		// the groups concurrently, one transaction per touched shard, under
-		// the shared lock. Either way the batch is not atomic: if an entry
-		// fails, earlier entries (on that shard) stay recorded — the error
-		// names the failing index so the client can tell.
+		// Batched RecordStep: the whole batch runs in one transaction
+		// (amortizing the commit and, under group-commit stores, the log
+		// flush) — the bracket's, or one of its own sealed like any
+		// write's. The batch is not atomic: if an entry fails, earlier
+		// entries stay recorded — the error names the failing index so the
+		// client can tell.
 		specs, err := decodeStepBatch(d)
 		if err != nil {
 			return nil, err
 		}
 		var oids []storage.OID
-		put := func() (err error) {
+		if err := s.exec(cs, func() (err error) {
 			oids, err = s.db.PutSteps(specs)
 			return
-		}
-		if s.batchShared {
-			err = put()
-		} else {
-			err = s.exec(cs, put)
-		}
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
 		encodeOIDs(e, oids)

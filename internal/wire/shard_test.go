@@ -16,9 +16,9 @@ import (
 	. "labflow/internal/wire"
 )
 
-// startShardedServer brings up a server over a 4-shard memstore-backed
-// store and returns dialers for fresh connections.
-func startShardedServer(t *testing.T, shards int) (dial func() *Client, srv *Server) {
+// startShardedServer brings up a server over a memstore-backed store of the
+// given shard count and returns a dialer for fresh connections.
+func startShardedServer(t *testing.T, shards int) (dial func() *Client) {
 	t.Helper()
 	managers := make([]storage.Manager, shards)
 	for k := range managers {
@@ -28,7 +28,7 @@ func startShardedServer(t *testing.T, shards int) (dial func() *Client, srv *Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = NewServer(db)
+	srv := NewServer(db)
 	srv.SetLogf(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -52,19 +52,15 @@ func startShardedServer(t *testing.T, shards int) (dial func() *Client, srv *Ser
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
-	return dial, srv
+	return dial
 }
 
 // TestShardedServerConcurrentPutSteps drives OpPutSteps batches from many
-// connections at once against a 4-shard server. The batchShared path runs
-// them under the server's shared lock — under -race this is the
-// end-to-end proof that cross-connection write parallelism is safe — and
-// the final counts verify no batch was lost or doubled.
+// connections at once against a 4-shard server. Each batch waits its turn
+// on the server's writer lock and runs inside one broadcast transaction;
+// under -race the final counts verify that no batch was lost or doubled.
 func TestShardedServerConcurrentPutSteps(t *testing.T) {
-	dial, srv := startShardedServer(t, 4)
-	if !BatchSharedForTest(srv) {
-		t.Fatal("sharded server did not detect ConcurrentBatches")
-	}
+	dial := startShardedServer(t, 4)
 
 	setup := dial()
 	if _, err := setup.DefineMaterialClass("sample", ""); err != nil {
@@ -156,7 +152,7 @@ func TestShardedServerConcurrentPutSteps(t *testing.T) {
 // TestShardedServerReads smokes the scatter-gather read opcodes through
 // the wire layer against a 4-shard store.
 func TestShardedServerReads(t *testing.T) {
-	dial, _ := startShardedServer(t, 4)
+	dial := startShardedServer(t, 4)
 	c := dial()
 	if _, err := c.DefineMaterialClass("sample", ""); err != nil {
 		t.Fatal(err)

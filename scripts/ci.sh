@@ -106,6 +106,10 @@ go test -race -run '^$' -fuzz 'FuzzStandbyHandle' -fuzztime 5s ./internal/wire/
 # The redo-log scan, the one on-disk repl format: arbitrary log bytes must
 # neither panic nor yield a record that does not re-encode to its bytes.
 go test -race -run '^$' -fuzz 'FuzzScanLog' -fuzztime 5s ./internal/storage/repl/
+# The slotted page, the on-disk format every pagefile record lives in:
+# arbitrary page bytes must never panic an accessor, and what an accessor
+# reports stored must read back.
+go test -race -run '^$' -fuzz 'FuzzSlottedPage' -fuzztime 5s ./internal/storage/pagefile/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks only durable waits)"
 # DESIGN §9 "What a reader can wait on": with a commit held inside the log's
