@@ -61,11 +61,6 @@ type RouterOptions struct {
 	// HealthInterval is the health monitor's probe period (default 1s;
 	// negative disables the monitor entirely).
 	HealthInterval time.Duration
-	// StrictSchema skips the implicit step-schema broadcast, for clusters
-	// whose servers run with implicit schema evolution disabled (the
-	// in-process facade reads this off labbase.Options, which the router
-	// cannot see across the wire).
-	StrictSchema bool
 }
 
 // OpenRouter dials and verifies every shard in the topology, refusing to
@@ -102,7 +97,7 @@ func OpenRouter(t Topology, opts RouterOptions) (*Router, error) {
 	}
 	r.core = newCore(members)
 	r.gather = concurrently(r.views, metrics)
-	r.strict, r.metrics = opts.StrictSchema, metrics
+	r.metrics = metrics
 	for k := range r.pools {
 		c, err := r.verifyShard(k)
 		if err != nil {

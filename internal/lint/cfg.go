@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"maps"
 )
 
 // A lightweight control-flow graph over one function body, the flow half
@@ -14,9 +15,10 @@ import (
 // body is its own function and is analyzed separately by clients.
 //
 // The graph is deliberately modest — no critical-edge splitting, no
-// post-dominators — because the passes built on it (reaching definitions
-// for cowhygiene, held-set walks for lockorder) only need sound forward
-// dataflow with deterministic iteration order.
+// post-dominators — and has one solver, forward. Its three clients each
+// supply only a join and a transfer function: reaching definitions
+// (defuse.go, for cowhygiene; union), may-held lock classes (lockorder;
+// union) and must-held locks (mutexhygiene's path rule; intersection).
 type CFG struct {
 	Entry  *Block
 	Exit   *Block // every return/fallthrough-at-end edge lands here; empty
@@ -42,6 +44,7 @@ type cfgBuilder struct {
 	breaks    []*Block
 	continues []*Block
 	labels    map[string]*labelTarget
+	label     *labelTarget // set until the labeled loop/switch opens
 	// gotos seen before their label: resolved at the end.
 	pendingGotos map[string][]*Block
 }
@@ -185,9 +188,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.edge(g, target)
 		}
 		delete(b.pendingGotos, name)
-		// Loop/switch break/continue targets for the label are wired inside
-		// the nested stmt call via pushLoop's label snapshot.
+		// The labeled loop or switch, if that is what follows, records its
+		// break/continue targets on lt when it opens (pushLoop).
+		b.label = lt
 		b.stmt(s.Stmt)
+		b.label = nil
 	case *ast.BranchStmt:
 		switch s.Tok.String() {
 		case "break":
@@ -307,6 +312,10 @@ func (b *cfgBuilder) branching(s ast.Stmt) {
 }
 
 func (b *cfgBuilder) pushLoop(brk, cont *Block) {
+	if b.label != nil {
+		b.label.brk, b.label.cont = brk, cont
+		b.label = nil
+	}
 	b.breaks = append(b.breaks, brk)
 	b.continues = append(b.continues, cont)
 }
@@ -316,10 +325,19 @@ func (b *cfgBuilder) popLoop() {
 	b.continues = b.continues[:len(b.continues)-1]
 }
 
-// branchTarget resolves break/continue (ignoring labels: a labeled break
-// targets an enclosing construct we approximate with the innermost one —
-// sound for reaching definitions, which only merge more).
+// branchTarget resolves break/continue: a labeled one to its label's loop
+// or switch, a bare one to the innermost enclosing construct that takes it.
 func (b *cfgBuilder) branchTarget(s *ast.BranchStmt, isBreak bool) *Block {
+	if s.Label != nil {
+		lt := b.labels[s.Label.Name]
+		switch {
+		case lt == nil:
+			return nil
+		case isBreak:
+			return lt.brk
+		}
+		return lt.cont
+	}
 	stack := b.continues
 	if isBreak {
 		stack = b.breaks
@@ -330,4 +348,56 @@ func (b *cfgBuilder) branchTarget(s *ast.BranchStmt, isBreak bool) *Block {
 		}
 	}
 	return nil
+}
+
+// forward solves a forward dataflow problem over g to its fixpoint and
+// returns the fact holding on entry to each block. entry is the fact on
+// entry to the function; join merges the facts leaving a block's
+// predecessors (plus entry, for g.Entry); transfer carries a fact across
+// one block and must not modify its argument; equal tells the worklist
+// when a block's exit fact has settled. Exit facts start as F's zero value
+// and blocks are visited in index order, so the solution, and whatever a
+// client replays from it, is deterministic.
+func forward[F any](g *CFG, entry F, join func([]F) F, transfer func(*Block, F) F, equal func(a, b F) bool) []F {
+	preds := make([][]int, len(g.Blocks))
+	for _, blk := range g.Blocks {
+		for _, s := range blk.Succs {
+			preds[s.Index] = append(preds[s.Index], blk.Index)
+		}
+	}
+	in := make([]F, len(g.Blocks))
+	out := make([]F, len(g.Blocks))
+	work := make([]int, len(g.Blocks))
+	for i := range work {
+		work[i] = i
+	}
+	for len(work) > 0 {
+		i := work[0]
+		work = work[1:]
+		var facts []F
+		if i == g.Entry.Index {
+			facts = append(facts, entry)
+		}
+		for _, p := range preds[i] {
+			facts = append(facts, out[p])
+		}
+		in[i] = join(facts)
+		if next := transfer(g.Blocks[i], in[i]); !equal(next, out[i]) {
+			out[i] = next
+			for _, s := range g.Blocks[i].Succs {
+				work = append(work, s.Index)
+			}
+		}
+	}
+	return in
+}
+
+// union is the join of the may-analyses: a fact holds on entry to a block
+// if it holds at the end of any predecessor.
+func union[K comparable](outs []map[K]bool) map[K]bool {
+	u := map[K]bool{}
+	for _, o := range outs {
+		maps.Copy(u, o)
+	}
+	return u
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -52,13 +53,12 @@ func buildDefUse(ftype *ast.FuncType, body *ast.BlockStmt, info *types.Info) *de
 	b := &duBuilder{
 		info:    info,
 		escaped: escapedVars(body, info),
-		defsFor: map[types.Object][]*def{},
-		gen:     make([]map[*def]bool, len(g.Blocks)),
-		kill:    make([]map[types.Object]bool, len(g.Blocks)),
+		tracked: map[types.Object]bool{},
+		defsAt:  map[ast.Node][]*def{},
 	}
 
 	// Entry definitions: parameters and named results.
-	var entry []*def
+	entry := map[*def]bool{}
 	if ftype != nil {
 		fields := []*ast.Field{}
 		if ftype.Params != nil {
@@ -70,95 +70,41 @@ func buildDefUse(ftype *ast.FuncType, body *ast.BlockStmt, info *types.Info) *de
 		for _, f := range fields {
 			for _, name := range f.Names {
 				if obj := info.Defs[name]; obj != nil {
-					d := &def{obj: obj, node: f}
-					b.defsFor[obj] = append(b.defsFor[obj], d)
-					entry = append(entry, d)
+					b.tracked[obj] = true
+					entry[&def{obj: obj, node: f}] = true
 				}
 			}
 		}
 	}
-
-	// Per-block gen/kill from a sequential walk of the block's nodes.
+	// Every node's definitions, resolved once so that a def is the same
+	// value in every round of the solver and in the replay.
 	for _, blk := range g.Blocks {
-		gen := map[*def]bool{}
-		kill := map[types.Object]bool{}
 		for _, n := range blk.Nodes {
 			b.nodeDefs(n, func(d *def) {
-				if !b.escaped[d.obj] {
-					kill[d.obj] = true
-					for g := range gen {
-						if g.obj == d.obj {
-							delete(gen, g)
-						}
-					}
-				}
-				gen[d] = true
+				b.tracked[d.obj] = true
+				b.defsAt[n] = append(b.defsAt[n], d)
 			})
 		}
-		b.gen[blk.Index], b.kill[blk.Index] = gen, kill
 	}
 
-	// Worklist fixpoint: in[b] = ∪ out[pred]; out[b] = gen[b] ∪ (in[b] − kill[b]).
-	preds := make([][]int, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Succs {
-			preds[s.Index] = append(preds[s.Index], blk.Index)
+	// in[b] = ∪ out[pred]; out[b] = in[b] with each node's defs applied.
+	in := forward(g, entry, union, func(blk *Block, in map[*def]bool) map[*def]bool {
+		cur := maps.Clone(in)
+		for _, n := range blk.Nodes {
+			b.define(cur, n)
 		}
-	}
-	in := make([]map[*def]bool, len(g.Blocks))
-	out := make([]map[*def]bool, len(g.Blocks))
-	for i := range in {
-		in[i] = map[*def]bool{}
-		out[i] = map[*def]bool{}
-	}
-	for _, d := range entry {
-		in[g.Entry.Index][d] = true
-	}
-	work := make([]int, 0, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		work = append(work, blk.Index)
-	}
-	for len(work) > 0 {
-		i := work[0]
-		work = work[1:]
-		if i != g.Entry.Index {
-			merged := map[*def]bool{}
-			for _, p := range preds[i] {
-				for d := range out[p] {
-					merged[d] = true
-				}
-			}
-			in[i] = merged
-		}
-		next := map[*def]bool{}
-		for d := range in[i] {
-			if !b.kill[i][d.obj] {
-				next[d] = true
-			}
-		}
-		for d := range b.gen[i] {
-			next[d] = true
-		}
-		if !sameDefSet(next, out[i]) {
-			out[i] = next
-			for _, s := range g.Blocks[i].Succs {
-				work = append(work, s.Index)
-			}
-		}
-	}
+		return cur
+	}, maps.Equal)
 
-	// Final pass: replay each block with its entry set, snapshotting the
-	// live defs at every use.
+	// Replay each block from its entry set, snapshotting the live defs at
+	// every use.
 	du := &defUse{reach: map[*ast.Ident][]*def{}}
 	for _, blk := range g.Blocks {
-		cur := map[*def]bool{}
-		for d := range in[blk.Index] {
-			cur[d] = true
-		}
+		cur := maps.Clone(in[blk.Index])
 		for _, n := range blk.Nodes {
 			b.nodeUses(n, func(id *ast.Ident) {
 				obj := info.Uses[id]
-				if obj == nil || b.defsFor[obj] == nil {
+				if obj == nil || !b.tracked[obj] {
 					return
 				}
 				var live []*def
@@ -170,16 +116,7 @@ func buildDefUse(ftype *ast.FuncType, body *ast.BlockStmt, info *types.Info) *de
 				sort.Slice(live, func(i, j int) bool { return live[i].node.Pos() < live[j].node.Pos() })
 				du.reach[id] = live
 			})
-			b.nodeDefs(n, func(d *def) {
-				if !b.escaped[d.obj] {
-					for c := range cur {
-						if c.obj == d.obj {
-							delete(cur, c)
-						}
-					}
-				}
-				cur[d] = true
-			})
+			b.define(cur, n)
 		}
 	}
 	return du
@@ -188,25 +125,27 @@ func buildDefUse(ftype *ast.FuncType, body *ast.BlockStmt, info *types.Info) *de
 type duBuilder struct {
 	info    *types.Info
 	escaped map[types.Object]bool
-	defsFor map[types.Object][]*def
-	gen     []map[*def]bool
-	kill    []map[types.Object]bool
+	tracked map[types.Object]bool // objects with at least one definition
+	defsAt  map[ast.Node][]*def   // each CFG node's definitions
 }
 
-func sameDefSet(a, b map[*def]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for d := range a {
-		if !b[d] {
-			return false
+// define applies node n's definitions to the live set: each kills the
+// earlier definitions of its object, unless the object has escaped.
+func (b *duBuilder) define(cur map[*def]bool, n ast.Node) {
+	for _, d := range b.defsAt[n] {
+		if !b.escaped[d.obj] {
+			for c := range cur {
+				if c.obj == d.obj {
+					delete(cur, c)
+				}
+			}
 		}
+		cur[d] = true
 	}
-	return true
 }
 
-// nodeDefs invokes fn for every definition a flat CFG node performs,
-// registering each def in defsFor. Function-literal bodies are opaque.
+// nodeDefs invokes fn for every definition a flat CFG node performs.
+// Function-literal bodies are opaque.
 func (b *duBuilder) nodeDefs(n ast.Node, fn func(*def)) {
 	emit := func(id *ast.Ident, node ast.Node) {
 		obj := b.info.Defs[id]
@@ -216,9 +155,7 @@ func (b *duBuilder) nodeDefs(n ast.Node, fn func(*def)) {
 		if obj == nil {
 			return
 		}
-		d := &def{obj: obj, node: node}
-		b.defsFor[obj] = append(b.defsFor[obj], d)
-		fn(d)
+		fn(&def{obj: obj, node: node})
 	}
 	switch n := n.(type) {
 	case *ast.AssignStmt:

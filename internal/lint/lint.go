@@ -94,15 +94,13 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	*p.diags = append(*p.diags, diagnosticAt(p.Analyzer.Name, p.Fset.Position(pos), fmt.Sprintf(format, args...)))
+}
+
+// diagnosticAt is the one constructor of a Diagnostic, for analyzers and
+// for the directive checks alike.
+func diagnosticAt(analyzer string, pos token.Position, msg string) Diagnostic {
+	return Diagnostic{Analyzer: analyzer, Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg}
 }
 
 // ModulePass carries a module-wide analyzer's view of every unit loaded
@@ -118,15 +116,7 @@ type ModulePass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	*p.diags = append(*p.diags, diagnosticAt(p.Analyzer.Name, p.Fset.Position(pos), fmt.Sprintf(format, args...)))
 }
 
 // RunAnalyzers applies each analyzer to one type-checked package and
@@ -167,19 +157,25 @@ func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer) []Diagn
 			})
 		}
 	}
+	// A well-formed directive covers its own line and the line below it, so
+	// both trailing comments and own-line comments work.
 	allows := allowSet{}
 	for _, u := range units {
-		us, bad := collectAllows(fset, u.Files)
-		for k, lines := range us {
-			if allows[k] == nil {
-				allows[k] = lines
-				continue
+		scanDirectives(fset, u.Files, func(pos token.Position, d Directive) {
+			switch {
+			case d.Reason == "":
+				diags = append(diags, diagnosticAt("directive", pos, "malformed //lint:allow: want \"//lint:allow <analyzer> <reason>\""))
+			case !d.Known:
+				diags = append(diags, diagnosticAt("directive", pos, fmt.Sprintf("//lint:allow names unknown analyzer %q", d.Analyzer)))
+			default:
+				key := pos.Filename + "\x00" + d.Analyzer
+				if allows[key] == nil {
+					allows[key] = map[int]bool{}
+				}
+				allows[key][pos.Line] = true
+				allows[key][pos.Line+1] = true
 			}
-			for line := range lines {
-				allows[k][line] = true
-			}
-		}
-		diags = append(diags, bad...)
+		})
 	}
 	kept := diags[:0]
 	for _, d := range diags {
@@ -207,9 +203,8 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// allowSet indexes //lint:allow directives by file, analyzer, and the lines
-// they cover (the directive's own line and the line below it, so both
-// trailing comments and own-line comments work).
+// allowSet indexes //lint:allow directives by file and analyzer, with the
+// lines they cover.
 type allowSet map[string]map[int]bool // "file\x00analyzer" -> covered lines
 
 func (s allowSet) match(d Diagnostic) bool {
@@ -219,58 +214,6 @@ func (s allowSet) match(d Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-const allowPrefix = "//lint:allow"
-
-func collectAllows(fset *token.FileSet, files []*ast.File) (allowSet, []Diagnostic) {
-	allows := allowSet{}
-	var bad []Diagnostic
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, allowPrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, allowPrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue // e.g. //lint:allowance — not ours
-				}
-				pos := fset.Position(c.Pos())
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					bad = append(bad, Diagnostic{
-						Analyzer: "directive",
-						Pos:      pos,
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Message:  "malformed //lint:allow: want \"//lint:allow <analyzer> <reason>\"",
-					})
-					continue
-				}
-				name := fields[0]
-				if name != "all" && ByName(name) == nil {
-					bad = append(bad, Diagnostic{
-						Analyzer: "directive",
-						Pos:      pos,
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Message:  fmt.Sprintf("//lint:allow names unknown analyzer %q", name),
-					})
-					continue
-				}
-				key := pos.Filename + "\x00" + name
-				if allows[key] == nil {
-					allows[key] = map[int]bool{}
-				}
-				allows[key][pos.Line] = true
-				allows[key][pos.Line+1] = true
-			}
-		}
-	}
-	return allows, bad
 }
 
 // Directive is one //lint:allow suppression found in the module, for the
@@ -284,19 +227,15 @@ type Directive struct {
 	Known    bool   `json:"known"`
 }
 
-// scanDirectives lists every //lint:allow directive in the files, in
-// encounter order (callers sort).
-func scanDirectives(fset *token.FileSet, files []*ast.File) []Directive {
-	var out []Directive
+// scanDirectives calls fn with every //lint:allow directive in the files,
+// in encounter order, and the position of its comment.
+func scanDirectives(fset *token.FileSet, files []*ast.File, fn func(token.Position, Directive)) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, allowPrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, allowPrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue
+				rest, ok := strings.CutPrefix(c.Text, "//lint:allow")
+				if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+					continue // e.g. //lint:allowance — not ours
 				}
 				pos := fset.Position(c.Pos())
 				d := Directive{File: pos.Filename, Line: pos.Line}
@@ -308,9 +247,8 @@ func scanDirectives(fset *token.FileSet, files []*ast.File) []Directive {
 				if len(fields) > 1 {
 					d.Reason = strings.Join(fields[1:], " ")
 				}
-				out = append(out, d)
+				fn(pos, d)
 			}
 		}
 	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -99,39 +100,6 @@ var lockLeaves = map[string]bool{
 
 const nsLockAcquires = "lock.acquires" // funcKey -> map[classKey]bool (transitive)
 
-const (
-	lockNone = iota
-	lockAcquire
-	lockRelease
-)
-
-// lockMethodCall classifies a call as a sync.Mutex/RWMutex acquisition or
-// release and returns the receiver expression.
-func lockMethodCall(info *types.Info, call *ast.CallExpr) (ast.Expr, int) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, lockNone
-	}
-	kind := lockNone
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		kind = lockAcquire
-	case "Unlock", "RUnlock":
-		kind = lockRelease
-	default:
-		return nil, lockNone
-	}
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return nil, lockNone
-	}
-	path, name := namedPath(deref(s.Recv()))
-	if path != "sync" || (name != "Mutex" && name != "RWMutex") {
-		return nil, lockNone
-	}
-	return sel.X, kind
-}
-
 // lockClassKey names the lock class behind a mutex receiver expression: the
 // declaring field for struct-held mutexes (array/slice elements collapse to
 // the field, so every wmu[k] is one class), the package variable for
@@ -175,7 +143,7 @@ func lockCollect(body ast.Node, info *types.Info) (direct map[string]bool, calle
 		case *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			if recv, kind := lockMethodCall(info, n); kind == lockAcquire {
+			if recv, kind, _ := lockOp(info, n); kind == lockAcquire {
 				if key := lockClassKey(info, recv); key != "" {
 					direct[key] = true
 				}
@@ -270,7 +238,7 @@ func runLockOrder(p *ModulePass) {
 				}
 			}
 			prev, ok := p.Facts.Get(nsLockAcquires, fn.key)
-			if !ok || !sameStringSet(prev.(map[string]bool), sum) {
+			if !ok || !maps.Equal(prev.(map[string]bool), sum) {
 				p.Facts.Put(nsLockAcquires, fn.key, sum)
 				changed = true
 			}
@@ -288,19 +256,8 @@ func runLockOrder(p *ModulePass) {
 	st.reportCycles()
 }
 
-func sameStringSet(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedSet(m map[string]bool) []string {
+// sortedKeys lists a string-keyed map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -309,52 +266,22 @@ func sortedSet(m map[string]bool) []string {
 	return keys
 }
 
-// walkRoot runs the union-merge held-set dataflow over one body's CFG, then
-// replays it once with reporting on.
+// walkRoot solves the union-merge held-set dataflow over one body's CFG,
+// then replays it once with reporting on.
 func (st *lockState) walkRoot(r *lockRoot) {
 	g := buildCFG(r.body)
-	preds := make([][]int, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Succs {
-			preds[s.Index] = append(preds[s.Index], blk.Index)
-		}
-	}
-	outs := make([]map[string]bool, len(g.Blocks))
-	for i := range outs {
-		outs[i] = map[string]bool{}
-	}
-	inSet := func(i int) map[string]bool {
-		held := map[string]bool{}
-		for _, pi := range preds[i] {
-			for k := range outs[pi] {
-				held[k] = true
-			}
+	flow := func(blk *Block, in map[string]bool, report bool) map[string]bool {
+		held := maps.Clone(in)
+		for _, n := range blk.Nodes {
+			st.flowNode(r.unit.Info, n, held, report)
 		}
 		return held
 	}
-	work := make([]int, 0, len(g.Blocks))
+	in := forward(g, map[string]bool{}, union, func(blk *Block, in map[string]bool) map[string]bool {
+		return flow(blk, in, false)
+	}, maps.Equal)
 	for _, blk := range g.Blocks {
-		work = append(work, blk.Index)
-	}
-	for len(work) > 0 {
-		i := work[0]
-		work = work[1:]
-		held := inSet(i)
-		for _, n := range g.Blocks[i].Nodes {
-			st.flowNode(r.unit.Info, n, held, false)
-		}
-		if !sameStringSet(held, outs[i]) {
-			outs[i] = held
-			for _, s := range g.Blocks[i].Succs {
-				work = append(work, s.Index)
-			}
-		}
-	}
-	for _, blk := range g.Blocks {
-		held := inSet(blk.Index)
-		for _, n := range blk.Nodes {
-			st.flowNode(r.unit.Info, n, held, true)
-		}
+		flow(blk, in[blk.Index], true)
 	}
 }
 
@@ -383,7 +310,7 @@ func (st *lockState) flowNode(info *types.Info, n ast.Node, held map[string]bool
 }
 
 func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[string]bool, deferred bool, report bool) {
-	if recv, kind := lockMethodCall(info, call); kind != lockNone {
+	if recv, kind, _ := lockOp(info, call); kind != lockNone {
 		key := lockClassKey(info, recv)
 		if key == "" {
 			return
@@ -426,18 +353,9 @@ func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[str
 			addLit(lit)
 		}
 	}
-	for _, t := range sortedKeysOf(targets) {
+	for _, t := range sortedKeys(targets) {
 		st.acquire(held, t, call.Pos(), targets[t], report)
 	}
-}
-
-func sortedKeysOf(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // litSummary is the transitive acquisition set of a function literal.
@@ -468,7 +386,7 @@ func (st *lockState) acquire(held map[string]bool, target string, pos token.Pos,
 	} else if via == "func literal" {
 		suffix = " (via a function literal passed here)"
 	}
-	for _, h := range sortedSet(held) {
+	for _, h := range sortedKeys(held) {
 		st.recordEdge(h, target, pos, via)
 		if !report {
 			continue

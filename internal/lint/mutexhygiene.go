@@ -4,9 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"strings"
 )
 
-// MutexHygiene enforces two lock-discipline rules the storage managers
+// MutexHygiene enforces three lock-discipline rules the storage managers
 // depend on:
 //
 //  1. no sync.Mutex / sync.RWMutex (or value containing one) is ever copied
@@ -20,10 +22,12 @@ import (
 //     with Unlock() — crossing them panics ("sync: Unlock of unlocked
 //     RWMutex") or silently downgrades exclusion at runtime.
 //
-// The path analysis is intraprocedural and branch-sensitive but
-// deliberately conservative: a lock is only reported at a return if it is
-// held on *every* control-flow path reaching it, so conditional-unlock
-// idioms do not produce false positives.
+// Rules 2 and 3 are a must-held dataflow over the function's CFG (cfg.go),
+// solved by the same forward solver as the other flow clients. It is
+// intraprocedural and deliberately conservative: a lock is only reported
+// at a return if it is held on *every* control-flow path reaching it —
+// through branches, loops, break, continue and goto alike — so
+// conditional-unlock idioms do not produce false positives.
 var MutexHygiene = &Analyzer{
 	Name: "mutexhygiene",
 	Doc:  "forbid by-value mutex copies and lock acquisitions without an unlock on every return path",
@@ -124,263 +128,153 @@ func isLockCopySource(p *Pass, rhs ast.Expr) bool {
 
 // --- lock/unlock path analysis ---
 
-// lockSet is the set of mutex expressions definitely held at a program
-// point, keyed by the receiver expression's source text ("s.mu", with an
-// "/r" suffix for read locks).
-type lockSet map[string]bool
+const (
+	lockNone = iota
+	lockAcquire
+	lockRelease
+)
 
-func (s lockSet) clone() lockSet {
-	c := make(lockSet, len(s))
-	for k, v := range s {
-		c[k] = v
+// lockOp classifies a call as a sync.Mutex/RWMutex acquisition (Lock,
+// RLock, TryLock, TryRLock) or release (Unlock, RUnlock). It returns the
+// receiver expression, the kind, and whether the call is the read flavor.
+func lockOp(info *types.Info, call *ast.CallExpr) (recv ast.Expr, kind int, read bool) {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, lockNone, false
 	}
-	return c
+	switch sel.Sel.Name {
+	case "Lock", "TryLock":
+		kind = lockAcquire
+	case "RLock", "TryRLock":
+		kind, read = lockAcquire, true
+	case "Unlock":
+		kind = lockRelease
+	case "RUnlock":
+		kind, read = lockRelease, true
+	default:
+		return nil, lockNone, false
+	}
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return nil, lockNone, false
+	}
+	if path, name := namedPath(deref(s.Recv())); path != "sync" || (name != "Mutex" && name != "RWMutex") {
+		return nil, lockNone, false
+	}
+	return sel.X, kind, read
 }
 
-// intersect keeps only locks held in both sets: a lock survives a merge
-// point only if every incoming path still holds it.
-func intersect(a, b lockSet) lockSet {
-	out := lockSet{}
-	for k := range a {
-		if b[k] {
-			out[k] = true
+// heldKey names a held lock by its receiver's source text ("s.mu"), with
+// an "/r" suffix for a read lock.
+func heldKey(recv ast.Expr, read bool) string {
+	if read {
+		return types.ExprString(recv) + "/r"
+	}
+	return types.ExprString(recv)
+}
+
+// checkLockPaths applies rules 2 and 3 to one function body: a must-held
+// dataflow over its CFG, in which a lock survives a join only if every
+// incoming path holds it, then one replay of every reached block that
+// reports returns with a lock held and releases of the wrong flavor. A nil
+// set marks code no path reaches (after a return or a call that never
+// returns): it does not narrow a join and reports nothing.
+func checkLockPaths(p *Pass, body *ast.BlockStmt) {
+	g := buildCFG(body)
+	in := forward(g, map[string]bool{}, func(outs []map[string]bool) map[string]bool {
+		var held map[string]bool
+		for _, o := range outs {
+			if held == nil {
+				held = maps.Clone(o)
+				continue
+			}
+			if o != nil {
+				maps.DeleteFunc(held, func(k string, _ bool) bool { return !o[k] })
+			}
+		}
+		return held
+	}, func(blk *Block, in map[string]bool) map[string]bool {
+		return heldAfter(p, blk, in, false)
+	}, func(a, b map[string]bool) bool {
+		return (a == nil) == (b == nil) && maps.Equal(a, b)
+	})
+	for _, blk := range g.Blocks {
+		heldAfter(p, blk, in[blk.Index], true)
+	}
+}
+
+// heldAfter carries the must-held set across one block. A deferred unlock,
+// or a deferred closure that unlocks, releases the lock for the rest of
+// the function.
+func heldAfter(p *Pass, blk *Block, in map[string]bool, report bool) map[string]bool {
+	if in == nil {
+		return nil
+	}
+	held := maps.Clone(in)
+	for _, n := range blk.Nodes {
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			call, ok := n.X.(*ast.CallExpr)
+			if !ok {
+				continue
+			}
+			switch recv, kind, read := lockOp(p.Info, call); {
+			case kind == lockAcquire:
+				held[heldKey(recv, read)] = true
+			case kind == lockRelease:
+				release(p, call.Pos(), held, heldKey(recv, read), report)
+			case isTerminalCall(p, call):
+				return nil
+			}
+		case *ast.DeferStmt:
+			if recv, kind, read := lockOp(p.Info, n.Call); kind == lockRelease {
+				release(p, n.Call.Pos(), held, heldKey(recv, read), report)
+			} else if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+				ast.Inspect(lit.Body, func(m ast.Node) bool {
+					if call, ok := m.(*ast.CallExpr); ok {
+						if recv, kind, read := lockOp(p.Info, call); kind == lockRelease {
+							release(p, n.Call.Pos(), held, heldKey(recv, read), report)
+						}
+					}
+					return true
+				})
+			}
+		case *ast.ReturnStmt:
+			if report {
+				for _, key := range sortedKeys(held) {
+					expr, mode := key, "Lock"
+					if e, read := strings.CutSuffix(key, "/r"); read {
+						expr, mode = e, "RLock"
+					}
+					p.Reportf(n.Pos(), "return while %s.%s() is still held: no unlock on this path", expr, mode)
+				}
+			}
+			return nil
 		}
 	}
-	return out
+	return held
 }
 
-// lockCall classifies call as a mutex (un)lock and returns the state key.
-func lockCall(p *Pass, call *ast.CallExpr) (key string, isLock, isUnlock bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false, false
-	}
-	name := sel.Sel.Name
-	var read bool
-	switch name {
-	case "Lock", "Unlock":
-	case "RLock", "RUnlock":
-		read = true
-	default:
-		return "", false, false
-	}
-	s, ok := p.Info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return "", false, false
-	}
-	if path, tname := namedPath(deref(s.Recv())); path != "sync" || (tname != "Mutex" && tname != "RWMutex") {
-		return "", false, false
-	}
-	key = types.ExprString(sel.X)
-	if read {
-		key += "/r"
-	}
-	return key, name == "Lock" || name == "RLock", name == "Unlock" || name == "RUnlock"
-}
-
-func checkLockPaths(p *Pass, body *ast.BlockStmt) {
-	w := &lockWalker{pass: p}
-	w.stmts(body.List, lockSet{})
-}
-
-// splitLockKey separates a lockSet key into the mutex expression and
-// whether it denotes a read lock (the "/r" suffix).
-func splitLockKey(key string) (expr string, read bool) {
-	if len(key) > 2 && key[len(key)-2:] == "/r" {
-		return key[:len(key)-2], true
-	}
-	return key, false
-}
-
-type lockWalker struct {
-	pass *Pass
-}
-
-// release drops key from held (which the caller has already cloned). When
-// the matching acquisition is absent but the opposite flavor of the same
-// RWMutex is held, the unlock crosses flavors — Unlock after RLock or
-// RUnlock after Lock — which is rule 3's runtime fault, so it is reported
-// and the mismatched hold cleared to avoid a cascading rule-2 report.
-func (w *lockWalker) release(pos token.Pos, held lockSet, key string) {
-	if !held[key] {
-		expr, read := splitLockKey(key)
-		if read {
-			if held[expr] {
-				w.pass.Reportf(pos, "%s.RUnlock() releases a write lock acquired with Lock(); use Unlock()", expr)
-				delete(held, expr)
+// release drops key from held. When the matching acquisition is absent but
+// the opposite flavor of the same RWMutex is held, the unlock crosses
+// flavors — Unlock after RLock or RUnlock after Lock — which is rule 3's
+// runtime fault, so it is reported and the mismatched hold cleared to
+// avoid a cascading rule-2 report.
+func release(p *Pass, pos token.Pos, held map[string]bool, key string, report bool) {
+	if expr, read := strings.CutSuffix(key, "/r"); !held[key] {
+		if read && held[expr] {
+			if report {
+				p.Reportf(pos, "%s.RUnlock() releases a write lock acquired with Lock(); use Unlock()", expr)
 			}
-		} else if held[key+"/r"] {
-			w.pass.Reportf(pos, "%s.Unlock() releases a read lock acquired with RLock(); use RUnlock()", key)
+			delete(held, expr)
+		} else if !read && held[key+"/r"] {
+			if report {
+				p.Reportf(pos, "%s.Unlock() releases a read lock acquired with RLock(); use RUnlock()", key)
+			}
 			delete(held, key+"/r")
 		}
 	}
 	delete(held, key)
-}
-
-// stmts walks a statement list with the set of locks held on entry and
-// returns the set held on fallthrough exit, plus whether the list always
-// terminates (returns, panics, or branches away) before falling through.
-func (w *lockWalker) stmts(list []ast.Stmt, held lockSet) (lockSet, bool) {
-	for _, stmt := range list {
-		var terminated bool
-		held, terminated = w.stmt(stmt, held)
-		if terminated {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (w *lockWalker) stmt(stmt ast.Stmt, held lockSet) (lockSet, bool) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if key, isLock, isUnlock := lockCall(w.pass, call); isLock {
-				held = held.clone()
-				held[key] = true
-			} else if isUnlock {
-				held = held.clone()
-				w.release(call.Pos(), held, key)
-			} else if isTerminalCall(w.pass, call) {
-				return held, true
-			}
-		}
-	case *ast.DeferStmt:
-		// A deferred unlock releases the lock on every exit from here on,
-		// including a deferred closure that unlocks.
-		held = held.clone()
-		if key, _, isUnlock := lockCall(w.pass, s.Call); isUnlock {
-			w.release(s.Call.Pos(), held, key)
-		} else if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			for _, key := range unlocksIn(w.pass, lit.Body) {
-				w.release(s.Call.Pos(), held, key)
-			}
-		}
-	case *ast.ReturnStmt:
-		for key := range held {
-			expr, read := splitLockKey(key)
-			mode := "Lock"
-			if read {
-				mode = "RLock"
-			}
-			w.pass.Reportf(s.Pos(), "return while %s.%s() is still held: no unlock on this path", expr, mode)
-		}
-		return held, true
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.BranchStmt:
-		return held, true // break/continue/goto leave this list
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		thenOut, thenTerm := w.stmts(s.Body.List, held.clone())
-		elseOut, elseTerm := held.clone(), false
-		if s.Else != nil {
-			elseOut, elseTerm = w.stmt(s.Else, held.clone())
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return held, true
-		case thenTerm:
-			return elseOut, false
-		case elseTerm:
-			return thenOut, false
-		default:
-			return intersect(thenOut, elseOut), false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		bodyOut, _ := w.stmts(s.Body.List, held.clone())
-		if s.Cond == nil {
-			// `for { ... }` only exits via break/return inside the body.
-			return intersect(held, bodyOut), false
-		}
-		return intersect(held, bodyOut), false
-	case *ast.RangeStmt:
-		bodyOut, _ := w.stmts(s.Body.List, held.clone())
-		return intersect(held, bodyOut), false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.branching(stmt, held)
-	}
-	return held, false
-}
-
-// branching merges the arms of a switch/type-switch/select.
-func (w *lockWalker) branching(stmt ast.Stmt, held lockSet) (lockSet, bool) {
-	var bodies [][]ast.Stmt
-	exhaustive := false // has a default (or is a select, which always runs an arm)
-	collect := func(body *ast.BlockStmt) {
-		for _, clause := range body.List {
-			switch c := clause.(type) {
-			case *ast.CaseClause:
-				if c.List == nil {
-					exhaustive = true
-				}
-				bodies = append(bodies, c.Body)
-			case *ast.CommClause:
-				exhaustive = true
-				bodies = append(bodies, c.Body)
-			}
-		}
-	}
-	switch s := stmt.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		collect(s.Body)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		collect(s.Body)
-	case *ast.SelectStmt:
-		collect(s.Body)
-	}
-	out := lockSet(nil)
-	allTerm := len(bodies) > 0
-	for _, body := range bodies {
-		o, term := w.stmts(body, held.clone())
-		if term {
-			continue
-		}
-		allTerm = false
-		if out == nil {
-			out = o
-		} else {
-			out = intersect(out, o)
-		}
-	}
-	if allTerm && exhaustive {
-		return held, true
-	}
-	if out == nil || !exhaustive {
-		if out == nil {
-			out = held.clone()
-		} else {
-			out = intersect(out, held)
-		}
-	}
-	return out, false
-}
-
-// unlocksIn lists the lock keys unlocked anywhere inside a deferred closure.
-func unlocksIn(p *Pass, body *ast.BlockStmt) []string {
-	var keys []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if key, _, isUnlock := lockCall(p, call); isUnlock {
-				keys = append(keys, key)
-			}
-		}
-		return true
-	})
-	return keys
 }
 
 // isTerminalCall reports calls that never return: panic, os.Exit,

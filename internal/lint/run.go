@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/token"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -8,51 +9,24 @@ import (
 
 // Options configures one labflowvet run.
 type Options struct {
-	Dir       string      // working directory; "" means "."
-	Patterns  []string    // package patterns; empty means ./...
-	Analyzers []*Analyzer // nil means All
+	Dir      string   // working directory; "" means "."
+	Patterns []string // package patterns; empty means ./...
 }
 
 // Run loads the requested packages and applies the analyzer suite, returning
 // every surviving diagnostic sorted by position. File names are reported
 // relative to Dir when possible.
 func Run(opts Options) ([]Diagnostic, error) {
-	dir := opts.Dir
-	if dir == "" {
-		dir = "."
-	}
-	patterns := opts.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	analyzers := opts.Analyzers
-	if analyzers == nil {
-		analyzers = All
-	}
-
-	loader, err := NewLoader(dir)
+	loader, units, rel, err := load(opts)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := loader.Expand(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	units, err := loader.Load(dirs)
-	if err != nil {
-		return nil, err
-	}
-
-	absDir, _ := filepath.Abs(dir)
 	// One driver run over every unit: module-wide analyzers need the whole
 	// slice at once so cross-package facts (mutation summaries, lock
 	// acquisition sets, atomic-access disciplines) line up.
-	var diags []Diagnostic
-	for _, d := range RunUnits(loader.Fset, units, analyzers) {
-		if rel, err := filepath.Rel(absDir, d.File); err == nil && !strings.HasPrefix(rel, "..") {
-			d.File = filepath.ToSlash(rel)
-		}
-		diags = append(diags, d)
+	diags := RunUnits(loader.Fset, units, All)
+	for i := range diags {
+		diags[i].File = rel(diags[i].File)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
@@ -62,6 +36,29 @@ func Run(opts Options) ([]Diagnostic, error) {
 // //lint:allow directive, sorted by position, for `labflowvet -allowlist`.
 // File names are reported relative to Dir when possible.
 func Directives(opts Options) ([]Directive, error) {
+	loader, units, rel, err := load(opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []Directive
+	for _, u := range units {
+		scanDirectives(loader.Fset, u.Files, func(_ token.Position, d Directive) {
+			d.File = rel(d.File)
+			out = append(out, d)
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].File != out[j].File {
+			return out[i].File < out[j].File
+		}
+		return out[i].Line < out[j].Line
+	})
+	return out, nil
+}
+
+// load applies opts' defaults, loads the packages it names, and returns a
+// function that rewrites a file name relative to Dir when it lies inside.
+func load(opts Options) (*Loader, []*Unit, func(string) string, error) {
 	dir := opts.Dir
 	if dir == "" {
 		dir = "."
@@ -72,31 +69,22 @@ func Directives(opts Options) ([]Directive, error) {
 	}
 	loader, err := NewLoader(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	dirs, err := loader.Expand(dir, patterns)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	units, err := loader.Load(dirs)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	absDir, _ := filepath.Abs(dir)
-	var out []Directive
-	for _, u := range units {
-		for _, d := range scanDirectives(loader.Fset, u.Files) {
-			if rel, err := filepath.Rel(absDir, d.File); err == nil && !strings.HasPrefix(rel, "..") {
-				d.File = filepath.ToSlash(rel)
-			}
-			out = append(out, d)
+	rel := func(file string) string {
+		if r, err := filepath.Rel(absDir, file); err == nil && !strings.HasPrefix(r, "..") {
+			return filepath.ToSlash(r)
 		}
+		return file
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out, nil
+	return loader, units, rel, nil
 }

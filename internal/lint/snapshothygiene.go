@@ -84,7 +84,7 @@ func checkSnapMethod(p *Pass, fd *ast.FuncDecl, recv types.Object) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if _, isLock, isUnlock := lockCall(p, n); isLock || isUnlock {
+			if _, kind, _ := lockOp(p.Info, n); kind != lockNone {
 				p.Reportf(n.Pos(), "snapshot method %s takes a lock; the snapshot read path must be lock-free", fd.Name.Name)
 			}
 		case *ast.AssignStmt:

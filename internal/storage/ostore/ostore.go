@@ -85,18 +85,12 @@ type Options struct {
 	// Recovery, if non-nil, is filled with what Open's recovery had to do
 	// (checkpoint cursor found, records replayed, next LSN).
 	Recovery *repl.RecoveryInfo
-	// Name overrides the report name ("OStore" by default).
-	Name string
 }
 
 // Open opens or creates an ObjectStore-style store, replaying the redo log
 // if an interrupted commit is found. On error every medium Open acquired
 // (or was handed) is closed exactly once.
 func Open(opts Options) (storage.Manager, error) {
-	name := opts.Name
-	if name == "" {
-		name = "OStore"
-	}
 	pool := opts.PoolPages
 	if pool <= 0 {
 		pool = DefaultPoolPages
@@ -175,7 +169,7 @@ func Open(opts Options) (storage.Manager, error) {
 	// ObjectStore-style compact page layout: records are packed exactly
 	// (nil slack), which is why this manager's database files are smaller
 	// than the texas manager's, as in the paper's table.
-	store, err := pagefile.New(name, p, nil)
+	store, err := pagefile.New("OStore", p, nil)
 	if err != nil {
 		p.Close()
 		return nil, fmt.Errorf("ostore: %w", err)

@@ -107,6 +107,100 @@ func TestStoreSurfacesCorruptPage(t *testing.T) {
 	}
 }
 
+// TestStoreSurfacesCorruptStub overwrites the overflow stub of a committed
+// multi-page record with stubs writeExtents never writes: a negative total,
+// which used to panic the read's allocation, and extent counts that do not
+// match the total. Read, Write and Free must each report the stub as
+// corrupt, with its page number.
+func TestStoreSurfacesCorruptStub(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stub []byte
+	}{
+		{"negative total", encodeStub(-5, []PageID{1})},
+		{"too few extents for the total", encodeStub(3*overflowCap, []PageID{1, 2})},
+		{"too many extents for the total", encodeStub(10, []PageID{1, 2, 3})},
+		{"no extents", encodeStub(0, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New("stub", newMemPager(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			oid, err := s.Allocate(storage.SegCatalog, bytes.Repeat([]byte{0x5A}, 2*overflowCap+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := s.loadEntry(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !entryIsOverflow(e) {
+				t.Fatal("record was stored inline")
+			}
+			if err := s.rewriteStub(oid, e, storage.SegCatalog, tc.stub); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if e, err = s.loadEntry(oid); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("page %d: pagefile: corrupt overflow stub", entryPage(e))
+
+			if _, err := s.Read(oid); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Read = %v, want an error containing %q", err, want)
+			}
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(oid, []byte("short")); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Write = %v, want an error containing %q", err, want)
+			}
+			if err := s.Free(oid); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Free = %v, want an error containing %q", err, want)
+			}
+		})
+	}
+}
+
+// FuzzOverflowStub feeds decodeStub arbitrary bytes, seeded with the stubs
+// writeExtents writes and with corrupt ones. It may never panic, and every
+// stub it accepts must have exactly max(1, ceil(total/overflowCap))
+// extents, which is what bounds the buffer readOverflow allocates.
+func FuzzOverflowStub(f *testing.F) {
+	for _, total := range []int{0, 1, overflowCap, overflowCap + 1, 12345, 5 * overflowCap} {
+		pages := make([]PageID, max(1, (total+overflowCap-1)/overflowCap))
+		for i := range pages {
+			pages[i] = PageID(7 + 1000*i)
+		}
+		stub := encodeStub(total, pages)
+		gotTotal, got, err := decodeStub(stub)
+		if err != nil || gotTotal != total || len(got) != len(pages) {
+			f.Fatalf("seed stub for %d bytes decodes to %d, %v, %v", total, gotTotal, got, err)
+		}
+		f.Add(stub)
+	}
+	f.Add(encodeStub(-5, []PageID{1}))
+	f.Add(encodeStub(10, []PageID{1, 2, 3}))
+	f.Add(encodeStub(1<<40, []PageID{1}))
+	f.Add([]byte{0xFF})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		total, pages, err := decodeStub(b)
+		if err != nil {
+			return
+		}
+		if total < 0 || len(pages) != max(1, (total+overflowCap-1)/overflowCap) {
+			t.Fatalf("decodeStub accepted total %d with %d extents", total, len(pages))
+		}
+	})
+}
+
 // FuzzSlottedPage drives the four page accessors over arbitrary page bytes
 // (padded or cut to PageSize), an arbitrary slot number and record. None
 // may panic, and whatever an accessor reports as stored must read back.

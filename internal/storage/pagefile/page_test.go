@@ -177,12 +177,12 @@ func TestQuickPageModel(t *testing.T) {
 
 func TestStubRoundTrip(t *testing.T) {
 	pages := []PageID{5, 9, 1000000}
-	stub := encodeStub(12345, pages)
+	stub := encodeStub(20000, pages)
 	total, got, err := decodeStub(stub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 12345 || len(got) != 3 || got[2] != 1000000 {
+	if total != 20000 || len(got) != 3 || got[2] != 1000000 {
 		t.Fatalf("decodeStub = %d, %v", total, got)
 	}
 	if _, _, err := decodeStub([]byte{0xFF}); err == nil {

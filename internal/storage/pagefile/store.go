@@ -426,7 +426,12 @@ func decodeStub(b []byte) (total int, pages []PageID, err error) {
 	d := rec.NewDecoder(b)
 	total = int(d.Uint())
 	n := int(d.Uint())
-	if d.Err() != nil || n < 0 || n > dirEntries*tableEntries {
+	// Accept exactly what writeExtents writes: max(1, ceil(total/overflowCap))
+	// extents. Each page ID takes at least one byte, which bounds n before
+	// anything is allocated, and n in turn bounds the total readOverflow
+	// allocates for.
+	if d.Err() != nil || n < 1 || n > len(b) || total < 0 || total > n*overflowCap ||
+		n != max(1, (total+overflowCap-1)/overflowCap) {
 		return 0, nil, fmt.Errorf("pagefile: corrupt overflow stub")
 	}
 	pages = make([]PageID, n)
@@ -439,11 +444,20 @@ func decodeStub(b []byte) (total int, pages []PageID, err error) {
 	return total, pages, nil
 }
 
-func (s *Store) readOverflow(stub []byte) ([]byte, error) {
-	total, pages, err := decodeStub(stub)
+// stubLocked reads and decodes the overflow stub behind entry e; a corrupt
+// stub is reported with its page number.
+func (s *Store) stubLocked(e uint64) (total int, pages []PageID, err error) {
+	raw, err := s.readSlotLocked(e)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
+	if total, pages, err = decodeStub(raw); err != nil {
+		return 0, nil, fmt.Errorf("page %d: %w", entryPage(e), err)
+	}
+	return total, pages, nil
+}
+
+func (s *Store) readOverflow(total int, pages []PageID) ([]byte, error) {
 	out := make([]byte, 0, total)
 	for _, id := range pages {
 		f, err := s.pager.Pin(id, ModeRead)
@@ -619,14 +633,19 @@ func (s *Store) Read(oid storage.OID) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: read %v: %w", oid, err)
 	}
+	if entryIsOverflow(e) {
+		total, pages, err := s.stubLocked(e)
+		if err != nil {
+			return nil, fmt.Errorf("pagefile: read %v: %w", oid, err)
+		}
+		s.reads++
+		return s.readOverflow(total, pages)
+	}
 	data, err := s.readSlotLocked(e)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: read %v: %w", oid, err)
 	}
 	s.reads++
-	if entryIsOverflow(e) {
-		return s.readOverflow(data)
-	}
 	return data, nil
 }
 
@@ -680,11 +699,7 @@ func (s *Store) Write(oid storage.OID, data []byte) error {
 		}
 
 	case entryIsOverflow(e) && newOverflow:
-		stub, err := s.readSlotLocked(e)
-		if err != nil {
-			return fmt.Errorf("pagefile: write %v: %w", oid, err)
-		}
-		_, oldPages, err := decodeStub(stub)
+		_, oldPages, err := s.stubLocked(e)
 		if err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
 		}
@@ -709,11 +724,7 @@ func (s *Store) Write(oid storage.OID, data []byte) error {
 		}
 
 	default: // overflow -> inline
-		stub, err := s.readSlotLocked(e)
-		if err != nil {
-			return fmt.Errorf("pagefile: write %v: %w", oid, err)
-		}
-		_, oldPages, err := decodeStub(stub)
+		_, oldPages, err := s.stubLocked(e)
 		if err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
 		}
@@ -784,15 +795,12 @@ func (s *Store) readSlotLocked(e uint64) ([]byte, error) {
 
 // liveLenLocked returns the logical length of the record behind entry e.
 func (s *Store) liveLenLocked(e uint64) (int, error) {
+	if entryIsOverflow(e) {
+		total, _, err := s.stubLocked(e)
+		return total, err
+	}
 	raw, err := s.readSlotLocked(e)
-	if err != nil {
-		return 0, err
-	}
-	if !entryIsOverflow(e) {
-		return len(raw), nil
-	}
-	total, _, err := decodeStub(raw)
-	return total, err
+	return len(raw), err
 }
 
 func (s *Store) freeSlotAt(e uint64) error {
@@ -821,11 +829,7 @@ func (s *Store) Free(oid storage.OID) error {
 		return fmt.Errorf("pagefile: free %v: %w", oid, err)
 	}
 	if entryIsOverflow(e) {
-		stub, err := s.readSlotLocked(e)
-		if err != nil {
-			return fmt.Errorf("pagefile: free %v: %w", oid, err)
-		}
-		_, pages, err := decodeStub(stub)
+		_, pages, err := s.stubLocked(e)
 		if err != nil {
 			return fmt.Errorf("pagefile: free %v: %w", oid, err)
 		}

@@ -61,8 +61,6 @@ type Options struct {
 	MaxResidentPages int
 	// Clustering enables client-directed placement (the +TC version).
 	Clustering bool
-	// Name overrides the report name ("Texas" or "Texas+TC" by default).
-	Name string
 }
 
 // Open opens or creates a Texas-style store. A torn store (mutated but
@@ -98,13 +96,9 @@ func Open(opts Options) (storage.Manager, error) {
 			return nil, fmt.Errorf("texas: %w", ErrTornStore)
 		}
 	}
-	name := opts.Name
-	if name == "" {
-		if opts.Clustering {
-			name = "Texas+TC"
-		} else {
-			name = "Texas"
-		}
+	name := "Texas"
+	if opts.Clustering {
+		name = "Texas+TC"
 	}
 	pager := &pager{
 		backing:    backing,

@@ -110,6 +110,10 @@ go test -race -run '^$' -fuzz 'FuzzScanLog' -fuzztime 5s ./internal/storage/repl
 # arbitrary page bytes must never panic an accessor, and what an accessor
 # reports stored must read back.
 go test -race -run '^$' -fuzz 'FuzzSlottedPage' -fuzztime 5s ./internal/storage/pagefile/
+# The overflow stub, the record that spans pages: arbitrary stub bytes must
+# never panic the decoder, and a stub it accepts must name exactly the
+# extents its total needs, which bounds what a read allocates.
+go test -race -run '^$' -fuzz 'FuzzOverflowStub' -fuzztime 5s ./internal/storage/pagefile/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks only durable waits)"
 # DESIGN §9 "What a reader can wait on": with a commit held inside the log's
