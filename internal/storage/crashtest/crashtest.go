@@ -34,6 +34,7 @@
 package crashtest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -155,17 +156,24 @@ const (
 	// the next commit is already sealed behind it, waiting on the same
 	// flusher: the window the pipelined commit opened.
 	WindowSealedBehindFlush = "sealed-behind-flush"
+	// WindowRecordChunk is a log write that continues a record an earlier
+	// write of the same flush began: a group wider than the flusher's
+	// record buffer reaches the log in several writes (repl.WriteRecord).
+	WindowRecordChunk = "record-chunk"
 )
 
-// logWindow names the recycled-log window the crash op landed in. The seeds
-// are fixed but the op they crash at is not — any change to the I/O a store
-// issues renumbers them — so the fixed-seed round asserts it still reaches
-// both windows instead of assuming it.
-func logWindow(in *fault.Injector) string {
+// logWindow names the log window the crash op landed in. The seeds are fixed
+// but the op they crash at is not — any change to the I/O a store issues
+// renumbers them — so the fixed-seed round asserts it still reaches every
+// window instead of assuming it. A record's continuing chunk is named as
+// such wherever it lands, over retired bytes or past them.
+func logWindow(in *fault.Injector, log *gatedLog) string {
 	w, ok := in.CrashedLogWrite()
 	switch {
 	case !ok:
 		return ""
+	case log.crashedChunk:
+		return WindowRecordChunk
 	case w.Off == 0 && w.Len == repl.CursorSize && w.FileSize > repl.CursorSize:
 		return WindowCursorRewrite
 	case w.Off >= repl.CursorSize && w.Off < w.FileSize:
@@ -175,23 +183,38 @@ func logWindow(in *fault.Injector) string {
 }
 
 // gatedLog passes every log write through a gate ahead of the injector's
-// count, so the workload can hold a flush at its record write.
+// count, so the workload can hold a flush at its record write. It also
+// follows the records the writes lay down, to tell the crash point's write
+// apart when it continued a record an earlier write began.
 type gatedLog struct {
 	repl.LogFile
 	gate *gate.Gate
+
+	recStart, recEnd int64 // the record the writes are laying down
+	failed           bool  // a write has failed: the first is the crash's
+	crashedChunk     bool  // that write continued a record
 }
 
-func (l gatedLog) WriteAt(p []byte, off int64) (int, error) {
+func (l *gatedLog) WriteAt(p []byte, off int64) (int, error) {
 	l.gate.Pass()
-	return l.LogFile.WriteAt(p, off)
+	chunk := off > l.recStart && off < l.recEnd
+	// Any other write past the cursor heads a record: LSN, then page count.
+	if !chunk && off >= repl.CursorSize && len(p) >= 12 {
+		l.recStart, l.recEnd = off, off+repl.RecordSize(binary.LittleEndian.Uint32(p[8:12]))
+	}
+	n, err := l.LogFile.WriteAt(p, off)
+	if err != nil && !l.failed {
+		l.failed, l.crashedChunk = true, chunk
+	}
+	return n, err
 }
 
 // openInjected opens a fresh store for the backend with its media wrapped
-// in the injector, and for ostore the gate the workload's two-committer
-// pairs hold a flush with (nil for texas, whose commits are not
-// pipelined). ship, if non-nil, pairs an ostore primary with a standby —
-// the failover harness's hook; texas has no log to ship.
-func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipper) (storage.Manager, *gate.Gate, error) {
+// in the injector, and for ostore its gated log, whose gate the workload's
+// two-committer pairs hold a flush with (nil for texas, whose commits are
+// not pipelined). ship, if non-nil, pairs an ostore primary with a standby
+// — the failover harness's hook; texas has no log to ship.
+func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipper) (storage.Manager, *gatedLog, error) {
 	fb, err := pagefile.OpenFile(dbPath)
 	if err != nil {
 		return nil, nil, err
@@ -203,16 +226,16 @@ func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipp
 			fb.Close()
 			return nil, nil, err
 		}
-		g := &gate.Gate{}
+		log := &gatedLog{LogFile: fault.WrapFile(logf, in), gate: &gate.Gate{}}
 		// Open owns both media from here: on error it closes them once.
 		m, err := ostore.Open(ostore.Options{
 			Backing:         fault.WrapBacking(fb, in),
-			Log:             gatedLog{fault.WrapFile(logf, in), g},
+			Log:             log,
 			PoolPages:       48, // small pool: eviction traffic widens the crash surface
 			CheckpointEvery: ckptEvery,
 			Shipper:         ship,
 		})
-		return m, g, err
+		return m, log, err
 	default:
 		m, err := texas.Open(texas.Options{
 			Backing:          fault.WrapBacking(fb, in),
@@ -220,6 +243,14 @@ func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipp
 		})
 		return m, nil, err
 	}
+}
+
+// gateOf is the gate of an ostore store's log, nil for texas.
+func gateOf(log *gatedLog) *gate.Gate {
+	if log == nil {
+		return nil
+	}
+	return log.gate
 }
 
 // openPlain reopens the store cold, without injection — the recovery path a
@@ -244,12 +275,12 @@ func openPlain(cfg Config, dbPath string, rec *repl.RecoveryInfo) (storage.Manag
 func countPass(cfg Config) (uint64, error) {
 	dbPath := filepath.Join(cfg.Dir, fmt.Sprintf("%s-count-%d.db", cfg.Backend, cfg.Seed))
 	in := fault.NewInjector(fault.Plan{Seed: cfg.Seed}) // CrashOp 0: count only
-	m, g, err := openInjected(cfg, dbPath, in, nil)
+	m, log, err := openInjected(cfg, dbPath, in, nil)
 	if err != nil {
 		return 0, fmt.Errorf("open: %w", err)
 	}
 	w := newWorkload(cfg.Seed)
-	if call, err := w.run(m, g, cfg.Txns, cfg.OpsPerTxn); err != nil {
+	if call, err := w.run(m, gateOf(log), cfg.Txns, cfg.OpsPerTxn); err != nil {
 		m.Close()
 		return 0, fmt.Errorf("fault-free workload failed at %s: %w", call, err)
 	}
@@ -281,7 +312,7 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	in := fault.NewInjector(plan)
 
 	w := newWorkload(cfg.Seed)
-	m, g, err := openInjected(cfg, dbPath, in, nil)
+	m, log, err := openInjected(cfg, dbPath, in, nil)
 	switch {
 	case err != nil && errors.Is(err, fault.ErrCrashed):
 		// Died while formatting the store: nothing was ever committed.
@@ -289,7 +320,7 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	case err != nil:
 		return fmt.Errorf("open: %w", err)
 	default:
-		call, werr := w.run(m, g, cfg.Txns, cfg.OpsPerTxn)
+		call, werr := w.run(m, gateOf(log), cfg.Txns, cfg.OpsPerTxn)
 		switch {
 		case werr != nil && errors.Is(werr, fault.ErrCrashed):
 			res.FailedCall = call
@@ -315,7 +346,7 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	if cfg.Backend == BackendTexas {
 		return verifyTexas(m2, err, in, w, res)
 	}
-	res.Window = logWindow(in)
+	res.Window = logWindow(in, log)
 	if res.Window == "" {
 		res.Window = w.window
 	}

@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -23,6 +24,15 @@ const FixedSeedBase = 1
 // maxTexasSeeds caps how far the texas round runs past seedCount looking
 // for an outcome it must hit.
 const maxTexasSeeds = 2000
+
+// maxOStoreSeeds caps how far the ostore round runs past seedCount looking
+// for a named window it must hit.
+const maxOStoreSeeds = 1000
+
+// requiredWindows are the named crash windows some ostore seed must land
+// in: the recycled log's two (in-place cursor rewrite, record over a
+// retired record), the pipelined commit's, and the streamed record's.
+var requiredWindows = []string{WindowCursorRewrite, WindowRecordOverlay, WindowSealedBehindFlush, WindowRecordChunk}
 
 func runSeeds(t *testing.T, backend Backend) {
 	t.Helper()
@@ -61,13 +71,18 @@ func runSeeds(t *testing.T, backend Backend) {
 		}
 		return
 	}
-	t.Logf("%s outcomes over %d seeds: %v", backend, seedCount(t), outcomes)
-	// The recycled log's two crash windows and the pipelined commit's must
-	// actually be hit, or the round proves nothing about them.
+	// The windows must actually be hit, or the round proves nothing about
+	// them. Each is a few ops of a few hundred, so the round runs on until
+	// every one is.
+	missing := func(w string) bool { return windows[w] == 0 }
+	for slices.ContainsFunc(requiredWindows, missing) && seed < FixedSeedBase+maxOStoreSeeds {
+		run()
+	}
+	t.Logf("%s outcomes over %d seeds: %v", backend, seed-FixedSeedBase, outcomes)
 	t.Logf("%s named windows hit: %v", backend, windows)
-	for _, w := range []string{WindowCursorRewrite, WindowRecordOverlay, WindowSealedBehindFlush} {
-		if windows[w] == 0 {
-			t.Errorf("no seed crashed inside the %s window; add seeds until one does", w)
+	for _, w := range requiredWindows {
+		if missing(w) {
+			t.Errorf("no seed in %d crashed inside the %s window; add seeds until one does", seed-FixedSeedBase, w)
 		}
 	}
 }

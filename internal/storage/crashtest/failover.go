@@ -71,13 +71,13 @@ func failoverCountPass(cfg Config) (uint64, error) {
 		return 0, err
 	}
 	in := fault.NewInjector(fault.Plan{Seed: cfg.Seed}) // CrashOp 0: count only
-	m, g, err := openInjected(cfg, dbPath, in, st)
+	m, log, err := openInjected(cfg, dbPath, in, st)
 	if err != nil {
 		st.Close()
 		return 0, fmt.Errorf("open: %w", err)
 	}
 	w := newWorkload(cfg.Seed)
-	if call, err := w.run(m, g, cfg.Txns, cfg.OpsPerTxn); err != nil {
+	if call, err := w.run(m, gateOf(log), cfg.Txns, cfg.OpsPerTxn); err != nil {
 		m.Close()
 		st.Close()
 		return 0, fmt.Errorf("fault-free workload failed at %s: %w", call, err)
@@ -129,7 +129,7 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 	in := fault.NewInjector(plan)
 
 	w := newWorkload(cfg.Seed)
-	m, g, err := openInjected(cfg, dbPath, in, st)
+	m, log, err := openInjected(cfg, dbPath, in, st)
 	switch {
 	case err != nil && errors.Is(err, fault.ErrCrashed):
 		res.FailedCall = "Open"
@@ -137,7 +137,7 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 		st.Close()
 		return fmt.Errorf("open: %w", err)
 	default:
-		call, werr := w.run(m, g, cfg.Txns, cfg.OpsPerTxn)
+		call, werr := w.run(m, gateOf(log), cfg.Txns, cfg.OpsPerTxn)
 		switch {
 		case werr != nil && errors.Is(werr, fault.ErrCrashed):
 			res.FailedCall = call

@@ -93,11 +93,16 @@ func newWorkload(seed int64) *workload {
 }
 
 // payload draws a deterministic record: usually small, occasionally large
-// enough to take the overflow path.
+// enough to take the overflow path, and rarely wide enough (18 to 54
+// pages) that its commit's redo record outgrows ostore's 16-page record
+// buffer and reaches the log in several writes (WindowRecordChunk).
 func (w *workload) payload() []byte {
 	n := w.rng.Intn(400) + 8
-	if w.rng.Intn(16) == 0 {
+	switch k := w.rng.Intn(64); {
+	case k < 4:
 		n = w.rng.Intn(12000) + 9000 // overflow record
+	case k == 4:
+		n = w.rng.Intn(300000) + 140000 // wide record
 	}
 	b := make([]byte, n)
 	w.rng.Read(b)

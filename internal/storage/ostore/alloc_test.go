@@ -1,9 +1,11 @@
 package ostore
 
 import (
+	"path/filepath"
 	"testing"
 
 	"labflow/internal/storage/pagefile"
+	"labflow/internal/storage/repl"
 	"labflow/internal/storage/storagetest"
 )
 
@@ -54,5 +56,31 @@ func TestFaultAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("%v allocations per %d faults; want 0", allocs, len(ids))
+	}
+}
+
+// TestWideRecordWriteAllocatesNothing logs a 40-page group the way the
+// flusher does without a shipper: the record streams through the retained
+// record buffer, ceil(40/maxScratchPages) writes, and no buffer the width
+// of the record is allocated.
+func TestWideRecordWriteAllocatesNothing(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := newWhiteboxPager(t, filepath.Join(t.TempDir(), "wal"))
+	order := make([]repl.PageImage, 40)
+	for i := range order {
+		order[i] = repl.PageImage{ID: pagefile.PageID(i + 1), Data: make([]byte, pagefile.PageSize)}
+	}
+	write := func() {
+		if err := p.writeRecord(order, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, write); allocs != 0 {
+		t.Errorf("%v allocations per 40-page record write; want 0", allocs)
+	}
+	if got, limit := int64(cap(p.scratch)), repl.RecordSize(maxScratchPages); got > limit {
+		t.Errorf("record buffer is %d bytes, over the %d-byte bound", got, limit)
 	}
 }

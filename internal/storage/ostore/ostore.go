@@ -257,13 +257,14 @@ func (b *commitBatch) wait() error {
 	return b.err
 }
 
-// maxScratchPages bounds the buffers the pager keeps between commits: a
-// group of up to this many pages is encoded into the flusher's retained
-// record buffer (and deduplicated in its retained map), a wider one into a
-// buffer of its own that dies with the flush, and at most this many page
-// buffers that settled images and trimmed frames leave behind are kept as
-// spares for the next copy-on-write or new frame. So what stays live
-// between commits is at most one 16-page record and 16 spare pages
+// maxScratchPages bounds the buffers the pager keeps between commits. The
+// flusher's record buffer holds a record of at most this many pages: a
+// group that narrow is logged in one write from it, and a wider one streams
+// through it in one write per maxScratchPages pages (repl.WriteRecord).
+// Its page map holds as many entries, and at most this many page buffers
+// that settled images and trimmed frames leave behind are kept as spares
+// for the next copy-on-write or new frame. So what stays live between
+// commits is at most one 16-page record buffer and 16 spare pages
 // (256 KiB), however wide the widest commit of the session was.
 const maxScratchPages = 16
 
@@ -300,7 +301,7 @@ type pager struct {
 	logEnd    int64          // live tail: where the next record goes, not the file's length
 	ckptEvery int
 	sinceCkpt int
-	scratch   []byte                  // record buffer reused across flushes; at most maxScratchPages wide
+	scratch   []byte                  // record buffer reused across flushes; at most maxScratchPages pages
 	seen      map[pagefile.PageID]int // a group's page → index in its record, reused like scratch
 
 	faultReq   chan faultRequest
@@ -639,7 +640,7 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 		}
 	}
 	if len(order) > maxScratchPages {
-		p.seen = nil // a wide group's map dies with the flush, as its record buffer does
+		p.seen = nil // a wide group's map dies with the flush
 	}
 	if len(order) == 0 {
 		return true, nil
@@ -654,18 +655,14 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 		}
 	}
 	if p.log != nil || p.shipper != nil {
-		// Encode into the flusher's own buffer: the log write, the sync and
-		// the shipper are all done with the bytes when they return.
-		buf := p.scratch
-		if need := repl.RecordSize(uint32(len(order))); int64(cap(buf)) < need {
-			buf = make([]byte, 0, need)
-		}
-		buf = repl.AppendRecord(buf[:0], p.nextLSN, order)
-		if len(order) <= maxScratchPages {
-			p.scratch = buf
+		size := repl.RecordSize(uint32(len(order)))
+		// The shipper needs the record whole; the log does not.
+		var rec []byte
+		if p.shipper != nil {
+			rec = p.assembleRecord(order)
 		}
 		if p.log != nil {
-			if _, err := p.log.WriteAt(buf, p.logEnd); err != nil {
+			if err := p.writeRecord(order, rec); err != nil {
 				return false, fmt.Errorf("ostore: write log: %w", err)
 			}
 			if p.syncLog {
@@ -686,12 +683,12 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 		// the failure is reported, so no later checkpoint can retire it with
 		// them missing.
 		if p.shipper != nil {
-			if err := p.shipper.Ship(p.nextLSN, buf); err != nil {
+			if err := p.shipper.Ship(p.nextLSN, rec); err != nil {
 				lsn := p.nextLSN
-				p.pending.Add(lsn, bytes.Clone(buf))
+				p.pending.Add(lsn, bytes.Clone(rec))
 				p.nextLSN++
 				if p.log != nil {
-					p.logEnd += int64(len(buf))
+					p.logEnd += size
 				}
 				if werr := p.writeBack(order); werr != nil {
 					return false, werr
@@ -700,7 +697,7 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 			}
 		}
 		p.nextLSN++
-		p.logEnd += int64(len(buf))
+		p.logEnd += size
 	}
 	// Durability point passed: apply in place.
 	if err := p.writeBack(order); err != nil {
@@ -726,6 +723,40 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 		}
 	}
 	return true, nil
+}
+
+// scratchFor returns the flusher's record buffer, grown to take a record of
+// n pages, or of maxScratchPages pages when n is wider.
+func (p *pager) scratchFor(n int) []byte {
+	if need := repl.RecordSize(uint32(min(n, maxScratchPages))); int64(cap(p.scratch)) < need {
+		p.scratch = make([]byte, 0, need)
+	}
+	return p.scratch[:0]
+}
+
+// assembleRecord encodes the group's record whole under the next LSN, for
+// the shipper: in the flusher's record buffer when the group is narrow
+// enough, in a buffer that dies with the flush when it is wider. The log
+// write, the sync and the shipper are all done with the bytes when they
+// return.
+func (p *pager) assembleRecord(order []repl.PageImage) []byte {
+	buf := p.scratchFor(len(order))
+	if need := repl.RecordSize(uint32(len(order))); int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	return repl.AppendRecord(buf, p.nextLSN, order)
+}
+
+// writeRecord writes the group's record at the log's tail under the next
+// LSN: rec when the shipper had it assembled, otherwise streamed through
+// the flusher's record buffer, so a group of n pages costs
+// ceil(n/maxScratchPages) log writes and allocates no record.
+func (p *pager) writeRecord(order []repl.PageImage, rec []byte) error {
+	if rec != nil {
+		_, err := p.log.WriteAt(rec, p.logEnd)
+		return err
+	}
+	return repl.WriteRecord(p.log, p.logEnd, p.nextLSN, order, p.scratchFor(len(order)))
 }
 
 // writeBack writes a group's images to their places in the backing.

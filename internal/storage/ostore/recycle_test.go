@@ -3,6 +3,8 @@ package ostore
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"labflow/internal/fault/gate"
@@ -315,4 +317,120 @@ func TestStalledFlushBlocksOnlyWriters(t *testing.T) {
 		}
 		return m2
 	})
+}
+
+// countingLog counts log writes, and fails one, chosen by arm, without
+// effect.
+type countingLog struct {
+	LogFile
+	writes int
+	left   int // writes until the failing one; 0 = disarmed
+}
+
+var errChunkLost = errors.New("injected: chunk write lost")
+
+// arm makes the nth log write from now fail.
+func (l *countingLog) arm(n int) { l.left = n }
+
+func (l *countingLog) WriteAt(p []byte, off int64) (int, error) {
+	l.writes++
+	if l.left > 0 {
+		if l.left--; l.left == 0 {
+			return 0, errChunkLost
+		}
+	}
+	return l.LogFile.WriteAt(p, off)
+}
+
+// TestTornChunkOverRetiredRecord: a 40-page group reaches the log in three
+// chunk writes, and the second one fails. Its slot on the recycled log holds
+// a retired record of the same page count, so the bytes that end up there —
+// the new header and first chunk, then the retired record's remainder and
+// its trailing magic — pass the magic test and carry the expected LSN. Only
+// the CRC rejects them. Reopen must replay the record logged before the torn
+// one in the same interval, nothing after it, and resume at the torn
+// record's LSN, which it never burned.
+func TestTornChunkOverRetiredRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	f, err := repl.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &countingLog{LogFile: f}
+	p := &pager{backing: pagefile.NewMem(), log: log, nextLSN: 1, ckptEvery: 3, capacity: 64}
+	p.start()
+	t.Cleanup(func() { p.Close() })
+
+	frames := make([]*frame, 41)
+	for i := range frames {
+		pf, err := p.AllocPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pf, true)
+		frames[i] = pf.Priv.(*frame)
+	}
+	one, wide := frames[:1], frames[1:]
+	flush := func(frs []*frame, fill byte) error {
+		for _, fr := range frs {
+			for i := range fr.pf.Data {
+				fr.pf.Data[i] = fill
+			}
+		}
+		_, err := p.flushBatches([]*commitBatch{batchOf(frs...)})
+		return err
+	}
+
+	// Interval 1, LSNs 1-3: one page, 40 pages, one page; the checkpoint
+	// after LSN 3 retires them and moves the tail back.
+	for i, frs := range [][]*frame{one, wide, one} {
+		if err := flush(frs, byte(0x10+i)); err != nil {
+			t.Fatalf("flush %d: %v", i+1, err)
+		}
+	}
+	// Interval 2: LSN 4 overlays LSN 1 exactly, and LSN 5 lands where the
+	// retired LSN 2 still lies, with the same page count.
+	if err := flush(one, 0x40); err != nil {
+		t.Fatalf("flush 4: %v", err)
+	}
+	wideOff := int64(repl.CursorSize) + repl.RecordSize(1)
+	retired := make([]byte, repl.RecordSize(40))
+	if _, err := f.ReadAt(retired, wideOff); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _, ok := repl.DecodeRecord(retired); !ok || rec.LSN != 2 {
+		t.Fatalf("no retired 40-page record at offset %d to tear over", wideOff)
+	}
+	log.arm(2)
+	if err := flush(wide, 0x50); !errors.Is(err, errChunkLost) {
+		t.Fatalf("flush 5: err = %v, want the lost chunk", err)
+	}
+	torn := make([]byte, repl.RecordSize(40))
+	if _, err := f.ReadAt(torn, wideOff); err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint64(torn) != 5 || !bytes.Equal(torn[len(torn)-8:], retired[len(retired)-8:]) {
+		t.Fatal("the torn record does not carry LSN 5 in front of the retired record's magic")
+	}
+
+	rf, err := repl.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	var info repl.RecoveryInfo
+	backing := pagefile.NewMem()
+	if _, _, err := recoverLog(rf, backing, false, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.CheckpointLSN != 3 || info.Replayed != 1 || info.NextLSN != 5 {
+		t.Fatalf("RecoveryInfo = %+v, want cursor 3, 1 replayed, next LSN 5", info)
+	}
+	got := make([]byte, pagefile.PageSize)
+	if err := backing.ReadPage(one[0].pf.ID, got); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0x40 {
+		t.Errorf("replayed page holds fill %#x, want LSN 4's %#x", got[0], 0x40)
+	}
 }

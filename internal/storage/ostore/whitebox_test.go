@@ -524,10 +524,19 @@ func TestFailedCheckpointKeepsTail(t *testing.T) {
 
 // TestScratchBounded: the flusher reuses one record buffer for ordinary
 // groups and never keeps one wider than maxScratchPages, so a single wide
-// commit cannot pin its size on the heap.
+// commit cannot pin its size on the heap. The wide group streams through
+// that buffer instead, in one log write per maxScratchPages pages, and
+// lands as exactly the record AppendRecord encodes.
 func TestScratchBounded(t *testing.T) {
-	p := newWhiteboxPager(t, filepath.Join(t.TempDir(), "wal"))
-	flush := func(pages int) {
+	f, err := repl.OpenFile(filepath.Join(t.TempDir(), "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &countingLog{LogFile: f}
+	p := &pager{backing: pagefile.NewMem(), log: log, nextLSN: 1, ckptEvery: 1, capacity: 64}
+	p.start()
+	t.Cleanup(func() { p.Close() })
+	flush := func(pages int) *commitBatch {
 		t.Helper()
 		var frs []*frame
 		for i := 0; i < pages; i++ {
@@ -535,12 +544,15 @@ func TestScratchBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			f.Data[0] = byte(i + 1)
 			p.Unpin(f, true)
 			frs = append(frs, f.Priv.(*frame))
 		}
-		if _, err := p.flushBatches([]*commitBatch{batchOf(frs...)}); err != nil {
+		b := batchOf(frs...)
+		if _, err := p.flushBatches([]*commitBatch{b}); err != nil {
 			t.Fatal(err)
 		}
+		return b
 	}
 	flush(maxScratchPages)
 	kept := &p.scratch[:1][0]
@@ -548,11 +560,24 @@ func TestScratchBounded(t *testing.T) {
 	if &p.scratch[:1][0] != kept {
 		t.Error("a narrower group did not reuse the retained record buffer")
 	}
-	flush(3 * maxScratchPages)
+	before := log.writes
+	wide := flush(3 * maxScratchPages)
 	if got, limit := int64(cap(p.scratch)), repl.RecordSize(maxScratchPages); got > limit {
 		t.Errorf("retained buffer is %d bytes after a wide group, over the %d-byte bound", got, limit)
 	}
 	if &p.scratch[:1][0] != kept {
 		t.Error("a wide group displaced the retained record buffer")
+	}
+	// Three record writes, then the checkpoint's cursor rewrite.
+	if got := log.writes - before; got != 3+1 {
+		t.Errorf("%d log writes for a %d-page group and its checkpoint, want 4", got, 3*maxScratchPages)
+	}
+	want := repl.EncodeRecord(3, wide.pages)
+	got := make([]byte, len(want))
+	if _, err := f.ReadAt(got, repl.CursorSize); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the streamed record is not the bytes AppendRecord encodes")
 	}
 }

@@ -444,17 +444,27 @@ func decodeStub(b []byte) (total int, pages []PageID, err error) {
 	return total, pages, nil
 }
 
-// stubLocked reads and decodes the overflow stub behind entry e; a corrupt
-// stub is reported with its page number.
+// stubLocked decodes the overflow stub behind entry e where it lies in its
+// page; a corrupt stub is reported with its page number.
 func (s *Store) stubLocked(e uint64) (total int, pages []PageID, err error) {
-	raw, err := s.readSlotLocked(e)
+	f, err := s.pager.Pin(entryPage(e), ModeRead)
 	if err != nil {
 		return 0, nil, err
 	}
-	if total, pages, err = decodeStub(raw); err != nil {
-		return 0, nil, fmt.Errorf("page %d: %w", entryPage(e), err)
+	defer s.pager.Unpin(f, false)
+	raw, err := pageRead(f.Data, entrySlot(e))
+	if err == nil {
+		total, pages, err = decodeStub(raw)
+	}
+	if err != nil {
+		return 0, nil, pageErr(e, err)
 	}
 	return total, pages, nil
+}
+
+// pageErr names the page behind entry e in a slot-level error.
+func pageErr(e uint64, err error) error {
+	return fmt.Errorf("page %d: %w", entryPage(e), err)
 }
 
 func (s *Store) readOverflow(total int, pages []PageID) ([]byte, error) {
@@ -662,23 +672,28 @@ func (s *Store) Write(oid storage.OID, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("pagefile: write %v: %w", oid, err)
 	}
-	oldLen, err := s.liveLenLocked(e)
-	if err != nil {
-		return fmt.Errorf("pagefile: write %v: %w", oid, err)
-	}
 	seg := oid.Segment()
 	newOverflow := len(data) > MaxInline
 
+	// Each case learns the old record's length where it reads the old
+	// record anyway: from the slot it pins, or from the stub it decodes.
+	var oldLen int
 	switch {
 	case !entryIsOverflow(e) && !newOverflow:
 		f, err := s.pager.Pin(entryPage(e), ModeWrite)
 		if err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
 		}
+		old, err := pageRead(f.Data, entrySlot(e))
+		if err != nil {
+			s.pager.Unpin(f, false)
+			return fmt.Errorf("pagefile: write %v: %w", oid, pageErr(e, err))
+		}
+		oldLen = len(old)
 		ok, err := pageUpdate(f.Data, entrySlot(e), data)
 		if err != nil {
 			s.pager.Unpin(f, false)
-			return fmt.Errorf("pagefile: write %v: %w", oid, err)
+			return fmt.Errorf("pagefile: write %v: %w", oid, pageErr(e, err))
 		}
 		if ok {
 			s.pager.Unpin(f, true)
@@ -686,7 +701,7 @@ func (s *Store) Write(oid storage.OID, data []byte) error {
 			// Record grew past its reserved capacity: relocate.
 			if err := pageFreeSlot(f.Data, entrySlot(e)); err != nil {
 				s.pager.Unpin(f, false)
-				return fmt.Errorf("pagefile: write %v: %w", oid, err)
+				return fmt.Errorf("pagefile: write %v: %w", oid, pageErr(e, err))
 			}
 			s.pager.Unpin(f, true)
 			page, slot, err := s.placeInline(seg, data)
@@ -699,10 +714,11 @@ func (s *Store) Write(oid storage.OID, data []byte) error {
 		}
 
 	case entryIsOverflow(e) && newOverflow:
-		_, oldPages, err := s.stubLocked(e)
+		total, oldPages, err := s.stubLocked(e)
 		if err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
 		}
+		oldLen = total
 		pages, err := s.writeExtents(seg, data, oldPages)
 		if err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
@@ -712,7 +728,7 @@ func (s *Store) Write(oid storage.OID, data []byte) error {
 		}
 
 	case !entryIsOverflow(e) && newOverflow:
-		if err := s.freeSlotAt(e); err != nil {
+		if oldLen, err = s.freeSlotAt(e); err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
 		}
 		page, slot, err := s.placeOverflow(seg, data)
@@ -724,16 +740,17 @@ func (s *Store) Write(oid storage.OID, data []byte) error {
 		}
 
 	default: // overflow -> inline
-		_, oldPages, err := s.stubLocked(e)
+		total, oldPages, err := s.stubLocked(e)
 		if err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
 		}
+		oldLen = total
 		for _, id := range oldPages {
 			if err := s.releasePage(id); err != nil {
 				return err
 			}
 		}
-		if err := s.freeSlotAt(e); err != nil {
+		if _, err := s.freeSlotAt(e); err != nil {
 			return fmt.Errorf("pagefile: write %v: %w", oid, err)
 		}
 		page, slot, err := s.placeInline(seg, data)
@@ -783,34 +800,30 @@ func (s *Store) readSlotLocked(e uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.pager.Unpin(f, false)
 	raw, err := pageRead(f.Data, entrySlot(e))
 	if err != nil {
-		s.pager.Unpin(f, false)
-		return nil, fmt.Errorf("page %d: %w", entryPage(e), err)
+		return nil, pageErr(e, err)
 	}
-	out := append([]byte(nil), raw...)
-	s.pager.Unpin(f, false)
-	return out, nil
+	return append([]byte(nil), raw...), nil
 }
 
-// liveLenLocked returns the logical length of the record behind entry e.
-func (s *Store) liveLenLocked(e uint64) (int, error) {
-	if entryIsOverflow(e) {
-		total, _, err := s.stubLocked(e)
-		return total, err
-	}
-	raw, err := s.readSlotLocked(e)
-	return len(raw), err
-}
-
-func (s *Store) freeSlotAt(e uint64) error {
+// freeSlotAt frees the slot behind entry e and returns the length of the
+// record it held.
+func (s *Store) freeSlotAt(e uint64) (int, error) {
 	f, err := s.pager.Pin(entryPage(e), ModeWrite)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	err = pageFreeSlot(f.Data, entrySlot(e))
+	old, err := pageRead(f.Data, entrySlot(e))
+	if err == nil {
+		err = pageFreeSlot(f.Data, entrySlot(e))
+	}
 	s.pager.Unpin(f, err == nil)
-	return err
+	if err != nil {
+		return 0, pageErr(e, err)
+	}
+	return len(old), nil
 }
 
 // Free implements storage.Manager.
@@ -824,12 +837,11 @@ func (s *Store) Free(oid storage.OID) error {
 	if err != nil {
 		return fmt.Errorf("pagefile: free %v: %w", oid, err)
 	}
-	length, err := s.liveLenLocked(e)
-	if err != nil {
-		return fmt.Errorf("pagefile: free %v: %w", oid, err)
-	}
+	// An overflow record's length is in its stub, an inline one's in the
+	// slot it frees.
+	length := 0
 	if entryIsOverflow(e) {
-		_, pages, err := s.stubLocked(e)
+		total, pages, err := s.stubLocked(e)
 		if err != nil {
 			return fmt.Errorf("pagefile: free %v: %w", oid, err)
 		}
@@ -838,9 +850,14 @@ func (s *Store) Free(oid storage.OID) error {
 				return err
 			}
 		}
+		length = total
 	}
-	if err := s.freeSlotAt(e); err != nil {
+	n, err := s.freeSlotAt(e)
+	if err != nil {
 		return fmt.Errorf("pagefile: free %v: %w", oid, err)
+	}
+	if !entryIsOverflow(e) {
+		length = n
 	}
 	if err := s.storeEntry(oid, entryTombstone); err != nil {
 		return err

@@ -292,3 +292,32 @@ func TestCommitFlushOutsideMutex(t *testing.T) {
 		return s2
 	})
 }
+
+// TestInlineWriteAllocatesNothing rewrites an inline record at its own
+// length: the old length is read from the slot under the write pin, so the
+// rewrite takes one pin and copies nothing out.
+func TestInlineWriteAllocatesNothing(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := newTestStore(t)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5A}, 300)
+	oid, err := s.Allocate(storage.SegMaterial, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := s.Write(oid, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per same-size inline Write; want 0", allocs)
+	}
+	if st := s.Stats(); st.LiveObjects != 1 || st.LiveBytes != uint64(len(data)) {
+		t.Errorf("after the rewrites: %d objects, %d bytes; want 1, %d", st.LiveObjects, st.LiveBytes, len(data))
+	}
+}

@@ -48,6 +48,13 @@ func FuzzScanLog(f *testing.F) {
 	f.Add(chain)
 	f.Add(AppendRecord(EncodeCursor(2), 3, []PageImage{{ID: 1, Data: page(0x5A)}}))
 	f.Add(AppendRecord(chain, 11, nil)) // a gap after 9
+	// A 40-page record streamed in three chunk writes, as the ostore
+	// flusher logs a wide group.
+	streamed := &memLog{data: EncodeCursor(0)}
+	if err := WriteRecord(streamed, CursorSize, 1, group(40), make([]byte, 0, RecordSize(chunkPages))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(streamed.data)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cursor, records, err := ScanLog(byteLog(data))

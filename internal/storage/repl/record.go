@@ -70,6 +70,25 @@
 // plus the most bytes a single checkpoint interval appended this session,
 // and a clean Close or the next Open returns it to CursorSize.
 //
+// # A record in several writes
+//
+// A writer need not assemble a record to log it: WriteRecord streams the
+// header, the page entries and the trailer through a bounded chunk buffer,
+// so a wide record reaches the log in several writes, one after another at
+// increasing offsets, and the record is durable only once the last of them
+// (and, on a synced log, the sync after it) has completed. That adds no
+// crash window a single write did not already have. A record counts only
+// when its trailing magic and its CRC both check, and ScanLog stops at the
+// first record that fails either. A crash between two chunks leaves a prefix
+// of the record on the medium followed by whatever bytes were there before,
+// which is exactly a single write torn at that point — the shape the crash
+// harness already injects. On a fresh stretch of file the magic is missing.
+// On the recycled log the bytes past the prefix may be a retired record of
+// the same size at the same offset, whose magic sits exactly where the new
+// record's would; the CRC still fails, because it covers the new header and
+// the new prefix together with the stale remainder, which the retired
+// record's CRC never saw.
+//
 // The same record bytes double as the shipping unit: a primary streams each
 // record to its standby before the record can retire (Shipper), so the
 // follower always holds every commit a client may have observed.
@@ -130,6 +149,10 @@ const (
 	cursorMagic = 0xC8EC9017C8EC9017
 	// recordHeader is the fixed prefix of a record: LSN and page count.
 	recordHeader = 8 + 4
+	// recordEntry is one page entry: the page ID and the page's image.
+	recordEntry = 4 + pagefile.PageSize
+	// recordTrailer ends a record: the CRC32 and the trailing magic.
+	recordTrailer = 4 + 8
 )
 
 // CursorSize is the encoded length of a checkpoint cursor:
@@ -152,7 +175,7 @@ type Record struct {
 // RecordSize is the encoded length of a redo record holding count pages:
 // LSN + count header, per-page id+image entries, CRC32, trailing magic.
 func RecordSize(count uint32) int64 {
-	return recordHeader + int64(count)*(4+pagefile.PageSize) + 12
+	return recordHeader + int64(count)*recordEntry + recordTrailer
 }
 
 // EncodeRecord serializes one redo record into a buffer of its own. A record
@@ -165,16 +188,86 @@ func EncodeRecord(lsn uint64, pages []PageImage) []byte {
 // the extended slice — EncodeRecord for a caller that owns a reusable
 // buffer. The page images are copied, so the record never aliases them.
 func AppendRecord(dst []byte, lsn uint64, pages []PageImage) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, lsn)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pages)))
-	for _, pg := range pages {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(pg.ID))
-		dst = append(dst, pg.Data[:pagefile.PageSize]...)
+	w := recordWriter{buf: dst}
+	_ = w.encode(lsn, pages) // nothing to write out, so nothing can fail
+	return w.buf
+}
+
+// WriteRecord writes the encoding of one redo record into log at off without
+// assembling it: the bytes go out through buf, a chunk buffer the caller
+// owns, in writes of at most cap(buf) bytes each — header and page entries
+// first, the CRC trailer and magic last. The bytes that land are exactly
+// AppendRecord's. A buffer of RecordSize(n) bytes takes a record of up to n
+// pages in one write, and a wider one in one write per n pages; a buffer
+// too small for one page entry grows. Like one torn write, a record cut off
+// between two of its writes fails its magic or its CRC, so ScanLog never
+// trusts it (see the package comment).
+func WriteRecord(log LogFile, off int64, lsn uint64, pages []PageImage, buf []byte) error {
+	w := recordWriter{buf: buf[:0], log: log, off: off}
+	return w.encode(lsn, pages)
+}
+
+// recordWriter is the one encoder of the record layout. It appends a
+// record's bytes to buf in order, updating the CRC as each piece goes in.
+// With a log set, buf is a chunk: when the next piece would overflow its
+// capacity, what it holds is written to the log at off first, and the
+// record's end is written out too. Without one, buf grows and ends up
+// holding the record whole.
+type recordWriter struct {
+	buf []byte
+	crc uint32
+	log LogFile
+	off int64
+}
+
+func (w *recordWriter) encode(lsn uint64, pages []PageImage) error {
+	if err := w.reserve(recordHeader); err != nil {
+		return err
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
-	dst = binary.LittleEndian.AppendUint64(dst, recordMagic)
-	return dst
+	start := len(w.buf)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, lsn)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(pages)))
+	w.sum(start)
+	for _, pg := range pages {
+		if err := w.reserve(recordEntry); err != nil {
+			return err
+		}
+		start = len(w.buf)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(pg.ID))
+		w.buf = append(w.buf, pg.Data[:pagefile.PageSize]...)
+		w.sum(start)
+	}
+	if err := w.reserve(recordTrailer); err != nil {
+		return err
+	}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, w.crc)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, recordMagic)
+	if w.log == nil {
+		return nil
+	}
+	return w.writeOut()
+}
+
+// sum folds the bytes appended since start into the CRC.
+func (w *recordWriter) sum(start int) {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[start:])
+}
+
+// reserve writes the chunk out when the next n bytes would overflow it.
+func (w *recordWriter) reserve(n int) error {
+	if w.log == nil || len(w.buf) == 0 || len(w.buf)+n <= cap(w.buf) {
+		return nil
+	}
+	return w.writeOut()
+}
+
+func (w *recordWriter) writeOut() error {
+	if _, err := w.log.WriteAt(w.buf, w.off); err != nil {
+		return err
+	}
+	w.off += int64(len(w.buf))
+	w.buf = w.buf[:0]
+	return nil
 }
 
 // DecodeRecord parses the record at the head of data, returning it with its

@@ -67,21 +67,26 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # regression here always reproduces bit-for-bit.
 # The ostore round runs a seeded share of its transactions as two-committer
 # pairs (one commit's flush held while the next seals behind it) and asserts
-# that some seed crashed inside each of three named windows: the recycled
-# log's two (in-place cursor rewrite, record over a retired record) and the
-# pipelined commit's (sealed-behind-flush). The texas round asserts that some
+# that some seed crashed inside each of four named windows: the recycled
+# log's two (in-place cursor rewrite, record over a retired record), the
+# pipelined commit's (sealed-behind-flush) and the streamed record's (a log
+# write continuing a record an earlier write began, record-chunk); it runs
+# past its 200 seeds until all four are hit. The texas round asserts that some
 # seed was refused as torn and some reopened at exactly its committed state,
 # so neither round can go vacuous when op numbering shifts. The directed
 # tests beside it pin each clause of the in-place-reuse safety argument (repl
 # package comment) on its own, and the pipelined commit's two failure rules.
 go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
 go test -race -count=1 \
-	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery' \
+	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord' \
 	./internal/storage/repl/ ./internal/storage/ostore/
 # The allocation tests skip under -race, whose instrumentation allocates, so
 # they run here without it: a fault takes over its victim's frame and page
-# buffer and allocates nothing (ostore and texas).
-go test -count=1 -run 'TestFaultAllocatesNothing' ./internal/storage/ostore/ ./internal/storage/texas/
+# buffer and allocates nothing (ostore and texas), a same-size inline Write
+# learns the old length in place (pagefile), and a 40-page group's redo
+# record streams through the flusher's 16-page buffer (ostore).
+go test -count=1 -run 'TestFaultAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing' \
+	./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/
 
 echo "== crashtest: randomized-seed round"
 # Fresh seeds every run widen coverage over time; the schedule is still
