@@ -158,6 +158,9 @@ func failoverCrashPass(cfg Config, plan fault.Plan, res *Result) error {
 	}
 	res.TornOp = in.TornOp()
 	res.Commits = w.commits
+	if log != nil {
+		res.Window = logWindow(in, log)
+	}
 
 	if err := st.Promote(); err != nil {
 		return fmt.Errorf("promote: %w", err)

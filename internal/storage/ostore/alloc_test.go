@@ -60,9 +60,9 @@ func TestFaultAllocatesNothing(t *testing.T) {
 }
 
 // TestWideRecordWriteAllocatesNothing logs a 40-page group the way the
-// flusher does without a shipper: the record streams through the retained
-// record buffer, ceil(40/maxScratchPages) writes, and no buffer the width
-// of the record is allocated.
+// flusher does: the record streams through the retained record buffer,
+// ceil(40/maxScratchPages) writes, and no buffer the width of the record is
+// allocated.
 func TestWideRecordWriteAllocatesNothing(t *testing.T) {
 	if storagetest.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -73,7 +73,7 @@ func TestWideRecordWriteAllocatesNothing(t *testing.T) {
 		order[i] = repl.PageImage{ID: pagefile.PageID(i + 1), Data: make([]byte, pagefile.PageSize)}
 	}
 	write := func() {
-		if err := p.writeRecord(order, nil); err != nil {
+		if err := p.writeRecord(order); err != nil {
 			t.Fatal(err)
 		}
 	}

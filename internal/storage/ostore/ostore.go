@@ -656,13 +656,8 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 	}
 	if p.log != nil || p.shipper != nil {
 		size := repl.RecordSize(uint32(len(order)))
-		// The shipper needs the record whole; the log does not.
-		var rec []byte
-		if p.shipper != nil {
-			rec = p.assembleRecord(order)
-		}
 		if p.log != nil {
-			if err := p.writeRecord(order, rec); err != nil {
+			if err := p.writeRecord(order); err != nil {
 				return false, fmt.Errorf("ostore: write log: %w", err)
 			}
 			if p.syncLog {
@@ -683,6 +678,9 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 		// the failure is reported, so no later checkpoint can retire it with
 		// them missing.
 		if p.shipper != nil {
+			// The shipper needs the record whole; the log write is done
+			// with the record buffer by now.
+			rec := p.assembleRecord(order)
 			if err := p.shipper.Ship(p.nextLSN, rec); err != nil {
 				lsn := p.nextLSN
 				p.pending.Add(lsn, bytes.Clone(rec))
@@ -736,9 +734,8 @@ func (p *pager) scratchFor(n int) []byte {
 
 // assembleRecord encodes the group's record whole under the next LSN, for
 // the shipper: in the flusher's record buffer when the group is narrow
-// enough, in a buffer that dies with the flush when it is wider. The log
-// write, the sync and the shipper are all done with the bytes when they
-// return.
+// enough, in a buffer that dies with the flush when it is wider. The
+// shipper is done with the bytes when it returns.
 func (p *pager) assembleRecord(order []repl.PageImage) []byte {
 	buf := p.scratchFor(len(order))
 	if need := repl.RecordSize(uint32(len(order))); int64(cap(buf)) < need {
@@ -748,14 +745,9 @@ func (p *pager) assembleRecord(order []repl.PageImage) []byte {
 }
 
 // writeRecord writes the group's record at the log's tail under the next
-// LSN: rec when the shipper had it assembled, otherwise streamed through
-// the flusher's record buffer, so a group of n pages costs
-// ceil(n/maxScratchPages) log writes and allocates no record.
-func (p *pager) writeRecord(order []repl.PageImage, rec []byte) error {
-	if rec != nil {
-		_, err := p.log.WriteAt(rec, p.logEnd)
-		return err
-	}
+// LSN, streamed through the flusher's record buffer: a group of n pages
+// costs ceil(n/maxScratchPages) log writes and allocates no record.
+func (p *pager) writeRecord(order []repl.PageImage) error {
 	return repl.WriteRecord(p.log, p.logEnd, p.nextLSN, order, p.scratchFor(len(order)))
 }
 

@@ -357,9 +357,7 @@ func TestTornChunkOverRetiredRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &countingLog{LogFile: f}
-	p := &pager{backing: pagefile.NewMem(), log: log, nextLSN: 1, ckptEvery: 3, capacity: 64}
-	p.start()
-	t.Cleanup(func() { p.Close() })
+	p := newPagerOn(t, log, 3)
 
 	frames := make([]*frame, 41)
 	for i := range frames {

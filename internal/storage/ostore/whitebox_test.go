@@ -199,11 +199,18 @@ func newWhiteboxPager(t *testing.T, logPath string) *pager {
 		}
 		log = f
 	}
+	return newPagerOn(t, log, 1) // checkpoint every flush: every record retires at once
+}
+
+// newPagerOn starts a pager over a memory backing and log (nil for none),
+// checkpointing every ckptEvery flushes.
+func newPagerOn(t *testing.T, log LogFile, ckptEvery int) *pager {
+	t.Helper()
 	p := &pager{
 		backing:   pagefile.NewMem(),
 		log:       log,
 		nextLSN:   1,
-		ckptEvery: 1, // checkpoint every flush: every record retires at once
+		ckptEvery: ckptEvery,
 		capacity:  64,
 	}
 	p.start()
@@ -533,9 +540,7 @@ func TestScratchBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &countingLog{LogFile: f}
-	p := &pager{backing: pagefile.NewMem(), log: log, nextLSN: 1, ckptEvery: 1, capacity: 64}
-	p.start()
-	t.Cleanup(func() { p.Close() })
+	p := newPagerOn(t, log, 1)
 	flush := func(pages int) *commitBatch {
 		t.Helper()
 		var frs []*frame
