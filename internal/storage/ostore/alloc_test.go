@@ -11,8 +11,8 @@ import (
 
 // TestFaultAllocatesNothing cycles read pins over twice as many cold pages
 // as the pool holds, so every pin faults. Each fault takes over CLOCK's
-// victim — frame and buffer — and the page server answers on the pager's
-// one reply channel, so the faults allocate nothing. The fault count shows
+// victim — frame and buffer — and reads the page into it in the faulting
+// goroutine, so the faults allocate nothing. The fault count shows
 // that every pin in the measured loop really faulted.
 func TestFaultAllocatesNothing(t *testing.T) {
 	if storagetest.RaceEnabled {

@@ -1,22 +1,27 @@
-// Package ostore implements the ObjectStore-style storage manager: a page
-// server that mediates all access to the database, lock-based concurrency
-// control at page grain, a bounded client buffer pool, and a redo log that
-// makes commits atomic.
+// Package ostore implements the ObjectStore-style storage manager: a
+// serialized miss path that mediates all access to the database, a bounded
+// client buffer pool, and a redo log that makes commits atomic.
 //
 // This is the "OStore" version in the paper's Section-10 table. The
 // behaviours the benchmark stresses are reproduced:
 //
-//   - cache misses go through a server goroutine (ObjectStore's page server
-//     "mediates all access to the database"), while hits are served from the
-//     client cache;
-//   - page locks are acquired as pages are touched and released at commit
-//     (strict two-phase locking);
+//   - every cache miss passes through one serialized place that reads the
+//     page and counts the fault (ObjectStore's page server "mediates all
+//     access to the database"), while hits are served from the client cache;
+//     the miss is a call in the faulting goroutine, not a hand-off to a
+//     server goroutine, because the paper's quantity is the fault count, not
+//     the IPC the real server cost;
 //   - the buffer pool is bounded, so locality of reference governs the fault
 //     rate as the database outgrows the pool;
 //   - commits write a redo record (page images) to a log before updating the
 //     database in place, and Open replays the complete records a crash left
 //     behind, so a crash between the log write and the page write-back loses
 //     nothing.
+//
+// Page locks are not modeled. Concurrency control lives above the pager —
+// labbase's writer mutex, MVCC snapshots and the pagefile Store's mutex
+// (DESIGN §9) — so a page-grain lock could never block, and nothing waits
+// on one.
 //
 // Since the checkpoint/replication work (DESIGN §8) the log is an
 // append-only sequence of LSN-numbered records behind a checkpoint cursor
@@ -227,14 +232,6 @@ type frame struct {
 	sealed bool
 }
 
-// faultRequest asks the page server to read page id into buf. Pin holds mu
-// across the round trip, so at most one fault is in flight and the server
-// answers on the pager's one faultReply channel.
-type faultRequest struct {
-	id  pagefile.PageID
-	buf []byte
-}
-
 // commitBatch is one sealed transaction on its way to the group-commit
 // flusher: the image of every page it dirtied as it stood at seal time, so
 // the flusher logs and writes back exactly the sealed images while the next
@@ -268,8 +265,9 @@ func (b *commitBatch) wait() error {
 // (256 KiB), however wide the widest commit of the session was.
 const maxScratchPages = 16
 
-// pager implements pagefile.Pager as an ObjectStore-style client cache in
-// front of a page-server goroutine.
+// pager implements pagefile.Pager as an ObjectStore-style client cache whose
+// misses Pin reads from the backing itself, under mu. Its one goroutine is
+// the group-commit flusher.
 type pager struct {
 	mu       sync.Mutex
 	backing  pagefile.Backing
@@ -279,7 +277,6 @@ type pager struct {
 	ring     []*frame
 	hand     int
 	capacity int
-	locks    map[pagefile.PageID]pagefile.Mode // locks held by the current transaction
 	stats    pagefile.PagerStats
 	closed   bool
 
@@ -304,62 +301,28 @@ type pager struct {
 	scratch   []byte                  // record buffer reused across flushes; at most maxScratchPages pages
 	seen      map[pagefile.PageID]int // a group's page → index in its record, reused like scratch
 
-	faultReq   chan faultRequest
-	faultReply chan error
-	done       chan struct{}
-	flushDone  chan struct{} // closed when flushLoop exits
+	flushDone chan struct{} // closed when flushLoop exits
 }
 
 // start readies a pager whose media, log position and policy fields are set
-// and launches its page server and flusher.
+// and launches its flusher, the pager's one goroutine.
 func (p *pager) start() {
 	p.logEnd = repl.CursorSize
 	p.pool = make(map[pagefile.PageID]*frame)
-	p.locks = make(map[pagefile.PageID]pagefile.Mode)
 	p.work.L = &p.mu
-	p.faultReq = make(chan faultRequest)
-	p.faultReply = make(chan error, 1)
-	p.done = make(chan struct{})
 	p.flushDone = make(chan struct{})
-	go p.serve()
 	go p.flushLoop()
 }
 
-// serve is the page-server goroutine: every cache miss is a round trip here,
-// the analog of ObjectStore's server mediating database access.
-func (p *pager) serve() {
-	for {
-		select {
-		case req := <-p.faultReq:
-			p.faultReply <- p.backing.ReadPage(req.id, req.buf)
-		case <-p.done:
-			return
-		}
-	}
-}
-
-// lockLocked records (and upgrades) the page lock held by the running
-// transaction. With the object layer serialized above us the lock table
-// never blocks in-process; it exists so lock traffic is accounted and so
-// commit-time release is observable, as in strict 2PL.
-func (p *pager) lockLocked(id pagefile.PageID, mode pagefile.Mode) {
-	held, ok := p.locks[id]
-	if !ok {
-		p.locks[id] = mode
-		return
-	}
-	if mode == pagefile.ModeWrite && held == pagefile.ModeRead {
-		p.locks[id] = pagefile.ModeWrite // lock upgrade
-	}
-}
-
+// Pin serves a hit from the pool. A miss is the page-server path: Pin reads
+// the page into its victim's buffer itself, under mu, so every fault passes
+// through this one serialized place that counts it, one at a time.
 func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	p.lockLocked(id, mode)
 	if fr, ok := p.pool[id]; ok {
 		if mode == pagefile.ModeWrite && fr.sealed {
 			// The image belongs to a batch the flusher has yet to write:
@@ -374,8 +337,7 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 		return &fr.pf, nil
 	}
 	fr := p.newFrameLocked(id)
-	p.faultReq <- faultRequest{id: id, buf: fr.pf.Data}
-	if err := <-p.faultReply; err != nil {
+	if err := p.backing.ReadPage(id, fr.pf.Data); err != nil {
 		p.recycleLocked(fr.pf.Data)
 		return nil, fmt.Errorf("ostore: fault page %d: %w", id, err)
 	}
@@ -462,7 +424,6 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 		p.recycleLocked(fr.pf.Data)
 		return nil, fmt.Errorf("ostore: grow: %w", err)
 	}
-	p.lockLocked(id, pagefile.ModeWrite)
 	clear(fr.pf.Data)
 	fr.pf.ID = id
 	fr.dirty = true
@@ -474,26 +435,24 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 func (p *pager) Begin() error { return nil }
 
 // Commit seals the transaction: under mu it takes every dirty page's image
-// into a batch, marks the frames clean but unwritten, releases the page
-// locks and queues the batch for the group-commit flusher, and returns the
-// batch's durable wait without waiting on it. The next transaction may
-// write the frames at once: its first write pin of a sealed page copies
-// the image (Pin), so the flusher only ever reads images nobody writes. A
-// single committer, which waits out each commit, therefore copies nothing.
-// Batches queue in seal order and the flusher takes every queued batch as
-// one group, so commits sealed while a flush is in flight share the next
-// one. With a single committer that waits out each commit before the next
-// Begin, every group is one batch, and the protocol degrades to exactly the
-// old one-record-per-commit behaviour — same log bytes, same page writes,
-// same evictions — which keeps recovery and the simulated statistics
-// byte-compatible.
+// into a batch, marks the frames clean but unwritten, queues the batch for
+// the group-commit flusher, and returns the batch's durable wait without
+// waiting on it. The next transaction may write the frames at once: its
+// first write pin of a sealed page copies the image (Pin), so the flusher
+// only ever reads images nobody writes. A single committer, which waits out
+// each commit, therefore copies nothing. Batches queue in seal order and
+// the flusher takes every queued batch as one group, so commits sealed
+// while a flush is in flight share the next one. With a single committer
+// that waits out each commit before the next Begin, every group is one
+// batch, and the protocol degrades to exactly the old one-record-per-commit
+// behaviour — same log bytes, same page writes, same evictions — which
+// keeps recovery and the simulated statistics byte-compatible.
 func (p *pager) Commit() (func() error, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	clear(p.locks) // strict 2PL: all locks released at commit
 	var b *commitBatch
 	for _, fr := range p.ring {
 		if !fr.dirty {
@@ -813,12 +772,11 @@ func (p *pager) Close() error {
 	p.closed = true
 	p.work.Broadcast()
 	p.mu.Unlock()
-	// Stop the page server, then wait for the flusher to drain every batch
-	// sealed before Close — their committers are waiting on them — and
-	// exit: flushBatches writes the log and backing and owns
-	// nextLSN/logEnd, so none of the teardown below may overlap it. The
-	// wait must happen outside p.mu — the flusher takes p.mu to settle.
-	close(p.done)
+	// Wait for the flusher to drain every batch sealed before Close — their
+	// committers are waiting on them — and exit: flushBatches writes the log
+	// and backing and owns nextLSN/logEnd, so none of the teardown below may
+	// overlap it. The wait must happen outside p.mu — the flusher takes p.mu
+	// to settle.
 	<-p.flushDone
 	p.mu.Lock()
 	var errs []error

@@ -3,11 +3,15 @@ package ostore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"labflow/internal/fault/gate"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"labflow/internal/storage"
 	"labflow/internal/storage/pagefile"
@@ -47,18 +51,15 @@ func TestNoStealAndTrim(t *testing.T) {
 	}
 }
 
-// TestLockTableLifecycle checks strict 2PL bookkeeping: locks accumulate
-// during a transaction and are all released at commit.
-func TestLockTableLifecycle(t *testing.T) {
+// TestReadsOutsideTxnNeverBlockWrite reads a committed object repeatedly
+// outside any transaction, then writes it in the next one: the reads leave
+// nothing behind that holds up the write, and the write reads back.
+func TestReadsOutsideTxnNeverBlockWrite(t *testing.T) {
 	mgr, err := Open(Options{Path: filepath.Join(t.TempDir(), "db")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	// Reach inside: the manager is a *pagefile.Store over our pager; we
-	// re-open the internals through the exported API only, so instead we
-	// check observable behaviour: reads outside transactions do not retain
-	// locks that would block later writes.
 	if err := mgr.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,17 @@ func TestCloseDrainsInFlightFlush(t *testing.T) {
 	stop.Store(true)
 	closed := make(chan error, 1)
 	go func() { closed <- p.Close() }()
-	<-p.done // Close is under way; it may not touch the media until the flush drains
+	// Close is under way once it has marked the pager closed; it may not
+	// touch the media until the flush drains.
+	for {
+		p.mu.Lock()
+		closing := p.closed
+		p.mu.Unlock()
+		if closing {
+			break
+		}
+		runtime.Gosched()
+	}
 	release()
 	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
@@ -584,5 +595,158 @@ func TestScratchBounded(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("the streamed record is not the bytes AppendRecord encodes")
+	}
+}
+
+// errInjectedRead is what a failingReadBacking's armed ReadPage returns.
+var errInjectedRead = errors.New("injected read failure")
+
+// failingReadBacking fails the next ReadPage of page fail while armed, then
+// heals.
+type failingReadBacking struct {
+	pagefile.Backing
+	fail  pagefile.PageID
+	armed bool
+}
+
+func (b *failingReadBacking) ReadPage(id pagefile.PageID, buf []byte) error {
+	if b.armed && id == b.fail {
+		b.armed = false
+		return errInjectedRead
+	}
+	return b.Backing.ReadPage(id, buf)
+}
+
+// TestFailedFaultLeavesPagerWhole fails a fault that took over CLOCK's
+// victim in a full pool. The error wraps the backing's and names the page,
+// no fault is counted, the page is nowhere in the pool, and the victim's
+// buffer is a spare: once the backing heals, the same page faults in on
+// that very buffer, counting exactly one fault.
+func TestFailedFaultLeavesPagerWhole(t *testing.T) {
+	backing := &failingReadBacking{Backing: pagefile.NewMem()}
+	p := &pager{backing: backing, nextLSN: 1, ckptEvery: 1, capacity: 64}
+	p.start()
+	t.Cleanup(func() { p.Close() })
+
+	// One page more than the pool holds: the settled commit trims the pool
+	// back to capacity, evicting one page, so the pool is full and one page
+	// is cold.
+	ids := make([]pagefile.PageID, p.capacity+1)
+	for i := range ids {
+		f, err := p.AllocPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = f.ID
+		p.Unpin(f, true)
+	}
+	durable, err := p.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable(); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	if len(p.pool) != p.capacity {
+		p.mu.Unlock()
+		t.Fatalf("pool holds %d pages, want a full %d", len(p.pool), p.capacity)
+	}
+	var cold pagefile.PageID
+	found := false
+	for _, id := range ids {
+		if _, ok := p.pool[id]; !ok {
+			cold, found = id, true
+		}
+	}
+	spares := len(p.spare)
+	p.mu.Unlock()
+	if !found {
+		t.Fatal("every page is resident; the trim evicted none")
+	}
+
+	inPool := func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if _, ok := p.pool[cold]; ok {
+			return true
+		}
+		for _, fr := range p.ring {
+			if fr.pf.ID == cold {
+				return true
+			}
+		}
+		return false
+	}
+	faults := p.Stats().Faults
+	backing.fail, backing.armed = cold, true
+	if _, err := p.Pin(cold, pagefile.ModeRead); !errors.Is(err, errInjectedRead) {
+		t.Fatalf("Pin of failing page = %v, want the backing's error", err)
+	} else if want := fmt.Sprintf("page %d", cold); !strings.Contains(err.Error(), want) {
+		t.Errorf("Pin error %q does not name %q", err, want)
+	}
+	if got := p.Stats().Faults; got != faults {
+		t.Errorf("failed fault counted: Faults %d -> %d", faults, got)
+	}
+	if inPool() {
+		t.Errorf("page %d is in the pool after its fault failed", cold)
+	}
+	p.mu.Lock()
+	if len(p.spare) != spares+1 {
+		p.mu.Unlock()
+		t.Fatalf("spares %d -> %d; the failed fault's buffer must become one", spares, len(p.spare))
+	}
+	buf := p.spare[len(p.spare)-1]
+	p.mu.Unlock()
+
+	f, err := p.Pin(cold, pagefile.ModeRead)
+	if err != nil {
+		t.Fatalf("Pin after the backing healed: %v", err)
+	}
+	defer p.Unpin(f, false)
+	if &f.Data[0] != &buf[0] {
+		t.Error("the healed fault read into a new buffer, not the failed fault's spare")
+	}
+	if got := p.Stats().Faults; got != faults+1 {
+		t.Errorf("Faults %d -> %d over the healed Pin, want exactly one more", faults, got)
+	}
+	if !inPool() {
+		t.Errorf("page %d is not in the pool after it faulted in", cold)
+	}
+}
+
+// TestPagerLeavesNoGoroutine opens and closes stores, half in memory and
+// half file-backed, each after one commit: Close must leave none of the
+// pager's goroutines behind, so the count returns to where it started.
+func TestPagerLeavesNoGoroutine(t *testing.T) {
+	dir := t.TempDir()
+	start := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		opts := Options{}
+		if i%2 == 1 {
+			opts.Path = filepath.Join(dir, fmt.Sprintf("db%d", i))
+		}
+		m, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Allocate(storage.SegMaterial, []byte("one commit")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for polls := 0; runtime.NumGoroutine() > start; polls++ {
+		if polls == 1000 {
+			t.Fatalf("%d goroutines a second after closing 20 stores, %d before opening them", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

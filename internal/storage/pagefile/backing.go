@@ -5,9 +5,10 @@
 //
 // The split of responsibilities mirrors the paper's setting. What differs
 // between ObjectStore and Texas is *how pages become resident and when they
-// are written back* (page server + locks + log vs. fault-on-first-touch);
-// what they share is an object heap on pages. The Pager interface captures
-// the former, and Store implements the latter generically over any Pager.
+// are written back* (serialized miss path + bounded pool + log vs.
+// fault-on-first-touch); what they share is an object heap on pages. The
+// Pager interface captures the former, and Store implements the latter
+// generically over any Pager.
 package pagefile
 
 import (

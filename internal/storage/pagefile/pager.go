@@ -29,9 +29,9 @@ type Frame struct {
 // Pager is the residency-and-durability policy that distinguishes the
 // storage managers:
 //
-//   - the ostore pager mediates misses through a page-server goroutine,
-//     takes page-grain locks, caches pages in a bounded buffer pool, and
-//     makes commits durable through a redo log;
+//   - the ostore pager reads every miss through one serialized, counted
+//     path, caches pages in a bounded buffer pool, and makes commits durable
+//     through a redo log;
 //   - the texas pager makes pages resident on first touch (counting a fault,
 //     the analog of pointer swizzling at page-fault time) and writes dirty
 //     pages back at commit, with no locking.
@@ -46,19 +46,18 @@ type Pager interface {
 	// AllocPage creates a fresh zeroed page, already resident and pinned in
 	// ModeWrite. Fresh pages do not count as faults.
 	AllocPage() (*Frame, error)
-	// Begin and Commit bracket a transaction. Commit seals it — releases
-	// any page locks held and fixes the images its durability policy (log +
-	// write-back, or write-back only) will make durable — and returns
-	// durable, which waits for that policy to finish. A nil durable means
-	// Commit did all of it before returning. Store calls Commit without
-	// holding its own mutex, so read-mode Pin, Unpin and Stats may arrive
-	// while it runs and the pager must order them itself; no AllocPage,
-	// write-mode Pin, Begin or Close will, and no second Commit. Once Commit
-	// returns, all of those may arrive while durable is still outstanding:
-	// the next transaction runs while this one's flush is in flight, so a
-	// pager that defers work to durable must flush the sealed images, not
-	// the live frames the next transaction is writing, and Close must wait
-	// for every outstanding flush.
+	// Begin and Commit bracket a transaction. Commit seals it — fixes the
+	// images its durability policy (log + write-back, or write-back only)
+	// will make durable — and returns durable, which waits for that policy
+	// to finish. A nil durable means Commit did all of it before returning.
+	// Store calls Commit without holding its own mutex, so read-mode Pin,
+	// Unpin and Stats may arrive while it runs and the pager must order them
+	// itself; no AllocPage, write-mode Pin, Begin or Close will, and no
+	// second Commit. Once Commit returns, all of those may arrive while
+	// durable is still outstanding: the next transaction runs while this
+	// one's flush is in flight, so a pager that defers work to durable must
+	// flush the sealed images, not the live frames the next transaction is
+	// writing, and Close must wait for every outstanding flush.
 	Begin() error
 	Commit() (durable func() error, err error)
 	// Stats returns cumulative counters.
@@ -76,8 +75,6 @@ type PagerStats struct {
 	Faults uint64
 	// PageWrites is the number of page write-backs to the backing store.
 	PageWrites uint64
-	// LockWaits counts lock acquisitions that blocked.
-	LockWaits uint64
 	// Evictions counts pages dropped from residency to make room.
 	Evictions uint64
 }

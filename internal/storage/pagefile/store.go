@@ -46,10 +46,11 @@ type superblock struct {
 // per-segment object tables, slotted-page records, overflow chains for large
 // records, and a free-page list.
 //
-// Store serializes object-level operations with a single mutex; concurrency
-// control below the object layer (page locks) is the pager's business. This
-// matches the benchmark's single-writer workload while keeping multi-client
-// page traffic well-formed.
+// Store serializes object-level operations with a single mutex, and no
+// pager takes page locks below it: together with the writer mutex and MVCC
+// snapshots above (DESIGN §9), that is all the concurrency control there
+// is. This matches the benchmark's single-writer workload while
+// keeping multi-client page traffic well-formed.
 //
 // The one thing the mutex is not held across is the pager's commit. Seal
 // closes the transaction under mu, marks the store sealing and lets go, so
@@ -976,7 +977,6 @@ func (s *Store) Stats() storage.Stats {
 	return storage.Stats{
 		Faults:      ps.Faults,
 		PageWrites:  ps.PageWrites,
-		LockWaits:   ps.LockWaits,
 		Reads:       s.reads,
 		Writes:      s.writes,
 		Allocs:      s.allocs,

@@ -6,8 +6,9 @@
 //
 // The repository provides four managers behind this interface:
 //
-//   - ostore:   a page-server store with page-grain locking, a bounded buffer
-//     pool and a redo log (the ObjectStore v3.0 analog),
+//   - ostore:   a store whose misses all pass through one serialized, counted
+//     read path (the page server), with a bounded buffer pool and a redo log
+//     (the ObjectStore v3.0 analog),
 //   - texas:    a persistent heap that makes pages resident on first touch
 //     and writes dirty pages back at commit (the Texas v0.3 analog),
 //   - texas+TC: the same manager with client-directed clustering enabled,
@@ -121,7 +122,8 @@ type Stats struct {
 	Reads  uint64
 	Writes uint64
 	Allocs uint64
-	// LockWaits counts lock acquisitions that had to block (ostore only).
+	// LockWaits is always zero: no manager blocks on a lock. It stays
+	// because the benchmark's trace and the OpStats wire payload carry it.
 	LockWaits uint64
 	// SizeBytes is the footprint of the backing store (0 for main-memory
 	// managers, matching the "—" entries in the paper's table).

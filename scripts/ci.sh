@@ -75,10 +75,11 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # seed was refused as torn and some reopened at exactly its committed state,
 # so neither round can go vacuous when op numbering shifts. The directed
 # tests beside it pin each clause of the in-place-reuse safety argument (repl
-# package comment) on its own, and the pipelined commit's two failure rules.
+# package comment) on its own, the pipelined commit's two failure rules, and
+# that a failed ostore fault leaves the pager whole.
 go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
 go test -race -count=1 \
-	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord' \
+	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord|TestFailedFaultLeavesPagerWhole' \
 	./internal/storage/repl/ ./internal/storage/ostore/
 # The allocation tests skip under -race, whose instrumentation allocates, so
 # they run here without it: a fault takes over its victim's frame and page
@@ -128,10 +129,11 @@ echo "== stalled-flush stress (-race, a commit parked in its flush blocks only d
 # be harmless). Close against an in-flight group flush, a 16-page pool under
 # eviction pressure, the sealed image against the rewritten frame, and the
 # wire server releasing its writer lock before the durable wait (one-shot
-# and bracketed, through a shard mapper's forwarded Seal) ride along.
+# and bracketed, through a shard mapper's forwarded Seal) ride along, and
+# twenty ostore stores opened and closed leave no goroutine behind.
 # Repeated, since these are schedules.
 go test -race -count=5 \
-	-run 'TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush|TestSealedPagesStayResident|TestSealedImageIsNotTheLiveFrame|TestWriterLockReleasedBeforeDurableWait|TestMapperForwardsSeal' \
+	-run 'TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush|TestSealedPagesStayResident|TestSealedImageIsNotTheLiveFrame|TestWriterLockReleasedBeforeDurableWait|TestMapperForwardsSeal|TestPagerLeavesNoGoroutine' \
 	./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/wire/ ./internal/labbase/shard/
 
 echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + snapshot OpQuery)"
