@@ -68,8 +68,8 @@ func Run(kind StoreKind, dir string, p Params) (*RunResult, error) {
 }
 
 // RunStore executes the LabFlow-1 workload on an already-open store. Its
-// callers are tests: they drive table10 through a 1-shard shard.DB or a
-// shard.Router and compare the result with Run's over a plain DB. The
+// callers are tests: they drive table10 through a 1-shard cluster
+// (shard.Open) and compare the result with Run's over a plain DB. The
 // caller keeps ownership of db (RunStore does not Close it). Stores that
 // expose more than one shard are rejected: table10's gel batches build
 // material sets over arbitrary materials, which violates the

@@ -11,9 +11,8 @@ import (
 	"labflow/internal/storage"
 )
 
-// writer is what a shard accepts inside a write bracket. Both transports'
-// handles — a shard's *labbase.DB, a wire connection to its server —
-// satisfy it as they are.
+// writer is what a shard accepts inside a write bracket. A wire connection
+// to the shard's server satisfies it as it is.
 type writer interface {
 	DefineMaterialClass(name, parent string) (labbase.ClassID, error)
 	DefineAttr(name string, kind labbase.Kind) (labbase.AttrID, error)
@@ -26,12 +25,12 @@ type writer interface {
 	RecordStep(spec labbase.StepSpec) (storage.OID, error)
 }
 
-// member is everything the core asks of shard k. Two transports implement
-// it: local (a labbase.DB in this process) and remote (a labbase-server
-// reached through a connection pool). Errors come back as the shard's store
-// produced them, byte for byte — the remote transport strips the wire
-// prefix — or wrap ErrShardDown, naming the shard, when it cannot be
-// reached at all; adding "shard k:" is the core's job (reads.wrap).
+// member is everything the core asks of shard k. The one transport, remote
+// (a shard server reached through a connection pool), implements it, and
+// the core's tests script fakes of it. Errors come back as the shard's
+// store produced them, byte for byte — remote strips the wire prefix — or
+// wrap ErrShardDown, naming the shard, when it cannot be reached at all;
+// adding "shard k:" is the core's job (reads.wrap).
 type member interface {
 	view
 
@@ -75,8 +74,8 @@ type flight interface {
 
 // core is the labbase.Store the package implements, once, over N members:
 // the reads (embedded), the broadcast write bracket, catalog broadcasts,
-// routed mutations and the PutSteps fan-out. shard.DB and shard.Router are
-// two constructors of it.
+// routed mutations and the PutSteps fan-out. shard.Router is the core over
+// remote members.
 //
 // Concurrency contract: it matches labbase.DB's — reads run in parallel,
 // explicit Begin/Commit write brackets are single-writer and broadcast to
@@ -95,13 +94,6 @@ type flight interface {
 type core struct {
 	reads
 	members []member
-	// strict skips the implicit step-schema broadcast, for stores whose
-	// implicit schema evolution is off: Define* must have been broadcast
-	// explicitly.
-	strict bool
-	// metrics is nil unless the transport keeps any (its methods accept a
-	// nil receiver).
-	metrics *routerMetrics
 
 	// stmu is the catalog-and-bracket lock: it serializes Begin/Commit,
 	// the catalog broadcasts and the implicit step-schema ensure, and
@@ -114,15 +106,15 @@ type core struct {
 	known map[string]struct{}
 }
 
-// newCore assembles a core over members. The transport still owes it a
-// gather (see reads).
-func newCore(members []member) *core {
+// newCore assembles a core over members, recording into metrics (nil for
+// none).
+func newCore(members []member, metrics *routerMetrics) *core {
 	views := make([]view, len(members))
 	for k, m := range members {
 		views[k] = m
 	}
 	return &core{
-		reads:   reads{views: views},
+		reads:   reads{views: views, metrics: metrics},
 		members: members,
 		known:   make(map[string]struct{}),
 	}
@@ -278,9 +270,9 @@ func (c *core) defineStepClassLocked(name string, attrs []labbase.AttrDef, own b
 // short transaction of its own.
 //
 // No-op on a single shard (there is nothing to diverge from, preserving
-// byte-identity with a plain store) and on strict-schema stores.
+// byte-identity with a plain store).
 func (c *core) ensureStepSchema(specs []labbase.StepSpec) error {
-	if len(c.members) == 1 || c.strict {
+	if len(c.members) == 1 {
 		return nil
 	}
 	c.stmu.Lock()

@@ -12,9 +12,9 @@ import (
 )
 
 // The core's rules, exercised over in-memory fake members: no stores, no
-// servers, no subprocesses. The byte-identity tests prove the two real
-// transports agree; these prove the rules themselves, including the ones
-// that need a failing or unreachable shard to reach.
+// servers, no subprocesses. The byte-identity tests prove the router over
+// real servers keeps them; these prove the rules themselves, including the
+// ones that need a failing or unreachable shard to reach.
 
 // fakeMember scripts one shard. Everything it is asked to do is appended
 // to the shared log as "<k>:<what>".
@@ -144,9 +144,9 @@ func (m *fakeMember) stats() (string, storage.Stats, error) {
 	return "fake", storage.Stats{Reads: m.count}, m.readErr
 }
 
-// fakeCore builds a core over n fresh fake members gathering concurrently
-// (the wire transport's rule; the metrics it records into are nil, as a
-// local core's are).
+// fakeCore builds a core over n fresh fake members, recording no metrics.
+// The fakes have no catalog to probe, so the one step shape the tests send
+// (stepOn's) is marked as already broadcast.
 func fakeCore(n int) (*core, []*fakeMember, *[]string) {
 	log := new([]string)
 	fakes := make([]*fakeMember, n)
@@ -155,9 +155,8 @@ func fakeCore(n int) (*core, []*fakeMember, *[]string) {
 		fakes[k] = &fakeMember{k: k, log: log, classID: 7}
 		members[k] = fakes[k]
 	}
-	c := newCore(members)
-	c.gather = concurrently(c.views, nil)
-	c.strict = true // the fakes have no catalog to probe
+	c := newCore(members, nil)
+	c.known[schemaKey(stepOn(0, 0))] = struct{}{}
 	return c, fakes, log
 }
 
@@ -166,8 +165,8 @@ func stepOn(k int, t int64) labbase.StepSpec {
 	return labbase.StepSpec{Class: "wash", ValidTime: t, Materials: []storage.OID{withShard(storage.OID(1), k)}}
 }
 
-// TestCoreBeginUnwindsPartialBracket is the regression test for the
-// in-process facade's old Begin, which left shards 0..k-1 holding open
+// TestCoreBeginUnwindsPartialBracket is the regression test for an old
+// Begin that left shards 0..k-1 holding open
 // brackets when shard k refused, so every later Begin failed with "shard
 // 0: ... nested transaction" until someone thought to call Commit.
 func TestCoreBeginUnwindsPartialBracket(t *testing.T) {

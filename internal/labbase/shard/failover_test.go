@@ -132,7 +132,7 @@ func TestPoolClosedState(t *testing.T) {
 	addr, stop := serveStore(t, db, "127.0.0.1:0")
 	t.Cleanup(stop)
 
-	p := newPool(0, addr, time.Second)
+	p := newPool(0, addr, time.Second, wire.DialTimeout)
 	c, err := p.get()
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +155,7 @@ func TestPoolClosedState(t *testing.T) {
 // race detector this pins the pool's closed-state handling (no connection
 // may be parked after closeAll, no double close, no lost update).
 func TestRouterCloseRace(t *testing.T) {
-	topo, _ := startCluster(t, 2)
-	r, err := OpenRouter(topo, RouterOptions{HealthInterval: time.Millisecond})
+	r, err := OpenRouter(startCluster(t, 2), RouterOptions{HealthInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

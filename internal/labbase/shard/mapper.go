@@ -1,7 +1,8 @@
 // Package shard partitions a LabBase across N independent labbase.DB
 // instances, each with its own storage manager (its own pagefile, redo log
-// and group-commit pipeline) and its own lock domain, behind the same
-// labbase.Store surface as a single DB. Materials are routed by an FNV-1a
+// and group-commit pipeline) and its own lock domain, served as cluster
+// members behind a Router with the same labbase.Store surface as a single
+// DB. Materials are routed by an FNV-1a
 // hash of the material name; everything a step touches must live on one
 // shard (see ErrCrossShard and DESIGN §12).
 //
@@ -9,7 +10,7 @@
 // bits of the 56-bit per-segment index, so an OID is self-describing about
 // which shard owns it and the wire protocol, client, and every layer above
 // labbase are shard-agnostic. Shard 0's encoding is the identity, which is
-// what makes a 1-shard shard.DB byte-identical to a plain labbase.DB —
+// what makes a 1-shard cluster byte-identical to a plain labbase.DB —
 // including on disk.
 package shard
 

@@ -11,9 +11,8 @@ import (
 // over a shard-tagging OID mapper, plus the topology identity
 // (index/count) it advertises to routers through the wire handshake
 // (OpShardInfo). A labbase-server started with -shard k/n serves a Member,
-// and a shard.Router fronts N such servers exactly as the in-process DB
-// facade fronts N inner labbase.DBs — same OID tagging, same routing, same
-// error bytes.
+// and a shard.Router fronts N such servers; Open runs the same members
+// behind servers inside one process.
 //
 // The Member trusts the router for routing but verifies what it cheaply
 // can: CreateMaterial re-hashes the name and rejects a misroute with an
@@ -29,8 +28,8 @@ type Member struct {
 
 var _ labbase.Store = (*Member)(nil)
 
-// OpenMember opens shard index of count over one storage manager (taking
-// ownership of it, as Open does).
+// OpenMember opens shard index of count over one storage manager, taking
+// ownership of it: on error the manager is closed.
 func OpenMember(sm storage.Manager, index, count int, opts labbase.Options) (*Member, error) {
 	if count < 1 || count > MaxShards || index < 0 || index >= count {
 		sm.Close()
@@ -38,6 +37,7 @@ func OpenMember(sm storage.Manager, index, count int, opts labbase.Options) (*Me
 	}
 	inner, err := labbase.Open(&mapper{inner: sm, shard: index}, opts)
 	if err != nil {
+		sm.Close()
 		return nil, fmt.Errorf("shard %d: %w", index, err)
 	}
 	return &Member{DB: inner, index: index, count: count}, nil

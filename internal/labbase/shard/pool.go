@@ -24,6 +24,7 @@ type pool struct {
 	shard   int
 	addr    string
 	timeout time.Duration // dial bound and per-operation I/O deadline
+	dial    dialFunc
 
 	// mu guards addr, idle, down and closed. Leaf-like in the router
 	// hierarchy: nothing is acquired while it is held (dials happen
@@ -38,8 +39,12 @@ type pool struct {
 	closed bool
 }
 
-func newPool(shard int, addr string, timeout time.Duration) *pool {
-	return &pool{shard: shard, addr: addr, timeout: timeout}
+// dialFunc connects to a shard server: wire.DialTimeout over TCP, or an
+// in-process cluster's in-memory network (Open).
+type dialFunc func(addr string, timeout time.Duration) (*wire.Client, error)
+
+func newPool(shard int, addr string, timeout time.Duration, dial dialFunc) *pool {
+	return &pool{shard: shard, addr: addr, timeout: timeout, dial: dial}
 }
 
 // get checks out a connection: an idle one if available, a fresh dial
@@ -65,7 +70,7 @@ func (p *pool) get() (*conn, error) {
 	}
 	addr := p.addr
 	p.mu.Unlock()
-	c, err := wire.DialTimeout(addr, p.timeout)
+	c, err := p.dial(addr, p.timeout)
 	if err != nil {
 		p.markDown(err)
 		return nil, fmt.Errorf("shard %d (%s): %w: %w", p.shard, addr, ErrShardDown, err)

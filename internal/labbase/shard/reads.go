@@ -12,8 +12,8 @@ import (
 // view is the read side of one shard. open checks out a labbase.Reader over
 // the shard, or says why none can be had; done takes it back together with
 // the error the read ended in, and returns that error as the caller should
-// see it. What backs the reader is the transport's business — the shard's
-// live labbase.DB, a pinned labbase.Snapshot, a pooled wire connection.
+// see it. What backs the reader is the member's business — a pooled wire
+// connection to the shard's server, or a test's fake.
 // (Two calls rather than one that takes a callback: a closure passed through
 // an interface escapes, and with it every result the read assigns — four
 // heap allocations on a routed MostRecent.)
@@ -32,14 +32,14 @@ func read(v view, fn func(labbase.Reader) error) error {
 }
 
 // reads is the package's one implementation of labbase.Reader over N
-// shards; shard.DB, shard.Router and the snapshot handles all embed it.
+// shards; the core, and so shard.Router and its snapshot handle, embed it.
 //
 // Routing: an OID names its shard in its high index bits, a material name
 // hashes to one (ShardFor), and catalog listings come from shard 0 — the
 // broadcast discipline keeps every shard's catalog identical. A routed read
 // returns its shard's result and error bytes untouched.
 //
-// Merging: a cross-shard read runs on every shard through gather, and the
+// Merging: a cross-shard read runs on every shard at once (gather), and the
 // first failing shard in shard order decides the error (see wrap). Ordered
 // results concatenate in shard order, which for OID lists is globally
 // OID-sorted: every shard-k OID in a segment sorts below every shard-k+1
@@ -51,15 +51,9 @@ func read(v view, fn func(labbase.Reader) error) error {
 // store's bytes — data and errors — are the plain store's.
 type reads struct {
 	views []view
-	// gather runs fn against a reader over every shard and reports each
-	// shard's error. The transport supplies it, because when and how the
-	// readers are obtained is exactly what differs: see locals.gather,
-	// inOrder and concurrently.
-	gather func(visit) []error
-	// streams says gather visits one shard at a time in shard order, so a
-	// scan can hand each record straight to the caller; without it scans
-	// collect every shard's records first and replay them shard-major.
-	streams bool
+	// metrics receives the fan-out width of every gather and batch; nil
+	// records nothing (its methods accept a nil receiver).
+	metrics *routerMetrics
 }
 
 var (
@@ -70,38 +64,21 @@ var (
 // visit is what a cross-shard read does on shard k, given a reader over it.
 type visit func(k int, rd labbase.Reader) error
 
-// inOrder gathers over views one at a time in shard order, stopping at the
-// first failure.
-func inOrder(views []view) func(visit) []error {
-	return func(fn visit) []error {
-		errs := make([]error, len(views))
-		for k, v := range views {
+// gather runs fn against a reader over every shard at once, one goroutine
+// each, reports each shard's error, and records the fan-out width.
+func (r *reads) gather(fn visit) []error {
+	errs := make([]error, len(r.views))
+	var wg sync.WaitGroup
+	for k, v := range r.views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			errs[k] = read(v, func(rd labbase.Reader) error { return fn(k, rd) })
-			if errs[k] != nil {
-				break
-			}
-		}
-		return errs
+		}()
 	}
-}
-
-// concurrently gathers over all views at once, one goroutine each, and
-// records the fan-out width.
-func concurrently(views []view, m *routerMetrics) func(visit) []error {
-	return func(fn visit) []error {
-		errs := make([]error, len(views))
-		var wg sync.WaitGroup
-		for k, v := range views {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[k] = read(v, func(rd labbase.Reader) error { return fn(k, rd) })
-			}()
-		}
-		wg.Wait()
-		m.fanout(len(views))
-		return errs
-	}
+	wg.Wait()
+	r.metrics.fanout(len(r.views))
+	return errs
 }
 
 // wrap names shard k in an error that came from it. One shard passes errors
@@ -326,15 +303,11 @@ func (r *reads) CountSteps(class string) (uint64, error) {
 	return r.sum(func(rd labbase.Reader) (uint64, error) { return rd.CountSteps(class) })
 }
 
-// scan runs one of the Reader's scans shard-major. A streaming gather
-// hands each record straight to fn; any other gather cannot shorten the
-// per-shard scans when fn stops early (every shard's records have already
-// been collected), but fn's error aborts the replay with the same wrapped
-// bytes.
+// scan runs one of the Reader's scans shard-major: every shard's records
+// are gathered, then replayed to fn. An fn that stops early cannot shorten
+// the per-shard scans, but its error aborts the replay, named for the shard
+// whose record it was handed.
 func scan[T any](r *reads, each func(labbase.Reader, func(T) error) error, fn func(T) error) error {
-	if r.streams {
-		return r.all(func(_ int, rd labbase.Reader) error { return each(rd, fn) })
-	}
 	parts := make([][]T, len(r.views))
 	err := r.all(func(k int, rd labbase.Reader) error {
 		return each(rd, func(x T) error {

@@ -12,18 +12,19 @@ import (
 	"labflow/internal/wire"
 )
 
-// Router is the core over N labbase-server processes, one per shard,
-// reached through the wire protocol. Routing, merging and error wrapping are
-// the core's, so a workload run through a Router returns byte-identical
-// results — data and error strings both — to the same workload on a shard.DB
-// over the same stores. See core for the concurrency and atomicity
-// contracts.
+// Router is the core over N shard servers, one per shard, reached through
+// the wire protocol: labbase-server processes named by a Topology
+// (OpenRouter), or member servers inside this process (Open). Routing,
+// merging and error wrapping are the core's, so a workload run through a
+// Router over one server returns byte-identical results — data and error
+// strings both — to the same workload on that server's store. See core for
+// the concurrency and atomicity contracts.
 //
 // Reads may run from any number of goroutines (each checks out its own
 // pooled connection). A cross-shard read asks every server at once and
-// each answers from a snapshot of its own taken when the request arrives,
-// so unlike shard.DB's the per-shard states are not fixed together up
-// front; no single shard is ever seen torn mid-transaction.
+// each answers from a snapshot of its own taken when the request arrives;
+// nothing fixes the per-shard states together, but no single shard is ever
+// seen torn mid-transaction (DESIGN §12).
 //
 // Failure model: a shard server the router cannot reach marks its pool
 // down; operations touching that shard fail fast with ErrShardDown naming
@@ -44,6 +45,10 @@ type Router struct {
 	// consumed on failover. Written by OpenRouter and then touched only by
 	// the health goroutine, so it needs no locking.
 	standbys []string
+
+	// cluster is the in-process cluster a router built by Open owns; nil
+	// for OpenRouter's.
+	cluster *cluster
 
 	stopHealth chan struct{}
 	healthWG   sync.WaitGroup
@@ -69,6 +74,12 @@ type RouterOptions struct {
 // the same storage backend as shard 0. A router over one server whose
 // store is a plain labbase.DB behaves byte-identically to that DB.
 func OpenRouter(t Topology, opts RouterOptions) (*Router, error) {
+	return openRouter(t, opts, wire.DialTimeout)
+}
+
+// openRouter is OpenRouter with every connection — pooled, handshake and
+// failover probe alike — made by dial.
+func openRouter(t Topology, opts RouterOptions, dial dialFunc) (*Router, error) {
 	n := len(t.Shards)
 	if n < 1 || n > MaxShards {
 		return nil, fmt.Errorf("shard: topology names %d shards, outside [1, %d]", n, MaxShards)
@@ -92,12 +103,10 @@ func OpenRouter(t Topology, opts RouterOptions) (*Router, error) {
 	metrics := newRouterMetrics(n)
 	members := make([]member, n)
 	for k, addr := range t.Shards {
-		r.pools[k] = newPool(k, addr, opts.DialTimeout)
+		r.pools[k] = newPool(k, addr, opts.DialTimeout, dial)
 		members[k] = &remote{k: k, pool: r.pools[k], metrics: metrics}
 	}
-	r.core = newCore(members)
-	r.gather = concurrently(r.views, metrics)
-	r.metrics = metrics
+	r.core = newCore(members, metrics)
 	for k := range r.pools {
 		c, err := r.verifyShard(k)
 		if err != nil {
@@ -122,7 +131,7 @@ func OpenRouter(t Topology, opts RouterOptions) (*Router, error) {
 func (r *Router) verifyShard(k int) (*conn, error) {
 	p := r.pools[k]
 	addr := p.address()
-	c, err := wire.DialTimeout(addr, p.timeout)
+	c, err := p.dial(addr, p.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d (%s): %w", k, addr, err)
 	}
@@ -196,7 +205,7 @@ func (r *Router) tryFailover(k int) {
 		return
 	}
 	p := r.pools[k]
-	c, err := wire.DialTimeout(addr, p.timeout)
+	c, err := p.dial(addr, p.timeout)
 	if err != nil {
 		return // standby unreachable too; retry next tick
 	}
@@ -218,35 +227,45 @@ func (r *Router) tryFailover(k int) {
 // width counters.
 func (r *Router) Metrics() RouterStats { return r.metrics.snapshot() }
 
-// Close stops the health monitor and drops every connection. It does not
-// close the remote stores — the shard servers own those; Close leaves the
-// cluster running for the next router. An open broadcast bracket is
-// committed first (matching what the servers themselves do when a bracket
-// connection disconnects), so no server is left holding its writer lock.
+// Close stops the health monitor and drops every connection. An open
+// broadcast bracket is committed first (matching what the servers
+// themselves do when a bracket connection disconnects), so no server is
+// left holding its writer lock. A router from OpenRouter leaves the cluster
+// running for the next router: the shard servers own their stores. One
+// from Open owns its cluster, so Close also shuts its servers down and
+// closes its members, returning their errors. Only the first call does
+// anything; a concurrent one waits for it.
 func (r *Router) Close() error {
-	r.closeOnce.Do(func() { close(r.stopHealth) })
-	r.healthWG.Wait()
-	if r.InTxn() {
-		r.Commit()
-	}
-	for _, p := range r.pools {
-		p.closeAll()
-	}
-	return nil
+	var errs []error
+	r.closeOnce.Do(func() {
+		close(r.stopHealth)
+		r.healthWG.Wait()
+		if r.InTxn() {
+			r.Commit()
+		}
+		for _, p := range r.pools {
+			p.closeAll()
+		}
+		for k, err := range r.cluster.close() {
+			if err != nil {
+				errs = append(errs, r.wrap(k, err))
+			}
+		}
+	})
+	return errors.Join(errs...)
 }
 
-// routerSnap adapts the live router to the Snapshot surface. The
-// consistency guarantee is weaker than in-process snapshots: each read
-// captures fresh per-server snapshots at call time (the servers' own read
-// paths do that), so two reads through the same handle may observe
-// different cluster states. Cross-shard reads still never see a torn
-// mid-transaction state on any single shard.
+// routerSnap adapts the live router to the Snapshot surface. It pins
+// nothing: each read captures fresh per-server snapshots at call time (the
+// servers' own read paths do that), so two reads through the same handle
+// may observe different cluster states. Cross-shard reads still never see
+// a torn mid-transaction state on any single shard.
 type routerSnap struct{ *Router }
 
 func (s routerSnap) Close() error { return nil }
 
-// Snapshot returns a read handle over the live router (see routerSnap for
-// the weaker cross-call guarantee).
+// Snapshot returns a read handle over the live router (see routerSnap: it
+// reads live state).
 func (r *Router) Snapshot() (labbase.Snapshot, error) { return routerSnap{r}, nil }
 
 // --- the wire transport -----------------------------------------------------

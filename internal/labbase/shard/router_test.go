@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,24 +41,22 @@ func serveStore(t *testing.T, db labbase.Store, addr string) (string, func()) {
 	}
 }
 
-// startCluster brings up n member servers over memstores and returns the
-// topology plus each member store (kept open across server restarts).
-func startCluster(t *testing.T, n int) (Topology, []*Member) {
+// startCluster brings up n member servers over memstores on TCP and
+// returns their topology: openShards' cluster, over sockets.
+func startCluster(t *testing.T, n int) Topology {
 	t.Helper()
 	topo := Topology{Shards: make([]string, n)}
-	members := make([]*Member, n)
 	for k := 0; k < n; k++ {
-		m, err := OpenMember(memstore.Open("cluster-mm"), k, n, labbase.DefaultOptions())
+		m, err := OpenMember(memstore.Open("test-mm"), k, n, labbase.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		members[k] = m
 		t.Cleanup(func() { m.Close() })
 		addr, stop := serveStore(t, m, "127.0.0.1:0")
 		t.Cleanup(stop)
 		topo.Shards[k] = addr
 	}
-	return topo, members
+	return topo
 }
 
 func openTestRouter(t *testing.T, topo Topology, opts RouterOptions) *Router {
@@ -72,10 +72,10 @@ func openTestRouter(t *testing.T, topo Topology, opts RouterOptions) *Router {
 // identityWorkload drives one comprehensive pass — schema, materials,
 // sets, explicit and implicit steps, batches, every read, and a gallery
 // of failure shapes — against any Store, appending one line per operation
-// result (errors included, verbatim). Running it against an in-process
-// shard.DB and a Router over the same shard count must produce identical
-// logs: that is the distributed byte-identity contract, data bytes and
-// error bytes both.
+// result (errors included, verbatim). Running it against any two
+// configurations of the same shard count must produce identical logs: that
+// is the distributed byte-identity contract, data bytes and error bytes
+// both.
 func identityWorkload(db labbase.Store, n int) []string {
 	var log []string
 	out := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
@@ -342,34 +342,88 @@ func identityWorkload(db labbase.Store, n int) []string {
 	return log
 }
 
-// TestRouterMatchesInProcess is the distributed byte-identity acceptance
-// test: the identity workload through a Router over 3 member servers must
-// produce the exact same log — data and error bytes — as the same
-// workload on the in-process 3-shard facade over the same stores.
+// TestRouterMatchesInProcess: the identity workload through an in-process
+// 3-shard cluster (Open, members on the in-memory network) must produce
+// the exact same log — data and error bytes — as through a router over 3
+// member servers on TCP. Only the connection under the wire frames
+// differs, so every test that runs on Open runs the serving configuration.
 func TestRouterMatchesInProcess(t *testing.T) {
 	const n = 3
-	managers := make([]storage.Manager, n)
-	for k := range managers {
-		managers[k] = memstore.Open("cluster-mm")
-	}
-	local, err := Open(managers, labbase.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	want := identityWorkload(local, n)
-
-	topo, _ := startCluster(t, n)
-	r := openTestRouter(t, topo, RouterOptions{})
-	got := identityWorkload(r, n)
+	want := identityWorkload(openTestRouter(t, startCluster(t, n), RouterOptions{}), n)
+	got := identityWorkload(openShards(t, n), n)
 
 	if len(got) != len(want) {
-		t.Fatalf("log length: router %d lines, in-process %d", len(got), len(want))
+		t.Fatalf("log length: in-process %d lines, TCP %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("line %d diverges:\nin-process: %s\nrouter:     %s", i, want[i], got[i])
+			t.Errorf("line %d diverges:\nTCP:        %s\nin-process: %s", i, want[i], got[i])
 		}
+	}
+}
+
+// TestOpenWidePutSteps: a PutSteps fan-out whose every sub-batch frame is
+// wider than a bufio buffer (4 KiB) completes over the in-memory network.
+// net.Pipe has no buffer, so this holds only because a flight sends one
+// frame and reads its reply before the connection carries another
+// (pipeListener).
+func TestOpenWidePutSteps(t *testing.T) {
+	const n, perShard = 3, 40
+	db := openShards(t, n)
+	oids := make([]storage.OID, n)
+	for _, name := range loadWorkload(t, db, 12) {
+		oid, _ := db.LookupMaterial(name)
+		oids[ShardOfOID(oid)] = oid
+	}
+	before, err := db.CountSteps("measure")
+	if err != nil || slices.Contains(oids, storage.NilOID) {
+		t.Fatalf("workload left shards without a material (%v) or uncounted: %v", oids, err)
+	}
+
+	note := strings.Repeat("x", 200) // 40 entries of >200 bytes: an 8 KiB frame per shard
+	var specs []labbase.StepSpec
+	for i := 0; i < perShard; i++ {
+		for k, oid := range oids {
+			specs = append(specs, labbase.StepSpec{
+				Class: "measure", ValidTime: int64(i), Materials: []storage.OID{oid},
+				Attrs: []labbase.AttrValue{{Name: "note", Value: labbase.String(fmt.Sprintf("%d/%d %s", k, i, note))}},
+			})
+		}
+	}
+	got, err := db.PutSteps(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, oid := range got {
+		if k := ShardOfOID(oid); k != i%n {
+			t.Fatalf("entry %d landed on shard %d, want %d", i, k, i%n)
+		}
+	}
+	if count, err := db.CountSteps("measure"); err != nil || count != before+n*perShard {
+		t.Fatalf("CountSteps = %d, %v; want %d", count, err, before+n*perShard)
+	}
+}
+
+// TestOpenCloseLeavesNoGoroutine: Close on a router from Open stops what
+// Open started — the servers' accept loops and connection goroutines — so
+// twenty clusters opened, used and closed leave no goroutine behind.
+func TestOpenCloseLeavesNoGoroutine(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		db, err := Open([]storage.Manager{memstore.Open("test-mm"), memstore.Open("test-mm")}, labbase.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadWorkload(t, db, 4)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for polls := 0; runtime.NumGoroutine() > start; polls++ {
+		if polls == 1000 {
+			t.Fatalf("%d goroutines a second after closing 20 clusters, %d before opening them", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -408,8 +462,7 @@ func TestRouterOverOneServerMatchesPlain(t *testing.T) {
 // router → wire → server → store path: errors.Is at the router layer must
 // classify exactly as it would in-process (satellite: wire error fidelity).
 func TestRouterSentinels(t *testing.T) {
-	topo, _ := startCluster(t, 2)
-	r := openTestRouter(t, topo, RouterOptions{})
+	r := openShards(t, 2)
 
 	// ErrNoTransaction: raised locally by the router (the servers would
 	// auto-wrap, which is exactly the divergence the router prevents).
@@ -652,8 +705,7 @@ func TestRouterDeadShardFailsFast(t *testing.T) {
 // counters must record the traffic the workload actually generated.
 func TestRouterMetrics(t *testing.T) {
 	const n = 3
-	topo, _ := startCluster(t, n)
-	r := openTestRouter(t, topo, RouterOptions{HealthInterval: -1})
+	r := openShards(t, n)
 	identityWorkload(r, n)
 
 	st := r.Metrics()
@@ -675,8 +727,7 @@ func TestRouterMetrics(t *testing.T) {
 // that the pool checkout and metrics paths are safe under fan-out.
 func TestRouterConcurrentReads(t *testing.T) {
 	const n = 2
-	topo, _ := startCluster(t, n)
-	r := openTestRouter(t, topo, RouterOptions{})
+	r := openShards(t, n)
 
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)

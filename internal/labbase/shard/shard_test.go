@@ -14,7 +14,10 @@ import (
 	"labflow/internal/storage/memstore"
 )
 
-func openShards(t *testing.T, n int) *DB {
+// openShards opens an n-shard in-process cluster over memstores. A test
+// that must reach one shard behind the router's back takes its member from
+// db.cluster.members.
+func openShards(t *testing.T, n int) *Router {
 	t.Helper()
 	managers := make([]storage.Manager, n)
 	for k := range managers {
@@ -177,6 +180,49 @@ func TestMapperForwardsSeal(t *testing.T) {
 	}
 	if err := plain.Commit(); !errors.Is(err, storage.ErrNoTransaction) {
 		t.Fatalf("Commit after the fallback Seal = %v; the Seal should have committed", err)
+	}
+}
+
+// closeCounter is a storage manager that counts its Closes and, with
+// rootErr set, fails Root — so no database can be opened over it.
+type closeCounter struct {
+	storage.Manager
+	rootErr error
+	closes  int
+}
+
+func (m *closeCounter) Root() (storage.OID, error) {
+	if m.rootErr != nil {
+		return storage.NilOID, m.rootErr
+	}
+	return m.Manager.Root()
+}
+
+func (m *closeCounter) Close() error {
+	m.closes++
+	return m.Manager.Close()
+}
+
+// TestOpenOwnsManagersOnError: when no database can be opened over shard
+// 1's manager, Open fails and every manager ends closed exactly once — the
+// member it already opened, the failing one (OpenMember closes it) and the
+// one after it.
+func TestOpenOwnsManagersOnError(t *testing.T) {
+	errRoot := errors.New("the manager's Root failure")
+	counters := make([]*closeCounter, 3)
+	managers := make([]storage.Manager, len(counters))
+	for k := range counters {
+		counters[k] = &closeCounter{Manager: memstore.Open("test-mm")}
+		managers[k] = counters[k]
+	}
+	counters[1].rootErr = errRoot
+	if _, err := Open(managers, labbase.DefaultOptions()); !errors.Is(err, errRoot) {
+		t.Fatalf("Open over a failing shard 1 = %v, want its error", err)
+	}
+	for k, c := range counters {
+		if c.closes != 1 {
+			t.Errorf("Open closed manager %d %d times on error, want once", k, c.closes)
+		}
 	}
 }
 
@@ -408,9 +454,10 @@ func TestMaterialsInStateSorted(t *testing.T) {
 func TestCatalogIdenticalAcrossShards(t *testing.T) {
 	db := openShards(t, 4)
 	loadWorkload(t, db, 40)
-	ref := db.Shard(0)
-	for k := 1; k < db.Shards(); k++ {
-		sh := db.Shard(k)
+	members := db.cluster.members
+	ref := members[0]
+	for k := 1; k < len(members); k++ {
+		sh := members[k]
 		if got, want := sh.MaterialClasses(), ref.MaterialClasses(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shard %d material classes %v != shard 0 %v", k, got, want)
 		}
@@ -438,8 +485,8 @@ func TestCatalogIdenticalAcrossShards(t *testing.T) {
 	begin(t, db)
 	defer commit(t, db)
 	var want labbase.AttrID
-	for k := 0; k < db.Shards(); k++ {
-		id, err := db.Shard(k).DefineAttr("reading", labbase.KindInt)
+	for k, m := range members {
+		id, err := m.DefineAttr("reading", labbase.KindInt)
 		if err != nil {
 			t.Fatalf("shard %d DefineAttr: %v", k, err)
 		}
@@ -517,22 +564,23 @@ func TestCrossShardRejected(t *testing.T) {
 }
 
 // TestBeginUnwindsWhenShardRefuses drives the partial-Begin unwind through
-// real stores: shard 1 already holds a bracket of its own, so the broadcast
-// Begin is refused there after shard 0 accepted. Shard 0's bracket must not
-// be left open — the next broadcast Begin has to succeed once shard 1 is
-// free again.
+// real servers: shard 1's store already holds a transaction of its own, so
+// the broadcast Begin is refused there after shard 0 accepted. Shard 0's
+// bracket must not be left open — the next broadcast Begin has to succeed
+// once shard 1 is free again.
 func TestBeginUnwindsWhenShardRefuses(t *testing.T) {
 	db := openShards(t, 3)
-	if err := db.Shard(1).Begin(); err != nil {
+	members := db.cluster.members
+	if err := members[1].Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Begin(); err == nil || !strings.HasPrefix(err.Error(), "shard 1: ") {
 		t.Fatalf("Begin over a busy shard 1 = %v, want its refusal", err)
 	}
-	if db.InTxn() || db.Shard(0).InTxn() || db.Shard(2).InTxn() {
+	if db.InTxn() || members[0].InTxn() || members[2].InTxn() {
 		t.Fatal("a refused Begin left a bracket open")
 	}
-	if err := db.Shard(1).Commit(); err != nil {
+	if err := members[1].Commit(); err != nil {
 		t.Fatal(err)
 	}
 	begin(t, db)

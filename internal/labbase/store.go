@@ -52,8 +52,8 @@ type Snapshot interface {
 
 // Store is the full LabBase surface consumed by the wire server, the
 // deductive bridge, and the benchmark drivers. Both *DB (one storage
-// manager) and the hash-partitioned *shard.DB (N storage managers behind
-// one facade) implement it, so every layer above labbase is shard-agnostic:
+// manager) and the hash-partitioned *shard.Router (N shard servers behind
+// one store) implement it, so every layer above labbase is shard-agnostic:
 // storage.OID stays the public object handle either way.
 //
 // Implementations follow DB's concurrency contract: read entry points are

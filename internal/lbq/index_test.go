@@ -8,7 +8,6 @@ package lbq_test
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,7 +23,6 @@ import (
 	"labflow/internal/lbq"
 	"labflow/internal/storage"
 	"labflow/internal/storage/memstore"
-	"labflow/internal/wire"
 )
 
 // calls counts Reader calls by method name, and the OIDs the walks hand out
@@ -152,44 +150,9 @@ func populate(t *testing.T, st labbase.Store) {
 	must(st.Commit())
 }
 
-// startRouter serves each member of an n-shard cluster over loopback and
-// opens a router over them.
-func startRouter(t *testing.T, n int) *shard.Router {
-	t.Helper()
-	topo := shard.Topology{Shards: make([]string, n)}
-	for k := 0; k < n; k++ {
-		m, err := shard.OpenMember(memstore.Open("idx-mm"), k, n, labbase.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := wire.NewServer(m)
-		srv.SetLogf(nil)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.Serve(ln)
-		}()
-		t.Cleanup(func() {
-			ln.Close()
-			srv.Shutdown()
-			<-done
-			m.Close()
-		})
-		topo.Shards[k] = ln.Addr().String()
-	}
-	r, err := shard.OpenRouter(topo, shard.RouterOptions{HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	return r
-}
-
-func openShards(t *testing.T, n int) *shard.DB {
+// openShards opens an n-shard in-process cluster over memstores: a router
+// over n member servers.
+func openShards(t *testing.T, n int) *shard.Router {
 	t.Helper()
 	sms := make([]storage.Manager, n)
 	for k := range sms {
@@ -214,9 +177,9 @@ func openPlain(t *testing.T) *labbase.DB {
 }
 
 // TestIndexWalkMatchesFallback runs every binding mode of material/2 and
-// state/2 over a plain DB, one of its snapshots, a 2-shard DB and a router
-// over two loopback members, and holds each ordered solution list to the
-// same query through a wrapper that hides the capability.
+// state/2 over a plain DB, one of its snapshots and a router over two
+// members, and holds each ordered solution list to the same query through
+// a wrapper that hides the capability.
 func TestIndexWalkMatchesFallback(t *testing.T) {
 	plain := openPlain(t)
 	populate(t, plain)
@@ -225,9 +188,7 @@ func TestIndexWalkMatchesFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	sharded := openShards(t, 2)
-	populate(t, sharded)
-	router := startRouter(t, 2)
+	router := openShards(t, 2)
 	populate(t, router)
 
 	stores := []struct {
@@ -237,7 +198,6 @@ func TestIndexWalkMatchesFallback(t *testing.T) {
 	}{
 		{"db", plain, plain},
 		{"snap", plain, snap},
-		{"shard.DB/2", sharded, sharded},
 		{"router/2", router, router},
 	}
 	for _, s := range stores {
@@ -393,19 +353,15 @@ func TestStreamedWalkBoundsWork(t *testing.T) {
 // TestStreamedExternsUnderWriter races streamed state/2 and material/2
 // walks through QueryOn on held snapshots against a writer that moves
 // materials between states and creates materials of the walked class. Each
-// answer list must be the snapshot's own listing, read after the query.
+// answer list must be the snapshot's own listing, read after the query. A
+// router's snapshot handle reads live state, so the store here is a plain
+// DB.
 func TestStreamedExternsUnderWriter(t *testing.T) {
-	plain := openPlain(t)
-	sharded := openShards(t, 2)
-	for _, st := range []struct {
-		name  string
-		store labbase.Store
-	}{{"db", plain}, {"shard.DB/2", sharded}} {
-		t.Run(st.name, func(t *testing.T) {
-			populate(t, st.store)
-			raceWalks(t, st.store)
-		})
-	}
+	t.Run("db", func(t *testing.T) {
+		db := openPlain(t)
+		populate(t, db)
+		raceWalks(t, db)
+	})
 }
 
 func raceWalks(t *testing.T, db labbase.Store) {

@@ -18,17 +18,18 @@ import (
 //  1. Ranked classes must be acquired in ascending rank order. The ranks
 //     encode the documented hierarchy:
 //     wire.Server.mu(10) < wire.connCore.connMu(20) < shard.core.stmu(30) <
-//     shard.pool.mu(34) < shard.local.wmu(40) < labbase.DB.wmu(50) < the
-//     leaves(60). connCore.connMu is the one connection-registry lock, a
-//     primary's and a standby's alike. The shard core's catalog-and-bracket lock sits above
-//     whatever its members take: the wire transport checks out pooled
-//     connections under it (stmu -> pool.mu), the local transport takes a
-//     shard's own-transaction lock and then enters its labbase.DB (stmu ->
-//     wmu -> labbase wmu). On the far end of a pooled connection a
-//     wire.Server drives a labbase.DB — but that is a different process,
-//     so no edge crosses the wire. The core reaches its members through an
+//     shard.pool.mu(34) < labbase.DB.wmu(50) < the leaves(60).
+//     connCore.connMu is the one connection-registry lock, a primary's and
+//     a standby's alike. The shard core's catalog-and-bracket lock sits
+//     above whatever its members take: the router checks out pooled
+//     connections under it (stmu -> pool.mu). On the far end of a pooled
+//     connection a wire.Server drives a shard's labbase.DB — in another
+//     process, or in this one behind shard.Open's in-memory network — on
+//     the server's own goroutines, so no held-lock edge crosses the wire:
+//     the router waits for a reply holding stmu, and a shard server never
+//     waits on a router. The core reaches its members through an
 //     interface, which this analysis cannot see through; the edges it does
-//     check are the ones inside each transport.
+//     check are the ones inside the router.
 //  2. Leaf classes (oidCache.mu, verTable.mu, readerSlots.mu) may acquire
 //     nothing at all while held — that is what makes them safe to take
 //     from both the read and write paths (DESIGN §9).
@@ -61,7 +62,6 @@ var lockRanks = map[string]int{
 	"labflow/internal/wire.connCore.connMu":    20,
 	"labflow/internal/labbase/shard.core.stmu": 30,
 	"labflow/internal/labbase/shard.pool.mu":   34,
-	"labflow/internal/labbase/shard.local.wmu": 40,
 	"labflow/internal/labbase.DB.wmu":          50,
 	// RemoteShipper.mu is acquired at commit time with the store's writer
 	// side held (the shipper runs inside Commit); it holds network I/O but

@@ -121,37 +121,37 @@ func (r *readerSlots) load(i int) uint64 {
 		expectDiags(t, diags, "atomichygiene:16")
 	})
 
-	t.Run("lockorder catches a reversed wmu-then-stmu acquisition", func(t *testing.T) {
+	t.Run("lockorder catches a reversed pool.mu-then-stmu acquisition", func(t *testing.T) {
 		src := `package shard
 
 import "sync"
 
 type core struct {
-	stmu   sync.Mutex
-	locals []*local
+	stmu  sync.Mutex
+	pools []*pool
 }
 
-type local struct{ wmu sync.Mutex }
+type pool struct{ mu sync.Mutex }
 
-// Mutation: the hierarchy is stmu (30) before wmu (40); this takes them
-// backwards.
+// Mutation: the hierarchy is stmu (30) before pool.mu (34); this takes
+// them backwards.
 func reversed(c *core, k int) {
-	c.locals[k].wmu.Lock()
+	c.pools[k].mu.Lock()
 	c.stmu.Lock()
 	c.stmu.Unlock()
-	c.locals[k].wmu.Unlock()
+	c.pools[k].mu.Unlock()
 }
 
 // Legal twin: descending order draws nothing.
 func forward(c *core, k int) {
 	c.stmu.Lock()
-	c.locals[k].wmu.Lock()
-	c.locals[k].wmu.Unlock()
+	c.pools[k].mu.Lock()
+	c.pools[k].mu.Unlock()
 	c.stmu.Unlock()
 }`
 		diags := mutationDiags(t, "labflow/internal/labbase/shard", src, []*Analyzer{LockOrder})
 		// The reversed edge is reported where it is taken, and the two
-		// functions together put stmu and wmu in a cycle, which the
+		// functions together put stmu and pool.mu in a cycle, which the
 		// module-wide graph check also reports.
 		if len(diags) == 0 {
 			t.Fatal("reversed acquisition drew no diagnostics")

@@ -11,11 +11,10 @@ import (
 // reachable from it is immutable, and readers run lock-free against their
 // capture. The analyzer checks every method whose receiver type is a
 // snapshot handle — named "Snap" or ending in "Snap", the repository's
-// naming convention (labbase.Snap, shard.shardSnap) — for two violations
-// (shard.shardSnap's read methods are the embedded shard.reads, which the
-// live stores share and this analyzer therefore does not see; they reach a
-// shardSnap's data only through its per-shard labbase.Snap handles, which
-// it does check):
+// naming convention (labbase.Snap, shard.routerSnap) — for two violations
+// (shard.routerSnap's read methods are the live router's embedded
+// shard.reads, which this analyzer therefore does not see; each shard
+// server answers them from a labbase.Snap of its own, which it does check):
 //
 //  1. taking or releasing any sync.Mutex/RWMutex. The read path must not
 //     touch db.wmu (or any other lock): a snapshot method that locks

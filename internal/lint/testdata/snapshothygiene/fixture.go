@@ -94,12 +94,12 @@ func (s *Snap) localsAreFine(other *store) {
 	other.cat = c
 }
 
-// shardSnap matches by suffix, covering per-shard handle types.
-type shardSnap struct {
+// groupSnap matches by suffix, covering handle types over several snapshots.
+type groupSnap struct {
 	snaps []*Snap
 }
 
-func (g *shardSnap) badShardRead() int {
+func (g *groupSnap) badShardRead() int {
 	total := 0
 	for _, s := range g.snaps {
 		s.db.mu.RLock()
@@ -109,7 +109,7 @@ func (g *shardSnap) badShardRead() int {
 	return total
 }
 
-func (g *shardSnap) cleanShardRead(k string) int {
+func (g *groupSnap) cleanShardRead(k string) int {
 	total := 0
 	for _, s := range g.snaps {
 		total += s.cleanRead(k)

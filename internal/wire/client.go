@@ -58,7 +58,8 @@ func (c *Client) arm() {
 	}
 }
 
-// NewClient wraps an established connection (for tests, net.Pipe works).
+// NewClient wraps an established connection; net.Pipe works (shard.Open's
+// in-memory network dials with it).
 func NewClient(conn net.Conn) (*Client, error) { return newClient(conn, 0) }
 
 // newClient performs the hello exchange over conn.

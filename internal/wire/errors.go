@@ -19,7 +19,7 @@ import (
 // that only prints the error sees what a local caller would have seen; the
 // code lets errors.Is keep working across the process boundary, which the
 // distributed shard router depends on (it must route on ErrCrossShard and
-// ErrNoSuchObject exactly as the in-process facade does).
+// ErrNoSuchObject exactly as a caller of the shard's store would).
 const (
 	codeGeneric uint8 = 0
 	// codeBatch carries a labbase.BatchError structurally —
@@ -120,7 +120,7 @@ func (e *RemoteError) Unwrap() error { return sentinelFor(e.code) }
 
 // Bare strips the wire prefix: the returned error prints the server-side
 // bytes verbatim and still unwraps to the coded sentinel. The shard router
-// uses it so errors it relays are byte-identical to the in-process facade's.
+// uses it so errors it relays are byte-identical to the shard store's own.
 func (e *RemoteError) Bare() error { return &bareError{msg: e.Msg, code: e.code} }
 
 type bareError struct {

@@ -28,9 +28,9 @@ type Server struct {
 	mu sync.Mutex
 }
 
-// NewServer wraps an open store — a plain *labbase.DB or a sharded
-// shard.DB; the wire protocol is shard-agnostic. Site rules may be loaded
-// onto the deductive engine via Bridge before serving.
+// NewServer wraps an open store — a plain *labbase.DB, a shard member, or
+// a shard.Router; the wire protocol is shard-agnostic. Site rules may be
+// loaded onto the deductive engine via Bridge before serving.
 func NewServer(db labbase.Store) *Server {
 	s := &Server{db: db, bridge: lbq.New(db)}
 	s.init(s.handle)

@@ -16,8 +16,9 @@ import (
 	. "labflow/internal/wire"
 )
 
-// startShardedServer brings up a server over a memstore-backed store of the
-// given shard count and returns a dialer for fresh connections.
+// startShardedServer brings up a server over an in-process cluster of the
+// given shard count (shard.Open: a router over member servers on
+// memstores) and returns a dialer for fresh connections.
 func startShardedServer(t *testing.T, shards int) (dial func() *Client) {
 	t.Helper()
 	managers := make([]storage.Manager, shards)

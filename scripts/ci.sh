@@ -63,7 +63,8 @@ go test -race -shuffle=on ./...
 
 echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # Deterministic: 200 seeded crash schedules per storage backend, anchored at
-# FixedSeedBase, plus the sharded one-shard-crashes schedules, so a
+# FixedSeedBase, plus the sharded one-shard-crashes schedules (through an
+# in-process cluster's router), so a
 # regression here always reproduces bit-for-bit.
 # The ostore round runs a seeded share of its transactions as two-committer
 # pairs (one commit's flush held while the next seals behind it) and asserts
@@ -142,11 +143,14 @@ echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs w
 # DB and 4-shard), and OpQuery under concurrent connections is byte-identical
 # to a single-connection reference while write batches land. TestCore* are the shard
 # core's rules over fake members (DESIGN §12), whose gathers run concurrently.
+# The in-process cluster (shard.Open) rides along: a fan-out whose frames
+# outgrow a 4 KiB buffer completes over its unbuffered in-memory network,
+# and closing it leaves no goroutine behind.
 # TestStreamedExternsUnderWriter streams state/2 and material/2 walks out of
-# held snapshots (single DB and 2-shard) while a writer moves and creates
-# materials (DESIGN §10, index-driven externs).
+# held snapshots of a single DB while a writer moves and creates materials
+# (DESIGN §10, index-driven externs).
 go test -race -shuffle=on -count=1 \
-	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected|TestStreamedExternsUnderWriter' \
+	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestOpenWidePutSteps|TestOpenCloseLeavesNoGoroutine|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected|TestStreamedExternsUnderWriter' \
 	./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/ ./internal/lbq/
 
 echo "== bench smoke (every BENCHMARK.json workload at -scale 0.02, self-checked)"
