@@ -3,12 +3,10 @@ package core
 import (
 	"net"
 	"reflect"
-	"strings"
 	"testing"
 
 	"labflow/internal/labbase"
 	"labflow/internal/labbase/shard"
-	"labflow/internal/storage"
 	"labflow/internal/storage/memstore"
 	"labflow/internal/wire"
 )
@@ -63,23 +61,5 @@ func TestRouterOverOneServerTable10MatchesPlain(t *testing.T) {
 	a, b := stripTimings(plain), stripTimings(routed)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("router-over-1-server diverges from in-process run:\nplain:  %+v\nrouted: %+v", a, b)
-	}
-}
-
-// TestRunStoreRejectsMultiShard pins the single-partition contract:
-// table10's gel batches span arbitrary materials, so handing RunStore a
-// multi-shard store must be refused with an error that says why.
-func TestRunStoreRejectsMultiShard(t *testing.T) {
-	db, err := shard.Open([]storage.Manager{memstore.Open("a-mm"), memstore.Open("b-mm")}, labbase.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	_, err = RunStore(db, testParams())
-	if err == nil {
-		t.Fatal("RunStore over 2 shards succeeded, want single-partition rejection")
-	}
-	if !strings.Contains(err.Error(), "single-partition") {
-		t.Fatalf("rejection does not cite the contract: %v", err)
 	}
 }
