@@ -19,7 +19,7 @@ func TestFaultAllocatesNothing(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	p := newWhiteboxPager(t, "")
-	ids := make([]pagefile.PageID, 2*p.capacity)
+	ids := make([]pagefile.PageID, 2*whiteboxPoolPages)
 	for i := range ids {
 		f, err := p.AllocPage()
 		if err != nil {

@@ -168,7 +168,7 @@ func Open(opts Options) (storage.Manager, error) {
 		nextLSN:   nextLSN,
 		pending:   pending,
 		ckptEvery: ckptEvery,
-		capacity:  pool,
+		pool:      pagefile.NewPool(pool),
 	}
 	p.start()
 	// ObjectStore-style compact page layout: records are packed exactly
@@ -216,31 +216,17 @@ func recoverLog(log LogFile, backing pagefile.Backing, syncLog bool, info *repl.
 	return last + 1, records, nil
 }
 
-type frame struct {
-	pf    pagefile.Frame
-	pins  int
-	dirty bool // written since the last seal: part of the open transaction
-	ref   bool
-	// unwritten counts the sealed batches holding an image of this page that
-	// the flusher has not written back in place yet. While it is non-zero
-	// the backing holds an older image, so the frame must stay resident: a
-	// fault after an eviction would read that older image back.
-	unwritten int
-	// sealed marks pf.Data itself as such an image: a seal hands the
-	// frame's buffer to its batch rather than copying it, so the next write
-	// pin must give the frame a copy of its own first (copy-on-write).
-	sealed bool
-}
-
 // commitBatch is one sealed transaction on its way to the group-commit
 // flusher: the image of every page it dirtied as it stood at seal time, so
 // the flusher logs and writes back exactly the sealed images while the next
 // transaction goes on writing the live frames. pages[i] is frames[i]'s
 // image — the frame's own buffer until the frame's next write pin copies it
-// away (see frame.sealed), never written again before settle. err is set
-// and done closed once the batch is settled.
+// away (see pagefile.Frame.Sealed), never written again before settle. The
+// batch holds each of its frames resident until it is settled: until then
+// the backing holds an older image, which a fault after an eviction would
+// read back. err is set and done closed once the batch is settled.
 type commitBatch struct {
-	frames []*frame
+	frames []*pagefile.Frame
 	pages  []repl.PageImage
 	done   chan struct{}
 	err    error
@@ -269,16 +255,12 @@ const maxScratchPages = 16
 // misses Pin reads from the backing itself, under mu. Its one goroutine is
 // the group-commit flusher.
 type pager struct {
-	mu       sync.Mutex
-	backing  pagefile.Backing
-	log      LogFile
-	syncLog  bool
-	pool     map[pagefile.PageID]*frame
-	ring     []*frame
-	hand     int
-	capacity int
-	stats    pagefile.PagerStats
-	closed   bool
+	mu      sync.Mutex
+	backing pagefile.Backing
+	log     LogFile
+	syncLog bool
+	pool    *pagefile.Pool
+	closed  bool
 
 	// queue holds the sealed batches the flusher has not taken yet, in seal
 	// order; work (on mu) wakes the flusher when one arrives or the pager
@@ -308,7 +290,6 @@ type pager struct {
 // and launches its flusher, the pager's one goroutine.
 func (p *pager) start() {
 	p.logEnd = repl.CursorSize
-	p.pool = make(map[pagefile.PageID]*frame)
 	p.work.L = &p.mu
 	p.flushDone = make(chan struct{})
 	go p.flushLoop()
@@ -323,28 +304,25 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	if fr, ok := p.pool[id]; ok {
-		if mode == pagefile.ModeWrite && fr.sealed {
+	if f := p.pool.Pin(id); f != nil {
+		if mode == pagefile.ModeWrite && f.Sealed {
 			// The image belongs to a batch the flusher has yet to write:
 			// the writer gets a copy, the batch keeps the original.
 			img := p.pageBufLocked()
-			copy(img, fr.pf.Data)
-			fr.pf.Data = img
-			fr.sealed = false
+			copy(img, f.Data)
+			f.Data = img
+			f.Sealed = false
 		}
-		fr.pins++
-		fr.ref = true
-		return &fr.pf, nil
+		return f, nil
 	}
-	fr := p.newFrameLocked(id)
-	if err := p.backing.ReadPage(id, fr.pf.Data); err != nil {
-		p.recycleLocked(fr.pf.Data)
+	f := p.newFrameLocked(id)
+	if err := p.backing.ReadPage(id, f.Data); err != nil {
+		p.recycleLocked(f.Data)
 		return nil, fmt.Errorf("ostore: fault page %d: %w", id, err)
 	}
-	p.stats.Faults++
-	p.pool[id] = fr
-	p.ring = append(p.ring, fr)
-	return &fr.pf, nil
+	p.pool.Stats.Faults++
+	p.pool.Add(f)
+	return f, nil
 }
 
 // newFrameLocked readies a frame for page id, pinned once and referenced,
@@ -354,62 +332,23 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 // is evictable) it is a new frame on a spare buffer or, failing that, a
 // new one. The victim's buffer is its own: an evictable frame holds no
 // image a batch still has to write.
-func (p *pager) newFrameLocked(id pagefile.PageID) *frame {
-	fr := p.makeRoomLocked()
-	if fr == nil {
-		fr = &frame{pf: pagefile.Frame{Data: p.pageBufLocked()}}
+func (p *pager) newFrameLocked(id pagefile.PageID) *pagefile.Frame {
+	if v := p.pool.Victim(noSteal); v != nil {
+		return p.pool.Take(v, id)
 	}
-	*fr = frame{pf: pagefile.Frame{ID: id, Data: fr.pf.Data, Priv: fr}, pins: 1, ref: true}
-	return fr
+	return pagefile.NewFrame(id, p.pageBufLocked())
 }
 
-// evictable reports whether CLOCK may drop fr. The pool is no-steal: a
-// dirty page stays resident until its transaction is sealed, so the
-// redo-only log suffices for atomicity, and a sealed page until its image
-// is written back in place.
-func (fr *frame) evictable() bool {
-	return fr.pins == 0 && !fr.dirty && fr.unwritten == 0
-}
-
-// makeRoomLocked evicts one evictable page when the pool is full and
-// returns its frame for the caller to take over. If nothing is evictable
-// the pool temporarily overshoots, and it returns nil.
-func (p *pager) makeRoomLocked() *frame {
-	if len(p.pool) < p.capacity {
-		return nil
-	}
-	for sweep := 0; sweep < 2*len(p.ring); sweep++ {
-		if len(p.ring) == 0 {
-			return nil
-		}
-		p.hand %= len(p.ring)
-		fr := p.ring[p.hand]
-		if !fr.evictable() {
-			p.hand++
-			continue
-		}
-		if fr.ref {
-			fr.ref = false
-			p.hand++
-			continue
-		}
-		delete(p.pool, fr.pf.ID)
-		p.ring[p.hand] = p.ring[len(p.ring)-1]
-		p.ring = p.ring[:len(p.ring)-1]
-		p.stats.Evictions++
-		return fr
-	}
-	return nil
-}
+// noSteal keeps every dirty frame resident: a dirty page stays until its
+// transaction is sealed, so the redo-only log suffices for atomicity, and a
+// sealed one until its image is written back in place, which its batch's
+// hold sees to.
+func noSteal(f *pagefile.Frame) bool { return f.Dirty }
 
 func (p *pager) Unpin(f *pagefile.Frame, dirty bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fr := f.Priv.(*frame)
-	fr.pins--
-	if dirty {
-		fr.dirty = true
-	}
+	p.pool.Unpin(f, dirty)
 }
 
 func (p *pager) AllocPage() (*pagefile.Frame, error) {
@@ -418,24 +357,23 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	fr := p.newFrameLocked(0)
+	f := p.newFrameLocked(0)
 	id, err := p.backing.Grow()
 	if err != nil {
-		p.recycleLocked(fr.pf.Data)
+		p.recycleLocked(f.Data)
 		return nil, fmt.Errorf("ostore: grow: %w", err)
 	}
-	clear(fr.pf.Data)
-	fr.pf.ID = id
-	fr.dirty = true
-	p.pool[id] = fr
-	p.ring = append(p.ring, fr)
-	return &fr.pf, nil
+	clear(f.Data)
+	f.ID = id
+	f.Dirty = true
+	p.pool.Add(f)
+	return f, nil
 }
 
 func (p *pager) Begin() error { return nil }
 
 // Commit seals the transaction: under mu it takes every dirty page's image
-// into a batch, marks the frames clean but unwritten, queues the batch for
+// into a batch, marks the frames clean but held, queues the batch for
 // the group-commit flusher, and returns the batch's durable wait without
 // waiting on it. The next transaction may write the frames at once: its
 // first write pin of a sealed page copies the image (Pin), so the flusher
@@ -454,21 +392,21 @@ func (p *pager) Commit() (func() error, error) {
 		return nil, pagefile.ErrPagerClosed
 	}
 	var b *commitBatch
-	for _, fr := range p.ring {
-		if !fr.dirty {
+	for _, f := range p.pool.Frames() {
+		if !f.Dirty {
 			continue
 		}
 		if b == nil {
 			b = &commitBatch{done: make(chan struct{})}
 		}
-		fr.dirty = false
-		fr.unwritten++
-		fr.sealed = true
-		b.frames = append(b.frames, fr)
-		b.pages = append(b.pages, repl.PageImage{ID: fr.pf.ID, Data: fr.pf.Data})
+		f.Dirty = false
+		p.pool.Hold(f)
+		f.Sealed = true
+		b.frames = append(b.frames, f)
+		b.pages = append(b.pages, repl.PageImage{ID: f.ID, Data: f.Data})
 	}
 	if b == nil {
-		p.trimLocked()
+		p.pool.Trim(noSteal, p.recycleLocked)
 		return nil, nil
 	}
 	p.queue = append(p.queue, b)
@@ -526,7 +464,7 @@ func (p *pager) nextGroup() []*commitBatch {
 	return group
 }
 
-// settle ends a flushed group. Its frames lose an unwritten image each — a
+// settle ends a flushed group. Its frames lose a batch's hold each — a
 // frame still on its sealed buffer owns it again, a buffer a write pin
 // copied away becomes a spare — the pool trims back to capacity, and every
 // batch learns the group's fate.
@@ -545,19 +483,18 @@ func (p *pager) settle(group []*commitBatch, placed bool, err error) {
 		p.queue = nil
 	}
 	for _, b := range group {
-		for i, fr := range b.frames {
-			fr.unwritten--
-			if !placed {
-				fr.dirty = true
-			}
-			if img := b.pages[i].Data; &img[0] == &fr.pf.Data[0] {
-				fr.sealed = false
+		for i, f := range b.frames {
+			p.pool.Unpin(f, !placed)
+			if img := b.pages[i].Data; &img[0] == &f.Data[0] {
+				f.Sealed = false
 			} else {
 				p.recycleLocked(img)
 			}
 		}
 	}
-	p.trimLocked()
+	// During a transaction no-steal lets the pool overshoot; once the
+	// group is written the overshoot is released, its buffers to the spares.
+	p.pool.Trim(noSteal, p.recycleLocked)
 	more := len(p.queue) > 0
 	p.mu.Unlock()
 	for _, b := range group {
@@ -718,47 +655,15 @@ func (p *pager) writeBack(order []repl.PageImage) error {
 		}
 	}
 	p.mu.Lock()
-	p.stats.PageWrites += uint64(len(order))
+	p.pool.Stats.PageWrites += uint64(len(order))
 	p.mu.Unlock()
 	return nil
-}
-
-// trimLocked shrinks the pool back to capacity after a flush. During a
-// transaction the no-steal policy lets the pool overshoot (dirty pages are
-// unevictable, and sealed ones until written back); once they are written
-// the overshoot is released, its buffers to the spares.
-func (p *pager) trimLocked() {
-	for len(p.pool) > p.capacity {
-		evicted := false
-		for sweep := 0; sweep < 2*len(p.ring) && len(p.pool) > p.capacity; sweep++ {
-			p.hand %= len(p.ring)
-			fr := p.ring[p.hand]
-			if !fr.evictable() {
-				p.hand++
-				continue
-			}
-			if fr.ref {
-				fr.ref = false
-				p.hand++
-				continue
-			}
-			delete(p.pool, fr.pf.ID)
-			p.ring[p.hand] = p.ring[len(p.ring)-1]
-			p.ring = p.ring[:len(p.ring)-1]
-			p.stats.Evictions++
-			p.recycleLocked(fr.pf.Data)
-			evicted = true
-		}
-		if !evicted {
-			return
-		}
-	}
 }
 
 func (p *pager) Stats() pagefile.PagerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.stats
+	return p.pool.Stats
 }
 
 func (p *pager) SizeBytes() uint64 { return p.backing.SizeBytes() }
@@ -780,12 +685,12 @@ func (p *pager) Close() error {
 	<-p.flushDone
 	p.mu.Lock()
 	var errs []error
-	for _, fr := range p.ring {
-		if fr.dirty {
-			if err := p.backing.WritePage(fr.pf.ID, fr.pf.Data); err != nil {
+	for _, f := range p.pool.Frames() {
+		if f.Dirty {
+			if err := p.backing.WritePage(f.ID, f.Data); err != nil {
 				errs = append(errs, err)
 			}
-			p.stats.PageWrites++
+			p.pool.Stats.PageWrites++
 		}
 	}
 	if err := p.backing.Sync(); err != nil {

@@ -359,20 +359,20 @@ func TestTornChunkOverRetiredRecord(t *testing.T) {
 	log := &countingLog{LogFile: f}
 	p := newPagerOn(t, log, 3)
 
-	frames := make([]*frame, 41)
+	frames := make([]*pagefile.Frame, 41)
 	for i := range frames {
 		pf, err := p.AllocPage()
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Unpin(pf, true)
-		frames[i] = pf.Priv.(*frame)
+		frames[i] = pf
 	}
 	one, wide := frames[:1], frames[1:]
-	flush := func(frs []*frame, fill byte) error {
+	flush := func(frs []*pagefile.Frame, fill byte) error {
 		for _, fr := range frs {
-			for i := range fr.pf.Data {
-				fr.pf.Data[i] = fill
+			for i := range fr.Data {
+				fr.Data[i] = fill
 			}
 		}
 		_, err := p.flushBatches([]*commitBatch{batchOf(frs...)})
@@ -381,7 +381,7 @@ func TestTornChunkOverRetiredRecord(t *testing.T) {
 
 	// Interval 1, LSNs 1-3: one page, 40 pages, one page; the checkpoint
 	// after LSN 3 retires them and moves the tail back.
-	for i, frs := range [][]*frame{one, wide, one} {
+	for i, frs := range [][]*pagefile.Frame{one, wide, one} {
 		if err := flush(frs, byte(0x10+i)); err != nil {
 			t.Fatalf("flush %d: %v", i+1, err)
 		}
@@ -425,7 +425,7 @@ func TestTornChunkOverRetiredRecord(t *testing.T) {
 		t.Fatalf("RecoveryInfo = %+v, want cursor 3, 1 replayed, next LSN 5", info)
 	}
 	got := make([]byte, pagefile.PageSize)
-	if err := backing.ReadPage(one[0].pf.ID, got); err != nil {
+	if err := backing.ReadPage(one[0].ID, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0x40 {

@@ -7,6 +7,7 @@ import (
 	"labflow/internal/fault/gate"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -203,6 +204,9 @@ func newWhiteboxPager(t *testing.T, logPath string) *pager {
 	return newPagerOn(t, log, 1) // checkpoint every flush: every record retires at once
 }
 
+// whiteboxPoolPages is the pool capacity of the whitebox pagers.
+const whiteboxPoolPages = 64
+
 // newPagerOn starts a pager over a memory backing and log (nil for none),
 // checkpointing every ckptEvery flushes.
 func newPagerOn(t *testing.T, log LogFile, ckptEvery int) *pager {
@@ -212,7 +216,7 @@ func newPagerOn(t *testing.T, log LogFile, ckptEvery int) *pager {
 		log:       log,
 		nextLSN:   1,
 		ckptEvery: ckptEvery,
-		capacity:  64,
+		pool:      pagefile.NewPool(whiteboxPoolPages),
 	}
 	p.start()
 	t.Cleanup(func() { p.Close() })
@@ -222,11 +226,11 @@ func newPagerOn(t *testing.T, log LogFile, ckptEvery int) *pager {
 // batchOf seals frames into a batch the way Commit does — each page's image
 // copied as it stands — without queueing it, for tests that hand batches to
 // the flusher's machinery themselves.
-func batchOf(frs ...*frame) *commitBatch {
+func batchOf(frs ...*pagefile.Frame) *commitBatch {
 	b := &commitBatch{done: make(chan struct{})}
 	for _, fr := range frs {
 		b.frames = append(b.frames, fr)
-		b.pages = append(b.pages, repl.PageImage{ID: fr.pf.ID, Data: bytes.Clone(fr.pf.Data)})
+		b.pages = append(b.pages, repl.PageImage{ID: fr.ID, Data: bytes.Clone(fr.Data)})
 	}
 	return b
 }
@@ -238,7 +242,7 @@ func TestGroupCommitCoalesce(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "wal")
 	p := newWhiteboxPager(t, logPath)
 
-	mkFrame := func(fill byte) *frame {
+	mkFrame := func(fill byte) *pagefile.Frame {
 		f, err := p.AllocPage()
 		if err != nil {
 			t.Fatal(err)
@@ -247,7 +251,7 @@ func TestGroupCommitCoalesce(t *testing.T) {
 			f.Data[i] = fill
 		}
 		p.Unpin(f, true)
-		return f.Priv.(*frame)
+		return f
 	}
 	fa, fb, fc := mkFrame(0xAA), mkFrame(0xBB), mkFrame(0xCC)
 
@@ -255,8 +259,8 @@ func TestGroupCommitCoalesce(t *testing.T) {
 	// the old one: the later image must win, and the dedupe keeps the page
 	// from being logged or written twice.
 	b1 := batchOf(fa, fb)
-	for i := range fa.pf.Data {
-		fa.pf.Data[i] = 0xAD
+	for i := range fa.Data {
+		fa.Data[i] = 0xAD
 	}
 	b2 := batchOf(fa, fc)
 	before := p.Stats().PageWrites
@@ -268,15 +272,15 @@ func TestGroupCommitCoalesce(t *testing.T) {
 	}
 	buf := make([]byte, pagefile.PageSize)
 	for _, want := range []struct {
-		fr   *frame
+		fr   *pagefile.Frame
 		fill byte
 	}{{fa, 0xAD}, {fb, 0xBB}, {fc, 0xCC}} {
-		if err := p.backing.ReadPage(want.fr.pf.ID, buf); err != nil {
+		if err := p.backing.ReadPage(want.fr.ID, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != want.fill || buf[pagefile.PageSize-1] != want.fill {
 			t.Errorf("page %d = %#x..%#x, want fill %#x",
-				want.fr.pf.ID, buf[0], buf[pagefile.PageSize-1], want.fill)
+				want.fr.ID, buf[0], buf[pagefile.PageSize-1], want.fill)
 		}
 	}
 	// One record (LSN 1) was logged and, at ckptEvery 1, retired at once.
@@ -319,7 +323,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 
 	const workers = 8
 	const perWorker = 25
-	frames := make([][]*frame, workers)
+	frames := make([][]*pagefile.Frame, workers)
 	for w := 0; w < workers; w++ {
 		for r := 0; r < perWorker; r++ {
 			f, err := p.AllocPage()
@@ -330,7 +334,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				f.Data[i] = byte(w)
 			}
 			p.Unpin(f, true)
-			frames[w] = append(frames[w], f.Priv.(*frame))
+			frames[w] = append(frames[w], f)
 		}
 	}
 
@@ -345,7 +349,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				b := batchOf(frames[w][lo : lo+5]...)
 				p.mu.Lock()
 				for _, fr := range b.frames {
-					fr.unwritten++
+					p.pool.Hold(fr)
 				}
 				p.queue = append(p.queue, b)
 				p.work.Signal()
@@ -367,12 +371,12 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	buf := make([]byte, pagefile.PageSize)
 	for w, fs := range frames {
 		for _, fr := range fs {
-			if err := p.backing.ReadPage(fr.pf.ID, buf); err != nil {
-				t.Fatalf("read page %d: %v", fr.pf.ID, err)
+			if err := p.backing.ReadPage(fr.ID, buf); err != nil {
+				t.Fatalf("read page %d: %v", fr.ID, err)
 			}
 			if buf[0] != byte(w) || buf[pagefile.PageSize-1] != byte(w) {
 				t.Fatalf("page %d: got fill %#x..%#x, want %#x",
-					fr.pf.ID, buf[0], buf[pagefile.PageSize-1], byte(w))
+					fr.ID, buf[0], buf[pagefile.PageSize-1], byte(w))
 			}
 		}
 	}
@@ -421,7 +425,7 @@ func TestCloseDrainsInFlightFlush(t *testing.T) {
 		log:       &gatedWAL{LogFile: f, t: t, gate: gate},
 		nextLSN:   1,
 		ckptEvery: 1,
-		capacity:  64,
+		pool:      pagefile.NewPool(whiteboxPoolPages),
 	}
 	p.start()
 
@@ -521,7 +525,7 @@ func TestFailedCheckpointKeepsTail(t *testing.T) {
 			f.Data[i] = fill
 		}
 		p.Unpin(f, true)
-		_, err = p.flushBatches([]*commitBatch{batchOf(f.Priv.(*frame))})
+		_, err = p.flushBatches([]*commitBatch{batchOf(f)})
 		return err
 	}
 	for lsn := uint64(1); lsn <= 2; lsn++ {
@@ -554,7 +558,7 @@ func TestScratchBounded(t *testing.T) {
 	p := newPagerOn(t, log, 1)
 	flush := func(pages int) *commitBatch {
 		t.Helper()
-		var frs []*frame
+		var frs []*pagefile.Frame
 		for i := 0; i < pages; i++ {
 			f, err := p.AllocPage()
 			if err != nil {
@@ -562,7 +566,7 @@ func TestScratchBounded(t *testing.T) {
 			}
 			f.Data[0] = byte(i + 1)
 			p.Unpin(f, true)
-			frs = append(frs, f.Priv.(*frame))
+			frs = append(frs, f)
 		}
 		b := batchOf(frs...)
 		if _, err := p.flushBatches([]*commitBatch{b}); err != nil {
@@ -624,14 +628,14 @@ func (b *failingReadBacking) ReadPage(id pagefile.PageID, buf []byte) error {
 // that very buffer, counting exactly one fault.
 func TestFailedFaultLeavesPagerWhole(t *testing.T) {
 	backing := &failingReadBacking{Backing: pagefile.NewMem()}
-	p := &pager{backing: backing, nextLSN: 1, ckptEvery: 1, capacity: 64}
+	p := &pager{backing: backing, nextLSN: 1, ckptEvery: 1, pool: pagefile.NewPool(whiteboxPoolPages)}
 	p.start()
 	t.Cleanup(func() { p.Close() })
 
 	// One page more than the pool holds: the settled commit trims the pool
 	// back to capacity, evicting one page, so the pool is full and one page
 	// is cold.
-	ids := make([]pagefile.PageID, p.capacity+1)
+	ids := make([]pagefile.PageID, whiteboxPoolPages+1)
 	for i := range ids {
 		f, err := p.AllocPage()
 		if err != nil {
@@ -648,14 +652,15 @@ func TestFailedFaultLeavesPagerWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
-	if len(p.pool) != p.capacity {
+	resident := p.pool.Frames()
+	if len(resident) != whiteboxPoolPages {
 		p.mu.Unlock()
-		t.Fatalf("pool holds %d pages, want a full %d", len(p.pool), p.capacity)
+		t.Fatalf("pool holds %d pages, want a full %d", len(resident), whiteboxPoolPages)
 	}
 	var cold pagefile.PageID
 	found := false
 	for _, id := range ids {
-		if _, ok := p.pool[id]; !ok {
+		if !slices.ContainsFunc(resident, func(f *pagefile.Frame) bool { return f.ID == id }) {
 			cold, found = id, true
 		}
 	}
@@ -668,13 +673,16 @@ func TestFailedFaultLeavesPagerWhole(t *testing.T) {
 	inPool := func() bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		if _, ok := p.pool[cold]; ok {
-			return true
-		}
-		for _, fr := range p.ring {
-			if fr.pf.ID == cold {
+		for _, fr := range p.pool.Frames() {
+			if fr.ID == cold {
 				return true
 			}
+		}
+		// Not in the ring, so a lookup pins nothing, unless the page is
+		// mapped all the same.
+		if f := p.pool.Pin(cold); f != nil {
+			p.pool.Unpin(f, false)
+			return true
 		}
 		return false
 	}

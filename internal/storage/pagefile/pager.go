@@ -16,25 +16,35 @@ const (
 // ModeWrite pin, and a pager may point Data at a fresh copy of the image
 // when it grants one (ostore does, to keep a sealed image it still has to
 // flush): a pinner reads Data through the Frame, never through a slice it
-// kept across another pin of the page.
+// kept across another pin of the page. The frame's Pool owns its pins and
+// reference bit; the pager owns Dirty and Sealed.
 type Frame struct {
 	// ID is the page number.
 	ID PageID
 	// Data is the PageSize-byte page image.
 	Data []byte
-	// Priv is for the owning pager's bookkeeping.
-	Priv any
+	// Dirty: Data was written since the pager last wrote it back or sealed it.
+	Dirty bool
+	// Sealed: Data is an image a flush in flight still has to write (ostore
+	// seals without copying), so the next write pin gets a copy.
+	Sealed bool
+
+	pins int  // pins and holds; a pinned frame is never evicted
+	ref  bool // CLOCK's reference bit
 }
 
-// Pager is the residency-and-durability policy that distinguishes the
-// storage managers:
+// Pager is the durability policy that distinguishes the paged storage
+// managers. Both keep their resident pages in a Pool, which makes the
+// residency decision (CLOCK); each pager decides what the pool may evict
+// and how a commit becomes durable:
 //
 //   - the ostore pager reads every miss through one serialized, counted
-//     path, caches pages in a bounded buffer pool, and makes commits durable
-//     through a redo log;
+//     path, keeps a page resident while it is dirty or its sealed image is
+//     unwritten (no-steal), and makes commits durable through a redo log;
 //   - the texas pager makes pages resident on first touch (counting a fault,
-//     the analog of pointer swizzling at page-fault time) and writes dirty
-//     pages back at commit, with no locking.
+//     the analog of pointer swizzling at page-fault time), writes a dirty
+//     victim back before taking it over (steal), and writes dirty pages back
+//     at commit, with no log and no concurrency control.
 //
 // PagerStats values are cumulative.
 type Pager interface {

@@ -15,9 +15,10 @@ func TestFaultAllocatesNothing(t *testing.T) {
 	if storagetest.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	p := &pager{backing: pagefile.NewMem(), resident: make(map[pagefile.PageID]*frame), maxPages: 16}
+	const resident = 16
+	p := &pager{backing: pagefile.NewMem(), pool: pagefile.NewPool(resident)}
 	defer p.Close()
-	ids := make([]pagefile.PageID, 2*p.maxPages)
+	ids := make([]pagefile.PageID, 2*resident)
 	for i := range ids {
 		f, err := p.AllocPage()
 		if err != nil {

@@ -102,8 +102,7 @@ func Open(opts Options) (storage.Manager, error) {
 	}
 	pager := &pager{
 		backing:    backing,
-		resident:   make(map[pagefile.PageID]*frame),
-		maxPages:   opts.MaxResidentPages,
+		pool:       pagefile.NewPool(opts.MaxResidentPages),
 		persistent: persistent,
 		page:       page,
 	}
@@ -164,25 +163,14 @@ func (m *manager) AllocateNear(near storage.OID, data []byte) (storage.OID, erro
 	return m.Store.AllocateNear(near, data)
 }
 
-type frame struct {
-	pf    pagefile.Frame
-	pins  int
-	dirty bool
-	ref   bool
-}
-
 // pager implements pagefile.Pager with fault-on-first-touch residency.
 type pager struct {
 	mu         sync.Mutex
 	backing    pagefile.Backing
-	resident   map[pagefile.PageID]*frame
-	ring       []*frame // CLOCK ring over resident frames
-	hand       int
-	maxPages   int
-	persistent bool   // torn-store marker protocol applies
-	marked     bool   // dirty marker is on disk
-	page       []byte // a persistent store's superblock scratch: stamped images, marker read-modify-writes
-	stats      pagefile.PagerStats
+	pool       *pagefile.Pool // residency; MaxResidentPages is its capacity
+	persistent bool           // torn-store marker protocol applies
+	marked     bool           // dirty marker is on disk
+	page       []byte         // a persistent store's superblock scratch: stamped images, marker read-modify-writes
 	closed     bool
 }
 
@@ -246,88 +234,46 @@ func (p *pager) Pin(id pagefile.PageID, mode pagefile.Mode) (*pagefile.Frame, er
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	if fr, ok := p.resident[id]; ok {
-		fr.pins++
-		fr.ref = true
-		return &fr.pf, nil
+	if f := p.pool.Pin(id); f != nil {
+		return f, nil
 	}
-	fr, err := p.newFrameLocked(id)
+	f, err := p.newFrameLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.backing.ReadPage(id, fr.pf.Data); err != nil {
+	if err := p.backing.ReadPage(id, f.Data); err != nil {
 		return nil, fmt.Errorf("texas: fault page %d: %w", id, err)
 	}
-	p.stats.Faults++
-	p.resident[id] = fr
-	p.ring = append(p.ring, fr)
-	return &fr.pf, nil
+	p.pool.Stats.Faults++
+	p.pool.Add(f)
+	return f, nil
 }
 
 // newFrameLocked readies a frame for page id, pinned once and referenced,
 // whose buffer the caller fills. When residency is at its limit it takes
 // over CLOCK's victim — the frame and its buffer — so a fault allocates
-// nothing; otherwise it is a new frame on a new buffer.
-func (p *pager) newFrameLocked(id pagefile.PageID) (*frame, error) {
-	fr, err := p.makeRoomLocked()
-	if err != nil {
-		return nil, err
+// nothing; otherwise it is a new frame on a new buffer. The pool steals:
+// a dirty victim is written back first, simulating OS page-out, and one
+// whose write-back fails stays resident and dirty.
+func (p *pager) newFrameLocked(id pagefile.PageID) (*pagefile.Frame, error) {
+	v := p.pool.Victim(nil)
+	if v == nil {
+		return pagefile.NewFrame(id, make([]byte, pagefile.PageSize)), nil
 	}
-	if fr == nil {
-		fr = &frame{pf: pagefile.Frame{Data: make([]byte, pagefile.PageSize)}}
+	if v.Dirty {
+		if err := p.writePageLocked(v.ID, v.Data); err != nil {
+			return nil, fmt.Errorf("texas: evict write-back page %d: %w", v.ID, err)
+		}
+		p.pool.Stats.PageWrites++
+		v.Dirty = false
 	}
-	*fr = frame{pf: pagefile.Frame{ID: id, Data: fr.pf.Data, Priv: fr}, pins: 1, ref: true}
-	return fr, nil
-}
-
-// makeRoomLocked evicts one page if residency is at its limit and returns
-// its frame for the caller to take over (nil when nothing was evicted).
-// Dirty victims are written back before being dropped, simulating OS
-// page-out.
-func (p *pager) makeRoomLocked() (*frame, error) {
-	if p.maxPages <= 0 || len(p.resident) < p.maxPages {
-		return nil, nil
-	}
-	for sweep := 0; sweep < 2*len(p.ring); sweep++ {
-		if len(p.ring) == 0 {
-			return nil, nil
-		}
-		p.hand %= len(p.ring)
-		fr := p.ring[p.hand]
-		if fr.pins > 0 {
-			p.hand++
-			continue
-		}
-		if fr.ref {
-			fr.ref = false
-			p.hand++
-			continue
-		}
-		if fr.dirty {
-			if err := p.writePageLocked(fr.pf.ID, fr.pf.Data); err != nil {
-				return nil, fmt.Errorf("texas: evict write-back page %d: %w", fr.pf.ID, err)
-			}
-			p.stats.PageWrites++
-			fr.dirty = false
-		}
-		delete(p.resident, fr.pf.ID)
-		p.ring[p.hand] = p.ring[len(p.ring)-1]
-		p.ring = p.ring[:len(p.ring)-1]
-		p.stats.Evictions++
-		return fr, nil
-	}
-	// Everything pinned: allow temporary overshoot.
-	return nil, nil
+	return p.pool.Take(v, id), nil
 }
 
 func (p *pager) Unpin(f *pagefile.Frame, dirty bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fr := f.Priv.(*frame)
-	fr.pins--
-	if dirty {
-		fr.dirty = true
-	}
+	p.pool.Unpin(f, dirty)
 }
 
 func (p *pager) AllocPage() (*pagefile.Frame, error) {
@@ -336,7 +282,7 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 	if p.closed {
 		return nil, pagefile.ErrPagerClosed
 	}
-	fr, err := p.newFrameLocked(0)
+	f, err := p.newFrameLocked(0)
 	if err != nil {
 		return nil, err
 	}
@@ -344,12 +290,11 @@ func (p *pager) AllocPage() (*pagefile.Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("texas: grow: %w", err)
 	}
-	clear(fr.pf.Data)
-	fr.pf.ID = id
-	fr.dirty = true
-	p.resident[id] = fr
-	p.ring = append(p.ring, fr)
-	return &fr.pf, nil
+	clear(f.Data)
+	f.ID = id
+	f.Dirty = true
+	p.pool.Add(f)
+	return f, nil
 }
 
 func (p *pager) Begin() error { return nil }
@@ -366,15 +311,15 @@ func (p *pager) Commit() (func() error, error) {
 }
 
 func (p *pager) flushLocked() error {
-	for _, fr := range p.ring {
-		if !fr.dirty {
+	for _, f := range p.pool.Frames() {
+		if !f.Dirty {
 			continue
 		}
-		if err := p.writePageLocked(fr.pf.ID, fr.pf.Data); err != nil {
-			return fmt.Errorf("texas: commit write page %d: %w", fr.pf.ID, err)
+		if err := p.writePageLocked(f.ID, f.Data); err != nil {
+			return fmt.Errorf("texas: commit write page %d: %w", f.ID, err)
 		}
-		p.stats.PageWrites++
-		fr.dirty = false
+		p.pool.Stats.PageWrites++
+		f.Dirty = false
 	}
 	return nil
 }
@@ -382,7 +327,7 @@ func (p *pager) flushLocked() error {
 func (p *pager) Stats() pagefile.PagerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.stats
+	return p.pool.Stats
 }
 
 func (p *pager) SizeBytes() uint64 { return p.backing.SizeBytes() }

@@ -76,12 +76,14 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # seed was refused as torn and some reopened at exactly its committed state,
 # so neither round can go vacuous when op numbering shifts. The directed
 # tests beside it pin each clause of the in-place-reuse safety argument (repl
-# package comment) on its own, the pipelined commit's two failure rules, and
-# that a failed ostore fault leaves the pager whole.
+# package comment) on its own, the pipelined commit's two failure rules,
+# that a failed fault leaves either pager whole (ostore and texas), that a
+# failed texas write-back keeps its victim resident and dirty, and the
+# shared buffer pool's CLOCK sweep (pagefile).
 go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
 go test -race -count=1 \
-	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord|TestFailedFaultLeavesPagerWhole' \
-	./internal/storage/repl/ ./internal/storage/ostore/
+	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord|TestFailedFaultLeavesPagerWhole|TestFailedWriteBackKeepsVictim|TestPoolClock' \
+	./internal/storage/repl/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/
 # The allocation tests skip under -race, whose instrumentation allocates, so
 # they run here without it: a fault takes over its victim's frame and page
 # buffer and allocates nothing (ostore and texas), a same-size inline Write
