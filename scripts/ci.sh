@@ -103,9 +103,9 @@ go run ./cmd/labflow -experiment crashtest -store all -seed "$seed" -crashruns 2
 }
 echo "randomized round passed (base seed $seed)"
 
-echo "== concurrent wire stress (-race, byte-identical + drain + op table + frame fuzz)"
+echo "== concurrent wire stress (-race, byte-identical + drain + op table + frame golden + frame fuzz)"
 go test -race -count=1 \
-	-run 'TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst|TestOpTable' \
+	-run 'TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst|TestOpTable|TestFrameGolden' \
 	./internal/wire/
 # The wire fuzz targets, for a fixed short budget: arbitrary frames at a
 # primary's and a standby's handler must neither panic nor let a read-class
