@@ -269,7 +269,7 @@ func TestKillServerMidPipeline(t *testing.T) {
 
 	const inFlight = 500
 	p := c.Pipeline()
-	futs := make([]*wire.HistoryFuture, inFlight)
+	futs := make([]*wire.Future[[]labbase.HistoryEntry], inFlight)
 	for i := range futs {
 		futs[i] = p.History(oid)
 	}
@@ -301,7 +301,7 @@ func TestKillServerMidPipeline(t *testing.T) {
 		t.Errorf("peer-death error not descriptive: %v", last.Err)
 	}
 	for i, f := range futs {
-		if f.Err == nil && f.Entries == nil {
+		if f.Err == nil && f.Val == nil {
 			t.Fatalf("future %d left unresolved", i)
 		}
 	}

@@ -453,7 +453,7 @@ type remoteFlight struct {
 	m   *remote
 	c   *conn
 	p   *wire.Pipeline
-	fut *wire.PutStepsFuture
+	fut *wire.Future[[]storage.OID]
 }
 
 func (m *remote) batch() (flight, error) {
@@ -473,7 +473,7 @@ func (f *remoteFlight) start(specs []labbase.StepSpec) {
 
 func (f *remoteFlight) wait() ([]storage.OID, error) {
 	f.p.Drain()
-	return f.fut.OIDs, f.m.finish(f.c, f.fut.Err)
+	return f.fut.Val, f.m.finish(f.c, f.fut.Err)
 }
 
 func (f *remoteFlight) release() { f.m.pool.put(f.c) }

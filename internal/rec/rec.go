@@ -124,6 +124,10 @@ type Decoder struct {
 // NewDecoder returns a decoder over b. The decoder does not copy b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
+// Reset points the decoder at b, as NewDecoder would, so one decoder can
+// serve a stream of records.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b} }
+
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
@@ -232,6 +236,17 @@ func (d *Decoder) Bytes() []byte {
 	}
 	v := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
+	return v
+}
+
+// Rest consumes and returns every undecoded byte. The returned slice
+// aliases the decoder's underlying buffer.
+func (d *Decoder) Rest() []byte {
+	if d.err != nil {
+		return nil
+	}
+	v := d.b[d.off:]
+	d.off = len(d.b)
 	return v
 }
 

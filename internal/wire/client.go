@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -29,6 +28,8 @@ type Client struct {
 	// call fails fast wrapping it. Remote errors arrive in whole frames and
 	// leave it nil.
 	err error
+	// enc encodes each request (see reuse).
+	enc rec.Encoder
 }
 
 // Dial connects to a LabBase server and performs the hello exchange.
@@ -65,18 +66,14 @@ func NewClient(conn net.Conn) (*Client, error) { return newClient(conn, 0) }
 // newClient performs the hello exchange over conn.
 func newClient(conn net.Conn, ioTimeout time.Duration) (*Client, error) {
 	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), ioTimeout: ioTimeout}
-	e := rec.NewEncoder(4)
-	e.Uint(protocolVersion)
-	d, err := c.roundTrip(OpHello, e.Bytes())
+	h, err := opHello.call(c, protocolVersion)
+	if err == nil && h.version != protocolVersion {
+		err = fmt.Errorf("wire: server speaks version %d", h.version)
+	}
 	if err != nil {
 		c.conn.Close()
 		return nil, err
 	}
-	if v := d.Uint(); v != protocolVersion {
-		c.conn.Close()
-		return nil, fmt.Errorf("wire: server speaks version %d", v)
-	}
-	_ = d.String() // server banner
 	return c, nil
 }
 
@@ -145,125 +142,87 @@ func (c *Client) roundTrip(op uint8, payload []byte) (*rec.Decoder, error) {
 	return c.recv()
 }
 
-// call is a round trip whose reply decode reads.
-func call[T any](c *Client, op uint8, payload []byte, decode func(*rec.Decoder) (T, error)) (T, error) {
-	d, err := c.roundTrip(op, payload)
+// call is one round trip of o's carrying q.
+func (o *op[Q, R]) call(c *Client, q Q) (R, error) {
+	d, err := c.roundTrip(o.code, o.request(c, q))
+	return o.reply(q, d, err)
+}
+
+// request encodes q in the client's encoder; the bytes stay valid until
+// the client's next request.
+func (o *op[Q, R]) request(c *Client, q Q) []byte {
+	e := reuse(&c.enc)
+	o.req.enc(e, q)
+	return e.Bytes()
+}
+
+// reply decodes o's reply to q, or passes on the error that stands in for
+// it.
+func (o *op[Q, R]) reply(q Q, d *rec.Decoder, err error) (R, error) {
+	var r R
 	if err != nil {
-		var zero T
-		return zero, err
+		return r, err
 	}
-	return decode(d)
+	if r, err = o.rep.dec(d); err == nil && o.check != nil {
+		err = o.check(q, r)
+	}
+	return r, err
 }
 
-// callUint is a round trip whose reply is one unsigned integer.
-func (c *Client) callUint(op uint8, payload []byte) (uint64, error) {
-	return call(c, op, payload, decodeUint)
-}
-
-// callOIDs is a round trip whose reply is an OID list.
-func (c *Client) callOIDs(op uint8, payload []byte, bad string) ([]storage.OID, error) {
-	return call(c, op, payload, func(d *rec.Decoder) ([]storage.OID, error) { return decodeOIDs(d, 1<<24, bad) })
-}
+// drop keeps only a call's error, for the opcodes with an empty reply.
+func drop[R any](_ R, err error) error { return err }
 
 // Begin opens an explicit transaction bracket on the server: until Commit,
 // this connection holds the server's writer lock and every mutation it
 // sends joins the one open transaction (mirroring labbase.DB.Begin).
-func (c *Client) Begin() error {
-	_, err := c.roundTrip(OpBegin, nil)
-	return err
-}
+func (c *Client) Begin() error { return drop(opBegin.call(c, none{})) }
 
 // Commit closes the explicit transaction bracket (see Begin).
-func (c *Client) Commit() error {
-	_, err := c.roundTrip(OpCommit, nil)
-	return err
-}
+func (c *Client) Commit() error { return drop(opCommit.call(c, none{})) }
 
 // ShardInfo performs the topology handshake: the server's shard index and
 // count, and its storage-backend name (the router's shard-map fingerprint).
 // It doubles as the health-check ping — it is read-only and lock-free on
 // the server.
 func (c *Client) ShardInfo() (index, count int, store string, err error) {
-	d, err := c.roundTrip(OpShardInfo, nil)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	index = int(d.Uint())
-	count = int(d.Uint())
-	store = d.String()
-	return index, count, store, d.Err()
+	r, err := opShardInfo.call(c, none{})
+	return r.index, r.count, r.store, err
 }
 
 // DefineMaterialClass mirrors labbase.DB.DefineMaterialClass.
 func (c *Client) DefineMaterialClass(name, parent string) (labbase.ClassID, error) {
-	e := rec.NewEncoder(32)
-	e.String(name)
-	e.String(parent)
-	id, err := c.callUint(OpDefineMaterialClass, e.Bytes())
-	return labbase.ClassID(id), err
+	return opDefineMaterialClass.call(c, classQ{name, parent})
 }
 
 // DefineAttr mirrors labbase.DB.DefineAttr.
 func (c *Client) DefineAttr(name string, kind labbase.Kind) (labbase.AttrID, error) {
-	e := rec.NewEncoder(32)
-	e.String(name)
-	e.Byte(byte(kind))
-	id, err := c.callUint(OpDefineAttr, e.Bytes())
-	return labbase.AttrID(id), err
+	return opDefineAttr.call(c, labbase.AttrDef{Name: name, Kind: kind})
 }
 
 // DefineState mirrors labbase.DB.DefineState.
 func (c *Client) DefineState(name string) (labbase.StateID, error) {
-	id, err := c.callUint(OpDefineState, nameReq(name))
-	return labbase.StateID(id), err
+	return opDefineState.call(c, name)
 }
 
 // DefineStepClass mirrors labbase.DB.DefineStepClass.
 func (c *Client) DefineStepClass(name string, attrs []labbase.AttrDef) (labbase.StepClassID, labbase.Version, error) {
-	e := rec.NewEncoder(64)
-	e.String(name)
-	e.Uint(uint64(len(attrs)))
-	for _, a := range attrs {
-		e.String(a.Name)
-		e.Byte(byte(a.Kind))
-	}
-	d, err := c.roundTrip(OpDefineStepClass, e.Bytes())
-	if err != nil {
-		return 0, 0, err
-	}
-	return labbase.StepClassID(d.Uint()), labbase.Version(d.Uint()), d.Err()
+	r, err := opDefineStepClass.call(c, stepClassQ{name, attrs})
+	return r.id, r.ver, err
 }
 
 // CreateMaterial mirrors labbase.DB.CreateMaterial (one server transaction).
 func (c *Client) CreateMaterial(class, name, state string, validTime int64) (storage.OID, error) {
-	e := rec.NewEncoder(64)
-	e.String(class)
-	e.String(name)
-	e.String(state)
-	e.Int(validTime)
-	oid, err := c.callUint(OpCreateMaterial, e.Bytes())
-	return storage.OID(oid), err
+	return opCreateMaterial.call(c, materialQ{class, name, state, validTime})
 }
 
 // CreateMaterialSet mirrors labbase.DB.CreateMaterialSet.
 func (c *Client) CreateMaterialSet(members []storage.OID) (storage.OID, error) {
-	e := rec.NewEncoder(16 + 9*len(members))
-	encodeOIDs(e, members)
-	oid, err := c.callUint(OpCreateSet, e.Bytes())
-	return storage.OID(oid), err
-}
-
-// stepReq is OpRecordStep's request payload.
-func stepReq(spec labbase.StepSpec) []byte {
-	e := rec.NewEncoder(128)
-	encodeStepSpec(e, spec)
-	return e.Bytes()
+	return opCreateSet.call(c, members)
 }
 
 // RecordStep mirrors labbase.DB.RecordStep (one server transaction).
 func (c *Client) RecordStep(spec labbase.StepSpec) (storage.OID, error) {
-	oid, err := c.callUint(OpRecordStep, stepReq(spec))
-	return storage.OID(oid), err
+	return opRecordStep.call(c, spec)
 }
 
 // PutSteps records a batch of steps in one round trip and one server
@@ -271,170 +230,107 @@ func (c *Client) RecordStep(spec labbase.StepSpec) (storage.OID, error) {
 // the batch. The batch is not atomic: on error, steps before the failing
 // index remain recorded (the server's error message names the index).
 func (c *Client) PutSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
-	return call(c, OpPutSteps, encodeStepBatch(specs), func(d *rec.Decoder) ([]storage.OID, error) {
-		return decodeStepBatchReply(d, len(specs))
-	})
+	return opPutSteps.call(c, specs)
 }
 
 // SetState mirrors labbase.DB.SetState.
 func (c *Client) SetState(oid storage.OID, state string) error {
-	_, err := c.roundTrip(OpSetState, attrReq(oid, state))
-	return err
+	return drop(opSetState.call(c, attrQ{oid, state}))
 }
 
 // State mirrors labbase.DB.State.
-func (c *Client) State(oid storage.OID) (string, error) {
-	return call(c, OpState, oidReq(oid), decodeString)
-}
+func (c *Client) State(oid storage.OID) (string, error) { return opState.call(c, oid) }
 
-// mostRecent serves MostRecent and its Scan and AsOf variants; t travels
-// only with OpMostRecentAsOf.
-func (c *Client) mostRecent(op uint8, oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
-	payload := attrReq(oid, attr)
-	if op == OpMostRecentAsOf {
-		payload = binary.AppendVarint(payload, t) // what rec.Encoder.Int appends
-	}
-	d, err := c.roundTrip(op, payload)
+// unpackRecent spreads a value reply over MostRecent's results; a failed
+// call reports the nil value.
+func unpackRecent(r Recent, err error) (labbase.Value, storage.OID, bool, error) {
 	if err != nil {
 		return labbase.Nil(), storage.NilOID, false, err
 	}
-	return decodeValueReply(d)
+	return r.Value, r.Src, r.Found, nil
 }
 
 // MostRecent mirrors labbase.DB.MostRecent.
 func (c *Client) MostRecent(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	return c.mostRecent(OpMostRecent, oid, attr, 0)
+	return unpackRecent(opMostRecent.call(c, attrQ{oid, attr}))
 }
 
 // MostRecentScan mirrors labbase.DB.MostRecentScan.
 func (c *Client) MostRecentScan(oid storage.OID, attr string) (labbase.Value, storage.OID, bool, error) {
-	return c.mostRecent(OpMostRecentScan, oid, attr, 0)
+	return unpackRecent(opMostRecentScan.call(c, attrQ{oid, attr}))
 }
 
 // MostRecentAsOf mirrors labbase.DB.MostRecentAsOf.
 func (c *Client) MostRecentAsOf(oid storage.OID, attr string, t int64) (labbase.Value, storage.OID, bool, error) {
-	return c.mostRecent(OpMostRecentAsOf, oid, attr, t)
+	return unpackRecent(opMostRecentAsOf.call(c, asOfQ{attrQ{oid, attr}, t}))
 }
 
 // History mirrors labbase.DB.History.
 func (c *Client) History(oid storage.OID) ([]labbase.HistoryEntry, error) {
-	return call(c, OpHistory, oidReq(oid), decodeHistory)
+	return opHistory.call(c, oid)
 }
 
 // GetMaterial mirrors labbase.DB.GetMaterial.
 func (c *Client) GetMaterial(oid storage.OID) (*labbase.Material, error) {
-	return call(c, OpGetMaterial, oidReq(oid), decodeMaterial)
+	return opGetMaterial.call(c, oid)
 }
 
 // GetStep mirrors labbase.DB.GetStep.
-func (c *Client) GetStep(oid storage.OID) (*labbase.Step, error) {
-	return call(c, OpGetStep, oidReq(oid), decodeStep)
-}
+func (c *Client) GetStep(oid storage.OID) (*labbase.Step, error) { return opGetStep.call(c, oid) }
 
 // CountMaterials mirrors labbase.DB.CountMaterials.
 func (c *Client) CountMaterials(class string) (uint64, error) {
-	return c.callUint(OpCountMaterials, nameReq(class))
+	return opCountMaterials.call(c, class)
 }
 
 // CountSteps mirrors labbase.DB.CountSteps.
-func (c *Client) CountSteps(class string) (uint64, error) {
-	return c.callUint(OpCountSteps, nameReq(class))
-}
+func (c *Client) CountSteps(class string) (uint64, error) { return opCountSteps.call(c, class) }
 
 // CountInState mirrors labbase.DB.CountInState.
 func (c *Client) CountInState(state string) (uint64, error) {
-	return c.callUint(OpCountInState, nameReq(state))
+	return opCountInState.call(c, state)
 }
 
 // MaterialsInState mirrors labbase.DB.MaterialsInState.
 func (c *Client) MaterialsInState(state string) ([]storage.OID, error) {
-	return c.callOIDs(OpMaterialsInState, nameReq(state), "wire: bad state reply")
+	return opMaterialsInState.call(c, state)
 }
 
 // SetMembers mirrors labbase.DB.SetMembers.
 func (c *Client) SetMembers(oid storage.OID) ([]storage.OID, error) {
-	return c.callOIDs(OpSetMembers, oidReq(oid), "wire: bad set reply")
+	return opSetMembers.call(c, oid)
 }
 
 // StepsInvolving mirrors labbase.DB.StepsInvolving.
 func (c *Client) StepsInvolving(oid storage.OID) ([]storage.OID, error) {
-	return c.callOIDs(OpStepsInvolving, oidReq(oid), "wire: bad steps reply")
+	return opStepsInvolving.call(c, oid)
 }
 
 // LookupMaterial resolves a material by its unique name.
 func (c *Client) LookupMaterial(name string) (storage.OID, bool, error) {
-	d, err := c.roundTrip(OpLookupMaterial, nameReq(name))
-	if err != nil {
-		return storage.NilOID, false, err
-	}
-	found := d.Bool()
-	oid := storage.OID(d.Uint())
-	return oid, found, d.Err()
+	r, err := opLookupMaterial.call(c, name)
+	return r.oid, r.found, err
 }
 
 // Query runs a deductive query on the server, returning each solution as a
 // variable-to-term-text map.
 func (c *Client) Query(q string, max int) ([]map[string]string, error) {
-	e := rec.NewEncoder(len(q) + 16)
-	e.String(q)
-	e.Uint(uint64(max))
-	d, err := c.roundTrip(OpQuery, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad query reply")
-	}
-	out := make([]map[string]string, n)
-	for i := range out {
-		nv := d.Count(1 << 16)
-		if d.Err() != nil {
-			return nil, fmt.Errorf("wire: bad query reply")
-		}
-		sol := make(map[string]string, nv)
-		for j := 0; j < nv; j++ {
-			name := d.String()
-			sol[name] = d.String()
-		}
-		out[i] = sol
-	}
-	return out, d.Err()
-}
-
-func (c *Client) nameList(op uint8) ([]string, error) {
-	return call(c, op, nil, func(d *rec.Decoder) ([]string, error) {
-		return decodeNames(d, 1<<20, "wire: bad name list reply")
-	})
+	r, err := opQuery.call(c, queryQ{q, max})
+	return r.text, err
 }
 
 // MaterialClasses mirrors labbase.DB.MaterialClasses.
-func (c *Client) MaterialClasses() ([]string, error) { return c.nameList(OpMaterialClasses) }
+func (c *Client) MaterialClasses() ([]string, error) { return opMaterialClasses.call(c, none{}) }
 
 // StepClasses mirrors labbase.DB.StepClasses.
-func (c *Client) StepClasses() ([]string, error) { return c.nameList(OpStepClasses) }
+func (c *Client) StepClasses() ([]string, error) { return opStepClasses.call(c, none{}) }
 
 // States mirrors labbase.DB.States.
-func (c *Client) States() ([]string, error) { return c.nameList(OpStates) }
+func (c *Client) States() ([]string, error) { return opStates.call(c, none{}) }
 
 // StepClassVersions mirrors labbase.DB.StepClassVersions.
 func (c *Client) StepClassVersions(name string) ([][]string, error) {
-	const bad = "wire: bad version list reply"
-	d, err := c.roundTrip(OpStepClassVersions, nameReq(name))
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 20)
-	if d.Err() != nil {
-		return nil, errors.New(bad)
-	}
-	out := make([][]string, n)
-	for i := range out {
-		if out[i], err = decodeNames(d, 1<<16, bad); err != nil {
-			return nil, err
-		}
-	}
-	return out, d.Err()
+	return opStepClassVersions.call(c, name)
 }
 
 // ScanMaterials fetches a class's materials in one frame and runs fn over
@@ -442,76 +338,38 @@ func (c *Client) StepClassVersions(name string) ([][]string, error) {
 // (the full list has already shipped), but its error still aborts the
 // local iteration with the same semantics as labbase.DB.ScanMaterials.
 func (c *Client) ScanMaterials(class string, fn func(*labbase.Material) error) error {
-	return scan(c, OpScanMaterials, nameReq(class), "wire: bad material scan reply", decodeMaterial, fn)
+	materials, err := opScanMaterials.call(c, class)
+	return each(materials, err, fn)
 }
 
 // ScanAllMaterials is ScanMaterials over every class (see its caveats).
 func (c *Client) ScanAllMaterials(fn func(*labbase.Material) error) error {
-	return scan(c, OpScanAllMaterials, nil, "wire: bad material scan reply", decodeMaterial, fn)
+	materials, err := opScanAllMaterials.call(c, none{})
+	return each(materials, err, fn)
 }
 
 // ScanSteps fetches a class's steps in one frame and runs fn over them
 // locally (see ScanMaterials for the early-stop caveat).
 func (c *Client) ScanSteps(class string, fn func(*labbase.Step) error) error {
-	return scan(c, OpScanSteps, nameReq(class), "wire: bad step scan reply", decodeStep, fn)
+	steps, err := opScanSteps.call(c, class)
+	return each(steps, err, fn)
 }
 
-// scan is a round trip whose reply is a counted list of decode's items,
-// each handed to fn.
-func scan[T any](c *Client, op uint8, payload []byte, bad string, decode func(*rec.Decoder) (T, error), fn func(T) error) error {
-	d, err := c.roundTrip(op, payload)
-	if err != nil {
-		return err
+// each runs fn over a fetched scan, stopping at fn's first error.
+func each[T any](items []T, err error, fn func(T) error) error {
+	for i := 0; err == nil && i < len(items); i++ {
+		err = fn(items[i])
 	}
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return errors.New(bad)
-	}
-	for i := 0; i < n; i++ {
-		v, err := decode(d)
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
-	return d.Err()
+	return err
 }
 
 // AttrTimeline mirrors labbase.DB.AttrTimeline.
 func (c *Client) AttrTimeline(oid storage.OID, attr string) ([]labbase.TimelineEntry, error) {
-	d, err := c.roundTrip(OpAttrTimeline, attrReq(oid, attr))
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(1 << 24)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("wire: bad timeline reply")
-	}
-	out := make([]labbase.TimelineEntry, n)
-	for i := range out {
-		out[i].ValidTime = d.Int()
-		out[i].Step = storage.OID(d.Uint())
-		out[i].Value = labbase.DecodeValue(d)
-	}
-	return out, d.Err()
+	return opAttrTimeline.call(c, attrQ{oid, attr})
 }
 
 // Dump mirrors labbase.DB.Dump.
-func (c *Client) Dump() (labbase.DumpStats, error) {
-	d, err := c.roundTrip(OpDump, nil)
-	if err != nil {
-		return labbase.DumpStats{}, err
-	}
-	st := labbase.DumpStats{
-		Materials:   d.Uint(),
-		Steps:       d.Uint(),
-		AttrValues:  d.Uint(),
-		HistoryRead: d.Uint(),
-	}
-	return st, d.Err()
-}
+func (c *Client) Dump() (labbase.DumpStats, error) { return opDump.call(c, none{}) }
 
 // ShipRecord forwards one encoded redo record (see internal/storage/repl)
 // to a standby server and returns the LSN the standby acknowledges. The
@@ -519,40 +377,22 @@ func (c *Client) Dump() (labbase.DumpStats, error) {
 // journals the exact bytes the primary logged. Records are bounded by
 // MaxFrame, which caps one commit at roughly 2000 dirty pages — far above
 // any group the storage engines produce.
-func (c *Client) ShipRecord(record []byte) (uint64, error) {
-	return c.callUint(OpShipRecord, record)
-}
+func (c *Client) ShipRecord(record []byte) (uint64, error) { return opShipRecord.call(c, record) }
 
 // Promote finalizes a standby server: the standby checkpoints its media,
 // stops accepting records, and begins serving as a primary. Against a
 // server that is already a primary it returns a remote error.
-func (c *Client) Promote() error {
-	_, err := c.roundTrip(OpPromote, nil)
-	return err
-}
+func (c *Client) Promote() error { return drop(opPromote.call(c, none{})) }
 
 // ReplState reports the peer's replication role (0 = primary, 1 = standby)
 // and, for a standby, the last LSN it has applied.
 func (c *Client) ReplState() (role int, lastLSN uint64, err error) {
-	d, err := c.roundTrip(OpReplState, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	role = int(d.Uint())
-	lastLSN = d.Uint()
-	return role, lastLSN, d.Err()
+	r, err := opReplState.call(c, none{})
+	return r.role, r.lastLSN, err
 }
 
 // Stats returns the server's storage-manager name and counters.
 func (c *Client) Stats() (string, storage.Stats, error) {
-	d, err := c.roundTrip(OpStats, nil)
-	if err != nil {
-		return "", storage.Stats{}, err
-	}
-	name := d.String()
-	var st storage.Stats
-	for _, f := range statsFields(&st) {
-		*f = d.Uint()
-	}
-	return name, st, d.Err()
+	r, err := opStats.call(c, none{})
+	return r.name, r.st, err
 }

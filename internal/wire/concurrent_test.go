@@ -346,22 +346,22 @@ func TestPipeline(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatalf("Len after flush = %d", p.Len())
 	}
-	if mr.Err != nil || !mr.Found || mr.Value.Int != 203 {
+	if mr.Err != nil || !mr.Val.Found || mr.Val.Value.Int != 203 {
 		t.Errorf("MostRecent future = %+v", mr)
 	}
-	if st.Err != nil || st.State != "done" {
+	if st.Err != nil || st.Val != "done" {
 		t.Errorf("State future = %+v", st)
 	}
-	if hist.Err != nil || len(hist.Entries) != 4 {
+	if hist.Err != nil || len(hist.Val) != 4 {
 		t.Errorf("History future = %+v", hist)
 	}
-	if rs.Err != nil || rs.OID.IsNil() {
+	if rs.Err != nil || rs.Val.IsNil() {
 		t.Errorf("RecordStep future = %+v", rs)
 	}
 	if !errors.Is(badState.Err, ErrRemote) {
 		t.Errorf("bad-state future err = %v", badState.Err)
 	}
-	if mr2.Err != nil || !mr2.Found {
+	if mr2.Err != nil || !mr2.Val.Found {
 		t.Errorf("future after remote error = %+v", mr2)
 	}
 
@@ -370,7 +370,7 @@ func TestPipeline(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if mr3.Err != nil || mr3.Value.Int != 77 {
+	if mr3.Err != nil || mr3.Val.Value.Int != 77 {
 		t.Errorf("reused pipeline future = %+v", mr3)
 	}
 	// And plain synchronous calls still work on the same connection.

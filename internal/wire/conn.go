@@ -28,6 +28,24 @@ type connState struct {
 	// once that response is flushed the core runs it, on the connection's
 	// goroutine, and hangs up.
 	afterFlush func()
+	// dec and enc are the connection's request decoder and reply encoder
+	// (see op.answer); a reply's bytes stay valid until the next request.
+	dec rec.Decoder
+	enc rec.Encoder
+}
+
+// maxKept bounds the encoder buffer a connection keeps between payloads.
+const maxKept = 64 << 10
+
+// reuse empties a connection's encoder for its next payload. The previous
+// payload is dead by then — each is written out before the next is
+// encoded — and a buffer a large payload grew is let go, not kept.
+func reuse(e *rec.Encoder) *rec.Encoder {
+	if e.Len() > maxKept {
+		*e = rec.Encoder{}
+	}
+	e.Reset()
+	return e
 }
 
 // connCore is the connection machinery both server roles share: the accept

@@ -32,14 +32,6 @@ func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 // Len reports the number of requests enqueued and not yet flushed.
 func (p *Pipeline) Len() int { return len(p.pending) }
 
-func (p *Pipeline) push(op uint8, payload []byte, done func(*rec.Decoder, error)) {
-	if p.err == nil {
-		p.err = p.c.send(op, payload)
-	}
-	// Queued even when the send failed, so Send resolves this future too.
-	p.pending = append(p.pending, done)
-}
-
 // Flush sends all enqueued frames and reads one response per request, in
 // order, resolving each future. It returns the first transport error; remote
 // (per-request) errors land in the individual futures instead. On a
@@ -101,99 +93,46 @@ func (p *Pipeline) resolveAll(err error) {
 	}
 }
 
-// MostRecentFuture resolves when the enqueuing pipeline is flushed.
-type MostRecentFuture struct {
-	Value labbase.Value
-	Src   storage.OID
-	Found bool
-	Err   error
+// Future is one pipelined request's reply: Val once the enqueuing
+// pipeline is flushed, or Err, the error that stands in for it.
+type Future[T any] struct {
+	Val T
+	Err error
+}
+
+// enqueue writes a request of o's into the client's buffered writer and
+// queues its future. The future is queued even when the write failed, so
+// Send resolves it too.
+func enqueue[Q, R any](p *Pipeline, o *op[Q, R], q Q) *Future[R] {
+	if p.err == nil {
+		p.err = p.c.send(o.code, o.request(p.c, q))
+	}
+	f := &Future[R]{}
+	p.pending = append(p.pending, func(d *rec.Decoder, err error) { f.Val, f.Err = o.reply(q, d, err) })
+	return f
 }
 
 // MostRecent enqueues an OpMostRecent request (see Client.MostRecent).
-func (p *Pipeline) MostRecent(oid storage.OID, attr string) *MostRecentFuture {
-	f := &MostRecentFuture{}
-	p.push(OpMostRecent, attrReq(oid, attr), func(d *rec.Decoder, err error) {
-		if err == nil {
-			f.Value, f.Src, f.Found, err = decodeValueReply(d)
-		}
-		f.Err = err
-	})
-	return f
-}
-
-// StateFuture resolves when the enqueuing pipeline is flushed.
-type StateFuture struct {
-	State string
-	Err   error
+func (p *Pipeline) MostRecent(oid storage.OID, attr string) *Future[Recent] {
+	return enqueue(p, opMostRecent, attrQ{oid, attr})
 }
 
 // State enqueues an OpState request (see Client.State).
-func (p *Pipeline) State(oid storage.OID) *StateFuture {
-	f := &StateFuture{}
-	p.push(OpState, oidReq(oid), func(d *rec.Decoder, err error) {
-		if err == nil {
-			f.State, err = decodeString(d)
-		}
-		f.Err = err
-	})
-	return f
-}
-
-// HistoryFuture resolves when the enqueuing pipeline is flushed.
-type HistoryFuture struct {
-	Entries []labbase.HistoryEntry
-	Err     error
-}
+func (p *Pipeline) State(oid storage.OID) *Future[string] { return enqueue(p, opState, oid) }
 
 // History enqueues an OpHistory request (see Client.History).
-func (p *Pipeline) History(oid storage.OID) *HistoryFuture {
-	f := &HistoryFuture{}
-	p.push(OpHistory, oidReq(oid), func(d *rec.Decoder, err error) {
-		if err == nil {
-			f.Entries, err = decodeHistory(d)
-		}
-		f.Err = err
-	})
-	return f
-}
-
-// PutStepsFuture resolves when the enqueuing pipeline is flushed.
-type PutStepsFuture struct {
-	OIDs []storage.OID
-	Err  error
+func (p *Pipeline) History(oid storage.OID) *Future[[]labbase.HistoryEntry] {
+	return enqueue(p, opHistory, oid)
 }
 
 // PutSteps enqueues an OpPutSteps request (see Client.PutSteps). The shard
 // router uses one per touched shard so the per-shard sub-batches apply
 // concurrently across server processes.
-func (p *Pipeline) PutSteps(specs []labbase.StepSpec) *PutStepsFuture {
-	f := &PutStepsFuture{}
-	n := len(specs) // the future must not keep the batch alive
-	p.push(OpPutSteps, encodeStepBatch(specs), func(d *rec.Decoder, err error) {
-		if err == nil {
-			f.OIDs, err = decodeStepBatchReply(d, n)
-		}
-		f.Err = err
-	})
-	return f
-}
-
-// RecordStepFuture resolves when the enqueuing pipeline is flushed.
-type RecordStepFuture struct {
-	OID storage.OID
-	Err error
+func (p *Pipeline) PutSteps(specs []labbase.StepSpec) *Future[[]storage.OID] {
+	return enqueue(p, opPutSteps, specs)
 }
 
 // RecordStep enqueues an OpRecordStep request (see Client.RecordStep).
-func (p *Pipeline) RecordStep(spec labbase.StepSpec) *RecordStepFuture {
-	f := &RecordStepFuture{}
-	p.push(OpRecordStep, stepReq(spec), func(d *rec.Decoder, err error) {
-		if err == nil {
-			var oid uint64
-			oid, err = decodeUint(d)
-			f.OID = storage.OID(oid)
-		}
-		f.Err = err
-	})
-	return f
+func (p *Pipeline) RecordStep(spec labbase.StepSpec) *Future[storage.OID] {
+	return enqueue(p, opRecordStep, spec)
 }

@@ -1,6 +1,7 @@
 // Package wire implements the LabBase data-server protocol: a length-prefixed
-// binary request/response protocol over TCP through which clients track
-// workflow activity and query the event history.
+// binary request/response protocol over TCP (or any net.Conn, net.Pipe
+// included) through which clients track workflow activity and query the
+// event history.
 //
 // The paper's LabBase server is, in Carey et al.'s terminology, a
 // "client-level server": one process owning the storage manager, with lab
@@ -21,8 +22,12 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+
+	"labflow/internal/labbase"
+	"labflow/internal/storage"
 )
 
 // Protocol opcodes.
@@ -99,59 +104,188 @@ const (
 // lockFree reports whether a primary runs the class without the writer lock.
 func (c opClass) lockFree() bool { return c == classRead || c == classReplRead }
 
-// repl reports whether the class belongs to the replication protocol.
-func (c opClass) repl() bool { return c == classReplRead || c == classReplWrite }
-
-// opRow is what the protocol declares about one opcode; the handlers stay
-// switch arms in Server.dispatch and StandbyServer.handle.
-type opRow struct {
-	name  string
-	class opClass
+// op is one opcode's descriptor: its code, name and class, the layouts of
+// its request and reply, and the primary's handler. The server's generic
+// arm (Server.serve), the client's call and the pipeline's futures all read
+// it, so an opcode is spelled once.
+type op[Q, R any] struct {
+	code    uint8
+	name    string
+	class   opClass
+	req     codec[Q]
+	rep     codec[R]
+	handler handler[Q, R]
+	// check, when set, vets a decoded reply against its request.
+	check func(Q, R) error
 }
 
-// opTable declares every opcode once, indexed by code.
-var opTable = [...]opRow{
-	OpHello:               {"Hello", classRead},
-	OpDefineMaterialClass: {"DefineMaterialClass", classWrite},
-	OpDefineState:         {"DefineState", classWrite},
-	OpDefineStepClass:     {"DefineStepClass", classWrite},
-	OpCreateMaterial:      {"CreateMaterial", classWrite},
-	OpCreateSet:           {"CreateSet", classWrite},
-	OpRecordStep:          {"RecordStep", classWrite},
-	OpSetState:            {"SetState", classWrite},
-	OpState:               {"State", classRead},
-	OpMostRecent:          {"MostRecent", classRead},
-	OpHistory:             {"History", classRead},
-	OpGetMaterial:         {"GetMaterial", classRead},
-	OpGetStep:             {"GetStep", classRead},
-	OpCountMaterials:      {"CountMaterials", classRead},
-	OpCountSteps:          {"CountSteps", classRead},
-	OpCountInState:        {"CountInState", classRead},
-	OpMaterialsInState:    {"MaterialsInState", classRead},
-	OpSetMembers:          {"SetMembers", classRead},
-	OpQuery:               {"Query", classRead},
-	OpDump:                {"Dump", classRead},
-	OpStats:               {"Stats", classRead},
-	OpLookupMaterial:      {"LookupMaterial", classRead},
-	OpPutSteps:            {"PutSteps", classWrite},
-	OpBegin:               {"Begin", classBracket},
-	OpCommit:              {"Commit", classBracket},
-	OpShardInfo:           {"ShardInfo", classRead},
-	OpDefineAttr:          {"DefineAttr", classWrite},
-	OpMaterialClasses:     {"MaterialClasses", classRead},
-	OpStepClasses:         {"StepClasses", classRead},
-	OpStates:              {"States", classRead},
-	OpStepClassVersions:   {"StepClassVersions", classRead},
-	OpScanMaterials:       {"ScanMaterials", classRead},
-	OpScanAllMaterials:    {"ScanAllMaterials", classRead},
-	OpScanSteps:           {"ScanSteps", classRead},
-	OpStepsInvolving:      {"StepsInvolving", classRead},
-	OpMostRecentScan:      {"MostRecentScan", classRead},
-	OpMostRecentAsOf:      {"MostRecentAsOf", classRead},
-	OpAttrTimeline:        {"AttrTimeline", classRead},
-	OpShipRecord:          {"ShipRecord", classReplWrite},
-	OpPromote:             {"Promote", classReplWrite},
-	OpReplState:           {"ReplState", classReplRead},
+// handler executes one decoded request on a primary. A write's handler
+// runs inside the connection's transaction (Server.exec).
+type handler[Q, R any] func(s *Server, cs *connState, q Q) (R, error)
+
+// def declares one opcode's descriptor.
+func def[Q, R any](code uint8, name string, class opClass, req codec[Q], rep codec[R], h handler[Q, R]) *op[Q, R] {
+	return &op[Q, R]{code: code, name: name, class: class, req: req, rep: rep, handler: h}
+}
+
+// checked sets the descriptor's reply check.
+func (o *op[Q, R]) checked(check func(Q, R) error) *op[Q, R] {
+	o.check = check
+	return o
+}
+
+// onDB makes a store method that takes the request whole a handler, so
+// most rows name a method expression such as labbase.Store.State.
+func onDB[Q, R any](f func(labbase.Store, Q) (R, error)) handler[Q, R] {
+	return func(s *Server, _ *connState, q Q) (R, error) { return f(s.db, q) }
+}
+
+// catalog makes a catalog listing a handler.
+func catalog(f func(labbase.Store) []string) handler[none, []string] {
+	return func(s *Server, _ *connState, _ none) ([]string, error) { return f(s.db), nil }
+}
+
+// The descriptors, one per opcode. The replication writes have no primary
+// handler: a primary refuses them, and a StandbyServer serves them itself.
+var (
+	opHello = def(OpHello, "Hello", classRead, u64C, helloC,
+		func(_ *Server, _ *connState, v uint64) (helloR, error) { return greet(v, "labflow") })
+	opDefineMaterialClass = def(OpDefineMaterialClass, "DefineMaterialClass", classWrite, classC, uintC[labbase.ClassID](),
+		func(s *Server, _ *connState, q classQ) (labbase.ClassID, error) {
+			return s.db.DefineMaterialClass(q.name, q.parent)
+		})
+	opDefineState     = def(OpDefineState, "DefineState", classWrite, stringC, uintC[labbase.StateID](), onDB(labbase.Store.DefineState))
+	opDefineStepClass = def(OpDefineStepClass, "DefineStepClass", classWrite, stepClassC, stepClassRC,
+		func(s *Server, _ *connState, q stepClassQ) (r stepClassR, err error) {
+			r.id, r.ver, err = s.db.DefineStepClass(q.name, q.attrs)
+			return r, err
+		})
+	opCreateMaterial = def(OpCreateMaterial, "CreateMaterial", classWrite, materialQC, oidC,
+		func(s *Server, _ *connState, q materialQ) (storage.OID, error) {
+			return s.db.CreateMaterial(q.class, q.name, q.state, q.validTime)
+		})
+	opCreateSet  = def(OpCreateSet, "CreateSet", classWrite, oidsC(1<<20, "wire: bad member count"), oidC, onDB(labbase.Store.CreateMaterialSet))
+	opRecordStep = def(OpRecordStep, "RecordStep", classWrite, stepSpecC, oidC, onDB(labbase.Store.RecordStep))
+	opSetState   = def(OpSetState, "SetState", classWrite, attrC, noneC,
+		func(s *Server, _ *connState, q attrQ) (none, error) { return none{}, s.db.SetState(q.oid, q.attr) })
+	opState      = def(OpState, "State", classRead, oidC, stringC, onDB(labbase.Store.State))
+	opMostRecent = def(OpMostRecent, "MostRecent", classRead, attrC, recentC,
+		func(s *Server, _ *connState, q attrQ) (Recent, error) {
+			return packRecent(s.db.MostRecent(q.oid, q.attr))
+		})
+	opHistory          = def(OpHistory, "History", classRead, oidC, historyC, onDB(labbase.Store.History))
+	opGetMaterial      = def(OpGetMaterial, "GetMaterial", classRead, oidC, materialC, onDB(labbase.Store.GetMaterial))
+	opGetStep          = def(OpGetStep, "GetStep", classRead, oidC, stepC, onDB(labbase.Store.GetStep))
+	opCountMaterials   = def(OpCountMaterials, "CountMaterials", classRead, stringC, u64C, onDB(labbase.Store.CountMaterials))
+	opCountSteps       = def(OpCountSteps, "CountSteps", classRead, stringC, u64C, onDB(labbase.Store.CountSteps))
+	opCountInState     = def(OpCountInState, "CountInState", classRead, stringC, u64C, onDB(labbase.Store.CountInState))
+	opMaterialsInState = def(OpMaterialsInState, "MaterialsInState", classRead, stringC, oidsC(1<<24, "wire: bad state reply"), onDB(labbase.Store.MaterialsInState))
+	opSetMembers       = def(OpSetMembers, "SetMembers", classRead, oidC, oidsC(1<<24, "wire: bad set reply"), onDB(labbase.Store.SetMembers))
+	opQuery            = def(OpQuery, "Query", classRead, queryC, answersC, (*Server).query)
+	opDump             = def(OpDump, "Dump", classRead, noneC, dumpC,
+		func(s *Server, _ *connState, _ none) (labbase.DumpStats, error) { return s.db.Dump() })
+	opStats = def(OpStats, "Stats", classRead, noneC, statsC,
+		func(s *Server, _ *connState, _ none) (statsR, error) {
+			name, st := s.db.StoreStats()
+			return statsR{name, st}, nil
+		})
+	opLookupMaterial = def(OpLookupMaterial, "LookupMaterial", classRead, stringC, lookupC,
+		func(s *Server, _ *connState, name string) (lookupR, error) {
+			oid, found := s.db.LookupMaterial(name)
+			return lookupR{oid, found}, nil
+		})
+	// Batched RecordStep: the whole batch runs in one transaction
+	// (amortizing the commit and, under group-commit stores, the log flush)
+	// — the bracket's, or one of its own sealed like any write's. The batch
+	// is not atomic: if an entry fails, earlier entries stay recorded — the
+	// error names the failing index so the client can tell.
+	opPutSteps = def(OpPutSteps, "PutSteps", classWrite, stepBatchC, oidsC(maxStepBatch, "wire: bad step batch reply"), onDB(labbase.Store.PutSteps)).
+			checked(func(specs []labbase.StepSpec, oids []storage.OID) error {
+			if len(oids) != len(specs) {
+				return errors.New("wire: bad step batch reply")
+			}
+			return nil
+		})
+	opBegin = def(OpBegin, "Begin", classBracket, noneC, noneC,
+		func(s *Server, cs *connState, _ none) (none, error) { return none{}, s.beginBracket(cs) })
+	opCommit = def(OpCommit, "Commit", classBracket, noneC, noneC,
+		func(s *Server, cs *connState, _ none) (none, error) { return none{}, s.commitBracket(cs) })
+	opShardInfo  = def(OpShardInfo, "ShardInfo", classRead, noneC, shardInfoC, (*Server).shardInfo)
+	opDefineAttr = def(OpDefineAttr, "DefineAttr", classWrite, attrDefC, uintC[labbase.AttrID](),
+		func(s *Server, _ *connState, a labbase.AttrDef) (labbase.AttrID, error) {
+			return s.db.DefineAttr(a.Name, a.Kind)
+		})
+	opMaterialClasses   = def(OpMaterialClasses, "MaterialClasses", classRead, noneC, namesC(1<<20, "wire: bad name list reply"), catalog(labbase.Store.MaterialClasses))
+	opStepClasses       = def(OpStepClasses, "StepClasses", classRead, noneC, namesC(1<<20, "wire: bad name list reply"), catalog(labbase.Store.StepClasses))
+	opStates            = def(OpStates, "States", classRead, noneC, namesC(1<<20, "wire: bad name list reply"), catalog(labbase.Store.States))
+	opStepClassVersions = def(OpStepClassVersions, "StepClassVersions", classRead, stringC,
+		listOf(namesC(1<<16, "wire: bad version list reply"), 1<<20, "wire: bad version list reply"), onDB(labbase.Store.StepClassVersions))
+	opScanMaterials = def(OpScanMaterials, "ScanMaterials", classRead, stringC, listOf(materialC, 1<<24, "wire: bad material scan reply"),
+		func(s *Server, _ *connState, class string) ([]*labbase.Material, error) {
+			return collect(func(fn func(*labbase.Material) error) error { return s.db.ScanMaterials(class, fn) })
+		})
+	opScanAllMaterials = def(OpScanAllMaterials, "ScanAllMaterials", classRead, noneC, listOf(materialC, 1<<24, "wire: bad material scan reply"),
+		func(s *Server, _ *connState, _ none) ([]*labbase.Material, error) {
+			return collect(s.db.ScanAllMaterials)
+		})
+	opScanSteps = def(OpScanSteps, "ScanSteps", classRead, stringC, listOf(stepC, 1<<24, "wire: bad step scan reply"),
+		func(s *Server, _ *connState, class string) ([]*labbase.Step, error) {
+			return collect(func(fn func(*labbase.Step) error) error { return s.db.ScanSteps(class, fn) })
+		})
+	opStepsInvolving = def(OpStepsInvolving, "StepsInvolving", classRead, oidC, oidsC(1<<24, "wire: bad steps reply"), onDB(labbase.Store.StepsInvolving))
+	opMostRecentScan = def(OpMostRecentScan, "MostRecentScan", classRead, attrC, recentC,
+		func(s *Server, _ *connState, q attrQ) (Recent, error) {
+			return packRecent(s.db.MostRecentScan(q.oid, q.attr))
+		})
+	opMostRecentAsOf = def(OpMostRecentAsOf, "MostRecentAsOf", classRead, asOfC, recentC,
+		func(s *Server, _ *connState, q asOfQ) (Recent, error) {
+			return packRecent(s.db.MostRecentAsOf(q.oid, q.attr, q.t))
+		})
+	opAttrTimeline = def(OpAttrTimeline, "AttrTimeline", classRead, attrC, timelineC,
+		func(s *Server, _ *connState, q attrQ) ([]labbase.TimelineEntry, error) {
+			return s.db.AttrTimeline(q.oid, q.attr)
+		})
+	opShipRecord = def(OpShipRecord, "ShipRecord", classReplWrite, rawC, u64C, nil)
+	opPromote    = def(OpPromote, "Promote", classReplWrite, noneC, u64C, nil)
+	// A full server is always a primary: role 0, and no applied LSN.
+	opReplState = def(OpReplState, "ReplState", classReplRead, noneC, replStateC,
+		func(*Server, *connState, none) (replStateR, error) { return replStateR{}, nil })
+)
+
+// opRow is what the connection core and the server read of one opcode: its
+// name, its class and the primary's arm, nil where the primary serves none.
+type opRow struct {
+	name   string
+	class  opClass
+	handle func(s *Server, cs *connState, payload []byte) ([]byte, error)
+}
+
+func (o *op[Q, R]) row() (uint8, opRow) {
+	r := opRow{name: o.name, class: o.class}
+	if o.handler != nil {
+		r.handle = o.serve
+	}
+	return o.code, r
+}
+
+// opTable holds every opcode's row, indexed by code.
+var opTable = rows(
+	opHello, opDefineMaterialClass, opDefineState, opDefineStepClass, opCreateMaterial, opCreateSet,
+	opRecordStep, opSetState, opState, opMostRecent, opHistory, opGetMaterial, opGetStep,
+	opCountMaterials, opCountSteps, opCountInState, opMaterialsInState, opSetMembers, opQuery,
+	opDump, opStats, opLookupMaterial, opPutSteps, opBegin, opCommit, opShardInfo, opDefineAttr,
+	opMaterialClasses, opStepClasses, opStates, opStepClassVersions, opScanMaterials,
+	opScanAllMaterials, opScanSteps, opStepsInvolving, opMostRecentScan, opMostRecentAsOf,
+	opAttrTimeline, opShipRecord, opPromote, opReplState,
+)
+
+func rows(ops ...interface{ row() (uint8, opRow) }) []opRow {
+	table := make([]opRow, len(ops)+1)
+	for _, o := range ops {
+		code, r := o.row()
+		table[code] = r
+	}
+	return table
 }
 
 // rowOf returns op's table row, the zero row for a code the table lacks.

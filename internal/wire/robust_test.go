@@ -67,7 +67,7 @@ func TestPipelineFuturesFailOnPeerClose(t *testing.T) {
 	})
 
 	p := c.Pipeline()
-	futs := make([]*MostRecentFuture, inFlight)
+	futs := make([]*Future[Recent], inFlight)
 	for i := range futs {
 		futs[i] = p.MostRecent(storage.OID(i+1), "reading")
 	}
@@ -257,7 +257,7 @@ func TestOversizeRequestBreaksConnection(t *testing.T) {
 	c, _ := startServer(t)
 	p := c.Pipeline()
 	first := p.State(storage.OID(1))
-	p.push(OpShipRecord, make([]byte, MaxFrame), func(*rec.Decoder, error) {})
+	enqueue(p, opShipRecord, make([]byte, MaxFrame))
 	if err := p.Flush(); err == nil || first.Err == nil {
 		t.Fatalf("pipeline with an oversize frame: Flush = %v, first future = %v", err, first.Err)
 	}

@@ -3,12 +3,10 @@ package wire
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 
 	"labflow/internal/labbase"
 	"labflow/internal/lbq"
-	"labflow/internal/rec"
 	"labflow/internal/storage"
 )
 
@@ -167,528 +165,110 @@ func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error)
 // brackets stay atomic against each other, and a connection inside an
 // explicit bracket already holds the writer lock across frames.
 func (s *Server) locked(cs *connState, op uint8, payload []byte) ([]byte, error) {
-	switch class := rowOf(op).class; {
-	case class == classNone:
+	row := rowOf(op)
+	switch {
+	case row.class == classNone:
 		return nil, fmt.Errorf("wire: unknown opcode %d", op)
-	case class == classReplWrite:
+	case row.class == classReplWrite:
 		return nil, fmt.Errorf("wire: not a standby")
-	case class == classBracket:
+	case row.class == classBracket:
 		// The bracket opcodes manage the writer lock themselves.
 	case cs.bracket:
 		// This connection holds the writer lock until OpCommit; every op it
 		// sends executes inside its bracket.
-	case class.lockFree():
+	case row.class.lockFree():
 		// The store's read entry points (and the OpQuery handler
 		// explicitly) capture a snapshot and answer from it.
 	default:
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	// dispatch reaches beginBracket's s.mu.Lock only for OpBegin, and the
-	// classBracket case dispatches the bracket opcodes lock-free; the
-	// may-held union cannot see that path split.
-	//lint:allow lockorder bracket opcodes are dispatched lock-free by the classBracket case above
-	return s.dispatch(cs, op, payload)
+	return row.handle(s, cs, payload)
 }
 
-// dispatch decodes and executes one request; the caller holds the
-// appropriate server lock.
-func (s *Server) dispatch(cs *connState, op uint8, payload []byte) ([]byte, error) {
-	d := rec.NewDecoder(payload)
-	e := rec.NewEncoder(64)
-	switch op {
-	case OpHello:
-		if err := serveHello(d, e, "labflow"); err != nil {
-			return nil, err
-		}
-
-	case OpDefineMaterialClass:
-		name, parent := d.String(), d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var id labbase.ClassID
-		if err := s.exec(cs, func() (err error) {
-			id, err = s.db.DefineMaterialClass(name, parent)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(id))
-
-	case OpDefineState:
-		name := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var id labbase.StateID
-		if err := s.exec(cs, func() (err error) {
-			id, err = s.db.DefineState(name)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(id))
-
-	case OpDefineStepClass:
-		name := d.String()
-		n := d.Count(1 << 16)
-		if d.Err() != nil {
-			return nil, fmt.Errorf("wire: bad attribute count")
-		}
-		attrs := make([]labbase.AttrDef, 0, n)
-		for i := 0; i < n; i++ {
-			attrs = append(attrs, labbase.AttrDef{Name: d.String(), Kind: labbase.Kind(d.Byte())})
-		}
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var id labbase.StepClassID
-		var ver labbase.Version
-		if err := s.exec(cs, func() (err error) {
-			id, ver, err = s.db.DefineStepClass(name, attrs)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(id))
-		e.Uint(uint64(ver))
-
-	case OpCreateMaterial:
-		class, name, state := d.String(), d.String(), d.String()
-		vt := d.Int()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var oid storage.OID
-		if err := s.exec(cs, func() (err error) {
-			oid, err = s.db.CreateMaterial(class, name, state, vt)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(oid))
-
-	case OpCreateSet:
-		members, err := decodeOIDs(d, 1<<20, "wire: bad member count")
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var oid storage.OID
-		if err := s.exec(cs, func() (err error) {
-			oid, err = s.db.CreateMaterialSet(members)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(oid))
-
-	case OpRecordStep:
-		spec, err := decodeStepSpec(d)
-		if err == nil {
-			err = d.Finish()
-		}
-		if err != nil {
-			return nil, err
-		}
-		var oid storage.OID
-		if err := s.exec(cs, func() (err error) {
-			oid, err = s.db.RecordStep(spec)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(oid))
-
-	case OpPutSteps:
-		// Batched RecordStep: the whole batch runs in one transaction
-		// (amortizing the commit and, under group-commit stores, the log
-		// flush) — the bracket's, or one of its own sealed like any
-		// write's. The batch is not atomic: if an entry fails, earlier
-		// entries stay recorded — the error names the failing index so the
-		// client can tell.
-		specs, err := decodeStepBatch(d)
-		if err != nil {
-			return nil, err
-		}
-		var oids []storage.OID
-		if err := s.exec(cs, func() (err error) {
-			oids, err = s.db.PutSteps(specs)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		encodeOIDs(e, oids)
-
-	case OpSetState:
-		oid := storage.OID(d.Uint())
-		state := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		if err := s.exec(cs, func() error { return s.db.SetState(oid, state) }); err != nil {
-			return nil, err
-		}
-
-	case OpState:
-		oid := storage.OID(d.Uint())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		st, err := s.db.State(oid)
-		if err != nil {
-			return nil, err
-		}
-		e.String(st)
-
-	case OpHistory:
-		oid := storage.OID(d.Uint())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		hist, err := s.db.History(oid)
-		if err != nil {
-			return nil, err
-		}
-		encodeHistory(e, hist)
-
-	case OpGetMaterial:
-		oid := storage.OID(d.Uint())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		m, err := s.db.GetMaterial(oid)
-		if err != nil {
-			return nil, err
-		}
-		encodeMaterial(e, m)
-
-	case OpGetStep:
-		oid := storage.OID(d.Uint())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		st, err := s.db.GetStep(oid)
-		if err != nil {
-			return nil, err
-		}
-		encodeStep(e, st)
-
-	case OpCountMaterials, OpCountSteps, OpCountInState:
-		name := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var n uint64
-		var err error
-		switch op {
-		case OpCountMaterials:
-			n, err = s.db.CountMaterials(name)
-		case OpCountSteps:
-			n, err = s.db.CountSteps(name)
-		default:
-			n, err = s.db.CountInState(name)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(n)
-
-	case OpMaterialsInState:
-		state := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		mats, err := s.db.MaterialsInState(state)
-		if err != nil {
-			return nil, err
-		}
-		encodeOIDs(e, mats)
-
-	case OpSetMembers, OpStepsInvolving:
-		oid := storage.OID(d.Uint())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var oids []storage.OID
-		var err error
-		if op == OpSetMembers {
-			oids, err = s.db.SetMembers(oid)
-		} else {
-			oids, err = s.db.StepsInvolving(oid)
-		}
-		if err != nil {
-			return nil, err
-		}
-		encodeOIDs(e, oids)
-
-	case OpQuery:
-		q := d.String()
-		max := int(d.Uint())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		// The query runs read-only against a snapshot captured here, so
-		// concurrent queries and writers never interact; update predicates
-		// are rejected by the bridge.
-		snap, err := s.db.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		defer snap.Close()
-		sols, err := s.bridge.QueryOn(snap, q, max)
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(len(sols)))
-		for _, sol := range sols {
-			e.Uint(uint64(len(sol)))
-			names := make([]string, 0, len(sol))
-			for name := range sol {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				e.String(name)
-				e.String(sol[name].String())
-			}
-		}
-
-	case OpDump:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		st, err := s.db.Dump()
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(st.Materials)
-		e.Uint(st.Steps)
-		e.Uint(st.AttrValues)
-		e.Uint(st.HistoryRead)
-
-	case OpStats:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		name, st := s.db.StoreStats()
-		e.String(name)
-		for _, f := range statsFields(&st) {
-			e.Uint(*f)
-		}
-
-	case OpLookupMaterial:
-		name := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		oid, found := s.db.LookupMaterial(name)
-		e.Bool(found)
-		e.Uint(uint64(oid))
-
-	case OpBegin:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		if err := s.beginBracket(cs); err != nil {
-			return nil, err
-		}
-
-	case OpCommit:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		if err := s.commitBracket(cs); err != nil {
-			return nil, err
-		}
-
-	case OpShardInfo:
-		// Topology handshake and health ping: the server advertises which
-		// shard it holds (0 of 1 for an unsharded store), and the storage
-		// backend name as the router's fingerprint of the shard map.
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		idx, count := 0, 1
-		if si, ok := s.db.(interface{ ShardInfo() (int, int) }); ok {
-			idx, count = si.ShardInfo()
-		}
-		name, _ := s.db.StoreStats()
-		e.Uint(uint64(idx))
-		e.Uint(uint64(count))
-		e.String(name)
-
-	case OpDefineAttr:
-		name := d.String()
-		kind := labbase.Kind(d.Byte())
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var id labbase.AttrID
-		if err := s.exec(cs, func() (err error) {
-			id, err = s.db.DefineAttr(name, kind)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(id))
-
-	case OpMaterialClasses, OpStepClasses, OpStates:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var names []string
-		switch op {
-		case OpMaterialClasses:
-			names = s.db.MaterialClasses()
-		case OpStepClasses:
-			names = s.db.StepClasses()
-		default:
-			names = s.db.States()
-		}
-		encodeNames(e, names)
-
-	case OpStepClassVersions:
-		name := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		vers, err := s.db.StepClassVersions(name)
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(len(vers)))
-		for _, v := range vers {
-			encodeNames(e, v)
-		}
-
-	case OpScanMaterials, OpScanAllMaterials:
-		// Scans ship the full result list in one frame (bounded by
-		// MaxFrame); the client re-runs the caller's callback locally. An
-		// early-stopping callback therefore cannot shorten the server-side
-		// scan, which only matters for wire-level counter accounting.
-		var class string
-		if op == OpScanMaterials {
-			class = d.String()
-		}
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var mats []*labbase.Material
-		collect := func(m *labbase.Material) error {
-			cp := *m
-			mats = append(mats, &cp)
-			return nil
-		}
-		var err error
-		if op == OpScanMaterials {
-			err = s.db.ScanMaterials(class, collect)
-		} else {
-			err = s.db.ScanAllMaterials(collect)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(len(mats)))
-		for _, m := range mats {
-			encodeMaterial(e, m)
-		}
-
-	case OpScanSteps:
-		class := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var steps []*labbase.Step
-		err := s.db.ScanSteps(class, func(st *labbase.Step) error {
-			cp := *st
-			steps = append(steps, &cp)
-			return nil
+// serve is the primary's one arm: it answers a request of o's with o's
+// handler, run inside the connection's transaction for a write.
+func (o *op[Q, R]) serve(s *Server, cs *connState, payload []byte) ([]byte, error) {
+	return o.answer(cs, payload, func(q Q) (r R, err error) {
+		if o.class != classWrite {
+			return o.handler(s, cs, q)
+		}
+		err = s.exec(cs, func() (err error) {
+			r, err = o.handler(s, cs, q)
+			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(len(steps)))
-		for _, st := range steps {
-			encodeStep(e, st)
-		}
+		return r, err
+	})
+}
 
-	case OpMostRecent, OpMostRecentScan, OpMostRecentAsOf:
-		oid := storage.OID(d.Uint())
-		attr := d.String()
-		var t int64
-		if op == OpMostRecentAsOf {
-			t = d.Int()
-		}
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		var v labbase.Value
-		var src storage.OID
-		var found bool
-		var err error
-		switch op {
-		case OpMostRecent:
-			v, src, found, err = s.db.MostRecent(oid, attr)
-		case OpMostRecentScan:
-			v, src, found, err = s.db.MostRecentScan(oid, attr)
-		default:
-			v, src, found, err = s.db.MostRecentAsOf(oid, attr, t)
-		}
-		if err != nil {
-			return nil, err
-		}
-		encodeValueReply(e, v, src, found)
-
-	case OpAttrTimeline:
-		oid := storage.OID(d.Uint())
-		attr := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		tl, err := s.db.AttrTimeline(oid, attr)
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(uint64(len(tl)))
-		for _, te := range tl {
-			e.Int(te.ValidTime)
-			e.Uint(uint64(te.Step))
-			labbase.EncodeValue(e, te.Value)
-		}
-
-	case OpReplState:
-		// A full server is always a primary; a StandbyServer answers role 1
-		// and its applied LSN.
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		e.Uint(0) // role: primary
-		e.Uint(0) // lastLSN: meaningless for a primary
-
-	default:
-		// A row without an arm: the bug the op-table test exists to catch.
-		return nil, fmt.Errorf("wire: opcode %s has no handler", rowOf(op).name)
+// answer decodes a request of o's, refusing trailing bytes, runs fn on it
+// and encodes fn's reply. Both roles' handlers go through it.
+func (o *op[Q, R]) answer(cs *connState, payload []byte, fn func(Q) (R, error)) ([]byte, error) {
+	cs.dec.Reset(payload)
+	q, err := o.req.dec(&cs.dec)
+	if err == nil {
+		err = cs.dec.Finish()
 	}
-	if err := d.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
+	r, err := fn(q)
+	if err != nil {
+		return nil, err
+	}
+	e := reuse(&cs.enc)
+	o.rep.enc(e, r)
 	return e.Bytes(), nil
 }
 
-// serveHello answers the hello exchange for either role.
-func serveHello(d *rec.Decoder, e *rec.Encoder, banner string) error {
-	v := d.Uint()
-	if err := d.Finish(); err != nil {
-		return err
+// greet answers the hello exchange for either role.
+func greet(version uint64, banner string) (helloR, error) {
+	if version != protocolVersion {
+		return helloR{}, fmt.Errorf("wire: protocol version %d not supported", version)
 	}
-	if v != protocolVersion {
-		return fmt.Errorf("wire: protocol version %d not supported", v)
+	return helloR{protocolVersion, banner}, nil
+}
+
+// packRecent carries a MostRecent variant's results as one reply.
+func packRecent(v labbase.Value, src storage.OID, found bool, err error) (Recent, error) {
+	return Recent{v, src, found}, err
+}
+
+// collect gathers copies of what a scan visits. Scans ship the full result
+// list in one frame (bounded by MaxFrame); the client re-runs the caller's
+// callback locally. An early-stopping callback therefore cannot shorten the
+// server-side scan, which only matters for wire-level counter accounting.
+func collect[T any](scan func(fn func(*T) error) error) ([]*T, error) {
+	var out []*T
+	err := scan(func(v *T) error {
+		cp := *v
+		out = append(out, &cp)
+		return nil
+	})
+	return out, err
+}
+
+// query runs an OpQuery read-only against a snapshot captured here, so
+// concurrent queries and writers never interact; update predicates are
+// rejected by the bridge.
+func (s *Server) query(_ *connState, q queryQ) (answers, error) {
+	snap, err := s.db.Snapshot()
+	if err != nil {
+		return answers{}, err
 	}
-	e.Uint(protocolVersion)
-	e.String(banner)
-	return nil
+	defer snap.Close()
+	sols, err := s.bridge.QueryOn(snap, q.text, q.max)
+	return answers{sols: sols}, err
+}
+
+// shardInfo is the topology handshake and health ping: the server
+// advertises which shard it holds (0 of 1 for an unsharded store), and the
+// storage backend name as the router's fingerprint of the shard map.
+func (s *Server) shardInfo(_ *connState, _ none) (shardInfoR, error) {
+	r := shardInfoR{index: 0, count: 1}
+	if si, ok := s.db.(interface{ ShardInfo() (int, int) }); ok {
+		r.index, r.count = si.ShardInfo()
+	}
+	r.store, _ = s.db.StoreStats()
+	return r, nil
 }

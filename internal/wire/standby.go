@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"labflow/internal/rec"
 	"labflow/internal/storage/repl"
 )
 
@@ -55,51 +54,34 @@ func (s *StandbyServer) Shutdown() {
 // handle executes one standby request. A served promotion makes its ack
 // the connection's last response, with the server's shutdown behind it.
 func (s *StandbyServer) handle(cs *connState, op uint8, payload []byte) ([]byte, error) {
-	if op != OpHello && !rowOf(op).class.repl() {
-		// Data opcodes and OpShardInfo in particular are refused so nothing
-		// mistakes an unpromoted standby for a serving shard.
-		return nil, fmt.Errorf("wire: standby not promoted")
-	}
-	d := rec.NewDecoder(payload)
-	e := rec.NewEncoder(32)
 	switch op {
 	case OpHello:
-		if err := serveHello(d, e, "labflow-standby"); err != nil {
-			return nil, err
-		}
-
+		return opHello.answer(cs, payload, func(v uint64) (helloR, error) { return greet(v, "labflow-standby") })
 	case OpReplState:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		e.Uint(1) // role: standby
-		e.Uint(s.st.LastLSN())
-
+		return opReplState.answer(cs, payload, func(none) (replStateR, error) {
+			return replStateR{role: 1, lastLSN: s.st.LastLSN()}, nil
+		})
 	case OpShipRecord:
 		// The payload is the raw record encoding; Apply validates the
 		// magic, CRC and LSN sequencing before journaling it.
-		lsn, err := s.st.Apply(payload)
-		if err != nil {
-			return nil, err
-		}
-		e.Uint(lsn)
-
+		return opShipRecord.answer(cs, payload, s.st.Apply)
 	case OpPromote:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		if err := s.st.Promote(); err != nil {
-			return nil, err
-		}
-		e.Uint(s.st.LastLSN())
-		// Once the ack is flushed, take the whole server down so the owner
-		// can reopen the media behind a real Server.
-		cs.afterFlush = func() {
-			s.promoted.Store(true)
-			s.shutdown(true)
-		}
+		return opPromote.answer(cs, payload, func(none) (uint64, error) {
+			if err := s.st.Promote(); err != nil {
+				return 0, err
+			}
+			// Once the ack is flushed, take the whole server down so the
+			// owner can reopen the media behind a real Server.
+			cs.afterFlush = func() {
+				s.promoted.Store(true)
+				s.shutdown(true)
+			}
+			return s.st.LastLSN(), nil
+		})
 	}
-	return e.Bytes(), nil
+	// Data opcodes and OpShardInfo in particular are refused so nothing
+	// mistakes an unpromoted standby for a serving shard.
+	return nil, fmt.Errorf("wire: standby not promoted")
 }
 
 // RemoteShipper implements repl.StateShipper over the wire: each shipped
