@@ -81,6 +81,7 @@ func (p *Pipeline) Drain() error {
 		}
 		done(d, err)
 	}
+	clear(pending) // a resolved request's closure holds its request
 	return transportErr
 }
 
@@ -91,6 +92,7 @@ func (p *Pipeline) resolveAll(err error) {
 	for _, done := range pending {
 		done(nil, err)
 	}
+	clear(pending)
 }
 
 // Future is one pipelined request's reply: Val once the enqueuing

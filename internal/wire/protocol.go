@@ -106,7 +106,7 @@ func (c opClass) lockFree() bool { return c == classRead || c == classReplRead }
 
 // op is one opcode's descriptor: its code, name and class, the layouts of
 // its request and reply, and the primary's handler. The server's generic
-// arm (Server.serve), the client's call and the pipeline's futures all read
+// arm (op.serve), the client's call and the pipeline's futures all read
 // it, so an opcode is spelled once.
 type op[Q, R any] struct {
 	code    uint8

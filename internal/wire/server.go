@@ -166,17 +166,17 @@ func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error)
 // explicit bracket already holds the writer lock across frames.
 func (s *Server) locked(cs *connState, op uint8, payload []byte) ([]byte, error) {
 	row := rowOf(op)
-	switch {
-	case row.class == classNone:
+	switch class := row.class; {
+	case class == classNone:
 		return nil, fmt.Errorf("wire: unknown opcode %d", op)
-	case row.class == classReplWrite:
+	case class == classReplWrite:
 		return nil, fmt.Errorf("wire: not a standby")
-	case row.class == classBracket:
+	case class == classBracket:
 		// The bracket opcodes manage the writer lock themselves.
 	case cs.bracket:
 		// This connection holds the writer lock until OpCommit; every op it
 		// sends executes inside its bracket.
-	case row.class.lockFree():
+	case class.lockFree():
 		// The store's read entry points (and the OpQuery handler
 		// explicitly) capture a snapshot and answer from it.
 	default:
