@@ -83,9 +83,12 @@ func listOf[T any](item codec[T], max int, bad string) codec[[]T] {
 // oidsC is an OID list: a reply's, and CreateMaterialSet's members.
 func oidsC(max int, bad string) codec[[]storage.OID] { return listOf(oidC, max, bad) }
 
-// namesC is a name list: the catalog listings, and each of a step class's
-// versions.
-func namesC(max int, bad string) codec[[]string] { return listOf(stringC, max, bad) }
+// catalogC is a catalog listing's reply; versionsC, StepClassVersions',
+// one name list per version.
+var (
+	catalogC  = listOf(stringC, 1<<20, "wire: bad name list reply")
+	versionsC = listOf(listOf(stringC, 1<<16, "wire: bad version list reply"), 1<<20, "wire: bad version list reply")
+)
 
 // attrQ is one attribute of one object: MostRecent's, AttrTimeline's and
 // SetState's request (the attribute there being the new state).
@@ -279,6 +282,8 @@ var materialC = codec[*labbase.Material]{
 	},
 }
 
+var materialsC = listOf(materialC, 1<<24, "wire: bad material scan reply")
+
 // The involved tail — materials, set, attribute values — closes both a
 // recorded step and a step spec.
 func encodeInvolved(e *rec.Encoder, materials []storage.OID, set storage.OID, attrs []labbase.AttrValue) {
@@ -343,6 +348,8 @@ var stepC = codec[*labbase.Step]{
 	},
 }
 
+var stepsC = listOf(stepC, 1<<24, "wire: bad step scan reply")
+
 // stepSpecC is one step spec, OpRecordStep's request and each of
 // OpPutSteps'.
 var stepSpecC = codec[labbase.StepSpec]{
@@ -402,6 +409,14 @@ var queryC = codec[queryQ]{
 		e.Uint(uint64(q.max))
 	},
 	func(d *rec.Decoder) (queryQ, error) { return queryQ{d.String(), int(d.Uint())}, d.Err() },
+}
+
+// oneOIDPerSpec vets OpPutSteps' reply against its request.
+func oneOIDPerSpec(specs []labbase.StepSpec, oids []storage.OID) error {
+	if len(oids) != len(specs) {
+		return errors.New("wire: bad step batch reply")
+	}
+	return nil
 }
 
 // answers is OpQuery's reply: each solution's bindings in variable order,

@@ -22,7 +22,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -199,13 +198,8 @@ var (
 	// — the bracket's, or one of its own sealed like any write's. The batch
 	// is not atomic: if an entry fails, earlier entries stay recorded — the
 	// error names the failing index so the client can tell.
-	opPutSteps = def(OpPutSteps, "PutSteps", classWrite, stepBatchC, oidsC(maxStepBatch, "wire: bad step batch reply"), onDB(labbase.Store.PutSteps)).
-			checked(func(specs []labbase.StepSpec, oids []storage.OID) error {
-			if len(oids) != len(specs) {
-				return errors.New("wire: bad step batch reply")
-			}
-			return nil
-		})
+	opPutSteps = def(OpPutSteps, "PutSteps", classWrite, stepBatchC, oidsC(maxStepBatch, "wire: bad step batch reply"),
+		onDB(labbase.Store.PutSteps)).checked(oneOIDPerSpec)
 	opBegin = def(OpBegin, "Begin", classBracket, noneC, noneC,
 		func(s *Server, cs *connState, _ none) (none, error) { return none{}, s.beginBracket(cs) })
 	opCommit = def(OpCommit, "Commit", classBracket, noneC, noneC,
@@ -215,20 +209,19 @@ var (
 		func(s *Server, _ *connState, a labbase.AttrDef) (labbase.AttrID, error) {
 			return s.db.DefineAttr(a.Name, a.Kind)
 		})
-	opMaterialClasses   = def(OpMaterialClasses, "MaterialClasses", classRead, noneC, namesC(1<<20, "wire: bad name list reply"), catalog(labbase.Store.MaterialClasses))
-	opStepClasses       = def(OpStepClasses, "StepClasses", classRead, noneC, namesC(1<<20, "wire: bad name list reply"), catalog(labbase.Store.StepClasses))
-	opStates            = def(OpStates, "States", classRead, noneC, namesC(1<<20, "wire: bad name list reply"), catalog(labbase.Store.States))
-	opStepClassVersions = def(OpStepClassVersions, "StepClassVersions", classRead, stringC,
-		listOf(namesC(1<<16, "wire: bad version list reply"), 1<<20, "wire: bad version list reply"), onDB(labbase.Store.StepClassVersions))
-	opScanMaterials = def(OpScanMaterials, "ScanMaterials", classRead, stringC, listOf(materialC, 1<<24, "wire: bad material scan reply"),
+	opMaterialClasses   = def(OpMaterialClasses, "MaterialClasses", classRead, noneC, catalogC, catalog(labbase.Store.MaterialClasses))
+	opStepClasses       = def(OpStepClasses, "StepClasses", classRead, noneC, catalogC, catalog(labbase.Store.StepClasses))
+	opStates            = def(OpStates, "States", classRead, noneC, catalogC, catalog(labbase.Store.States))
+	opStepClassVersions = def(OpStepClassVersions, "StepClassVersions", classRead, stringC, versionsC, onDB(labbase.Store.StepClassVersions))
+	opScanMaterials     = def(OpScanMaterials, "ScanMaterials", classRead, stringC, materialsC,
 		func(s *Server, _ *connState, class string) ([]*labbase.Material, error) {
 			return collect(func(fn func(*labbase.Material) error) error { return s.db.ScanMaterials(class, fn) })
 		})
-	opScanAllMaterials = def(OpScanAllMaterials, "ScanAllMaterials", classRead, noneC, listOf(materialC, 1<<24, "wire: bad material scan reply"),
+	opScanAllMaterials = def(OpScanAllMaterials, "ScanAllMaterials", classRead, noneC, materialsC,
 		func(s *Server, _ *connState, _ none) ([]*labbase.Material, error) {
 			return collect(s.db.ScanAllMaterials)
 		})
-	opScanSteps = def(OpScanSteps, "ScanSteps", classRead, stringC, listOf(stepC, 1<<24, "wire: bad step scan reply"),
+	opScanSteps = def(OpScanSteps, "ScanSteps", classRead, stringC, stepsC,
 		func(s *Server, _ *connState, class string) ([]*labbase.Step, error) {
 			return collect(func(fn func(*labbase.Step) error) error { return s.db.ScanSteps(class, fn) })
 		})
