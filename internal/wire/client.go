@@ -169,7 +169,7 @@ func (o *op[Q, R]) reply(q Q, d *rec.Decoder, err error) (R, error) {
 	return r, err
 }
 
-// drop keeps only a call's error, for the opcodes with an empty reply.
+// drop keeps only a call's error, for the calls whose reply goes unused.
 func drop[R any](_ R, err error) error { return err }
 
 // Begin opens an explicit transaction bracket on the server: until Commit,
