@@ -82,12 +82,23 @@ type Store struct {
 	// are larger than ostore's for identical data — as in the paper.
 	slack func(int) int
 
-	// succ chains cluster pages: when a cluster's page fills, the overflow
-	// page is recorded as its successor, and every AllocateNear anchored
-	// anywhere in the cluster funnels down the chain. Pages therefore fill
-	// completely before a cluster grows. Placement hints only (in-memory);
-	// after a reopen, extensions simply start new chains.
-	succ map[PageID]PageID
+	// Cluster placement (DESIGN §5). start is each segment's shared start
+	// page, where AllocateCluster puts a new cluster's first record. A
+	// cluster is named by that record's location (an entry without flags);
+	// tags maps every start page to, per slot, 1 + the slot of the first
+	// record of the cluster the slot's record belongs to (0 = untagged), so
+	// an AllocateNear anchored there knows whose record it extends. tails
+	// holds the first page of its own of each cluster that outgrew its start
+	// page, and only of those. succ chains a cluster's own pages: when one
+	// fills, the overflow page is recorded as its successor, and every
+	// AllocateNear anchored on an owned page funnels down the chain, so
+	// owned pages fill completely before a cluster grows. All of these are
+	// placement hints kept in memory: after a reopen a former start page
+	// counts as an owned page, and extensions start new chains.
+	start [storage.NumSegments]PageID
+	tags  map[PageID][]uint16
+	tails map[uint64]PageID
+	succ  map[PageID]PageID
 
 	reads  uint64
 	writes uint64
@@ -97,11 +108,17 @@ type Store struct {
 // maxClusterHops bounds the successor-chain walk.
 const maxClusterHops = 64
 
+// clusterReserve is the space a shared start page keeps free for the next
+// records of the clusters already on it: AllocateCluster starts a cluster
+// there only if that much stays free after its first record.
+const clusterReserve = PageSize / 4
+
 // New opens (or formats) a store named name over the pager. A fresh backing
 // store is formatted with an empty superblock. slack, if non-nil, maps a
 // record size to the reserved heap capacity (allocator size classes).
 func New(name string, pager Pager, slack func(int) int) (*Store, error) {
-	s := &Store{name: name, pager: pager, slack: slack, succ: make(map[PageID]PageID)}
+	s := &Store{name: name, pager: pager, slack: slack,
+		tags: make(map[PageID][]uint16), tails: make(map[uint64]PageID), succ: make(map[PageID]PageID)}
 	s.sealed.L = &s.mu
 	if err := pager.Begin(); err != nil {
 		return nil, fmt.Errorf("pagefile: format begin: %w", err)
@@ -533,9 +550,11 @@ func (s *Store) allocateLocked(seg storage.SegmentID, data []byte) (storage.OID,
 	return oid, nil
 }
 
-// AllocateNear implements storage.Manager: it tries to co-locate the new
-// record on the same page as near before falling back to the segment fill
-// page. This is the clustering hook used by the Texas+TC configuration.
+// AllocateNear implements storage.Manager: it places the new record on
+// near's page if it fits, else on the cluster's own pages (for an anchor on
+// a shared start page, from the cluster's tail on), claiming a fresh page
+// when they are all full. This is the clustering hook used by the Texas+TC
+// configuration.
 func (s *Store) AllocateNear(near storage.OID, data []byte) (storage.OID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -550,44 +569,48 @@ func (s *Store) AllocateNear(near storage.OID, data []byte) (storage.OID, error)
 	if len(data) > MaxInline {
 		return s.allocateLocked(seg, data)
 	}
-	// Client-directed placement packs records exactly (no allocator slack):
-	// the clustering client manages this space itself.
-	capacity := len(data)
-
-	// Walk the cluster: the anchor's page, then its successor chain. All
-	// records anchored anywhere in a cluster funnel into the same chain, so
-	// cluster pages fill completely before the cluster claims a new page.
-	tryPage := func(id PageID) (int, bool, error) {
-		f, err := s.pager.Pin(id, ModeWrite)
-		if err != nil {
-			return 0, false, err
-		}
-		slot, ok, err := pageInsert(f.Data, data, capacity)
-		s.pager.Unpin(f, ok)
-		if err != nil {
-			return 0, false, fmt.Errorf("pagefile: cluster page %d: %w", id, err)
-		}
-		return slot, ok, nil
-	}
 
 	page := entryPage(e)
-	slot, ok, err := tryPage(page)
+	slot, ok, err := s.tryClusterPage(page, data, 0)
 	if err != nil {
 		return storage.NilOID, err
 	}
+	// An anchor on a shared start page extends its own cluster: on the start
+	// page while it has room, then on the cluster's tail.
+	if c := s.clusterAt(page, entrySlot(e)); c != 0 {
+		if ok {
+			s.tag(page, slot, entrySlot(c))
+			return s.finishAlloc(seg, page, slot, len(data))
+		}
+		tail, exists := s.tails[c]
+		if !exists {
+			if page, slot, err = s.placeFresh(seg, data, len(data)); err != nil {
+				return storage.NilOID, err
+			}
+			s.tails[c] = page
+			return s.finishAlloc(seg, page, slot, len(data))
+		}
+		page = tail
+		if slot, ok, err = s.tryClusterPage(page, data, 0); err != nil {
+			return storage.NilOID, err
+		}
+	}
+
+	// Walk the cluster's own pages: the anchor's page (or tail), then its
+	// successor chain. All records anchored anywhere in a cluster funnel into
+	// the same chain, so its pages fill completely before it claims a new one.
 	for hops := 0; !ok && hops < maxClusterHops; hops++ {
 		next, exists := s.succ[page]
 		if !exists {
 			break
 		}
 		page = next
-		slot, ok, err = tryPage(page)
-		if err != nil {
+		if slot, ok, err = s.tryClusterPage(page, data, 0); err != nil {
 			return storage.NilOID, err
 		}
 	}
 	if !ok {
-		fresh, freshSlot, err := s.placeFresh(seg, data, capacity)
+		fresh, freshSlot, err := s.placeFresh(seg, data, len(data))
 		if err != nil {
 			return storage.NilOID, err
 		}
@@ -598,8 +621,49 @@ func (s *Store) AllocateNear(near storage.OID, data []byte) (storage.OID, error)
 	return s.finishAlloc(seg, page, slot, len(data))
 }
 
-// AllocateCluster implements storage.Manager: the record starts a fresh
-// cluster page that chained AllocateNear calls then extend.
+// tryClusterPage inserts data into page id if it fits with reserve bytes of
+// fresh space to spare. Client-directed placement packs records exactly (no
+// allocator slack): the clustering client manages this space itself.
+func (s *Store) tryClusterPage(id PageID, data []byte, reserve int) (int, bool, error) {
+	f, err := s.pager.Pin(id, ModeWrite)
+	if err != nil {
+		return 0, false, err
+	}
+	slot, ok := 0, false
+	if reserve == 0 || pageFreeSpace(f.Data) >= slotSize+len(data)+reserve {
+		slot, ok, err = pageInsert(f.Data, data, len(data))
+	}
+	s.pager.Unpin(f, ok)
+	if err != nil {
+		return 0, false, fmt.Errorf("pagefile: cluster page %d: %w", id, err)
+	}
+	return slot, ok, nil
+}
+
+// clusterAt returns the name of the cluster whose record is in slot of page,
+// or 0 if page is no start page or the slot carries no tag.
+func (s *Store) clusterAt(page PageID, slot int) uint64 {
+	if t := s.tags[page]; slot < len(t) && t[slot] != 0 {
+		return makeEntry(page, int(t[slot]-1), false)
+	}
+	return 0
+}
+
+// tag records that slot of start page holds a record of the cluster whose
+// first record is in slot first.
+func (s *Store) tag(page PageID, slot, first int) {
+	t := s.tags[page]
+	if slot >= len(t) {
+		t = append(t, make([]uint16, slot+1-len(t))...)
+		s.tags[page] = t
+	}
+	t[slot] = uint16(first + 1)
+}
+
+// AllocateCluster implements storage.Manager: the record starts a cluster on
+// its segment's shared start page, which keeps clusterReserve bytes free for
+// the records AllocateNear adds to the clusters on it; when that page cannot
+// take the record and keep the reserve, a fresh page becomes the start page.
 func (s *Store) AllocateCluster(seg storage.SegmentID, data []byte) (storage.OID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -612,10 +676,22 @@ func (s *Store) AllocateCluster(seg storage.SegmentID, data []byte) (storage.OID
 	if len(data) > MaxInline {
 		return s.allocateLocked(seg, data)
 	}
-	page, slot, err := s.placeFresh(seg, data, len(data))
-	if err != nil {
-		return storage.NilOID, err
+	page, slot, ok := s.start[seg], 0, false
+	var err error
+	if page != 0 {
+		if slot, ok, err = s.tryClusterPage(page, data, clusterReserve); err != nil {
+			return storage.NilOID, err
+		}
 	}
+	if !ok {
+		if page, slot, err = s.placeFresh(seg, data, len(data)); err != nil {
+			return storage.NilOID, err
+		}
+		s.start[seg] = page
+	}
+	// A reused slot names a new cluster: the old one's tail is not its own.
+	s.tag(page, slot, slot)
+	delete(s.tails, makeEntry(page, slot, false))
 	return s.finishAlloc(seg, page, slot, len(data))
 }
 

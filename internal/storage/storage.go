@@ -181,8 +181,9 @@ type Manager interface {
 	Allocate(seg SegmentID, data []byte) (OID, error)
 
 	// AllocateCluster stores a new object at the start of a fresh physical
-	// cluster (its own page, where the manager supports placement), which
-	// AllocateNear calls anchored at it then extend. LabBase starts one
+	// cluster (on a shared start page until it outgrows it, where the
+	// manager supports placement), which AllocateNear calls anchored at it
+	// then extend. LabBase starts one
 	// cluster per root material so a whole clone family's audit trail stays
 	// physically together. Managers without placement control treat this
 	// exactly like Allocate.

@@ -78,11 +78,13 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # tests beside it pin each clause of the in-place-reuse safety argument (repl
 # package comment) on its own, the pipelined commit's two failure rules,
 # that a failed fault leaves either pager whole (ostore and texas), that a
-# failed texas write-back keeps its victim resident and dirty, and the
-# shared buffer pool's CLOCK sweep (pagefile).
+# failed texas write-back keeps its victim resident and dirty, the shared
+# buffer pool's CLOCK sweep, and cluster placement: small clusters share a
+# start page, outgrown ones continue on pages of their own, and anchors on a
+# former start page still extend after a reopen (pagefile).
 go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
 go test -race -count=1 \
-	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord|TestFailedFaultLeavesPagerWhole|TestFailedWriteBackKeepsVictim|TestPoolClock' \
+	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord|TestFailedFaultLeavesPagerWhole|TestFailedWriteBackKeepsVictim|TestPoolClock|TestClustersShareThenSeparate|TestClusterAnchorsAfterReopen' \
 	./internal/storage/repl/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/
 # The allocation tests skip under -race, whose instrumentation allocates, so
 # they run here without it: a fault takes over its victim's frame and page
