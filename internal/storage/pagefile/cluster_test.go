@@ -52,7 +52,6 @@ func TestClustersShareThenSeparate(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nSmall = 60
-	var recs []record
 	clusters := make([][]record, 0, nSmall)
 	for i := range nSmall {
 		head := fill(byte(i), 100)
@@ -109,6 +108,7 @@ func TestClustersShareThenSeparate(t *testing.T) {
 	}
 
 	// White-box: which clusters have records on each page.
+	var recs []record
 	owners := make(map[PageID]map[int]bool)
 	for i, c := range clusters {
 		for _, r := range c {
