@@ -17,10 +17,9 @@ import (
 
 // ClusteringRow reports one configuration's cold-scan cost.
 type ClusteringRow struct {
-	Store   string
-	Faults  uint64
-	Elapsed time.Duration
-	Size    uint64
+	Store  string
+	Faults uint64
+	Size   uint64
 }
 
 // ClusteringResult is the Texas vs Texas+TC locality experiment — the
@@ -34,7 +33,7 @@ type ClusteringResult struct {
 // clustering, reopens each cold, and retrieves the full *family* audit
 // trail — the clone's history plus every one of its tclones' histories, the
 // "tell me everything about this clone" query — for a quarter of the
-// finished clones, reporting faults and time. Clustering keeps a family on
+// finished clones, reporting faults. Clustering keeps a family on
 // its own cluster pages; allocation order scatters it across every
 // workflow-phase page in the database.
 func RunClustering(dir string, p Params) (*ClusteringResult, error) {
@@ -66,7 +65,6 @@ func RunClustering(dir string, p Params) (*ClusteringResult, error) {
 			return nil, err
 		}
 		base := sm.Stats().Faults
-		start := time.Now() //lint:allow wallclock experiment elapsed-time measurement
 		for i := 0; i < len(clones); i += 4 {
 			if err := scanFamily(db, clones[i]); err != nil {
 				db.Close()
@@ -74,10 +72,9 @@ func RunClustering(dir string, p Params) (*ClusteringResult, error) {
 			}
 		}
 		row := ClusteringRow{
-			Store:   name,
-			Faults:  sm.Stats().Faults - base,
-			Elapsed: time.Since(start), //lint:allow wallclock experiment elapsed-time measurement
-			Size:    size,
+			Store:  name,
+			Faults: sm.Stats().Faults - base,
+			Size:   size,
 		}
 		if err := db.Close(); err != nil {
 			return nil, err
@@ -121,11 +118,9 @@ func scanFamily(db *labbase.DB, clone workflow.ID) error {
 func FormatClustering(res *ClusteringResult) string {
 	var b strings.Builder
 	b.WriteString("Clustering ablation (E2) — cold family-audit-trail retrieval, quarter of all clones\n\n")
-	tab := metrics.NewTable("Version", "faults", "elapsed ms", "size (bytes)")
+	tab := metrics.NewTable("Version", "faults", "size (bytes)")
 	for _, r := range res.Rows {
-		tab.Row(r.Store, metrics.Comma(r.Faults),
-			fmt.Sprintf("%.2f", float64(r.Elapsed.Microseconds())/1000),
-			metrics.Comma(r.Size))
+		tab.Row(r.Store, metrics.Comma(r.Faults), metrics.Comma(r.Size))
 	}
 	_ = tab.Write(&b)
 	return b.String()

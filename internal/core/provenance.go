@@ -13,6 +13,7 @@ import (
 	"labflow/internal/metrics"
 	"labflow/internal/storage"
 	"labflow/internal/storage/memstore"
+	"labflow/rules"
 )
 
 // The provenance experiment (BENCH_7) measures the recursive lineage queries
@@ -31,57 +32,6 @@ import (
 //
 // Every cell cross-checks sorted answer sets between the modes that
 // completed; an inequality fails the whole run.
-
-// provRules is the canonical provenance rule text, shipped verbatim as
-// rules/provenance.lbq (TestProvenanceRulesShipped pins the two identical).
-const provRules = `% Provenance views over the derivation DAG (LabFlow-1 provenance workload).
-%
-% Derivation steps record their input materials in a list-of-OID step
-% attribute named ` + "`inputs`" + `; every material the step touches (inputs and
-% outputs alike) is in its involves list, so the reverse involves index
-% serves both traversal directions. A step's outputs are its involved
-% materials minus its inputs.
-%
-% derived/2, downstream/2 and impacted/2 are the pure-Datalog formulation of
-% the native derived_from/2, downstream_of/2 and impacted_by/2 externs; the
-% equivalence tests hold their sorted answer sets identical. The recursive
-% views are tabled: without tabling, a diamond-shaped DAG of depth d costs
-% O(paths) = exponential re-derivation; with tabling each subgoal is derived
-% once per query, O(edges).
-
-:- table derived/2.
-:- table downstream/2.
-
-% parent_of(M, P): P is an input of a derivation step that produced M.
-parent_of(M, P) <-
-	steps_involving(M, Ss), member(S, Ss),
-	step_attr(S, inputs, Ins), \+ member(M, Ins),
-	member(P, Ins).
-
-% child_of(A, C): C is an output of a derivation step that consumed A.
-child_of(A, C) <-
-	steps_involving(A, Ss), member(S, Ss),
-	step_attr(S, inputs, Ins), member(A, Ins),
-	step_materials(S, Ms), member(C, Ms), \+ member(C, Ins).
-
-% derived(M, A): A is a strict ancestor of M in the derivation DAG.
-derived(M, A) <- parent_of(M, A).
-derived(M, A) <- parent_of(M, P), derived(P, A).
-
-% downstream(D, A): D is a strict descendant of A (the inverse view, driven
-% from the ancestor side so a bound A walks forward).
-downstream(D, A) <- child_of(A, D).
-downstream(D, A) <- child_of(A, C), downstream(D, C).
-
-% impacted(S, M): step S involves M or a material downstream of M — the
-% "which work does this failed gel invalidate" query.
-impacted(S, M) <- steps_involving(M, Ss), member(S, Ss).
-impacted(S, M) <- downstream(D, M), steps_involving(D, Ss), member(S, Ss).
-`
-
-// ProvenanceRules returns the canonical provenance rule text (the content of
-// rules/provenance.lbq).
-func ProvenanceRules() string { return provRules }
 
 // stripTableDirectives removes ":- table" lines, producing the untabled
 // variant of a rules file.
@@ -347,11 +297,11 @@ func provBridge(db *labbase.DB, mode string) (*lbq.Bridge, error) {
 	switch mode {
 	case "native":
 	case "tabled":
-		if err := b.Engine().Consult(provRules); err != nil {
+		if err := b.Engine().Consult(rules.Provenance); err != nil {
 			return nil, err
 		}
 	case "untabled":
-		if err := b.Engine().Consult(stripTableDirectives(provRules)); err != nil {
+		if err := b.Engine().Consult(stripTableDirectives(rules.Provenance)); err != nil {
 			return nil, err
 		}
 	default:

@@ -2,22 +2,8 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-// TestProvenanceRulesShipped pins the in-binary rule text to the shipped
-// rules/provenance.lbq so the two cannot drift.
-func TestProvenanceRulesShipped(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("..", "..", "rules", "provenance.lbq"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != ProvenanceRules() {
-		t.Fatalf("rules/provenance.lbq differs from the embedded ProvenanceRules text; regenerate one from the other")
-	}
-}
 
 // ancestor counts by construction: chain has depth ancestors of the sink,
 // fanout reaches the root plus every intermediate level, diamond reaches all

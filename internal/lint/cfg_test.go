@@ -275,9 +275,10 @@ func d() int {
 	}
 }
 
-// TestCallEdges checks static call resolution: package functions and
-// concrete methods resolve, interface dispatch and function values are
-// opaque, and function-literal bodies are included only on request.
+// TestCallEdges checks the call-edge function on static calls: package
+// functions and concrete methods resolve, interface dispatch and a local
+// function value are opaque, and a walk reaches function-literal bodies
+// only when it descends into them.
 func TestCallEdges(t *testing.T) {
 	src := `package p
 
@@ -299,21 +300,30 @@ func f(s S) {
 	fn := func() { inner() }
 	fn()
 }`
-	_, fd, info := checkSnippet(t, src, "f")
-
-	var got []string
-	for _, e := range callEdges(fd.Body, info, true) {
-		got = append(got, e.callee)
+	fset, fd, info := checkSnippet(t, src, "f")
+	file := &ast.File{Name: ast.NewIdent("p"), Decls: []ast.Decl{fd}}
+	mod := newModule(fset, []*Unit{{Files: []*ast.File{file}, Info: info}})
+	edges := func(withFuncLits bool) []string {
+		var got []string
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return withFuncLits
+			case *ast.CallExpr:
+				got = append(got, mod.callees(info, n)...)
+			}
+			return true
+		})
+		return got
 	}
+
+	got := edges(true)
 	want := []string{"snippet.helper", "snippet.T.m", "snippet.inner"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("with literals: edges %v, want %v", got, want)
 	}
 
-	got = nil
-	for _, e := range callEdges(fd.Body, info, false) {
-		got = append(got, e.callee)
-	}
+	got = edges(false)
 	want = []string{"snippet.helper", "snippet.T.m"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("without literals: edges %v, want %v", got, want)

@@ -277,31 +277,3 @@ func escapedVars(body ast.Node, info *types.Info) map[types.Object]bool {
 	ast.Inspect(body, walk)
 	return escaped
 }
-
-// callEdge is one statically resolvable call inside a function.
-type callEdge struct {
-	callee string // funcKey of the static target
-	call   *ast.CallExpr
-}
-
-// callEdges lists the statically resolvable calls under n in source order.
-// Function-literal bodies are included when withFuncLits is set: closures
-// run with the enclosing function's facts for summary-building purposes,
-// while flow-sensitive clients walk them separately.
-func callEdges(n ast.Node, info *types.Info, withFuncLits bool) []callEdge {
-	var edges []callEdge
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			if !withFuncLits && m != n {
-				return false
-			}
-		case *ast.CallExpr:
-			if key := staticCalleeKey(info, m); key != "" {
-				edges = append(edges, callEdge{callee: key, call: m})
-			}
-		}
-		return true
-	})
-	return edges
-}

@@ -4,58 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"strconv"
 	"strings"
 )
 
-// This file is the cross-package half of the flow-aware framework: a fact
-// store keyed by stable, position-independent object names, so one
-// analysis phase's findings (a function's mutation summary, a field's
-// access discipline, a lock's transitive acquisitions) feed later phases —
-// and later *analyzers* — across package boundaries.
+// Stable, position-independent names for functions, fields and package
+// variables: the keys of the module's call graph (summary.go) and of the
+// lock classes.
 //
 // Why string keys and not types.Object identity: the loader type-checks a
 // package twice when it has in-package tests (once as a dependency, once
 // augmented with its _test files), and those two checks mint distinct
 // objects for the same source. Names of the form "pkgpath.Type.member"
 // (or "pkgpath.name" at package level) are identical across both checks,
-// so facts recorded from one view are visible from every other.
-
-// FactStore holds facts for one driver run, namespaced per producer so
-// analyzers cannot clobber each other's keys by accident.
-type FactStore struct {
-	m map[string]map[string]any
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{m: map[string]map[string]any{}}
-}
-
-// Put records fact under (ns, key), overwriting any previous value.
-func (s *FactStore) Put(ns, key string, fact any) {
-	if s.m[ns] == nil {
-		s.m[ns] = map[string]any{}
-	}
-	s.m[ns][key] = fact
-}
-
-// Get returns the fact stored under (ns, key).
-func (s *FactStore) Get(ns, key string) (any, bool) {
-	v, ok := s.m[ns][key]
-	return v, ok
-}
-
-// Keys returns the sorted keys of a namespace, so iteration over facts is
-// deterministic (diagnostic order must be reproducible run to run).
-func (s *FactStore) Keys(ns string) []string {
-	keys := make([]string, 0, len(s.m[ns]))
-	for k := range s.m[ns] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+// so a summary recorded from one view is visible from every other.
 
 // --- stable object keys ------------------------------------------------------
 
@@ -129,10 +91,44 @@ func pkgVarKey(obj types.Object) string {
 	return v.Pkg().Path() + "." + v.Name()
 }
 
+// slotKey names the field or package variable e denotes, "" for anything
+// else.
+func slotKey(info *types.Info, e ast.Expr) string {
+	switch e := unparen(e).(type) {
+	case *ast.Ident:
+		return pkgVarKey(info.Uses[e])
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[e]; ok {
+			return fieldKeyOf(sel)
+		}
+		return pkgVarKey(info.Uses[e.Sel])
+	}
+	return ""
+}
+
+// structFields calls fn with a struct composite literal's named type and
+// each element's field and value; other literals call nothing.
+func structFields(info *types.Info, lit *ast.CompositeLit, fn func(owner *types.Named, field *types.Var, value ast.Expr)) {
+	owner, _ := deref(info.TypeOf(lit)).(*types.Named)
+	if owner == nil {
+		return
+	}
+	st, ok := owner.Underlying().(*types.Struct)
+	for i, elt := range lit.Elts {
+		if kv, isKV := elt.(*ast.KeyValueExpr); ok && isKV {
+			if field, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+				fn(owner, field, kv.Value)
+			}
+		} else if ok && i < st.NumFields() {
+			fn(owner, st.Field(i), elt)
+		}
+	}
+}
+
 // staticCalleeKey resolves a call expression to the funcKey of its static
 // target: a package function, a method on a concrete named type, or a
 // qualified identifier. Calls through interfaces, function values, and
-// builtins return "" — the analyses treat them as opaque.
+// builtins return "". It is the static half of module.callees.
 func staticCalleeKey(info *types.Info, call *ast.CallExpr) string {
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -144,25 +140,33 @@ func staticCalleeKey(info *types.Info, call *ast.CallExpr) string {
 			if s.Kind() != types.MethodVal {
 				return ""
 			}
-			if _, isIface := deref(s.Recv()).Underlying().(*types.Interface); isIface {
-				return "" // dynamic dispatch
-			}
-			if fn, ok := s.Obj().(*types.Func); ok {
-				if key := funcKey(fn); key != "" {
-					return key
-				}
-				// Methods on instantiated generics have no origin receiver in
-				// the signature; rebuild the key from the selection receiver.
-				if n, ok := deref(s.Recv()).(*types.Named); ok {
-					return namedKeyOf(n) + "." + fn.Name()
-				}
-			}
-			return ""
+			return methodKey(s)
 		}
 		// Package-qualified call: fmt.Errorf, atomic.AddUint64, ...
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			return funcKey(fn)
 		}
+	}
+	return ""
+}
+
+// methodKey is the funcKey of a method value or expression's concrete
+// target, "" for interface methods (dynamic dispatch).
+func methodKey(s *types.Selection) string {
+	if _, isIface := deref(s.Recv()).Underlying().(*types.Interface); isIface {
+		return ""
+	}
+	fn, ok := s.Obj().(*types.Func)
+	if !ok {
+		return ""
+	}
+	if key := funcKey(fn); key != "" {
+		return key
+	}
+	// Methods on instantiated generics have no origin receiver in the
+	// signature; rebuild the key from the selection receiver.
+	if n, ok := deref(s.Recv()).(*types.Named); ok {
+		return namedKeyOf(n) + "." + fn.Name()
 	}
 	return ""
 }
@@ -184,19 +188,5 @@ func posString(fset *token.FileSet, pos token.Pos) string {
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
 	}
-	return name + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return name + ":" + strconv.Itoa(p.Line)
 }

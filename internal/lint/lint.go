@@ -14,11 +14,11 @@
 //	mutexhygiene no mutex copies; every lock released on every return path
 //	snapshothygiene snapshot read methods are lock-free and mutation-free
 //
-// PR 7 upgraded the framework from per-file AST walks to a module-wide,
-// flow-aware driver: a lightweight CFG/def-use layer over function bodies
-// (cfg.go, defuse.go) and a cross-package fact store (facts.go) let one
-// pass's findings feed another across package boundaries. Three passes
-// enforce the MVCC invariants PR 6 made load-bearing:
+// The module-wide passes share a flow layer: a CFG and forward dataflow
+// solver for one body (cfg.go, defuse.go) and, across the module, one
+// enumeration of function bodies, one call-edge function that resolves
+// function values where every assignment is visible, and one summary
+// solver (summary.go). Three passes enforce the MVCC invariants:
 //
 //	cowhygiene   values loaded from published snapshot state are immutable
 //	atomichygiene a field accessed atomically anywhere is atomic everywhere
@@ -29,16 +29,18 @@
 //
 //	//lint:allow <analyzer> <reason>
 //
-// A directive without a reason is itself reported, and
+// A directive without a reason is itself reported, and so is one for an
+// analyzer that ran and found nothing on its lines.
 // `labflowvet -allowlist` inventories every directive in the module.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -104,14 +106,14 @@ func diagnosticAt(analyzer string, pos token.Position, msg string) Diagnostic {
 }
 
 // ModulePass carries a module-wide analyzer's view of every unit loaded
-// for this run, plus the fact store shared by the whole suite.
+// for this run.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Units    []*Unit
-	Facts    *FactStore
 
-	diags *[]Diagnostic
+	diags  *[]Diagnostic
+	module *module
 }
 
 // Reportf records a diagnostic at pos.
@@ -129,37 +131,30 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 
 // RunUnits applies each analyzer across every unit and returns the
 // surviving diagnostics: per-unit analyzers run unit by unit, module-wide
-// analyzers run once over the whole slice with a shared fact store.
+// analyzers run once over the whole slice with a shared call graph.
 // Findings suppressed by a well-formed //lint:allow directive are dropped,
-// and malformed directives are reported as findings of their own.
+// and malformed or stale directives are reported as findings of their own.
 func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	facts := NewFactStore()
+	var mod *module // the call graph, built for the first module-wide analyzer
+	ran := map[string]bool{}
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		if a.RunModule != nil {
-			a.RunModule(&ModulePass{
-				Analyzer: a,
-				Fset:     fset,
-				Units:    units,
-				Facts:    facts,
-				diags:    &diags,
-			})
+			if mod == nil {
+				mod = newModule(fset, units)
+			}
+			a.RunModule(&ModulePass{Analyzer: a, Fset: fset, Units: units, diags: &diags, module: mod})
 			continue
 		}
 		for _, u := range units {
-			a.Run(&Pass{
-				Analyzer: a,
-				Fset:     fset,
-				Files:    u.Files,
-				Pkg:      u.Pkg,
-				Info:     u.Info,
-				diags:    &diags,
-			})
+			a.Run(&Pass{Analyzer: a, Fset: fset, Files: u.Files, Pkg: u.Pkg, Info: u.Info, diags: &diags})
 		}
 	}
+	ran["all"] = len(ran) == len(All)
 	// A well-formed directive covers its own line and the line below it, so
 	// both trailing comments and own-line comments work.
-	allows := allowSet{}
+	var allows []*allow
 	for _, u := range units {
 		scanDirectives(fset, u.Files, func(pos token.Position, d Directive) {
 			switch {
@@ -168,19 +163,28 @@ func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer) []Diagn
 			case !d.Known:
 				diags = append(diags, diagnosticAt("directive", pos, fmt.Sprintf("//lint:allow names unknown analyzer %q", d.Analyzer)))
 			default:
-				key := pos.Filename + "\x00" + d.Analyzer
-				if allows[key] == nil {
-					allows[key] = map[int]bool{}
-				}
-				allows[key][pos.Line] = true
-				allows[key][pos.Line+1] = true
+				allows = append(allows, &allow{pos: pos, analyzer: d.Analyzer})
 			}
 		})
 	}
 	kept := diags[:0]
 	for _, d := range diags {
-		if !allows.match(d) {
+		suppressed := false
+		for _, a := range allows {
+			if a.covers(d) {
+				a.used, suppressed = true, true
+			}
+		}
+		if !suppressed {
 			kept = append(kept, d)
+		}
+	}
+	// A directive for an analyzer that ran and suppressed nothing is stale:
+	// the finding it excused is gone, and it would silently excuse the next
+	// one on its lines.
+	for _, a := range allows {
+		if ran[a.analyzer] && !a.used {
+			kept = append(kept, diagnosticAt("directive", a.pos, fmt.Sprintf("//lint:allow %s suppresses no %s finding; delete it", a.analyzer, a.analyzer)))
 		}
 	}
 	sortDiagnostics(kept)
@@ -188,32 +192,25 @@ func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer) []Diagn
 }
 
 func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col),
+			strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
 	})
 }
 
-// allowSet indexes //lint:allow directives by file and analyzer, with the
-// lines they cover.
-type allowSet map[string]map[int]bool // "file\x00analyzer" -> covered lines
+// allow is one well-formed directive; used records that it suppressed a
+// finding.
+type allow struct {
+	pos      token.Position
+	analyzer string
+	used     bool
+}
 
-func (s allowSet) match(d Diagnostic) bool {
-	for _, name := range []string{d.Analyzer, "all"} {
-		if lines := s[d.File+"\x00"+name]; lines[d.Line] {
-			return true
-		}
-	}
-	return false
+// covers reports whether the directive suppresses d: same file, d's
+// analyzer or "all", on the directive's line or the next.
+func (a *allow) covers(d Diagnostic) bool {
+	return a.pos.Filename == d.File && (a.analyzer == d.Analyzer || a.analyzer == "all") &&
+		(d.Line == a.pos.Line || d.Line == a.pos.Line+1)
 }
 
 // Directive is one //lint:allow suppression found in the module, for the

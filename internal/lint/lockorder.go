@@ -1,11 +1,13 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"maps"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -41,12 +43,15 @@ import (
 // May-held analysis: branches union, so a lock held on either arm counts.
 // Deferred unlocks do not release for the remainder of the function — the
 // lock really is held at every later statement — while explicit unlocks
-// release immediately. Calls contribute the transitive acquisition summary
-// of their static callee (and of any function-literal arguments, which is
-// how `broadcast(db, fn)` attributes fn's locks to the call site);
-// interface calls are opaque, and `go` statements start an empty-held
-// analysis root of their own, because a spawned goroutine does not inherit
-// the spawner's locks.
+// release immediately. A call contributes the transitive acquisition
+// summary (summary.go's solver) of every body the call-edge function
+// resolves it to: a static callee, or each value a function-typed field or
+// variable can hold when all of them are visible — which is how the wire
+// op table's handlers are charged to the dispatcher that runs them. A
+// function-literal argument is charged at the call site, which is how
+// `broadcast(db, fn)` attributes fn's locks. Interface calls and calls
+// through a parameter stay opaque, and `go` statements start an empty-held
+// analysis root of their own: a spawned goroutine inherits no lock.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
 	Doc:       "mutex acquisition must follow the DESIGN §6.3 hierarchy and stay acyclic",
@@ -98,64 +103,21 @@ var lockLeaves = map[string]bool{
 	"fixture/lockorder.Metrics.mu":                    true,
 }
 
-const nsLockAcquires = "lock.acquires" // funcKey -> map[classKey]bool (transitive)
-
 // lockClassKey names the lock class behind a mutex receiver expression: the
 // declaring field for struct-held mutexes (array/slice elements collapse to
 // the field, so every wmu[k] is one class), the package variable for
 // globals, "" for locals and unresolvable receivers.
 func lockClassKey(info *types.Info, e ast.Expr) string {
-	e = unparen(e)
 	for {
-		switch x := e.(type) {
+		switch x := unparen(e).(type) {
 		case *ast.IndexExpr:
-			e = unparen(x.X)
-			continue
+			e = x.X
 		case *ast.StarExpr:
-			e = unparen(x.X)
-			continue
-		}
-		break
-	}
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[e]; ok {
-			return fieldKeyOf(s)
-		}
-		if obj := info.Uses[e.Sel]; obj != nil {
-			return pkgVarKey(obj)
-		}
-	case *ast.Ident:
-		if obj := objectOf(info, e); obj != nil {
-			return pkgVarKey(obj)
+			e = x.X
+		default:
+			return slotKey(info, x)
 		}
 	}
-	return ""
-}
-
-// lockCollect gathers a body's direct acquisitions and static callees,
-// including function-literal bodies (they may run downstream of any call)
-// but excluding `go` statements (their goroutine holds nothing inherited).
-func lockCollect(body ast.Node, info *types.Info) (direct map[string]bool, callees []string) {
-	direct = map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			if recv, kind, _ := lockOp(info, n); kind == lockAcquire {
-				if key := lockClassKey(info, recv); key != "" {
-					direct[key] = true
-				}
-			} else if kind == lockNone {
-				if key := staticCalleeKey(info, n); key != "" {
-					callees = append(callees, key)
-				}
-			}
-		}
-		return true
-	})
-	return direct, callees
 }
 
 // lockEdge is the first-encountered witness for "to may be acquired while
@@ -167,88 +129,53 @@ type lockEdge struct {
 
 type lockState struct {
 	p        *ModulePass
+	mod      *module
+	acquires map[string]map[string]bool // body key -> classes it may acquire, transitively
 	edges    map[string]map[string]lockEdge
 	reported map[string]bool
-	litSums  map[*ast.FuncLit]map[string]bool
-}
-
-type lockRoot struct {
-	unit  *Unit
-	body  *ast.BlockStmt
-	gorun bool // body of a go-statement literal
 }
 
 func runLockOrder(p *ModulePass) {
 	st := &lockState{
 		p:        p,
+		mod:      p.module,
 		edges:    map[string]map[string]lockEdge{},
 		reported: map[string]bool{},
-		litSums:  map[*ast.FuncLit]map[string]bool{},
 	}
 
-	// Phase 1: transitive acquisition summaries per function, to a fixpoint.
-	type fnInfo struct {
-		key     string
-		direct  map[string]bool
-		callees []string
-	}
-	var fns []*fnInfo
-	var roots []*lockRoot
-	for _, u := range p.Units {
-		for _, f := range u.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				key := ""
-				if obj, ok := u.Info.Defs[fd.Name].(*types.Func); ok {
-					key = funcKey(obj)
-				}
-				direct, callees := lockCollect(fd.Body, u.Info)
-				fns = append(fns, &fnInfo{key: key, direct: direct, callees: callees})
-				roots = append(roots, &lockRoot{unit: u, body: fd.Body})
-			}
-			unit := u
-			ast.Inspect(f, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
-						roots = append(roots, &lockRoot{unit: unit, body: lit.Body, gorun: true})
+	// Phase 1: transitive acquisition summaries per body. A body's summary
+	// takes in its function literals (they may run downstream of any call)
+	// but not its go statements (their goroutine inherits no lock).
+	st.acquires = solve(st.mod, func(b *fnBody, summary func(string) map[string]bool) map[string]bool {
+		info := b.unit.Info
+		sum := map[string]bool{}
+		ast.Inspect(b.body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				return false
+			case *ast.CallExpr:
+				if recv, kind, _ := lockOp(info, n); kind == lockAcquire {
+					if key := lockClassKey(info, recv); key != "" {
+						sum[key] = true
 					}
-				}
-				return true
-			})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range fns {
-			if fn.key == "" {
-				continue
-			}
-			sum := map[string]bool{}
-			for k := range fn.direct {
-				sum[k] = true
-			}
-			for _, callee := range fn.callees {
-				if v, ok := p.Facts.Get(nsLockAcquires, callee); ok {
-					for k := range v.(map[string]bool) {
-						sum[k] = true
+				} else if kind == lockNone {
+					for _, callee := range st.mod.callees(info, n) {
+						maps.Copy(sum, summary(callee))
 					}
 				}
 			}
-			prev, ok := p.Facts.Get(nsLockAcquires, fn.key)
-			if !ok || !maps.Equal(prev.(map[string]bool), sum) {
-				p.Facts.Put(nsLockAcquires, fn.key, sum)
-				changed = true
-			}
-		}
-	}
+			return true
+		})
+		return sum
+	}, maps.Equal)
 
-	// Phase 2: may-held dataflow per root; the replay records edges and
-	// reports direct violations.
-	for _, r := range roots {
-		st.walkRoot(r)
+	// Phase 2: may-held dataflow per root — every declared function, and
+	// the body of every go-statement literal, which starts with nothing
+	// held — whose replay records edges and reports direct violations.
+	for _, b := range st.mod.bodies {
+		if !b.lit || b.spawned {
+			st.walkRoot(b.unit.Info, b.body)
+		}
 	}
 
 	// Phase 3: the acquisition graph must be acyclic — this is the only
@@ -268,12 +195,12 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // walkRoot solves the union-merge held-set dataflow over one body's CFG,
 // then replays it once with reporting on.
-func (st *lockState) walkRoot(r *lockRoot) {
-	g := buildCFG(r.body)
+func (st *lockState) walkRoot(info *types.Info, body *ast.BlockStmt) {
+	g := buildCFG(body)
 	flow := func(blk *Block, in map[string]bool, report bool) map[string]bool {
 		held := maps.Clone(in)
 		for _, n := range blk.Nodes {
-			st.flowNode(r.unit.Info, n, held, report)
+			st.flowNode(info, n, held, report)
 		}
 		return held
 	}
@@ -329,28 +256,25 @@ func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[str
 	if len(held) == 0 {
 		return
 	}
-	// Transitive acquisitions of the callee and of any literal arguments.
-	targets := map[string]string{} // class -> via funcKey
-	if key := staticCalleeKey(info, call); key != "" {
-		if v, ok := st.p.Facts.Get(nsLockAcquires, key); ok {
-			for t := range v.(map[string]bool) {
-				targets[t] = key
-			}
+	// Transitive acquisitions of the callees and of any literal arguments.
+	targets := map[string]string{} // class -> via: a callee's funcKey, or "func literal"
+	charge := func(key string) {
+		via := key
+		if i, ok := st.mod.index[key]; ok && st.mod.bodies[i].lit {
+			via = "func literal"
 		}
-	}
-	addLit := func(lit *ast.FuncLit) {
-		for t := range st.litSummary(info, lit) {
+		for t := range st.acquires[key] {
 			if _, ok := targets[t]; !ok {
-				targets[t] = "func literal"
+				targets[t] = via
 			}
 		}
 	}
-	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
-		addLit(lit)
+	for _, key := range st.mod.callees(info, call) {
+		charge(key)
 	}
 	for _, arg := range call.Args {
 		if lit, ok := unparen(arg).(*ast.FuncLit); ok {
-			addLit(lit)
+			charge(st.mod.litKey(lit))
 		}
 	}
 	for _, t := range sortedKeys(targets) {
@@ -358,32 +282,15 @@ func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[str
 	}
 }
 
-// litSummary is the transitive acquisition set of a function literal.
-func (st *lockState) litSummary(info *types.Info, lit *ast.FuncLit) map[string]bool {
-	if s, ok := st.litSums[lit]; ok {
-		return s
-	}
-	st.litSums[lit] = map[string]bool{} // cycle guard
-	direct, callees := lockCollect(lit.Body, info)
-	for _, callee := range callees {
-		if v, ok := st.p.Facts.Get(nsLockAcquires, callee); ok {
-			for k := range v.(map[string]bool) {
-				direct[k] = true
-			}
-		}
-	}
-	st.litSums[lit] = direct
-	return direct
-}
-
 // acquire checks one (held set, target class) acquisition and records the
 // edges. via is the callee carrying the acquisition, "" when the Lock call
 // is in this function.
 func (st *lockState) acquire(held map[string]bool, target string, pos token.Pos, via string, report bool) {
-	suffix := ""
-	if via != "" && via != "func literal" {
-		suffix = " (via " + shortKey(via) + ")"
-	} else if via == "func literal" {
+	suffix := " (via " + shortKey(via) + ")"
+	switch via {
+	case "":
+		suffix = ""
+	case "func literal":
 		suffix = " (via a function literal passed here)"
 	}
 	for _, h := range sortedKeys(held) {
@@ -419,17 +326,10 @@ func (st *lockState) recordEdge(from, to string, pos token.Pos, via string) {
 }
 
 func (st *lockState) reportOnce(pos token.Pos, format string, args ...any) {
-	msg := itoa(int(pos)) + "\x00" + format
-	for _, a := range args {
-		if s, ok := a.(string); ok {
-			msg += "\x00" + s
-		}
+	if msg := strconv.Itoa(int(pos)) + fmt.Sprintf(format, args...); !st.reported[msg] {
+		st.reported[msg] = true
+		st.p.Reportf(pos, format, args...)
 	}
-	if st.reported[msg] {
-		return
-	}
-	st.reported[msg] = true
-	st.p.Reportf(pos, format, args...)
 }
 
 // reportCycles finds strongly connected components of the acquisition
@@ -454,58 +354,36 @@ func (st *lockState) reportCycles() {
 		}
 	}
 
-	// Tarjan SCC with deterministic (sorted) adjacency.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	var sccs [][]string
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		var succs []string
+	// A class's component is every class it reaches that reaches it back;
+	// the graph has a few dozen classes, so plain reachability will do.
+	reach := map[string]map[string]bool{}
+	var visit func(v string, seen map[string]bool)
+	visit = func(v string, seen map[string]bool) {
 		for w := range st.edges[v] {
-			succs = append(succs, w)
-		}
-		sort.Strings(succs)
-		for _, w := range succs {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			if len(scc) > 1 {
-				sccs = append(sccs, scc)
+			if !seen[w] {
+				seen[w] = true
+				visit(w, seen)
 			}
 		}
 	}
 	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
+		reach[v] = map[string]bool{}
+		visit(v, reach[v])
 	}
-	for _, scc := range sccs {
-		sort.Strings(scc)
+	placed := map[string]bool{}
+	for _, v := range nodes {
+		if placed[v] {
+			continue
+		}
+		scc := []string{v} // sorted, as nodes is
+		for _, w := range nodes {
+			if w != v && reach[v][w] && reach[w][v] {
+				scc, placed[w] = append(scc, w), true
+			}
+		}
+		if len(scc) == 1 {
+			continue
+		}
 		pos := token.Pos(0)
 		for _, a := range scc {
 			for _, b := range scc {

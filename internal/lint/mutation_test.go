@@ -177,6 +177,68 @@ func forward(c *core, k int) {
 		}
 	})
 
+	t.Run("lockorder catches a handler that re-takes Server.mu through the op table", func(t *testing.T) {
+		src := `package wire
+
+import "sync"
+
+type Server struct {
+	mu sync.Mutex
+	n  int
+}
+
+type connState struct{ bracket bool }
+
+type handler[Q any] func(s *Server, cs *connState, q Q) (int, error)
+
+type op[Q any] struct {
+	name    string
+	handler handler[Q]
+}
+
+func def[Q any](name string, h handler[Q]) *op[Q] {
+	return &op[Q]{name: name, handler: h}
+}
+
+type opRow struct {
+	handle func(s *Server, cs *connState, payload []byte) (int, error)
+}
+
+func (o *op[Q]) row() opRow { return opRow{handle: o.serve} }
+
+func (o *op[Q]) serve(s *Server, cs *connState, payload []byte) (int, error) {
+	var q Q
+	return s.exec(cs, func() (int, error) { return o.handler(s, cs, q) })
+}
+
+func (s *Server) exec(cs *connState, fn func() (int, error)) (int, error) { return fn() }
+
+var opTable = []opRow{
+	def("Count", func(s *Server, _ *connState, _ string) (int, error) { return s.n, nil }).row(),
+	// Mutation: a write handler that takes the writer lock its dispatcher
+	// already holds.
+	def("Reset", func(s *Server, _ *connState, n int) (int, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.n = n
+		return n, nil
+	}).row(),
+}
+
+func (s *Server) locked(cs *connState, op int, payload []byte) (int, error) {
+	row := opTable[op]
+	if op == 0 {
+		// Legal twin: the lock-free arm runs the same rows holding nothing.
+		return row.handle(s, cs, payload)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return row.handle(s, cs, payload)
+}`
+		diags := mutationDiags(t, "labflow/internal/wire", src, []*Analyzer{LockOrder})
+		expectDiags(t, diags, "lockorder:56")
+	})
+
 	for _, m := range []struct {
 		name, pkgPath, src string
 		analyzer           *Analyzer

@@ -1,9 +1,10 @@
 package lint
 
 import (
+	"cmp"
 	"go/token"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -47,11 +48,8 @@ func Directives(opts Options) ([]Directive, error) {
 			out = append(out, d)
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
+	slices.SortFunc(out, func(a, b Directive) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line))
 	})
 	return out, nil
 }

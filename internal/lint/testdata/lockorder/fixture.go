@@ -255,3 +255,73 @@ func (d *Core) allowedInvert(k int) {
 	d.stmu.Unlock()
 	d.local[k].wmu.Unlock()
 }
+
+// Violation shape 11: an op table. A generic descriptor is built by a
+// def-style constructor, each row's arm is a method value, and the arm runs
+// its handler inside a closure handed to an exec-style helper. The
+// dispatcher holds Server.mu across the arm and one handler takes it again:
+// resolved through the row, the descriptor and the constructor's
+// parameter, the call is a self-deadlock.
+type opHandler[Q any] func(s *Server, q Q) error
+
+type opDesc[Q any] struct {
+	name    string
+	handler opHandler[Q]
+}
+
+func defOp[Q any](name string, h opHandler[Q]) *opDesc[Q] {
+	return &opDesc[Q]{name: name, handler: h}
+}
+
+type opRow struct {
+	handle func(s *Server, payload []byte) error
+}
+
+func (o *opDesc[Q]) serve(s *Server, payload []byte) error {
+	var q Q
+	return s.exec(func() error { return o.handler(s, q) })
+}
+
+func (o *opDesc[Q]) row() opRow { return opRow{handle: o.serve} }
+
+func (s *Server) exec(fn func() error) error { return fn() }
+
+var opRows = []opRow{
+	defOp("count", func(s *Server, _ int) error { return nil }).row(),
+	defOp("reset", func(s *Server, _ string) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return nil
+	}).row(),
+}
+
+func (s *Server) badDispatch(code int, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return opRows[code].handle(s, payload)
+}
+
+// ok: a hook field that is also filled from an interface method's result
+// stays opaque. Its visible value takes Core.stmu, which under Local.wmu
+// would invert the hierarchy, but the other value cannot be seen, so the
+// call through the field adds no edge.
+type hookSource interface{ Hook() func(*Core) }
+
+type hooks struct{ onFlush func(*Core) }
+
+func newHooks(src hookSource) *hooks {
+	h := &hooks{onFlush: func(d *Core) {
+		d.stmu.Lock()
+		d.stmu.Unlock()
+	}}
+	if src != nil {
+		h.onFlush = src.Hook()
+	}
+	return h
+}
+
+func (d *Core) okOpaqueHook(h *hooks, k int) {
+	d.local[k].wmu.Lock()
+	defer d.local[k].wmu.Unlock()
+	h.onFlush(d)
+}

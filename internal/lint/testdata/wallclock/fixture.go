@@ -1,5 +1,5 @@
 // Package fixture exercises the wallclock analyzer, including the
-// //lint:allow suppression path and malformed-directive reporting.
+// //lint:allow suppression path and malformed and stale directives.
 package fixture
 
 import "time"
@@ -32,4 +32,9 @@ func missingReason() time.Time {
 
 func unknownAnalyzer() time.Time {
 	return time.Now() //lint:allow nosuchpass some reason
+}
+
+func staleDirective() time.Duration {
+	//lint:allow wallclock nothing below reads the clock, so this is stale
+	return 5 * time.Second
 }

@@ -90,34 +90,27 @@ func (s *Server) exec(cs *connState, fn func() error) error {
 	return s.inTxn(cs, fn)
 }
 
-// beginBracket opens the explicit client transaction bracket: the
-// connection takes the writer lock and holds it across frames until
-// OpCommit, mirroring labbase's Begin/Commit surface over the wire. The
-// shard router uses this so a broadcast bracket spans every member server.
+// beginBracket opens the explicit client transaction bracket under the
+// writer lock locked took for it. Once the bracket is open the connection
+// keeps that lock across frames until OpCommit, mirroring labbase's
+// Begin/Commit surface over the wire. The shard router uses this so a
+// broadcast bracket spans every member server. A nested Begin surfaces the
+// store's own diagnostic, bracket intact.
 func (s *Server) beginBracket(cs *connState) error {
-	if cs.bracket {
-		// Nested Begin: surface the store's own diagnostic, bracket intact.
-		return s.db.Begin()
-	}
-	s.mu.Lock() //lint:allow mutexhygiene bracket lock held across frames; released by commitBracket or releaseBracket on disconnect
 	if err := s.db.Begin(); err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	cs.bracket = true
-	//lint:allow mutexhygiene bracket lock deliberately survives this return; released by commitBracket or releaseBracket on disconnect
 	return nil
 }
 
 // commitBracket seals the bracket's transaction, releases the writer lock,
 // and only then waits for durability, so the next writer runs while this
 // bracket's flush is in flight. Without an open bracket it still calls
-// Commit under the lock so the client sees the store's own
+// Commit, under the lock locked took, so the client sees the store's own
 // ErrNoTransaction bytes.
 func (s *Server) commitBracket(cs *connState) error {
 	if !cs.bracket {
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		return s.db.Commit()
 	}
 	cs.bracket = false
@@ -161,9 +154,9 @@ func (s *Server) handle(cs *connState, op uint8, payload []byte) ([]byte, error)
 
 // locked executes one request under the lock its opcode's class (opTable)
 // requires: read ops take no lock at all (their snapshot capture makes them
-// consistent), write ops hold the writer lock so their transaction
-// brackets stay atomic against each other, and a connection inside an
-// explicit bracket already holds the writer lock across frames.
+// consistent), write and bracket ops hold the writer lock so their
+// transaction brackets stay atomic against each other, and a connection
+// inside an explicit bracket already holds the writer lock across frames.
 func (s *Server) locked(cs *connState, op uint8, payload []byte) ([]byte, error) {
 	row := rowOf(op)
 	switch class := row.class; {
@@ -171,14 +164,22 @@ func (s *Server) locked(cs *connState, op uint8, payload []byte) ([]byte, error)
 		return nil, fmt.Errorf("wire: unknown opcode %d", op)
 	case class == classReplWrite:
 		return nil, fmt.Errorf("wire: not a standby")
-	case class == classBracket:
-		// The bracket opcodes manage the writer lock themselves.
 	case cs.bracket:
 		// This connection holds the writer lock until OpCommit; every op it
-		// sends executes inside its bracket.
+		// sends executes inside its bracket, and OpCommit releases it.
 	case class.lockFree():
 		// The store's read entry points (and the OpQuery handler
 		// explicitly) capture a snapshot and answer from it.
+	case class == classBracket:
+		// OpBegin and OpCommit run under the writer lock like a write. A
+		// Begin that opens the bracket keeps the lock across frames, until
+		// OpCommit or the connection's hangup releases it (commitBracket).
+		s.mu.Lock()
+		resp, err := row.handle(s, cs, payload)
+		if !cs.bracket {
+			s.mu.Unlock()
+		}
+		return resp, err
 	default:
 		s.mu.Lock()
 		defer s.mu.Unlock()
