@@ -21,13 +21,14 @@
 // failover experiment is its warm-standby counterpart, on ostore only (texas
 // has no log to ship): the primary's commits ship to an in-process standby,
 // the seeded crash kills the primary, and the promoted follower must serve
-// exactly the committed prefix. The recovery experiment measures the BENCH_6
-// columns — checkpoint-bounded reopen time and standby promote time (see
-// recovery.go).
+// exactly the committed prefix. The recovery experiment prints the BENCH_6
+// rows — records replayed by a checkpoint-bounded reopen, and a promoted
+// standby with nothing to replay (see recovery.go).
 //
-// The table10 sweep runs its server versions one after another, so each
-// version's CPU columns are its own, as in the paper's table. -cpuprofile /
-// -memprofile write pprof profiles of the run.
+// Every line labflow prints on stdout is a function of its flags, -seed and
+// -scale among them: it reads no clock. Wall-clock timing lives in bench/,
+// which repeats runs and takes medians. -cpuprofile / -memprofile write
+// pprof profiles of the run.
 //
 // The working data lives under -dir (a temporary directory by default) and
 // is removed afterwards unless -keep is given.

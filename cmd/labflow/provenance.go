@@ -8,14 +8,15 @@ import (
 	"labflow/internal/core"
 )
 
-// The provenance experiment (BENCH_7) measures the recursive lineage
-// queries over generated derivation DAGs — chains, fan-outs and stacked
-// diamonds at a sweep of depths — under three evaluation strategies:
-// the pure-Datalog rules untabled (cost follows derivation paths,
-// exponential on diamonds), the same rules tabled (cost follows edges),
-// and the native closure externs (BFS over the reverse involves index).
-// Untabled cells are bounded by a resolution-step budget and reported as
-// lower bounds ("DNF") when they exhaust it; answer sets are cross-checked
+// The provenance experiment (BENCH_7) runs the recursive lineage queries
+// over generated derivation DAGs — chains, fan-outs and stacked diamonds at
+// a sweep of depths — under three evaluation strategies: the pure-Datalog
+// rules untabled (cost follows derivation paths, exponential on diamonds),
+// the same rules tabled (cost follows edges), and the native closure
+// externs (BFS over the reverse involves index). It prints the rule
+// evaluators' resolution steps; native answers in one extern call. Untabled
+// cells are bounded by a resolution-step budget and reported as lower
+// bounds ("DNF") when they exhaust it; answer sets are cross-checked
 // between every pair of modes that completed, and any inequality fails the
 // run. See internal/core/provenance.go and DESIGN §10.
 func runProvenance(o options) error {
@@ -40,7 +41,7 @@ func runProvenance(o options) error {
 		seed = 1
 	}
 
-	fmt.Printf("provenance closure: ancestors of the sink, three evaluation modes\n")
+	fmt.Printf("provenance closure: ancestors of the sink, resolution steps untabled vs tabled\n")
 	fmt.Printf("untabled budget %d resolution steps; DNF rows are lower bounds\n\n", budget)
 
 	res, err := core.RunProvenance(depths, width, budget, seed)
@@ -48,20 +49,18 @@ func runProvenance(o options) error {
 		return err
 	}
 
-	fmt.Printf("  %-8s %5s %5s %7s | %12s %12s %12s | %9s %9s\n",
-		"shape", "depth", "width", "edges", "untabled ms", "tabled ms", "native ms", "vs tabled", "vs native")
+	fmt.Printf("  %-8s %5s %5s %7s | %14s %12s | %9s\n",
+		"shape", "depth", "width", "edges", "untabled steps", "tabled steps", "vs tabled")
 	for _, s := range res.Summary {
-		unt := fmt.Sprintf("%.2f", s.UntabledMS)
-		spT := fmt.Sprintf("%.1fx", s.SpeedupTabled)
-		spN := fmt.Sprintf("%.1fx", s.SpeedupNative)
+		unt := fmt.Sprintf("%d", s.UntabledSteps)
+		ratio := fmt.Sprintf("%.1fx", s.StepRatio)
 		if s.UntabledDNF {
-			unt = fmt.Sprintf("DNF>%.0f", s.UntabledMS)
-			spT = ">" + spT
-			spN = ">" + spN
+			unt = "DNF>" + unt
+			ratio = ">" + ratio
 		}
-		fmt.Printf("  %-8s %5d %5d %7d | %12s %12.2f %12.2f | %9s %9s\n",
-			s.Shape, s.Depth, s.Width, s.Edges, unt, s.TabledMS, s.NativeMS, spT, spN)
+		fmt.Printf("  %-8s %5d %5d %7d | %14s %12d | %9s\n",
+			s.Shape, s.Depth, s.Width, s.Edges, unt, s.TabledSteps, ratio)
 	}
-	fmt.Println("\nanswer-set check: every completed mode pair identical (asserted per cell)")
+	fmt.Println("\nanswer-set check: every completed mode pair identical, native included (asserted per cell)")
 	return nil
 }

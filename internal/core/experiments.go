@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"time"
 
 	"labflow/internal/labbase"
 	"labflow/internal/metrics"
@@ -136,19 +135,17 @@ type EvolutionResult struct {
 	StepsBefore      uint64
 	VersionsBefore   int
 	VersionsAfter    int
-	PerInsertBefore  time.Duration
-	EvolutionCost    time.Duration // the one insert that created the version
-	PerInsertAfter   time.Duration
 	OldStepsV1       uint64 // pre-evolution instances still on version 1
 	OldStepsVerified bool
-	// RoutineStats and EvolutionStats are the storage manager's counter
-	// deltas over the routine inserts before the evolution (all of them
-	// together) and over the evolving insert alone. The wall-clock fields
-	// above are commentary; these are what shows that evolution does not
-	// reorganize data.
+	// RoutineStats, EvolutionStats and AfterStats are the storage
+	// manager's counter deltas over the RoutineInserts inserts before the
+	// evolution, over the evolving insert alone, and over as many inserts
+	// after it: what shows that evolution does not reorganize data and
+	// leaves the steady-state insert's work unchanged.
 	RoutineInserts int
 	RoutineStats   storage.Stats
 	EvolutionStats storage.Stats
+	AfterStats     storage.Stats
 	// OldStepsIntact reports that every version-1 instance's stored record
 	// is byte-for-byte what it was before the evolution.
 	OldStepsIntact bool
@@ -198,14 +195,12 @@ func RunEvolution(kind StoreKind, dir string, p Params) (*EvolutionResult, error
 	res.RoutineInserts = n
 	vt := built.Engine.Clock()
 	mark := built.SM.Stats()
-	start := time.Now() //lint:allow wallclock experiment elapsed-time measurement
 	for i := 0; i < n; i++ {
 		vt++
 		if err := record(v1Attrs, vt); err != nil {
 			return nil, err
 		}
 	}
-	res.PerInsertBefore = time.Since(start) / n //lint:allow wallclock experiment elapsed-time measurement
 	res.RoutineStats = built.SM.Stats().Sub(mark)
 	v1Records, err := stepRecords(built, StepDetermineSeq)
 	if err != nil {
@@ -218,21 +213,19 @@ func RunEvolution(kind StoreKind, dir string, p Params) (*EvolutionResult, error
 		labbase.AttrValue{Name: "chemistry", Value: labbase.String("dye-terminator")})
 	vt++
 	mark = built.SM.Stats()
-	start = time.Now() //lint:allow wallclock experiment elapsed-time measurement
 	if err := record(v2Attrs, vt); err != nil {
 		return nil, err
 	}
-	res.EvolutionCost = time.Since(start) //lint:allow wallclock experiment elapsed-time measurement
 	res.EvolutionStats = built.SM.Stats().Sub(mark)
 
-	start = time.Now() //lint:allow wallclock experiment elapsed-time measurement
+	mark = built.SM.Stats()
 	for i := 0; i < n; i++ {
 		vt++
 		if err := record(v2Attrs, vt); err != nil {
 			return nil, err
 		}
 	}
-	res.PerInsertAfter = time.Since(start) / n //lint:allow wallclock experiment elapsed-time measurement
+	res.AfterStats = built.SM.Stats().Sub(mark)
 
 	vers, err = db.StepClassVersions(StepDetermineSeq)
 	if err != nil {
@@ -294,14 +287,15 @@ func FormatEvolution(res *EvolutionResult) string {
 	tab := metrics.NewTable("Measure", "Value")
 	tab.Row("step-class versions before", fmt.Sprintf("%d", res.VersionsBefore))
 	tab.Row("step-class versions after", fmt.Sprintf("%d", res.VersionsAfter))
-	tab.Row("insert cost before evolution (us)", fmt.Sprintf("%.1f", float64(res.PerInsertBefore.Nanoseconds())/1000))
-	tab.Row("the evolving insert itself (us)", fmt.Sprintf("%.1f", float64(res.EvolutionCost.Nanoseconds())/1000))
-	tab.Row("insert cost after evolution (us)", fmt.Sprintf("%.1f", float64(res.PerInsertAfter.Nanoseconds())/1000))
 	tab.Row("v1 instances preserved untouched", fmt.Sprintf("%d (verified=%v, bytes intact=%v)", res.OldStepsV1, res.OldStepsVerified, res.OldStepsIntact))
-	perRoutine := func(v uint64) string { return fmt.Sprintf("%.2f", float64(v)/float64(res.RoutineInserts)) }
-	tab.Row("objects written: routine insert / evolving insert", fmt.Sprintf("%s / %d", perRoutine(res.RoutineStats.Writes), res.EvolutionStats.Writes))
-	tab.Row("objects allocated: routine insert / evolving insert", fmt.Sprintf("%s / %d", perRoutine(res.RoutineStats.Allocs), res.EvolutionStats.Allocs))
-	tab.Row("pages written: routine insert / evolving insert", fmt.Sprintf("%s / %d", perRoutine(res.RoutineStats.PageWrites), res.EvolutionStats.PageWrites))
+	perInsert := func(v uint64) string { return fmt.Sprintf("%.2f", float64(v)/float64(res.RoutineInserts)) }
+	row := func(what string, f func(storage.Stats) uint64) {
+		tab.Row(what+": routine insert / evolving insert / insert after",
+			fmt.Sprintf("%s / %d / %s", perInsert(f(res.RoutineStats)), f(res.EvolutionStats), perInsert(f(res.AfterStats))))
+	}
+	row("objects written", func(s storage.Stats) uint64 { return s.Writes })
+	row("objects allocated", func(s storage.Stats) uint64 { return s.Allocs })
+	row("pages written", func(s storage.Stats) uint64 { return s.PageWrites })
 	_ = tab.Write(&b)
 	return b.String()
 }
@@ -311,7 +305,6 @@ func FormatEvolution(res *EvolutionResult) string {
 // SweepRow is one pool size's outcome on the standard workload.
 type SweepRow struct {
 	PoolPages int
-	Elapsed   time.Duration
 	Faults    uint64
 }
 
@@ -339,14 +332,11 @@ func RunBufferSweep(dir string, p Params, pools []int) (*SweepResult, error) {
 			sm.Close()
 			return nil, err
 		}
-		start := time.Now() //lint:allow wallclock experiment elapsed-time measurement
-		result, err := runOn(db, pp)
-		if err != nil {
+		if _, err := runOn(db, pp); err != nil {
 			db.Close()
 			return nil, err
 		}
-		_ = result
-		row := SweepRow{PoolPages: pool, Elapsed: time.Since(start), Faults: sm.Stats().Faults} //lint:allow wallclock experiment elapsed-time measurement
+		row := SweepRow{PoolPages: pool, Faults: sm.Stats().Faults}
 		if err := db.Close(); err != nil {
 			return nil, err
 		}
@@ -359,12 +349,9 @@ func RunBufferSweep(dir string, p Params, pools []int) (*SweepResult, error) {
 func FormatSweep(res *SweepResult) string {
 	var b strings.Builder
 	b.WriteString("Buffer-pool sweep (E5) — OStore, standard workload\n\n")
-	tab := metrics.NewTable("Pool pages", "Pool bytes", "faults", "elapsed ms")
+	tab := metrics.NewTable("Pool pages", "Pool bytes", "faults")
 	for _, r := range res.Rows {
-		tab.Row(fmt.Sprintf("%d", r.PoolPages),
-			metrics.Comma(uint64(r.PoolPages)*8192),
-			metrics.Comma(r.Faults),
-			fmt.Sprintf("%.1f", float64(r.Elapsed.Microseconds())/1000))
+		tab.Row(fmt.Sprintf("%d", r.PoolPages), metrics.Comma(uint64(r.PoolPages)*8192), metrics.Comma(r.Faults))
 	}
 	_ = tab.Write(&b)
 	return b.String()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"labflow/internal/labbase"
 	"labflow/internal/lbq"
@@ -13,13 +12,12 @@ import (
 	"labflow/internal/workflow"
 )
 
-// OpsRow is one operation class's measured profile.
+// OpsRow is one operation class's profile: the storage manager's counter
+// deltas over N operations of the class.
 type OpsRow struct {
-	Op        string
-	N         int
-	Total     time.Duration
-	PerOp     time.Duration
-	OpsPerSec float64
+	Op    string
+	N     int
+	Stats storage.Stats
 }
 
 // OpsResult is the Section-8 operation-class profile (experiment E3).
@@ -115,25 +113,7 @@ func Build(kind StoreKind, dir string, p Params, scaleX int) (*BuiltDB, error) {
 // Close releases the built database.
 func (b *BuiltDB) Close() error { return b.DB.Close() }
 
-func timeOp(name string, n int, fn func(i int) error) (OpsRow, error) {
-	start := time.Now() //lint:allow wallclock table-9 per-op latency measurement
-	for i := 0; i < n; i++ {
-		if err := fn(i); err != nil {
-			return OpsRow{}, fmt.Errorf("core: %s[%d]: %w", name, i, err)
-		}
-	}
-	total := time.Since(start) //lint:allow wallclock table-9 per-op latency measurement
-	row := OpsRow{Op: name, N: n, Total: total}
-	if n > 0 {
-		row.PerOp = total / time.Duration(n)
-		if total > 0 {
-			row.OpsPerSec = float64(n) / total.Seconds()
-		}
-	}
-	return row, nil
-}
-
-// RunOps measures the Section-8 operation classes on a 1X database.
+// RunOps profiles the Section-8 operation classes on a 1X database.
 func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 	built, err := Build(kind, dir, p, 2)
 	if err != nil {
@@ -148,16 +128,19 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 	}
 
 	res := &OpsResult{Store: built.SM.Name()}
-	add := func(row OpsRow, err error) error {
-		if err != nil {
-			return err
+	add := func(name string, n int, fn func(i int) error) error {
+		mark := built.SM.Stats()
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return fmt.Errorf("core: %s[%d]: %w", name, i, err)
+			}
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, OpsRow{Op: name, N: n, Stats: built.SM.Stats().Sub(mark)})
 		return nil
 	}
 
 	// 8.3 workflow tracking: record step + state transition, one txn each.
-	if err := add(timeOp("tracking update (record step + set state)", 400, func(i int) error {
+	if err := add("tracking update (record step + set state)", 400, func(i int) error {
 		m := clones[rng.Intn(len(clones))]
 		if err := db.Begin(); err != nil {
 			return err
@@ -176,16 +159,16 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 			return err
 		}
 		return db.Commit()
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// 8.2 most-recent queries through the index.
-	if err := add(timeOp("most-recent query (index)", 4000, func(i int) error {
+	if err := add("most-recent query (index)", 4000, func(i int) error {
 		m := clones[rng.Intn(len(clones))]
 		_, _, _, err := db.MostRecent(m, queryAttrs[i%len(queryAttrs)])
 		return err
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
@@ -199,36 +182,36 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 		}
 		names[i] = m.Name
 	}
-	if err := add(timeOp("keyed lookup (name -> most-recent)", 2000, func(i int) error {
+	if err := add("keyed lookup (name -> most-recent)", 2000, func(i int) error {
 		oid, ok := db.LookupMaterial(names[rng.Intn(len(names))])
 		if !ok {
 			return fmt.Errorf("name index miss")
 		}
 		_, _, _, err := db.MostRecent(oid, "coverage")
 		return err
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// The same query answered by scanning the history — what the index saves.
-	if err := add(timeOp("most-recent query (history scan)", 400, func(i int) error {
+	if err := add("most-recent query (history scan)", 400, func(i int) error {
 		m := clones[rng.Intn(len(clones))]
 		_, _, _, err := db.MostRecentScan(m, queryAttrs[i%len(queryAttrs)])
 		return err
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// State dispatch: the workflow scheduler's query.
-	if err := add(timeOp("materials-in-state listing", 400, func(i int) error {
+	if err := add("materials-in-state listing", 400, func(i int) error {
 		_, err := db.MaterialsInState(AllStates[i%len(AllStates)])
 		return err
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// Counting.
-	if err := add(timeOp("counting (class + state counts)", 1000, func(i int) error {
+	if err := add("counting (class + state counts)", 1000, func(i int) error {
 		if _, err := db.CountMaterials("clone"); err != nil {
 			return err
 		}
@@ -237,12 +220,12 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 		}
 		_, err := db.CountInState(StCloneDone)
 		return err
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// Set/list generation: retrieve stored BLAST hit lists.
-	if err := add(timeOp("hit-list retrieval (set/list generation)", 1000, func(i int) error {
+	if err := add("hit-list retrieval (set/list generation)", 1000, func(i int) error {
 		m := clones[rng.Intn(len(clones))]
 		v, _, found, err := db.MostRecent(m, "hits")
 		if err != nil {
@@ -252,12 +235,12 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 			return fmt.Errorf("hits kind = %v", v.Kind)
 		}
 		return nil
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// History scan: full audit trail of one material.
-	if err := add(timeOp("history scan (one material)", 400, func(i int) error {
+	if err := add("history scan (one material)", 400, func(i int) error {
 		m := clones[rng.Intn(len(clones))]
 		hist, err := db.History(m)
 		if err != nil {
@@ -269,7 +252,7 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 			}
 		}
 		return nil
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
@@ -280,18 +263,18 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 	`); err != nil {
 		return nil, err
 	}
-	if err := add(timeOp("deductive query (state+most-recent join)", 40, func(i int) error {
+	if err := add("deductive query (state+most-recent join)", 40, func(i int) error {
 		_, err := bridge.Query("setof(M, sequenced(M), L), length(L, N)", 0)
 		return err
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// Archival dump.
-	if err := add(timeOp("full database dump", 2, func(i int) error {
+	if err := add("full database dump", 2, func(i int) error {
 		_, err := db.Dump()
 		return err
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
@@ -302,13 +285,10 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 func FormatOps(res *OpsResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "LabFlow-1 operation-class profile (Section 8) — %s, 1.0X database\n\n", res.Store)
-	tab := metrics.NewTable("Operation", "N", "total ms", "us/op", "ops/sec")
+	tab := metrics.NewTable("Operation", "N", "reads/op", "writes/op", "faults/op")
 	for _, r := range res.Rows {
-		tab.Row(r.Op,
-			fmt.Sprintf("%d", r.N),
-			fmt.Sprintf("%.2f", float64(r.Total.Microseconds())/1000),
-			fmt.Sprintf("%.1f", float64(r.PerOp.Nanoseconds())/1000),
-			fmt.Sprintf("%.0f", r.OpsPerSec))
+		perOp := func(v uint64) string { return fmt.Sprintf("%.2f", float64(v)/float64(r.N)) }
+		tab.Row(r.Op, fmt.Sprintf("%d", r.N), perOp(r.Stats.Reads), perOp(r.Stats.Writes), perOp(r.Stats.Faults))
 	}
 	_ = tab.Write(&b)
 	return b.String()

@@ -10,7 +10,6 @@ import (
 	"labflow/internal/datalog"
 	"labflow/internal/labbase"
 	"labflow/internal/lbq"
-	"labflow/internal/metrics"
 	"labflow/internal/storage"
 	"labflow/internal/storage/memstore"
 	"labflow/rules"
@@ -214,7 +213,7 @@ func BuildProvDAG(shape string, depth, width int, seed int64) (*ProvDAG, error) 
 }
 
 // ProvCell is one (shape, depth, width, mode) measurement: the sink's
-// ancestor closure, timed.
+// ancestor closure, counted in resolution steps.
 type ProvCell struct {
 	Shape           string
 	Depth           int
@@ -225,22 +224,20 @@ type ProvCell struct {
 	Answers         int
 	Outcome         string // ok | budget
 	ResolutionSteps int64
-	WallMS          float64
-	CPUMS           float64
 }
 
-// ProvSummary compares the three modes on one DAG.
+// ProvSummary compares the rule evaluators on one DAG by resolution steps.
+// Native answers in one extern call, so it enters only the answer-set
+// cross-check.
 type ProvSummary struct {
 	Shape         string
 	Depth         int
 	Width         int
 	Edges         int
-	UntabledMS    float64
-	UntabledDNF   bool // budget exhausted: time is a lower bound
-	TabledMS      float64
-	NativeMS      float64
-	SpeedupTabled float64
-	SpeedupNative float64
+	UntabledSteps int64
+	UntabledDNF   bool // budget exhausted: the steps are a lower bound
+	TabledSteps   int64
+	StepRatio     float64 // UntabledSteps / TabledSteps
 }
 
 // ProvResult is the full BENCH_7 sweep.
@@ -252,8 +249,8 @@ type ProvResult struct {
 }
 
 // provAnswerSet runs q read-only over a fresh snapshot with a step budget
-// and returns the sorted deduplicated answer set for variable v, the wall
-// and CPU time, the resolution steps, and whether the budget was exhausted.
+// and returns the sorted deduplicated answer set for variable v, the
+// resolution steps, and whether the budget was exhausted.
 func provAnswerSet(b *lbq.Bridge, db *labbase.DB, q, v string, budget int64) ([]string, *ProvCell, error) {
 	snap, err := db.Snapshot()
 	if err != nil {
@@ -262,15 +259,8 @@ func provAnswerSet(b *lbq.Bridge, db *labbase.DB, q, v string, budget int64) ([]
 	defer snap.Close()
 	qc := datalog.NewQctx(snap, true)
 	qc.MaxSteps = budget
-	before := metrics.Sample()
 	sols, qerr := b.Engine().QueryCtx(qc, q, 0)
-	delta := metrics.Sample().Sub(before)
-	cell := &ProvCell{
-		Outcome:         "ok",
-		ResolutionSteps: qc.Steps(),
-		WallMS:          float64(delta.Wall.Nanoseconds()) / 1e6,
-		CPUMS:           float64((delta.UserCPU + delta.SysCPU).Nanoseconds()) / 1e6,
-	}
+	cell := &ProvCell{Outcome: "ok", ResolutionSteps: qc.Steps()}
 	if qerr != nil {
 		if errors.Is(qerr, datalog.ErrStepBudget) {
 			cell.Outcome = "budget"
@@ -322,7 +312,7 @@ func provQueries(mode string, d *ProvDAG) (anc, desc, imp string) {
 		fmt.Sprintf("%s(S, %d)", im, d.Root)
 }
 
-// MeasureProvDAG runs the three evaluation modes over one DAG: the timed
+// MeasureProvDAG runs the three evaluation modes over one DAG: the counted
 // metric is the sink's full ancestor closure; descendant and impact closures
 // are cross-checked between tabled and native (they are exponential for the
 // untabled evaluator on the same shapes as the timed query). Answer-set
@@ -349,12 +339,10 @@ func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 		}
 		switch mode {
 		case "untabled":
-			sum.UntabledMS = cell.WallMS
+			sum.UntabledSteps = cell.ResolutionSteps
 			sum.UntabledDNF = cell.Outcome == "budget"
 		case "tabled":
-			sum.TabledMS = cell.WallMS
-		case "native":
-			sum.NativeMS = cell.WallMS
+			sum.TabledSteps = cell.ResolutionSteps
 		}
 		// Descendant and impact closures: tabled and native stay O(edges),
 		// so cross-check them on every cell (fresh bridge per query keeps
@@ -385,11 +373,8 @@ func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 		return nil, sum, fmt.Errorf("provenance: ancestor answer sets differ between untabled and tabled on %s d=%d w=%d",
 			d.Shape, d.Depth, d.Width)
 	}
-	if sum.TabledMS > 0 {
-		sum.SpeedupTabled = sum.UntabledMS / sum.TabledMS
-	}
-	if sum.NativeMS > 0 {
-		sum.SpeedupNative = sum.UntabledMS / sum.NativeMS
+	if sum.TabledSteps > 0 {
+		sum.StepRatio = float64(sum.UntabledSteps) / float64(sum.TabledSteps)
 	}
 	return cells, sum, nil
 }

@@ -15,9 +15,9 @@ import (
 // byte-identity acceptance test at the workload level: the full table10
 // benchmark driven through a shard.Router → TCP → wire.Server → labbase.DB
 // chain must produce simulated results identical to running directly
-// against the same store in process. Only the timing columns may differ —
-// every fault count, page write, size, step/query/dump counter, and the
-// store name must survive the round trip exactly.
+// against the same store in process: every fault count, page write, size,
+// step/query/dump counter, and the store name must survive the round trip
+// exactly.
 func TestRouterOverOneServerTable10MatchesPlain(t *testing.T) {
 	p := testParams()
 	plain, err := Run(StoreOStoreMM, t.TempDir(), p)
@@ -58,8 +58,7 @@ func TestRouterOverOneServerTable10MatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, b := stripTimings(plain), stripTimings(routed)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("router-over-1-server diverges from in-process run:\nplain:  %+v\nrouted: %+v", a, b)
+	if !reflect.DeepEqual(plain, routed) {
+		t.Errorf("router-over-1-server diverges from in-process run:\nplain:  %+v\nrouted: %+v", plain, routed)
 	}
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"labflow/internal/labbase"
-	"labflow/internal/metrics"
 	"labflow/internal/workflow"
 )
 
@@ -15,14 +13,9 @@ import (
 type IntervalRow struct {
 	Label string // "0.5X", "1.0X", ...
 
-	Elapsed time.Duration
-	UserCPU time.Duration
-	SysCPU  time.Duration
 	// MajFlt is the simulated page-fault count from the storage manager —
 	// the portable analog of the paper's majflt column.
 	MajFlt uint64
-	// OSMajFlt is the host's real major-fault delta, reported alongside.
-	OSMajFlt uint64
 	// PageWrites is the page write-back delta.
 	PageWrites uint64
 	// SizeBytes is the database footprint at the end of the interval
@@ -134,7 +127,6 @@ func runOn(db labbase.Store, p Params) (*RunResult, error) {
 
 	res := &RunResult{}
 	perInterval := (p.BaseClones + 1) / 2
-	prevUsage := metrics.Sample()
 	_, prevStats := db.StoreStats()
 	var prevSteps, prevQueries uint64
 
@@ -142,34 +134,24 @@ func runOn(db labbase.Store, p Params) (*RunResult, error) {
 		if err := d.runInterval(perInterval); err != nil {
 			return nil, err
 		}
-		usage := metrics.Sample()
 		_, stats := db.StoreStats()
-		du := usage.Sub(prevUsage)
 		ds := stats.Sub(prevStats)
 		row := IntervalRow{
 			Label:      fmt.Sprintf("%.1fX", float64(i)*0.5),
-			Elapsed:    du.Wall,
-			UserCPU:    du.UserCPU,
-			SysCPU:     du.SysCPU,
 			MajFlt:     ds.Faults,
-			OSMajFlt:   du.MajFlt,
 			PageWrites: ds.PageWrites,
 			SizeBytes:  ds.SizeBytes,
 			Steps:      d.eng.Stats.Steps - prevSteps,
 			Queries:    d.queries - prevQueries,
 		}
 		res.Rows = append(res.Rows, row)
-		prevUsage, prevStats = usage, stats
+		prevStats = stats
 		prevSteps, prevQueries = d.eng.Stats.Steps, d.queries
 	}
 
 	// Aggregate row.
 	for _, r := range res.Rows {
-		res.Total.Elapsed += r.Elapsed
-		res.Total.UserCPU += r.UserCPU
-		res.Total.SysCPU += r.SysCPU
 		res.Total.MajFlt += r.MajFlt
-		res.Total.OSMajFlt += r.OSMajFlt
 		res.Total.PageWrites += r.PageWrites
 		res.Total.Steps += r.Steps
 		res.Total.Queries += r.Queries
@@ -318,9 +300,7 @@ func (d *driver) intervalQueries() error {
 }
 
 // RunAll runs every requested version against the identical workload,
-// each in its own subdirectory of dir, one after another. One run at a
-// time keeps the measurements per version: the process-wide getrusage
-// deltas belong entirely to the run that sampled them.
+// each in its own subdirectory of dir, one after another.
 func RunAll(kinds []StoreKind, dir string, p Params) ([]*RunResult, error) {
 	out := make([]*RunResult, 0, len(kinds))
 	for _, k := range kinds {

@@ -17,9 +17,9 @@ import (
 // chain, in one process) must produce results identical to running
 // directly against the same store — same per-interval simulated counters
 // (faults, page writes, sizes), same step/query/dump counts, same store
-// name. Only the timing columns may differ. Shard 0's OID encoding is the
-// identity and one shard passes through the core whole, so any divergence
-// is a router, wire or member bug. Run with -race this also stresses the
+// name. Shard 0's OID encoding is the identity and one shard passes
+// through the core whole, so any divergence is a router, wire or member
+// bug. Run with -race this also stresses the
 // router's pool and the server's locking on the table10 mix.
 func TestOneShardMatchesPlain(t *testing.T) {
 	p := testParams()
@@ -43,9 +43,8 @@ func TestOneShardMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s 1-shard: %v", k, err)
 		}
-		a, b := stripTimings(plain), stripTimings(sharded)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: 1-shard cluster diverges from plain DB:\nplain:   %+v\nsharded: %+v", k, a, b)
+		if !reflect.DeepEqual(plain, sharded) {
+			t.Errorf("%s: 1-shard cluster diverges from plain DB:\nplain:   %+v\nsharded: %+v", k, plain, sharded)
 		}
 	}
 }

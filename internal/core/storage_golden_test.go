@@ -15,8 +15,8 @@ import (
 // every paged version evicts (at 64, table10 at test scale never faults),
 // so the counters are exactly what the buffer pool's CLOCK sweep and each
 // pager's eviction policy produce. The default-params one is what labflow
-// prints without flags; it also pins E2's cold-scan faults and sizes and
-// E4's storage work per insert. A change meant to keep behaviour must leave
+// prints without flags; it also pins E2's cold-scan faults and sizes, E4's
+// storage work per insert and E3's per operation class. A change meant to keep behaviour must leave
 // both files byte-identical. Regenerate deliberately with UPDATE_GOLDEN=1.
 func TestStorageCountersGolden(t *testing.T) {
 	small := testParams()
@@ -26,7 +26,7 @@ func TestStorageCountersGolden(t *testing.T) {
 		file        string
 		p           Params
 		pools       []int
-		experiments bool // also E2 and E4
+		experiments bool // also E2, E4 and E3
 	}{
 		{"storage_counters.golden", small, []int{16, 32, 64}, false},
 		{"storage_counters_default.golden", DefaultParams(), []int{64, 192, 512, 4096}, true},
@@ -95,5 +95,15 @@ func storageCounters(t *testing.T, p Params, pools []int, experiments bool) stri
 	rs, es := evo.RoutineStats, evo.EvolutionStats
 	fmt.Fprintf(&b, "  routine inserts=%d writes=%d allocs=%d page_writes=%d\n", evo.RoutineInserts, rs.Writes, rs.Allocs, rs.PageWrites)
 	fmt.Fprintf(&b, "  evolving writes=%d allocs=%d page_writes=%d\n", es.Writes, es.Allocs, es.PageWrites)
+	as := evo.AfterStats
+	fmt.Fprintf(&b, "  after inserts=%d writes=%d allocs=%d page_writes=%d\n", evo.RoutineInserts, as.Writes, as.Allocs, as.PageWrites)
+	ops, err := RunOps(StoreTexasTC, filepath.Join(dir, "ops"), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "E3 ops %s\n", ops.Store)
+	for _, row := range ops.Rows {
+		fmt.Fprintf(&b, "  %s: n=%d reads=%d writes=%d faults=%d\n", row.Op, row.N, row.Stats.Reads, row.Stats.Writes, row.Stats.Faults)
+	}
 	return b.String()
 }

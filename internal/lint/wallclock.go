@@ -9,9 +9,9 @@ import (
 // simulated counters exactly across runs, which only holds if no code path
 // branches on real time.
 // Timestamps recorded in the database come from the logical transaction-time
-// counter; elapsed-time *measurement* (benchmark timing in internal/metrics
-// and internal/core) is the sanctioned exception and carries a
-// //lint:allow wallclock directive at each site.
+// counter; elapsed-time *measurement* (bench/'s ruler, lfload's run and
+// outage timing, the shard router's latency histograms) is the sanctioned
+// exception and carries a //lint:allow wallclock directive at each site.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbid time.Now/Since/Until outside explicitly allowlisted measurement sites",

@@ -1,59 +1,15 @@
-// Package metrics provides the resource accounting behind the benchmark
-// reports: wall-clock and CPU timers (getrusage where available) and plain
-// text table formatting in the style of the paper's Section-10 table.
+// Package metrics provides the plain-text report formatting behind
+// labflow's tables (aligned columns in the style of the paper's Section-10
+// table, thousands separators) and the latency histogram that lfload and
+// the shard router record into. It reads no clock: a caller that measures
+// time records durations it took itself.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
-
-// Usage is a snapshot (or difference) of resource consumption.
-//
-// Wall is per-caller: sampled from the monotonic clock, so differences are
-// exact elapsed time for whichever goroutine took the two samples. UserCPU,
-// SysCPU and MajFlt come from getrusage and are process-wide, so a delta
-// belongs to one benchmark run only while that run is the only one in the
-// process (core.RunAll runs the versions one after another).
-type Usage struct {
-	Wall    time.Duration
-	UserCPU time.Duration
-	SysCPU  time.Duration
-	// MajFlt is the operating system's major-fault counter. The benchmark's
-	// primary fault metric is the storage managers' simulated fault counter
-	// (storage.Stats.Faults), which is deterministic across hosts; this one
-	// is reported alongside for completeness.
-	MajFlt uint64
-}
-
-// baseTime anchors Wall samples. time.Since carries Go's monotonic reading,
-// so Usage.Sub differences are immune to wall-clock steps (NTP, suspend) —
-// a requirement for trustworthy elapsed-time columns.
-var baseTime = time.Now() //lint:allow wallclock monotonic anchor for benchmark wall-time measurement
-
-// Sample returns the current cumulative usage of this process.
-func Sample() Usage {
-	u := rusageSelf()
-	u.Wall = time.Since(baseTime) //lint:allow wallclock benchmark wall-time measurement, never persisted
-	return u
-}
-
-// Sub returns u - prev.
-func (u Usage) Sub(prev Usage) Usage {
-	return Usage{
-		Wall:    u.Wall - prev.Wall,
-		UserCPU: u.UserCPU - prev.UserCPU,
-		SysCPU:  u.SysCPU - prev.SysCPU,
-		MajFlt:  u.MajFlt - prev.MajFlt,
-	}
-}
-
-// Seconds formats a duration as seconds with millisecond resolution.
-func Seconds(d time.Duration) string {
-	return fmt.Sprintf("%.3f", d.Seconds())
-}
 
 // Table accumulates rows and renders them with aligned columns.
 type Table struct {

@@ -3,32 +3,7 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestSampleMonotonic(t *testing.T) {
-	a := Sample()
-	// Burn a little CPU so the counters can move.
-	x := 0
-	for i := 0; i < 1_000_000; i++ {
-		x += i
-	}
-	_ = x
-	b := Sample()
-	d := b.Sub(a)
-	if d.Wall < 0 {
-		t.Errorf("negative wall time %v", d.Wall)
-	}
-	if d.UserCPU < 0 || d.SysCPU < 0 {
-		t.Errorf("negative cpu time %v/%v", d.UserCPU, d.SysCPU)
-	}
-}
-
-func TestSeconds(t *testing.T) {
-	if got := Seconds(1500 * time.Millisecond); got != "1.500" {
-		t.Errorf("Seconds = %q", got)
-	}
-}
 
 func TestComma(t *testing.T) {
 	cases := map[uint64]string{
