@@ -49,7 +49,8 @@ import (
 // variable can hold when all of them are visible — which is how the wire
 // op table's handlers are charged to the dispatcher that runs them. A
 // function-literal argument is charged at the call site, which is how
-// `broadcast(db, fn)` attributes fn's locks. Interface calls and calls
+// `broadcast(db, fn)` attributes fn's locks; a literal reached through a
+// field or variable is named in reports by where it is written. Interface calls and calls
 // through a parameter stay opaque, and `go` statements start an empty-held
 // analysis root of their own: a spawned goroutine inherits no lock.
 var LockOrder = &Analyzer{
@@ -257,12 +258,10 @@ func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[str
 		return
 	}
 	// Transitive acquisitions of the callees and of any literal arguments.
-	targets := map[string]string{} // class -> via: a callee's funcKey, or "func literal"
-	charge := func(key string) {
-		via := key
-		if i, ok := st.mod.index[key]; ok && st.mod.bodies[i].lit {
-			via = "func literal"
-		}
+	// via is the callee's key (a literal's is its position), or "func
+	// literal" for a literal passed as an argument here.
+	targets := map[string]string{}
+	charge := func(key, via string) {
 		for t := range st.acquires[key] {
 			if _, ok := targets[t]; !ok {
 				targets[t] = via
@@ -270,11 +269,11 @@ func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[str
 		}
 	}
 	for _, key := range st.mod.callees(info, call) {
-		charge(key)
+		charge(key, key)
 	}
 	for _, arg := range call.Args {
 		if lit, ok := unparen(arg).(*ast.FuncLit); ok {
-			charge(st.mod.litKey(lit))
+			charge(st.mod.litKey(lit), "func literal")
 		}
 	}
 	for _, t := range sortedKeys(targets) {
@@ -286,12 +285,11 @@ func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[str
 // edges. via is the callee carrying the acquisition, "" when the Lock call
 // is in this function.
 func (st *lockState) acquire(held map[string]bool, target string, pos token.Pos, via string, report bool) {
-	suffix := " (via " + shortKey(via) + ")"
-	switch via {
-	case "":
-		suffix = ""
-	case "func literal":
+	suffix := ""
+	if via == "func literal" {
 		suffix = " (via a function literal passed here)"
+	} else if via != "" {
+		suffix = " (via " + st.callee(via) + ")"
 	}
 	for _, h := range sortedKeys(held) {
 		st.recordEdge(h, target, pos, via)
@@ -314,6 +312,16 @@ func (st *lockState) acquire(held map[string]bool, target string, pos token.Pos,
 			st.reportOnce(pos, "acquiring %s while holding %s inverts the DESIGN §6.3 lock hierarchy%s", shortKey(target), shortKey(h), suffix)
 		}
 	}
+}
+
+// callee names the body a call resolved to: a declared function by its
+// key, a function literal (reached through a field or variable, not passed
+// at the call) by where it is written.
+func (st *lockState) callee(key string) string {
+	if i, ok := st.mod.index[key]; ok && st.mod.bodies[i].lit {
+		return "the function literal at " + shortKey(key)
+	}
+	return shortKey(key)
 }
 
 func (st *lockState) recordEdge(from, to string, pos token.Pos, via string) {
@@ -346,7 +354,7 @@ func (st *lockState) reportCycles() {
 	// acquire it again.
 	for _, n := range nodes {
 		if e, ok := st.edges[n][n]; ok && e.via != "" {
-			via := shortKey(e.via)
+			via := st.callee(e.via)
 			if e.via == "func literal" {
 				via = "a function literal"
 			}

@@ -325,3 +325,21 @@ func (d *Core) okOpaqueHook(h *hooks, k int) {
 	defer d.local[k].wmu.Unlock()
 	h.onFlush(d)
 }
+
+// Violation shape 12: a hook field whose every value is visible resolves to
+// the function literal stored in it. The report names that literal by its
+// position: no literal is passed at the call.
+type flushHooks struct{ onFlush func(*Core) }
+
+func newFlushHooks() *flushHooks {
+	return &flushHooks{onFlush: func(d *Core) {
+		d.stmu.Lock()
+		d.stmu.Unlock()
+	}}
+}
+
+func (d *Core) badResolvedHook(h *flushHooks, k int) {
+	d.local[k].wmu.Lock()
+	defer d.local[k].wmu.Unlock()
+	h.onFlush(d)
+}
