@@ -52,7 +52,7 @@ cluster-smoke:
 failover-smoke:
 	./scripts/failover_smoke.sh
 
-# The BENCH_6 recovery and failover time table.
+# The BENCH_6 recovery and failover table: records replayed per checkpoint interval.
 recovery:
 	go run ./cmd/labflow -experiment recovery
 
