@@ -62,7 +62,7 @@ func runRecovery(o options) error {
 		{"ostore", 1}, {"ostore", 8}, {"ostore", 64},
 		{"texas", 0},
 	} {
-		c, err := measureRecovery(o.dir, cell.backend, cell.every, recoveryCommits)
+		c, err := measureRecovery(o.dir, cell.backend, cell.every)
 		if err != nil {
 			return fmt.Errorf("recovery %s ckpt=%d: %w", cell.backend, cell.every, err)
 		}
@@ -71,7 +71,7 @@ func runRecovery(o options) error {
 	}
 
 	fmt.Println()
-	c, err := measureFailover(o.dir, recoveryCommits)
+	c, err := measureFailover(o.dir)
 	if err != nil {
 		return fmt.Errorf("failover ostore: %w", err)
 	}
@@ -113,7 +113,7 @@ func openOStore(path string, every int, rec *repl.RecoveryInfo, ship repl.Shippe
 
 // measureRecovery builds a store, abandons it mid-life (no Close — the
 // SIGKILL shape), and reopens it.
-func measureRecovery(dir, backend string, every, commits int) (recoveryCell, error) {
+func measureRecovery(dir, backend string, every int) (recoveryCell, error) {
 	cell := recoveryCell{Backend: backend, CheckpointEvery: every}
 	path := filepath.Join(dir, fmt.Sprintf("rec-%s-%d.db", backend, every))
 	var rec repl.RecoveryInfo
@@ -125,7 +125,7 @@ func measureRecovery(dir, backend string, every, commits int) (recoveryCell, err
 	if err != nil {
 		return cell, err
 	}
-	if err := commitLoad(m, commits); err != nil {
+	if err := commitLoad(m, recoveryCommits); err != nil {
 		m.Close()
 		return cell, err
 	}
@@ -157,7 +157,7 @@ func measureRecovery(dir, backend string, every, commits int) (recoveryCell, err
 // measureFailover runs an ostore primary shipping to an in-process warm
 // standby, abandons the primary, promotes the standby and opens the
 // follower over it.
-func measureFailover(dir string, commits int) (failoverCell, error) {
+func measureFailover(dir string) (failoverCell, error) {
 	var cell failoverCell
 	primaryPath := filepath.Join(dir, "fo-ostore-primary.db")
 	standbyPath := filepath.Join(dir, "fo-ostore-standby.db")
@@ -170,7 +170,7 @@ func measureFailover(dir string, commits int) (failoverCell, error) {
 		st.Close()
 		return cell, err
 	}
-	if err := commitLoad(m, commits); err != nil {
+	if err := commitLoad(m, recoveryCommits); err != nil {
 		m.Close()
 		st.Close()
 		return cell, err

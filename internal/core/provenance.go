@@ -315,7 +315,7 @@ func provQueries(mode string, d *ProvDAG) (anc, desc, imp string) {
 // MeasureProvDAG runs the three evaluation modes over one DAG: the counted
 // metric is the sink's full ancestor closure; descendant and impact closures
 // are cross-checked between tabled and native (they are exponential for the
-// untabled evaluator on the same shapes as the timed query). Answer-set
+// untabled evaluator on the same shapes as the counted query). Answer-set
 // inequality between any two completed modes is an error.
 func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 	sum := ProvSummary{Shape: d.Shape, Depth: d.Depth, Width: d.Width, Edges: d.Edges}

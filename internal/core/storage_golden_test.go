@@ -16,8 +16,9 @@ import (
 // so the counters are exactly what the buffer pool's CLOCK sweep and each
 // pager's eviction policy produce. The default-params one is what labflow
 // prints without flags; it also pins E2's cold-scan faults and sizes, E4's
-// storage work per insert and E3's per operation class. A change meant to keep behaviour must leave
-// both files byte-identical. Regenerate deliberately with UPDATE_GOLDEN=1.
+// storage work per insert and E3's per operation class. A change meant to
+// keep behaviour must leave both files byte-identical. Regenerate
+// deliberately with UPDATE_GOLDEN=1.
 func TestStorageCountersGolden(t *testing.T) {
 	small := testParams()
 	small.PoolPages = 16

@@ -50,9 +50,10 @@ import (
 // op table's handlers are charged to the dispatcher that runs them. A
 // function-literal argument is charged at the call site, which is how
 // `broadcast(db, fn)` attributes fn's locks; a literal reached through a
-// field or variable is named in reports by where it is written. Interface calls and calls
-// through a parameter stay opaque, and `go` statements start an empty-held
-// analysis root of their own: a spawned goroutine inherits no lock.
+// field or variable is named in reports by where it is written. Interface
+// calls and calls through a parameter stay opaque, and `go` statements
+// start an empty-held analysis root of their own: a spawned goroutine
+// inherits no lock.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
 	Doc:       "mutex acquisition must follow the DESIGN §6.3 hierarchy and stay acyclic",
