@@ -221,92 +221,6 @@ func TestShardMemberFlag(t *testing.T) {
 	}
 }
 
-// TestKillServerMidPipeline is the live-subprocess half of the peer-death
-// regression: SIGKILL the server with a deep pipeline of large responses
-// in flight; every future must resolve with the descriptive pipeline error
-// rather than hang. The response volume (~500 × a 2000-entry history) far
-// exceeds any socket buffering, so losing responses is guaranteed, not
-// timing-dependent.
-func TestKillServerMidPipeline(t *testing.T) {
-	dir := t.TempDir()
-	addr, cmd := startServerProc(t, dir, "-store", "ostore-mm")
-	killed := false
-	defer func() {
-		if !killed {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
-
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.DefineMaterialClass("sample", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DefineState("received"); err != nil {
-		t.Fatal(err)
-	}
-	oid, err := c.CreateMaterial("sample", "m-0", "received", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const histLen = 2000
-	specs := make([]labbase.StepSpec, histLen)
-	for i := range specs {
-		specs[i] = labbase.StepSpec{
-			Class:     "wash",
-			ValidTime: int64(i),
-			Materials: []storage.OID{oid},
-			Attrs:     []labbase.AttrValue{{Name: "cycles", Value: labbase.Int64(int64(i))}},
-		}
-	}
-	if _, err := c.PutSteps(specs); err != nil {
-		t.Fatal(err)
-	}
-
-	const inFlight = 500
-	p := c.Pipeline()
-	futs := make([]*wire.Future[[]labbase.HistoryEntry], inFlight)
-	for i := range futs {
-		futs[i] = p.History(oid)
-	}
-	if err := p.Send(); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-	killed = true
-
-	c.SetIOTimeout(5 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.Drain()
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Drain hung after server was killed mid-pipeline")
-	}
-	last := futs[inFlight-1]
-	if last.Err == nil {
-		t.Fatal("last future resolved cleanly; responses cannot all have survived a SIGKILL")
-	}
-	if !strings.Contains(last.Err.Error(), "pipeline response") {
-		t.Errorf("peer-death error not descriptive: %v", last.Err)
-	}
-	for i, f := range futs {
-		if f.Err == nil && f.Val == nil {
-			t.Fatalf("future %d left unresolved", i)
-		}
-	}
-}
-
 // TestRouterStressAgainstLiveServers races a Router's scatter-gather
 // reads and fan-out batches against two real server subprocesses. Run
 // under -race in CI, this is the end-to-end proof that the router's pool

@@ -16,7 +16,9 @@ import (
 // externs (BFS over the reverse involves index). It prints the rule
 // evaluators' resolution steps; native answers in one extern call. Untabled
 // cells are bounded by a resolution-step budget and reported as lower
-// bounds ("DNF") when they exhaust it; answer sets are cross-checked
+// bounds ("DNF") when they exhaust it; a shape's untabled run is skipped
+// past its first DNF depth and printed as the same DNF row. Answer sets are
+// cross-checked
 // between every pair of modes that completed, and any inequality fails the
 // run. See internal/core/provenance.go and DESIGN §10.
 func runProvenance(o options) error {

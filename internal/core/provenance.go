@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -222,7 +223,7 @@ type ProvCell struct {
 	Edges           int
 	Mode            string // untabled | tabled | native
 	Answers         int
-	Outcome         string // ok | budget
+	Outcome         string // ok | budget | skipped (see RunProvenance)
 	ResolutionSteps int64
 }
 
@@ -318,6 +319,13 @@ func provQueries(mode string, d *ProvDAG) (anc, desc, imp string) {
 // untabled evaluator on the same shapes as the counted query). Answer-set
 // inequality between any two completed modes is an error.
 func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
+	return measureProvDAG(d, budget, false)
+}
+
+// measureProvDAG is MeasureProvDAG, with the untabled run left out when
+// skipUntabled is set: its cell reports the budget+1 steps a measured DNF
+// reports, with outcome "skipped".
+func measureProvDAG(d *ProvDAG, budget int64, skipUntabled bool) ([]ProvCell, ProvSummary, error) {
 	sum := ProvSummary{Shape: d.Shape, Depth: d.Depth, Width: d.Width, Edges: d.Edges}
 	var cells []ProvCell
 	sets := make(map[string][]string)
@@ -327,9 +335,11 @@ func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 			return nil, sum, err
 		}
 		anc, desc, imp := provQueries(mode, d)
-		set, cell, err := provAnswerSet(b, d.DB, anc, "A", budget)
-		if err != nil {
-			return nil, sum, fmt.Errorf("%s %s: %w", mode, anc, err)
+		set, cell := []string(nil), &ProvCell{Outcome: "skipped", ResolutionSteps: budget + 1}
+		if mode != "untabled" || !skipUntabled {
+			if set, cell, err = provAnswerSet(b, d.DB, anc, "A", budget); err != nil {
+				return nil, sum, fmt.Errorf("%s %s: %w", mode, anc, err)
+			}
 		}
 		cell.Shape, cell.Depth, cell.Width = d.Shape, d.Depth, d.Width
 		cell.Nodes, cell.Edges, cell.Mode = d.Nodes, d.Edges, mode
@@ -340,7 +350,7 @@ func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 		switch mode {
 		case "untabled":
 			sum.UntabledSteps = cell.ResolutionSteps
-			sum.UntabledDNF = cell.Outcome == "budget"
+			sum.UntabledDNF = cell.Outcome != "ok"
 		case "tabled":
 			sum.TabledSteps = cell.ResolutionSteps
 		}
@@ -357,7 +367,7 @@ func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 					return nil, sum, fmt.Errorf("%s %s: %w", mode, chk.q, err)
 				}
 				key := chk.label
-				if prev, ok := sets[key]; ok && !equalStringSlices(prev, set) {
+				if prev, ok := sets[key]; ok && !slices.Equal(prev, set) {
 					return nil, sum, fmt.Errorf("provenance: %s answer sets differ between tabled and native on %s d=%d w=%d",
 						chk.label, d.Shape, d.Depth, d.Width)
 				}
@@ -365,11 +375,11 @@ func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 			}
 		}
 	}
-	if tab, nat := sets["tabled"], sets["native"]; !equalStringSlices(tab, nat) {
+	if tab, nat := sets["tabled"], sets["native"]; !slices.Equal(tab, nat) {
 		return nil, sum, fmt.Errorf("provenance: ancestor answer sets differ between tabled and native on %s d=%d w=%d",
 			d.Shape, d.Depth, d.Width)
 	}
-	if unt, ok := sets["untabled"]; ok && !equalStringSlices(unt, sets["tabled"]) {
+	if unt, ok := sets["untabled"]; ok && !slices.Equal(unt, sets["tabled"]) {
 		return nil, sum, fmt.Errorf("provenance: ancestor answer sets differ between untabled and tabled on %s d=%d w=%d",
 			d.Shape, d.Depth, d.Width)
 	}
@@ -379,25 +389,25 @@ func MeasureProvDAG(d *ProvDAG, budget int64) ([]ProvCell, ProvSummary, error) {
 	return cells, sum, nil
 }
 
-func equalStringSlices(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // RunProvenance sweeps shape x depth x mode and returns the BENCH_7 cells.
 // Chains run at width 1; fanout and diamond at the given width. Budget
 // bounds each untabled query's resolution steps (tabled and native never
 // come close on these sizes).
+//
+// Once a shape's untabled run exhausts the budget at depth d, it is skipped
+// at every larger depth of that shape, and its cell reports the DNF it
+// would have measured. That holds because untabled steps never fall with
+// depth: the sink's ancestor search at depth d+1 contains the search at
+// depth d. On a chain the depth-d+1 sink's one parent is the depth-d sink;
+// on a fanout each node of the last full level has the same ancestors as
+// the depth-d sink; on a diamond every mid of the last stage has the
+// depth-d sink as its parent. The nodes inside the contained search are
+// involved in at least as many steps as in the smaller DAG, so every goal
+// the depth-d search resolves is resolved again, and more.
 func RunProvenance(depths []int, width int, budget, seed int64) (*ProvResult, error) {
 	res := &ProvResult{BudgetSteps: budget, Seed: seed}
 	for _, shape := range []string{"chain", "fanout", "diamond"} {
+		dnfDepth := 0 // least depth whose untabled run exhausted the budget
 		for _, depth := range depths {
 			w := width
 			if shape == "chain" {
@@ -407,10 +417,13 @@ func RunProvenance(depths []int, width int, budget, seed int64) (*ProvResult, er
 			if err != nil {
 				return nil, err
 			}
-			cells, sum, err := MeasureProvDAG(dag, budget)
+			cells, sum, err := measureProvDAG(dag, budget, dnfDepth > 0 && depth > dnfDepth)
 			dag.Close()
 			if err != nil {
 				return nil, err
+			}
+			if sum.UntabledDNF && (dnfDepth == 0 || depth < dnfDepth) {
+				dnfDepth = depth
 			}
 			res.Cells = append(res.Cells, cells...)
 			res.Summary = append(res.Summary, sum)

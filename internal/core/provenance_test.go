@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -136,5 +138,52 @@ func TestRunProvenanceSmoke(t *testing.T) {
 		if s.UntabledDNF {
 			t.Errorf("%s d=%d: tiny cell should not hit the budget", s.Shape, s.Depth)
 		}
+	}
+}
+
+// TestRunProvenanceSkipsPastDNF: once a shape's untabled run exhausts the
+// budget, its larger depths skip that run, and a skipped row reads exactly
+// as the measured one does. The skip follows depth values, not list order,
+// so depths 8,4 give the rows 4,8 gives.
+func TestRunProvenanceSkipsPastDNF(t *testing.T) {
+	const budget, seed = 20_000, 1
+	res, err := RunProvenance([]int{4, 8, 16}, 2, budget, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome := map[string]string{}
+	for _, c := range res.Cells {
+		if c.Mode == "untabled" {
+			outcome[fmt.Sprintf("%s/%d", c.Shape, c.Depth)] = c.Outcome
+		}
+	}
+	for cell, want := range map[string]string{"fanout/8": "ok", "fanout/16": "budget", "diamond/8": "budget", "diamond/16": "skipped"} {
+		if outcome[cell] != want {
+			t.Errorf("untabled %s: outcome %q, want %q", cell, outcome[cell], want)
+		}
+	}
+	d, err := BuildProvDAG("diamond", 16, 2, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	_, measured, err := MeasureProvDAG(d, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped := res.Summary[len(res.Summary)-1]; skipped != measured {
+		t.Errorf("skipped row %+v, measured row %+v", skipped, measured)
+	}
+
+	rows := func(depths ...int) []ProvSummary {
+		res, err := RunProvenance(depths, 2, budget, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.SliceStable(res.Summary, func(i, j int) bool { return res.Summary[i].Depth < res.Summary[j].Depth })
+		return res.Summary
+	}
+	if up, down := rows(4, 8), rows(8, 4); !reflect.DeepEqual(up, down) {
+		t.Errorf("depths 4,8 rows %+v\ndepths 8,4 rows %+v", up, down)
 	}
 }

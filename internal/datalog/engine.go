@@ -19,13 +19,10 @@ var ErrStepBudget = errors.New("datalog: resolution step budget exceeded")
 // (enough answers) and false to ask for more solutions via backtracking.
 type Cont func() (bool, error)
 
-// Extern is a predicate implemented outside the engine (for example over the
-// LabBase database). It must, for each solution: bind its arguments with
+// CtxExtern is a predicate implemented outside the engine (for example over
+// the LabBase database). It must, for each solution: bind its arguments with
 // Unify against bs, call k, undo to its own mark if k returned false, and
-// keep enumerating; it returns k's final verdict.
-type Extern func(args []Term, bs *Bindings, k Cont) (bool, error)
-
-// CtxExtern is an Extern that also receives the query context, so it can
+// keep enumerating; it returns k's final verdict. The query context lets it
 // read from the query's snapshot handle, memoize in its query-local scratch
 // space, and refuse updates when the query is read-only.
 type CtxExtern func(qc *Qctx, args []Term, bs *Bindings, k Cont) (bool, error)
@@ -83,7 +80,7 @@ func NewQctx(handle any, readOnly bool) *Qctx {
 // aggregation builtins of the LabFlow-1 benchmark (assert, retract, setof,
 // findall).
 //
-// Loading (Consult, Add, Declare, RegisterExtern) must happen before
+// Loading (Consult, Add, Declare, RegisterExternCtx) must happen before
 // concurrent use. After that, any number of read-only queries (QueryCtx
 // with a ReadOnly Qctx) may run in parallel; queries that update the clause
 // database need external serialization.
@@ -183,14 +180,6 @@ func (e *Engine) Declare(name string, arity int) {
 	}
 }
 
-// RegisterExtern installs a database-backed predicate that does not need the
-// query context.
-func (e *Engine) RegisterExtern(name string, arity int, fn Extern) {
-	e.RegisterExternCtx(name, arity, func(_ *Qctx, args []Term, bs *Bindings, k Cont) (bool, error) {
-		return fn(args, bs, k)
-	})
-}
-
 // RegisterExternCtx installs a database-backed predicate that receives the
 // query context (snapshot handle, read-only flag, memo space).
 func (e *Engine) RegisterExternCtx(name string, arity int, fn CtxExtern) {
@@ -238,16 +227,6 @@ func (e *Engine) QueryCtx(qc *Qctx, src string, max int) ([]Solution, error) {
 func (e *Engine) Prove(src string) (bool, error) {
 	sols, err := e.Query(src, 1)
 	return len(sols) > 0, err
-}
-
-// Solve runs parsed goals under an existing binding environment (used by
-// tests and the lbq bridge).
-func (e *Engine) Solve(goals []Term, bs *Bindings, k Cont) (bool, error) {
-	done, err := e.solveSeq(goals, NewQctx(nil, false), bs, 0, k)
-	if _, ok := err.(cutSignal); ok {
-		err = nil
-	}
-	return done, err
 }
 
 func (e *Engine) solveSeq(goals []Term, qc *Qctx, bs *Bindings, depth int, k Cont) (bool, error) {

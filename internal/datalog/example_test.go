@@ -44,12 +44,13 @@ func ExampleEngine_Query() {
 	// Output: 3 [c1, c2, c3]
 }
 
-// ExampleEngine_RegisterExtern wires a Go-backed predicate into resolution —
-// the mechanism package lbq uses for the whole database vocabulary.
-func ExampleEngine_RegisterExtern() {
+// ExampleEngine_RegisterExternCtx wires a Go-backed predicate into
+// resolution — the mechanism package lbq uses for the whole database
+// vocabulary.
+func ExampleEngine_RegisterExternCtx() {
 	e := datalog.New()
 	squares := map[int64]int64{2: 4, 3: 9}
-	e.RegisterExtern("square", 2, func(args []datalog.Term, bs *datalog.Bindings, k datalog.Cont) (bool, error) {
+	e.RegisterExternCtx("square", 2, func(_ *datalog.Qctx, args []datalog.Term, bs *datalog.Bindings, k datalog.Cont) (bool, error) {
 		n, ok := datalog.Resolve(args[0]).(datalog.Int)
 		if !ok {
 			return false, fmt.Errorf("square/2 needs a bound integer")

@@ -41,7 +41,7 @@ var ErrTabledCut = errors.New("datalog: cut inside a tabled predicate")
 var ErrTabledNegation = errors.New("datalog: negation over incomplete tabled predicate")
 
 // Table declares name/arity as tabled. It must be called before the query
-// workload (like Consult and RegisterExtern); builtins and externs cannot be
+// workload (like Consult and RegisterExternCtx); builtins and externs cannot be
 // tabled, and any clause of the predicate — existing or added later — whose
 // body contains a (transparent) cut is rejected.
 func (e *Engine) Table(name string, arity int) error {

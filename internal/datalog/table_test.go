@@ -281,7 +281,7 @@ func TestTabledCannotTableBuiltinsOrExterns(t *testing.T) {
 	if err := e.Table("findall", 3); err == nil {
 		t.Fatal("tabling a builtin should fail")
 	}
-	e.RegisterExtern("ext", 1, func(args []Term, bs *Bindings, k Cont) (bool, error) { return false, nil })
+	e.RegisterExternCtx("ext", 1, func(*Qctx, []Term, *Bindings, Cont) (bool, error) { return false, nil })
 	if err := e.Table("ext", 1); err == nil {
 		t.Fatal("tabling an extern should fail")
 	}

@@ -6,8 +6,8 @@
 // goals compose with `,` (and), `;` (or) and `\+` (negation as failure), and
 // the update and aggregation primitives the benchmark specifies — assert,
 // retract, setof, findall — are built in. Database-backed predicates
-// (material/2, state/2, most_recent/3, ...) are plugged in through the
-// Extern interface; package lbq provides the LabBase bindings.
+// (material/2, state/2, most_recent/3, ...) are plugged in with
+// Engine.RegisterExternCtx; package lbq provides the LabBase bindings.
 package datalog
 
 import (

@@ -518,7 +518,7 @@ func (db *DB) MaterialClasses() []string {
 
 // MaterialClasses returns the class names as of the snapshot.
 func (s *Snap) MaterialClasses() []string {
-	cat := s.catView()
+	cat := s.st.cat
 	out := make([]string, len(cat.materialClasses))
 	for i, mc := range cat.materialClasses {
 		out[i] = mc.Name
@@ -535,7 +535,7 @@ func (db *DB) StepClasses() []string {
 
 // StepClasses returns the step class names as of the snapshot.
 func (s *Snap) StepClasses() []string {
-	cat := s.catView()
+	cat := s.st.cat
 	out := make([]string, len(cat.stepClasses))
 	for i, sc := range cat.stepClasses {
 		out[i] = sc.Name
@@ -553,7 +553,7 @@ func (db *DB) StepClassVersions(name string) ([][]string, error) {
 
 // StepClassVersions returns the versions as of the snapshot.
 func (s *Snap) StepClassVersions(name string) ([][]string, error) {
-	cat := s.catView()
+	cat := s.st.cat
 	sc, ok := cat.bySCName[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: step class %q", ErrUnknownClass, name)
@@ -582,5 +582,5 @@ func (db *DB) States() []string {
 
 // States returns the state names as of the snapshot.
 func (s *Snap) States() []string {
-	return append([]string(nil), s.catView().states...)
+	return append([]string(nil), s.st.cat.states...)
 }

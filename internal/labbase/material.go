@@ -86,7 +86,7 @@ func (db *DB) LookupMaterial(name string) (storage.OID, bool) {
 
 // LookupMaterial resolves a material name as of the snapshot.
 func (s *Snap) LookupMaterial(name string) (storage.OID, bool) {
-	return treapGet(s.nameRootView(), name)
+	return treapGet(s.st.nameRoot, name)
 }
 
 // GetMaterial returns the public view of a material.
@@ -102,7 +102,7 @@ func (s *Snap) GetMaterial(oid storage.OID) (*Material, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat := s.catView()
+	cat := s.st.cat
 	mc, err := cat.materialClass(m.classID)
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func (s *Snap) State(oid storage.OID) (string, error) {
 	if m.stateID == 0 {
 		return "", nil
 	}
-	return s.catView().stateName(m.stateID)
+	return s.st.cat.stateName(m.stateID)
 }
 
 // SetState moves a material to a new workflow state — the retract/assert
@@ -214,11 +214,11 @@ func (db *DB) ScanStateIndex(state string, fn func(storage.OID) error) error {
 // ScanStateIndex walks the state's members as of the snapshot, in OID
 // order, stopping at the first error fn returns.
 func (s *Snap) ScanStateIndex(state string, fn func(storage.OID) error) error {
-	id, ok := s.catView().byState[state]
+	id, ok := s.st.cat.byState[state]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownState, state)
 	}
-	roots := s.stateRootsView()
+	roots := s.st.stateRoots
 	if int(id) > len(roots) {
 		return nil
 	}
@@ -236,11 +236,11 @@ func (db *DB) CountInState(state string) (uint64, error) {
 
 // CountInState counts the state's members as of the snapshot.
 func (s *Snap) CountInState(state string) (uint64, error) {
-	id, ok := s.catView().byState[state]
+	id, ok := s.st.cat.byState[state]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownState, state)
 	}
-	return s.cntView().matsByState[id-1], nil
+	return s.st.cnt.matsByState[id-1], nil
 }
 
 // CountMaterials counts the instances of a material class, including
@@ -253,12 +253,12 @@ func (db *DB) CountMaterials(class string) (uint64, error) {
 
 // CountMaterials counts a class's instances as of the snapshot.
 func (s *Snap) CountMaterials(class string) (uint64, error) {
-	cat := s.catView()
+	cat := s.st.cat
 	mc, ok := cat.byMCName[class]
 	if !ok {
 		return 0, fmt.Errorf("%w: material class %q", ErrUnknownClass, class)
 	}
-	cnt := s.cntView()
+	cnt := s.st.cnt
 	var total uint64
 	for _, c := range cat.materialClasses {
 		if cat.isSubclass(c.ID, mc.ID) {
@@ -277,11 +277,11 @@ func (db *DB) CountSteps(class string) (uint64, error) {
 
 // CountSteps counts a step class's instances as of the snapshot.
 func (s *Snap) CountSteps(class string) (uint64, error) {
-	sc, ok := s.catView().bySCName[class]
+	sc, ok := s.st.cat.bySCName[class]
 	if !ok {
 		return 0, fmt.Errorf("%w: step class %q", ErrUnknownClass, class)
 	}
-	return s.cntView().stepsByClass[sc.ID-1], nil
+	return s.st.cnt.stepsByClass[sc.ID-1], nil
 }
 
 // ScanMaterials calls fn for each material of the class (subclasses
@@ -294,12 +294,12 @@ func (db *DB) ScanMaterials(class string, fn func(*Material) error) error {
 
 // ScanMaterials scans a class's instances as of the snapshot.
 func (s *Snap) ScanMaterials(class string, fn func(*Material) error) error {
-	cat := s.catView()
+	cat := s.st.cat
 	mc, ok := cat.byMCName[class]
 	if !ok {
 		return fmt.Errorf("%w: material class %q", ErrUnknownClass, class)
 	}
-	cnt := s.cntView()
+	cnt := s.st.cnt
 	for _, c := range cat.materialClasses {
 		if !cat.isSubclass(c.ID, mc.ID) {
 			continue
@@ -328,11 +328,11 @@ func (db *DB) ScanClassExtent(class string, fn func(storage.OID) error) error {
 // ScanClassExtent walks the class's own extent as of the snapshot, in
 // insertion order: OIDs only, no record decoded, no subclass visited.
 func (s *Snap) ScanClassExtent(class string, fn func(storage.OID) error) error {
-	mc, ok := s.catView().byMCName[class]
+	mc, ok := s.st.cat.byMCName[class]
 	if !ok {
 		return fmt.Errorf("%w: material class %q", ErrUnknownClass, class)
 	}
-	return s.scanExtentN(mc.extentHead, s.cntView().matsByClass[mc.ID-1], fn)
+	return s.scanExtentN(mc.extentHead, s.st.cnt.matsByClass[mc.ID-1], fn)
 }
 
 // ScanAllMaterials calls fn once for every material in the database,
@@ -345,8 +345,8 @@ func (db *DB) ScanAllMaterials(fn func(*Material) error) error {
 
 // ScanAllMaterials scans every material as of the snapshot.
 func (s *Snap) ScanAllMaterials(fn func(*Material) error) error {
-	cat := s.catView()
-	cnt := s.cntView()
+	cat := s.st.cat
+	cnt := s.st.cnt
 	for _, c := range cat.materialClasses {
 		err := s.scanExtentN(c.extentHead, cnt.matsByClass[c.ID-1], func(oid storage.OID) error {
 			m, err := s.GetMaterial(oid)

@@ -85,7 +85,7 @@ func (s *Snap) StepsInvolving(oid storage.OID) ([]storage.OID, error) {
 	if _, err := s.readMaterial(oid); err != nil {
 		return nil, err
 	}
-	l, _ := treapGet(s.invRootView(), uint64(oid))
+	l, _ := treapGet(s.st.invRoot, uint64(oid))
 	return l.invSteps(), nil
 }
 
@@ -102,7 +102,7 @@ func (db *DB) MostRecent(oid storage.OID, attr string) (Value, storage.OID, bool
 
 // MostRecent answers the signature query as of the snapshot.
 func (s *Snap) MostRecent(oid storage.OID, attr string) (Value, storage.OID, bool, error) {
-	id, ok := s.catView().byAttrName[attr]
+	id, ok := s.st.cat.byAttrName[attr]
 	if !ok {
 		return Nil(), storage.NilOID, false, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 	}
@@ -145,7 +145,7 @@ func (db *DB) MostRecentScan(oid storage.OID, attr string) (Value, storage.OID, 
 
 // MostRecentScan answers the oracle query as of the snapshot.
 func (s *Snap) MostRecentScan(oid storage.OID, attr string) (Value, storage.OID, bool, error) {
-	id, ok := s.catView().byAttrName[attr]
+	id, ok := s.st.cat.byAttrName[attr]
 	if !ok {
 		return Nil(), storage.NilOID, false, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 	}
@@ -180,7 +180,7 @@ func (db *DB) MostRecentAsOf(oid storage.OID, attr string, t int64) (Value, stor
 
 // MostRecentAsOf answers the historical query as of the snapshot.
 func (s *Snap) MostRecentAsOf(oid storage.OID, attr string, t int64) (Value, storage.OID, bool, error) {
-	id, ok := s.catView().byAttrName[attr]
+	id, ok := s.st.cat.byAttrName[attr]
 	if !ok {
 		return Nil(), storage.NilOID, false, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 	}
@@ -223,7 +223,7 @@ func (db *DB) AttrTimeline(oid storage.OID, attr string) ([]TimelineEntry, error
 // AttrTimeline returns the attribute's assignment timeline as of the
 // snapshot.
 func (s *Snap) AttrTimeline(oid storage.OID, attr string) ([]TimelineEntry, error) {
-	id, ok := s.catView().byAttrName[attr]
+	id, ok := s.st.cat.byAttrName[attr]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
 	}
@@ -265,8 +265,8 @@ func (db *DB) Dump() (DumpStats, error) {
 // Dump runs the archival scan against the snapshot.
 func (s *Snap) Dump() (DumpStats, error) {
 	var st DumpStats
-	cat := s.catView()
-	cnt := s.cntView()
+	cat := s.st.cat
+	cnt := s.st.cnt
 	seen := make(map[storage.OID]struct{})
 	for _, mc := range cat.materialClasses {
 		err := s.scanExtentN(mc.extentHead, cnt.matsByClass[mc.ID-1], func(moid storage.OID) error {

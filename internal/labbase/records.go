@@ -226,12 +226,6 @@ func encodeSetTo(e *rec.Encoder, members []storage.OID) {
 	}
 }
 
-func encodeSetRec(members []storage.OID) []byte {
-	e := rec.NewEncoder(8 + 9*len(members))
-	encodeSetTo(e, members)
-	return e.Bytes()
-}
-
 func decodeSetRec(data []byte) ([]storage.OID, error) {
 	d := rec.NewDecoder(data)
 	if v := d.Byte(); v != 1 {

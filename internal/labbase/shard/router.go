@@ -446,14 +446,13 @@ func (m *remote) putSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
 	return f.wait()
 }
 
-// remoteFlight is a sub-batch pipelined on a pooled connection: start sends
-// the frame without reading the reply, so every touched server is inside
-// its transaction before the router waits for the first.
+// remoteFlight is a sub-batch on a pooled connection: start sends the
+// frame without reading the reply, so every touched server is inside its
+// transaction before the router waits for the first.
 type remoteFlight struct {
-	m   *remote
-	c   *conn
-	p   *wire.Pipeline
-	fut *wire.Future[[]storage.OID]
+	m    *remote
+	c    *conn
+	recv func() ([]storage.OID, error)
 }
 
 func (m *remote) batch() (flight, error) {
@@ -466,14 +465,12 @@ func (m *remote) batch() (flight, error) {
 
 func (f *remoteFlight) start(specs []labbase.StepSpec) {
 	f.c.began = f.m.metrics.clock()
-	f.p = f.c.Pipeline()
-	f.fut = f.p.PutSteps(specs)
-	f.p.Send() // a send error lands in the future, like a drain error
+	f.recv = f.c.StartPutSteps(specs) // a send error comes back from recv
 }
 
 func (f *remoteFlight) wait() ([]storage.OID, error) {
-	f.p.Drain()
-	return f.fut.Val, f.m.finish(f.c, f.fut.Err)
+	oids, err := f.recv()
+	return oids, f.m.finish(f.c, err)
 }
 
 func (f *remoteFlight) release() { f.m.pool.put(f.c) }

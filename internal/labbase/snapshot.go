@@ -203,10 +203,6 @@ func (r *readerSlots) minPinned(cur uint64) uint64 {
 // epoch. All read entry points of DB are available as Snap methods and run
 // lock-free against the captured state; the handle must be released with
 // Close once the caller is done, so the writer can reclaim pre-images.
-//
-// A Snap with st == nil is the writer's live view (used internally under
-// DB.wmu, and by DB's own read entry points through acquire): it reads the
-// working state directly and skips version-table corrections.
 type Snap struct {
 	db     *DB
 	st     *dbState
@@ -230,9 +226,6 @@ func (db *DB) acquire() *Snap {
 	}
 }
 
-// liveSnap is the writer's uncorrected view over its own working state.
-func (db *DB) liveSnap() *Snap { return &Snap{db: db} }
-
 // Snapshot captures a consistent read view of the database. The returned
 // snapshot sees exactly the state as of the most recent completed write
 // and is unaffected by later writes. It must be Closed.
@@ -240,67 +233,15 @@ func (db *DB) Snapshot() (Snapshot, error) { return db.acquire(), nil }
 
 // Close releases the snapshot's epoch pin. Idempotent.
 func (s *Snap) Close() error {
-	if s.st != nil && !s.closed {
+	if !s.closed {
 		s.closed = true
 		s.db.readers.unpin(s.slot, s.st.epoch)
 	}
 	return nil
 }
 
-// Epoch reports the publish epoch this snapshot captured (0 for the
-// writer's live view).
-func (s *Snap) Epoch() uint64 {
-	if s.st == nil {
-		return 0
-	}
-	return s.st.epoch
-}
-
-// catView, cntView and the root accessors route reads to the captured
-// state, or to the writer's working state on the live view.
-func (s *Snap) catView() *catalog {
-	if s.st != nil {
-		return s.st.cat
-	}
-	return s.db.cat
-}
-
-func (s *Snap) cntView() *counters {
-	if s.st != nil {
-		return s.st.cnt
-	}
-	return &s.db.cnt
-}
-
-func (s *Snap) stateRootsView() []*treapNode[uint64, struct{}] {
-	if s.st != nil {
-		return s.st.stateRoots
-	}
-	return s.db.stateRoots
-}
-
-func (s *Snap) nameRootView() *treapNode[string, storage.OID] {
-	if s.st != nil {
-		return s.st.nameRoot
-	}
-	return s.db.nameRoot
-}
-
-func (s *Snap) invRootView() *treapNode[uint64, *invList] {
-	if s.st != nil {
-		return s.st.invRoot
-	}
-	return s.db.invRoot
-}
-
-// snapEpoch is the epoch used for version-table corrections; the live view
-// uses MaxUint64 so every lookup misses (the writer wants latest state).
-func (s *Snap) snapEpoch() uint64 {
-	if s.st == nil {
-		return ^uint64(0)
-	}
-	return s.st.epoch
-}
+// Epoch reports the publish epoch this snapshot captured.
+func (s *Snap) Epoch() uint64 { return s.st.epoch }
 
 // readMaterial returns the material record as of the snapshot: the current
 // record (cache or storage, both return copies), corrected by the version
@@ -309,9 +250,6 @@ func (s *Snap) snapEpoch() uint64 {
 // bytes imply a visible version entry.
 func (s *Snap) readMaterial(oid storage.OID) (*materialRec, error) {
 	m, err := s.db.readMaterial(oid)
-	if s.st == nil {
-		return m, err
-	}
 	if pre, ok := s.db.vers.lookup(oid, s.st.epoch); ok {
 		if pre == nil {
 			return nil, fmt.Errorf("labbase: material %v: %w", oid, storage.ErrNoSuchObject)
@@ -336,9 +274,6 @@ func (s *Snap) readMR(mrOID storage.OID) ([]byte, error) {
 		}
 		return data, nil
 	})
-	if s.st == nil {
-		return data, err
-	}
 	if pre, ok := s.db.vers.lookup(mrOID, s.st.epoch); ok {
 		return pre.([]byte), nil
 	}

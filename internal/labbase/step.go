@@ -355,7 +355,7 @@ func (s *Snap) GetStep(oid storage.OID) (*Step, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat := s.catView()
+	cat := s.st.cat
 	sc, err := cat.stepClass(sr.classID)
 	if err != nil {
 		return nil, err
@@ -399,12 +399,12 @@ func (db *DB) ScanSteps(class string, fn func(*Step) error) error {
 
 // ScanSteps scans a step class's instances as of the snapshot.
 func (s *Snap) ScanSteps(class string, fn func(*Step) error) error {
-	cat := s.catView()
+	cat := s.st.cat
 	sc, ok := cat.bySCName[class]
 	if !ok {
 		return fmt.Errorf("%w: step class %q", ErrUnknownClass, class)
 	}
-	return s.scanExtentN(sc.extentHead, s.cntView().stepsByClass[sc.ID-1], func(oid storage.OID) error {
+	return s.scanExtentN(sc.extentHead, s.st.cnt.stepsByClass[sc.ID-1], func(oid storage.OID) error {
 		st, err := s.GetStep(oid)
 		if err != nil {
 			return err

@@ -83,15 +83,15 @@ func (c *Client) Close() error { return c.conn.Close() }
 // ErrRemote wraps errors reported by the server.
 var ErrRemote = errors.New("wire: remote error")
 
-// send, flush and recv are the one request path: a synchronous call is
-// send-flush-recv (roundTrip), a Pipeline sends many, flushes once and recvs
-// as many. Each refuses a connection an earlier failure has already broken,
+// send, flush and recv are the one request path: a call is
+// send-flush-recv (roundTrip), and start is the same call split after the
+// flush. Each refuses a connection an earlier failure has already broken,
 // and records the first such failure.
 
 // send buffers one request frame. Any failure breaks the connection, an
-// oversize frame included: nothing of it was written, but a pipeline that
-// fails on it abandons the frames buffered ahead of it, and their replies
-// would be read as someone else's.
+// oversize frame included: nothing of it was written, but send does not
+// tell that failure from a torn write, so every failed send is one the
+// client refuses to follow.
 func (c *Client) send(op uint8, payload []byte) error {
 	if c.err != nil {
 		return c.broken()
@@ -146,6 +146,23 @@ func (c *Client) roundTrip(op uint8, payload []byte) (*rec.Decoder, error) {
 func (o *op[Q, R]) call(c *Client, q Q) (R, error) {
 	d, err := c.roundTrip(o.code, o.request(c, q))
 	return o.reply(q, d, err)
+}
+
+// start is call split in two: it sends and flushes the request and returns
+// at once, and wait reads and decodes the reply. No other request may go
+// out on c in between.
+func (o *op[Q, R]) start(c *Client, q Q) (wait func() (R, error)) {
+	err := c.send(o.code, o.request(c, q))
+	if err == nil {
+		err = c.flush()
+	}
+	return func() (R, error) {
+		var d *rec.Decoder
+		if err == nil {
+			d, err = c.recv()
+		}
+		return o.reply(q, d, err)
+	}
 }
 
 // request encodes q in the client's encoder; the bytes stay valid until
@@ -231,6 +248,14 @@ func (c *Client) RecordStep(spec labbase.StepSpec) (storage.OID, error) {
 // index remain recorded (the server's error message names the index).
 func (c *Client) PutSteps(specs []labbase.StepSpec) ([]storage.OID, error) {
 	return opPutSteps.call(c, specs)
+}
+
+// StartPutSteps is PutSteps split in two: it sends the batch and returns
+// at once, and wait returns what PutSteps would. No other call may be made
+// on c until wait has returned. The shard router's fan-out uses it so that
+// every touched server is inside its transaction before it waits for any.
+func (c *Client) StartPutSteps(specs []labbase.StepSpec) (wait func() ([]storage.OID, error)) {
+	return opPutSteps.start(c, specs)
 }
 
 // SetState mirrors labbase.DB.SetState.

@@ -13,8 +13,8 @@ import (
 
 // The payload layouts, each an encoder beside its decoder. An opcode's
 // descriptor (protocol.go) names one layout for its request and one for its
-// reply; the server's generic arm, the client's calls and the pipeline's
-// futures all go through them, so a layout is spelled once per direction.
+// reply; the server's generic arm and the client's calls both go through
+// them, so a layout is spelled once per direction.
 // A decoder reports the first error it meets and leaves the trailing-bytes
 // check to its caller; a list's bad text is the error its count reports
 // when it is out of range.

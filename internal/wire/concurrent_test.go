@@ -320,65 +320,6 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-func TestPipeline(t *testing.T) {
-	c, _ := startServer(t)
-	mats, _, _ := populateReadFixture(t, c)
-
-	p := c.Pipeline()
-	mr := p.MostRecent(mats[2], "reading")
-	st := p.State(mats[0])
-	hist := p.History(mats[1])
-	rs := p.RecordStep(labbase.StepSpec{
-		Class: "measure", ValidTime: 700,
-		Materials: []storage.OID{mats[3]},
-		Attrs:     []labbase.AttrValue{{Name: "reading", Value: labbase.Int64(77)}},
-	})
-	// One bad request mid-pipeline: its future gets the remote error, the
-	// rest are unaffected.
-	badState := p.State(storage.MakeOID(storage.SegMaterial, 9999))
-	mr2 := p.MostRecent(mats[4], "reading")
-	if p.Len() != 6 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if p.Len() != 0 {
-		t.Fatalf("Len after flush = %d", p.Len())
-	}
-	if mr.Err != nil || !mr.Val.Found || mr.Val.Value.Int != 203 {
-		t.Errorf("MostRecent future = %+v", mr)
-	}
-	if st.Err != nil || st.Val != "done" {
-		t.Errorf("State future = %+v", st)
-	}
-	if hist.Err != nil || len(hist.Val) != 4 {
-		t.Errorf("History future = %+v", hist)
-	}
-	if rs.Err != nil || rs.Val.IsNil() {
-		t.Errorf("RecordStep future = %+v", rs)
-	}
-	if !errors.Is(badState.Err, ErrRemote) {
-		t.Errorf("bad-state future err = %v", badState.Err)
-	}
-	if mr2.Err != nil || !mr2.Val.Found {
-		t.Errorf("future after remote error = %+v", mr2)
-	}
-
-	// The pipeline is reusable, and the recorded step is visible.
-	mr3 := p.MostRecent(mats[3], "reading")
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if mr3.Err != nil || mr3.Val.Value.Int != 77 {
-		t.Errorf("reused pipeline future = %+v", mr3)
-	}
-	// And plain synchronous calls still work on the same connection.
-	if _, err := c.CountSteps("measure"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestShutdownDrainsPipelinedBurst sends a pipelined burst, waits for the
 // first response (so the server has buffered the burst), shuts down
 // mid-stream, and checks the drain: Shutdown returns promptly, every

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -79,8 +80,8 @@ func replyFrame(resp []byte, err error) []byte {
 	return buf.Bytes()
 }
 
-// TestFrameGolden pins the protocol's bytes. Every Client method and the
-// five pipeline futures run once against a handler fixture's server over
+// TestFrameGolden pins the protocol's bytes. Every Client method, and five
+// more requests with PutSteps split, run once against a handler fixture's server over
 // net.Pipe; then each opcode's empty payload, and its valid payload cut
 // short by one byte, go through a primary's and a standby's handle. Every
 // request, reply and error frame lands in testdata/frames.golden as hex,
@@ -116,8 +117,8 @@ func TestFrameGolden(t *testing.T) {
 	}
 }
 
-// goldenClient drives every Client method, then one pipeline of the five
-// futures, over net.Pipe.
+// goldenClient drives every Client method, then five more requests with
+// PutSteps split, over net.Pipe.
 func goldenClient(t *testing.T, b *strings.Builder) {
 	f := newHandlerFixture(t)
 	oidIn := func(op uint8) storage.OID { return storage.OID(rec.NewDecoder(f.frames[op]).Uint()) }
@@ -289,13 +290,13 @@ func goldenClient(t *testing.T, b *strings.Builder) {
 		call("PutSteps", r2, err)
 	}
 
-	p := c.Pipeline()
-	p.MostRecent(mat, "reading")
-	p.State(mat)
-	p.History(mat)
-	p.PutSteps([]labbase.StepSpec{measureSpec(mat, 700)})
-	p.RecordStep(measureSpec(mat, 701))
-	if err := p.Flush(); err != nil {
+	// Five more frames, not logged as calls, with PutSteps split.
+	_, _, _, err1 := c.MostRecent(mat, "reading")
+	_, err2 := c.State(mat)
+	_, err3 := c.History(mat)
+	_, err4 := c.StartPutSteps([]labbase.StepSpec{measureSpec(mat, 700)})()
+	_, err5 := c.RecordStep(measureSpec(mat, 701))
+	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
 		t.Fatal(err)
 	}
 	rc.dump(t, b)

@@ -105,8 +105,8 @@ func (c opClass) lockFree() bool { return c == classRead || c == classReplRead }
 
 // op is one opcode's descriptor: its code, name and class, the layouts of
 // its request and reply, and the primary's handler. The server's generic
-// arm (op.serve), the client's call and the pipeline's futures all read
-// it, so an opcode is spelled once.
+// arm (op.serve) and the client's call and start all read it, so an
+// opcode is spelled once.
 type op[Q, R any] struct {
 	code    uint8
 	name    string

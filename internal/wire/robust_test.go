@@ -50,45 +50,34 @@ func fakePeer(t *testing.T, script func(r *bufio.Reader, w *bufio.Writer, conn n
 	return c
 }
 
-// TestPipelineFuturesFailOnPeerClose is the peer-death regression test: a
-// pipeline whose peer closes the connection mid-flight must complete every
-// outstanding future with a descriptive error — never hang, never leave a
-// future unresolved.
-func TestPipelineFuturesFailOnPeerClose(t *testing.T) {
-	const inFlight = 3
+// TestStartPutStepsFailsOnPeerClose is the peer-death regression test: a
+// peer that reads a split PutSteps and closes the connection without
+// answering must turn the wait into a transport error within a deadline —
+// never a hang, never a remote error — and the client must refuse every
+// later call.
+func TestStartPutStepsFailsOnPeerClose(t *testing.T) {
 	c := fakePeer(t, func(r *bufio.Reader, w *bufio.Writer, conn net.Conn) {
-		// Consume the whole flight, answer nothing, drop the connection.
-		for i := 0; i < inFlight; i++ {
-			if _, _, err := readFrame(r); err != nil {
-				break
-			}
-		}
+		readFrame(r) // the PutSteps frame, left unanswered
 		conn.Close()
 	})
-
-	p := c.Pipeline()
-	futs := make([]*Future[Recent], inFlight)
-	for i := range futs {
-		futs[i] = p.MostRecent(storage.OID(i+1), "reading")
-	}
-	done := make(chan struct{})
+	wait := c.StartPutSteps([]labbase.StepSpec{{Class: "measure", ValidTime: 1}})
+	done := make(chan error, 1)
 	go func() {
-		defer close(done)
-		p.Send()
-		p.Drain()
+		_, err := wait()
+		done <- err
 	}()
+	var err error
 	select {
-	case <-done:
+	case err = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Drain hung after peer closed mid-pipeline")
+		t.Fatal("wait hung after the peer closed")
 	}
-	for i, f := range futs {
-		if f.Err == nil {
-			t.Fatalf("future %d resolved without error after peer death", i)
-		}
-		if !strings.Contains(f.Err.Error(), fmt.Sprintf("pipeline response 0 of %d lost", inFlight)) {
-			t.Errorf("future %d error not descriptive: %v", i, f.Err)
-		}
+	if err == nil || errors.Is(err, ErrRemote) {
+		t.Fatalf("wait after peer close = %v, want a transport error", err)
+	}
+	if _, later := c.State(storage.OID(1)); later == nil || errors.Is(later, ErrRemote) ||
+		!strings.Contains(later.Error(), "connection unusable") {
+		t.Fatalf("call after peer close = %v, want the client refused", later)
 	}
 }
 
@@ -241,28 +230,22 @@ func TestClientPoisonedByTransportError(t *testing.T) {
 	if !errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, ErrRemote) {
 		t.Fatalf("call after a transport error = %v, want it to wrap the first transport error", err)
 	}
-	// A pipeline over the same connection fails the same way.
-	p := c.Pipeline()
-	f := p.State(storage.OID(1))
-	if err := p.Flush(); err == nil || f.Err == nil {
-		t.Fatalf("pipeline on a poisoned client: Flush = %v, future = %v", err, f.Err)
+	// Every opcode fails the same way, without touching the socket.
+	if _, err := c.State(storage.OID(1)); !errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, ErrRemote) {
+		t.Fatalf("State on a poisoned client = %v, want it to wrap the first transport error", err)
 	}
 }
 
 // TestOversizeRequestBreaksConnection: a request too large to frame is
-// refused locally, and a pipeline that fails on one abandons the frames
-// enqueued ahead of it — their replies would have no future to land in. The
-// connection must refuse further use rather than run one reply out of step.
+// refused locally, and like any other failed send it leaves the connection
+// refused: later calls fail fast instead of reaching the server.
 func TestOversizeRequestBreaksConnection(t *testing.T) {
 	c, _ := startServer(t)
-	p := c.Pipeline()
-	first := p.State(storage.OID(1))
-	enqueue(p, opShipRecord, make([]byte, MaxFrame))
-	if err := p.Flush(); err == nil || first.Err == nil {
-		t.Fatalf("pipeline with an oversize frame: Flush = %v, first future = %v", err, first.Err)
+	if _, err := c.ShipRecord(make([]byte, MaxFrame)); err == nil || errors.Is(err, ErrRemote) {
+		t.Fatalf("oversize request = %v, want a local error", err)
 	}
 	if _, err := c.CountMaterials("nothing"); err == nil || errors.Is(err, ErrRemote) {
-		t.Fatalf("call after an abandoned pipeline = %v, want the connection refused as out of step", err)
+		t.Fatalf("call after an oversize request = %v, want the connection refused", err)
 	}
 }
 

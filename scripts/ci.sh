@@ -181,9 +181,11 @@ echo "== recovery and provenance, each run twice: bounded replay, answer sets, b
 # recovery run itself fails when a reopen replays past its checkpoint bound
 # or a promoted standby has anything to replay; the provenance run (small
 # DAGs, all three evaluation modes) on any cross-mode answer-set inequality.
+# Its small budget makes fanout 16 and diamond 8 measured DNF rows and
+# diamond 16 a skipped one, so both kinds of DNF row are compared too.
 det=$(mktemp -d)
 go build -o "$det/labflow" ./cmd/labflow
-for exp in "recovery" "provenance -depths 4,8"; do
+for exp in "recovery" "provenance -depths 4,8,16 -budget 20000"; do
 	# $exp is split into the experiment and its flags on purpose.
 	"$det/labflow" -experiment $exp >"$det/first" && "$det/labflow" -experiment $exp >"$det/second" || {
 		echo "labflow -experiment $exp FAILED; replay: go run ./cmd/labflow -experiment $exp" >&2
