@@ -84,11 +84,7 @@ func TestOIDCacheNil(t *testing.T) {
 // only how answers are produced, never the answers.
 func TestCacheEquivalence(t *testing.T) {
 	openWith := func(entries int) *DB {
-		db, err := Open(memstore.Open("cache-eq"), Options{
-			ImplicitVersions: true,
-			ImplicitAttrs:    true,
-			CacheEntries:     entries,
-		})
+		db, err := Open(memstore.Open("cache-eq"), Options{CacheEntries: entries})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}

@@ -41,20 +41,12 @@ var (
 	ErrUnknownState  = errors.New("labbase: unknown state")
 	ErrKindMismatch  = errors.New("labbase: value kind does not match attribute")
 	ErrNotMaterial   = errors.New("labbase: object is not a material")
-	ErrNoSuchVersion = errors.New("labbase: no step-class version matches the attribute set")
 	ErrNoTransaction = errors.New("labbase: no transaction in progress")
 	ErrDuplicateName = errors.New("labbase: material name already in use")
 )
 
 // Options tunes an open database.
 type Options struct {
-	// ImplicitVersions lets RecordStep create a new step-class version when
-	// it sees an unknown attribute set (the paper's evolution-by-use).
-	// Default true.
-	ImplicitVersions bool
-	// ImplicitAttrs lets RecordStep define unknown attributes on the fly
-	// (with KindAny). Default true.
-	ImplicitAttrs bool
 	// CacheEntries bounds the in-memory caches of decoded hot records
 	// (material records and most-recent indexes, CacheEntries entries each).
 	// Cached reads skip the storage manager entirely, so they also skip its
@@ -69,7 +61,7 @@ const DefaultCacheEntries = 1024
 
 // DefaultOptions returns the defaults described on Options.
 func DefaultOptions() Options {
-	return Options{ImplicitVersions: true, ImplicitAttrs: true, CacheEntries: DefaultCacheEntries}
+	return Options{CacheEntries: DefaultCacheEntries}
 }
 
 // DB is a LabBase database over a storage manager. Mutating calls must be
@@ -97,10 +89,9 @@ type DB struct {
 	// the writer.
 	wmu sync.Mutex
 
-	sm   storage.Manager
-	cat  *catalog
-	cnt  counters
-	opts Options
+	sm  storage.Manager
+	cat *catalog
+	cnt counters
 
 	// Volatile access structures, rebuilt at open. Persistent treaps so a
 	// published snapshot shares all but the most recently touched paths
@@ -144,7 +135,6 @@ type DB struct {
 func Open(sm storage.Manager, opts Options) (*DB, error) {
 	db := &DB{
 		sm:       sm,
-		opts:     opts,
 		matCache: newOIDCache[materialRec](opts.CacheEntries),
 		mrCache:  newOIDCache[[]byte](opts.CacheEntries),
 	}
@@ -175,6 +165,11 @@ func Open(sm storage.Manager, opts Options) (*DB, error) {
 	db.cnt, err = decodeCounters(cdata)
 	if err != nil {
 		return nil, err
+	}
+	// Extent walks and snapshot reads index the counts by catalog ID.
+	if len(db.cnt.matsByClass) < len(db.cat.materialClasses) || len(db.cnt.stepsByClass) < len(db.cat.stepClasses) ||
+		len(db.cnt.matsByState) < len(db.cat.states) {
+		return nil, fmt.Errorf("labbase: counters record has fewer counts than the catalog: %w", rec.ErrCorrupt)
 	}
 	if err := db.rebuildStateIndex(); err != nil {
 		return nil, err
@@ -212,7 +207,7 @@ func (db *DB) format() error {
 func (db *DB) rebuildStateIndex() error {
 	db.stateRoots = make([]*treapNode[uint64, struct{}], len(db.cat.states))
 	for _, mc := range db.cat.materialClasses {
-		err := db.scanExtent(mc.extentHead, func(oid storage.OID) error {
+		err := db.scanExtent(mc.extentHead, db.cnt.matsByClass[mc.ID-1], func(oid storage.OID) error {
 			m, err := db.readMaterial(oid)
 			if err != nil {
 				return err
@@ -235,16 +230,15 @@ func (db *DB) rebuildStateIndex() error {
 // rebuildInvolves replays a material's history chain into the reverse
 // involves index (material -> steps that processed it).
 func (db *DB) rebuildInvolves(oid storage.OID, m *materialRec) error {
-	if m.historyHead.IsNil() {
+	var l *invList
+	err := db.walk(&historyChain, m.historyHead, m.historyCount, func(b []byte) error {
+		for ; len(b) >= historyEntrySize; b = b[historyEntrySize:] {
+			l = &invList{step: historyEntryAt(b).Step, next: l, n: l.length() + 1}
+		}
 		return nil
-	}
-	hist, err := db.historyFrom(m.historyHead, m.historyCount)
+	})
 	if err != nil {
 		return err
-	}
-	var l *invList
-	for i, h := range hist {
-		l = &invList{step: h.Step, next: l, n: i + 1}
 	}
 	if l != nil {
 		db.invRoot = treapPut(db.invRoot, uint64(oid), oidPri(uint64(oid)), l)
@@ -451,22 +445,28 @@ func (db *DB) DefineStepClass(name string, attrs []AttrDef) (StepClassID, Versio
 	}
 	sc, ok := db.cat.bySCName[name]
 	if !ok {
-		sc = &StepClass{
-			ID:        StepClassID(len(db.cat.stepClasses) + 1),
-			Name:      name,
-			byAttrKey: make(map[string]Version),
-		}
-		db.cat.stepClasses = append(db.cat.stepClasses, sc)
-		db.cat.bySCName[name] = sc
-		db.markCat()
-		db.cnt.growTo(len(db.cat.materialClasses), len(db.cat.stepClasses), len(db.cat.states))
-		db.markCnt()
+		sc = db.newStepClassLocked(name)
 	}
 	ver, err := db.stepVersionLocked(sc, ids)
 	if err != nil {
 		return 0, 0, err
 	}
 	return sc.ID, ver, nil
+}
+
+// newStepClassLocked defines a step class with no versions yet.
+func (db *DB) newStepClassLocked(name string) *StepClass {
+	sc := &StepClass{
+		ID:        StepClassID(len(db.cat.stepClasses) + 1),
+		Name:      name,
+		byAttrKey: make(map[string]Version),
+	}
+	db.cat.stepClasses = append(db.cat.stepClasses, sc)
+	db.cat.bySCName[name] = sc
+	db.markCat()
+	db.cnt.growTo(len(db.cat.materialClasses), len(db.cat.stepClasses), len(db.cat.states))
+	db.markCnt()
+	return sc
 }
 
 func (db *DB) stepVersionLocked(sc *StepClass, ids []AttrID) (Version, error) {

@@ -1,6 +1,8 @@
 package labbase
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -85,6 +87,64 @@ func TestExtentBoundaries(t *testing.T) {
 	// Insertion order is preserved across chunks.
 	if lastName != fmt.Sprintf("c%d", n-1) {
 		t.Errorf("last scanned = %q", lastName)
+	}
+}
+
+// TestWalkChecksCountAgainstChain walks a three-chunk extent (256+256+88
+// entries) with every count a snapshot could hold and with counts and
+// links no writer produces: a corrupt count or a cyclic chain must end the
+// walk with rec.ErrCorrupt instead of a wrong answer or an endless loop.
+func TestWalkChecksCountAgainstChain(t *testing.T) {
+	db := openMem(t)
+	defineBasics(t, db)
+	begin(t, db)
+	for i := 0; i < 600; i++ {
+		if _, err := db.CreateMaterial("clone", "", "", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, db)
+	head := db.cat.byMCName["clone"].extentHead
+	walk := func(head storage.OID, total uint64) (int, error) {
+		n := 0
+		err := db.walk(&extentChain, head, total, func(b []byte) error { n += len(b) / extentEntrySize; return nil })
+		return n, err
+	}
+	for _, total := range []uint64{600, 599, 512} {
+		if n, err := walk(head, total); err != nil || n != int(total) {
+			t.Errorf("walk(total %d) = %d, %v", total, n, err)
+		}
+	}
+	for _, total := range []uint64{601, 511, 0} {
+		if _, err := walk(head, total); !errors.Is(err, rec.ErrCorrupt) {
+			t.Errorf("walk(total %d): err = %v, want rec.ErrCorrupt", total, err)
+		}
+	}
+	if _, err := walk(storage.NilOID, 1); !errors.Is(err, rec.ErrCorrupt) {
+		t.Errorf("walk of an empty chain with count 1: err = %v", err)
+	}
+
+	// Link the oldest chunk back to the head.
+	oldest := head
+	for {
+		data, err := db.sm.Read(oldest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := extentChain.next(data)
+		if next.IsNil() {
+			binary.LittleEndian.PutUint64(data[5:13], uint64(head))
+			begin(t, db)
+			if err := db.sm.Write(oldest, data); err != nil {
+				t.Fatal(err)
+			}
+			commit(t, db)
+			break
+		}
+		oldest = next
+	}
+	if _, err := walk(head, 600); !errors.Is(err, rec.ErrCorrupt) {
+		t.Errorf("walk of a cyclic chain: err = %v, want rec.ErrCorrupt", err)
 	}
 }
 

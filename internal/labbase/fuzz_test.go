@@ -1,6 +1,7 @@
 package labbase
 
 import (
+	"errors"
 	"testing"
 
 	"labflow/internal/rec"
@@ -68,6 +69,66 @@ func FuzzDecodeMaterialRec(f *testing.F) {
 		}
 		if _, err := decodeMaterialRec(rec.encode()); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
+		}
+	})
+}
+
+// FuzzChunkRecords feeds arbitrary bytes to the chunk-chain and most-recent
+// index checks: a record either fails its check with rec.ErrCorrupt or
+// serves every accessor, an in-place append included, without panicking.
+func FuzzChunkRecords(f *testing.F) {
+	var hb [historyEntrySize]byte
+	putHistoryEntry(&hb, HistoryEntry{Step: 7, ValidTime: 3})
+	f.Add(historyChain.newChunk(9, hb[:]))
+	f.Add(extentChain.newChunk(9, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	mr, _ := mrUpsert(newMRIndex(mrInitialCap), mrEntry{attr: 1, validTime: 2, step: 3})
+	f.Add(mr)
+	// Well-formed records whose count exceeds their capacity.
+	h := historyChain.newChunk(0, hb[:])
+	h[1] = 200
+	f.Add(h)
+	x := extentChain.newChunk(0, make([]byte, 8))
+	x[1], x[2] = 0xFF, 0xFF
+	f.Add(x)
+	f.Add([]byte{1, 1, 0, 0, 0})
+	// A most-recent index with no room to grow from.
+	f.Add([]byte{1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range []*chain{&historyChain, &extentChain} {
+			if err := c.check(data); err != nil {
+				if !errors.Is(err, rec.ErrCorrupt) {
+					t.Fatalf("%s check: untyped error %v", c.name, err)
+				}
+				continue
+			}
+			b := append([]byte(nil), data...)
+			n := c.count(b)
+			for i := 0; i < n; i++ {
+				_ = c.entry(b, i)
+			}
+			_ = c.next(b)
+			if n < c.cap {
+				copy(c.entry(b, n), make([]byte, c.size))
+				c.setField(b, 1, n+1)
+			}
+			if err := c.check(b); err != nil {
+				t.Fatalf("%s chunk fails its check after an append: %v", c.name, err)
+			}
+		}
+		if err := checkMRIndex(data); err != nil {
+			if !errors.Is(err, rec.ErrCorrupt) {
+				t.Fatalf("most-recent index check: untyped error %v", err)
+			}
+			return
+		}
+		b := append([]byte(nil), data...)
+		for i := 0; i < mrCount(b); i++ {
+			_ = mrGet(b, i)
+		}
+		_ = mrFind(b, 1)
+		b, _ = mrUpsert(b, mrEntry{attr: 1 << 20, validTime: 1, step: 1})
+		if err := checkMRIndex(b); err != nil {
+			t.Fatalf("most-recent index fails its check after an upsert: %v", err)
 		}
 	})
 }

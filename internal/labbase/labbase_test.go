@@ -336,33 +336,6 @@ func TestSchemaEvolutionByAttributeSet(t *testing.T) {
 	}
 }
 
-func TestImplicitVersionsDisabled(t *testing.T) {
-	sm := memstore.Open("t")
-	db, err := Open(sm, Options{ImplicitVersions: false, ImplicitAttrs: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	defineBasics(t, db)
-	begin(t, db)
-	m, _ := db.CreateMaterial("clone", "c", "", 0)
-	_, err = db.RecordStep(StepSpec{
-		Class: "determine_sequence", ValidTime: 1, Materials: []storage.OID{m},
-		Attrs: []AttrValue{{Name: "sequence", Value: String("A")}},
-	})
-	if !errors.Is(err, ErrNoSuchVersion) {
-		t.Errorf("unknown attr set = %v, want ErrNoSuchVersion", err)
-	}
-	_, err = db.RecordStep(StepSpec{
-		Class: "determine_sequence", ValidTime: 1, Materials: []storage.OID{m},
-		Attrs: []AttrValue{{Name: "brand_new", Value: String("A")}},
-	})
-	if !errors.Is(err, ErrUnknownAttr) {
-		t.Errorf("unknown attr = %v, want ErrUnknownAttr", err)
-	}
-	commit(t, db)
-}
-
 func TestKindChecking(t *testing.T) {
 	db := openMem(t)
 	defineBasics(t, db)

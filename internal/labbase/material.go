@@ -57,12 +57,8 @@ func (db *DB) CreateMaterial(class, name, state string, validTime int64) (storag
 	// Creation marker: readers pinned to earlier epochs must not see the
 	// new material even though its record now exists in storage.
 	db.vers.save(oid, db.wEpoch, nil)
-	changed, err := db.appendToExtent(&mc.extentHead, oid)
-	if err != nil {
+	if err := db.addToExtent(&mc.extentHead, oid); err != nil {
 		return storage.NilOID, err
-	}
-	if changed {
-		db.markCat()
 	}
 	db.cnt.matsByClass[mc.ID-1]++
 	if stateID != 0 {
@@ -304,7 +300,7 @@ func (s *Snap) ScanMaterials(class string, fn func(*Material) error) error {
 		if !cat.isSubclass(c.ID, mc.ID) {
 			continue
 		}
-		err := s.scanExtentN(c.extentHead, cnt.matsByClass[c.ID-1], func(oid storage.OID) error {
+		err := s.db.scanExtent(c.extentHead, cnt.matsByClass[c.ID-1], func(oid storage.OID) error {
 			m, err := s.GetMaterial(oid)
 			if err != nil {
 				return err
@@ -332,7 +328,7 @@ func (s *Snap) ScanClassExtent(class string, fn func(storage.OID) error) error {
 	if !ok {
 		return fmt.Errorf("%w: material class %q", ErrUnknownClass, class)
 	}
-	return s.scanExtentN(mc.extentHead, s.st.cnt.matsByClass[mc.ID-1], fn)
+	return s.db.scanExtent(mc.extentHead, s.st.cnt.matsByClass[mc.ID-1], fn)
 }
 
 // ScanAllMaterials calls fn once for every material in the database,
@@ -348,7 +344,7 @@ func (s *Snap) ScanAllMaterials(fn func(*Material) error) error {
 	cat := s.st.cat
 	cnt := s.st.cnt
 	for _, c := range cat.materialClasses {
-		err := s.scanExtentN(c.extentHead, cnt.matsByClass[c.ID-1], func(oid storage.OID) error {
+		err := s.db.scanExtent(c.extentHead, cnt.matsByClass[c.ID-1], func(oid storage.OID) error {
 			m, err := s.GetMaterial(oid)
 			if err != nil {
 				return err

@@ -2,6 +2,7 @@ package labbase
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"labflow/internal/storage"
@@ -28,44 +29,20 @@ func (s *Snap) History(oid storage.OID) ([]HistoryEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.db.historyFrom(m.historyHead, m.historyCount)
-}
-
-// historyFrom walks a history chain from head, returning exactly the first
-// total entries in insertion order. History chunks grow by in-place append
-// with the count byte written last and never rewrite existing entries, so a
-// snapshot reader handed a capture-time (head, count) pair sees exactly its
-// capture-time prefix even while the writer keeps appending: only the head
-// chunk can have grown (non-head chunks are full by construction), and
-// total truncates it.
-func (db *DB) historyFrom(head storage.OID, total uint64) ([]HistoryEntry, error) {
-	var chunks [][]byte
-	for c := head; !c.IsNil(); {
-		data, err := db.sm.Read(c)
-		if err != nil {
-			return nil, fmt.Errorf("labbase: read history chunk: %w", err)
+	// The result is sized on the first entry, once walk has checked the
+	// count against the chain.
+	out := []HistoryEntry{}
+	err = s.db.walk(&historyChain, m.historyHead, m.historyCount, func(b []byte) error {
+		if cap(out) == 0 {
+			out = make([]HistoryEntry, 0, m.historyCount)
 		}
-		if err := checkHistoryChunk(data); err != nil {
-			return nil, err
+		for ; len(b) >= historyEntrySize; b = b[historyEntrySize:] {
+			out = append(out, historyEntryAt(b))
 		}
-		chunks = append(chunks, data)
-		c = historyChunkNext(data)
-	}
-	out := make([]HistoryEntry, 0, int(total))
-	validHead := int(total) - (len(chunks)-1)*historyChunkCap
-	for i := len(chunks) - 1; i >= 0; i-- {
-		data := chunks[i]
-		n := historyChunkCount(data)
-		if i == 0 {
-			if validHead < 0 || validHead > n {
-				return nil, fmt.Errorf("labbase: history chain disagrees with count %d", total)
-			}
-			n = validHead
-		}
-		for j := 0; j < n; j++ {
-			e := historyChunkEntry(data, j)
-			out = append(out, HistoryEntry{Step: e.step, ValidTime: e.validTime})
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -143,29 +120,10 @@ func (db *DB) MostRecentScan(oid storage.OID, attr string) (Value, storage.OID, 
 	return s.MostRecentScan(oid, attr)
 }
 
-// MostRecentScan answers the oracle query as of the snapshot.
+// MostRecentScan answers the oracle query as of the snapshot: the
+// historical query as of the end of valid time.
 func (s *Snap) MostRecentScan(oid storage.OID, attr string) (Value, storage.OID, bool, error) {
-	id, ok := s.st.cat.byAttrName[attr]
-	if !ok {
-		return Nil(), storage.NilOID, false, fmt.Errorf("%w: %q", ErrUnknownAttr, attr)
-	}
-	hist, err := s.History(oid)
-	if err != nil {
-		return Nil(), storage.NilOID, false, err
-	}
-	// Stable sort by valid time keeps insertion order among ties; walking
-	// from the back then prefers the latest-inserted of the newest steps.
-	sort.SliceStable(hist, func(i, j int) bool { return hist[i].ValidTime < hist[j].ValidTime })
-	for i := len(hist) - 1; i >= 0; i-- {
-		step, err := s.db.readStep(hist[i].Step)
-		if err != nil {
-			return Nil(), storage.NilOID, false, err
-		}
-		if v, ok := step.attrValue(id); ok {
-			return v, hist[i].Step, true, nil
-		}
-	}
-	return Nil(), storage.NilOID, false, nil
+	return s.MostRecentAsOf(oid, attr, math.MaxInt64)
 }
 
 // MostRecentAsOf answers the historical form of the signature query: the
@@ -188,6 +146,8 @@ func (s *Snap) MostRecentAsOf(oid storage.OID, attr string, t int64) (Value, sto
 	if err != nil {
 		return Nil(), storage.NilOID, false, err
 	}
+	// Stable sort by valid time keeps insertion order among ties; walking
+	// from the back then prefers the latest-inserted of the newest steps.
 	sort.SliceStable(hist, func(i, j int) bool { return hist[i].ValidTime < hist[j].ValidTime })
 	for i := len(hist) - 1; i >= 0; i-- {
 		if hist[i].ValidTime > t {
@@ -269,7 +229,7 @@ func (s *Snap) Dump() (DumpStats, error) {
 	cnt := s.st.cnt
 	seen := make(map[storage.OID]struct{})
 	for _, mc := range cat.materialClasses {
-		err := s.scanExtentN(mc.extentHead, cnt.matsByClass[mc.ID-1], func(moid storage.OID) error {
+		err := s.db.scanExtent(mc.extentHead, cnt.matsByClass[mc.ID-1], func(moid storage.OID) error {
 			st.Materials++
 			hist, err := s.History(moid)
 			if err != nil {

@@ -245,65 +245,208 @@ func decodeSetRec(data []byte) ([]storage.OID, error) {
 	return members, nil
 }
 
-// --- history chunks ----------------------------------------------------------
+// --- chunk chains ------------------------------------------------------------
 
-// History lists are chains of fixed-capacity chunks, newest chunk first.
-// Within a chunk, entries are in insertion (transaction) order. Layout:
+// History lists and class extents are both chains of fixed-capacity chunks,
+// newest chunk first; within a chunk, entries are in insertion
+// (transaction) order. A chunk grows by in-place append with the count
+// written last and never rewrites an entry, so every chunk but the newest
+// is full, and a reader handed a capture-time (head, count) pair sees
+// exactly its capture-time prefix while the writer keeps appending. Layout,
+// for a count and capacity width w:
 //
-//	[0]    version
-//	[1]    count
-//	[2]    capacity
-//	[3:11] next chunk OID (older; 0 = none)
-//	[11+i*16 : ] entry i: step OID u64, valid time u64 (int64 bits)
-const (
-	historyChunkCap  = 64
-	historyChunkSize = 11 + historyChunkCap*16
-)
-
-type historyEntry struct {
-	step      storage.OID
-	validTime int64
+//	[0]             version
+//	[1 : 1+w]       count
+//	[1+w : 1+2w]    capacity
+//	[1+2w : 9+2w]   next chunk OID (older; 0 = none)
+//	[9+2w+i*size :] entry i
+type chain struct {
+	name  string
+	width int // bytes of the count and capacity fields: 1 or 2
+	size  int // bytes per entry
+	cap   int // entries per chunk
 }
 
-func newHistoryChunk(next storage.OID) []byte {
-	b := make([]byte, historyChunkSize)
+// Readers step through a chunk's entries by these constants, which lets the
+// compiler drop the bounds checks.
+const (
+	historyEntrySize = 16 // step OID u64, valid time u64 (int64 bits)
+	extentEntrySize  = 8  // member OID u64
+)
+
+var (
+	historyChain = chain{name: "history", width: 1, size: historyEntrySize, cap: 64}
+	extentChain  = chain{name: "extent", width: 2, size: extentEntrySize, cap: 256}
+)
+
+func (c *chain) header() int    { return 9 + 2*c.width }
+func (c *chain) chunkSize() int { return c.header() + c.cap*c.size }
+
+func (c *chain) field(b []byte, off int) int {
+	if c.width == 1 {
+		return int(b[off])
+	}
+	return int(binary.LittleEndian.Uint16(b[off:]))
+}
+
+func (c *chain) setField(b []byte, off, v int) {
+	if c.width == 1 {
+		b[off] = byte(v)
+	} else {
+		binary.LittleEndian.PutUint16(b[off:], uint16(v))
+	}
+}
+
+func (c *chain) count(b []byte) int { return c.field(b, 1) }
+func (c *chain) next(b []byte) storage.OID {
+	return storage.OID(binary.LittleEndian.Uint64(b[1+2*c.width:]))
+}
+func (c *chain) entry(b []byte, i int) []byte {
+	off := c.header() + i*c.size
+	return b[off : off+c.size]
+}
+
+func (c *chain) disagree(total uint64) error {
+	return fmt.Errorf("labbase: %s chain disagrees with count %d: %w", c.name, total, rec.ErrCorrupt)
+}
+
+// check rejects a chunk whose size, version or capacity is not the chain's,
+// or whose count exceeds its capacity.
+func (c *chain) check(b []byte) error {
+	if len(b) != c.chunkSize() || b[0] != 1 || c.field(b, 1+c.width) != c.cap || c.count(b) > c.cap {
+		return fmt.Errorf("labbase: %s chunk: %w (%d bytes)", c.name, rec.ErrCorrupt, len(b))
+	}
+	return nil
+}
+
+// newChunk returns a chunk holding entry alone, linked to next.
+func (c *chain) newChunk(next storage.OID, entry []byte) []byte {
+	b := make([]byte, c.chunkSize())
 	b[0] = 1
-	b[2] = historyChunkCap
-	binary.LittleEndian.PutUint64(b[3:11], uint64(next))
+	c.setField(b, 1, 1)
+	c.setField(b, 1+c.width, c.cap)
+	binary.LittleEndian.PutUint64(b[1+2*c.width:], uint64(next))
+	copy(c.entry(b, 0), entry)
 	return b
 }
 
-func historyChunkCount(b []byte) int { return int(b[1]) }
-func historyChunkNext(b []byte) storage.OID {
-	return storage.OID(binary.LittleEndian.Uint64(b[3:11]))
-}
-
-func historyChunkEntry(b []byte, i int) historyEntry {
-	base := 11 + i*16
-	return historyEntry{
-		step:      storage.OID(binary.LittleEndian.Uint64(b[base:])),
-		validTime: int64(binary.LittleEndian.Uint64(b[base+8:])),
+// add appends entry to the chain whose newest chunk is *head. A full head
+// grows the chain by a chunk allocated near it; an empty chain starts with
+// a chunk allocated near first, or in the index segment when first is nil.
+func (db *DB) add(c *chain, head *storage.OID, first storage.OID, entry []byte) error {
+	if !head.IsNil() {
+		data, err := db.sm.Read(*head)
+		if err != nil {
+			return fmt.Errorf("labbase: read %s head: %w", c.name, err)
+		}
+		if err := c.check(data); err != nil {
+			return err
+		}
+		if n := c.count(data); n < c.cap {
+			copy(c.entry(data, n), entry)
+			c.setField(data, 1, n+1)
+			return db.sm.Write(*head, data)
+		}
+		first = *head
 	}
-}
-
-// historyChunkAppend adds an entry in place, reporting false when full.
-func historyChunkAppend(b []byte, e historyEntry) bool {
-	n := historyChunkCount(b)
-	if n >= int(b[2]) {
-		return false
+	data := c.newChunk(*head, entry)
+	var oid storage.OID
+	var err error
+	if first.IsNil() {
+		oid, err = db.sm.Allocate(storage.SegIndex, data)
+	} else {
+		oid, err = db.sm.AllocateNear(first, data)
 	}
-	base := 11 + n*16
-	binary.LittleEndian.PutUint64(b[base:], uint64(e.step))
-	binary.LittleEndian.PutUint64(b[base+8:], uint64(e.validTime))
-	b[1] = byte(n + 1)
-	return true
+	if err != nil {
+		return fmt.Errorf("labbase: %s chunk: %w", c.name, err)
+	}
+	*head = oid
+	return nil
 }
 
-func checkHistoryChunk(b []byte) error {
-	if len(b) != historyChunkSize || b[0] != 1 {
-		return fmt.Errorf("labbase: corrupt history chunk (%d bytes)", len(b))
+// walk visits the first total entries of the chain whose newest chunk is
+// head, oldest first, calling fn once per chunk with that chunk's visible
+// entries back to back. Only the newest chunk can hold more than total
+// allows, so a chain longer than total is corrupt (or cyclic) and the walk
+// stops before reading past it.
+func (db *DB) walk(c *chain, head storage.OID, total uint64, fn func(entries []byte) error) error {
+	var chunks [][]byte
+	for oid := head; !oid.IsNil(); {
+		if uint64(len(chunks))*uint64(c.cap) > total {
+			return c.disagree(total)
+		}
+		data, err := db.sm.Read(oid)
+		if err != nil {
+			return fmt.Errorf("labbase: read %s chunk: %w", c.name, err)
+		}
+		if err := c.check(data); err != nil {
+			return err
+		}
+		if len(chunks) > 0 && c.count(data) != c.cap {
+			return c.disagree(total)
+		}
+		chunks = append(chunks, data)
+		oid = c.next(data)
+	}
+	if len(chunks) == 0 {
+		if total != 0 {
+			return c.disagree(total)
+		}
+		return nil
+	}
+	visible := total - uint64(len(chunks)-1)*uint64(c.cap)
+	if visible > uint64(c.count(chunks[0])) {
+		return c.disagree(total)
+	}
+	for i := len(chunks) - 1; i >= 0; i-- {
+		n := c.cap
+		if i == 0 {
+			n = int(visible)
+		}
+		if err := fn(chunks[i][c.header() : c.header()+n*c.size]); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// putHistoryEntry encodes a history chain entry.
+func putHistoryEntry(b *[historyEntrySize]byte, e HistoryEntry) {
+	binary.LittleEndian.PutUint64(b[:8], uint64(e.Step))
+	binary.LittleEndian.PutUint64(b[8:], uint64(e.ValidTime))
+}
+
+func historyEntryAt(b []byte) HistoryEntry {
+	return HistoryEntry{
+		Step:      storage.OID(binary.LittleEndian.Uint64(b)),
+		ValidTime: int64(binary.LittleEndian.Uint64(b[8:])),
+	}
+}
+
+// addToExtent appends oid to a class extent, marking the catalog dirty when
+// the extent's head chunk changes.
+func (db *DB) addToExtent(head *storage.OID, oid storage.OID) error {
+	var b [extentEntrySize]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(oid))
+	old := *head
+	err := db.add(&extentChain, head, storage.NilOID, b[:])
+	if *head != old {
+		db.markCat()
+	}
+	return err
+}
+
+// scanExtent calls fn on the first total members of a class extent, oldest
+// first.
+func (db *DB) scanExtent(head storage.OID, total uint64, fn func(storage.OID) error) error {
+	return db.walk(&extentChain, head, total, func(b []byte) error {
+		for ; len(b) >= extentEntrySize; b = b[extentEntrySize:] {
+			if err := fn(storage.OID(binary.LittleEndian.Uint64(b))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // --- most-recent index -------------------------------------------------------
@@ -391,117 +534,9 @@ func mrUpsert(b []byte, e mrEntry) ([]byte, bool) {
 }
 
 func checkMRIndex(b []byte) error {
-	if len(b) < mrHeaderSize || b[0] != 1 || len(b) != mrHeaderSize+mrCap(b)*mrEntrySize {
-		return fmt.Errorf("labbase: corrupt most-recent index (%d bytes)", len(b))
-	}
-	return nil
-}
-
-// --- class extents -----------------------------------------------------------
-
-// Extents enumerate the instances of a class for counting and scans: chains
-// of fixed-capacity chunks of OIDs, newest chunk first. Layout:
-//
-//	[0]    version
-//	[1:3]  count u16
-//	[3:5]  capacity u16
-//	[5:13] next chunk OID
-//	[13+i*8 : ] entry i: OID u64
-const (
-	extentChunkCap  = 256
-	extentChunkSize = 13 + extentChunkCap*8
-)
-
-func newExtentChunk(next storage.OID) []byte {
-	b := make([]byte, extentChunkSize)
-	b[0] = 1
-	binary.LittleEndian.PutUint16(b[3:5], extentChunkCap)
-	binary.LittleEndian.PutUint64(b[5:13], uint64(next))
-	return b
-}
-
-func extentCount(b []byte) int { return int(binary.LittleEndian.Uint16(b[1:3])) }
-func extentNext(b []byte) storage.OID {
-	return storage.OID(binary.LittleEndian.Uint64(b[5:13]))
-}
-func extentGet(b []byte, i int) storage.OID {
-	return storage.OID(binary.LittleEndian.Uint64(b[13+i*8:]))
-}
-
-func extentAppend(b []byte, oid storage.OID) bool {
-	n := extentCount(b)
-	if n >= int(binary.LittleEndian.Uint16(b[3:5])) {
-		return false
-	}
-	binary.LittleEndian.PutUint64(b[13+n*8:], uint64(oid))
-	binary.LittleEndian.PutUint16(b[1:3], uint16(n+1))
-	return true
-}
-
-func checkExtentChunk(b []byte) error {
-	if len(b) != extentChunkSize || b[0] != 1 {
-		return fmt.Errorf("labbase: corrupt extent chunk (%d bytes)", len(b))
-	}
-	return nil
-}
-
-// appendToExtent appends oid to the extent whose head is *head, allocating a
-// new head chunk when the current one is full, and reports whether the head
-// changed (so the caller can mark the catalog dirty).
-func (db *DB) appendToExtent(head *storage.OID, oid storage.OID) (bool, error) {
-	if head.IsNil() {
-		data := newExtentChunk(storage.NilOID)
-		extentAppend(data, oid)
-		chunk, err := db.sm.Allocate(storage.SegIndex, data)
-		if err != nil {
-			return false, fmt.Errorf("labbase: extent chunk: %w", err)
-		}
-		*head = chunk
-		return true, nil
-	}
-	data, err := db.sm.Read(*head)
-	if err != nil {
-		return false, fmt.Errorf("labbase: read extent head: %w", err)
-	}
-	if err := checkExtentChunk(data); err != nil {
-		return false, err
-	}
-	if extentAppend(data, oid) {
-		return false, db.sm.Write(*head, data)
-	}
-	ndata := newExtentChunk(*head)
-	extentAppend(ndata, oid)
-	chunk, err := db.sm.AllocateNear(*head, ndata)
-	if err != nil {
-		return false, fmt.Errorf("labbase: extent chunk: %w", err)
-	}
-	*head = chunk
-	return true, nil
-}
-
-// scanExtent calls fn for every OID in the extent chain, oldest chunk last
-// is reversed so callers see insertion order (oldest first).
-func (db *DB) scanExtent(head storage.OID, fn func(storage.OID) error) error {
-	var chunks [][]byte
-	for oid := head; !oid.IsNil(); {
-		data, err := db.sm.Read(oid)
-		if err != nil {
-			return fmt.Errorf("labbase: read extent chunk: %w", err)
-		}
-		if err := checkExtentChunk(data); err != nil {
-			return err
-		}
-		chunks = append(chunks, data)
-		oid = extentNext(data)
-	}
-	for i := len(chunks) - 1; i >= 0; i-- {
-		data := chunks[i]
-		n := extentCount(data)
-		for j := 0; j < n; j++ {
-			if err := fn(extentGet(data, j)); err != nil {
-				return err
-			}
-		}
+	if len(b) < mrHeaderSize || b[0] != 1 || len(b) != mrHeaderSize+mrCap(b)*mrEntrySize ||
+		mrCap(b) == 0 || mrCount(b) > mrCap(b) {
+		return fmt.Errorf("labbase: most-recent index: %w (%d bytes)", rec.ErrCorrupt, len(b))
 	}
 	return nil
 }

@@ -280,45 +280,6 @@ func (s *Snap) readMR(mrOID storage.OID) ([]byte, error) {
 	return data, err
 }
 
-// scanExtentN walks an extent chain from the snapshot's head, visiting
-// exactly the first total entries in insertion order. Non-head chunks are
-// full by construction; only the head can have grown past the capture
-// point, so total bounds how much of it is visible.
-func (s *Snap) scanExtentN(head storage.OID, total uint64, fn func(storage.OID) error) error {
-	if head.IsNil() {
-		return nil
-	}
-	var chunks [][]byte
-	for oid := head; !oid.IsNil(); {
-		data, err := s.db.sm.Read(oid)
-		if err != nil {
-			return fmt.Errorf("labbase: read extent chunk: %w", err)
-		}
-		if err := checkExtentChunk(data); err != nil {
-			return err
-		}
-		chunks = append(chunks, data)
-		oid = extentNext(data)
-	}
-	validHead := int(total) - (len(chunks)-1)*extentChunkCap
-	if validHead < 0 || validHead > extentCount(chunks[0]) {
-		return fmt.Errorf("labbase: extent chain disagrees with snapshot count %d", total)
-	}
-	for i := len(chunks) - 1; i >= 0; i-- {
-		data := chunks[i]
-		n := extentCount(data)
-		if i == 0 {
-			n = validHead
-		}
-		for j := 0; j < n; j++ {
-			if err := fn(extentGet(data, j)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // --- publication (writer side) -----------------------------------------------
 
 // markCat notes that the current write op touched the catalog: it must be

@@ -14,11 +14,11 @@ type AttrValue struct {
 }
 
 // StepSpec describes a workflow step to record. The step's result attributes
-// determine (and, under Options.ImplicitVersions, may create) the step-class
-// version the instance is bound to.
+// determine (and, when no version has that attribute set, create) the
+// step-class version the instance is bound to.
 type StepSpec struct {
-	// Class is the step class name (must be defined, or definable through
-	// DefineStepClass beforehand).
+	// Class is the step class name; recording a step of an unseen class
+	// defines it.
 	Class string
 	// ValidTime is the lab time the step happened. Steps may be recorded
 	// out of order; most-recent semantics follow this field, not insertion
@@ -66,36 +66,21 @@ func (db *DB) recordStepLocked(spec StepSpec) (storage.OID, error) {
 	}
 	sc, ok := db.cat.bySCName[spec.Class]
 	if !ok {
-		// Under implicit evolution, recording a step of an unseen class
-		// defines the class (its first version comes from the attribute
-		// set below) — schema evolution by use.
-		if !db.opts.ImplicitVersions {
-			return storage.NilOID, fmt.Errorf("%w: step class %q", ErrUnknownClass, spec.Class)
-		}
+		// Recording a step of an unseen class defines the class (its first
+		// version comes from the attribute set below) — schema evolution by
+		// use.
 		if spec.Class == "" {
 			return storage.NilOID, fmt.Errorf("labbase: empty step class name")
 		}
-		sc = &StepClass{
-			ID:        StepClassID(len(db.cat.stepClasses) + 1),
-			Name:      spec.Class,
-			byAttrKey: make(map[string]Version),
-		}
-		db.cat.stepClasses = append(db.cat.stepClasses, sc)
-		db.cat.bySCName[spec.Class] = sc
-		db.markCat()
-		db.cnt.growTo(len(db.cat.materialClasses), len(db.cat.stepClasses), len(db.cat.states))
-		db.markCnt()
+		sc = db.newStepClassLocked(spec.Class)
 	}
 
-	// Resolve attributes, defining unknown ones when allowed.
+	// Resolve attributes, defining unknown ones (with KindAny).
 	attrIDs := make([]AttrID, len(spec.Attrs))
 	attrVals := make([]Value, len(spec.Attrs))
 	for i, av := range spec.Attrs {
 		id, ok := db.cat.byAttrName[av.Name]
 		if !ok {
-			if !db.opts.ImplicitAttrs {
-				return storage.NilOID, fmt.Errorf("%w: %q", ErrUnknownAttr, av.Name)
-			}
 			var err error
 			id, err = db.defineAttrLocked(av.Name, KindAny)
 			if err != nil {
@@ -115,9 +100,6 @@ func (db *DB) recordStepLocked(spec StepSpec) (storage.OID, error) {
 	key := attrKey(attrIDs)
 	ver, ok := sc.byAttrKey[key]
 	if !ok {
-		if !db.opts.ImplicitVersions {
-			return storage.NilOID, fmt.Errorf("%w: class %q, attrs %v", ErrNoSuchVersion, spec.Class, key)
-		}
 		var err error
 		ver, err = db.stepVersionLocked(sc, attrIDs)
 		if err != nil {
@@ -181,10 +163,14 @@ func (db *DB) recordStepLocked(spec StepSpec) (storage.OID, error) {
 	}
 
 	// Thread the step into each material's history, most-recent index and
-	// the reverse involves index.
-	entry := historyEntry{step: stepOID, validTime: spec.ValidTime}
+	// the reverse involves index. A material's first history chunk is
+	// clustered with the step record it references, seeding the material's
+	// neighbourhood in the history segment.
+	entry := HistoryEntry{Step: stepOID, ValidTime: spec.ValidTime}
+	var eb [historyEntrySize]byte
+	putHistoryEntry(&eb, entry)
 	for i, moid := range targets {
-		if err := db.appendHistory(moid, mats[i], entry); err != nil {
+		if err := db.add(&historyChain, &mats[i].historyHead, stepOID, eb[:]); err != nil {
 			return storage.NilOID, err
 		}
 		if err := db.updateMostRecent(moid, mats[i], attrIDs, entry); err != nil {
@@ -199,12 +185,8 @@ func (db *DB) recordStepLocked(spec StepSpec) (storage.OID, error) {
 			&invList{step: stepOID, next: old, n: old.length() + 1})
 	}
 
-	changed, err := db.appendToExtent(&sc.extentHead, stepOID)
-	if err != nil {
+	if err := db.addToExtent(&sc.extentHead, stepOID); err != nil {
 		return storage.NilOID, err
-	}
-	if changed {
-		db.markCat()
 	}
 	db.cnt.stepsByClass[sc.ID-1]++
 	db.markCnt()
@@ -246,41 +228,6 @@ func (db *DB) PutSteps(specs []StepSpec) ([]storage.OID, error) {
 	return oids, nil
 }
 
-// appendHistory adds an entry to the material's history chain, growing it by
-// a chunk clustered next to the previous head when the head fills up.
-func (db *DB) appendHistory(moid storage.OID, m *materialRec, e historyEntry) error {
-	if m.historyHead.IsNil() {
-		data := newHistoryChunk(storage.NilOID)
-		historyChunkAppend(data, e)
-		// The first chunk is clustered with the step record it references,
-		// seeding this material's neighbourhood in the history segment.
-		chunk, err := db.sm.AllocateNear(e.step, data)
-		if err != nil {
-			return fmt.Errorf("labbase: history chunk: %w", err)
-		}
-		m.historyHead = chunk
-		return nil
-	}
-	data, err := db.sm.Read(m.historyHead)
-	if err != nil {
-		return fmt.Errorf("labbase: read history head: %w", err)
-	}
-	if err := checkHistoryChunk(data); err != nil {
-		return err
-	}
-	if historyChunkAppend(data, e) {
-		return db.sm.Write(m.historyHead, data)
-	}
-	ndata := newHistoryChunk(m.historyHead)
-	historyChunkAppend(ndata, e)
-	chunk, err := db.sm.AllocateNear(m.historyHead, ndata)
-	if err != nil {
-		return fmt.Errorf("labbase: history chunk: %w", err)
-	}
-	m.historyHead = chunk
-	return nil
-}
-
 // updateMostRecent folds the step's attributes into the material's
 // most-recent index, honouring valid-time order for out-of-order arrivals.
 // The index bytes are served from the decode cache when present; the entry
@@ -289,7 +236,7 @@ func (db *DB) appendHistory(moid storage.OID, m *materialRec, e historyEntry) er
 // never mutated in place: lock-free readers may hold the cached slice, so
 // the mutation works on a private copy and the original becomes the
 // version-table pre-image.
-func (db *DB) updateMostRecent(moid storage.OID, m *materialRec, attrs []AttrID, e historyEntry) error {
+func (db *DB) updateMostRecent(moid storage.OID, m *materialRec, attrs []AttrID, e HistoryEntry) error {
 	if len(attrs) == 0 && !m.mrIndex.IsNil() {
 		return nil
 	}
@@ -322,7 +269,7 @@ func (db *DB) updateMostRecent(moid storage.OID, m *materialRec, attrs []AttrID,
 	changed := false
 	for _, a := range attrs {
 		var c bool
-		data, c = mrUpsert(data, mrEntry{attr: a, validTime: e.validTime, step: e.step})
+		data, c = mrUpsert(data, mrEntry{attr: a, validTime: e.ValidTime, step: e.Step})
 		changed = changed || c
 	}
 	if !changed {
@@ -404,7 +351,7 @@ func (s *Snap) ScanSteps(class string, fn func(*Step) error) error {
 	if !ok {
 		return fmt.Errorf("%w: step class %q", ErrUnknownClass, class)
 	}
-	return s.scanExtentN(sc.extentHead, s.st.cnt.stepsByClass[sc.ID-1], func(oid storage.OID) error {
+	return s.db.scanExtent(sc.extentHead, s.st.cnt.stepsByClass[sc.ID-1], func(oid storage.OID) error {
 		st, err := s.GetStep(oid)
 		if err != nil {
 			return err

@@ -54,7 +54,7 @@ const DefaultPoolPages = 512
 const DefaultCheckpointEvery = 8
 
 // LogFile is the redo-log medium: the repl package's, since the log runs
-// its protocol. Open wraps an *os.File from LogPath; tests, the crashtest
+// its protocol. Open wraps an *os.File at Path+".log"; tests, the crashtest
 // harness and the benchmark substitute their own through Options.Log.
 type LogFile = repl.LogFile
 
@@ -63,14 +63,12 @@ type Options struct {
 	// Path is the database file. Empty means a volatile in-memory backing
 	// (used by tests).
 	Path string
-	// LogPath is the redo-log file; defaults to Path+".log". Ignored when
-	// Path is empty (no log, no recovery).
-	LogPath string
 	// Backing, if non-nil, is used instead of opening Path — the hook the
 	// fault-injection harness threads its wrapped media through.
 	Backing pagefile.Backing
-	// Log, if non-nil, is used instead of opening LogPath. Recovery runs
-	// whenever a log is present, however it was supplied.
+	// Log, if non-nil, is used instead of opening the redo-log file
+	// Path+".log" (no log, and no recovery, when Path is empty). Recovery
+	// runs whenever a log is present, however it was supplied.
 	Log LogFile
 	// PoolPages bounds the client buffer pool (default DefaultPoolPages).
 	PoolPages int
@@ -106,11 +104,7 @@ func Open(opts Options) (storage.Manager, error) {
 
 	logFile := opts.Log
 	if logFile == nil && opts.Path != "" {
-		logPath := opts.LogPath
-		if logPath == "" {
-			logPath = opts.Path + ".log"
-		}
-		f, err := repl.OpenFile(logPath)
+		f, err := repl.OpenFile(opts.Path + ".log")
 		if err != nil {
 			return nil, fmt.Errorf("ostore: open log: %w", err)
 		}

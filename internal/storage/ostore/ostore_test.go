@@ -467,7 +467,8 @@ func TestBoundedPoolFaults(t *testing.T) {
 
 // TestAbandonedProcessKeepsCommits simulates a process that dies without
 // Close: every committed transaction must be readable on reopen (commit
-// writes pages to the database file before returning).
+// writes pages to the database file before returning), even with the redo
+// log gone, so nothing is replayed.
 func TestAbandonedProcessKeepsCommits(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "abandoned.db")
 	m, err := Open(Options{Path: path})
@@ -492,8 +493,11 @@ func TestAbandonedProcessKeepsCommits(t *testing.T) {
 	}
 	// No Close: the "process" is gone. (The open file handle is dropped.)
 	m = nil
+	if err := os.Remove(path + ".log"); err != nil {
+		t.Fatal(err)
+	}
 
-	m2, err := Open(Options{Path: path, LogPath: path + ".log2"})
+	m2, err := Open(Options{Path: path})
 	if err != nil {
 		t.Fatalf("reopen after abandonment: %v", err)
 	}

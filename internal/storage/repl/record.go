@@ -461,17 +461,13 @@ type RecoveryInfo struct {
 // the wire shipper's state-query-before-retransmit, the primary's
 // pending-record redelivery (ShipQueue) — is sound only because an LSN names
 // one immutable byte string.
+//
+// FollowerLSN reports the follower's last applied LSN. A primary uses it to
+// resolve records whose ship ended in a transport error: a record the
+// follower already holds (shipped, applied, ack lost) is retired without
+// retransmission, and only genuinely missing records are re-shipped.
 type Shipper interface {
 	Ship(lsn uint64, record []byte) error
-}
-
-// StateShipper is a Shipper that can also report the follower's last
-// applied LSN. A primary uses it to resolve records whose ship ended in a
-// transport error: a record the follower already holds (shipped, applied,
-// ack lost) is retired without retransmission, and only genuinely missing
-// records are re-shipped.
-type StateShipper interface {
-	Shipper
 	FollowerLSN() (uint64, error)
 }
 
@@ -498,29 +494,26 @@ func (q *ShipQueue) Add(lsn uint64, record []byte) {
 	q.pending = append(q.pending, pendingRecord{lsn: lsn, rec: record})
 }
 
-// Resolve empties the queue through s before a new LSN goes out. When s
-// can report the follower's state (StateShipper), records the follower
-// already holds — applied, only the ack lost — are retired without
-// retransmission; the rest are re-shipped in LSN order with their original
-// bytes. Any failure leaves the unresolved tail queued and must fail the
-// caller's commit.
+// Resolve empties the queue through s before a new LSN goes out. Records
+// the follower already holds (s.FollowerLSN) — applied, only the ack lost —
+// are retired without retransmission; the rest are re-shipped in LSN order
+// with their original bytes. Any failure leaves the unresolved tail queued
+// and must fail the caller's commit.
 func (q *ShipQueue) Resolve(s Shipper) error {
 	if len(q.pending) == 0 {
 		return nil
 	}
-	if sq, ok := s.(StateShipper); ok {
-		last, err := sq.FollowerLSN()
-		if err != nil {
-			return fmt.Errorf("query follower state: %w", err)
-		}
-		kept := q.pending[:0]
-		for _, pr := range q.pending {
-			if pr.lsn > last {
-				kept = append(kept, pr)
-			}
-		}
-		q.pending = kept
+	last, err := s.FollowerLSN()
+	if err != nil {
+		return fmt.Errorf("query follower state: %w", err)
 	}
+	kept := q.pending[:0]
+	for _, pr := range q.pending {
+		if pr.lsn > last {
+			kept = append(kept, pr)
+		}
+	}
+	q.pending = kept
 	for len(q.pending) > 0 {
 		pr := q.pending[0]
 		if err := s.Ship(pr.lsn, pr.rec); err != nil {

@@ -248,7 +248,7 @@ func TestStandbyReacksLostAckDuplicate(t *testing.T) {
 	}
 }
 
-// TestStandbyFollowerLSN pins the StateShipper view used by the primaries'
+// TestStandbyFollowerLSN pins the follower state the primaries'
 // pending-record resolution.
 func TestStandbyFollowerLSN(t *testing.T) {
 	st, err := OpenFileStandby(filepath.Join(t.TempDir(), "follow.db"), 2)
@@ -256,7 +256,7 @@ func TestStandbyFollowerLSN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var _ StateShipper = st
+	var _ Shipper = st
 	if lsn, err := st.FollowerLSN(); err != nil || lsn != 0 {
 		t.Fatalf("FollowerLSN = (%d, %v), want 0", lsn, err)
 	}

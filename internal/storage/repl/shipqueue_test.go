@@ -8,11 +8,16 @@ import (
 )
 
 // fakeShipper records every Ship it accepts and fails the Ship of failLSN
-// (0: none) without recording it.
+// (0: none) without recording it. It reports follower as the follower's
+// last applied LSN (0 by default, so every queued record re-ships), or
+// stateErr.
 type fakeShipper struct {
-	lsns    []uint64
-	records [][]byte
-	failLSN uint64
+	lsns       []uint64
+	records    [][]byte
+	failLSN    uint64
+	follower   uint64
+	stateErr   error
+	stateCalls int
 }
 
 func (f *fakeShipper) Ship(lsn uint64, record []byte) error {
@@ -24,15 +29,7 @@ func (f *fakeShipper) Ship(lsn uint64, record []byte) error {
 	return nil
 }
 
-// fakeStateShipper adds a follower state: the LSN it reports, or stateErr.
-type fakeStateShipper struct {
-	fakeShipper
-	follower   uint64
-	stateErr   error
-	stateCalls int
-}
-
-func (f *fakeStateShipper) FollowerLSN() (uint64, error) {
+func (f *fakeShipper) FollowerLSN() (uint64, error) {
 	f.stateCalls++
 	return f.follower, f.stateErr
 }
@@ -72,7 +69,7 @@ func checkShipped(t *testing.T, f *fakeShipper, want ...uint64) {
 
 func TestShipQueueZeroIsNoOp(t *testing.T) {
 	var q ShipQueue
-	s := &fakeStateShipper{stateErr: errors.New("must not be asked")}
+	s := &fakeShipper{stateErr: errors.New("must not be asked")}
 	if err := q.Resolve(s); err != nil {
 		t.Fatalf("Resolve on the zero queue: %v", err)
 	}
@@ -102,20 +99,20 @@ func TestShipQueueRedeliversInOrder(t *testing.T) {
 func TestShipQueueRetiresWhatFollowerHolds(t *testing.T) {
 	var q ShipQueue
 	enqueue(&q, 4, 5, 6, 7)
-	s := &fakeStateShipper{follower: 5}
+	s := &fakeShipper{follower: 5}
 	if err := q.Resolve(s); err != nil {
 		t.Fatal(err)
 	}
-	checkShipped(t, &s.fakeShipper, 6, 7)
+	checkShipped(t, s, 6, 7)
 
 	// A follower past the whole queue: everything retires, nothing ships.
 	var q2 ShipQueue
 	enqueue(&q2, 8, 9)
-	s2 := &fakeStateShipper{follower: 9}
+	s2 := &fakeShipper{follower: 9}
 	if err := q2.Resolve(s2); err != nil {
 		t.Fatal(err)
 	}
-	checkShipped(t, &s2.fakeShipper)
+	checkShipped(t, s2)
 	if got := queued(&q2); len(got) != 0 {
 		t.Fatalf("queue after retiring everything: %v", got)
 	}
@@ -142,11 +139,11 @@ func TestShipQueueFailureKeepsTail(t *testing.T) {
 	t.Run("FollowerLSN", func(t *testing.T) {
 		var q ShipQueue
 		enqueue(&q, 4, 5, 6)
-		s := &fakeStateShipper{follower: 5, stateErr: errors.New("fake: state lost")}
+		s := &fakeShipper{follower: 5, stateErr: errors.New("fake: state lost")}
 		if err := q.Resolve(s); err == nil {
 			t.Fatal("Resolve succeeded without the follower's state")
 		}
-		checkShipped(t, &s.fakeShipper)
+		checkShipped(t, s)
 		if got := queued(&q); fmt.Sprint(got) != "[4 5 6]" {
 			t.Fatalf("queue after failed FollowerLSN: %v, want [4 5 6]", got)
 		}
@@ -154,17 +151,17 @@ func TestShipQueueFailureKeepsTail(t *testing.T) {
 		if err := q.Resolve(s); err != nil {
 			t.Fatal(err)
 		}
-		checkShipped(t, &s.fakeShipper, 6)
+		checkShipped(t, s, 6)
 	})
 	t.Run("ShipAfterRetire", func(t *testing.T) {
 		var q ShipQueue
 		enqueue(&q, 4, 5, 6, 7)
-		s := &fakeStateShipper{follower: 4}
+		s := &fakeShipper{follower: 4}
 		s.failLSN = 6
 		if err := q.Resolve(s); err == nil {
 			t.Fatal("Resolve succeeded through a failed Ship")
 		}
-		checkShipped(t, &s.fakeShipper, 5)
+		checkShipped(t, s, 5)
 		if got := queued(&q); fmt.Sprint(got) != "[6 7]" {
 			t.Fatalf("queue after retire then failed Ship of 6: %v, want [6 7]", got)
 		}

@@ -211,7 +211,7 @@ func (s *Standby) Ship(lsn uint64, record []byte) error {
 	return nil
 }
 
-// FollowerLSN implements StateShipper: the standby's own last applied LSN,
+// FollowerLSN implements Shipper: the standby's own last applied LSN,
 // trivially, since in-process pairing has no transport to lose acks over.
 func (s *Standby) FollowerLSN() (uint64, error) {
 	return s.LastLSN(), nil

@@ -47,7 +47,8 @@ var sentinelCodes = []struct {
 	{8, labbase.ErrUnknownState},
 	{9, labbase.ErrKindMismatch},
 	{10, labbase.ErrNotMaterial},
-	{11, labbase.ErrNoSuchVersion},
+	// 11 was labbase's no-such-version sentinel, retired when RecordStep
+	// began creating a version for every new attribute set.
 	{12, labbase.ErrDuplicateName},
 	{13, storage.ErrSegmentFull},
 }

@@ -122,7 +122,6 @@ func TestSentinelRoundTrip(t *testing.T) {
 		labbase.ErrUnknownState,
 		labbase.ErrKindMismatch,
 		labbase.ErrNotMaterial,
-		labbase.ErrNoSuchVersion,
 		labbase.ErrDuplicateName,
 		storage.ErrSegmentFull,
 	}

@@ -84,7 +84,7 @@ func (s *StandbyServer) handle(cs *connState, op uint8, payload []byte) ([]byte,
 	return nil, fmt.Errorf("wire: standby not promoted")
 }
 
-// RemoteShipper implements repl.StateShipper over the wire: each shipped
+// RemoteShipper implements repl.Shipper over the wire: each shipped
 // record becomes one OpShipRecord round trip to a StandbyServer. The
 // connection is dialed lazily on first use. A transport error leaves the
 // outcome ambiguous — the standby may have journaled the record with only
@@ -109,7 +109,7 @@ type RemoteShipper struct {
 // enough that a dead follower fails the commit promptly.
 const DefaultShipTimeout = 10 * time.Second
 
-var _ repl.StateShipper = (*RemoteShipper)(nil)
+var _ repl.Shipper = (*RemoteShipper)(nil)
 
 // NewRemoteShipper targets a standby address. No connection is made until
 // the first Ship.
@@ -157,7 +157,7 @@ func (r *RemoteShipper) Ship(lsn uint64, record []byte) error {
 	return nil
 }
 
-// FollowerLSN implements repl.StateShipper: one OpReplState round trip,
+// FollowerLSN implements repl.Shipper: one OpReplState round trip,
 // redialing once after a transport error.
 func (r *RemoteShipper) FollowerLSN() (uint64, error) {
 	r.mu.Lock()

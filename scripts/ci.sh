@@ -125,6 +125,10 @@ go test -race -run '^$' -fuzz 'FuzzSlottedPage' -fuzztime 5s ./internal/storage/
 # never panic the decoder, and a stub it accepts must name exactly the
 # extents its total needs, which bounds what a read allocates.
 go test -race -run '^$' -fuzz 'FuzzOverflowStub' -fuzztime 5s ./internal/storage/pagefile/
+# LabBase's in-place access structures, history and extent chunks and the
+# most-recent index: arbitrary record bytes must fail their check with a
+# typed error or serve every accessor without panicking.
+go test -race -run '^$' -fuzz 'FuzzChunkRecords' -fuzztime 5s ./internal/labbase/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks only durable waits)"
 # DESIGN §9 "What a reader can wait on": with a commit held inside the log's
