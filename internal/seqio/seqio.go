@@ -14,6 +14,7 @@ package seqio
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -182,17 +183,25 @@ type Hit struct {
 	Score     float64 // k-mer Jaccard similarity in [0, 1]
 }
 
-// HomologyDB is the BLAST/GenBank stand-in: a k-mer-sketch index over the
-// sequences published so far, searched by Jaccard similarity.
+// HomologyDB is the BLAST/GenBank stand-in: a k-mer index over the sequences
+// published so far, searched by Jaccard similarity.
+//
+// The index is inverted: each k-mer keeps a postings list of the entries that
+// hold it, in publish order, and each entry its count of distinct k-mers. A
+// search walks only the postings of the query's k-mers, so its cost is the
+// length of those lists rather than the size of the database.
 type HomologyDB struct {
-	k       int
-	entries []dbEntry
-	byAcc   map[string]int
+	k        int
+	entries  []dbEntry
+	byAcc    map[string]int
+	postings map[uint64][]int32
 }
 
 type dbEntry struct {
 	accession string
-	kmers     map[uint64]struct{}
+	kmers     int  // distinct k-mers
+	replaced  bool // re-added since: its postings are stale
+	inter     int  // Search's intersection counter, zero between calls
 }
 
 // NewHomologyDB returns an empty database with k-mer size k (k in [4, 16];
@@ -201,29 +210,35 @@ func NewHomologyDB(k int) (*HomologyDB, error) {
 	if k < 4 || k > 16 {
 		return nil, fmt.Errorf("seqio: k-mer size %d out of range [4, 16]", k)
 	}
-	return &HomologyDB{k: k, byAcc: make(map[string]int)}, nil
+	return &HomologyDB{k: k, byAcc: make(map[string]int), postings: make(map[uint64][]int32)}, nil
 }
 
 // Len returns the number of database entries.
-func (db *HomologyDB) Len() int { return len(db.entries) }
+func (db *HomologyDB) Len() int { return len(db.byAcc) }
 
 // Add publishes a sequence under an accession; re-adding an accession
-// replaces its sequence.
+// replaces its sequence (the old entry stays in the postings, marked
+// replaced, and searches skip it).
 func (db *HomologyDB) Add(accession, seq string) {
-	e := dbEntry{accession: accession, kmers: db.kmerSet(seq)}
 	if i, ok := db.byAcc[accession]; ok {
-		db.entries[i] = e
-		return
+		db.entries[i].replaced = true
 	}
-	db.byAcc[accession] = len(db.entries)
-	db.entries = append(db.entries, e)
+	id := int32(len(db.entries))
+	kmers := db.kmers(seq)
+	for _, km := range kmers {
+		db.postings[km] = append(db.postings[km], id)
+	}
+	db.byAcc[accession] = int(id)
+	db.entries = append(db.entries, dbEntry{accession: accession, kmers: len(kmers)})
 }
 
-func (db *HomologyDB) kmerSet(seq string) map[uint64]struct{} {
-	out := make(map[uint64]struct{})
+// kmers returns seq's distinct k-mers, sorted. Any byte other than A, C, G
+// or T (an assembly's 'N' hole) restarts the k-mer window.
+func (db *HomologyDB) kmers(seq string) []uint64 {
 	if len(seq) < db.k {
-		return out
+		return nil
 	}
+	out := make([]uint64, 0, len(seq)-db.k+1)
 	var h uint64
 	mask := uint64(1)<<(2*uint(db.k)) - 1
 	valid := 0
@@ -236,31 +251,40 @@ func (db *HomologyDB) kmerSet(seq string) map[uint64]struct{} {
 		h = (h<<2 | uint64(bi)) & mask
 		valid++
 		if valid >= db.k {
-			out[h] = struct{}{}
+			out = append(out, h)
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Search returns up to maxHits entries with similarity >= minScore, best
-// first; ties break by accession so results are deterministic.
+// first; ties break by accession so results are deterministic. Search counts
+// in the database's entries, so it must not run concurrently with itself or
+// with Add.
 func (db *HomologyDB) Search(seq string, maxHits int, minScore float64) []Hit {
-	q := db.kmerSet(seq)
+	q := db.kmers(seq)
 	if len(q) == 0 {
 		return nil
 	}
-	var hits []Hit
-	for _, e := range db.entries {
-		inter := 0
-		for k := range q {
-			if _, ok := e.kmers[k]; ok {
-				inter++
+	var touched []int32
+	for _, km := range q {
+		for _, id := range db.postings[km] {
+			if db.entries[id].inter == 0 {
+				touched = append(touched, id)
 			}
+			db.entries[id].inter++
 		}
-		if inter == 0 {
+	}
+	var hits []Hit
+	for _, id := range touched {
+		e := &db.entries[id]
+		inter := e.inter
+		e.inter = 0
+		if e.replaced {
 			continue
 		}
-		union := len(q) + len(e.kmers) - inter
+		union := len(q) + e.kmers - inter
 		score := float64(inter) / float64(union)
 		if score >= minScore {
 			hits = append(hits, Hit{Accession: e.accession, Score: score})

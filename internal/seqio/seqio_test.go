@@ -1,6 +1,11 @@
 package seqio
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -199,4 +204,193 @@ func TestQuickIdentityBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refDB is the homology oracle as first written: one k-mer hash set per
+// entry, and a search that checks every entry one query k-mer at a time. It
+// is the reference HomologyDB's postings index must agree with hit for hit.
+type refDB struct {
+	k       int
+	entries []refEntry
+	byAcc   map[string]int
+}
+
+type refEntry struct {
+	accession string
+	kmers     map[uint64]struct{}
+}
+
+func newRefDB(k int) *refDB { return &refDB{k: k, byAcc: make(map[string]int)} }
+
+func (db *refDB) Add(accession, seq string) {
+	e := refEntry{accession: accession, kmers: db.kmerSet(seq)}
+	if i, ok := db.byAcc[accession]; ok {
+		db.entries[i] = e
+		return
+	}
+	db.byAcc[accession] = len(db.entries)
+	db.entries = append(db.entries, e)
+}
+
+func (db *refDB) kmerSet(seq string) map[uint64]struct{} {
+	out := make(map[uint64]struct{})
+	if len(seq) < db.k {
+		return out
+	}
+	var h uint64
+	mask := uint64(1)<<(2*uint(db.k)) - 1
+	valid := 0
+	for i := 0; i < len(seq); i++ {
+		bi := baseIndex(seq[i])
+		if bi < 0 {
+			h, valid = 0, 0
+			continue
+		}
+		h = (h<<2 | uint64(bi)) & mask
+		valid++
+		if valid >= db.k {
+			out[h] = struct{}{}
+		}
+	}
+	return out
+}
+
+func (db *refDB) Search(seq string, maxHits int, minScore float64) []Hit {
+	q := db.kmerSet(seq)
+	if len(q) == 0 {
+		return nil
+	}
+	var hits []Hit
+	for _, e := range db.entries {
+		inter := 0
+		for k := range q {
+			if _, ok := e.kmers[k]; ok {
+				inter++
+			}
+		}
+		if inter == 0 {
+			continue
+		}
+		union := len(q) + len(e.kmers) - inter
+		score := float64(inter) / float64(union)
+		if score >= minScore {
+			hits = append(hits, Hit{Accession: e.accession, Score: score})
+		}
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].Accession < hits[j].Accession
+	})
+	if maxHits > 0 && len(hits) > maxHits {
+		hits = hits[:maxHits]
+	}
+	return hits
+}
+
+// sameHits fails t unless got and want name the same accessions in the same
+// order with bit-identical scores.
+func sameHits(t *testing.T, what string, got, want []Hit) {
+	t.Helper()
+	ok := len(got) == len(want)
+	for i := 0; ok && i < len(got); i++ {
+		ok = got[i].Accession == want[i].Accession &&
+			math.Float64bits(got[i].Score) == math.Float64bits(want[i].Score)
+	}
+	if !ok {
+		t.Fatalf("%s: hits = %v, reference = %v", what, got, want)
+	}
+}
+
+// TestHomologySearchMatchesReference grows a database and the reference side
+// by side from seeded sequences (mutated families, assemblies with 'N'
+// holes, sequences shorter than k, re-added accessions) and checks every
+// search against the reference at several maxHits and minScore settings.
+func TestHomologySearchMatchesReference(t *testing.T) {
+	for _, k := range []int{4, 8, 11, 16} {
+		for seed := int64(1); seed <= 2; seed++ {
+			g := NewGen(seed*100 + int64(k))
+			rng := rand.New(rand.NewSource(seed))
+			db, err := NewHomologyDB(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefDB(k)
+			var published []string
+			pick := func() string { return published[rng.Intn(len(published))] }
+			for i := 0; i < 40; i++ {
+				var seq string
+				switch r := rng.Intn(6); {
+				case r < 2 || len(published) == 0:
+					seq = g.Sequence(20 + rng.Intn(600))
+				case r < 4:
+					seq = g.Mutate(pick(), []float64{0.01, 0.08, 0.3}[rng.Intn(3)])
+				case r == 4:
+					// Two reads with a gap between them: Assemble fills the
+					// gap with 'N', which restarts the k-mer window.
+					tpl := pick()
+					cut := rng.Intn(len(tpl) + 1)
+					gap := cut + 1 + rng.Intn(k+5)
+					seq = Assemble([]Read{g.ReadAt(tpl, 0, cut, 0.02), g.ReadAt(tpl, gap, len(tpl), 0.02)}).Consensus
+				default:
+					seq = g.Sequence(rng.Intn(k))
+				}
+				acc := fmt.Sprintf("ACC%04d", i)
+				if i > 0 && rng.Intn(5) == 0 {
+					acc = fmt.Sprintf("ACC%04d", rng.Intn(i))
+				}
+				db.Add(acc, seq)
+				ref.Add(acc, seq)
+				published = append(published, seq)
+				if db.Len() != len(ref.entries) {
+					t.Fatalf("Len = %d, reference %d", db.Len(), len(ref.entries))
+				}
+				queries := []string{seq, g.Mutate(pick(), 0.05), g.Sequence(k - 1)}
+				for qi, q := range queries {
+					for _, maxHits := range []int{0, 1, 3, 1000} {
+						for _, minScore := range []float64{0, 0.02, 0.3} {
+							what := fmt.Sprintf("k=%d seed=%d add=%d query=%d maxHits=%d minScore=%v", k, seed, i, qi, maxHits, minScore)
+							sameHits(t, what, db.Search(q, maxHits, minScore), ref.Search(q, maxHits, minScore))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzHomologySearch drives a database and the reference through the same
+// script and fails on any search where they disagree. The script is records
+// separated by ','; a record's first byte picks one of eight accessions (so
+// re-adds are common) and the rest is the sequence, searched for and then
+// published. Bytes other than A, C, G and T act as 'N' holes.
+func FuzzHomologySearch(f *testing.F) {
+	f.Add(uint8(0), uint8(10), uint8(0), []byte("\x00ACGTACGTAC,\x01ACGTNACGTA,\x00ACGTACGTAA,\x02ACG"))
+	f.Add(uint8(4), uint8(1), uint8(20), []byte("\x00AACCGGTTAACCGGTTAACC,\x01AACCGGTTAACCGGTTAACG,\x02AACCGGTTNNAACCGGTTAA,\x01TTTTTTTTTTTTTTTTTTTT"))
+	f.Add(uint8(12), uint8(0), uint8(100), []byte("\x03"+NewGen(1).Sequence(80)+",\x04"+NewGen(1).Sequence(60)+",\x03"+NewGen(2).Sequence(40)))
+	f.Fuzz(func(t *testing.T, k, maxHits, minScore uint8, script []byte) {
+		kk := 4 + int(k)%13
+		db, err := NewHomologyDB(kk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefDB(kk)
+		ms := float64(minScore) / 255
+		for i, rec := range bytes.Split(script, []byte{','}) {
+			if len(rec) == 0 {
+				continue
+			}
+			acc := fmt.Sprintf("A%d", rec[0]%8)
+			seq := string(rec[1:])
+			what := fmt.Sprintf("k=%d record %d", kk, i)
+			sameHits(t, what, db.Search(seq, int(maxHits)%12, ms), ref.Search(seq, int(maxHits)%12, ms))
+			db.Add(acc, seq)
+			ref.Add(acc, seq)
+			sameHits(t, what+" after add", db.Search(seq, int(maxHits)%12, ms), ref.Search(seq, int(maxHits)%12, ms))
+			if db.Len() != len(ref.entries) {
+				t.Fatalf("%s: Len = %d, reference %d", what, db.Len(), len(ref.entries))
+			}
+		}
+	})
 }

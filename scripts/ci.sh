@@ -129,6 +129,10 @@ go test -race -run '^$' -fuzz 'FuzzOverflowStub' -fuzztime 5s ./internal/storage
 # most-recent index: arbitrary record bytes must fail their check with a
 # typed error or serve every accessor without panicking.
 go test -race -run '^$' -fuzz 'FuzzChunkRecords' -fuzztime 5s ./internal/labbase/
+# The homology oracle's postings index against the per-entry k-mer sets it
+# replaced: on arbitrary sequences, holes and re-adds, every search must
+# return the reference's hits, accessions, score bits and order alike.
+go test -race -run '^$' -fuzz 'FuzzHomologySearch' -fuzztime 5s ./internal/seqio/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks only durable waits)"
 # DESIGN §9 "What a reader can wait on": with a commit held inside the log's
