@@ -284,10 +284,10 @@ func (l *Lab) Graph() *workflow.Graph {
 				Action: func(ctx *workflow.Ctx, mats []workflow.ID, failed bool) ([]labbase.AttrValue, []workflow.Spawn, error) {
 					clone := mats[0]
 					cons := l.consensus[clone]
-					hits := l.hom.Search(cons, p.MaxHits, p.MinScore)
 					l.accSeq++
 					acc := fmt.Sprintf("LF%07d", l.accSeq)
-					l.hom.Add(acc, cons) // publish for future searches
+					// Search, then publish for future searches.
+					hits := l.hom.SearchAndPublish(acc, cons, p.MaxHits, p.MinScore)
 					hitVals := make([]labbase.Value, len(hits))
 					for i, h := range hits {
 						hitVals[i] = labbase.ListOf(labbase.String(h.Accession), labbase.Float64(h.Score))

@@ -147,19 +147,18 @@ func Assemble(reads []Read) Assembly {
 	return asm
 }
 
-func baseIndex(b byte) int {
-	switch b {
-	case 'A':
-		return 0
-	case 'C':
-		return 1
-	case 'G':
-		return 2
-	case 'T':
-		return 3
+// baseCodes maps A, C, G and T to 0-3 and every other byte to -1.
+var baseCodes = func() (t [256]int8) {
+	for i := range t {
+		t[i] = -1
 	}
-	return -1
-}
+	for i, b := range bases {
+		t[b] = int8(i)
+	}
+	return t
+}()
+
+func baseIndex(b byte) int { return int(baseCodes[b]) }
 
 // Identity returns the fraction of positions where a and b agree (over the
 // shorter length); 0 if either is empty.
@@ -193,15 +192,18 @@ type Hit struct {
 type HomologyDB struct {
 	k        int
 	entries  []dbEntry
-	byAcc    map[string]int
-	postings map[uint64][]int32
+	byAcc    map[string]int32
+	postings map[uint32][]int32
+
+	kms     []uint32 // per-call scratch: the query's k-mers
+	touched []int32  // per-call scratch: entries with a nonzero counter
 }
 
 type dbEntry struct {
 	accession string
 	kmers     int  // distinct k-mers
 	replaced  bool // re-added since: its postings are stale
-	inter     int  // Search's intersection counter, zero between calls
+	inter     int  // the walk's intersection counter, zero between calls
 }
 
 // NewHomologyDB returns an empty database with k-mer size k (k in [4, 16];
@@ -210,35 +212,44 @@ func NewHomologyDB(k int) (*HomologyDB, error) {
 	if k < 4 || k > 16 {
 		return nil, fmt.Errorf("seqio: k-mer size %d out of range [4, 16]", k)
 	}
-	return &HomologyDB{k: k, byAcc: make(map[string]int), postings: make(map[uint64][]int32)}, nil
+	return &HomologyDB{k: k, byAcc: make(map[string]int32), postings: make(map[uint32][]int32)}, nil
 }
 
 // Len returns the number of database entries.
 func (db *HomologyDB) Len() int { return len(db.byAcc) }
 
-// Add publishes a sequence under an accession; re-adding an accession
-// replaces its sequence (the old entry stays in the postings, marked
-// replaced, and searches skip it).
-func (db *HomologyDB) Add(accession, seq string) {
-	if i, ok := db.byAcc[accession]; ok {
-		db.entries[i].replaced = true
-	}
-	id := int32(len(db.entries))
-	kmers := db.kmers(seq)
-	for _, km := range kmers {
-		db.postings[km] = append(db.postings[km], id)
-	}
-	db.byAcc[accession] = int(id)
-	db.entries = append(db.entries, dbEntry{accession: accession, kmers: len(kmers)})
+// Search returns up to maxHits entries with similarity >= minScore, best
+// first; ties break by accession so results are deterministic. Search counts
+// in the database's entries, so it must not run concurrently with itself or
+// with SearchAndPublish.
+func (db *HomologyDB) Search(seq string, maxHits int, minScore float64) []Hit {
+	q := db.kmers(seq)
+	slices.Sort(q)
+	hits, _ := db.walk(slices.Compact(q), -1, maxHits, minScore)
+	return hits
 }
 
-// kmers returns seq's distinct k-mers, sorted. Any byte other than A, C, G
-// or T (an assembly's 'N' hole) restarts the k-mer window.
-func (db *HomologyDB) kmers(seq string) []uint64 {
-	if len(seq) < db.k {
-		return nil
+// SearchAndPublish returns what Search(seq, maxHits, minScore) returns and
+// then publishes seq under accession, in one walk over seq's k-mers. Re-adding
+// an accession replaces its sequence: the old entry is still scored by this
+// search, then stays in the postings marked replaced, and later searches skip
+// it.
+func (db *HomologyDB) SearchAndPublish(accession, seq string, maxHits int, minScore float64) []Hit {
+	id := int32(len(db.entries))
+	hits, distinct := db.walk(db.kmers(seq), id, maxHits, minScore)
+	if old, ok := db.byAcc[accession]; ok {
+		db.entries[old].replaced = true
 	}
-	out := make([]uint64, 0, len(seq)-db.k+1)
+	db.byAcc[accession] = id
+	db.entries = append(db.entries, dbEntry{accession: accession, kmers: distinct})
+	return hits
+}
+
+// kmers returns seq's k-mers in sequence order, repeats included, in the
+// database's scratch slice. Any byte other than A, C, G or T (an assembly's
+// 'N' hole) restarts the k-mer window.
+func (db *HomologyDB) kmers(seq string) []uint32 {
+	out := db.kms[:0]
 	var h uint64
 	mask := uint64(1)<<(2*uint(db.k)) - 1
 	valid := 0
@@ -251,43 +262,50 @@ func (db *HomologyDB) kmers(seq string) []uint64 {
 		h = (h<<2 | uint64(bi)) & mask
 		valid++
 		if valid >= db.k {
-			out = append(out, h)
+			out = append(out, uint32(h))
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	db.kms = out
+	return out
 }
 
-// Search returns up to maxHits entries with similarity >= minScore, best
-// first; ties break by accession so results are deterministic. Search counts
-// in the database's entries, so it must not run concurrently with itself or
-// with Add.
-func (db *HomologyDB) Search(seq string, maxHits int, minScore float64) []Hit {
-	q := db.kmers(seq)
-	if len(q) == 0 {
-		return nil
-	}
-	var touched []int32
+// walk scores the live entries against the query k-mers q and returns the
+// ranked hits and q's distinct k-mer count. With id < 0, q must hold no
+// repeats. With id >= 0, q may repeat k-mers and id is appended to the
+// postings of each distinct one after they are counted: a list that already
+// ends in id marks a k-mer seen earlier in q.
+func (db *HomologyDB) walk(q []uint32, id int32, maxHits int, minScore float64) ([]Hit, int) {
+	touched := db.touched[:0]
+	distinct := 0
 	for _, km := range q {
-		for _, id := range db.postings[km] {
-			if db.entries[id].inter == 0 {
-				touched = append(touched, id)
-			}
-			db.entries[id].inter++
-		}
-	}
-	var hits []Hit
-	for _, id := range touched {
-		e := &db.entries[id]
-		inter := e.inter
-		e.inter = 0
-		if e.replaced {
+		ps := db.postings[km]
+		if id >= 0 && len(ps) > 0 && ps[len(ps)-1] == id {
 			continue
 		}
-		union := len(q) + e.kmers - inter
+		distinct++
+		for _, e := range ps {
+			if db.entries[e].inter == 0 {
+				touched = append(touched, e)
+			}
+			db.entries[e].inter++
+		}
+		if id >= 0 {
+			db.postings[km] = append(ps, id)
+		}
+	}
+	db.touched = touched
+	var hits []Hit
+	for _, e := range touched {
+		ent := &db.entries[e]
+		inter := ent.inter
+		ent.inter = 0
+		if ent.replaced {
+			continue
+		}
+		union := distinct + ent.kmers - inter
 		score := float64(inter) / float64(union)
 		if score >= minScore {
-			hits = append(hits, Hit{Accession: e.accession, Score: score})
+			hits = append(hits, Hit{Accession: ent.accession, Score: score})
 		}
 	}
 	sort.Slice(hits, func(i, j int) bool {
@@ -299,7 +317,7 @@ func (db *HomologyDB) Search(seq string, maxHits int, minScore float64) []Hit {
 	if maxHits > 0 && len(hits) > maxHits {
 		hits = hits[:maxHits]
 	}
-	return hits
+	return hits, distinct
 }
 
 // GC returns the G+C fraction of a sequence (a routine lab statistic).

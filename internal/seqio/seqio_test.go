@@ -116,9 +116,10 @@ func TestHomologySearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := g.Sequence(800)
-	db.Add("ACC0001", base)
-	db.Add("ACC0002", g.Mutate(base, 0.05)) // close homolog
-	db.Add("ACC0003", g.Sequence(800))      // unrelated
+	db.SearchAndPublish("ACC0001", base, 0, 0)
+	db.SearchAndPublish("ACC0002", g.Mutate(base, 0.05), 0, 0) // close homolog
+	unrelated := g.Sequence(800)
+	db.SearchAndPublish("ACC0003", unrelated, 0, 0)
 
 	hits := db.Search(g.Mutate(base, 0.02), 10, 0.05)
 	if len(hits) < 2 {
@@ -141,8 +142,16 @@ func TestHomologySearch(t *testing.T) {
 	if got := db.Search(base, 1, 0); len(got) != 1 {
 		t.Errorf("maxHits=1 returned %d", len(got))
 	}
-	// Replacing an accession.
-	db.Add("ACC0003", base)
+	// Replacing an accession: the publishing search still scores the old
+	// entry, later searches only the new one.
+	hits = db.SearchAndPublish("ACC0003", unrelated, 1, 0)
+	if len(hits) != 1 || hits[0] != (Hit{Accession: "ACC0003", Score: 1}) {
+		t.Errorf("re-publishing search = %v, want the replaced entry at score 1", hits)
+	}
+	db.SearchAndPublish("ACC0003", base, 0, 0)
+	for _, h := range db.Search(unrelated, 10, 0.5) {
+		t.Errorf("replaced sequence still found: %v", h)
+	}
 	hits = db.Search(base, 10, 0.5)
 	found := false
 	for _, h := range hits {
@@ -183,7 +192,7 @@ func TestQuickSelfSimilarity(t *testing.T) {
 	f := func(n uint8) bool {
 		length := 50 + int(n)%400
 		seq := g.Sequence(length)
-		db.Add("self", seq)
+		db.SearchAndPublish("self", seq, 0, 0)
 		hits := db.Search(seq, 1, 0)
 		return len(hits) == 1 && hits[0].Score == 1 && hits[0].Accession == "self"
 	}
@@ -306,7 +315,8 @@ func sameHits(t *testing.T, what string, got, want []Hit) {
 // TestHomologySearchMatchesReference grows a database and the reference side
 // by side from seeded sequences (mutated families, assemblies with 'N'
 // holes, sequences shorter than k, re-added accessions) and checks every
-// search against the reference at several maxHits and minScore settings.
+// SearchAndPublish against the reference's Search then Add, and every later
+// search, at several maxHits and minScore settings.
 func TestHomologySearchMatchesReference(t *testing.T) {
 	for _, k := range []int{4, 8, 11, 16} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -340,8 +350,12 @@ func TestHomologySearchMatchesReference(t *testing.T) {
 				if i > 0 && rng.Intn(5) == 0 {
 					acc = fmt.Sprintf("ACC%04d", rng.Intn(i))
 				}
-				db.Add(acc, seq)
+				maxHits := []int{0, 1, 3, 1000}[rng.Intn(4)]
+				minScore := []float64{0, 0.02, 0.3}[rng.Intn(3)]
+				want := ref.Search(seq, maxHits, minScore)
 				ref.Add(acc, seq)
+				what := fmt.Sprintf("k=%d seed=%d publish=%d maxHits=%d minScore=%v", k, seed, i, maxHits, minScore)
+				sameHits(t, what, db.SearchAndPublish(acc, seq, maxHits, minScore), want)
 				published = append(published, seq)
 				if db.Len() != len(ref.entries) {
 					t.Fatalf("Len = %d, reference %d", db.Len(), len(ref.entries))
@@ -363,8 +377,10 @@ func TestHomologySearchMatchesReference(t *testing.T) {
 // FuzzHomologySearch drives a database and the reference through the same
 // script and fails on any search where they disagree. The script is records
 // separated by ','; a record's first byte picks one of eight accessions (so
-// re-adds are common) and the rest is the sequence, searched for and then
-// published. Bytes other than A, C, G and T act as 'N' holes.
+// re-adds are common) and the rest is the sequence, searched for, then
+// searched for and published in one SearchAndPublish (the reference's Search
+// then Add), then searched for again. Bytes other than A, C, G and T act as
+// 'N' holes.
 func FuzzHomologySearch(f *testing.F) {
 	f.Add(uint8(0), uint8(10), uint8(0), []byte("\x00ACGTACGTAC,\x01ACGTNACGTA,\x00ACGTACGTAA,\x02ACG"))
 	f.Add(uint8(4), uint8(1), uint8(20), []byte("\x00AACCGGTTAACCGGTTAACC,\x01AACCGGTTAACCGGTTAACG,\x02AACCGGTTNNAACCGGTTAA,\x01TTTTTTTTTTTTTTTTTTTT"))
@@ -384,8 +400,9 @@ func FuzzHomologySearch(f *testing.F) {
 			acc := fmt.Sprintf("A%d", rec[0]%8)
 			seq := string(rec[1:])
 			what := fmt.Sprintf("k=%d record %d", kk, i)
-			sameHits(t, what, db.Search(seq, int(maxHits)%12, ms), ref.Search(seq, int(maxHits)%12, ms))
-			db.Add(acc, seq)
+			want := ref.Search(seq, int(maxHits)%12, ms)
+			sameHits(t, what, db.Search(seq, int(maxHits)%12, ms), want)
+			sameHits(t, what+" publishing", db.SearchAndPublish(acc, seq, int(maxHits)%12, ms), want)
 			ref.Add(acc, seq)
 			sameHits(t, what+" after add", db.Search(seq, int(maxHits)%12, ms), ref.Search(seq, int(maxHits)%12, ms))
 			if db.Len() != len(ref.entries) {
