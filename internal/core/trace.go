@@ -110,7 +110,9 @@ func fromTraceValue(v TraceValue) (labbase.Value, error) {
 // instead of applying it, keeping just enough in-memory state (the state
 // index) for the simulator to run.
 type TraceTracker struct {
-	enc     *json.Encoder
+	w       io.Writer
+	line    []byte      // the event being written, reused
+	attrs   []TraceAttr // RecordStep's attributes, reused
 	next    uint64
 	states  map[string]map[uint64]struct{}
 	stateOf map[uint64]string
@@ -122,22 +124,28 @@ type TraceTracker struct {
 // NewTraceTracker writes events to w as JSON lines.
 func NewTraceTracker(w io.Writer) *TraceTracker {
 	return &TraceTracker{
-		enc:     json.NewEncoder(w),
+		w:       w,
 		states:  make(map[string]map[uint64]struct{}),
 		stateOf: make(map[uint64]string),
 	}
 }
 
-func (t *TraceTracker) emit(ev TraceEvent) error {
+func (t *TraceTracker) emit(ev *TraceEvent) error {
 	t.Events++
-	return t.enc.Encode(ev)
+	line, err := ev.appendLine(t.line[:0])
+	if err != nil {
+		return err
+	}
+	t.line = line
+	_, err = t.w.Write(line)
+	return err
 }
 
 // CreateMaterial implements workflow.Tracker.
 func (t *TraceTracker) CreateMaterial(class, name, state string, validTime int64) (workflow.ID, error) {
 	t.next++
 	id := t.next
-	if err := t.emit(TraceEvent{Kind: "material", ID: id, Class: class, Name: name, State: state, ValidTime: validTime}); err != nil {
+	if err := t.emit(&TraceEvent{Kind: "material", ID: id, Class: class, Name: name, State: state, ValidTime: validTime}); err != nil {
 		return storage.NilOID, err
 	}
 	if state != "" {
@@ -150,7 +158,7 @@ func (t *TraceTracker) CreateMaterial(class, name, state string, validTime int64
 func (t *TraceTracker) CreateMaterialSet(members []workflow.ID) (workflow.ID, error) {
 	t.next++
 	id := t.next
-	if err := t.emit(TraceEvent{Kind: "set", ID: id, Materials: traceIDs(members)}); err != nil {
+	if err := t.emit(&TraceEvent{Kind: "set", ID: id, Materials: traceIDs(members)}); err != nil {
 		return storage.NilOID, err
 	}
 	return storage.MakeOID(storage.SegHistory, id), nil
@@ -167,11 +175,12 @@ func (t *TraceTracker) RecordStep(spec labbase.StepSpec) (workflow.ID, error) {
 	if spec.Set.IsNil() {
 		ev.Set = 0
 	}
-	ev.Attrs = make([]TraceAttr, len(spec.Attrs))
-	for i, av := range spec.Attrs {
-		ev.Attrs[i] = TraceAttr{Name: av.Name, Value: toTraceValue(av.Value)}
+	t.attrs = t.attrs[:0]
+	for _, av := range spec.Attrs {
+		t.attrs = append(t.attrs, TraceAttr{Name: av.Name, Value: toTraceValue(av.Value)})
 	}
-	if err := t.emit(ev); err != nil {
+	ev.Attrs = t.attrs
+	if err := t.emit(&ev); err != nil {
 		return storage.NilOID, err
 	}
 	return storage.MakeOID(storage.SegHistory, id), nil
@@ -180,7 +189,7 @@ func (t *TraceTracker) RecordStep(spec labbase.StepSpec) (workflow.ID, error) {
 // SetState implements workflow.Tracker.
 func (t *TraceTracker) SetState(m workflow.ID, state string) error {
 	id := m.Index()
-	if err := t.emit(TraceEvent{Kind: "state", ID: id, State: state}); err != nil {
+	if err := t.emit(&TraceEvent{Kind: "state", ID: id, State: state}); err != nil {
 		return err
 	}
 	t.setState(id, state)

@@ -131,8 +131,13 @@ go test -race -run '^$' -fuzz 'FuzzOverflowStub' -fuzztime 5s ./internal/storage
 go test -race -run '^$' -fuzz 'FuzzChunkRecords' -fuzztime 5s ./internal/labbase/
 # The homology oracle's postings index against the per-entry k-mer sets it
 # replaced: on arbitrary sequences, holes and re-adds, every search must
-# return the reference's hits, accessions, score bits and order alike.
+# return the reference's hits, accessions, score bits and order alike, and
+# every one-walk SearchAndPublish the reference's Search then Add.
 go test -race -run '^$' -fuzz 'FuzzHomologySearch' -fuzztime 5s ./internal/seqio/
+# The trace codec against encoding/json: on arbitrary bytes, UnmarshalJSON
+# into a zero or a filled event must give reflective decoding's value or
+# error, and every decoded event must encode to json.Marshal's bytes.
+go test -race -run '^$' -fuzz 'FuzzTraceEvent' -fuzztime 5s ./internal/core/
 
 echo "== stalled-flush stress (-race, a commit parked in its flush blocks only durable waits)"
 # DESIGN §9 "What a reader can wait on": with a commit held inside the log's
