@@ -111,7 +111,7 @@ func doReplay(file, storeName, path string, txn int, p core.Params) error {
 		return err
 	}
 
-	stats, err := ReplayTimed(f, db, txn)
+	stats, err := core.ReplayTrace(f, db, txn)
 	if err != nil {
 		return err
 	}
@@ -120,9 +120,4 @@ func doReplay(file, storeName, path string, txn int, p core.Params) error {
 		stats.Events, stats.Materials, stats.Sets, stats.Steps, stats.States)
 	fmt.Printf("store %s: %d faults, %d bytes\n", sm.Name(), st.Faults, st.SizeBytes)
 	return nil
-}
-
-// ReplayTimed wraps core.ReplayTrace (kept separate for future timing).
-func ReplayTimed(f *os.File, db *labbase.DB, txn int) (core.ReplayStats, error) {
-	return core.ReplayTrace(f, db, txn)
 }
