@@ -50,6 +50,7 @@ type Lab struct {
 	p   Params
 	gen *seqio.Gen
 	hom *seqio.HomologyDB
+	asm seqio.Assembler // reused by every assemble_sequence step
 
 	truth     map[workflow.ID]string // clone -> true insert sequence
 	consensus map[workflow.ID]string // clone -> assembled consensus
@@ -267,7 +268,7 @@ func (l *Lab) Graph() *workflow.Graph {
 				},
 				Action: func(ctx *workflow.Ctx, mats []workflow.ID, failed bool) ([]labbase.AttrValue, []workflow.Spawn, error) {
 					clone := mats[0]
-					asm := seqio.Assemble(l.reads[clone])
+					asm := l.asm.Assemble(l.reads[clone])
 					l.consensus[clone] = asm.Consensus
 					delete(l.reads, clone)
 					delete(l.pending, clone)

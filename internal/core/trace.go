@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"labflow/internal/labbase"
 	"labflow/internal/storage"
@@ -110,12 +110,18 @@ func fromTraceValue(v TraceValue) (labbase.Value, error) {
 // instead of applying it, keeping just enough in-memory state (the state
 // index) for the simulator to run.
 type TraceTracker struct {
-	w       io.Writer
-	line    []byte      // the event being written, reused
-	attrs   []TraceAttr // RecordStep's attributes, reused
-	next    uint64
-	states  map[string]map[uint64]struct{}
-	stateOf map[uint64]string
+	w     io.Writer
+	line  []byte      // the event being written, reused
+	attrs []TraceAttr // RecordStep's attributes, reused
+	next  uint64
+
+	// The state index. members holds each state's materials, unordered;
+	// by dense trace id, stateOf[id] is 1 + the index of id's state in
+	// members (0 for none) and slot[id] is id's position in its list.
+	stateIdx map[string]int32
+	members  [][]uint64
+	stateOf  []int32
+	slot     []int32
 
 	// Events counts emitted events.
 	Events uint64
@@ -123,11 +129,7 @@ type TraceTracker struct {
 
 // NewTraceTracker writes events to w as JSON lines.
 func NewTraceTracker(w io.Writer) *TraceTracker {
-	return &TraceTracker{
-		w:       w,
-		states:  make(map[string]map[uint64]struct{}),
-		stateOf: make(map[uint64]string),
-	}
+	return &TraceTracker{w: w, stateIdx: make(map[string]int32)}
 }
 
 func (t *TraceTracker) emit(ev *TraceEvent) error {
@@ -198,12 +200,12 @@ func (t *TraceTracker) SetState(m workflow.ID, state string) error {
 
 // MaterialsInState implements workflow.Tracker.
 func (t *TraceTracker) MaterialsInState(state string) ([]workflow.ID, error) {
-	set := t.states[state]
-	ids := make([]uint64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
+	k, ok := t.stateIdx[state]
+	if !ok {
+		return nil, nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Clone(t.members[k])
+	slices.Sort(ids)
 	out := make([]workflow.ID, len(ids))
 	for i, id := range ids {
 		out[i] = storage.MakeOID(storage.SegMaterial, id)
@@ -212,19 +214,31 @@ func (t *TraceTracker) MaterialsInState(state string) ([]workflow.ID, error) {
 }
 
 func (t *TraceTracker) setState(id uint64, state string) {
-	if old, ok := t.stateOf[id]; ok {
-		delete(t.states[old], id)
+	for uint64(len(t.stateOf)) <= id {
+		t.stateOf = append(t.stateOf, 0)
+		t.slot = append(t.slot, 0)
 	}
-	t.stateOf[id] = state
+	if s := t.stateOf[id]; s != 0 {
+		// Move the old state's last member into id's slot.
+		m := t.members[s-1]
+		last := m[len(m)-1]
+		m[t.slot[id]] = last
+		t.slot[last] = t.slot[id]
+		t.members[s-1] = m[:len(m)-1]
+		t.stateOf[id] = 0
+	}
 	if state == "" {
 		return
 	}
-	set, ok := t.states[state]
+	k, ok := t.stateIdx[state]
 	if !ok {
-		set = make(map[uint64]struct{})
-		t.states[state] = set
+		k = int32(len(t.members))
+		t.stateIdx[state] = k
+		t.members = append(t.members, nil)
 	}
-	set[id] = struct{}{}
+	t.stateOf[id] = k + 1
+	t.slot[id] = int32(len(t.members[k]))
+	t.members[k] = append(t.members[k], id)
 }
 
 func traceIDs(oids []workflow.ID) []uint64 {

@@ -2,9 +2,11 @@ package labbase
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"labflow/internal/rec"
+	"labflow/internal/storage"
 )
 
 // FuzzDecodeValue feeds arbitrary bytes to the value decoder: it must never
@@ -53,6 +55,64 @@ func FuzzDecodeStepRec(f *testing.F) {
 		// A decodable record re-encodes to something decodable.
 		if _, err := decodeStepRec(rec.encode()); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
+		}
+	})
+}
+
+// FuzzStepAttr holds stepAttrValue to decodeStepRec followed by attrValue:
+// on arbitrary bytes, for every attribute id the record names and for ids
+// it does not, both must agree on the value, on whether it was found and on
+// whether the record is refused.
+func FuzzStepAttr(f *testing.F) {
+	hits := ListOf(
+		ListOf(String("LF0000001"), Float64(0.75)),
+		ListOf(String("LF0000002"), Float64(0.5)),
+	)
+	for _, s := range []*stepRec{
+		{classID: 1, version: 1, validTime: 10, txnTime: 2, attrIDs: []AttrID{1}, attrVals: []Value{String("x")}},
+		{
+			classID: 7, version: 3, validTime: -5, txnTime: 1 << 40,
+			materials: []storage.OID{storage.MakeOID(storage.SegMaterial, 9)},
+			attrIDs:   []AttrID{4, 2, 9, 3, 5},
+			attrVals: []Value{
+				String(strings.Repeat("ACGT", 300)), hits, Int64(2), Bool(true), Ref(storage.MakeOID(storage.SegMaterial, 9)),
+			},
+		},
+		{
+			classID: 2, set: storage.MakeOID(storage.SegHistory, 4),
+			attrIDs:  []AttrID{6, 6, 1},
+			attrVals: []Value{Float64(1.5), String("second"), Nil()},
+		},
+	} {
+		data := s.encode()
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		f.Add(append(data, 0))
+	}
+	f.Add([]byte{1})
+	f.Add([]byte{2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := decodeStepRec(data)
+		ids := []AttrID{0, 1, 2, 6, 1 << 20}
+		if werr == nil {
+			ids = append(ids, want.attrIDs...)
+		}
+		for _, id := range ids {
+			v, ok, err := stepAttrValue(data, id)
+			if werr != nil {
+				if err == nil {
+					t.Fatalf("attr %d: stepAttrValue accepts a record decodeStepRec refuses (%v)", id, werr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("attr %d: stepAttrValue refuses a record decodeStepRec accepts: %v", id, err)
+			}
+			wv, wok := want.attrValue(id)
+			if ok != wok || !v.Equal(wv) {
+				t.Fatalf("attr %d: stepAttrValue = %v, %v; attrValue = %v, %v", id, v, ok, wv, wok)
+			}
 		}
 	})
 }

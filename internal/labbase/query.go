@@ -99,11 +99,14 @@ func (s *Snap) MostRecent(oid storage.OID, attr string) (Value, storage.OID, boo
 		return Nil(), storage.NilOID, false, nil
 	}
 	e := mrGet(data, i)
-	step, err := s.db.readStep(e.step)
+	step, err := s.db.sm.Read(e.step)
 	if err != nil {
 		return Nil(), storage.NilOID, false, fmt.Errorf("labbase: most-recent step: %w", err)
 	}
-	v, ok := step.attrValue(id)
+	v, ok, err := stepAttrValue(step, id)
+	if err != nil {
+		return Nil(), storage.NilOID, false, fmt.Errorf("labbase: most-recent step: %w", err)
+	}
 	if !ok {
 		return Nil(), storage.NilOID, false, fmt.Errorf("labbase: most-recent index names step %v without attribute %q", e.step, attr)
 	}

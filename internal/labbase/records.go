@@ -207,6 +207,37 @@ func (s *stepRec) attrValue(id AttrID) (Value, bool) {
 	return Nil(), false
 }
 
+// stepAttrValue answers attrValue straight from an encoded step record: it
+// walks the record once, decoding only the first value tagged id and
+// skipping every other one without allocating, and makes every check
+// decodeStepRec makes, so it fails exactly where decodeStepRec would.
+func stepAttrValue(data []byte, id AttrID) (Value, bool, error) {
+	d := rec.NewDecoder(data)
+	if v := d.Byte(); v != 1 {
+		return Nil(), false, fmt.Errorf("labbase: unsupported step record version %d", v)
+	}
+	d.Uint() // class
+	d.Uint() // version
+	d.Int()  // valid time
+	d.Int()  // transaction time
+	for range d.Count(1 << 24) {
+		d.Uint()
+	}
+	d.Uint() // set
+	v, found := Nil(), false
+	for range d.Count(1 << 24) {
+		if AttrID(d.Uint()) == id && !found {
+			v, found = decodeValue(d), true
+		} else {
+			skipValue(d)
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return Nil(), false, fmt.Errorf("labbase: step record: %w", err)
+	}
+	return v, found, nil
+}
+
 func (db *DB) readStep(oid storage.OID) (*stepRec, error) {
 	data, err := db.sm.Read(oid)
 	if err != nil {

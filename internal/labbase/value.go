@@ -215,6 +215,30 @@ func decodeValue(d *rec.Decoder) Value {
 	return v
 }
 
+// skipValue reads past a value as decodeValue would, with the same checks,
+// but builds nothing: strings stay in the buffer and lists are walked.
+func skipValue(d *rec.Decoder) {
+	k := Kind(d.Byte())
+	if k == KindAny || k > KindList {
+		d.Corrupt(fmt.Sprintf("unknown value kind %d", k))
+		return
+	}
+	switch k {
+	case KindInt, KindBool:
+		d.Int()
+	case KindFloat:
+		d.Float()
+	case KindString:
+		d.Bytes()
+	case KindOID:
+		d.Uint()
+	case KindList:
+		for range d.Count(1 << 24) {
+			skipValue(d)
+		}
+	}
+}
+
 // matches reports whether the value is acceptable for an attribute of kind k.
 func (v Value) matches(k Kind) bool {
 	return k == KindAny || v.Kind == KindNil || v.Kind == k

@@ -98,10 +98,17 @@ type Assembly struct {
 	Holes int
 }
 
+// Assembler builds majority-vote consensus sequences, reusing its per-base
+// vote counts and consensus buffer from one call to the next.
+type Assembler struct {
+	counts [][4]int32
+	cons   []byte
+}
+
 // Assemble builds a majority-vote consensus from reads with known start
 // positions (the simulator knows where each read came from, standing in for
 // an alignment step).
-func Assemble(reads []Read) Assembly {
+func (a *Assembler) Assemble(reads []Read) Assembly {
 	length := 0
 	for _, r := range reads {
 		if end := r.Start + len(r.Seq); end > length {
@@ -111,7 +118,9 @@ func Assemble(reads []Read) Assembly {
 	if length == 0 {
 		return Assembly{}
 	}
-	counts := make([][4]int, length)
+	a.counts = slices.Grow(a.counts[:0], length)[:length]
+	counts := a.counts
+	clear(counts)
 	for _, r := range reads {
 		for i := 0; i < len(r.Seq); i++ {
 			if bi := baseIndex(r.Seq[i]); bi >= 0 {
@@ -119,14 +128,15 @@ func Assemble(reads []Read) Assembly {
 			}
 		}
 	}
-	cons := make([]byte, length)
+	a.cons = slices.Grow(a.cons[:0], length)[:length]
+	cons := a.cons
 	covered := 0
 	totalCover := 0
 	holes := 0
 	for i, c := range counts {
-		best, bestN, tot := -1, 0, 0
+		best, bestN, tot := -1, int32(0), 0
 		for bi, n := range c {
-			tot += n
+			tot += int(n)
 			if n > bestN {
 				best, bestN = bi, n
 			}

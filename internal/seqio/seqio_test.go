@@ -86,7 +86,7 @@ func TestAssemble(t *testing.T) {
 			reads = append(reads, g.ReadAt(tpl, start, 400, 0.02))
 		}
 	}
-	asm := Assemble(reads)
+	asm := new(Assembler).Assemble(reads)
 	if len(asm.Consensus) != 1200 {
 		t.Fatalf("consensus length = %d", len(asm.Consensus))
 	}
@@ -100,12 +100,34 @@ func TestAssemble(t *testing.T) {
 		t.Errorf("holes = %d", asm.Holes)
 	}
 	// A gap in coverage yields N holes.
-	gappy := Assemble([]Read{{Seq: "ACGT", Start: 0}, {Seq: "ACGT", Start: 8}})
+	gappy := new(Assembler).Assemble([]Read{{Seq: "ACGT", Start: 0}, {Seq: "ACGT", Start: 8}})
 	if gappy.Holes != 4 || gappy.Consensus[4:8] != "NNNN" {
 		t.Errorf("gappy = %+v", gappy)
 	}
-	if a := Assemble(nil); a.Consensus != "" || a.Coverage != 0 {
+	if a := new(Assembler).Assemble(nil); a.Consensus != "" || a.Coverage != 0 {
 		t.Errorf("empty assembly = %+v", a)
+	}
+}
+
+// TestAssemblerReuse runs one Assembler over read sets that grow, shrink and
+// leave holes where an earlier set had votes: every result must equal a
+// fresh Assembler's, so no count or consensus byte leaks between calls.
+func TestAssemblerReuse(t *testing.T) {
+	g := NewGen(5)
+	var a Assembler
+	for _, n := range []int{900, 40, 1500, 0, 300, 300, 2000, 12} {
+		tpl := g.Sequence(n)
+		var reads []Read
+		for start := 0; start < n; start += 97 {
+			if start/97%5 == 3 {
+				continue // a gap in coverage
+			}
+			reads = append(reads, g.ReadAt(tpl, start, 150, 0.05), g.ReadAt(tpl, start, 60, 0.05))
+		}
+		got, want := a.Assemble(reads), new(Assembler).Assemble(reads)
+		if got != want {
+			t.Fatalf("length %d: reused assembler = %+v, fresh = %+v", n, got, want)
+		}
 	}
 }
 
@@ -342,7 +364,7 @@ func TestHomologySearchMatchesReference(t *testing.T) {
 					tpl := pick()
 					cut := rng.Intn(len(tpl) + 1)
 					gap := cut + 1 + rng.Intn(k+5)
-					seq = Assemble([]Read{g.ReadAt(tpl, 0, cut, 0.02), g.ReadAt(tpl, gap, len(tpl), 0.02)}).Consensus
+					seq = new(Assembler).Assemble([]Read{g.ReadAt(tpl, 0, cut, 0.02), g.ReadAt(tpl, gap, len(tpl), 0.02)}).Consensus
 				default:
 					seq = g.Sequence(rng.Intn(k))
 				}

@@ -14,7 +14,6 @@ package pagefile
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
@@ -47,12 +46,24 @@ type Backing interface {
 	Close() error
 }
 
-// FileBacking stores pages in an operating-system file.
+// FileBacking stores pages in an operating-system file. Writes are pwrites
+// and Sync an fsync on every platform. Where the platform can map files
+// (view_unix.go), a read copies the page out of a read-only shared mapping
+// of the file rather than issuing a pread, the way the paper's systems take
+// a page at fault time through virtual memory; elsewhere (view_other.go) it
+// is a pread.
 type FileBacking struct {
-	mu    sync.Mutex
-	f     *os.File
-	pages uint32
+	mu     sync.Mutex
+	f      *os.File
+	pages  uint32
+	closed bool
+	view   fileView
 }
+
+// mapReserve is the length of a file backing's first mapping of its file,
+// where reads are served from one. The mapping reserves address space, not
+// memory, and doubles whenever a read needs more.
+var mapReserve int64 = 64 << 20
 
 // OpenFile opens (creating if necessary) a file backing at path. An existing
 // file must have a whole number of pages.
@@ -70,28 +81,20 @@ func OpenFile(path string) (*FileBacking, error) {
 		f.Close()
 		return nil, fmt.Errorf("pagefile: %s: size %d is not a whole number of pages", path, info.Size())
 	}
-	return &FileBacking{f: f, pages: uint32(info.Size() / PageSize)}, nil
+	return &FileBacking{f: f, pages: uint32(info.Size() / PageSize), view: openView(info.Size())}, nil
 }
 
 // ReadPage implements Backing.
 func (b *FileBacking) ReadPage(id PageID, buf []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		return fmt.Errorf("pagefile: read page %d: %w", id, os.ErrClosed)
+	}
 	if uint32(id) >= b.pages {
 		return fmt.Errorf("pagefile: read page %d beyond end (%d pages)", id, b.pages)
 	}
-	n, err := b.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
-	if err == io.EOF && n == 0 {
-		// Grown but never written: zero-filled.
-		clear(buf[:PageSize])
-		return nil
-	}
-	if err != nil && !(err == io.EOF && n == PageSize) {
-		if err == io.EOF {
-			// Short page at end of file: remainder is zeros.
-			clear(buf[n:PageSize])
-			return nil
-		}
+	if err := b.view.readPage(b.f, int64(id)*PageSize, buf[:PageSize]); err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
 	return nil
@@ -101,12 +104,17 @@ func (b *FileBacking) ReadPage(id PageID, buf []byte) error {
 func (b *FileBacking) WritePage(id PageID, buf []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		return fmt.Errorf("pagefile: write page %d: %w", id, os.ErrClosed)
+	}
 	if uint32(id) >= b.pages {
 		return fmt.Errorf("pagefile: write page %d beyond end (%d pages)", id, b.pages)
 	}
-	if _, err := b.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
+	off := int64(id) * PageSize
+	if _, err := b.f.WriteAt(buf[:PageSize], off); err != nil {
 		return fmt.Errorf("pagefile: write page %d: %w", id, err)
 	}
+	b.view.wrote(off + PageSize)
 	return nil
 }
 
@@ -137,8 +145,18 @@ func (b *FileBacking) SizeBytes() uint64 {
 // Sync implements Backing.
 func (b *FileBacking) Sync() error { return b.f.Sync() }
 
-// Close implements Backing.
-func (b *FileBacking) Close() error { return b.f.Close() }
+// Close implements Backing. It releases the mapping under mu, so no read
+// can be copying out of it, and every later read or write is refused.
+func (b *FileBacking) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	if err := b.view.release(); err != nil {
+		b.f.Close()
+		return fmt.Errorf("pagefile: close backing: %w", err)
+	}
+	return b.f.Close()
+}
 
 // MemBacking stores pages in memory. It is used by tests and by persistent
 // managers configured for in-memory operation.

@@ -2,9 +2,18 @@ package pagefile
 
 import (
 	"errors"
+	"testing"
 
 	"labflow/internal/storage"
 )
+
+// setMapReserve sets the length of a file backing's first mapping for the
+// rest of t, so a test can grow a backing past it without writing 64 MiB.
+func setMapReserve(t *testing.T, n int64) {
+	old := mapReserve
+	mapReserve = n
+	t.Cleanup(func() { mapReserve = old })
+}
 
 // Entry returns the object-table entry behind oid, so an outside test can
 // tell an in-place rewrite from a relocation.

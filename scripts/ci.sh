@@ -34,6 +34,11 @@ fi
 echo "== go build ./..."
 go build ./...
 
+echo "== GOOS=windows GOARCH=amd64 go build ./... (the non-unix page read path)"
+# pagefile serves page reads from a shared mapping on unix and with a pread
+# elsewhere (view_other.go); building for windows keeps that path compiling.
+GOOS=windows GOARCH=amd64 go build ./...
+
 echo "== labflowvet ./... (-json artifact, 30s budget)"
 # The full flow-aware suite must stay fast enough to sit in the inner loop:
 # a 30-second budget on a cold `go run` is the regression tripwire. The JSON
@@ -88,10 +93,12 @@ go test -race -count=1 \
 	./internal/storage/repl/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/
 # The allocation tests skip under -race, whose instrumentation allocates, so
 # they run here without it: a fault takes over its victim's frame and page
-# buffer and allocates nothing (ostore and texas), a same-size inline Write
-# learns the old length in place (pagefile), and a 40-page group's redo
-# record streams through the flusher's 16-page buffer (ostore).
-go test -count=1 -run 'TestFaultAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing' \
+# buffer and allocates nothing (ostore and texas), a file backing serves a
+# page read into the caller's buffer without allocating (pagefile), a
+# same-size inline Write learns the old length in place (pagefile), and a
+# 40-page group's redo record streams through the flusher's 16-page buffer
+# (ostore).
+go test -count=1 -run 'TestFaultAllocatesNothing|TestFileReadAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing' \
 	./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/
 
 echo "== crashtest: randomized-seed round"
@@ -129,6 +136,10 @@ go test -race -run '^$' -fuzz 'FuzzOverflowStub' -fuzztime 5s ./internal/storage
 # most-recent index: arbitrary record bytes must fail their check with a
 # typed error or serve every accessor without panicking.
 go test -race -run '^$' -fuzz 'FuzzChunkRecords' -fuzztime 5s ./internal/labbase/
+# The one-attribute step decoder MostRecent reads through, against the whole
+# record decode: on arbitrary bytes both must agree, for every attribute id,
+# on the value, on whether it was found and on whether the record is refused.
+go test -race -run '^$' -fuzz 'FuzzStepAttr' -fuzztime 5s ./internal/labbase/
 # The homology oracle's postings index against the per-entry k-mer sets it
 # replaced: on arbitrary sequences, holes and re-adds, every search must
 # return the reference's hits, accessions, score bits and order alike, and
