@@ -70,6 +70,7 @@ type mapper struct {
 var (
 	_ storage.Manager = (*mapper)(nil)
 	_ storage.Sealer  = (*mapper)(nil)
+	_ storage.Updater = (*mapper)(nil)
 )
 
 // tag stamps the shard number into a freshly allocated local OID.
@@ -137,6 +138,16 @@ func (m *mapper) Write(oid storage.OID, data []byte) error {
 		return err
 	}
 	return m.inner.Write(local, data)
+}
+
+// Update forwards storage.Updater the way Seal forwards storage.Sealer: in
+// place when the inner manager can, by read and write when it cannot.
+func (m *mapper) Update(oid storage.OID, fn func([]byte) error) error {
+	local, err := m.untag(oid)
+	if err != nil {
+		return err
+	}
+	return storage.Update(m.inner, local, fn)
 }
 
 func (m *mapper) Free(oid storage.OID) error {

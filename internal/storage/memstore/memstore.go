@@ -116,6 +116,25 @@ func (s *store) Write(oid storage.OID, data []byte) error {
 	return nil
 }
 
+// Update implements storage.Updater: fn changes the stored bytes
+// themselves, under the mutex.
+func (s *store) Update(oid storage.OID, fn func([]byte) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.requireTxn(); err != nil {
+		return err
+	}
+	data, ok := s.objects[oid]
+	if !ok {
+		return fmt.Errorf("memstore: update %v: %w", oid, storage.ErrNoSuchObject)
+	}
+	if err := fn(data); err != nil {
+		return err
+	}
+	s.writes++
+	return nil
+}
+
 func (s *store) Free(oid storage.OID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,4 +215,7 @@ func (s *store) Close() error {
 	return nil
 }
 
-var _ storage.Manager = (*store)(nil)
+var (
+	_ storage.Manager = (*store)(nil)
+	_ storage.Updater = (*store)(nil)
+)
