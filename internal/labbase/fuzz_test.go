@@ -2,6 +2,7 @@ package labbase
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,10 +60,11 @@ func FuzzDecodeStepRec(f *testing.F) {
 	})
 }
 
-// FuzzStepAttr holds stepAttrValue to decodeStepRec followed by attrValue:
-// on arbitrary bytes, for every attribute id the record names and for ids
-// it does not, both must agree on the value, on whether it was found and on
-// whether the record is refused.
+// FuzzStepAttr holds stepAttrValue to decodeStepRec followed by a lookup
+// of the first value tagged id: on arbitrary bytes, for every attribute id
+// the record names and for ids it does not, both must agree on the value,
+// on whether it was found, on how many values the record holds and on
+// whether the record is refused; so must the count-only walk Dump takes.
 func FuzzStepAttr(f *testing.F) {
 	hits := ListOf(
 		ListOf(String("LF0000001"), Float64(0.75)),
@@ -99,7 +101,7 @@ func FuzzStepAttr(f *testing.F) {
 			ids = append(ids, want.attrIDs...)
 		}
 		for _, id := range ids {
-			v, ok, err := stepAttrValue(data, id)
+			v, ok, n, err := stepAttrValue(data, id, false)
 			if werr != nil {
 				if err == nil {
 					t.Fatalf("attr %d: stepAttrValue accepts a record decodeStepRec refuses (%v)", id, werr)
@@ -109,10 +111,22 @@ func FuzzStepAttr(f *testing.F) {
 			if err != nil {
 				t.Fatalf("attr %d: stepAttrValue refuses a record decodeStepRec accepts: %v", id, err)
 			}
-			wv, wok := want.attrValue(id)
-			if ok != wok || !v.Equal(wv) {
-				t.Fatalf("attr %d: stepAttrValue = %v, %v; attrValue = %v, %v", id, v, ok, wv, wok)
+			wv, wok := Nil(), false
+			if i := slices.Index(want.attrIDs, id); i >= 0 {
+				wv, wok = want.attrVals[i], true
 			}
+			if ok != wok || !v.Equal(wv) {
+				t.Fatalf("attr %d: stepAttrValue = %v, %v; decodeStepRec's = %v, %v", id, v, ok, wv, wok)
+			}
+			if n != len(want.attrIDs) {
+				t.Fatalf("attr %d: stepAttrValue counts %d values; decodeStepRec has %d", id, n, len(want.attrIDs))
+			}
+		}
+		// The count-only walk builds no value and agrees on the count and
+		// on refusing the record.
+		v, ok, n, err := stepAttrValue(data, 1, true)
+		if (err == nil) != (werr == nil) || ok || v.Kind != KindNil || (werr == nil && n != len(want.attrIDs)) {
+			t.Fatalf("count-only walk = %v, %v, %d, %v; decodeStepRec's %d values, %v", v, ok, n, err, len(want.attrIDs), werr)
 		}
 	})
 }

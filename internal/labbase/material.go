@@ -57,7 +57,7 @@ func (db *DB) CreateMaterial(class, name, state string, validTime int64) (storag
 	// Creation marker: readers pinned to earlier epochs must not see the
 	// new material even though its record now exists in storage.
 	db.vers.save(oid, db.wEpoch, nil)
-	if err := db.addToExtent(&mc.extentHead, oid); err != nil {
+	if err := db.addToExtent(&mc.extentHead, db.cnt.matsByClass[mc.ID-1], oid); err != nil {
 		return storage.NilOID, err
 	}
 	db.cnt.matsByClass[mc.ID-1]++

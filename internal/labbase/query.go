@@ -99,11 +99,7 @@ func (s *Snap) MostRecent(oid storage.OID, attr string) (Value, storage.OID, boo
 		return Nil(), storage.NilOID, false, nil
 	}
 	e := mrGet(data, i)
-	step, err := s.db.sm.Read(e.step)
-	if err != nil {
-		return Nil(), storage.NilOID, false, fmt.Errorf("labbase: most-recent step: %w", err)
-	}
-	v, ok, err := stepAttrValue(step, id)
+	v, ok, _, err := s.db.stepAttr(e.step, id, false)
 	if err != nil {
 		return Nil(), storage.NilOID, false, fmt.Errorf("labbase: most-recent step: %w", err)
 	}
@@ -156,11 +152,11 @@ func (s *Snap) MostRecentAsOf(oid storage.OID, attr string, t int64) (Value, sto
 		if hist[i].ValidTime > t {
 			continue
 		}
-		step, err := s.db.readStep(hist[i].Step)
+		v, ok, _, err := s.db.stepAttr(hist[i].Step, id, false)
 		if err != nil {
 			return Nil(), storage.NilOID, false, err
 		}
-		if v, ok := step.attrValue(id); ok {
+		if ok {
 			return v, hist[i].Step, true, nil
 		}
 	}
@@ -197,11 +193,11 @@ func (s *Snap) AttrTimeline(oid storage.OID, attr string) ([]TimelineEntry, erro
 	sort.SliceStable(hist, func(i, j int) bool { return hist[i].ValidTime < hist[j].ValidTime })
 	var out []TimelineEntry
 	for _, h := range hist {
-		step, err := s.db.readStep(h.Step)
+		v, ok, _, err := s.db.stepAttr(h.Step, id, false)
 		if err != nil {
 			return nil, err
 		}
-		if v, ok := step.attrValue(id); ok {
+		if ok {
 			out = append(out, TimelineEntry{ValidTime: h.ValidTime, Step: h.Step, Value: v})
 		}
 	}
@@ -244,12 +240,12 @@ func (s *Snap) Dump() (DumpStats, error) {
 					continue
 				}
 				seen[h.Step] = struct{}{}
-				step, err := s.db.readStep(h.Step)
+				_, _, n, err := s.db.stepAttr(h.Step, 0, true)
 				if err != nil {
 					return err
 				}
 				st.Steps++
-				st.AttrValues += uint64(len(step.attrIDs))
+				st.AttrValues += uint64(n)
 			}
 			return nil
 		})

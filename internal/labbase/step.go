@@ -2,6 +2,7 @@ package labbase
 
 import (
 	"fmt"
+	"slices"
 
 	"labflow/internal/rec"
 	"labflow/internal/storage"
@@ -122,6 +123,10 @@ func (db *DB) recordStepLocked(spec StepSpec) (storage.OID, error) {
 	}
 	mats := make([]*materialRec, len(targets))
 	for i, m := range targets {
+		if j := slices.Index(targets[:i], m); j >= 0 {
+			mats[i] = mats[j] // a repeated target appends to the record it updated
+			continue
+		}
 		mr, err := db.readMaterial(m)
 		if err != nil {
 			return storage.NilOID, fmt.Errorf("labbase: step material %v: %w", m, err)
@@ -170,7 +175,7 @@ func (db *DB) recordStepLocked(spec StepSpec) (storage.OID, error) {
 	var eb [historyEntrySize]byte
 	putHistoryEntry(&eb, entry)
 	for i, moid := range targets {
-		if err := db.add(&historyChain, &mats[i].historyHead, stepOID, eb[:]); err != nil {
+		if err := db.add(&historyChain, &mats[i].historyHead, mats[i].historyCount, stepOID, eb[:]); err != nil {
 			return storage.NilOID, err
 		}
 		if err := db.updateMostRecent(moid, mats[i], attrIDs, entry); err != nil {
@@ -185,7 +190,7 @@ func (db *DB) recordStepLocked(spec StepSpec) (storage.OID, error) {
 			&invList{step: stepOID, next: old, n: old.length() + 1})
 	}
 
-	if err := db.addToExtent(&sc.extentHead, stepOID); err != nil {
+	if err := db.addToExtent(&sc.extentHead, db.cnt.stepsByClass[sc.ID-1], stepOID); err != nil {
 		return storage.NilOID, err
 	}
 	db.cnt.stepsByClass[sc.ID-1]++
@@ -298,7 +303,11 @@ func (db *DB) GetStep(oid storage.OID) (*Step, error) {
 // GetStep returns the step's public view. Steps are immutable once written,
 // so only the catalog lookup is snapshot-dependent.
 func (s *Snap) GetStep(oid storage.OID) (*Step, error) {
-	sr, err := s.db.readStep(oid)
+	data, err := s.db.sm.Read(oid)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := decodeStepRec(data)
 	if err != nil {
 		return nil, err
 	}

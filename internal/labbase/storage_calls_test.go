@@ -14,9 +14,9 @@ import (
 
 // callRecorder is a storage.Manager that forwards to an inner manager and
 // writes one line per storage call: the op, the OID, the length and an
-// FNV-64a hash of the bytes written (or read). Close is recorded but not
-// forwarded, so a second DB can reopen the same main-memory store the way
-// it would reopen a persistent one.
+// FNV-64a hash of the bytes written (or read, or left by an update). Close
+// is recorded but not forwarded, so a second DB can reopen the same
+// main-memory store the way it would reopen a persistent one.
 type callRecorder struct {
 	sm storage.Manager
 	b  *strings.Builder
@@ -62,6 +62,18 @@ func (r *callRecorder) Read(oid storage.OID) ([]byte, error) {
 func (r *callRecorder) Write(oid storage.OID, data []byte) error {
 	err := r.sm.Write(oid, data)
 	r.log("write", oid, data, err)
+	return err
+}
+
+// Update forwards storage.Updater and logs the bytes fn left behind.
+func (r *callRecorder) Update(oid storage.OID, fn func([]byte) error) error {
+	var after []byte
+	err := storage.Update(r.sm, oid, func(b []byte) error {
+		err := fn(b)
+		after = append(after, b...)
+		return err
+	})
+	r.log("update", oid, after, err)
 	return err
 }
 
