@@ -156,6 +156,10 @@ const (
 	// the next commit is already sealed behind it, waiting on the same
 	// flusher: the window the pipelined commit opened.
 	WindowSealedBehindFlush = "sealed-behind-flush"
+	// WindowUpdateSealedPage is a crash inside one commit's flush while the
+	// next commit is sealed behind it, having begun with an in-place Update
+	// of a page the flush had still to write: the copy-on-write pin.
+	WindowUpdateSealedPage = "update-sealed-page"
 	// WindowRecordChunk is a log write that continues a record an earlier
 	// write of the same flush began: a group wider than the flusher's
 	// record buffer reaches the log in several writes (repl.WriteRecord).

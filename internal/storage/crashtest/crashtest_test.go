@@ -31,8 +31,10 @@ const maxOStoreSeeds = 1000
 
 // requiredWindows are the named crash windows some ostore seed must land
 // in: the recycled log's two (in-place cursor rewrite, record over a
-// retired record), the pipelined commit's, and the streamed record's.
-var requiredWindows = []string{WindowCursorRewrite, WindowRecordOverlay, WindowSealedBehindFlush, WindowRecordChunk}
+// retired record), the pipelined commit's two (a commit sealed behind the
+// flush, and one that began by updating a page the flush had still to
+// write), and the streamed record's.
+var requiredWindows = []string{WindowCursorRewrite, WindowRecordOverlay, WindowSealedBehindFlush, WindowUpdateSealedPage, WindowRecordChunk}
 
 func runSeeds(t *testing.T, backend Backend) {
 	t.Helper()

@@ -32,7 +32,7 @@ func (m *model) clone() *model {
 		root:  m.root,
 	}
 	for oid, data := range m.objs {
-		c.objs[oid] = data // payloads are never mutated in place
+		c.objs[oid] = bytes.Clone(data) // update mutates pending payloads in place
 	}
 	return c
 }
@@ -79,8 +79,13 @@ type workload struct {
 	pending   *model
 	inflight  []*model
 	commits   int
+	// touched lists the objects the open transaction allocated, wrote or
+	// updated: their pages are the ones its seal hands to the flusher.
+	touched []storage.OID
 	// window is WindowSealedBehindFlush when the crash landed in a flush
-	// while a second transaction was sealed behind it.
+	// while a second transaction was sealed behind it, and
+	// WindowUpdateSealedPage when that second transaction began by updating
+	// a record on a page the flush was still to write.
 	window string
 }
 
@@ -124,13 +129,32 @@ func (w *workload) liveOID() storage.OID {
 	return live[w.rng.Intn(len(live))]
 }
 
+// update flips one seeded byte of a live object in place, in the store and
+// in the pending model.
+func (w *workload) update(m storage.Manager, oid storage.OID) error {
+	data := w.pending.objs[oid]
+	i, x := w.rng.Intn(len(data)), byte(w.rng.Intn(255)+1)
+	if err := storage.Update(m, oid, func(b []byte) error {
+		if len(b) != len(data) {
+			return fmt.Errorf("update %v: %d bytes, model has %d", oid, len(b), len(data))
+		}
+		b[i] ^= x
+		return nil
+	}); err != nil {
+		return err
+	}
+	data[i] ^= x
+	w.touched = append(w.touched, oid)
+	return nil
+}
+
 // run executes txns transactions of opsPerTxn operations each. With a gate
 // wired into the store's log writes, a seeded share of the transactions run
 // as two-committer pairs (see pair). On a manager error it returns the
 // failing call's name and the error; a clean run returns ("", nil).
 func (w *workload) run(m storage.Manager, g *gate.Gate, txns, opsPerTxn int) (string, error) {
 	for t := 0; t < txns; t++ {
-		if call, err := w.txn(m, opsPerTxn); err != nil {
+		if call, err := w.txn(m, opsPerTxn, storage.NilOID); err != nil {
 			return call, err
 		}
 		if g != nil && t+1 < txns && w.rng.Intn(3) == 0 {
@@ -163,9 +187,24 @@ func (w *workload) commit(m storage.Manager) (string, error) {
 // goroutine of its own; its flush is held at its log write while B begins,
 // writes and seals; then A's flush goes on, and the two are acknowledged in
 // seal order. A crash anywhere in A's flush thus lands with B sealed behind
-// it (WindowSealedBehindFlush). A flush that settles without reaching the
+// it (WindowSealedBehindFlush). In a seeded half of the pairs B opens by
+// updating a record A wrote, before anything else in B pins its page: that
+// Update's write pin is the one that copies the sealed image away from the
+// flush (WindowUpdateSealedPage). A flush that settles without reaching the
 // log write leaves nothing to hold, and B simply runs after it.
 func (w *workload) pair(m storage.Manager, g *gate.Gate, opsPerTxn int) (string, error) {
+	var lead storage.OID
+	if w.rng.Intn(2) == 0 {
+		var live []storage.OID
+		for _, oid := range w.touched {
+			if _, ok := w.pending.objs[oid]; ok {
+				live = append(live, oid)
+			}
+		}
+		if len(live) > 0 {
+			lead = live[w.rng.Intn(len(live))]
+		}
+	}
 	entered, release := g.Arm()
 	durableA, err := storage.Seal(m)
 	if err != nil {
@@ -184,13 +223,13 @@ func (w *workload) pair(m storage.Manager, g *gate.Gate, opsPerTxn int) (string,
 			return "Commit", err
 		}
 		w.acknowledge()
-		if call, err := w.txn(m, opsPerTxn); err != nil {
+		if call, err := w.txn(m, opsPerTxn, storage.NilOID); err != nil {
 			return call, err
 		}
 		return w.commit(m)
 	}
 
-	callB, errB := w.txn(m, opsPerTxn)
+	callB, errB := w.txn(m, opsPerTxn, lead)
 	var durableB func() error
 	if errB == nil {
 		callB = "Commit"
@@ -202,6 +241,9 @@ func (w *workload) pair(m storage.Manager, g *gate.Gate, opsPerTxn int) (string,
 	if err := <-doneA; err != nil {
 		if durableB != nil && errors.Is(err, fault.ErrCrashed) {
 			w.window = WindowSealedBehindFlush
+			if !lead.IsNil() {
+				w.window = WindowUpdateSealedPage
+			}
 		}
 		return "Commit", err
 	}
@@ -222,14 +264,21 @@ func (w *workload) acknowledge() {
 	w.commits++
 }
 
-// txn begins a transaction and runs opsPerTxn seeded operations in it.
-func (w *workload) txn(m storage.Manager, opsPerTxn int) (string, error) {
+// txn begins a transaction and runs opsPerTxn seeded operations in it,
+// opening with an update of lead when lead is not nil.
+func (w *workload) txn(m storage.Manager, opsPerTxn int, lead storage.OID) (string, error) {
 	segs := []storage.SegmentID{storage.SegCatalog, storage.SegMaterial, storage.SegIndex, storage.SegHistory}
 	if err := m.Begin(); err != nil {
 		return "Begin", err
 	}
+	w.touched = nil
+	if !lead.IsNil() {
+		if err := w.update(m, lead); err != nil {
+			return "Update", err
+		}
+	}
 	for o := 0; o < opsPerTxn; o++ {
-		switch k := w.rng.Intn(10); {
+		switch k := w.rng.Intn(12); {
 		case k < 5: // allocate
 			seg := segs[w.rng.Intn(len(segs))]
 			data := w.payload()
@@ -239,6 +288,7 @@ func (w *workload) txn(m storage.Manager, opsPerTxn int) (string, error) {
 			}
 			w.pending.order = append(w.pending.order, oid)
 			w.pending.objs[oid] = data
+			w.touched = append(w.touched, oid)
 		case k < 8: // rewrite (may grow/shrink/relocate)
 			oid := w.liveOID()
 			if oid.IsNil() {
@@ -249,7 +299,16 @@ func (w *workload) txn(m storage.Manager, opsPerTxn int) (string, error) {
 				return "Write", err
 			}
 			w.pending.objs[oid] = data
-		case k < 9: // free
+			w.touched = append(w.touched, oid)
+		case k < 10: // update in place
+			oid := w.liveOID()
+			if oid.IsNil() {
+				continue
+			}
+			if err := w.update(m, oid); err != nil {
+				return "Update", err
+			}
+		case k < 11: // free
 			oid := w.liveOID()
 			if oid.IsNil() {
 				continue

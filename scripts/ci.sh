@@ -73,11 +73,14 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # regression here always reproduces bit-for-bit.
 # The ostore round runs a seeded share of its transactions as two-committer
 # pairs (one commit's flush held while the next seals behind it) and asserts
-# that some seed crashed inside each of four named windows: the recycled
+# that some seed crashed inside each of five named windows: the recycled
 # log's two (in-place cursor rewrite, record over a retired record), the
-# pipelined commit's (sealed-behind-flush) and the streamed record's (a log
-# write continuing a record an earlier write began, record-chunk); it runs
-# past its 200 seeds until all four are hit. The texas round asserts that some
+# pipelined commit's two (sealed-behind-flush, and update-sealed-page: the
+# commit behind the flush began with an in-place Update of a page the flush
+# had still to write, the copy-on-write pin) and the streamed record's (a
+# log write continuing a record an earlier write began, record-chunk); it
+# runs past its 200 seeds until all five are hit. Both rounds' transactions
+# mix in-place updates with allocations, rewrites and frees. The texas round asserts that some
 # seed was refused as torn and some reopened at exactly its committed state,
 # so neither round can go vacuous when op numbering shifts. The directed
 # tests beside it pin each clause of the in-place-reuse safety argument (repl
@@ -95,11 +98,12 @@ go test -race -count=1 \
 # they run here without it: a fault takes over its victim's frame and page
 # buffer and allocates nothing (ostore and texas), a file backing serves a
 # page read into the caller's buffer without allocating (pagefile), a
-# same-size inline Write learns the old length in place (pagefile), and a
+# same-size inline Write learns the old length in place (pagefile), a
 # 40-page group's redo record streams through the flusher's 16-page buffer
-# (ostore).
-go test -count=1 -run 'TestFaultAllocatesNothing|TestFileReadAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing' \
-	./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/
+# (ostore), and a history or extent append changes its chunk in place,
+# allocating at most its closure over ostore and memstore (labbase).
+go test -count=1 -run 'TestFaultAllocatesNothing|TestFileReadAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing|TestAppendCopiesNoChunk' \
+	./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/ ./internal/labbase/
 
 echo "== crashtest: randomized-seed round"
 # Fresh seeds every run widen coverage over time; the schedule is still
@@ -136,9 +140,11 @@ go test -race -run '^$' -fuzz 'FuzzOverflowStub' -fuzztime 5s ./internal/storage
 # most-recent index: arbitrary record bytes must fail their check with a
 # typed error or serve every accessor without panicking.
 go test -race -run '^$' -fuzz 'FuzzChunkRecords' -fuzztime 5s ./internal/labbase/
-# The one-attribute step decoder MostRecent reads through, against the whole
-# record decode: on arbitrary bytes both must agree, for every attribute id,
-# on the value, on whether it was found and on whether the record is refused.
+# The one-attribute step decoder MostRecent, MostRecentAsOf and AttrTimeline
+# read through, against the whole record decode: on arbitrary bytes both
+# must agree, for every attribute id, on the value, on whether it was found,
+# on the count of values (which Dump reads) and on whether the record is
+# refused.
 go test -race -run '^$' -fuzz 'FuzzStepAttr' -fuzztime 5s ./internal/labbase/
 # The homology oracle's postings index against the per-entry k-mer sets it
 # replaced: on arbitrary sequences, holes and re-adds, every search must
