@@ -10,8 +10,12 @@
 // materials (as associate_tclone spawns tclones), and possibly guarded by a
 // cross-material condition (assembly waits for all of a clone's tclones).
 //
-// The simulator drives a Tracker — satisfied by *labbase.DB — and so "the
-// workflow graph largely determines the workload for the DBMS".
+// The simulator drives a Tracker, and so "the workflow graph largely
+// determines the workload for the DBMS". The benchmark's tracker (in
+// package core) is an in-memory state index that emits each call as an
+// event; that one stream is then applied to every store. A store that
+// answers the five calls can also be the tracker itself, as it is in the
+// tests and in examples/orderflow.
 package workflow
 
 import (
@@ -25,8 +29,9 @@ import (
 // ID identifies a material, step or set in the tracked database.
 type ID = storage.OID
 
-// Tracker is the database the simulator records workflow activity into.
-// *labbase.DB implements it.
+// Tracker is what the simulator records workflow activity into, and where
+// it reads which materials wait in a state. *labbase.DB has these methods;
+// the benchmark's generator implements them over an in-memory state index.
 type Tracker interface {
 	CreateMaterial(class, name, state string, validTime int64) (ID, error)
 	CreateMaterialSet(members []ID) (ID, error)
@@ -134,9 +139,12 @@ type Engine struct {
 
 	nameSeq int64
 
-	// AfterStep, when set, runs after every recorded step — the benchmark
-	// driver hangs its query mix and transaction batching here.
+	// AfterStep, when set, runs after every recorded step with the step's
+	// materials, spawned ones included.
 	AfterStep func(step ID, class string, mats []ID) error
+	// AfterTick, when set, runs after every tick with whether a step
+	// fired in it.
+	AfterTick func(worked bool) error
 
 	// Stats accumulates over the engine's lifetime.
 	Stats Stats
@@ -206,10 +214,16 @@ func (e *Engine) Tick() (bool, error) {
 		}
 		worked = worked || did
 	}
+	if e.AfterTick != nil {
+		if err := e.AfterTick(worked); err != nil {
+			return worked, err
+		}
+	}
 	return worked, nil
 }
 
-// Run ticks until quiescence or maxTicks, returning the tick count.
+// Run ticks until a tick fires no step, returning the tick count. It fails
+// when maxTicks ticks pass without that; maxTicks <= 0 leaves it unbounded.
 func (e *Engine) Run(maxTicks int) (int, error) {
 	for tick := 1; maxTicks <= 0 || tick <= maxTicks; tick++ {
 		worked, err := e.Tick()
@@ -220,7 +234,7 @@ func (e *Engine) Run(maxTicks int) (int, error) {
 			return tick, nil
 		}
 	}
-	return maxTicks, nil
+	return maxTicks, fmt.Errorf("workflow: %q did not quiesce in %d ticks", e.g.Name, maxTicks)
 }
 
 func (e *Engine) fire(tr *Transition) (bool, error) {

@@ -447,3 +447,32 @@ func TestMaxPerTick(t *testing.T) {
 		t.Errorf("final done = %d", n)
 	}
 }
+
+// TestRunFailsWithoutQuiescence: a graph whose materials cycle forever must
+// make a bounded Run fail, not return as if it had finished.
+func TestRunFailsWithoutQuiescence(t *testing.T) {
+	db := testDB(t)
+	g := &Graph{
+		Name:      "cycle",
+		RootClass: "widget",
+		RootState: "new",
+		Transitions: []*Transition{
+			{Step: "cut_widget", From: "new", To: "cut"},
+			{Step: "uncut_widget", From: "cut", To: "new"},
+		},
+	}
+	eng, err := New(g, txnTracker{db}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.InjectRoots(2, "w"); err != nil {
+		t.Fatal(err)
+	}
+	ticks, err := eng.Run(20)
+	if err == nil {
+		t.Fatalf("Run(20) over a two-state cycle returned %d ticks and no error", ticks)
+	}
+	if ticks != 20 || eng.Stats.Steps != 2*2*20 {
+		t.Errorf("Run(20) stopped after %d ticks and %d steps, want 20 and 80", ticks, eng.Stats.Steps)
+	}
+}
