@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"labflow/internal/core"
-	"labflow/internal/labbase"
 )
 
 func main() {
@@ -91,25 +90,11 @@ func doReplay(file, storeName, path string, txn int, p core.Params) error {
 	}
 	defer f.Close()
 
-	sm, err := core.MakeStore(kind, path, p)
+	db, sm, err := core.OpenDB(kind, path, p)
 	if err != nil {
-		return err
-	}
-	db, err := labbase.Open(sm, labbase.DefaultOptions())
-	if err != nil {
-		sm.Close()
 		return err
 	}
 	defer db.Close()
-	if err := db.Begin(); err != nil {
-		return err
-	}
-	if err := core.DefineSchema(db); err != nil {
-		return err
-	}
-	if err := db.Commit(); err != nil {
-		return err
-	}
 
 	stats, err := core.ReplayTrace(f, db, txn)
 	if err != nil {

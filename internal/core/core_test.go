@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"labflow/internal/labbase"
+	"labflow/internal/storage"
 )
 
 // testParams is a scaled-down configuration that keeps tests fast.
@@ -138,12 +139,17 @@ func TestWorkflowSemantics(t *testing.T) {
 	if len(built.Clones) != p.BaseClones {
 		t.Fatalf("finished clones = %d, want %d", len(built.Clones), p.BaseClones)
 	}
+	// The lab knows each clone by the id the generator gave it.
+	traceID := make(map[storage.OID]storage.OID, len(built.oids))
+	for id, oid := range built.oids {
+		traceID[oid] = storage.MakeOID(storage.SegMaterial, id)
+	}
 	for _, c := range built.Clones {
 		cons, _, found, err := db.MostRecent(c, "consensus")
 		if err != nil || !found {
 			t.Fatalf("clone %v: consensus missing (%v)", c, err)
 		}
-		truth := built.Lab.truth[c]
+		truth := built.Lab.truth[traceID[c]]
 		// Reads start at random positions, so the consensus covers a prefix
 		// region of the insert: never longer than the truth, never shorter
 		// than one read.
@@ -331,7 +337,8 @@ func TestBufferSweep(t *testing.T) {
 }
 
 // TestQueryCountPinned pins the exact query count of a tiny deterministic
-// run, guarding the counting rules in tickQueries and intervalQueries. In
+// run, guarding the query mix's counting rules (the generator draws the
+// mix, apply counts it). In
 // particular the audit-trail read counts one query per step record fetched
 // — not an extra one for the History call that drives the scan, which used
 // to inflate the total by one per sampled audit trail. If a deliberate

@@ -8,7 +8,6 @@ import (
 	"labflow/internal/labbase"
 	"labflow/internal/metrics"
 	"labflow/internal/storage"
-	"labflow/internal/storage/ostore"
 	"labflow/internal/workflow"
 )
 
@@ -36,13 +35,14 @@ type ClusteringResult struct {
 // its own cluster pages; allocation order scatters it across every
 // workflow-phase page in the database.
 func RunClustering(dir string, p Params) (*ClusteringResult, error) {
+	events, lab, err := workload(p, 2)
+	if err != nil {
+		return nil, err
+	}
 	res := &ClusteringResult{}
 	for _, kind := range []StoreKind{StoreTexas, StoreTexasTC} {
 		sub := fmt.Sprintf("%s/clu%d", dir, int(kind))
-		if err := mkdir(sub); err != nil {
-			return nil, err
-		}
-		built, err := Build(kind, sub, p, 2)
+		built, err := build(kind, sub, p, events, lab)
 		if err != nil {
 			return nil, err
 		}
@@ -54,13 +54,8 @@ func RunClustering(dir string, p Params) (*ClusteringResult, error) {
 		}
 
 		// Reopen cold: nothing resident, every page read is a fault.
-		sm, err := MakeStore(kind, sub, p)
+		db, sm, err := OpenDB(kind, sub, p)
 		if err != nil {
-			return nil, err
-		}
-		db, err := labbase.Open(sm, labbase.DefaultOptions())
-		if err != nil {
-			sm.Close()
 			return nil, err
 		}
 		base := sm.Stats().Faults
@@ -99,14 +94,8 @@ func scanFamily(db *labbase.DB, clone workflow.ID) error {
 			continue
 		}
 		for _, t := range step.Materials[1:] { // spawned tclones
-			thist, err := db.History(t)
-			if err != nil {
+			if _, err := readTrail(db, t); err != nil {
 				return err
-			}
-			for _, th := range thist {
-				if _, err := db.GetStep(th.Step); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -193,7 +182,7 @@ func RunEvolution(kind StoreKind, dir string, p Params) (*EvolutionResult, error
 
 	const n = 200
 	res.RoutineInserts = n
-	vt := built.Engine.Clock()
+	vt := built.Clock
 	mark := built.SM.Stats()
 	for i := 0; i < n; i++ {
 		vt++
@@ -313,31 +302,27 @@ type SweepResult struct {
 	Rows []SweepRow
 }
 
-// RunBufferSweep runs the workload under several OStore pool sizes.
+// RunBufferSweep runs the workload, generated once, under several OStore
+// pool sizes.
 func RunBufferSweep(dir string, p Params, pools []int) (*SweepResult, error) {
+	events, _, err := workload(p, p.Intervals)
+	if err != nil {
+		return nil, err
+	}
 	res := &SweepResult{}
 	for i, pool := range pools {
-		sub := fmt.Sprintf("%s/sweep%d", dir, i)
-		if err := mkdir(sub); err != nil {
-			return nil, err
-		}
 		pp := p
 		pp.PoolPages = pool
-		sm, err := ostore.Open(ostore.Options{Path: sub + "/ostore.db", PoolPages: pool})
+		db, sm, err := OpenDB(StoreOStore, fmt.Sprintf("%s/sweep%d", dir, i), pp)
 		if err != nil {
 			return nil, err
 		}
-		db, err := labbase.Open(sm, labbase.DefaultOptions())
-		if err != nil {
-			sm.Close()
-			return nil, err
-		}
-		if _, err := runOn(db, pp); err != nil {
-			db.Close()
-			return nil, err
-		}
+		_, err = measure(db, pp, events)
 		row := SweepRow{PoolPages: pool, Faults: sm.Stats().Faults}
-		if err := db.Close(); err != nil {
+		if cerr := db.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)

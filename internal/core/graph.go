@@ -313,18 +313,6 @@ func (l *Lab) Graph() *workflow.Graph {
 	}
 }
 
-// NoteSpawns records clone/tclone parentage; the runner calls it from the
-// engine's AfterStep hook.
-func (l *Lab) NoteSpawns(class string, mats []workflow.ID) {
-	if class != StepAssociateTclone || len(mats) < 2 {
-		return
-	}
-	clone := mats[0]
-	for _, t := range mats[1:] {
-		l.cloneOf[t] = clone
-	}
-}
-
 // Published reports how many consensus sequences have been published to the
 // homology database.
 func (l *Lab) Published() int { return l.hom.Len() }

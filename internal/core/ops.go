@@ -32,82 +32,38 @@ type BuiltDB struct {
 	DB     *labbase.DB
 	SM     storage.Manager
 	Lab    *Lab
-	Engine *workflow.Engine
+	Clock  int64         // the lab time the workload ended at
 	Clones []workflow.ID // clones that completed the workflow
+
+	oids map[uint64]storage.OID // the applier's trace id -> OID map
 }
 
 // Build populates a fresh database by running the workload to scale
 // (scaleX halves of BaseClones, so scaleX=2 is a 1.0X database).
 func Build(kind StoreKind, dir string, p Params, scaleX int) (*BuiltDB, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	sm, err := MakeStore(kind, dir, p)
+	events, lab, err := workload(p, scaleX)
 	if err != nil {
 		return nil, err
 	}
-	db, err := labbase.Open(sm, labbase.DefaultOptions())
-	if err != nil {
-		sm.Close()
-		return nil, err
-	}
-	if err := db.Begin(); err != nil {
-		return nil, err
-	}
-	if err := DefineSchema(db); err != nil {
-		return nil, err
-	}
-	if err := db.Commit(); err != nil {
-		return nil, err
-	}
-	lab, err := NewLab(p)
+	return build(kind, dir, p, events, lab)
+}
+
+// build applies a generated stream, without its query mix, to a fresh store.
+func build(kind StoreKind, dir string, p Params, events []event, lab *Lab) (*BuiltDB, error) {
+	db, sm, err := OpenDB(kind, dir, p)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := workflow.New(lab.Graph(), db, p.Seed)
+	a, err := applySlice(db, events, false)
+	var done []workflow.ID
+	if err == nil {
+		done, err = db.MaterialsInState(StCloneDone)
+	}
 	if err != nil {
+		db.Close()
 		return nil, err
 	}
-	eng.SetOutOfOrder(p.OutOfOrderProb, p.OutOfOrderSkew)
-	eng.AfterStep = func(step workflow.ID, class string, mats []workflow.ID) error {
-		lab.NoteSpawns(class, mats)
-		return nil
-	}
-	perInterval := (p.BaseClones + 1) / 2
-	for i := 0; i < scaleX; i++ {
-		if err := db.Begin(); err != nil {
-			return nil, err
-		}
-		if _, err := eng.InjectRoots(perInterval, "c"); err != nil {
-			return nil, err
-		}
-		if err := db.Commit(); err != nil {
-			return nil, err
-		}
-		for tick := 0; ; tick++ {
-			if tick > 100000 {
-				return nil, fmt.Errorf("core: build did not quiesce")
-			}
-			if err := db.Begin(); err != nil {
-				return nil, err
-			}
-			worked, err := eng.Tick()
-			if err != nil {
-				return nil, err
-			}
-			if err := db.Commit(); err != nil {
-				return nil, err
-			}
-			if !worked {
-				break
-			}
-		}
-	}
-	done, err := db.MaterialsInState(StCloneDone)
-	if err != nil {
-		return nil, err
-	}
-	return &BuiltDB{DB: db, SM: sm, Lab: lab, Engine: eng, Clones: done}, nil
+	return &BuiltDB{DB: db, SM: sm, Lab: lab, Clock: a.Clock, Clones: done, oids: a.oids}, nil
 }
 
 // Close releases the built database.
@@ -146,7 +102,7 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 			return err
 		}
 		if _, err := db.RecordStep(labbase.StepSpec{
-			Class: StepIncorporate, ValidTime: built.Engine.Clock() + int64(i),
+			Class: StepIncorporate, ValidTime: built.Clock + int64(i),
 			Materials: []workflow.ID{m},
 			Attrs: []labbase.AttrValue{
 				{Name: "map_position", Value: labbase.Int64(int64(i))},
@@ -226,32 +182,15 @@ func RunOps(kind StoreKind, dir string, p Params) (*OpsResult, error) {
 
 	// Set/list generation: retrieve stored BLAST hit lists.
 	if err := add("hit-list retrieval (set/list generation)", 1000, func(i int) error {
-		m := clones[rng.Intn(len(clones))]
-		v, _, found, err := db.MostRecent(m, "hits")
-		if err != nil {
-			return err
-		}
-		if found && v.Kind != labbase.KindList {
-			return fmt.Errorf("hits kind = %v", v.Kind)
-		}
-		return nil
+		return checkHits(db, clones[rng.Intn(len(clones))])
 	}); err != nil {
 		return nil, err
 	}
 
 	// History scan: full audit trail of one material.
 	if err := add("history scan (one material)", 400, func(i int) error {
-		m := clones[rng.Intn(len(clones))]
-		hist, err := db.History(m)
-		if err != nil {
-			return err
-		}
-		for _, h := range hist {
-			if _, err := db.GetStep(h.Step); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := readTrail(db, clones[rng.Intn(len(clones))])
+		return err
 	}); err != nil {
 		return nil, err
 	}

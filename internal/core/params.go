@@ -7,8 +7,10 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 
+	"labflow/internal/labbase"
 	"labflow/internal/storage"
 	"labflow/internal/storage/memstore"
 	"labflow/internal/storage/ostore"
@@ -172,13 +174,27 @@ func lower(s string) string {
 	return string(b)
 }
 
+// OpenDB opens a LabBase database over MakeStore's storage manager.
+func OpenDB(kind StoreKind, dir string, p Params) (*labbase.DB, storage.Manager, error) {
+	sm, err := MakeStore(kind, dir, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	db, err := labbase.Open(sm, labbase.DefaultOptions())
+	if err != nil {
+		sm.Close()
+		return nil, nil, err
+	}
+	return db, sm, nil
+}
+
 // MakeStore opens a fresh storage manager of the given kind under dir
 // (ignored for the main-memory versions), creating dir as needed.
 func MakeStore(kind StoreKind, dir string, p Params) (storage.Manager, error) {
 	switch kind {
 	case StoreOStore, StoreTexas, StoreTexasTC:
-		if err := mkdir(dir); err != nil {
-			return nil, err
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("core: mkdir %s: %w", dir, err)
 		}
 	}
 	switch kind {

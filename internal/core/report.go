@@ -2,18 +2,10 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"labflow/internal/metrics"
 )
-
-func mkdir(path string) error {
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return fmt.Errorf("core: mkdir %s: %w", path, err)
-	}
-	return nil
-}
 
 // FormatTable10 renders the paper's Section-10 table: per interval, one row
 // per resource, one column per server version.

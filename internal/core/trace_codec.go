@@ -8,7 +8,7 @@ import (
 	"unicode/utf8"
 )
 
-// The trace codec. TraceTracker writes every event with appendLine, and
+// The trace codec. GenerateTrace writes every event with appendLine, and
 // (*TraceEvent).UnmarshalJSON reads the canonical form appendLine writes
 // without reflection. appendLine's bytes are json.Marshal's, and
 // UnmarshalJSON's value is json.Unmarshal's: input outside the canonical

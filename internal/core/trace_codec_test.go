@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"labflow/internal/labbase"
 )
 
 // prefilled is a non-zero decoding target: reflective decoding merges into
@@ -101,7 +103,6 @@ func FuzzTraceEvent(f *testing.F) {
 // fails the event, as json.Encoder did, and writes nothing.
 func TestTraceEventEncoderRefusesWhatJSONRefuses(t *testing.T) {
 	var out strings.Builder
-	tr := NewTraceTracker(&out)
 	ev := TraceEvent{Kind: "step", Attrs: []TraceAttr{{Name: "f", Value: TraceValue{Kind: "float", Float: 0}}}}
 	for _, f := range []float64{1e-7, 1e21, -3.5e-300} {
 		ev.Attrs[0].Value.Float = f
@@ -112,9 +113,10 @@ func TestTraceEventEncoderRefusesWhatJSONRefuses(t *testing.T) {
 		}
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(-1)} {
-		ev.Attrs[0].Value.Float = f
-		if err := tr.emit(&ev); err == nil {
-			t.Errorf("float %v: emit succeeded", f)
+		tw := &traceWriter{w: &out}
+		tw.write(&event{kind: evStep, attrs: []labbase.AttrValue{{Name: "f", Value: labbase.Float64(f)}}})
+		if tw.err == nil {
+			t.Errorf("float %v: write succeeded", f)
 		}
 	}
 	if out.Len() != 0 {

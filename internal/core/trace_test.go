@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,47 +39,46 @@ func TestTraceGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceReplayEquivalence replays a generated trace into a fresh database
-// and checks it reaches the same logical state as running the workload
-// directly.
+// TestTraceReplayEquivalence applies the typed stream to one database and
+// its JSON encoding, decoded line by line, to another: the JSON edge must
+// lose nothing, so counts and dumps agree.
 func TestTraceReplayEquivalence(t *testing.T) {
 	p := testParams()
+	open := func(name string) *labbase.DB {
+		db, err := labbase.Open(memstore.Open(name), labbase.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
 
-	// Direct run.
-	direct, err := Build(StoreTexasMM, t.TempDir(), p, 2)
+	// The typed stream.
+	events, _, err := workload(p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer direct.Close()
+	direct := open("typed-mm")
+	typed, err := applySlice(direct, events, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Trace + replay.
+	// Its JSON edge: GenerateTrace, then UnmarshalJSON line by line.
 	var buf bytes.Buffer
 	if _, err := GenerateTrace(&buf, p, 2); err != nil {
 		t.Fatal(err)
 	}
-	db, err := labbase.Open(memstore.Open("replay-mm"), labbase.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := DefineSchema(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	db := open("replay-mm")
 	stats, err := ReplayTrace(&buf, db, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Events == 0 || stats.Steps == 0 {
-		t.Fatalf("replay stats = %+v", stats)
+	if stats.Events == 0 || stats.Steps == 0 || stats != typed.ReplayStats {
+		t.Fatalf("replay stats = %+v, typed stream %+v", stats, typed.ReplayStats)
 	}
 
-	// Logical state must agree with the direct run.
+	// Logical state must agree.
 	type counter func(*labbase.DB) (uint64, error)
 	checks := map[string]counter{
 		"materials": func(d *labbase.DB) (uint64, error) { return d.CountMaterials("material") },
@@ -89,7 +90,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		"sequenced": func(d *labbase.DB) (uint64, error) { return d.CountInState(StTcloneDone) },
 	}
 	for name, fn := range checks {
-		want, err := fn(direct.DB)
+		want, err := fn(direct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +99,10 @@ func TestTraceReplayEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("%s: replay %d != direct %d", name, got, want)
+			t.Errorf("%s: replay %d != typed %d", name, got, want)
 		}
 	}
-	// Dumps agree in volume.
-	dd, err := direct.DB.Dump()
+	dd, err := direct.Dump()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,43 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dd != rd {
-		t.Errorf("dump mismatch: direct %+v, replay %+v", dd, rd)
+		t.Errorf("dump mismatch: typed %+v, replay %+v", dd, rd)
+	}
+}
+
+// TestApplyChecksScans drops one state change from a stream: the store
+// then disagrees with the stream about that material's state, and apply
+// must refuse at the first scan of either state, not later.
+func TestApplyChecksScans(t *testing.T) {
+	events, _, err := workload(testParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := slices.IndexFunc(events, func(ev event) bool { return ev.kind == evState })
+	moved := events[drop]
+	// The material's state before the dropped change.
+	var from string
+	for _, ev := range events[:drop] {
+		if (ev.kind == evMaterial || ev.kind == evState) && ev.id == moved.id {
+			from = ev.state
+		}
+	}
+	events = slices.Delete(events, drop, drop+1)
+	want := drop + slices.IndexFunc(events[drop:], func(ev event) bool {
+		return ev.kind == evScan && (ev.state == from || ev.state == moved.state)
+	})
+
+	db, err := labbase.Open(memstore.Open("dropped-mm"), labbase.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	_, err = applySlice(db, events, true)
+	if err == nil {
+		t.Fatalf("a stream without event %d (%s of %d to %s) applied cleanly", drop, moved.kind, moved.id, moved.state)
+	}
+	if prefix := fmt.Sprintf("core: event %d (scan ", want); !strings.HasPrefix(err.Error(), prefix) {
+		t.Errorf("apply failed with %q, want it to fail at %q", err, prefix)
 	}
 }
 
