@@ -205,7 +205,7 @@ go run ./cmd/labflow -experiment failover -store ostore -crashruns 25 >/dev/null
 	exit 1
 }
 
-echo "== recovery and provenance, each run twice: bounded replay, answer sets, byte-identical output"
+echo "== recovery, provenance and all, each run twice: bounded replay, answer sets, byte-identical output"
 # Every line labflow prints is a function of its flags, so two runs must
 # print the same bytes: a clock or a print in map order fails here. The
 # recovery run itself fails when a reopen replays past its checkpoint bound
@@ -213,9 +213,11 @@ echo "== recovery and provenance, each run twice: bounded replay, answer sets, b
 # DAGs, all three evaluation modes) on any cross-mode answer-set inequality.
 # Its small budget makes fanout 16 and diamond 8 measured DNF rows and
 # diamond 16 a skipped one, so both kinds of DNF row are compared too.
+# "all" (about 1.5 s a run) covers table10 and E2-E5, every table the one
+# generated workload stream drives.
 det=$(mktemp -d)
 go build -o "$det/labflow" ./cmd/labflow
-for exp in "recovery" "provenance -depths 4,8,16 -budget 20000"; do
+for exp in "recovery" "provenance -depths 4,8,16 -budget 20000" "all"; do
 	# $exp is split into the experiment and its flags on purpose.
 	"$det/labflow" -experiment $exp >"$det/first" && "$det/labflow" -experiment $exp >"$det/second" || {
 		echo "labflow -experiment $exp FAILED; replay: go run ./cmd/labflow -experiment $exp" >&2
@@ -227,6 +229,17 @@ for exp in "recovery" "provenance -depths 4,8,16 -budget 20000"; do
 		exit 1
 	fi
 done
+
+echo "== lfgen smoke: a generated trace replays into ostore"
+# The workload stream's JSON edge end to end: lfgen encodes the mutations as
+# they are generated, and -replay decodes each line and feeds the applier
+# every experiment uses, into a persistent store.
+go build -o "$det/lfgen" ./cmd/lfgen
+"$det/lfgen" -scale 8 -halves 2 -out "$det/trace.jsonl" &&
+	"$det/lfgen" -replay "$det/trace.jsonl" -store ostore -path "$det/replay" || {
+	echo "lfgen generate/replay smoke FAILED; replay: go run ./cmd/lfgen -scale 8 -halves 2 -out t.jsonl && go run ./cmd/lfgen -replay t.jsonl -store ostore" >&2
+	exit 1
+}
 rm -rf "$det"
 
 echo "ci: all checks passed"
