@@ -1,212 +1,102 @@
 package labbase
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"labflow/internal/storage"
 )
 
-// oidCache is a small bounded LRU keyed by OID, used to keep decoded hot
-// records (materials, most-recent indexes) in memory so the tracking and
-// query inner loops stop re-reading and re-decoding the same bytes.
+// oidCache keeps decoded hot records (materials, most-recent indexes) in
+// memory so the tracking and query inner loops stop re-reading and
+// re-decoding the same bytes.
 //
-// Eviction is strict LRU over an intrusive doubly-linked list — fully
-// deterministic under sequential use. That matters: cache hits skip
-// storage-manager reads and therefore change the simulated fault counters,
-// so a nondeterministic eviction policy (e.g. map-iteration order) would
-// make benchmark runs irreproducible across processes. Under concurrent
-// readers the recency order depends on goroutine interleaving, which is why
-// byte-identical benchmark runs use the sequential path.
+// It is a direct-mapped table: a power-of-two array of slots, each an atomic
+// pointer to an immutable {oid, val} entry, with the slot picked by the OID's
+// low index bits. Material and most-recent-index OIDs are dense per segment,
+// so the newest len(slots) objects never collide; an older one is evicted by
+// whichever newer OID shares its slot. Placement depends only on the call
+// sequence, so sequential use is deterministic. That matters: cache hits skip
+// storage-manager reads and therefore change the simulated fault counters.
 //
-// The cache is safe for concurrent use: every operation holds c.mu, and a
-// miss routed through getOrFill is single-flight — the first goroutine to
-// miss on an OID performs the storage read while any concurrent readers of
-// the same OID wait for that one fill instead of stampeding the storage
-// manager. c.mu is a leaf lock in the DB lock hierarchy (see DESIGN.md): it
-// is never held across a storage-manager call or while taking DB.wmu.
+// No lock anywhere: a hit is one atomic load. Writers (put, invalidate)
+// always store a freshly allocated entry, so a slot's pointer changes on
+// every writer update. getOrFill installs by CompareAndSwap against the
+// pointer it loaded before running load, so a fill whose storage read may
+// predate a writer's update never lands over it. Concurrent misses on one
+// OID each read storage once; whichever fill installs first wins.
 //
 // A nil *oidCache is a valid, permanently-empty cache (caching disabled).
 type oidCache[V any] struct {
-	mu       sync.Mutex
-	capacity int
-	m        map[storage.OID]*cacheNode[V]
-	head     *cacheNode[V] // most recently used
-	tail     *cacheNode[V] // least recently used
-	fills    map[storage.OID]*cacheFill[V]
-	// gen counts writer-driven updates (put/invalidate). A fill that started
-	// before such an update must not install its possibly-stale bytes over
-	// the writer's refresh, so getOrFill only installs when gen is unchanged
-	// since the fill registered. Sequential use never skips an install: gen
-	// cannot move while a single goroutine is inside getOrFill.
-	gen uint64
+	slots []atomic.Pointer[cacheEntry[V]]
+	mask  uint64
 }
 
-type cacheNode[V any] struct {
-	key        storage.OID
-	val        V
-	prev, next *cacheNode[V]
+type cacheEntry[V any] struct {
+	oid storage.OID
+	val V
 }
 
-// cacheFill tracks one in-flight load so concurrent misses on the same OID
-// share a single storage read. done is closed once val/err are final.
-type cacheFill[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-}
-
-// newOIDCache returns a cache bounded to capacity entries, or nil (disabled)
-// when capacity <= 0.
+// newOIDCache returns a cache of capacity slots rounded up to a power of two,
+// or nil (disabled) when capacity <= 0.
 func newOIDCache[V any](capacity int) *oidCache[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &oidCache[V]{
-		capacity: capacity,
-		m:        make(map[storage.OID]*cacheNode[V], capacity),
-		fills:    make(map[storage.OID]*cacheFill[V]),
+	n := 1
+	for n < capacity {
+		n <<= 1
 	}
+	return &oidCache[V]{slots: make([]atomic.Pointer[cacheEntry[V]], n), mask: uint64(n - 1)}
 }
 
-// get returns the cached value and marks it most recently used.
+func (c *oidCache[V]) slot(oid storage.OID) *atomic.Pointer[cacheEntry[V]] {
+	return &c.slots[oid.Index()&c.mask]
+}
+
+// get returns the cached value for oid.
 func (c *oidCache[V]) get(oid storage.OID) (V, bool) {
-	if c == nil {
-		var zero V
-		return zero, false
+	if c != nil {
+		if e := c.slot(oid).Load(); e != nil && e.oid == oid {
+			return e.val, true
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.m[oid]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.moveToFront(n)
-	return n.val, true
+	var zero V
+	return zero, false
 }
 
-// getOrFill returns the cached value, loading it through load on a miss.
-// Concurrent misses on the same OID share one load (single-flight): the
-// first goroutine runs load without holding c.mu, the rest block until it
-// finishes and share its result. Load errors are not cached — each fresh
-// miss after a failure retries.
+// getOrFill returns the cached value, loading it through load on a miss and
+// installing the result unless a writer updated the slot meanwhile. Load
+// errors are not cached.
 func (c *oidCache[V]) getOrFill(oid storage.OID, load func() (V, error)) (V, error) {
 	if c == nil {
 		return load()
 	}
-	c.mu.Lock()
-	if n, ok := c.m[oid]; ok {
-		c.moveToFront(n)
-		v := n.val
-		c.mu.Unlock()
-		return v, nil
+	s := c.slot(oid)
+	old := s.Load()
+	if old != nil && old.oid == oid {
+		return old.val, nil
 	}
-	if f, ok := c.fills[oid]; ok {
-		c.mu.Unlock()
-		<-f.done
-		return f.val, f.err
+	v, err := load()
+	if err == nil {
+		s.CompareAndSwap(old, &cacheEntry[V]{oid: oid, val: v})
 	}
-	f := &cacheFill[V]{done: make(chan struct{})}
-	c.fills[oid] = f
-	genAtFill := c.gen
-	c.mu.Unlock()
-
-	f.val, f.err = load()
-
-	c.mu.Lock()
-	delete(c.fills, oid)
-	if f.err == nil && c.gen == genAtFill {
-		c.putLocked(oid, f.val)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.val, f.err
+	return v, err
 }
 
-// put inserts or refreshes an entry, evicting the least recently used entry
-// when the cache is full.
+// put inserts or refreshes an entry, evicting whatever shared its slot.
 func (c *oidCache[V]) put(oid storage.OID, v V) {
-	if c == nil {
-		return
+	if c != nil {
+		c.slot(oid).Store(&cacheEntry[V]{oid: oid, val: v})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	c.putLocked(oid, v)
 }
 
-func (c *oidCache[V]) putLocked(oid storage.OID, v V) {
-	if n, ok := c.m[oid]; ok {
-		n.val = v
-		c.moveToFront(n)
-		return
-	}
-	if len(c.m) >= c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
-	}
-	n := &cacheNode[V]{key: oid, val: v}
-	c.m[oid] = n
-	c.pushFront(n)
-}
-
-// invalidate drops an entry (no-op when absent). Every write to a cached
-// record must invalidate or refresh its entry — see DESIGN.md's cache
-// invalidation rules.
+// invalidate empties oid's slot. It stores a fresh entry with the nil OID,
+// which no lookup asks for, rather than nil: the slot's pointer must change
+// even when it was already empty, or a fill that loaded nil before the
+// writer's update could still install. Every write to a cached record must
+// invalidate or refresh its entry — see DESIGN.md's cache invalidation rules.
 func (c *oidCache[V]) invalidate(oid storage.OID) {
-	if c == nil {
-		return
+	if c != nil {
+		c.slot(oid).Store(&cacheEntry[V]{})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	if n, ok := c.m[oid]; ok {
-		c.unlink(n)
-		delete(c.m, oid)
-	}
-}
-
-// len reports the current number of cached entries.
-func (c *oidCache[V]) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func (c *oidCache[V]) pushFront(n *cacheNode[V]) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *oidCache[V]) unlink(n *cacheNode[V]) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *oidCache[V]) moveToFront(n *cacheNode[V]) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
 }

@@ -1,6 +1,7 @@
 package labbase
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,57 +9,140 @@ import (
 
 	"labflow/internal/storage"
 	"labflow/internal/storage/memstore"
+	"labflow/internal/storage/storagetest"
 )
 
-func TestOIDCacheLRU(t *testing.T) {
-	c := newOIDCache[int](2)
-	oid := func(i int) storage.OID { return storage.OID(i) }
-
-	if _, ok := c.get(oid(1)); ok {
-		t.Fatal("empty cache reported a hit")
+// TestOIDCacheConflictEviction pins the direct-mapped placement: an OID
+// lives in the slot its low index bits pick, a later OID sharing that slot
+// evicts it, OIDs in other slots are untouched, and invalidate empties only
+// the slot it names.
+func TestOIDCacheConflictEviction(t *testing.T) {
+	c := newOIDCache[int](3) // rounds up to 4 slots
+	if len(c.slots) != 4 {
+		t.Fatalf("%d slots, want 4", len(c.slots))
 	}
-	c.put(oid(1), 10)
-	c.put(oid(2), 20)
-	if v, ok := c.get(oid(1)); !ok || v != 10 {
-		t.Fatalf("get(1) = %v, %v; want 10, true", v, ok)
-	}
-	// 1 is now MRU; inserting 3 must evict 2 (LRU), not 1.
-	c.put(oid(3), 30)
-	if _, ok := c.get(oid(2)); ok {
-		t.Fatal("LRU entry 2 not evicted")
-	}
-	if v, ok := c.get(oid(1)); !ok || v != 10 {
-		t.Fatalf("entry 1 evicted out of LRU order (got %v, %v)", v, ok)
-	}
-	if v, ok := c.get(oid(3)); !ok || v != 30 {
-		t.Fatalf("get(3) = %v, %v; want 30, true", v, ok)
+	mat := func(i uint64) storage.OID { return storage.MakeOID(storage.SegMaterial, i) }
+	want := func(i uint64, v int, ok bool) {
+		t.Helper()
+		if got, hit := c.get(mat(i)); hit != ok || got != v {
+			t.Fatalf("get(%d) = %v, %v; want %v, %v", i, got, hit, v, ok)
+		}
 	}
 
-	// put on an existing key refreshes value and recency, never grows.
-	c.put(oid(1), 11)
-	if v, _ := c.get(oid(1)); v != 11 {
-		t.Fatalf("refresh failed: got %v, want 11", v)
+	want(1, 0, false)
+	for i := uint64(1); i <= 4; i++ {
+		c.put(mat(i), int(10*i))
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	for i := uint64(1); i <= 4; i++ {
+		want(i, int(10*i), true)
 	}
+	// 5 shares slot 1 with 1: it evicts 1 and nothing else, however
+	// recently 1 was read.
+	c.put(mat(5), 50)
+	want(1, 0, false)
+	want(5, 50, true)
+	want(2, 20, true)
+	// A refresh replaces the value in place.
+	c.put(mat(2), 21)
+	want(2, 21, true)
 
-	c.invalidate(oid(1))
-	if _, ok := c.get(oid(1)); ok {
-		t.Fatal("invalidated entry still cached")
+	// A fill installs into an empty or conflicting slot, and a hit never
+	// runs load.
+	if v, err := c.getOrFill(mat(1), func() (int, error) { return 11, nil }); err != nil || v != 11 {
+		t.Fatalf("getOrFill(1) = %v, %v", v, err)
 	}
-	c.invalidate(oid(999)) // absent key: no-op
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
+	want(1, 11, true)
+	want(5, 0, false)
+	if v, _ := c.getOrFill(mat(1), func() (int, error) { t.Fatal("load ran on a hit"); return 0, nil }); v != 11 {
+		t.Fatalf("getOrFill hit = %v, want 11", v)
 	}
+	// A failed load is returned and not cached.
+	boom := errors.New("boom")
+	if _, err := c.getOrFill(mat(6), func() (int, error) { return 0, boom }); err != boom {
+		t.Fatalf("getOrFill error = %v, want %v", err, boom)
+	}
+	want(2, 21, true)
 
-	// Single-entry edge cases around head/tail maintenance.
-	c.invalidate(oid(3))
-	c.put(oid(7), 70)
-	c.put(oid(8), 80)
-	c.put(oid(9), 90) // evicts 7
-	if _, ok := c.get(oid(7)); ok {
-		t.Fatal("entry 7 should have been evicted")
+	c.invalidate(mat(3))
+	want(3, 0, false)
+	want(1, 11, true)
+	want(2, 21, true)
+	want(4, 40, true)
+	c.invalidate(mat(3)) // already empty: still empty
+	want(3, 0, false)
+}
+
+// TestOIDCacheFillLosesToWriter parks a fill inside its load while a writer
+// updates the same OID: once the fill returns, the cache must hold the
+// writer's state, not the fill's older read. A fill that installed with a
+// plain Store instead of a CompareAndSwap fails both cases; an invalidate
+// that stored nil over an empty slot fails the second.
+func TestOIDCacheFillLosesToWriter(t *testing.T) {
+	oid := storage.MakeOID(storage.SegIndex, 9)
+	for _, tc := range []struct {
+		name   string
+		writer func(c *oidCache[int])
+		want   int
+		hit    bool
+	}{
+		{"put", func(c *oidCache[int]) { c.put(oid, 2) }, 2, true},
+		{"invalidate", func(c *oidCache[int]) { c.invalidate(oid) }, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newOIDCache[int](8)
+			parked, release := make(chan struct{}), make(chan struct{})
+			done := make(chan int)
+			go func() {
+				v, _ := c.getOrFill(oid, func() (int, error) {
+					close(parked)
+					<-release
+					return 1, nil // read before the writer's update
+				})
+				done <- v
+			}()
+			<-parked
+			tc.writer(c)
+			close(release)
+			if v := <-done; v != 1 {
+				t.Fatalf("fill returned %d, want its own load's 1", v)
+			}
+			if v, ok := c.get(oid); v != tc.want || ok != tc.hit {
+				t.Fatalf("after the fill: get = %v, %v; want %v, %v (a stale fill landed)", v, ok, tc.want, tc.hit)
+			}
+		})
+	}
+}
+
+// TestOIDCacheDeterministic drives two caches through one seeded call
+// sequence and checks that they hold identical slots after every call:
+// placement is a function of the calls alone, which is what keeps the
+// simulated fault counters reproducible.
+func TestOIDCacheDeterministic(t *testing.T) {
+	a, b := newOIDCache[int](16), newOIDCache[int](16)
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 2000; step++ {
+		oid := storage.MakeOID(storage.SegMaterial, uint64(1+rng.Intn(64)))
+		op, v := rng.Intn(4), rng.Int()
+		for _, c := range []*oidCache[int]{a, b} {
+			switch op {
+			case 0:
+				c.put(oid, v)
+			case 1:
+				c.invalidate(oid)
+			case 2:
+				c.get(oid)
+			default:
+				if _, err := c.getOrFill(oid, func() (int, error) { return v, nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := range a.slots {
+			ea, eb := a.slots[i].Load(), b.slots[i].Load()
+			if (ea == nil) != (eb == nil) || ea != nil && *ea != *eb {
+				t.Fatalf("step %d: slot %d differs: %+v vs %+v", step, i, ea, eb)
+			}
+		}
 	}
 }
 
@@ -73,8 +157,31 @@ func TestOIDCacheNil(t *testing.T) {
 		t.Fatal("nil cache reported a hit")
 	}
 	c.invalidate(storage.OID(1))
-	if c.len() != 0 {
-		t.Fatal("nil cache len != 0")
+	if v, err := c.getOrFill(storage.OID(1), func() (string, error) { return "y", nil }); err != nil || v != "y" {
+		t.Fatalf("nil cache getOrFill = %q, %v", v, err)
+	}
+}
+
+// TestDecodeCacheHitAllocatesNothing reads a warm most-recent index through
+// a snapshot: the hit is one atomic load and allocates nothing.
+func TestDecodeCacheHitAllocatesNothing(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	db := openMem(t)
+	oids := loadReadSet(t, db, 1, 4)
+	mr := mustMR(t, db, oids[0])
+	s := db.acquire()
+	defer s.Close()
+	if _, err := s.readMR(mr); err != nil { // warm the slot
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.readMR(mr); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations per warm readMR; want 0", allocs)
 	}
 }
 

@@ -169,11 +169,11 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	}
 }
 
-// TestSingleFlightCacheStress points every reader at ONE material so all
-// cache misses collide on the same OID: the single-flight fill must hand
-// every waiter the same result with no duplicate loads racing (run under
-// -race, which would catch a torn fill).
-func TestSingleFlightCacheStress(t *testing.T) {
+// TestConcurrentCacheMissStress points every reader at ONE material so all
+// cache misses collide on the same OID: each miss runs its own load and
+// races to install it, and every reader must still get the right answer
+// (run under -race, which would catch a torn install).
+func TestConcurrentCacheMissStress(t *testing.T) {
 	db := openMem(t)
 	oids := loadReadSet(t, db, 1, 8)
 

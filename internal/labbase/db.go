@@ -47,12 +47,13 @@ var (
 
 // Options tunes an open database.
 type Options struct {
-	// CacheEntries bounds the in-memory caches of decoded hot records
-	// (material records and most-recent indexes, CacheEntries entries each).
-	// Cached reads skip the storage manager entirely, so they also skip its
-	// simulated fault accounting — the cache is deterministic (strict LRU)
-	// precisely so benchmark runs stay reproducible. 0 disables caching;
-	// DefaultOptions enables DefaultCacheEntries.
+	// CacheEntries sizes the in-memory caches of decoded hot records
+	// (material records and most-recent indexes): slots per cache, rounded
+	// up to a power of two. Cached reads skip the storage manager entirely,
+	// so they also skip its simulated fault accounting — slot placement is a
+	// function of the OID alone precisely so benchmark runs stay
+	// reproducible. 0 disables caching; DefaultOptions enables
+	// DefaultCacheEntries.
 	CacheEntries int
 }
 
@@ -101,9 +102,9 @@ type DB struct {
 	invRoot    *treapNode[uint64, *invList]    // material OID -> involving steps
 
 	// Decode caches for the hot read paths (see Options.CacheEntries). Both
-	// are invalidated or refreshed on every write to the records they mirror.
-	// Each is internally synchronized and fills are single-flight, so
-	// concurrent readers missing on the same OID share one storage read.
+	// are refreshed, or invalidated when the write fails, on every write to
+	// the records they mirror. Both are lock-free (cache.go): a hit is one
+	// atomic load, and a fill never installs over a writer's update.
 	matCache *oidCache[materialRec]
 	mrCache  *oidCache[[]byte]
 

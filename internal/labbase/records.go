@@ -70,9 +70,9 @@ func decodeMaterialRec(data []byte) (*materialRec, error) {
 
 // readMaterial returns a material record, served from the decode cache when
 // possible. The caller receives a private copy and may mutate it freely; the
-// cache entry is only refreshed through writeMaterial/allocMaterial. A cache
-// miss is a single-flight fill, so concurrent readers of the same material
-// share one storage read.
+// cache entry is only refreshed through writeMaterial/allocMaterial. A hit
+// is one atomic load; a miss reads and decodes the record and installs it
+// unless a writer refreshed the slot meanwhile (cache.go).
 func (db *DB) readMaterial(oid storage.OID) (*materialRec, error) {
 	if oid.Segment() != storage.SegMaterial {
 		return nil, fmt.Errorf("%w: %v", ErrNotMaterial, oid)

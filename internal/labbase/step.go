@@ -236,11 +236,10 @@ func (db *DB) PutSteps(specs []StepSpec) ([]storage.OID, error) {
 // updateMostRecent folds the step's attributes into the material's
 // most-recent index, honouring valid-time order for out-of-order arrivals.
 // The index bytes are served from the decode cache when present; the entry
-// is dropped before the mutation and re-installed only after the write
-// succeeds, so the cache never holds unpersisted bytes. Cached bytes are
-// never mutated in place: lock-free readers may hold the cached slice, so
-// the mutation works on a private copy and the original becomes the
-// version-table pre-image.
+// is refreshed only after the write succeeds and dropped if it fails, so the
+// cache never holds unpersisted bytes. Cached bytes are never mutated in
+// place: lock-free readers may hold the cached slice, so the mutation works
+// on a private copy and the original becomes the version-table pre-image.
 func (db *DB) updateMostRecent(moid storage.OID, m *materialRec, attrs []AttrID, e HistoryEntry) error {
 	if len(attrs) == 0 && !m.mrIndex.IsNil() {
 		return nil
@@ -270,7 +269,6 @@ func (db *DB) updateMostRecent(moid storage.OID, m *materialRec, attrs []AttrID,
 		}
 		pre = append([]byte(nil), data...)
 	}
-	db.mrCache.invalidate(m.mrIndex)
 	changed := false
 	for _, a := range attrs {
 		var c bool
@@ -287,6 +285,7 @@ func (db *DB) updateMostRecent(moid storage.OID, m *materialRec, attrs []AttrID,
 		db.vers.save(m.mrIndex, db.wEpoch, pre)
 	}
 	if err := db.sm.Write(m.mrIndex, data); err != nil {
+		db.mrCache.invalidate(m.mrIndex)
 		return err
 	}
 	db.mrCache.put(m.mrIndex, data)

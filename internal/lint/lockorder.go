@@ -32,9 +32,10 @@ import (
 //     waits on a router. The core reaches its members through an
 //     interface, which this analysis cannot see through; the edges it does
 //     check are the ones inside the router.
-//  2. Leaf classes (oidCache.mu, verTable.mu, readerSlots.mu) may acquire
-//     nothing at all while held — that is what makes them safe to take
-//     from both the read and write paths (DESIGN §9).
+//  2. Leaf classes (RemoteShipper.mu, verTable.mu, readerSlots.mu,
+//     routerMetrics.mu) may acquire nothing at all while held — that is
+//     what makes them safe to take from both the read and write paths
+//     (DESIGN §9).
 //  3. The module-wide acquisition graph, including unranked storage-manager
 //     mutexes, must be acyclic. Storage locks are deliberately unranked:
 //     they sit below everything and only a genuine cycle among them is a
@@ -77,7 +78,6 @@ var lockRanks = map[string]int{
 	// the standby's pagefile mutexes (unranked, cycle-checked) while held.
 	"labflow/internal/wire.RemoteShipper.mu":          55,
 	"labflow/internal/storage/repl.Standby.mu":        58,
-	"labflow/internal/labbase.oidCache.mu":            60,
 	"labflow/internal/labbase.verTable.mu":            60,
 	"labflow/internal/labbase.readerSlots.mu":         60,
 	"labflow/internal/labbase/shard.routerMetrics.mu": 60,
@@ -96,7 +96,6 @@ var lockRanks = map[string]int{
 // lockLeaves are the classes that may acquire nothing while held.
 var lockLeaves = map[string]bool{
 	"labflow/internal/wire.RemoteShipper.mu":          true,
-	"labflow/internal/labbase.oidCache.mu":            true,
 	"labflow/internal/labbase.verTable.mu":            true,
 	"labflow/internal/labbase.readerSlots.mu":         true,
 	"labflow/internal/labbase/shard.routerMetrics.mu": true,

@@ -100,9 +100,10 @@ go test -race -count=1 \
 # page read into the caller's buffer without allocating (pagefile), a
 # same-size inline Write learns the old length in place (pagefile), a
 # 40-page group's redo record streams through the flusher's 16-page buffer
-# (ostore), and a history or extent append changes its chunk in place,
-# allocating at most its closure over ostore and memstore (labbase).
-go test -count=1 -run 'TestFaultAllocatesNothing|TestFileReadAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing|TestAppendCopiesNoChunk' \
+# (ostore), a history or extent append changes its chunk in place,
+# allocating at most its closure over ostore and memstore, and a warm
+# decode-cache hit on a most-recent index allocates nothing (labbase).
+go test -count=1 -run 'TestFaultAllocatesNothing|TestFileReadAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing|TestAppendCopiesNoChunk|TestDecodeCacheHitAllocatesNothing' \
 	./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/ ./internal/labbase/
 
 echo "== crashtest: randomized-seed round"
