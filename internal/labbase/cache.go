@@ -12,10 +12,10 @@ import (
 //
 // It is a direct-mapped table: a power-of-two array of slots, each an atomic
 // pointer to an immutable {oid, val} entry, with the slot picked by the OID's
-// low index bits. Material and most-recent-index OIDs are dense per segment,
-// so the newest len(slots) objects never collide; an older one is evicted by
-// whichever newer OID shares its slot. Placement depends only on the call
-// sequence, so sequential use is deterministic. That matters: cache hits skip
+// low index bits. OIDs are dense per segment, so the newest len(slots)
+// objects of a segment never collide; an older one is evicted by whichever
+// newer OID shares its slot. Placement depends only on the call sequence, so
+// sequential use is deterministic. That matters: cache hits skip
 // storage-manager reads and therefore change the simulated fault counters.
 //
 // No lock anywhere: a hit is one atomic load. Writers (put, invalidate)
