@@ -179,12 +179,12 @@ func cowMutSummary(fn *fnBody, mod *module, summary func(string) cowMutFact) cow
 	for grown := true; grown; {
 		grown = false
 		alias := func(dst, src ast.Expr) {
-			srcID, ok := unparen(src).(*ast.Ident)
+			srcID, ok := ast.Unparen(src).(*ast.Ident)
 			if !ok {
 				return
 			}
 			idx, aliased := inputs[objectOf(info, srcID)]
-			if dstID, ok := unparen(dst).(*ast.Ident); ok && aliased && dstID.Name != "_" {
+			if dstID, ok := ast.Unparen(dst).(*ast.Ident); ok && aliased && dstID.Name != "_" {
 				if obj := objectOf(info, dstID); obj != nil {
 					if _, seen := inputs[obj]; !seen {
 						inputs[obj], grown = idx, true
@@ -212,7 +212,7 @@ func cowMutSummary(fn *fnBody, mod *module, summary func(string) cowMutFact) cow
 	rootInput := func(e ast.Expr) (int, bool) {
 		depth := 0
 		for {
-			switch x := unparen(e).(type) {
+			switch x := ast.Unparen(e).(type) {
 			case *ast.SelectorExpr:
 				e, depth = x.X, depth+1
 			case *ast.IndexExpr:
@@ -245,9 +245,9 @@ func cowMutSummary(fn *fnBody, mod *module, summary func(string) cowMutFact) cow
 			}
 		case *ast.CallExpr:
 			// delete(p, k), and forwarding a bare input to a mutating callee.
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
 				if _, isBuiltin := objectOf(info, id).(*types.Builtin); isBuiltin {
-					if src, ok := unparen(n.Args[0]).(*ast.Ident); ok {
+					if src, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
 						if idx, aliased := inputs[objectOf(info, src)]; aliased {
 							mark(idx)
 						}
@@ -267,8 +267,8 @@ func cowMutSummary(fn *fnBody, mod *module, summary func(string) cowMutFact) cow
 // mutates the matching receiver or parameter.
 func forwardMutation(info *types.Info, call *ast.CallExpr, callee cowMutFact, inputs map[types.Object]int, mark func(int)) {
 	if callee.Recv {
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if id, ok := unparen(sel.X).(*ast.Ident); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 				if idx, aliased := inputs[objectOf(info, id)]; aliased {
 					mark(idx)
 				}
@@ -276,7 +276,7 @@ func forwardMutation(info *types.Info, call *ast.CallExpr, callee cowMutFact, in
 		}
 	}
 	for i, arg := range call.Args {
-		arg = unparen(arg)
+		arg = ast.Unparen(arg)
 		if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
 			continue // &p mutates the pointee of a fresh pointer, not p's referent
 		}
@@ -367,7 +367,7 @@ func pointerLike(t types.Type) bool {
 // cowSnapshotLoad reports whether call is (atomic.Pointer[T]).Load for a
 // published T: the taint source.
 func cowSnapshotLoad(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Load" {
 		return false
 	}
@@ -375,26 +375,36 @@ func cowSnapshotLoad(info *types.Info, call *ast.CallExpr) bool {
 	if !ok || s.Kind() != types.MethodVal {
 		return false
 	}
-	n, ok := deref(s.Recv()).(*types.Named)
+	elem := atomicPointerElem(deref(s.Recv()))
+	return elem != nil && cowPublishedTypes[elem.Obj().Name()]
+}
+
+// atomicPointerElem returns T when t is atomic.Pointer[T] for a named T,
+// else nil.
+func atomicPointerElem(t types.Type) *types.Named {
+	n, ok := t.(*types.Named)
 	if !ok {
-		return false
+		return nil
 	}
 	if path, name := namedPath(n.Origin()); path != "sync/atomic" || name != "Pointer" {
-		return false
+		return nil
 	}
 	args := n.TypeArgs()
 	if args == nil || args.Len() != 1 {
-		return false
+		return nil
 	}
-	elem, ok := deref(args.At(0)).(*types.Named)
-	return ok && cowPublishedTypes[elem.Origin().Obj().Name()]
+	elem, _ := deref(args.At(0)).(*types.Named)
+	if elem == nil {
+		return nil
+	}
+	return elem.Origin()
 }
 
 // tainted reports whether e evaluates to a value reachable from a published
 // snapshot. Local variables consult reaching definitions; value-shaped
 // results (non-pointer-like) are always clean.
 func (c *cowCtx) tainted(e ast.Expr) bool {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.Ident:
 		obj := objectOf(c.info, e)
@@ -440,7 +450,7 @@ func (c *cowCtx) callTainted(call *ast.CallExpr) bool {
 	if cowSnapshotLoad(c.info, call) {
 		return true
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := objectOf(c.info, id).(*types.Builtin); isBuiltin {
 			// append(nil, tainted...) copies into arg0: taint follows the
 			// destination, so append([]T(nil), st.roots...) is a cleanse.
@@ -474,7 +484,7 @@ func (c *cowCtx) defTainted(obj types.Object, node ast.Node) bool {
 
 func (c *cowCtx) defTaintedEval(obj types.Object, node ast.Node) bool {
 	tupleTaint := func(rhs ast.Expr) bool {
-		switch r := unparen(rhs).(type) {
+		switch r := ast.Unparen(rhs).(type) {
 		case *ast.CallExpr:
 			return c.callTainted(r)
 		case *ast.TypeAssertExpr:
@@ -500,7 +510,7 @@ func (c *cowCtx) defTaintedEval(obj types.Object, node ast.Node) bool {
 	switch n := node.(type) {
 	case *ast.AssignStmt:
 		return pick(len(n.Lhs), func(i int) bool {
-			id, ok := unparen(n.Lhs[i]).(*ast.Ident)
+			id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident)
 			return ok && objectOf(c.info, id) == obj
 		}, n.Rhs)
 	case *ast.ValueSpec:
@@ -538,7 +548,7 @@ func (c *cowCtx) harvest() map[string]bool {
 				hot := false
 				if len(n.Rhs) == len(n.Lhs) {
 					hot = pointerLike(c.info.TypeOf(n.Rhs[i])) && c.tainted(n.Rhs[i])
-				} else if call, ok := unparen(n.Rhs[0]).(*ast.CallExpr); ok {
+				} else if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 					hot = c.callTainted(call)
 				}
 				if hot {
@@ -568,7 +578,7 @@ func (c *cowCtx) harvestComposite(lit *ast.CompositeLit, put func(ns, key string
 			put(nsCowField, namedKeyOf(owner)+"."+field.Name())
 		}
 		if cowPublishedTypes[owner.Origin().Obj().Name()] {
-			if sel, ok := unparen(value).(*ast.SelectorExpr); ok {
+			if sel, ok := ast.Unparen(value).(*ast.SelectorExpr); ok {
 				if s, ok := c.info.Selections[sel]; ok {
 					put(nsCowField, fieldKeyOf(s))
 				}
@@ -576,11 +586,11 @@ func (c *cowCtx) harvestComposite(lit *ast.CompositeLit, put func(ns, key string
 			// append(nil, db.field...) copies the slice header but shares the
 			// elements: the source field's slots stay writable, their
 			// referents do not.
-			if call, ok := unparen(value).(*ast.CallExpr); ok && call.Ellipsis.IsValid() {
-				if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
+			if call, ok := ast.Unparen(value).(*ast.CallExpr); ok && call.Ellipsis.IsValid() {
+				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
 					if _, isBuiltin := objectOf(c.info, id).(*types.Builtin); isBuiltin {
 						for _, a := range call.Args[1:] {
-							if sel, ok := unparen(a).(*ast.SelectorExpr); ok {
+							if sel, ok := ast.Unparen(a).(*ast.SelectorExpr); ok {
 								if s, ok := c.info.Selections[sel]; ok {
 									put(nsCowElems, fieldKeyOf(s))
 								}
@@ -617,7 +627,7 @@ func (c *cowCtx) scan() {
 // whose base is. Projections through a clean value copy stop the walk —
 // that is the cleanse the copy constructors rely on.
 func (c *cowCtx) baseTainted(e ast.Expr) bool {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if c.tainted(e) {
 		return true
 	}
@@ -637,7 +647,7 @@ func (c *cowCtx) baseTainted(e ast.Expr) bool {
 func (c *cowCtx) checkWrite(lhs ast.Expr) {
 	var base ast.Expr
 	verb := "write to"
-	switch lhs := unparen(lhs).(type) {
+	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
 		if s, ok := c.info.Selections[lhs]; ok && s.Kind() == types.FieldVal {
 			base = lhs.X
@@ -653,7 +663,7 @@ func (c *cowCtx) checkWrite(lhs ast.Expr) {
 }
 
 func (c *cowCtx) checkCall(call *ast.CallExpr) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := objectOf(c.info, id).(*types.Builtin); isBuiltin {
 			if id.Name == "delete" && len(call.Args) > 0 && c.tainted(call.Args[0]) {
 				c.p.Reportf(call.Pos(), "delete on snapshot-published map %s; clone before mutating (DESIGN §6)", types.ExprString(call.Args[0]))
@@ -670,7 +680,7 @@ func (c *cowCtx) checkCall(call *ast.CallExpr) {
 // the callee key, which mutates the inputs fact marks.
 func (c *cowCtx) checkMutatingCall(call *ast.CallExpr, key string, fact cowMutFact) {
 	if fact.Recv {
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && c.tainted(sel.X) {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && c.tainted(sel.X) {
 			c.p.Reportf(call.Pos(), "%s mutates its receiver, which is snapshot-published here; clone before mutating (DESIGN §6)", shortKey(key))
 		}
 	}

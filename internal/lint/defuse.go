@@ -160,7 +160,7 @@ func (b *duBuilder) nodeDefs(n ast.Node, fn func(*def)) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
 				emit(id, n)
 			}
 		}
@@ -181,7 +181,7 @@ func (b *duBuilder) nodeDefs(n ast.Node, fn func(*def)) {
 			}
 		}
 	case *ast.IncDecStmt:
-		if id, ok := unparen(n.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 			emit(id, n)
 		}
 	case *ast.RangeStmt:
@@ -189,7 +189,7 @@ func (b *duBuilder) nodeDefs(n ast.Node, fn func(*def)) {
 			if e == nil {
 				continue
 			}
-			if id, ok := unparen(e).(*ast.Ident); ok && id.Name != "_" {
+			if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name != "_" {
 				emit(id, n)
 			}
 		}
@@ -207,7 +207,7 @@ func (b *duBuilder) nodeUses(n ast.Node, fn func(*ast.Ident)) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 				skip[id] = true
 			}
 		}
@@ -253,7 +253,7 @@ func escapedVars(body ast.Node, info *types.Info) map[types.Object]bool {
 		switch n := n.(type) {
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if id, ok := unparen(n.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 					if obj := objectOf(info, id); obj != nil {
 						escaped[obj] = true
 					}

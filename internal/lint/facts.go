@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -94,7 +92,7 @@ func pkgVarKey(obj types.Object) string {
 // slotKey names the field or package variable e denotes, "" for anything
 // else.
 func slotKey(info *types.Info, e ast.Expr) string {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return pkgVarKey(info.Uses[e])
 	case *ast.SelectorExpr:
@@ -130,7 +128,7 @@ func structFields(info *types.Info, lit *ast.CompositeLit, fn func(owner *types.
 // qualified identifier. Calls through interfaces, function values, and
 // builtins return "". It is the static half of module.callees.
 func staticCalleeKey(info *types.Info, call *ast.CallExpr) string {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := objectOf(info, fun).(*types.Func); ok {
 			return funcKey(fn)
@@ -178,15 +176,4 @@ func shortKey(key string) string {
 		return key[i+1:]
 	}
 	return key
-}
-
-// posString renders a position compactly (base filename:line) for use
-// inside diagnostic messages that reference a second location.
-func posString(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name + ":" + strconv.Itoa(p.Line)
 }

@@ -4,24 +4,24 @@
 // The benchmark's Section-10 results are only comparable when runs are
 // reproducible: every server version must see the identical event stream,
 // and the table10 goldens and byte-identity tests compare simulated counters
-// exactly across runs and stores. The analyzers in this package turn the repo's determinism and error-hygiene
-// conventions into mechanically checked invariants:
+// exactly across runs and stores. Each analyzer here catches, at some real
+// site, a mistake that no test, golden, run-twice comparison, go vet or
+// -race run catches (the ledger in DESIGN §6 names the site):
 //
 //	detrand      math/rand must flow from rand.New(rand.NewSource(seed))
 //	wallclock    time.Now/Since/Until forbidden outside the allowlist
 //	errwrap      fmt.Errorf must wrap error arguments with %w
 //	mapiter      map iteration on output paths must use sorted keys
-//	mutexhygiene no mutex copies; every lock released on every return path
-//	snapshothygiene snapshot read methods are lock-free and mutation-free
+//	mutexhygiene every lock released on every return path, in its own flavor
+//	snapshothygiene snapshot read methods take no lock
 //
 // The module-wide passes share a flow layer: a CFG and forward dataflow
 // solver for one body (cfg.go, defuse.go) and, across the module, one
 // enumeration of function bodies, one call-edge function that resolves
 // function values where every assignment is visible, and one summary
-// solver (summary.go). Three passes enforce the MVCC invariants:
+// solver (summary.go). Two passes enforce the MVCC invariants:
 //
 //	cowhygiene   values loaded from published snapshot state are immutable
-//	atomichygiene a field accessed atomically anywhere is atomic everywhere
 //	lockorder    mutex acquisition follows the DESIGN §6.3 hierarchy
 //
 // Diagnostics can be suppressed, with a mandatory justification, by a
@@ -71,7 +71,7 @@ type Analyzer struct {
 }
 
 // All is the suite run by cmd/labflowvet, in reporting order.
-var All = []*Analyzer{Detrand, Wallclock, Errwrap, Mapiter, MutexHygiene, SnapshotHygiene, CowHygiene, AtomicHygiene, LockOrder}
+var All = []*Analyzer{Detrand, Wallclock, Errwrap, Mapiter, MutexHygiene, SnapshotHygiene, CowHygiene, LockOrder}
 
 // ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {

@@ -62,9 +62,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // findModule walks upward from dir to the enclosing go.mod and returns the
 // module root directory and module path.
 func findModule(dir string) (root, path string, err error) {

@@ -110,7 +110,7 @@ var lockLeaves = map[string]bool{
 // globals, "" for locals and unresolvable receivers.
 func lockClassKey(info *types.Info, e ast.Expr) string {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.IndexExpr:
 			e = x.X
 		case *ast.StarExpr:
@@ -272,7 +272,7 @@ func (st *lockState) flowCall(info *types.Info, call *ast.CallExpr, held map[str
 		charge(key, key)
 	}
 	for _, arg := range call.Args {
-		if lit, ok := unparen(arg).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 			charge(st.mod.litKey(lit), "func literal")
 		}
 	}

@@ -94,33 +94,6 @@ func evolve(db *DB) *dbState {
 		expectDiags(t, diags, "cowhygiene:22")
 	})
 
-	t.Run("atomichygiene catches a non-atomic registry-slot read", func(t *testing.T) {
-		src := `package labbase
-
-import "sync/atomic"
-
-type readerSlots struct {
-	slots [64]uint64
-}
-
-func (r *readerSlots) pin(i int, epoch uint64) {
-	atomic.StoreUint64(&r.slots[i], epoch)
-}
-
-// Mutation: the slot is written atomically by concurrent readers, and this
-// reads it with a plain load.
-func (r *readerSlots) peek(i int) uint64 {
-	return r.slots[i]
-}
-
-// Legal twin: the atomic read.
-func (r *readerSlots) load(i int) uint64 {
-	return atomic.LoadUint64(&r.slots[i])
-}`
-		diags := mutationDiags(t, "labflow/internal/labbase", src, []*Analyzer{AtomicHygiene})
-		expectDiags(t, diags, "atomichygiene:16")
-	})
-
 	t.Run("lockorder catches a reversed pool.mu-then-stmu acquisition", func(t *testing.T) {
 		src := `package shard
 

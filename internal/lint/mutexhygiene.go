@@ -8,21 +8,20 @@ import (
 	"strings"
 )
 
-// MutexHygiene enforces three lock-discipline rules the storage managers
+// MutexHygiene enforces two lock-discipline rules the storage managers
 // depend on:
 //
-//  1. no sync.Mutex / sync.RWMutex (or value containing one) is ever copied
-//     by value — through a parameter, receiver, result, assignment, or range
-//     variable — since a copied lock silently stops excluding anything; and
-//  2. every path from an x.Lock()/x.RLock() to a return statement in the
+//  1. every path from an x.Lock()/x.RLock() to a return statement in the
 //     same function releases the lock, either by a defer or by an explicit
 //     unlock on that path; and
-//  3. on RWMutex, the release matches the acquisition's flavor: a lock taken
+//  2. on RWMutex, the release matches the acquisition's flavor: a lock taken
 //     with RLock() must be dropped with RUnlock() and one taken with Lock()
 //     with Unlock() — crossing them panics ("sync: Unlock of unlocked
 //     RWMutex") or silently downgrades exclusion at runtime.
 //
-// Rules 2 and 3 are a must-held dataflow over the function's CFG (cfg.go),
+// Copying a lock by value is go vet's copylocks check, which CI runs first.
+//
+// Both rules are a must-held dataflow over the function's CFG (cfg.go),
 // solved by the same forward solver as the other flow clients. It is
 // intraprocedural and deliberately conservative: a lock is only reported
 // at a return if it is held on *every* control-flow path reaching it —
@@ -30,7 +29,7 @@ import (
 // conditional-unlock idioms do not produce false positives.
 var MutexHygiene = &Analyzer{
 	Name: "mutexhygiene",
-	Doc:  "forbid by-value mutex copies and lock acquisitions without an unlock on every return path",
+	Doc:  "forbid lock acquisitions without an unlock on every return path, and RWMutex releases of the wrong flavor",
 	Run:  runMutexHygiene,
 }
 
@@ -39,91 +38,15 @@ func runMutexHygiene(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				checkLockCopiesInSignature(p, n.Recv, n.Type)
 				if n.Body != nil {
 					checkLockPaths(p, n.Body)
 				}
 			case *ast.FuncLit:
-				checkLockCopiesInSignature(p, nil, n.Type)
 				checkLockPaths(p, n.Body)
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if i < len(n.Lhs) && !isBlank(n.Lhs[i]) && isLockCopySource(p, rhs) {
-						p.Reportf(rhs.Pos(), "assignment copies a value containing a sync mutex; use a pointer")
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if tv, ok := p.Info.Types[n.Value]; ok && tv.Type != nil && containsLock(tv.Type) {
-						p.Reportf(n.Value.Pos(), "range value copies a value containing a sync mutex; range over indices or pointers")
-					}
-				}
 			}
 			return true
 		})
 	}
-}
-
-// --- copy detection ---
-
-// containsLock reports whether a value of type t embeds a sync.Mutex or
-// sync.RWMutex by value (directly, in a struct field, or in an array).
-func containsLock(t types.Type) bool {
-	if path, name := namedPath(t); path == "sync" && (name == "Mutex" || name == "RWMutex") {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type()) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem())
-	}
-	return false
-}
-
-func checkLockCopiesInSignature(p *Pass, recv *ast.FieldList, ft *ast.FuncType) {
-	report := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := p.Info.Types[field.Type]
-			if !ok || tv.Type == nil {
-				continue
-			}
-			if containsLock(tv.Type) {
-				p.Reportf(field.Type.Pos(), "%s passes a value containing a sync mutex by value; use a pointer", what)
-			}
-		}
-	}
-	report(recv, "receiver")
-	report(ft.Params, "parameter")
-	report(ft.Results, "result")
-}
-
-// isBlank reports whether e is the blank identifier; discarding a value does
-// not duplicate live lock state.
-func isBlank(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-// isLockCopySource reports whether evaluating rhs copies an existing value
-// that contains a mutex. Composite literals and function calls construct
-// fresh values and are fine; reading a variable, field, element, or
-// dereference duplicates live lock state.
-func isLockCopySource(p *Pass, rhs ast.Expr) bool {
-	switch rhs.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return false
-	}
-	tv, ok := p.Info.Types[rhs]
-	return ok && tv.Type != nil && containsLock(tv.Type)
 }
 
 // --- lock/unlock path analysis ---
@@ -138,7 +61,7 @@ const (
 // RLock, TryLock, TryRLock) or release (Unlock, RUnlock). It returns the
 // receiver expression, the kind, and whether the call is the read flavor.
 func lockOp(info *types.Info, call *ast.CallExpr) (recv ast.Expr, kind int, read bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil, lockNone, false
 	}
@@ -173,7 +96,7 @@ func heldKey(recv ast.Expr, read bool) string {
 	return types.ExprString(recv)
 }
 
-// checkLockPaths applies rules 2 and 3 to one function body: a must-held
+// checkLockPaths applies both rules to one function body: a must-held
 // dataflow over its CFG, in which a lock survives a join only if every
 // incoming path holds it, then one replay of every reached block that
 // reports returns with a lock held and releases of the wrong flavor. A nil
@@ -257,9 +180,9 @@ func heldAfter(p *Pass, blk *Block, in map[string]bool, report bool) map[string]
 
 // release drops key from held. When the matching acquisition is absent but
 // the opposite flavor of the same RWMutex is held, the unlock crosses
-// flavors — Unlock after RLock or RUnlock after Lock — which is rule 3's
+// flavors — Unlock after RLock or RUnlock after Lock — which is rule 2's
 // runtime fault, so it is reported and the mismatched hold cleared to
-// avoid a cascading rule-2 report.
+// avoid a cascading rule-1 report.
 func release(p *Pass, pos token.Pos, held map[string]bool, key string, report bool) {
 	if expr, read := strings.CutSuffix(key, "/r"); !held[key] {
 		if read && held[expr] {

@@ -24,7 +24,7 @@ func Run(opts Options) ([]Diagnostic, error) {
 	}
 	// One driver run over every unit: module-wide analyzers need the whole
 	// slice at once so cross-package facts (mutation summaries, lock
-	// acquisition sets, atomic-access disciplines) line up.
+	// acquisition sets) line up.
 	diags := RunUnits(loader.Fset, units, All)
 	for i := range diags {
 		diags[i].File = rel(diags[i].File)

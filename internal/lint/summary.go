@@ -130,7 +130,7 @@ func (m *module) indexFile(u *Unit, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			if lit, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
+			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
 				spawned[lit] = true
 			}
 		case *ast.FuncLit:
@@ -160,7 +160,7 @@ func (m *module) indexFile(u *Unit, f *ast.File) {
 				m.escaped["slot "+key] = true
 			}
 		case *ast.CallExpr:
-			switch fun := unparen(n.Fun).(type) {
+			switch fun := ast.Unparen(n.Fun).(type) {
 			case *ast.Ident:
 				callee[fun] = true
 			case *ast.SelectorExpr:
@@ -191,7 +191,7 @@ func (m *module) callees(info *types.Info, call *ast.CallExpr) []string {
 	var set map[string]bool
 	if key := staticCalleeKey(info, call); key != "" {
 		set = map[string]bool{key: true}
-	} else if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
+	} else if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		set = map[string]bool{m.litKey(lit): true}
 	} else if key := slotKey(info, call.Fun); key != "" {
 		set = m.resolve("slot "+key, map[string]bool{})
@@ -230,7 +230,7 @@ func (m *module) resolve(flow string, visiting map[string]bool) map[string]bool 
 // denote, nil when it is opaque.
 func (m *module) value(info *types.Info, e ast.Expr, visiting map[string]bool) map[string]bool {
 	var obj types.Object
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
 		return map[string]bool{m.litKey(e): true}
 	case *ast.Ident:

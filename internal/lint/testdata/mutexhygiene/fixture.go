@@ -1,5 +1,6 @@
-// Package fixture exercises the mutexhygiene analyzer: by-value lock copies
-// and lock acquisitions that can reach a return without an unlock.
+// Package fixture exercises the mutexhygiene analyzer: lock acquisitions
+// that can reach a return without an unlock, and RWMutex releases of the
+// wrong flavor.
 package fixture
 
 import "sync"
@@ -7,39 +8,6 @@ import "sync"
 type counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-func paramByValue(c counter) int {
-	return c.n
-}
-
-func (c counter) valueReceiver() int {
-	return c.n
-}
-
-func resultByValue() counter {
-	return counter{}
-}
-
-func assignCopies(c *counter) {
-	d := *c
-	_ = d
-}
-
-func rangeValueCopies(cs []counter) int {
-	total := 0
-	for _, c := range cs {
-		total += c.n
-	}
-	return total
-}
-
-func pointersAreFine(c *counter, cs []*counter) int {
-	total := c.n
-	for _, p := range cs {
-		total += p.n
-	}
-	return total
 }
 
 func returnWhileLocked(c *counter) int {

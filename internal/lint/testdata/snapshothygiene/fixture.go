@@ -1,6 +1,5 @@
 // Package fixture exercises the snapshothygiene analyzer: methods on
-// snapshot handle types (named Snap or ending in Snap) must be lock-free
-// and must not mutate snapshot-reachable state.
+// snapshot handle types (named Snap or ending in Snap) must be lock-free.
 package fixture
 
 import "sync"
@@ -20,12 +19,10 @@ type store struct {
 }
 
 // Snap mirrors the shape of a labbase snapshot handle: a pinned immutable
-// state, a back-pointer to the owning store, and handle-local bookkeeping.
+// state and a back-pointer to the owning store.
 type Snap struct {
-	st     *dbState
-	db     *store
-	closed bool
-	hits   int
+	st *dbState
+	db *store
 }
 
 // cleanRead is the contract working as intended: pure reads through the
@@ -42,15 +39,6 @@ func (s *Snap) cleanRead(k string) int {
 	return total
 }
 
-// handleBookkeeping writes only direct fields of the handle itself, which
-// is allowed: Close-style lifecycle state lives on the handle, not in the
-// shared snapshot.
-func (s *Snap) handleBookkeeping() {
-	s.closed = true
-	s.hits++
-	s.st = nil
-}
-
 // lockedRead takes the store's lock from a snapshot method.
 func (s *Snap) lockedRead() int {
 	s.db.mu.RLock()
@@ -65,33 +53,6 @@ func (s *Snap) localLock() int {
 	mu.Lock()
 	defer mu.Unlock()
 	return s.st.cat.byState["x"]
-}
-
-// mutatesPinnedState assigns through the pinned state — the epoch and
-// catalog pointer are shared with every other reader of this version.
-func (s *Snap) mutatesPinnedState() {
-	s.st.epoch = 99
-	s.db.cat = nil
-	s.st.epoch++
-}
-
-// mutatesSharedMap writes an element of a snapshot-reachable map.
-func (s *Snap) mutatesSharedMap(k string) {
-	s.st.cat.byState[k] = 1
-	s.db.cat.byState[k]++
-}
-
-// derefWrite overwrites shared state through a pointer chain.
-func (s *Snap) derefWrite(v dbState) {
-	*s.st = v
-}
-
-// localsAreFine: chains rooted at locals or parameters are not the
-// snapshot's problem.
-func (s *Snap) localsAreFine(other *store) {
-	c := &catalog{byState: map[string]int{}}
-	c.byState["x"] = 1
-	other.cat = c
 }
 
 // groupSnap matches by suffix, covering handle types over several snapshots.
@@ -117,13 +78,15 @@ func (g *groupSnap) cleanShardRead(k string) int {
 	return total
 }
 
-// suppressed shows the escape hatch: a justified allow directive.
-func (s *Snap) suppressed() {
-	//lint:allow snapshothygiene refreshing a private prefetch buffer owned by this handle
-	s.st.epoch = 0
+// suppressed shows the escape hatch: a justified allow directive on each
+// locking line.
+func (s *Snap) suppressed() int {
+	s.db.mu.RLock()         //lint:allow snapshothygiene reads live store state on purpose, not the capture
+	defer s.db.mu.RUnlock() //lint:allow snapshothygiene reads live store state on purpose, not the capture
+	return len(s.db.cat.byState)
 }
 
-// snapshotter is not a snapshot handle; its methods may lock and mutate.
+// snapshotter is not a snapshot handle; its methods may lock.
 type snapshotter struct {
 	mu sync.Mutex
 	st *dbState

@@ -20,7 +20,7 @@ func pkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
 	return obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// useIn returns the object an identifier resolves to, from either Uses or
+// objectOf returns the object an identifier resolves to, from either Uses or
 // Defs.
 func objectOf(info *types.Info, id *ast.Ident) types.Object {
 	if obj := info.Uses[id]; obj != nil {
