@@ -60,7 +60,7 @@ func main() {
 		standby   = flag.Bool("standby", false, "serve as a warm standby: apply shipped redo records to -path until promoted, then reopen and serve normally (-store ostore only)")
 		stbySync  = flag.Bool("standby-sync", false, "fsync the standby journal before acking each shipped record (power-loss durability; default covers process crashes only)")
 		ship      = flag.String("ship", "", "standby address to ship every commit's redo record to (-store ostore only)")
-		ckpt      = flag.Int("ckpt", 8, "checkpoint interval in commits: ostore redo-log checkpoints, standby journal checkpoints")
+		ckpt      = flag.Int("ckpt", repl.DefaultCheckpointEvery, "checkpoint interval in commits: ostore redo-log checkpoints, standby journal checkpoints")
 	)
 	flag.Parse()
 

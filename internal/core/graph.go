@@ -103,49 +103,53 @@ func DefineSchema(db labbase.Store) error {
 			return err
 		}
 	}
-	stepDefs := map[string][]labbase.AttrDef{
-		StepPrepClone: {
+	// A list, not a map: catalog IDs follow definition order on every open.
+	stepDefs := []struct {
+		name  string
+		attrs []labbase.AttrDef
+	}{
+		{StepPrepClone, []labbase.AttrDef{
 			{Name: "concentration", Kind: labbase.KindFloat},
 			{Name: "od_ratio", Kind: labbase.KindFloat},
 			{Name: "insert_length", Kind: labbase.KindInt},
-		},
-		StepAssociateTclone: {
+		}},
+		{StepAssociateTclone, []labbase.AttrDef{
 			{Name: "num_tclones", Kind: labbase.KindInt},
-		},
-		StepMapTransposon: {
+		}},
+		{StepMapTransposon, []labbase.AttrDef{
 			{Name: "position", Kind: labbase.KindInt},
 			{Name: "ok", Kind: labbase.KindBool},
-		},
-		StepRunGel: {
+		}},
+		{StepRunGel, []labbase.AttrDef{
 			{Name: "gel_name", Kind: labbase.KindString},
 			{Name: "lanes", Kind: labbase.KindInt},
 			{Name: "voltage", Kind: labbase.KindFloat},
-		},
-		StepDetermineSeq: {
+		}},
+		{StepDetermineSeq, []labbase.AttrDef{
 			{Name: "sequence", Kind: labbase.KindString},
 			{Name: "quality", Kind: labbase.KindFloat},
 			{Name: "read_length", Kind: labbase.KindInt},
 			{Name: "ok", Kind: labbase.KindBool},
-		},
-		StepAssembleSeq: {
+		}},
+		{StepAssembleSeq, []labbase.AttrDef{
 			{Name: "consensus", Kind: labbase.KindString},
 			{Name: "coverage", Kind: labbase.KindFloat},
 			{Name: "holes", Kind: labbase.KindInt},
 			{Name: "length", Kind: labbase.KindInt},
-		},
-		StepBlastSearch: {
+		}},
+		{StepBlastSearch, []labbase.AttrDef{
 			{Name: "accession", Kind: labbase.KindString},
 			{Name: "hits", Kind: labbase.KindList},
 			{Name: "num_hits", Kind: labbase.KindInt},
-		},
-		StepIncorporate: {
+		}},
+		{StepIncorporate, []labbase.AttrDef{
 			{Name: "map_position", Kind: labbase.KindInt},
 			{Name: "ok", Kind: labbase.KindBool},
-		},
+		}},
 	}
-	for name, attrs := range stepDefs {
-		if _, _, err := db.DefineStepClass(name, attrs); err != nil {
-			return fmt.Errorf("core: define %s: %w", name, err)
+	for _, def := range stepDefs {
+		if _, _, err := db.DefineStepClass(def.name, def.attrs); err != nil {
+			return fmt.Errorf("core: define %s: %w", def.name, err)
 		}
 	}
 	return nil

@@ -69,22 +69,23 @@ func treapPut[K cmp.Ordered, V any](n *treapNode[K, V], key K, pri uint64, val V
 	return &c
 }
 
-// treapRotateRight lifts n's left child above n. n is the caller's private
-// copy (never snapshot-reachable), so mutating it is safe; the lifted child
-// is copied because it may be shared with an older snapshot.
+// treapRotateRight lifts n's left child above n, in place. Neither node is
+// snapshot-reachable: n is treapPut's private copy, and the lifted child was
+// built by the same put (treapPut, the only caller, returns only nodes it
+// allocated). The subtree moved across may be shared; it is only relinked.
 func treapRotateRight[K cmp.Ordered, V any](n *treapNode[K, V]) *treapNode[K, V] {
-	l := *n.left
+	l := n.left
 	n.left = l.right
 	l.right = n
-	return &l
+	return l
 }
 
 // treapRotateLeft is the mirror image of treapRotateRight.
 func treapRotateLeft[K cmp.Ordered, V any](n *treapNode[K, V]) *treapNode[K, V] {
-	r := *n.right
+	r := n.right
 	n.right = r.left
 	r.left = n
-	return &r
+	return r
 }
 
 // treapDelete returns the root of a treap equal to n without key.

@@ -1,7 +1,6 @@
 package ostore
 
 import (
-	"path/filepath"
 	"testing"
 
 	"labflow/internal/storage/pagefile"
@@ -18,7 +17,7 @@ func TestFaultAllocatesNothing(t *testing.T) {
 	if storagetest.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	p := newWhiteboxPager(t, "")
+	p := newPagerOn(t, nil, 1)
 	ids := make([]pagefile.PageID, 2*whiteboxPoolPages)
 	for i := range ids {
 		f, err := p.AllocPage()
@@ -67,13 +66,13 @@ func TestWideRecordWriteAllocatesNothing(t *testing.T) {
 	if storagetest.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	p := newWhiteboxPager(t, filepath.Join(t.TempDir(), "wal"))
+	p := newPagerOn(t, openWAL(t), 1)
 	order := make([]repl.PageImage, 40)
 	for i := range order {
 		order[i] = repl.PageImage{ID: pagefile.PageID(i + 1), Data: make([]byte, pagefile.PageSize)}
 	}
 	write := func() {
-		if err := p.writeRecord(order); err != nil {
+		if err := p.log.Append(order, p.scratchFor(len(order))); err != nil {
 			t.Fatal(err)
 		}
 	}

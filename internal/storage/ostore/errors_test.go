@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"labflow/internal/storage"
+	"labflow/internal/storage/repl"
 )
 
 // TestSentinelUnwrapping pins the error-chain contract enforced by the
@@ -50,5 +51,19 @@ func TestOpenErrorExposesPathError(t *testing.T) {
 	// may be the one named in the failure.
 	if pathErr.Path != bad && pathErr.Path != bad+".log" {
 		t.Errorf("PathError.Path = %q, want %q or %q", pathErr.Path, bad, bad+".log")
+	}
+}
+
+// TestShipperNeedsLog: a record is shipped at its log's durability point,
+// so Open refuses a Shipper with neither Path nor Log.
+func TestShipperNeedsLog(t *testing.T) {
+	st, err := repl.OpenFileStandby(filepath.Join(t.TempDir(), "standby.db"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if m, err := Open(Options{Shipper: st}); err == nil {
+		m.Close()
+		t.Fatal("Open took a Shipper without a redo log")
 	}
 }

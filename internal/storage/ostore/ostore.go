@@ -49,9 +49,9 @@ import (
 const DefaultPoolPages = 512
 
 // DefaultCheckpointEvery is the number of flushed commit groups between
-// checkpoints when Options leaves CheckpointEvery 0. Reopen replays at most
-// this many records.
-const DefaultCheckpointEvery = 8
+// checkpoints when Options leaves CheckpointEvery 0: the redo log's default.
+// Reopen replays at most this many records.
+const DefaultCheckpointEvery = repl.DefaultCheckpointEvery
 
 // LogFile is the redo-log medium: the repl package's, since the log runs
 // its protocol. Open wraps an *os.File at Path+".log"; tests, the crashtest
@@ -84,6 +84,7 @@ type Options struct {
 	// Shipper, if non-nil, receives every redo record at its durability
 	// point, before the commit is acknowledged and long before the record
 	// can retire — the warm-standby feed. A Ship error fails the commit.
+	// Shipping needs the log: Open refuses a Shipper without Path or Log.
 	Shipper repl.Shipper
 	// Recovery, if non-nil, is filled with what Open's recovery had to do
 	// (checkpoint cursor found, records replayed, next LSN).
@@ -94,6 +95,9 @@ type Options struct {
 // if an interrupted commit is found. On error every medium Open acquired
 // (or was handed) is closed exactly once.
 func Open(opts Options) (storage.Manager, error) {
+	if opts.Shipper != nil && opts.Log == nil && opts.Path == "" {
+		return nil, errors.New("ostore: a Shipper needs a redo log (Path or Log)")
+	}
 	pool := opts.PoolPages
 	if pool <= 0 {
 		pool = DefaultPoolPages
@@ -125,16 +129,17 @@ func Open(opts Options) (storage.Manager, error) {
 			backing = fb
 		}
 	}
-	nextLSN := uint64(1)
-	var pending repl.ShipQueue
+	p := &pager{backing: backing, shipper: opts.Shipper, pool: pagefile.NewPool(pool)}
+	info := repl.RecoveryInfo{NextLSN: 1}
 	if logFile != nil {
-		n, replayed, err := recoverLog(logFile, backing, opts.SyncLog, opts.Recovery)
+		var replayed []repl.Record
+		var err error
+		p.log, info, replayed, err = repl.OpenLog(logFile, backing, opts.SyncLog, opts.CheckpointEvery)
 		if err != nil {
 			backing.Close()
 			logFile.Close()
 			return nil, fmt.Errorf("ostore: recovery: %w", err)
 		}
-		nextLSN = n
 		if opts.Shipper != nil {
 			// A replayed record reached its durability point here but the
 			// crash may have cut it off before (or mid-) shipment, leaving
@@ -143,26 +148,12 @@ func Open(opts Options) (storage.Manager, error) {
 			// commit group; records the follower already holds are retired
 			// there without retransmission (see repl.ShipQueue).
 			for _, rec := range replayed {
-				pending.Add(rec.LSN, repl.EncodeRecord(rec.LSN, rec.Pages))
+				p.pending.Add(rec.LSN, repl.EncodeRecord(rec.LSN, rec.Pages))
 			}
 		}
-	} else if opts.Recovery != nil {
-		*opts.Recovery = repl.RecoveryInfo{NextLSN: nextLSN}
 	}
-
-	ckptEvery := opts.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = DefaultCheckpointEvery
-	}
-	p := &pager{
-		backing:   backing,
-		log:       logFile,
-		syncLog:   opts.SyncLog,
-		shipper:   opts.Shipper,
-		nextLSN:   nextLSN,
-		pending:   pending,
-		ckptEvery: ckptEvery,
-		pool:      pagefile.NewPool(pool),
+	if opts.Recovery != nil {
+		*opts.Recovery = info
 	}
 	p.start()
 	// ObjectStore-style compact page layout: records are packed exactly
@@ -174,40 +165,6 @@ func Open(opts Options) (storage.Manager, error) {
 		return nil, fmt.Errorf("ostore: %w", err)
 	}
 	return store, nil
-}
-
-// recoverLog replays the contiguous run of complete redo records the last
-// session left past its checkpoint cursor, then empties the log behind a
-// fresh cursor so this session starts from a file holding nothing stale.
-// Work is O(records since the last checkpoint), never O(history): everything
-// before the cursor was synced into the backing when the cursor was written. A torn tail record is
-// discarded — its transaction never reached the durability point. Returns
-// the next LSN to assign and the replayed records (whose page images stay
-// valid: they alias the scan buffer).
-func recoverLog(log LogFile, backing pagefile.Backing, syncLog bool, info *repl.RecoveryInfo) (uint64, []repl.Record, error) {
-	cursorLSN, records, err := repl.ScanLog(log)
-	if err != nil {
-		return 0, nil, err
-	}
-	last := cursorLSN
-	for _, rec := range records {
-		if err := repl.ApplyRecord(backing, rec); err != nil {
-			return 0, nil, fmt.Errorf("replay record %d: %w", rec.LSN, err)
-		}
-		last = rec.LSN
-	}
-	if len(records) > 0 {
-		if err := backing.Sync(); err != nil {
-			return 0, nil, err
-		}
-	}
-	if err := repl.ResetLog(log, last, syncLog); err != nil {
-		return 0, nil, err
-	}
-	if info != nil {
-		*info = repl.RecoveryInfo{CheckpointLSN: cursorLSN, Replayed: len(records), NextLSN: last + 1}
-	}
-	return last + 1, records, nil
 }
 
 // commitBatch is one sealed transaction on its way to the group-commit
@@ -251,8 +208,6 @@ const maxScratchPages = 16
 type pager struct {
 	mu      sync.Mutex
 	backing pagefile.Backing
-	log     LogFile
-	syncLog bool
 	pool    *pagefile.Pool
 	closed  bool
 
@@ -268,22 +223,18 @@ type pager struct {
 	// Log/shipping state, touched only by the flushLoop goroutine (plus
 	// Open, and Close after it has waited for flushDone), so it needs no
 	// locking.
-	shipper   repl.Shipper
-	nextLSN   uint64
-	pending   repl.ShipQueue // burned LSNs the follower never acked
-	logEnd    int64          // live tail: where the next record goes, not the file's length
-	ckptEvery int
-	sinceCkpt int
-	scratch   []byte                  // record buffer reused across flushes; at most maxScratchPages pages
-	seen      map[pagefile.PageID]int // a group's page → index in its record, reused like scratch
+	log     *repl.Log // nil without a redo log
+	shipper repl.Shipper
+	pending repl.ShipQueue          // burned LSNs the follower never acked
+	scratch []byte                  // record buffer reused across flushes; at most maxScratchPages pages
+	seen    map[pagefile.PageID]int // a group's page → index in its record, reused like scratch
 
 	flushDone chan struct{} // closed when flushLoop exits
 }
 
-// start readies a pager whose media, log position and policy fields are set
-// and launches its flusher, the pager's one goroutine.
+// start readies a pager whose media and policy fields are set and launches
+// its flusher, the pager's one goroutine.
 func (p *pager) start() {
-	p.logEnd = repl.CursorSize
 	p.work.L = &p.mu
 	p.flushDone = make(chan struct{})
 	go p.flushLoop()
@@ -544,70 +495,41 @@ func (p *pager) flushBatches(batches []*commitBatch) (placed bool, err error) {
 			return false, fmt.Errorf("ostore: %w", err)
 		}
 	}
-	if p.log != nil || p.shipper != nil {
-		size := repl.RecordSize(uint32(len(order)))
-		if p.log != nil {
-			if err := p.writeRecord(order); err != nil {
-				return false, fmt.Errorf("ostore: write log: %w", err)
-			}
-			if p.syncLog {
-				if err := p.log.Sync(); err != nil {
-					return false, fmt.Errorf("ostore: sync log: %w", err)
-				}
-			}
+	if p.log != nil {
+		if err := p.log.Append(order, p.scratchFor(len(order))); err != nil {
+			return false, fmt.Errorf("ostore: %w", err)
 		}
 		// The record is durable locally; it must reach the standby before any
 		// client learns the commit succeeded. A Ship failure fails the whole
 		// group — the record stays in the log, so the commit lands on reopen
 		// even though its clients saw an error (the crash-inside-Commit
-		// "either side" contract). The LSN is burned either way: the exact
-		// bytes are kept for redelivery ahead of the next group, and the
-		// stream advances past them, so an LSN is never reused for different
-		// contents (the invariant the standby's duplicate re-ack relies on).
-		// And because the record will replay, its pages go in place before
-		// the failure is reported, so no later checkpoint can retire it with
-		// them missing.
+		// "either side" contract). Its LSN is burned: the exact bytes are
+		// kept for redelivery ahead of the next group, so an LSN is never
+		// reused for different contents. And because the record will replay,
+		// its pages go in place before the failure is reported, so no later
+		// checkpoint can retire it with them missing; it does not count
+		// toward the interval. The shipper needs the record whole, which the
+		// record buffer, done with the log write, assembles.
 		if p.shipper != nil {
-			// The shipper needs the record whole; the log write is done
-			// with the record buffer by now.
-			rec := p.assembleRecord(order)
-			if err := p.shipper.Ship(p.nextLSN, rec); err != nil {
-				lsn := p.nextLSN
+			lsn := p.log.LastLSN()
+			rec := p.assembleRecord(lsn, order)
+			if err := p.shipper.Ship(lsn, rec); err != nil {
 				p.pending.Add(lsn, bytes.Clone(rec))
-				p.nextLSN++
-				if p.log != nil {
-					p.logEnd += size
-				}
 				if werr := p.writeBack(order); werr != nil {
 					return false, werr
 				}
 				return true, fmt.Errorf("ostore: ship record %d: %w", lsn, err)
 			}
 		}
-		p.nextLSN++
-		p.logEnd += size
 	}
-	// Durability point passed: apply in place.
+	// Durability point passed: apply in place, then count the record toward
+	// the checkpoint that retires it.
 	if err := p.writeBack(order); err != nil {
 		return false, err
 	}
 	if p.log != nil {
-		p.sinceCkpt++
-		every := p.ckptEvery
-		if every < 1 {
-			every = 1
-		}
-		if p.sinceCkpt >= every {
-			// Checkpoint: force the applied pages down, then retire every
-			// logged record behind a fresh cursor.
-			if err := p.backing.Sync(); err != nil {
-				return true, fmt.Errorf("ostore: checkpoint sync: %w", err)
-			}
-			if err := repl.Checkpoint(p.log, p.nextLSN-1, p.syncLog); err != nil {
-				return true, fmt.Errorf("ostore: checkpoint: %w", err)
-			}
-			p.sinceCkpt = 0
-			p.logEnd = repl.CursorSize
+		if err := p.log.Applied(); err != nil {
+			return true, fmt.Errorf("ostore: %w", err)
 		}
 	}
 	return true, nil
@@ -622,23 +544,16 @@ func (p *pager) scratchFor(n int) []byte {
 	return p.scratch[:0]
 }
 
-// assembleRecord encodes the group's record whole under the next LSN, for
-// the shipper: in the flusher's record buffer when the group is narrow
-// enough, in a buffer that dies with the flush when it is wider. The
-// shipper is done with the bytes when it returns.
-func (p *pager) assembleRecord(order []repl.PageImage) []byte {
+// assembleRecord encodes the group's record whole under lsn, for the
+// shipper: in the flusher's record buffer when the group is narrow enough,
+// in a buffer that dies with the flush when it is wider. The shipper is done
+// with the bytes when it returns.
+func (p *pager) assembleRecord(lsn uint64, order []repl.PageImage) []byte {
 	buf := p.scratchFor(len(order))
 	if need := repl.RecordSize(uint32(len(order))); int64(cap(buf)) < need {
 		buf = make([]byte, 0, need)
 	}
-	return repl.AppendRecord(buf, p.nextLSN, order)
-}
-
-// writeRecord writes the group's record at the log's tail under the next
-// LSN, streamed through the flusher's record buffer: a group of n pages
-// costs ceil(n/maxScratchPages) log writes and allocates no record.
-func (p *pager) writeRecord(order []repl.PageImage) error {
-	return repl.WriteRecord(p.log, p.logEnd, p.nextLSN, order, p.scratchFor(len(order)))
+	return repl.AppendRecord(buf, lsn, order)
 }
 
 // writeBack writes a group's images to their places in the backing.
@@ -673,7 +588,7 @@ func (p *pager) Close() error {
 	p.mu.Unlock()
 	// Wait for the flusher to drain every batch sealed before Close — their
 	// committers are waiting on them — and exit: flushBatches writes the log
-	// and backing and owns nextLSN/logEnd, so none of the teardown below may
+	// and backing and owns the log's tail, so none of the teardown below may
 	// overlap it. The wait must happen outside p.mu — the flusher takes p.mu
 	// to settle.
 	<-p.flushDone
@@ -695,11 +610,7 @@ func (p *pager) Close() error {
 	}
 	if p.log != nil {
 		// Final checkpoint: the backing was just synced, so every logged
-		// record is retired and the next open replays nothing. This one
-		// gives the recycled blocks back.
-		if err := repl.ResetLog(p.log, p.nextLSN-1, p.syncLog); err != nil {
-			errs = append(errs, err)
-		}
+		// record is retired and the next open replays nothing.
 		if err := p.log.Close(); err != nil {
 			errs = append(errs, err)
 		}

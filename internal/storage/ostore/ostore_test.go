@@ -299,8 +299,8 @@ func TestShortReadLogIgnored(t *testing.T) {
 		repl.EncodeRecord(1, []repl.PageImage{{ID: 0, Data: bytes.Repeat([]byte{0xEE}, pagefile.PageSize)}})...)
 
 	log := &shortLog{data: rec, deliver: len(rec) / 2}
-	if _, _, err := recoverLog(log, backing, false, nil); err != nil {
-		t.Fatalf("recoverLog: %v", err)
+	if _, _, _, err := repl.OpenLog(log, backing, false, 0); err != nil {
+		t.Fatalf("OpenLog: %v", err)
 	}
 	// Nothing may have been replayed: the store still has only its original
 	// (zero) pages and no grow happened.
@@ -321,20 +321,20 @@ func TestShortReadLogIgnored(t *testing.T) {
 	backing2 := pagefile.NewMem()
 	defer backing2.Close()
 	full := &shortLog{data: rec, deliver: len(rec)}
-	next, _, err := recoverLog(full, backing2, false, nil)
+	_, info, _, err := repl.OpenLog(full, backing2, false, 0)
 	if err != nil {
-		t.Fatalf("recoverLog (full): %v", err)
+		t.Fatalf("OpenLog (full): %v", err)
 	}
 	if n := backing2.NumPages(); n != 1 {
 		t.Fatalf("backing = %d pages after full replay, want 1", n)
 	}
-	if next != 2 {
-		t.Fatalf("next LSN = %d after replaying record 1, want 2", next)
+	if info.NextLSN != 2 {
+		t.Fatalf("next LSN = %d after replaying record 1, want 2", info.NextLSN)
 	}
 }
 
 // shortLog is a LogFile whose ReadAt delivers only the first deliver bytes,
-// the shape recoverLog's n-handling exists for.
+// the shape ScanLog's n-handling exists for.
 type shortLog struct {
 	data      []byte
 	deliver   int

@@ -416,9 +416,9 @@ func TestTornChunkOverRetiredRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rf.Close()
-	var info repl.RecoveryInfo
 	backing := pagefile.NewMem()
-	if _, _, err := recoverLog(rf, backing, false, &info); err != nil {
+	_, info, _, err := repl.OpenLog(rf, backing, false, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if info.CheckpointLSN != 3 || info.Replayed != 1 || info.NextLSN != 5 {

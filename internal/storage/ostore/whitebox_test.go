@@ -188,35 +188,33 @@ func TestPagefileStoreSlackless(t *testing.T) {
 	}
 }
 
-// newWhiteboxPager builds a bare pager (mem backing, optional log file) with
-// its server and flusher goroutines running, bypassing the object layer so
-// tests can drive the group-commit protocol directly.
-func newWhiteboxPager(t *testing.T, logPath string) *pager {
+// openWAL opens a fresh redo-log file for a whitebox pager.
+func openWAL(t *testing.T) LogFile {
 	t.Helper()
-	var log LogFile
-	if logPath != "" {
-		f, err := repl.OpenFile(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log = f
+	f, err := repl.OpenFile(filepath.Join(t.TempDir(), "wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return newPagerOn(t, log, 1) // checkpoint every flush: every record retires at once
+	return f
 }
 
 // whiteboxPoolPages is the pool capacity of the whitebox pagers.
 const whiteboxPoolPages = 64
 
-// newPagerOn starts a pager over a memory backing and log (nil for none),
-// checkpointing every ckptEvery flushes.
-func newPagerOn(t *testing.T, log LogFile, ckptEvery int) *pager {
+// newPagerOn builds a bare pager over a memory backing and the redo log in
+// file (nil for none), opened the way Open opens it and checkpointing every
+// ckptEvery flushes (1: every record retires at once), with its flusher
+// running. It bypasses the object layer so tests can drive the group-commit
+// protocol directly.
+func newPagerOn(t *testing.T, file LogFile, ckptEvery int) *pager {
 	t.Helper()
-	p := &pager{
-		backing:   pagefile.NewMem(),
-		log:       log,
-		nextLSN:   1,
-		ckptEvery: ckptEvery,
-		pool:      pagefile.NewPool(whiteboxPoolPages),
+	p := &pager{backing: pagefile.NewMem(), pool: pagefile.NewPool(whiteboxPoolPages)}
+	if file != nil {
+		log, _, _, err := repl.OpenLog(file, p.backing, false, ckptEvery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.log = log
 	}
 	p.start()
 	t.Cleanup(func() { p.Close() })
@@ -239,8 +237,8 @@ func batchOf(frs ...*pagefile.Frame) *commitBatch {
 // batches and checks the coalescing rules: one write-back per unique page,
 // later batches superseding earlier images, log retired afterwards.
 func TestGroupCommitCoalesce(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "wal")
-	p := newWhiteboxPager(t, logPath)
+	wal := openWAL(t)
+	p := newPagerOn(t, wal, 1)
 
 	mkFrame := func(fill byte) *pagefile.Frame {
 		f, err := p.AllocPage()
@@ -284,7 +282,7 @@ func TestGroupCommitCoalesce(t *testing.T) {
 		}
 	}
 	// One record (LSN 1) was logged and, at ckptEvery 1, retired at once.
-	assertLogRetired(t, p, 1, repl.RecordSize(3))
+	assertLogRetired(t, p, wal, 1, repl.RecordSize(3))
 }
 
 // assertLogRetired checks what "checkpointed" means now that a checkpoint
@@ -292,9 +290,9 @@ func TestGroupCommitCoalesce(t *testing.T) {
 // flushed LSN, nothing past it is replayable, the pager's tail is back at
 // the cursor, and the file is no longer than the cursor plus the widest
 // interval this session wrote (here one record, since ckptEvery is 1).
-func assertLogRetired(t *testing.T, p *pager, wantCursor uint64, widestInterval int64) {
+func assertLogRetired(t *testing.T, p *pager, wal LogFile, wantCursor uint64, widestInterval int64) {
 	t.Helper()
-	cursor, records, err := repl.ScanLog(p.log)
+	cursor, records, err := repl.ScanLog(wal)
 	if err != nil {
 		t.Fatalf("ScanLog: %v", err)
 	}
@@ -302,11 +300,11 @@ func assertLogRetired(t *testing.T, p *pager, wantCursor uint64, widestInterval 
 		t.Errorf("log after checkpoint: cursor %d with %d replayable records, want cursor %d and none",
 			cursor, len(records), wantCursor)
 	}
-	if p.logEnd != repl.CursorSize {
-		t.Errorf("logEnd = %d after checkpoint, want %d (the next record must overlay the retired ones)",
-			p.logEnd, repl.CursorSize)
+	if tail := p.log.Tail(); tail != repl.CursorSize {
+		t.Errorf("tail = %d after checkpoint, want %d (the next record must overlay the retired ones)",
+			tail, repl.CursorSize)
 	}
-	if size, err := p.log.Size(); err != nil || size > repl.CursorSize+widestInterval {
+	if size, err := wal.Size(); err != nil || size > repl.CursorSize+widestInterval {
 		t.Errorf("log is %d bytes (err %v), want at most cursor + widest interval = %d",
 			size, err, repl.CursorSize+widestInterval)
 	}
@@ -318,8 +316,8 @@ func assertLogRetired(t *testing.T, p *pager, wantCursor uint64, widestInterval 
 // disjoint batches are enqueued concurrently so batch formation, coalescing
 // and the shared durability point all run under the race detector.
 func TestGroupCommitConcurrent(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "wal")
-	p := newWhiteboxPager(t, logPath)
+	wal := openWAL(t)
+	p := newPagerOn(t, wal, 1)
 
 	const workers = 8
 	const perWorker = 25
@@ -383,7 +381,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	// Every group retired as it flushed. How many groups formed depends on
 	// the interleaving, so the cursor is read back from the pager; a group
 	// holds at most every worker's batch of 5.
-	assertLogRetired(t, p, p.nextLSN-1, repl.RecordSize(workers*5))
+	assertLogRetired(t, p, wal, p.log.LastLSN(), repl.RecordSize(workers*5))
 }
 
 // gatedWAL parks log writes in a gate.Gate, so a test can hold a
@@ -415,19 +413,8 @@ func (l *gatedWAL) Close() error {
 // between flushBatches and teardown — and late committers get
 // ErrPagerClosed, never a write into closed media.
 func TestCloseDrainsInFlightFlush(t *testing.T) {
-	f, err := repl.OpenFile(filepath.Join(t.TempDir(), "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	gate := &gate.Gate{}
-	p := &pager{
-		backing:   pagefile.NewMem(),
-		log:       &gatedWAL{LogFile: f, t: t, gate: gate},
-		nextLSN:   1,
-		ckptEvery: 1,
-		pool:      pagefile.NewPool(whiteboxPoolPages),
-	}
-	p.start()
+	p := newPagerOn(t, &gatedWAL{LogFile: openWAL(t), t: t, gate: gate}, 1)
 
 	// One transaction at a time, and none once Close is on its way, as the
 	// object layer above a real pager guarantees: Commit sweeps every dirty
@@ -511,11 +498,10 @@ func (l *failingCursorLog) WriteAt(p []byte, off int64) (int, error) {
 // overlaying the first would leave a log that replays nothing, or worse, a
 // prefix. When a checkpoint finally succeeds the whole run retires at once.
 func TestFailedCheckpointKeepsTail(t *testing.T) {
-	p := newWhiteboxPager(t, filepath.Join(t.TempDir(), "wal"))
-	if err := repl.ResetLog(p.log, 0, false); err != nil { // what Open would have done
-		t.Fatal(err)
-	}
-	p.log = &failingCursorLog{LogFile: p.log, fails: 2}
+	wal := openWAL(t)
+	failing := &failingCursorLog{LogFile: wal}
+	p := newPagerOn(t, failing, 1)
+	failing.fails = 2 // past the cursor Open wrote
 	flush := func(fill byte) error {
 		f, err := p.AllocPage()
 		if err != nil {
@@ -532,7 +518,7 @@ func TestFailedCheckpointKeepsTail(t *testing.T) {
 		if err := flush(byte(lsn)); err == nil {
 			t.Fatalf("flush %d: the failed checkpoint went unreported", lsn)
 		}
-		cursor, records, err := repl.ScanLog(p.log)
+		cursor, records, err := repl.ScanLog(wal)
 		if err != nil || cursor != 0 || uint64(len(records)) != lsn {
 			t.Fatalf("after failed checkpoint %d: cursor=%d records=%d err=%v, want cursor 0 and every record since it",
 				lsn, cursor, len(records), err)
@@ -541,7 +527,7 @@ func TestFailedCheckpointKeepsTail(t *testing.T) {
 	if err := flush(3); err != nil {
 		t.Fatalf("flush 3: %v", err)
 	}
-	assertLogRetired(t, p, 3, 3*repl.RecordSize(1))
+	assertLogRetired(t, p, wal, 3, 3*repl.RecordSize(1))
 }
 
 // TestScratchBounded: the flusher reuses one record buffer for ordinary
@@ -628,7 +614,7 @@ func (b *failingReadBacking) ReadPage(id pagefile.PageID, buf []byte) error {
 // that very buffer, counting exactly one fault.
 func TestFailedFaultLeavesPagerWhole(t *testing.T) {
 	backing := &failingReadBacking{Backing: pagefile.NewMem()}
-	p := &pager{backing: backing, nextLSN: 1, ckptEvery: 1, pool: pagefile.NewPool(whiteboxPoolPages)}
+	p := &pager{backing: backing, pool: pagefile.NewPool(whiteboxPoolPages)}
 	p.start()
 	t.Cleanup(func() { p.Close() })
 

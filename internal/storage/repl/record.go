@@ -1,9 +1,10 @@
 // Package repl is the replication and bounded-recovery substrate of the
 // redo-logged storage manager (ostore): the LSN-sequenced redo-record
-// encoding, the checkpoint cursor that retires replayed history so reopen
-// work is O(delta since checkpoint), the primary's pending-ship queue, and
-// the warm Standby that applies shipped records continuously and can be
-// promoted when a primary dies.
+// encoding, the redo Log whose checkpoint cursor retires replayed history so
+// reopen work is O(delta since checkpoint), the primary's pending-ship
+// queue, and the warm Standby that applies shipped records continuously and
+// can be promoted when a primary dies. A primary's log and a standby's
+// journal are both a Log; it alone runs the protocol below.
 //
 // The log protocol is append-only within a checkpoint interval:
 //
@@ -17,16 +18,15 @@
 //
 // # Recycling the log in place
 //
-// A checkpoint (Checkpoint) does not shrink the file. After the backing has
-// been synced it overwrites the cursor at offset 0, forces it down when the
-// log is a synced one, and only then does the caller move its logical tail
-// back to CursorSize, so the next interval's records overwrite the blocks
-// the retired interval already allocated. A log fsync is then a pure data
+// A checkpoint (Log.Applied) does not shrink the file. After the backing
+// has been synced it overwrites the cursor at offset 0, forces it down when
+// the log is a synced one, and only then does the Log move its tail back to
+// CursorSize, so the next interval's records overwrite the blocks the
+// retired interval already allocated. A log fsync is then a pure data
 // flush; truncating and re-extending the file made every one of them a
 // file-size change the filesystem had to journal. The file is physically
-// emptied only at the session boundaries (ResetLog): by the recovery
-// checkpoint when a store or standby opens, and by the final checkpoint of
-// Close/Promote.
+// emptied only at the session boundaries (resetLog): by the recovery
+// checkpoint of OpenLog, and by the final checkpoint of Log.Close.
 //
 // Retired bytes therefore stay in the file past the live tail, and ScanLog
 // reads the whole file. They are never replayed, because:
@@ -339,15 +339,11 @@ func DecodeCursor(data []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(data[8:]), true
 }
 
-// Checkpoint retires the log's records in place: it overwrites the cursor at
-// offset 0 and leaves the file's length alone. The caller must have synced
-// the page backing first — after this call the retired records can never be
-// replayed again — and moves its tail back to CursorSize only once
-// Checkpoint has returned nil, so the next records overwrite the retired
-// ones (see the package comment for why that is safe). If the cursor write
-// itself tears, recovery finds an invalid head and trusts the (synced)
-// backing alone, which is exactly the checkpoint state.
-func Checkpoint(log LogFile, lsn uint64, sync bool) error {
+// checkpoint retires the log's records in place: it overwrites the cursor at
+// offset 0 and leaves the file's length alone. The backing must have been
+// synced first. If the cursor write tears, recovery finds an invalid head
+// and trusts the (synced) backing alone, which is the checkpoint state.
+func checkpoint(log LogFile, lsn uint64, sync bool) error {
 	if _, err := log.WriteAt(EncodeCursor(lsn), 0); err != nil {
 		return fmt.Errorf("repl: checkpoint cursor: %w", err)
 	}
@@ -359,16 +355,15 @@ func Checkpoint(log LogFile, lsn uint64, sync bool) error {
 	return nil
 }
 
-// ResetLog is the checkpoint of a session boundary — recovery at open, the
-// final checkpoint of a close or promote: it empties the file before writing
-// the cursor, so no byte of an earlier session outlives it. In-place reuse
-// is only sound while LSNs grow, and a reopen that finds an invalid cursor
-// starts them over at 1.
-func ResetLog(log LogFile, lsn uint64, sync bool) error {
+// resetLog is the checkpoint of a session boundary: it empties the file
+// before writing the cursor, so no byte of an earlier session outlives it.
+// In-place reuse is only sound while LSNs grow, and a reopen that finds an
+// invalid cursor starts them over at 1.
+func resetLog(log LogFile, lsn uint64, sync bool) error {
 	if err := log.Truncate(0); err != nil {
 		return fmt.Errorf("repl: checkpoint truncate: %w", err)
 	}
-	return Checkpoint(log, lsn, sync)
+	return checkpoint(log, lsn, sync)
 }
 
 // ScanLog reads the whole log and returns the checkpoint cursor's LSN plus
@@ -414,11 +409,11 @@ func ScanLog(log LogFile) (cursorLSN uint64, records []Record, err error) {
 	return cursorLSN, records, nil
 }
 
-// ApplyRecord writes a record's page images into the backing, growing it as
+// applyRecord writes a record's page images into the backing, growing it as
 // needed. Replay is idempotent: records carry whole page images, so applying
 // an already-applied record reproduces the same state.
-func ApplyRecord(b pagefile.Backing, rec Record) error {
-	for _, pg := range rec.Pages {
+func applyRecord(b pagefile.Backing, pages []PageImage) error {
+	for _, pg := range pages {
 		for b.NumPages() <= uint32(pg.ID) {
 			if _, err := b.Grow(); err != nil {
 				return err

@@ -88,7 +88,7 @@ func TestCursorRoundTrip(t *testing.T) {
 // from the cursor, and the first invalid record discards the rest.
 func TestScanLogTornTail(t *testing.T) {
 	lf := openLog(t)
-	if err := Checkpoint(lf, 10, false); err != nil {
+	if err := checkpoint(lf, 10, false); err != nil {
 		t.Fatal(err)
 	}
 	off := int64(CursorSize)
@@ -295,15 +295,15 @@ func TestAppendRecordMatchesEncodeRecord(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecyclesInPlace pins the two entry points: Checkpoint leaves
-// the file's length alone, ResetLog empties it first.
+// TestCheckpointRecyclesInPlace pins the two entry points: checkpoint leaves
+// the file's length alone, resetLog empties it first.
 func TestCheckpointRecyclesInPlace(t *testing.T) {
 	lf := openLog(t)
-	if err := ResetLog(lf, 0, false); err != nil {
+	if err := resetLog(lf, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	end := appendRecords(t, lf, CursorSize, 1, 3, 0x11)
-	if err := Checkpoint(lf, 3, true); err != nil {
+	if err := checkpoint(lf, 3, true); err != nil {
 		t.Fatal(err)
 	}
 	if size, _ := lf.Size(); size != end {
@@ -312,11 +312,11 @@ func TestCheckpointRecyclesInPlace(t *testing.T) {
 	if cursor, records, err := ScanLog(lf); err != nil || cursor != 3 || len(records) != 0 {
 		t.Fatalf("after checkpoint: cursor=%d records=%d err=%v, want 3, 0", cursor, len(records), err)
 	}
-	if err := ResetLog(lf, 3, true); err != nil {
+	if err := resetLog(lf, 3, true); err != nil {
 		t.Fatal(err)
 	}
 	if size, _ := lf.Size(); size != CursorSize {
-		t.Fatalf("ResetLog left %d bytes, want %d", size, CursorSize)
+		t.Fatalf("resetLog left %d bytes, want %d", size, CursorSize)
 	}
 }
 
@@ -328,11 +328,11 @@ func TestCheckpointRecyclesInPlace(t *testing.T) {
 func TestScanLogIgnoresRetiredGeneration(t *testing.T) {
 	const gen = 4
 	lf := openLog(t)
-	if err := ResetLog(lf, 0, false); err != nil {
+	if err := resetLog(lf, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	appendRecords(t, lf, CursorSize, 1, gen, 0x11)
-	if err := Checkpoint(lf, gen, false); err != nil {
+	if err := checkpoint(lf, gen, false); err != nil {
 		t.Fatal(err)
 	}
 	recSize := RecordSize(1)

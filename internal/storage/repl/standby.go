@@ -45,64 +45,32 @@ var ErrStandbyDone = errors.New("repl: standby no longer accepting records")
 // SetSync(true) strengthens the ack to force the journal to stable storage
 // first, at one fsync per record.
 type Standby struct {
-	mu        sync.Mutex
-	backing   pagefile.Backing
-	log       LogFile
-	every     int // records between checkpoints
-	sync      bool
-	lastLSN   uint64
-	lastCRC   uint32 // CRC of the last applied record's bytes...
-	haveCRC   bool   // ...when known (false right after open)
-	applied   int    // records applied this session
-	logEnd    int64
-	sinceCkpt int
-	done      bool
+	mu      sync.Mutex
+	backing pagefile.Backing
+	log     *Log
+	lastCRC uint32 // CRC of the last applied record's bytes...
+	haveCRC bool   // ...when known (false right after open)
+	applied int    // records applied this session
+	done    bool
 }
 
-// DefaultStandbyEvery is the checkpoint interval used when NewStandby gets
-// every <= 0.
-const DefaultStandbyEvery = 8
-
 // NewStandby opens a standby over its media, replaying any log tail a
-// previous incarnation left (the standby's own crash recovery) and
-// checkpointing so it starts with an empty log.
+// previous incarnation left (the standby's own crash recovery, OpenLog, whose
+// reset is unsynced) so it starts with an empty log. every <= 0 means
+// DefaultCheckpointEvery.
 func NewStandby(backing pagefile.Backing, log LogFile, every int) (*Standby, error) {
-	if every <= 0 {
-		every = DefaultStandbyEvery
-	}
-	cursorLSN, records, err := ScanLog(log)
+	l, _, records, err := OpenLog(log, backing, false, every)
 	if err != nil {
 		return nil, fmt.Errorf("repl: standby recovery: %w", err)
 	}
-	last := cursorLSN
-	var lastCRC uint32
-	for _, rec := range records {
-		if err := ApplyRecord(backing, rec); err != nil {
-			return nil, fmt.Errorf("repl: standby replay record %d: %w", rec.LSN, err)
-		}
-		last = rec.LSN
+	s := &Standby{backing: backing, log: l}
+	if n := len(records); n > 0 {
 		// Re-encoding is deterministic, so this is the fingerprint of the
 		// exact bytes the primary shipped — the duplicate check survives a
 		// standby restart whenever the tail record is still in the journal.
-		lastCRC = RecordCRC(EncodeRecord(rec.LSN, rec.Pages))
+		s.lastCRC, s.haveCRC = RecordCRC(EncodeRecord(records[n-1].LSN, records[n-1].Pages)), true
 	}
-	if len(records) > 0 {
-		if err := backing.Sync(); err != nil {
-			return nil, fmt.Errorf("repl: standby recovery sync: %w", err)
-		}
-	}
-	if err := ResetLog(log, last, false); err != nil {
-		return nil, err
-	}
-	return &Standby{
-		backing: backing,
-		log:     log,
-		every:   every,
-		lastLSN: last,
-		lastCRC: lastCRC,
-		haveCRC: len(records) > 0,
-		logEnd:  CursorSize,
-	}, nil
+	return s, nil
 }
 
 // OpenFileStandby is NewStandby over path (the page backing) and path+".log"
@@ -134,11 +102,11 @@ func OpenFileStandby(path string, every int) (*Standby, error) {
 func (s *Standby) SetSync(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sync = on
+	s.log.SetSync(on)
 }
 
 // Apply journals and applies one shipped record, returning its LSN. The
-// record must carry lastLSN+1, except that a byte-identical retransmission
+// record must carry LastLSN()+1, except that a byte-identical retransmission
 // of the last applied record is re-acked without being reapplied (see
 // ErrStandbyGap). Journal-then-apply: the record is in the standby's own
 // log before any of its pages land, so a standby killed mid-apply replays
@@ -153,7 +121,8 @@ func (s *Standby) Apply(record []byte) (uint64, error) {
 	if !ok || size != int64(len(record)) {
 		return 0, fmt.Errorf("repl: shipped record corrupt (%d bytes)", len(record))
 	}
-	if rec.LSN == s.lastLSN && s.lastLSN > 0 {
+	last := s.log.LastLSN()
+	if rec.LSN == last && last > 0 {
 		// Retransmission of the record just applied: the primary shipped
 		// it, this standby journaled it, and the ack was lost in transport.
 		// Re-ack idempotently — a primary never reuses an LSN for different
@@ -165,35 +134,17 @@ func (s *Standby) Apply(record []byte) (uint64, error) {
 		}
 		return rec.LSN, nil
 	}
-	if rec.LSN != s.lastLSN+1 {
-		return 0, fmt.Errorf("repl: got record %d after %d: %w", rec.LSN, s.lastLSN, ErrStandbyGap)
+	if rec.LSN != last+1 {
+		return 0, fmt.Errorf("repl: got record %d after %d: %w", rec.LSN, last, ErrStandbyGap)
 	}
-	if _, err := s.log.WriteAt(record, s.logEnd); err != nil {
-		return 0, fmt.Errorf("repl: standby journal: %w", err)
+	if err := s.log.AppendShipped(record, rec); err != nil {
+		return 0, fmt.Errorf("repl: standby: %w", err)
 	}
-	if s.sync {
-		if err := s.log.Sync(); err != nil {
-			return 0, fmt.Errorf("repl: standby journal sync: %w", err)
-		}
-	}
-	if err := ApplyRecord(s.backing, rec); err != nil {
-		return 0, fmt.Errorf("repl: standby apply record %d: %w", rec.LSN, err)
-	}
-	s.logEnd += size
-	s.lastLSN = rec.LSN
 	s.lastCRC = RecordCRC(record)
 	s.haveCRC = true
 	s.applied++
-	s.sinceCkpt++
-	if s.sinceCkpt >= s.every {
-		if err := s.backing.Sync(); err != nil {
-			return 0, fmt.Errorf("repl: standby checkpoint sync: %w", err)
-		}
-		if err := Checkpoint(s.log, s.lastLSN, s.sync); err != nil {
-			return 0, err
-		}
-		s.sinceCkpt = 0
-		s.logEnd = CursorSize
+	if err := s.log.Applied(); err != nil {
+		return 0, fmt.Errorf("repl: standby: %w", err)
 	}
 	return rec.LSN, nil
 }
@@ -221,7 +172,7 @@ func (s *Standby) FollowerLSN() (uint64, error) {
 func (s *Standby) LastLSN() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastLSN
+	return s.log.LastLSN()
 }
 
 // Applied returns the number of records applied this session.
@@ -244,20 +195,8 @@ func (s *Standby) Promote() error {
 		return ErrStandbyDone
 	}
 	s.done = true
-	var errs []error
-	if err := s.backing.Sync(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := ResetLog(s.log, s.lastLSN, true); err != nil {
-		errs = append(errs, err)
-	}
-	if err := s.backing.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := s.log.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	s.log.SetSync(true) // the final checkpoint is forced down, SetSync or not
+	return errors.Join(s.backing.Sync(), s.log.Close(), s.backing.Close())
 }
 
 // Close abandons the standby without finalizing (the media are closed but
@@ -269,5 +208,5 @@ func (s *Standby) Close() error {
 		return nil
 	}
 	s.done = true
-	return errors.Join(s.backing.Close(), s.log.Close())
+	return errors.Join(s.backing.Close(), s.log.Abandon())
 }

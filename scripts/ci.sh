@@ -8,6 +8,22 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# listed PATTERN PKG... fails unless every |-separated name in PATTERN, a
+# -run list below, matches a test that `go test -list` finds in PKG...:
+# `go test -run` with a pattern that matches no test exits 0, so a renamed
+# or deleted test would otherwise drop out of its step without a word.
+listed() {
+	pattern=$1
+	shift
+	found=$(go test -list . "$@" | grep -E '^(Test|Fuzz)') || found=
+	for name in $(echo "$pattern" | tr '|' ' '); do
+		if ! echo "$found" | grep -qE "$name"; then
+			echo "ci.sh runs $name, but no test in $* matches it" >&2
+			exit 1
+		fi
+	done
+}
+
 echo "== go vet ./..."
 # vet's copylocks is the lock-copy gate: a mutex or atomic value copied by
 # value (parameter, receiver, assignment, range variable) fails here, and
@@ -93,10 +109,18 @@ echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # buffer pool's CLOCK sweep, and cluster placement: small clusters share a
 # start page, outgrown ones continue on pages of their own, and anchors on a
 # former start page still extend after a reopen (pagefile).
-go test -race -count=1 -run 'TestCrashSchedule' ./internal/storage/crashtest/ ./internal/labbase/shard/
-go test -race -count=1 \
-	-run 'TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord|TestFailedFaultLeavesPagerWhole|TestFailedWriteBackKeepsVictim|TestPoolClock|TestClustersShareThenSeparate|TestClusterAnchorsAfterReopen' \
-	./internal/storage/repl/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/
+# The in-place-reuse clauses live in repl.Log, which a primary and a
+# standby share; TestLogFailedCheckpointKeepsTail pins the tail rule there,
+# TestStandbyFailedCheckpointReplays and TestFailedCheckpointKeepsTail
+# through each caller.
+schedules='TestCrashSchedule'
+schedule_pkgs='./internal/storage/crashtest/ ./internal/labbase/shard/'
+listed "$schedules" $schedule_pkgs
+go test -race -count=1 -run "$schedules" $schedule_pkgs
+directed='TestScanLogIgnoresRetiredGeneration|TestNoStaleReplayAfterLSNRestart|TestCheckpointRecyclesInPlace|TestStandbyJournalLengthBounded|TestTornCursorRewrite|TestLogFailedCheckpointKeepsTail|TestStandbyFailedCheckpointReplays|TestFailedCheckpointKeepsTail|TestLogLengthBounded|TestParentLogOpens|TestFailedFlushFailsSealedBehind|TestShipFailureRecovery|TestTornChunkOverRetiredRecord|TestWriteRecord|TestFailedFaultLeavesPagerWhole|TestFailedWriteBackKeepsVictim|TestPoolClock|TestClustersShareThenSeparate|TestClusterAnchorsAfterReopen'
+directed_pkgs='./internal/storage/repl/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/'
+listed "$directed" $directed_pkgs
+go test -race -count=1 -run "$directed" $directed_pkgs
 # The allocation tests skip under -race, whose instrumentation allocates, so
 # they run here without it: a fault takes over its victim's frame and page
 # buffer and allocates nothing (ostore and texas), a file backing serves a
@@ -106,8 +130,10 @@ go test -race -count=1 \
 # (ostore), a history or extent append changes its chunk in place,
 # allocating at most its closure over ostore and memstore, and a warm
 # decode-cache hit on a most-recent index allocates nothing (labbase).
-go test -count=1 -run 'TestFaultAllocatesNothing|TestFileReadAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing|TestAppendCopiesNoChunk|TestDecodeCacheHitAllocatesNothing' \
-	./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/ ./internal/labbase/
+allocs='TestFaultAllocatesNothing|TestFileReadAllocatesNothing|TestInlineWriteAllocatesNothing|TestWideRecordWriteAllocatesNothing|TestAppendCopiesNoChunk|TestDecodeCacheHitAllocatesNothing'
+alloc_pkgs='./internal/storage/ostore/ ./internal/storage/texas/ ./internal/storage/pagefile/ ./internal/labbase/'
+listed "$allocs" $alloc_pkgs
+go test -count=1 -run "$allocs" $alloc_pkgs
 
 echo "== crashtest: randomized-seed round"
 # Fresh seeds every run widen coverage over time; the schedule is still
@@ -121,9 +147,9 @@ go run ./cmd/labflow -experiment crashtest -store all -seed "$seed" -crashruns 2
 echo "randomized round passed (base seed $seed)"
 
 echo "== concurrent wire stress (-race, byte-identical + drain + op table + frame golden + frame fuzz)"
-go test -race -count=1 \
-	-run 'TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst|TestOpTable|TestFrameGolden' \
-	./internal/wire/
+wire_stress='TestConcurrentReadsByteIdentical|TestConcurrentReadersWithWriter|TestShutdownDrainsPipelinedBurst|TestOpTable|TestFrameGolden'
+listed "$wire_stress" ./internal/wire/
+go test -race -count=1 -run "$wire_stress" ./internal/wire/
 # The wire fuzz targets, for a fixed short budget: arbitrary frames at a
 # primary's and a standby's handler must neither panic nor let a read-class
 # opcode mutate. A crasher lands in internal/wire/testdata/fuzz as a seed.
@@ -171,9 +197,10 @@ echo "== stalled-flush stress (-race, a commit parked in its flush blocks only d
 # and bracketed, through a shard mapper's forwarded Seal) ride along, and
 # twenty ostore stores opened and closed leave no goroutine behind.
 # Repeated, since these are schedules.
-go test -race -count=5 \
-	-run 'TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush|TestSealedPagesStayResident|TestSealedImageIsNotTheLiveFrame|TestWriterLockReleasedBeforeDurableWait|TestMapperForwardsSeal|TestPagerLeavesNoGoroutine' \
-	./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/wire/ ./internal/labbase/shard/
+stalled='TestCommitFlushOutsideMutex|TestStalledFlushBlocksOnlyWriters|TestStalledFlushHarmless|TestCloseDrainsInFlightFlush|TestSealedPagesStayResident|TestSealedImageIsNotTheLiveFrame|TestWriterLockReleasedBeforeDurableWait|TestMapperForwardsSeal|TestPagerLeavesNoGoroutine'
+stalled_pkgs='./internal/storage/pagefile/ ./internal/storage/ostore/ ./internal/storage/texas/ ./internal/wire/ ./internal/labbase/shard/'
+listed "$stalled" $stalled_pkgs
+go test -race -count=5 -run "$stalled" $stalled_pkgs
 
 echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs writers + snapshot OpQuery)"
 # The MVCC read-path contract (DESIGN §9): snapshots pinned across commits
@@ -186,10 +213,13 @@ echo "== snapshot + shard-core stress (-race -shuffle=on, lock-free readers vs w
 # and closing it leaves no goroutine behind.
 # TestStreamedExternsUnderWriter streams state/2 and material/2 walks out of
 # held snapshots of a single DB while a writer moves and creates materials
-# (DESIGN §10, index-driven externs).
-go test -race -shuffle=on -count=1 \
-	-run 'TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestCore|TestBeginUnwindsWhenShardRefuses|TestOpenWidePutSteps|TestOpenCloseLeavesNoGoroutine|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected|TestStreamedExternsUnderWriter' \
-	./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/ ./internal/lbq/
+# (DESIGN §10, index-driven externs). TestTreapHeldRootsUnchanged holds
+# treap roots across puts and deletes: the path copy leaves every published
+# node as it was.
+snapshots='TestSnapshotAcrossCommits|TestSnapshotNeverTornMidBatch|TestShardSnapshotNeverTornMidBatch|TestTreapHeldRootsUnchanged|TestCore|TestBeginUnwindsWhenShardRefuses|TestOpenWidePutSteps|TestOpenCloseLeavesNoGoroutine|TestConcurrentQueryByteIdentical|TestConcurrentQueryWithWriteBatches|TestQueryUpdatesRejected|TestStreamedExternsUnderWriter'
+snapshot_pkgs='./internal/labbase/ ./internal/labbase/shard/ ./internal/wire/ ./internal/lbq/'
+listed "$snapshots" $snapshot_pkgs
+go test -race -shuffle=on -count=1 -run "$snapshots" $snapshot_pkgs
 
 echo "== bench smoke (every BENCHMARK.json workload at -scale 0.02, self-checked)"
 # The one place an in-process workload runs; it exits non-zero when any
