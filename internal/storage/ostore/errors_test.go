@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"labflow/internal/storage"
+	"labflow/internal/storage/pagefile"
 	"labflow/internal/storage/repl"
 )
 
@@ -55,7 +56,8 @@ func TestOpenErrorExposesPathError(t *testing.T) {
 }
 
 // TestShipperNeedsLog: a record is shipped at its log's durability point,
-// so Open refuses a Shipper with neither Path nor Log.
+// so Open refuses a Shipper with neither Path nor Log, and closes a Backing
+// it was handed exactly once.
 func TestShipperNeedsLog(t *testing.T) {
 	st, err := repl.OpenFileStandby(filepath.Join(t.TempDir(), "standby.db"), 0)
 	if err != nil {
@@ -65,5 +67,13 @@ func TestShipperNeedsLog(t *testing.T) {
 	if m, err := Open(Options{Shipper: st}); err == nil {
 		m.Close()
 		t.Fatal("Open took a Shipper without a redo log")
+	}
+	cb := &countingBacking{Backing: pagefile.NewMem()}
+	if m, err := Open(Options{Shipper: st, Backing: cb}); err == nil {
+		m.Close()
+		t.Fatal("Open took a Shipper and a Backing without a redo log")
+	}
+	if cb.closes != 1 {
+		t.Errorf("backing closed %d times, want exactly 1", cb.closes)
 	}
 }

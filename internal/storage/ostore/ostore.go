@@ -96,6 +96,9 @@ type Options struct {
 // (or was handed) is closed exactly once.
 func Open(opts Options) (storage.Manager, error) {
 	if opts.Shipper != nil && opts.Log == nil && opts.Path == "" {
+		if opts.Backing != nil {
+			opts.Backing.Close()
+		}
 		return nil, errors.New("ostore: a Shipper needs a redo log (Path or Log)")
 	}
 	pool := opts.PoolPages
