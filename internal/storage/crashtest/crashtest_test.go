@@ -1,7 +1,11 @@
 package crashtest
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -93,17 +97,59 @@ func TestCrashScheduleOStore(t *testing.T) { runSeeds(t, BackendOStore) }
 
 func TestCrashScheduleTexas(t *testing.T) { runSeeds(t, BackendTexas) }
 
-// TestResultString pins the replay line format the harness reports seeds in.
+// goldenSeeds is how many seeds each round of TestResultString pins.
+const goldenSeeds = 40
+
+// TestResultString pins the replay line format the harness reports seeds
+// in, and the schedules behind it: the Result.String() line of seeds
+// 1..goldenSeeds for the ostore and texas recovery rounds and the ostore
+// failover round lands in testdata/results.golden. Any change to the I/O a
+// store issues renumbers the crash ops, and any change to the harness's
+// verdicts moves an outcome; a change meant to keep both must leave the file
+// byte-identical. Regenerate deliberately with UPDATE_GOLDEN=1.
 func TestResultString(t *testing.T) {
-	res, err := Run(Config{Backend: BackendOStore, Seed: 42, Dir: t.TempDir()})
+	dir := t.TempDir()
+	var b strings.Builder
+	for _, round := range []struct {
+		name    string
+		backend Backend
+		run     func(Config) (Result, error)
+	}{
+		{"Run", BackendOStore, Run},
+		{"Run", BackendTexas, Run},
+		{"RunFailover", BackendOStore, RunFailover},
+	} {
+		fmt.Fprintf(&b, "# %s %s\n", round.name, round.backend)
+		for seed := int64(1); seed <= goldenSeeds; seed++ {
+			res, err := round.run(Config{Backend: round.backend, Seed: seed, Dir: dir})
+			if err != nil {
+				t.Fatalf("%s %s seed %d: %v", round.name, round.backend, seed, err)
+			}
+			fmt.Fprintln(&b, res)
+		}
+	}
+
+	got := b.String()
+	path := filepath.Join("testdata", "results.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("seed 42: %v", err)
+		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to create): %v", err)
 	}
-	if res.Seed != 42 || res.TotalOps == 0 || res.CrashOp == 0 || res.CrashOp > res.TotalOps {
-		t.Fatalf("implausible result: %+v", res)
-	}
-	if s := res.String(); s == "" {
-		t.Fatal("empty result string")
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("results drifted from golden at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("results drifted from golden: %d lines, want %d", len(gl), len(wl))
 	}
 }
 
