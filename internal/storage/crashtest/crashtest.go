@@ -1,25 +1,32 @@
 // Package crashtest is a randomized crash-recovery property harness for the
-// persistent storage managers. One Run is a complete experiment derived
-// from a single seed:
+// persistent storage managers. One experiment is derived from a single seed,
+// and one driver runs it in two rounds that differ only in the survivor:
 //
 //  1. Count pass: a seeded workload runs to completion against a fresh
-//     store whose media are wrapped in fault-counting (but never-failing)
+//     primary whose media are wrapped in fault-counting (but never-failing)
 //     injectors. This learns the workload's total I/O operation count and
-//     verifies the clean-shutdown/reopen path against the shadow model.
-//  2. Crash pass: the same workload runs against fresh media with a
+//     verifies the clean path: the survivor opens with nothing to replay and
+//     holds exactly the final model.
+//  2. Crash pass: the same workload runs against a fresh primary with a
 //     fault.Plan drawn from the seed — a crash point uniform over the whole
 //     I/O history, with a seeded tear mode for the interrupted write. The
 //     first failed call is the moment the process "dies": the manager is
 //     abandoned (Close releases descriptors but the fault layer lets
-//     nothing else reach the media), and the store is reopened cold,
-//     exactly as crash recovery would find it.
-//  3. Verdict: the reopened store is diffed against the shadow model. For
-//     ostore the invariant is the redo log's contract — every transaction
-//     whose Commit returned is fully visible, every other transaction is
-//     fully invisible (a crash inside Commit may land on either side, but
-//     never between). For texas, which has no log, the invariant is loud
-//     failure — a reopen either serves exactly the committed state or
-//     refuses (ErrTornStore); it never serves torn data.
+//     nothing else reach the media).
+//  3. Verdict: the survivor is opened cold and diffed against the shadow
+//     model. For ostore the invariant is the redo log's contract — every
+//     transaction whose Commit returned is fully visible, every other
+//     transaction is fully invisible (a crash inside Commit may land on
+//     either side, but never between). For texas, which has no log, the
+//     invariant is loud failure — a reopen either serves exactly the
+//     committed state or refuses (ErrTornStore); it never serves torn data.
+//
+// In the recovery round (Run) the survivor is the primary's own store,
+// reopened as a restart finds it; its replay is bounded by the checkpoint
+// interval. In the failover round (RunFailover, ostore only: texas has no
+// redo log to ship) the primary's commits ship to a standby, and the
+// survivor is that standby, promoted and then opened by the same opener,
+// with nothing to replay.
 //
 // On ostore the workload also runs a seeded share of its transactions as
 // two-committer pairs: one transaction's flush is held at its log write
@@ -28,9 +35,10 @@
 // and unacknowledged. Each such transaction may then land on either side,
 // in seal order, and still never in part.
 //
-// RunFailover is the warm-standby variant, on ostore only: texas has no
-// redo log to ship. Every decision flows from the seed, so a failing
-// schedule is reported — and replayed — as its seed alone.
+// Every decision flows from the seed, so a failing schedule is reported —
+// and replayed — as its seed alone. Every pass works in a directory it makes
+// itself under Config.Dir, so a reused Dir never hands a pass an earlier
+// run's files.
 package crashtest
 
 import (
@@ -77,7 +85,7 @@ func (b Backend) String() string {
 	}
 }
 
-// Config parameterizes one Run.
+// Config parameterizes one Run or RunFailover.
 type Config struct {
 	// Backend is the manager under test.
 	Backend Backend
@@ -90,7 +98,7 @@ type Config struct {
 	OpsPerTxn int
 }
 
-// Result describes what one Run did, for reports and failure messages.
+// Result describes what one experiment did, for reports and failure messages.
 type Result struct {
 	Backend    Backend
 	Seed       int64
@@ -101,7 +109,7 @@ type Result struct {
 	Window     string // named window the crash op landed in ("" if none), see logWindow and WindowSealedBehindFlush
 	FailedCall string // the manager call that observed the death
 	Commits    int    // transactions committed before the crash
-	Outcome    string // recovered-committed | recovered-pending | torn-detected | fresh-empty
+	Outcome    string // recovered-committed | recovered-pending | torn-detected | fresh-empty | follower-committed | follower-pending | follower-empty
 }
 
 // String implements fmt.Stringer.
@@ -114,10 +122,46 @@ func (r Result) String() string {
 		r.Backend, r.Seed, r.CrashOp, r.TotalOps, r.Tear, window, r.FailedCall, r.Commits, r.Outcome)
 }
 
-// Run executes one seeded crash-recovery experiment. A non-nil error is an
-// invariant violation (or a harness I/O problem), phrased so the seed
-// replays it.
-func Run(cfg Config) (Result, error) {
+// Run executes one seeded crash-recovery experiment: the survivor is the
+// primary's own store, reopened cold. A non-nil error is an invariant
+// violation (or a harness I/O problem), phrased so the seed replays it.
+func Run(cfg Config) (Result, error) { return drive(cfg, recovery) }
+
+// RunFailover is the warm-standby round: the same seeded workload drives a
+// fault-injected primary whose commits ship to an in-process repl.Standby
+// over clean media (the standby is a different "machine" — the primary's
+// crash plan never touches it). When the primary dies, the standby is
+// promoted and opened, and must serve exactly the committed prefix — or,
+// after a crash inside a commit's flush that shipped the record before the
+// client could hear the ack, exactly the state an in-flight transaction
+// would leave (Outcome "follower-pending").
+//
+// Only ostore ships: texas has no log, so RunFailover refuses it.
+func RunFailover(cfg Config) (Result, error) {
+	if cfg.Backend != BackendOStore {
+		return Result{Backend: cfg.Backend, Seed: cfg.Seed}, fmt.Errorf("failover: %s has no redo log to ship; only ostore runs a standby", cfg.Backend)
+	}
+	return drive(cfg, failover)
+}
+
+// A round is what survives the primary: its own store or its standby.
+type round struct {
+	name      string // the labflow experiment that replays the round
+	outcome   string // the outcomes' prefix
+	maxReplay int    // records the survivor's open may replay after a crash
+	standby   bool   // the primary ships to a standby, which survives it
+}
+
+var (
+	// recovery reopens the primary: replay is bounded by the interval.
+	recovery = round{name: "crashtest", outcome: "recovered", maxReplay: ckptEvery}
+	// failover promotes the standby, which checkpoints: nothing to replay.
+	failover = round{name: "failover", outcome: "follower", standby: true}
+)
+
+// drive runs one seeded experiment of round r: a count pass, then a crash
+// pass.
+func drive(cfg Config, r round) (Result, error) {
 	if cfg.Txns <= 0 {
 		cfg.Txns = 20
 	}
@@ -127,9 +171,9 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Backend: cfg.Backend, Seed: cfg.Seed}
 
 	// Pass 1: learn the workload's I/O length and verify the clean path.
-	totalOps, err := countPass(cfg)
+	totalOps, err := countPass(cfg, r)
 	if err != nil {
-		return res, fmt.Errorf("crashtest %s seed %d (count pass): %w", cfg.Backend, cfg.Seed, err)
+		return res, fmt.Errorf("%s %s seed %d (count pass): %w", r.name, cfg.Backend, cfg.Seed, err)
 	}
 	res.TotalOps = totalOps
 
@@ -137,9 +181,9 @@ func Run(cfg Config) (Result, error) {
 	plan := fault.NewPlan(cfg.Seed, totalOps)
 	res.CrashOp = plan.CrashOp
 	res.Tear = plan.Tear
-	if err := crashPass(cfg, plan, &res); err != nil {
-		return res, fmt.Errorf("crashtest %s seed %d (crash@%d tear=%s torn=%q failed=%s): %w",
-			cfg.Backend, cfg.Seed, plan.CrashOp, plan.Tear, res.TornOp, res.FailedCall, err)
+	if err := crashPass(cfg, r, plan, &res); err != nil {
+		return res, fmt.Errorf("%s %s seed %d (crash@%d tear=%s torn=%q failed=%s): %w",
+			r.name, cfg.Backend, cfg.Seed, plan.CrashOp, plan.Tear, res.TornOp, res.FailedCall, err)
 	}
 	return res, nil
 }
@@ -216,14 +260,14 @@ func (l *gatedLog) WriteAt(p []byte, off int64) (int, error) {
 // openInjected opens a fresh store for the backend with its media wrapped
 // in the injector, and for ostore its gated log, whose gate the workload's
 // two-committer pairs hold a flush with (nil for texas, whose commits are
-// not pipelined). ship, if non-nil, pairs an ostore primary with a standby
-// — the failover harness's hook; texas has no log to ship.
-func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipper) (storage.Manager, *gatedLog, error) {
+// not pipelined). ship, if non-nil, pairs an ostore primary with a standby;
+// texas has no log to ship.
+func openInjected(b Backend, dbPath string, in *fault.Injector, ship repl.Shipper) (storage.Manager, *gatedLog, error) {
 	fb, err := pagefile.OpenFile(dbPath)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch cfg.Backend {
+	switch b {
 	case BackendOStore:
 		logf, err := os.OpenFile(dbPath+".log", os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
@@ -249,6 +293,14 @@ func openInjected(cfg Config, dbPath string, in *fault.Injector, ship repl.Shipp
 	}
 }
 
+// OpenInjected opens a fresh store for b at dbPath with its media behind
+// in, as every pass opens its primary, so crash schedules over other layers
+// (the shard round) fault the same stores.
+func OpenInjected(b Backend, dbPath string, in *fault.Injector) (storage.Manager, error) {
+	m, _, err := openInjected(b, dbPath, in, nil)
+	return m, err
+}
+
 // gateOf is the gate of an ostore store's log, nil for texas.
 func gateOf(log *gatedLog) *gate.Gate {
 	if log == nil {
@@ -257,12 +309,13 @@ func gateOf(log *gatedLog) *gate.Gate {
 	return log.gate
 }
 
-// openPlain reopens the store cold, without injection — the recovery path a
-// real restart takes. rec captures how much recovery work an ostore reopen
+// OpenPlain opens b's store at dbPath cold, without injection — the
+// recovery path a real restart takes, and the one every survivor is opened
+// by. rec, if non-nil, captures how much recovery work an ostore open
 // performed so verifiers can assert it is checkpoint-bounded; texas does no
 // recovery work and leaves it zero.
-func openPlain(cfg Config, dbPath string, rec *repl.RecoveryInfo) (storage.Manager, error) {
-	switch cfg.Backend {
+func OpenPlain(b Backend, dbPath string, rec *repl.RecoveryInfo) (storage.Manager, error) {
+	switch b {
 	case BackendOStore:
 		return ostore.Open(ostore.Options{
 			Path: dbPath, PoolPages: 48,
@@ -273,13 +326,67 @@ func openPlain(cfg Config, dbPath string, rec *repl.RecoveryInfo) (storage.Manag
 	}
 }
 
+// A pass is one run of the seeded workload against a primary opened fresh
+// through openInjected, in a directory the pass made itself: no file an
+// earlier run left in Config.Dir is ever opened. In the failover round the
+// primary ships to a standby in the same directory.
+type pass struct {
+	cfg     Config
+	dir     string
+	standby *repl.Standby // nil unless the round fails over
+}
+
+func newPass(cfg Config, r round, name string) (*pass, error) {
+	dir, err := os.MkdirTemp(cfg.Dir, fmt.Sprintf("%s-%s-%s-%d-", r.name, cfg.Backend, name, cfg.Seed))
+	if err != nil {
+		return nil, err
+	}
+	p := &pass{cfg: cfg, dir: dir}
+	if r.standby {
+		p.standby, err = repl.OpenFileStandby(filepath.Join(dir, "standby.db"), ckptEvery)
+	}
+	return p, err
+}
+
+// open opens the primary behind in, shipping to the standby if there is one.
+func (p *pass) open(in *fault.Injector) (storage.Manager, *gatedLog, error) {
+	var ship repl.Shipper
+	if p.standby != nil {
+		ship = p.standby
+	}
+	return openInjected(p.cfg.Backend, filepath.Join(p.dir, "primary.db"), in, ship)
+}
+
+// survivor opens, through OpenPlain, what outlives the stopped primary: its
+// own store, or the standby once promoted.
+func (p *pass) survivor(rec *repl.RecoveryInfo) (storage.Manager, error) {
+	if p.standby == nil {
+		return OpenPlain(p.cfg.Backend, filepath.Join(p.dir, "primary.db"), rec)
+	}
+	if err := p.standby.Promote(); err != nil {
+		return nil, fmt.Errorf("promote: %w", err)
+	}
+	return OpenPlain(p.cfg.Backend, filepath.Join(p.dir, "standby.db"), rec)
+}
+
+// close abandons a standby the pass did not get as far as promoting.
+func (p *pass) close() {
+	if p.standby != nil {
+		p.standby.Close()
+	}
+}
+
 // countPass runs the workload fault-free, closes cleanly, and checks the
-// reopened store against the final model. It returns the total I/O op count
-// the crash point is drawn from.
-func countPass(cfg Config) (uint64, error) {
-	dbPath := filepath.Join(cfg.Dir, fmt.Sprintf("%s-count-%d.db", cfg.Backend, cfg.Seed))
+// survivor against the final model. It returns the total I/O op count the
+// crash point is drawn from.
+func countPass(cfg Config, r round) (uint64, error) {
+	p, err := newPass(cfg, r, "count")
+	if err != nil {
+		return 0, err
+	}
+	defer p.close()
 	in := fault.NewInjector(fault.Plan{Seed: cfg.Seed}) // CrashOp 0: count only
-	m, log, err := openInjected(cfg, dbPath, in, nil)
+	m, log, err := p.open(in)
 	if err != nil {
 		return 0, fmt.Errorf("open: %w", err)
 	}
@@ -294,7 +401,7 @@ func countPass(cfg Config) (uint64, error) {
 	total := in.Ops()
 
 	var rec repl.RecoveryInfo
-	m2, err := openPlain(cfg, dbPath, &rec)
+	m2, err := p.survivor(&rec)
 	if err != nil {
 		return 0, fmt.Errorf("clean reopen: %w", err)
 	}
@@ -302,21 +409,26 @@ func countPass(cfg Config) (uint64, error) {
 	if err := w.committed.diff(m2); err != nil {
 		return 0, fmt.Errorf("clean reopen state: %w", err)
 	}
-	// A clean close ends on a checkpoint: the reopen must do zero work.
+	// A clean close ends on a checkpoint, and so does Promote: the open
+	// must do zero work.
 	if rec.Replayed != 0 {
 		return 0, fmt.Errorf("clean reopen did recovery work: %+v", rec)
 	}
 	return total, nil
 }
 
-// crashPass runs the workload under the crash plan, reopens cold, and
-// checks the backend's recovery invariant.
-func crashPass(cfg Config, plan fault.Plan, res *Result) error {
-	dbPath := filepath.Join(cfg.Dir, fmt.Sprintf("%s-crash-%d.db", cfg.Backend, cfg.Seed))
+// crashPass runs the workload under the crash plan, opens the survivor
+// cold, and checks the backend's recovery invariant.
+func crashPass(cfg Config, r round, plan fault.Plan, res *Result) error {
+	p, err := newPass(cfg, r, "crash")
+	if err != nil {
+		return err
+	}
+	defer p.close()
 	in := fault.NewInjector(plan)
 
 	w := newWorkload(cfg.Seed)
-	m, log, err := openInjected(cfg, dbPath, in, nil)
+	m, log, err := p.open(in)
 	switch {
 	case err != nil && errors.Is(err, fault.ErrCrashed):
 		// Died while formatting the store: nothing was ever committed.
@@ -346,7 +458,7 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	res.Commits = w.commits
 
 	var rec repl.RecoveryInfo
-	m2, err := openPlain(cfg, dbPath, &rec)
+	m2, err := p.survivor(&rec)
 	if cfg.Backend == BackendTexas {
 		return verifyTexas(m2, err, in, w, res)
 	}
@@ -354,38 +466,47 @@ func crashPass(cfg Config, plan fault.Plan, res *Result) error {
 	if res.Window == "" {
 		res.Window = w.window
 	}
-	return verifyOStore(m2, err, &rec, w, res)
+	return verifyOStore(m2, err, r, rec, w, res)
 }
 
-// verifyOStore checks the redo-log contract: reopen always succeeds, the
-// recovered state is exactly the committed model — or exactly the state an
-// ended but unacknowledged transaction would leave (a crash inside Commit,
-// or in a flush with a second commit sealed behind it) — and the replay
-// work is bounded by the checkpoint interval.
-func verifyOStore(m2 storage.Manager, openErr error, rec *repl.RecoveryInfo, w *workload, res *Result) error {
+// checkReplay holds the survivor's open to the round's replay bound.
+func (r round) checkReplay(rec repl.RecoveryInfo) error {
+	if rec.Replayed > r.maxReplay {
+		return fmt.Errorf("%s open replayed %d records, bound is %d", r.name, rec.Replayed, r.maxReplay)
+	}
+	return nil
+}
+
+// verifyOStore checks the redo-log contract: the survivor always opens, its
+// state is exactly the committed model — or exactly the state an ended but
+// unacknowledged transaction would leave (a crash inside Commit, or in a
+// flush with a second commit sealed behind it) — and its replay work is
+// within the round's bound.
+func verifyOStore(m2 storage.Manager, openErr error, r round, rec repl.RecoveryInfo, w *workload, res *Result) error {
 	if openErr != nil {
 		return fmt.Errorf("reopen after crash: %w", openErr)
 	}
 	defer m2.Close()
-	if rec.Replayed > ckptEvery {
-		return fmt.Errorf("reopen replayed %d records, checkpoint interval is %d", rec.Replayed, ckptEvery)
-	}
-	commErr := w.committed.diff(m2)
-	if commErr == nil {
-		res.Outcome = "recovered-committed"
-		return nil
+	if err := r.checkReplay(rec); err != nil {
+		return err
 	}
 	// The durability point may have passed before the crash: an in-flight
 	// transaction (and every one sealed before it) is then fully visible.
 	// Anything between those states is a torn store.
-	if w.matchesInflight(m2) {
-		res.Outcome = "recovered-pending"
-		return nil
-	}
-	if len(w.inflight) > 0 {
+	commErr := w.committed.diff(m2)
+	switch {
+	case commErr == nil && r.standby && w.commits == 0:
+		res.Outcome = "follower-empty"
+	case commErr == nil:
+		res.Outcome = r.outcome + "-committed"
+	case w.matchesInflight(m2):
+		res.Outcome = r.outcome + "-pending"
+	case len(w.inflight) > 0:
 		return fmt.Errorf("state matches neither committed (%w) nor an in-flight transaction", commErr)
+	default:
+		return fmt.Errorf("committed state not recovered: %w", commErr)
 	}
-	return fmt.Errorf("committed state not recovered: %w", commErr)
+	return nil
 }
 
 // verifyTexas checks the log-less contract: a reopen either refuses (the

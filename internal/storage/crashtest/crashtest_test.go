@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"labflow/internal/storage/repl"
 )
 
 // seedsPerBackend is the number of seeded crash schedules each backend must
@@ -40,17 +42,20 @@ const maxOStoreSeeds = 1000
 // write), and the streamed record's.
 var requiredWindows = []string{WindowCursorRewrite, WindowRecordOverlay, WindowSealedBehindFlush, WindowUpdateSealedPage, WindowRecordChunk}
 
-func runSeeds(t *testing.T, backend Backend) {
+// runSeeds runs round r's fixed-seed schedules on backend until it has
+// reached everything the round must reach, and fails on the first seed that
+// breaks an invariant.
+func runSeeds(t *testing.T, backend Backend, r round) {
 	t.Helper()
 	dir := t.TempDir()
 	outcomes := make(map[string]int)
 	windows := make(map[string]int)
 	seed := int64(FixedSeedBase)
 	run := func() {
-		res, err := Run(Config{Backend: backend, Seed: seed, Dir: dir})
+		res, err := drive(Config{Backend: backend, Seed: seed, Dir: dir}, r)
 		if err != nil {
-			t.Fatalf("replay with: go run ./cmd/labflow -experiment crashtest -store %s -seed %d -crashruns 1\n%v",
-				backend, seed, err)
+			t.Fatalf("replay with: go run ./cmd/labflow -experiment %s -store %s -seed %d -crashruns 1\n%v",
+				r.name, backend, seed, err)
 		}
 		outcomes[res.Outcome]++
 		windows[res.Window]++
@@ -84,18 +89,56 @@ func runSeeds(t *testing.T, backend Backend) {
 	for slices.ContainsFunc(requiredWindows, missing) && seed < FixedSeedBase+maxOStoreSeeds {
 		run()
 	}
-	t.Logf("%s outcomes over %d seeds: %v", backend, seed-FixedSeedBase, outcomes)
-	t.Logf("%s named windows hit: %v", backend, windows)
+	t.Logf("%s %s outcomes over %d seeds: %v", backend, r.name, seed-FixedSeedBase, outcomes)
+	t.Logf("%s %s named windows hit: %v", backend, r.name, windows)
 	for _, w := range requiredWindows {
 		if missing(w) {
 			t.Errorf("no seed in %d crashed inside the %s window; add seeds until one does", seed-FixedSeedBase, w)
 		}
 	}
+	if o := r.outcome + "-committed"; outcomes[o] == 0 {
+		t.Errorf("no seed in %d reached the %s outcome; schedule space too narrow", seed-FixedSeedBase, o)
+	}
 }
 
-func TestCrashScheduleOStore(t *testing.T) { runSeeds(t, BackendOStore) }
+func TestCrashScheduleOStore(t *testing.T) { runSeeds(t, BackendOStore, recovery) }
 
-func TestCrashScheduleTexas(t *testing.T) { runSeeds(t, BackendTexas) }
+func TestCrashScheduleTexas(t *testing.T) { runSeeds(t, BackendTexas, recovery) }
+
+// TestCrashScheduleFailover is the failover round over the same seeds: the
+// promoted standby must serve the committed prefix, and the round must reach
+// every window the recovery round does.
+func TestCrashScheduleFailover(t *testing.T) { runSeeds(t, BackendOStore, failover) }
+
+// TestFailoverRefusesTexas: texas has no redo log, so there is nothing to
+// ship and no standby to promote.
+func TestFailoverRefusesTexas(t *testing.T) {
+	if _, err := RunFailover(Config{Backend: BackendTexas, Seed: 1, Dir: t.TempDir()}); err == nil {
+		t.Fatal("RunFailover accepted texas")
+	}
+}
+
+// TestReplayBound holds each round's survivor to its replay bound: a
+// reopened primary may replay one checkpoint interval and no more, and a
+// promoted standby nothing at all. No correct store exceeds either bound,
+// so the schedules alone would never notice one loosened.
+func TestReplayBound(t *testing.T) {
+	for _, c := range []struct {
+		r        round
+		replayed int
+		ok       bool
+	}{
+		{recovery, ckptEvery, true},
+		{recovery, ckptEvery + 1, false},
+		{failover, 0, true},
+		{failover, 1, false},
+	} {
+		err := c.r.checkReplay(repl.RecoveryInfo{Replayed: c.replayed})
+		if (err == nil) != c.ok {
+			t.Errorf("%s survivor replaying %d records: err = %v, want ok = %v", c.r.name, c.replayed, err, c.ok)
+		}
+	}
+}
 
 // goldenSeeds is how many seeds each round of TestResultString pins.
 const goldenSeeds = 40
@@ -153,17 +196,33 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic replays one seed and requires the identical verdict —
-// the replayability contract behind seed-based failure reports.
+// TestRunDeterministic replays one seed twice in one shared Dir and requires
+// the identical verdict — the replayability contract behind seed-based
+// failure reports, which must hold however often a Dir is reused.
 func TestRunDeterministic(t *testing.T) {
 	for _, backend := range []Backend{BackendOStore, BackendTexas} {
-		a, errA := Run(Config{Backend: backend, Seed: 7, Dir: t.TempDir()})
-		b, errB := Run(Config{Backend: backend, Seed: 7, Dir: t.TempDir()})
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: replay verdict diverged: %v vs %v", backend, errA, errB)
+		dir := t.TempDir()
+		a, errA := Run(Config{Backend: backend, Seed: 7, Dir: dir})
+		b, errB := Run(Config{Backend: backend, Seed: 7, Dir: dir})
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: seed 7: %v / %v", backend, errA, errB)
 		}
 		if a != b {
 			t.Fatalf("%s: replay result diverged:\n%+v\n%+v", backend, a, b)
 		}
+	}
+}
+
+// TestFailoverDeterministic replays one seed twice in one shared Dir and
+// requires the identical verdict, as for Run.
+func TestFailoverDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	a, errA := RunFailover(Config{Backend: BackendOStore, Seed: 11, Dir: dir})
+	b, errB := RunFailover(Config{Backend: BackendOStore, Seed: 11, Dir: dir})
+	if errA != nil || errB != nil {
+		t.Fatalf("seed 11: %v / %v", errA, errB)
+	}
+	if a != b {
+		t.Fatalf("replay result diverged:\n%+v\n%+v", a, b)
 	}
 }
