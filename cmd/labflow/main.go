@@ -30,8 +30,9 @@
 // which repeats runs and takes medians. -cpuprofile / -memprofile write
 // pprof profiles of the run.
 //
-// The working data lives under -dir (a temporary directory by default) and
-// is removed afterwards unless -keep is given.
+// The working data lives in a fresh directory under -dir (the system's
+// temporary directory by default), so a reused -dir never hands a run an
+// earlier run's files; it is removed afterwards unless -keep is given.
 package main
 
 import (
@@ -72,7 +73,7 @@ func main() {
 	flag.StringVar(&o.experiment, "experiment", "table10", "schema | table10 | ops | clustering | evolution | sweep | crashtest | failover | recovery | provenance | all")
 	flag.StringVar(&o.stores, "stores", "", "comma-separated server versions for table10 (default: all five)")
 	flag.StringVar(&o.store, "store", "Texas+TC", "server version for ops/evolution")
-	flag.StringVar(&o.dir, "dir", "", "working directory (default: a temp dir)")
+	flag.StringVar(&o.dir, "dir", "", "parent of each run's fresh working directory (default: the system temp dir)")
 	flag.BoolVar(&o.keep, "keep", false, "keep the working directory")
 	flag.IntVar(&o.scale, "scale", 0, "override BaseClones (the 1X unit)")
 	flag.IntVar(&o.intervals, "intervals", 0, "override the number of 0.5X intervals")
@@ -141,18 +142,22 @@ func run(o options) error {
 		p.Seed = o.seed
 	}
 
-	if o.dir == "" {
-		tmp, err := os.MkdirTemp("", "labflow-*")
-		if err != nil {
+	// Every invocation works in a fresh directory under -dir, so no run
+	// opens files an earlier one left there.
+	if o.dir != "" {
+		if err := os.MkdirAll(o.dir, 0o755); err != nil {
 			return err
 		}
-		o.dir = tmp
-		if !o.keep {
-			defer os.RemoveAll(tmp)
-		}
 	}
+	tmp, err := os.MkdirTemp(o.dir, "labflow-*")
+	if err != nil {
+		return err
+	}
+	o.dir = tmp
 	if o.keep {
 		fmt.Fprintf(os.Stderr, "working directory: %s\n", o.dir)
+	} else {
+		defer os.RemoveAll(tmp)
 	}
 
 	experiments := []string{o.experiment}

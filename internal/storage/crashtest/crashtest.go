@@ -331,7 +331,7 @@ func OpenPlain(b Backend, dbPath string, rec *repl.RecoveryInfo) (storage.Manage
 // earlier run left in Config.Dir is ever opened. In the failover round the
 // primary ships to a standby in the same directory.
 type pass struct {
-	cfg     Config
+	backend Backend
 	dir     string
 	standby *repl.Standby // nil unless the round fails over
 }
@@ -341,7 +341,7 @@ func newPass(cfg Config, r round, name string) (*pass, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pass{cfg: cfg, dir: dir}
+	p := &pass{backend: cfg.Backend, dir: dir}
 	if r.standby {
 		p.standby, err = repl.OpenFileStandby(filepath.Join(dir, "standby.db"), ckptEvery)
 	}
@@ -354,19 +354,19 @@ func (p *pass) open(in *fault.Injector) (storage.Manager, *gatedLog, error) {
 	if p.standby != nil {
 		ship = p.standby
 	}
-	return openInjected(p.cfg.Backend, filepath.Join(p.dir, "primary.db"), in, ship)
+	return openInjected(p.backend, filepath.Join(p.dir, "primary.db"), in, ship)
 }
 
 // survivor opens, through OpenPlain, what outlives the stopped primary: its
 // own store, or the standby once promoted.
 func (p *pass) survivor(rec *repl.RecoveryInfo) (storage.Manager, error) {
 	if p.standby == nil {
-		return OpenPlain(p.cfg.Backend, filepath.Join(p.dir, "primary.db"), rec)
+		return OpenPlain(p.backend, filepath.Join(p.dir, "primary.db"), rec)
 	}
 	if err := p.standby.Promote(); err != nil {
 		return nil, fmt.Errorf("promote: %w", err)
 	}
-	return OpenPlain(p.cfg.Backend, filepath.Join(p.dir, "standby.db"), rec)
+	return OpenPlain(p.backend, filepath.Join(p.dir, "standby.db"), rec)
 }
 
 // close abandons a standby the pass did not get as far as promoting.

@@ -87,9 +87,12 @@ go test -race -shuffle=on ./...
 
 echo "== crashtest: fixed-seed crash-recovery schedules (-race)"
 # Deterministic: 200 seeded crash schedules per storage backend, anchored at
-# FixedSeedBase, plus the sharded one-shard-crashes schedules (through an
-# in-process cluster's router), so a
-# regression here always reproduces bit-for-bit.
+# FixedSeedBase, the same ostore seeds again in the failover round (one
+# driver; the survivor is the promoted standby instead of the reopened
+# primary, and it must reach the same five windows), plus the sharded
+# one-shard-crashes schedules (through an in-process cluster's router, over
+# the crashtest openers), so a regression here always reproduces
+# bit-for-bit.
 # The ostore round runs a seeded share of its transactions as two-committer
 # pairs (one commit's flush held while the next seals behind it) and asserts
 # that some seed crashed inside each of five named windows: the recycled
@@ -248,12 +251,14 @@ echo "== recovery, provenance and all, each run twice: bounded replay, answer se
 # Its small budget makes fanout 16 and diamond 8 measured DNF rows and
 # diamond 16 a skipped one, so both kinds of DNF row are compared too.
 # "all" (about 1.5 s a run) covers table10 and E2-E5, every table the one
-# generated workload stream drives.
+# generated workload stream drives. Both runs share one -dir: a run must not
+# open what an earlier run left there.
 det=$(mktemp -d)
 go build -o "$det/labflow" ./cmd/labflow
 for exp in "recovery" "provenance -depths 4,8,16 -budget 20000" "all"; do
 	# $exp is split into the experiment and its flags on purpose.
-	"$det/labflow" -experiment $exp >"$det/first" && "$det/labflow" -experiment $exp >"$det/second" || {
+	"$det/labflow" -experiment $exp -dir "$det/work" >"$det/first" &&
+		"$det/labflow" -experiment $exp -dir "$det/work" >"$det/second" || {
 		echo "labflow -experiment $exp FAILED; replay: go run ./cmd/labflow -experiment $exp" >&2
 		exit 1
 	}
